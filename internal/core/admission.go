@@ -65,13 +65,13 @@ func (e *Engine) rejects(t *Txn) bool {
 	a := e.cfg.Admission
 	switch a.Mode {
 	case RejectNewest:
-		return len(e.live) >= a.MaxLive
+		return e.live.n >= a.MaxLive
 	case RejectInfeasible:
-		if a.MaxLive > 0 && len(e.live) >= a.MaxLive {
+		if a.MaxLive > 0 && e.live.n >= a.MaxLive {
 			return true
 		}
 		backlog := t.Spec.ResourceTime(e.cfg.Workload.DiskAccessTime)
-		for _, v := range e.live {
+		for v := e.live.head; v != nil; v = v.liveNext {
 			backlog += v.remainingStatic()
 		}
 		eta := time.Duration(e.sim.Now()) + backlog/time.Duration(e.cfg.NumCPUs)

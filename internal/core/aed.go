@@ -57,12 +57,12 @@ func (p *aedPolicy) key(t *Txn) float64 {
 // inHITGroup reports whether t currently falls inside the HIT capacity:
 // its key-rank among live transactions is below hitCap.
 func (p *aedPolicy) inHITGroup(e *Engine, t *Txn) bool {
-	if p.hitCap >= float64(len(e.live)) {
+	if p.hitCap >= float64(e.live.n) {
 		return true
 	}
 	kt := p.key(t)
 	rank := 0
-	for _, o := range e.live {
+	for o := e.live.head; o != nil; o = o.liveNext {
 		if o != t && p.key(o) < kt {
 			rank++
 		}

@@ -167,13 +167,22 @@ type benchBaselineEntry struct {
 	SpeedupVsNaiveFull        float64 `json:"speedup_vs_naive_full"`
 }
 
+// dispatchGrowthPoint is one point of BENCH_core.json's dispatch_growth
+// curve.
+type dispatchGrowthPoint struct {
+	Live       int     `json:"live"`
+	NsPerPoint float64 `json:"ns_per_scheduling_point"`
+}
+
 // TestWriteBenchBaseline refreshes the repository's BENCH_core.json when
 // BENCH_BASELINE=1 is set. It measures wall time, B/op and allocs/op for the
 // three engine modes on both benchmark configurations via testing.Benchmark
 // and enforces the acceptance floors: on large-db-high-mpl the fast engine
 // must allocate ≥5× less than the naive-dispatch engine and run ≥2× faster
-// than the fully naive engine, and on base-mm the fast engine's wall time
-// must not regress against naive dispatch.
+// than the fully naive engine, on base-mm the fast engine's wall time must
+// not regress against naive dispatch, and on the dispatch_growth curve a
+// scheduling point over 8192 live transactions may cost at most 3× one over
+// 16.
 func TestWriteBenchBaseline(t *testing.T) {
 	if os.Getenv("BENCH_BASELINE") == "" {
 		t.Skip("set BENCH_BASELINE=1 to refresh BENCH_core.json (see DESIGN.md)")
@@ -204,6 +213,11 @@ func TestWriteBenchBaseline(t *testing.T) {
 			CCAPMs          float64 `json:"ccap_ms"`
 			ThroughputRatio float64 `json:"throughput_ratio_vs_cca"`
 		} `json:"predict_policy"`
+		DispatchGrowth struct {
+			Note   string                `json:"note"`
+			Points []dispatchGrowthPoint `json:"points"`
+			Ratio  float64               `json:"ratio_largest_vs_smallest"`
+		} `json:"dispatch_growth"`
 	}{
 		Note:    "CCA engine wall time and allocations per full run: fast (incremental dispatch + conflict index + pooled calendar) vs naive_dispatch (index only) vs naive_full (original seed engine); measured by testing.Benchmark",
 		Refresh: "BENCH_BASELINE=1 go test ./internal/core -run TestWriteBenchBaseline",
@@ -254,6 +268,22 @@ func TestWriteBenchBaseline(t *testing.T) {
 	t.Logf("predict-policy: cca %.1fms, cca-p %.1fms → throughput ratio %.2fx", ccaMs, ccapMs, out.PredictPolicy.ThroughputRatio)
 	if out.PredictPolicy.ThroughputRatio < 0.9 {
 		t.Errorf("predict-policy: cca-p throughput %.2fx stock CCA < 0.9x acceptance floor", out.PredictPolicy.ThroughputRatio)
+	}
+
+	// Growth curve: what a scheduling point costs as the live set grows.
+	// Ceiling: the largest backlog may cost at most 3× the smallest.
+	out.DispatchGrowth.Note = "wall ns per scheduling point (dispatch pass) for one foreground CCA arrival→commit over N parked, non-conflicting live transactions (BenchmarkDispatchGrowth; includes building and retiring the foreground transaction, the same work at every N)"
+	for _, n := range dispatchGrowthSizes {
+		r := testing.Benchmark(func(b *testing.B) { benchDispatchGrowth(b, n) })
+		pt := dispatchGrowthPoint{Live: n, NsPerPoint: r.Extra["ns/point"]}
+		out.DispatchGrowth.Points = append(out.DispatchGrowth.Points, pt)
+		t.Logf("dispatch-growth: live %d: %.0f ns per scheduling point", n, pt.NsPerPoint)
+	}
+	pts := out.DispatchGrowth.Points
+	out.DispatchGrowth.Ratio = pts[len(pts)-1].NsPerPoint / pts[0].NsPerPoint
+	if out.DispatchGrowth.Ratio > 3 {
+		t.Errorf("dispatch-growth: live %d costs %.2fx live %d per scheduling point, ceiling 3x",
+			pts[len(pts)-1].Live, out.DispatchGrowth.Ratio, pts[0].Live)
 	}
 
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -19,9 +19,30 @@ func newBitset(n int) bitset {
 // add inserts the item.
 func (b bitset) add(it txn.Item) { b[int(it)/64] |= 1 << (uint(it) % 64) }
 
-// contains reports membership.
+// contains reports membership; a nil set is empty.
 func (b bitset) contains(it txn.Item) bool {
-	return b[int(it)/64]&(1<<(uint(it)%64)) != 0
+	w := int(it) / 64
+	return w < len(b) && b[w]&(1<<(uint(it)%64)) != 0
+}
+
+// addDistinct inserts the listed items and returns them without repeats:
+// the list itself when it has none (the common case allocates nothing), a
+// fresh copy otherwise. b must not already hold any of them.
+func (b bitset) addDistinct(items []txn.Item) []txn.Item {
+	for i, it := range items {
+		if b.contains(it) {
+			out := append([]txn.Item(nil), items[:i]...)
+			for _, it := range items[i+1:] {
+				if !b.contains(it) {
+					b.add(it)
+					out = append(out, it)
+				}
+			}
+			return out
+		}
+		b.add(it)
+	}
+	return items
 }
 
 // clear removes all items.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/txn"
@@ -16,18 +17,23 @@ import (
 //
 // The index consists of:
 //
-//   - hasAt, an item → partially-executed-holders inverted index: which
-//     live transactions have accessed (locked) each item. Updated on lock
-//     acquisition, commit release, and abort release.
+//   - items, one record per data item holding two inverted indexes: has,
+//     the partially executed transactions that have accessed (locked) the
+//     item — updated on lock acquisition, commit release and abort release
+//     — and its mirror might, the live transactions whose might-access set
+//     contains the item — updated on arrival, Engine.setMight and departure,
+//     and kept only for EvalConflictClocked policies.
 //   - plist, the paper's P-list: the live transactions with at least one
 //     accessed item, as a dense slice for cheap iteration (the paper
 //     observes it averages 1–2 members).
-//   - a per-transaction cached penalty term (Txn.penaltyVal), invalidated
-//     when any overlapping transaction's has-set changes (tracked by the
-//     generation counter gen) or when simulated time advances (tracked by
-//     timestamp — a running overlapper's effective service time grows with
-//     the clock). While the clock stands still and no has-set changed, the
-//     penalty is provably constant, so a cache hit is exact, never stale.
+//   - hot, the conflict neighbourhood of the P-list: every live transaction
+//     whose might-set meets some member's has-set — the only transactions
+//     whose penalty of conflict can be non-zero, hence the only ones a
+//     dispatch pass has to re-evaluate (see Engine.refreshPriorities).
+//   - gen, a generation counter bumped by every has-set change: while it
+//     and the simulated clock stand still every penalty is provably
+//     constant (a running overlapper's service time grows only with the
+//     clock), which is the key the dispatch pass's evaluation memo uses.
 //
 // With the index, PenaltyOfConflict walks the holders of the items the
 // transaction might access (deduplicated with a visit stamp — no
@@ -35,71 +41,167 @@ import (
 // only. The engine keeps the original full-scan implementations alongside
 // (Config.NaiveConflictScan); the equivalence suite in conflict_test.go
 // asserts both produce bit-identical schedules and metrics.
-// itemHolders lists the partially executed transactions holding one item.
-// The first holder is stored inline: without shared locks an item never has
-// a second holder, so the common case allocates no per-item slice at all.
+
+// itemHolders is one inverted-index entry: the transactions listed against
+// one item. The first is stored inline: without shared locks an item never
+// has a second holder, and a cold item rarely a second claimant, so the
+// common case allocates no per-item slice at all.
 type itemHolders struct {
-	first *Txn   // nil = no holder
-	extra []*Txn // co-holders beyond the first (shared readers)
+	first *Txn   // nil = none
+	extra []*Txn // the others, grown on demand
 }
 
-func (h *itemHolders) add(t *Txn) {
+func (h *itemHolders) remove(t *Txn) {
+	n := len(h.extra)
+	if h.first == t {
+		h.first = nil
+		if n > 0 {
+			h.first = h.extra[n-1]
+		}
+	} else {
+		i := slices.Index(h.extra, t)
+		if i < 0 {
+			return
+		}
+		h.extra[i] = h.extra[n-1]
+	}
+	if n > 0 {
+		// Clear the vacated slot: a stale pointer past len would keep a
+		// finished transaction (and its bitsets) reachable.
+		h.extra[n-1] = nil
+		h.extra = h.extra[:n-1]
+	}
+}
+
+// each calls fn for every listed transaction.
+func (h *itemHolders) each(fn func(*Txn)) {
+	if h.first == nil {
+		return
+	}
+	fn(h.first)
+	for _, t := range h.extra {
+		fn(t)
+	}
+}
+
+// itemRecord is the index's per-item state; both directions share it so a
+// might-set walk finds the item's holders on the cache line it already
+// touched.
+type itemRecord struct {
+	has   itemHolders // partially executed transactions that accessed the item
+	might itemHolders // live transactions that might access it
+}
+
+type conflictIndex struct {
+	items []itemRecord
+	// plist holds the live transactions with a non-empty has-set; each
+	// member's plistIdx is its position (swap-remove keeps it dense).
+	plist []*Txn
+	// gen increments on every has-set mutation and every decision-tap
+	// notification; evaluation memos carry the generation they were
+	// computed at.
+	gen uint64
+	// stamp is the visit marker for the penalty walk's deduplication.
+	stamp uint64
+
+	// hot is the P-list's conflict neighbourhood as of generation hotGen; a
+	// member's hotStamp equals hotStamp. Between rebuilds it only grows
+	// (mightAdd), so it may hold departed transactions and ones that no
+	// longer overlap; it never misses one that does.
+	hot      []*Txn
+	hotGen   uint64
+	hotStamp uint64
+
+	// slab is the unused rest of the current overflow chunk (listAdd).
+	slab []*Txn
+}
+
+// overflowCap is the capacity an entry's overflow list starts with, and
+// overflowChunk how many such lists one allocation supplies: an item's
+// first overflow is carved from a shared chunk, so a run that touches
+// thousands of contended items allocates a handful of chunks, not a slice
+// per item. A list outgrowing overflowCap falls back to append's growth.
+const (
+	overflowCap   = 4
+	overflowChunk = 256
+)
+
+// listAdd lists t in h.
+func (ci *conflictIndex) listAdd(h *itemHolders, t *Txn) {
 	if h.first == nil {
 		h.first = t
 		return
 	}
+	if h.extra == nil {
+		if len(ci.slab) < overflowCap {
+			ci.slab = make([]*Txn, overflowChunk*overflowCap)
+		}
+		h.extra, ci.slab = ci.slab[:0:overflowCap], ci.slab[overflowCap:]
+	}
 	h.extra = append(h.extra, t)
 }
 
-func (h *itemHolders) remove(t *Txn) {
-	if h.first == t {
-		if n := len(h.extra); n > 0 {
-			h.first = h.extra[n-1]
-			h.extra = h.extra[:n-1]
-		} else {
-			h.first = nil
-		}
-		return
-	}
-	for i, v := range h.extra {
-		if v == t {
-			n := len(h.extra)
-			h.extra[i] = h.extra[n-1]
-			h.extra = h.extra[:n-1]
-			return
-		}
-	}
-}
-
-type conflictIndex struct {
-	// hasAt[i] holds the live transactions that have accessed item i.
-	hasAt []itemHolders
-	// plist holds the live transactions with a non-empty has-set; each
-	// member's plistIdx is its position (swap-remove keeps it dense).
-	plist []*Txn
-	// gen increments on every has-set mutation; penalty caches carry the
-	// generation they were computed at.
-	gen uint64
-	// stamp is the visit marker for the penalty walk's deduplication.
-	stamp uint64
-}
-
 // newConflictIndex returns an empty index over a database of dbSize items.
-// gen starts at 1 so a zero Txn.penaltyGen (or an explicit invalidation to
-// 0) can never match a live generation.
+// gen starts at 1 so the zero hotGen and a zero Txn.evalGen never match a
+// live generation.
 func newConflictIndex(dbSize int) *conflictIndex {
-	return &conflictIndex{hasAt: make([]itemHolders, dbSize), gen: 1}
+	return &conflictIndex{items: make([]itemRecord, dbSize), gen: 1, hotStamp: 1}
+}
+
+// mightAdd lists t against every item of its might-set and, when one of
+// them is already held, puts t in the hot set — a has-set change would
+// have rebuilt the set, a might-set change has to extend it.
+func (ci *conflictIndex) mightAdd(t *Txn) {
+	held := false
+	for _, it := range t.mightItems {
+		rec := &ci.items[int(it)]
+		ci.listAdd(&rec.might, t)
+		held = held || rec.has.first != nil
+	}
+	if held {
+		ci.addHot(t)
+	}
+}
+
+// mightRemove undoes mightAdd's listing (departure, or setMight switching
+// sets). A hot-set entry stays until the next rebuild.
+func (ci *conflictIndex) mightRemove(t *Txn) {
+	for _, it := range t.mightItems {
+		ci.items[int(it)].might.remove(t)
+	}
+}
+
+func (ci *conflictIndex) addHot(t *Txn) {
+	if t.hotStamp != ci.hotStamp {
+		t.hotStamp = ci.hotStamp
+		ci.hot = append(ci.hot, t)
+	}
+}
+
+// rebuildHot recomputes the hot set for the current generation: the
+// claimants of every item some P-list member holds.
+func (ci *conflictIndex) rebuildHot() {
+	ci.hotStamp++
+	clear(ci.hot)
+	ci.hot = ci.hot[:0]
+	for _, p := range ci.plist {
+		for _, it := range p.items {
+			if p.has.contains(it) {
+				ci.items[int(it)].might.each(ci.addHot)
+			}
+		}
+	}
+	ci.hotGen = ci.gen
 }
 
 // hasAdd records that t has accessed (locked) a new item. Callers must not
 // report an item already in t.has.
 func (ci *conflictIndex) hasAdd(t *Txn, it txn.Item) {
-	ci.hasAt[int(it)].add(t)
+	ci.listAdd(&ci.items[int(it)].has, t)
 	if t.plistIdx < 0 {
 		t.plistIdx = len(ci.plist)
 		ci.plist = append(ci.plist, t)
 	}
-	t.hasCount++
 	ci.gen++
 }
 
@@ -107,19 +209,20 @@ func (ci *conflictIndex) hasAdd(t *Txn, it txn.Item) {
 // from the P-list (abort release, commit, drop). It reads t.has but does
 // not clear it; callers that empty the set (abort, drop) do so afterwards.
 func (ci *conflictIndex) deindexHas(t *Txn) {
-	if t.hasCount == 0 {
+	if t.plistIdx < 0 {
 		return
 	}
-	t.has.forEach(func(it txn.Item) {
-		ci.hasAt[int(it)].remove(t)
-	})
+	for _, it := range t.items {
+		if t.has.contains(it) {
+			ci.items[int(it)].has.remove(t)
+		}
+	}
 	last := len(ci.plist) - 1
 	moved := ci.plist[last]
 	ci.plist[t.plistIdx] = moved
 	moved.plistIdx = t.plistIdx
 	ci.plist = ci.plist[:last]
 	t.plistIdx = -1
-	t.hasCount = 0
 	ci.gen++
 }
 
@@ -140,16 +243,9 @@ func (ci *conflictIndex) penalty(e *Engine, t *Txn) time.Duration {
 			sum += e.rollbackCost(p)
 		}
 	}
-	t.might.forEach(func(it txn.Item) {
-		hs := &ci.hasAt[int(it)]
-		if hs.first == nil {
-			return
-		}
-		visit(hs.first)
-		for _, p := range hs.extra {
-			visit(p)
-		}
-	})
+	for _, it := range t.mightItems {
+		ci.items[int(it)].has.each(visit)
+	}
 	return sum
 }
 
@@ -168,54 +264,80 @@ func (ci *conflictIndex) verify(e *Engine) {
 		inPlist[t] = true
 	}
 	live := 0
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		if pe := t.PartiallyExecuted(); pe != inPlist[t] {
 			panic(fmt.Sprintf("core: conflict index P-list disagrees for T%d (partially executed %v)", t.ID(), pe))
 		}
 		if inPlist[t] {
 			live++
 		}
-		if t.hasCount != t.has.count() {
-			panic(fmt.Sprintf("core: T%d hasCount %d but bitset has %d items", t.ID(), t.hasCount, t.has.count()))
-		}
 	}
 	if live != len(ci.plist) {
 		panic(fmt.Sprintf("core: P-list has %d members, %d of which are live", len(ci.plist), live))
 	}
-	for i := range ci.hasAt {
-		hs := &ci.hasAt[i]
+	ci.verifyInverted(e, "has", func(r *itemRecord) *itemHolders { return &r.has },
+		func(t *Txn) bitset { return t.has })
+	ci.verifyInverted(e, "might", func(r *itemRecord) *itemHolders { return &r.might },
+		func(t *Txn) bitset {
+			if !e.tracksMight() {
+				return nil // the mirror index is not kept: every list must be empty
+			}
+			return t.might
+		})
+}
+
+// verifyInverted checks one direction of the index against the sets it
+// mirrors: every entry names a live transaction whose set contains the
+// item, no entry repeats, and the entry count equals the sets' total size —
+// together, the lists are exactly the sets, inverted.
+func (ci *conflictIndex) verifyInverted(e *Engine, name string, dir func(*itemRecord) *itemHolders, set func(*Txn) bitset) {
+	entries := 0
+	for i := range ci.items {
+		hs := dir(&ci.items[i])
+		if hs.first == nil && len(hs.extra) > 0 {
+			panic(fmt.Sprintf("core: %s index item %d has overflow entries but no first", name, i))
+		}
 		seen := make(map[*Txn]bool, 1+len(hs.extra))
-		check := func(t *Txn) {
+		hs.each(func(t *Txn) {
 			if seen[t] {
-				panic(fmt.Sprintf("core: hasAt[%d] lists T%d twice", i, t.ID()))
+				panic(fmt.Sprintf("core: %s index item %d lists T%d twice", name, i, t.ID()))
 			}
 			seen[t] = true
-			if !t.has.contains(txn.Item(i)) || !inPlist[t] {
-				panic(fmt.Sprintf("core: stale hasAt entry T%d item %d", t.ID(), i))
+			if b := set(t); !t.inLive || b == nil || !b.contains(txn.Item(i)) {
+				panic(fmt.Sprintf("core: stale %s index entry T%d item %d", name, t.ID(), i))
 			}
-		}
-		if hs.first != nil {
-			check(hs.first)
-		}
-		for _, t := range hs.extra {
-			check(t)
-		}
-		if hs.first == nil && len(hs.extra) > 0 {
-			panic(fmt.Sprintf("core: hasAt[%d] has overflow holders but no first", i))
+			entries++
+		})
+	}
+	want := 0
+	for t := e.live.head; t != nil; t = t.liveNext {
+		if b := set(t); b != nil {
+			want += b.count()
 		}
 	}
-	for _, t := range e.live {
-		t.has.forEach(func(it txn.Item) {
-			hs := &ci.hasAt[int(it)]
-			if hs.first == t {
-				return
+	if entries != want {
+		panic(fmt.Sprintf("core: %s index lists %d entries, the live sets hold %d", name, entries, want))
+	}
+}
+
+// verifyHot asserts, by brute force, that the hot set is current and
+// covers every live transaction whose might-set meets a P-list member's
+// has-set — so that every transaction outside it has a zero penalty of
+// conflict. Called (under Config.CheckInvariants) where the dispatch pass
+// relies on it: right after the incremental re-evaluation.
+func (ci *conflictIndex) verifyHot(e *Engine) {
+	if ci.hotGen != ci.gen {
+		panic(fmt.Sprintf("core: hot set built at generation %d, index is at %d", ci.hotGen, ci.gen))
+	}
+	for t := e.live.head; t != nil; t = t.liveNext {
+		if t.hotStamp == ci.hotStamp {
+			continue
+		}
+		for _, p := range ci.plist {
+			if p.has.intersects(t.might) {
+				panic(fmt.Sprintf("core: T%d overlaps P-list member T%d but is outside the hot set (penalty %v)",
+					t.ID(), p.ID(), e.penaltyOfConflictScan(t)))
 			}
-			for _, h := range hs.extra {
-				if h == t {
-					return
-				}
-			}
-			panic(fmt.Sprintf("core: hasAt missing T%d item %d", t.ID(), it))
-		})
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,22 @@ type txnOutcome struct {
 	Secondary bool
 }
 
+// equivOpts widens an equivalence run beyond the plain Run-to-completion.
+type equivOpts struct {
+	// oracle attaches the runtime safety oracle to every variant.
+	oracle bool
+	// until, when non-zero, steps the run to that instant instead of to
+	// completion and compares the raw run counters there — for workloads
+	// holding transactions that never finish.
+	until time.Duration
+}
+
 func runForEquivalence(t *testing.T, cfg Config, wl *workload.Workload) ([]txnOutcome, interface{}) {
+	t.Helper()
+	return runEquivalence(t, cfg, wl, equivOpts{})
+}
+
+func runEquivalence(t *testing.T, cfg Config, wl *workload.Workload, opts equivOpts) ([]txnOutcome, interface{}) {
 	t.Helper()
 	var (
 		e   *Engine
@@ -42,8 +58,17 @@ func runForEquivalence(t *testing.T, cfg Config, wl *workload.Workload) ([]txnOu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
-	if err != nil {
+	if opts.oracle {
+		e.EnableOracle()
+	}
+	var res interface{}
+	if opts.until > 0 {
+		e.StartRun()
+		if err := e.StepTo(sim.Time(opts.until)); err != nil {
+			t.Fatal(err)
+		}
+		res = e.RunSnapshot()
+	} else if res, err = e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]txnOutcome, len(e.all))
@@ -64,11 +89,16 @@ func runForEquivalence(t *testing.T, cfg Config, wl *workload.Workload) ([]txnOu
 // All four variants run with invariant checking on.
 func assertEquivalent(t *testing.T, name string, cfg Config, wl *workload.Workload) {
 	t.Helper()
+	assertEquivalentOpts(t, name, cfg, wl, equivOpts{})
+}
+
+func assertEquivalentOpts(t *testing.T, name string, cfg Config, wl *workload.Workload, opts equivOpts) {
+	t.Helper()
 	ref := cfg
 	ref.NaiveConflictScan = false
 	ref.NaiveDispatch = false
 	ref.CheckInvariants = true
-	refSched, refRes := runForEquivalence(t, ref, wl)
+	refSched, refRes := runEquivalence(t, ref, wl, opts)
 
 	variants := []struct {
 		label          string
@@ -83,7 +113,7 @@ func assertEquivalent(t *testing.T, name string, cfg Config, wl *workload.Worklo
 		c.NaiveConflictScan = v.scan
 		c.NaiveDispatch = v.dispatch
 		c.CheckInvariants = true
-		sched, res := runForEquivalence(t, c, wl)
+		sched, res := runEquivalence(t, c, wl, opts)
 		if !reflect.DeepEqual(refSched, sched) {
 			for i := range refSched {
 				if refSched[i] != sched[i] {

@@ -56,12 +56,15 @@ type Engine struct {
 	hist   *history.History // nil unless Config.RecordHistory
 	wl     *workload.Workload
 
-	all   []*Txn // every transaction, indexed by ID
-	live  []*Txn // arrived, not yet committed, in arrival order
-	slots []*Txn // CPU occupants (nil = idle)
+	all   []*Txn   // every transaction, indexed by ID
+	live  liveList // arrived, not yet committed, in arrival order
+	slots []*Txn   // CPU occupants (nil = idle)
 	// freeIDs holds retired transaction IDs for reuse (wall-clock service
 	// mode only; simulation runs never retire IDs).
 	freeIDs []int
+	// freeSets holds the item sets of retired transactions for reuse
+	// (retireServiceTxn, serviceBitset).
+	freeSets []bitset
 	// idsPinned latches recycling off for the engine's lifetime: set the
 	// moment any consumer that keys state by transaction ID attaches (the
 	// history/oracle, a trace recorder). A latch — not a live check against
@@ -77,27 +80,32 @@ type Engine struct {
 	// Incremental dispatch state (unused when Config.NaiveDispatch keeps
 	// the original re-sort-everything pass):
 	//
-	// ranked mirrors live's membership in priority order (best first, per
-	// less). It is maintained across scheduling points: arrivals append
-	// and mark the order dirty, removals preserve order, and a dispatch
-	// pass re-sorts only when some transaction's priority actually changed
-	// — for statically-prioritised policies that means no sorting at all
-	// after each arrival settles.
+	// ranked holds the live transactions sorted by less, worst first, and
+	// stays sorted across scheduling points: a transaction is inserted by
+	// binary search on its first pass, removed the same way when it leaves
+	// and re-keyed when a pass finds its priority moved. Worst first,
+	// because the best transactions are the ones that run, commit and get
+	// re-keyed: at the tail, a change shifts the few transactions better
+	// than it, not the backlog behind it.
 	ranked []*Txn
-	// orderDirty records that ranked's order is stale (an arrival was
-	// appended, or a priority changed since the last sort).
-	orderDirty bool
-	// poolBuf and desiredBuf are engine-owned scratch for the dispatch
-	// pass, reused so steady-state passes allocate nothing.
-	poolBuf    []*Txn
+	// pending lists the transactions whose stored priority may be stale for
+	// a reason the conflict index cannot see — a fresh arrival, a might-set
+	// switch, an inherited-priority change — for the next pass to refresh
+	// (markStale). Duplicates and departed transactions are tolerated.
+	pending []*Txn
+	// desiredBuf is engine-owned scratch for the dispatch pass, reused so
+	// steady-state passes allocate nothing.
 	desiredBuf []*Txn
 	// passStamp identifies the current dispatch pass; Txn.desiredStamp ==
 	// passStamp marks membership in the pass's desired set in O(1).
 	passStamp uint64
-	// evalMode is the policy's Staticness, downgraded to EvalDynamic when
-	// an EvalConflictClocked policy runs without the conflict index (the
-	// naive penalty scans have no generation to key staleness on).
+	// evalMode is the evaluation discipline in force (setEvalMode): the
+	// policy's Staticness, or EvalDynamic when a full sweep is required.
 	evalMode Staticness
+	// passes and rankCompares count dispatch passes and ranked-order
+	// comparisons; the cost tests and the growth benchmark read them.
+	passes       uint64
+	rankCompares uint64
 
 	// ci incrementally tracks might/has overlaps between live
 	// transactions so the scheduling hot paths (PenaltyOfConflict, the
@@ -222,10 +230,7 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 	if !cfg.NaiveConflictScan {
 		e.ci = newConflictIndex(cfg.Workload.DBSize)
 	}
-	e.evalMode = e.policy.Staticness()
-	if e.evalMode == EvalConflictClocked && e.ci == nil {
-		e.evalMode = EvalDynamic
-	}
+	e.setEvalMode()
 	if o, ok := e.policy.(DecisionObserver); ok {
 		e.obs = o
 	}
@@ -256,53 +261,70 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 	for i := range wl.Txns {
 		nsets += 2
 		if len(wl.Txns[i].MightFull) > 0 {
-			nsets += 1
+			nsets++
 		}
 	}
 	slab := make([]uint64, nsets*words)
-	carve := func(items []txn.Item) bitset {
+	carve := func() bitset {
 		b := bitset(slab[:words:words])
 		slab = slab[words:]
-		for _, it := range items {
-			b.add(it)
-		}
 		return b
 	}
 	txns := make([]Txn, len(wl.Txns))
 	e.all = make([]*Txn, 0, len(wl.Txns))
 	for i := range wl.Txns {
-		spec := &wl.Txns[i]
-		t := &txns[i]
-		t.Spec = spec
-		t.might = carve(spec.Items)
-		t.has = carve(nil)
-		t.cpu = -1
-		t.plistIdx = -1
-		t.inherited = negInf
-		if len(spec.MightFull) > 0 && !cfg.PessimisticAnalysis {
-			// Decision-point transaction: until the decision point
-			// executes, the scheduler must assume both branches.
-			t.mightNarrow = t.might
-			t.mightFull = carve(spec.MightFull)
-			t.might = t.mightFull
-		} else if len(spec.MightFull) > 0 {
-			// Pessimistic mode: the union set for the whole lifetime.
-			t.might = carve(spec.MightFull)
-		}
-		for _, r := range spec.Reads {
-			if r {
-				e.hasReads = true
-				break
-			}
-		}
-		// Recurring event callbacks, built once so the hot path never
-		// allocates a closure per scheduled event.
-		t.updateDoneFn = func() { e.onUpdateDone(t) }
-		t.rollbackDoneFn = func() { e.onRollbackDone(t, t.pendingRollback) }
-		e.all = append(e.all, t)
+		e.initTxn(&txns[i], &wl.Txns[i], carve)
+		txns[i].has = carve()
+		e.all = append(e.all, &txns[i])
 	}
 	e.run.CPUs = cfg.NumCPUs
 	return e, nil
+}
+
+// setEvalMode derives evalMode from the policy's Staticness. Two cases run
+// as EvalDynamic whatever the policy declares: the naive pass, which sweeps
+// everything by definition, and an EvalConflictClocked policy without the
+// conflict index, which has no generation to key staleness on.
+func (e *Engine) setEvalMode() {
+	e.evalMode = e.policy.Staticness()
+	if e.cfg.NaiveDispatch || (e.evalMode == EvalConflictClocked && e.ci == nil) {
+		e.evalMode = EvalDynamic
+	}
+}
+
+// initTxn fills in the runtime transaction for spec; carve supplies its
+// empty might-sets (one, or two when the spec has a MightFull set). The
+// has-set is the caller's: a workload engine carves it up front, the
+// service leaves it nil until the transaction first takes a lock.
+func (e *Engine) initTxn(t *Txn, spec *workload.Spec, carve func() bitset) {
+	t.Spec = spec
+	t.might = carve()
+	t.items = t.might.addDistinct(spec.Items)
+	t.mightItems = t.items
+	t.cpu = -1
+	t.plistIdx = -1
+	t.inherited = negInf
+	if len(spec.MightFull) > 0 {
+		full := carve()
+		t.fullItems = full.addDistinct(spec.MightFull)
+		if !e.cfg.PessimisticAnalysis {
+			// Decision-point transaction: until the decision point
+			// executes, the scheduler must assume both branches.
+			t.mightNarrow, t.mightFull = t.might, full
+		}
+		// Pessimistic mode keeps the union set for the whole lifetime.
+		t.might, t.mightItems = full, t.fullItems
+	}
+	for _, r := range spec.Reads {
+		if r {
+			e.hasReads = true
+			break
+		}
+	}
+	// Recurring event callbacks, built once so the hot path never
+	// allocates a closure per scheduled event.
+	t.updateDoneFn = func() { e.onUpdateDone(t) }
+	t.rollbackDoneFn = func() { e.onRollbackDone(t, t.pendingRollback) }
 }
 
 // SetTrace installs a human-readable trace sink (nil disables tracing).
@@ -502,9 +524,9 @@ func (e *Engine) SubmitSpec(spec *workload.Spec, done func(*Txn)) *Txn {
 func (e *Engine) stallDump(budget int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "calendar stalled at t=%v: %d events executed without the clock advancing (budget %d); %d/%d finished, %d live",
-		time.Duration(e.sim.Now()), budget, budget, e.committed+e.dropped+e.rejected, len(e.all), len(e.live))
+		time.Duration(e.sim.Now()), budget, budget, e.committed+e.dropped+e.rejected, len(e.all), e.live.n)
 	counts := make(map[State]int)
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		counts[t.state]++
 	}
 	for st := StateReady; st <= StateRejected; st++ {
@@ -513,9 +535,9 @@ func (e *Engine) stallDump(budget int) string {
 		}
 	}
 	const sample = 8
-	for i, t := range e.live {
+	for i, t := 0, e.live.head; t != nil; i, t = i+1, t.liveNext {
 		if i >= sample {
-			fmt.Fprintf(&b, "; … %d more", len(e.live)-sample)
+			fmt.Fprintf(&b, "; … %d more", e.live.n-sample)
 			break
 		}
 		fmt.Fprintf(&b, "; T%d %v item %d/%d", t.ID(), t.state, t.next, len(t.Spec.Items))
@@ -564,14 +586,14 @@ func (e *Engine) note() {
 		if e.ci != nil {
 			n = len(e.ci.plist)
 		} else {
-			for _, t := range e.live {
+			for t := e.live.head; t != nil; t = t.liveNext {
 				if t.PartiallyExecuted() {
 					n++
 				}
 			}
 		}
 		e.run.PListArea += float64(n) * float64(now-e.lastNote)
-		e.run.LiveArea += float64(len(e.live)) * float64(now-e.lastNote)
+		e.run.LiveArea += float64(e.live.n) * float64(now-e.lastNote)
 		e.lastNote = now
 	}
 }
@@ -583,22 +605,12 @@ func (e *Engine) note() {
 // mode treats unsafe and conditionally unsafe alike, as §4 does.)
 //
 // With the conflict index the sum walks only the partially executed
-// holders of items t might access (near-O(overlap)); a cached term
-// short-circuits the repeated evaluations inside a multi-pass scheduling
-// point. The cache is keyed by (timestamp, index generation) — every
-// contributor's effective service time is constant while the clock stands
-// still and no has-set changed — so a hit is exact, never stale.
+// holders of the items t might access.
 func (e *Engine) PenaltyOfConflict(t *Txn) time.Duration {
 	if e.ci == nil {
 		return e.penaltyOfConflictScan(t)
 	}
-	now := e.sim.Now()
-	if t.penaltyGen == e.ci.gen && t.penaltyAt == now {
-		return t.penaltyVal
-	}
-	sum := e.ci.penalty(e, t)
-	t.penaltyVal, t.penaltyAt, t.penaltyGen = sum, now, e.ci.gen
-	return sum
+	return e.ci.penalty(e, t)
 }
 
 // penaltyOfConflictScan is the original full-scan implementation
@@ -606,7 +618,7 @@ func (e *Engine) PenaltyOfConflict(t *Txn) time.Duration {
 // the equivalence suite.
 func (e *Engine) penaltyOfConflictScan(t *Txn) time.Duration {
 	var sum time.Duration
-	for _, p := range e.live {
+	for p := e.live.head; p != nil; p = p.liveNext {
 		if p == t || !p.PartiallyExecuted() {
 			continue
 		}
@@ -652,7 +664,7 @@ func (e *Engine) onArrival(t *Txn) {
 			t.state = StateRejected
 			e.rejected++
 			e.run.Rejected++
-			e.tracef("T%d rejected at arrival (%s, %d live)", t.ID(), e.cfg.Admission.Mode, len(e.live))
+			e.tracef("T%d rejected at arrival (%s, %d live)", t.ID(), e.cfg.Admission.Mode, e.live.n)
 			e.emit(trace.Event{Kind: trace.Reject, Txn: t.ID(), Other: -1, Item: -1})
 			if now := time.Duration(e.sim.Now()); now > e.run.Elapsed {
 				e.run.Elapsed = now
@@ -663,9 +675,11 @@ func (e *Engine) onArrival(t *Txn) {
 		e.run.Admitted++
 	}
 	t.state = StateReady
-	e.live = append(e.live, t)
-	e.ranked = append(e.ranked, t)
-	e.orderDirty = true
+	e.live.push(t)
+	if e.tracksMight() {
+		e.ci.mightAdd(t)
+	}
+	e.markStale(t)
 	if e.trace != nil {
 		e.tracef("T%d arrives (deadline %.1fms, %d items)", t.ID(), ms(t.Spec.Deadline), len(t.Spec.Items))
 	}
@@ -704,7 +718,7 @@ func (e *Engine) onUpdateDone(t *Txn) {
 		// committed to its branch and its might-access set narrows
 		// (paper §3.2.2 — "refinements of what we know about the
 		// transaction's execution").
-		e.setMight(t, t.mightNarrow)
+		e.setMight(t, false)
 		e.tracef("T%d passes its decision point; might-set narrows", t.ID())
 	}
 	t.next++
@@ -925,6 +939,7 @@ func (e *Engine) propagateInheritance(t *Txn) {
 			seen[ht.ID()] = true
 			if t.priority > ht.inherited {
 				ht.inherited = t.priority
+				e.markStale(ht)
 			}
 			walk(ht)
 		}
@@ -1085,10 +1100,13 @@ func (e *Engine) abort(v *Txn) {
 	if v.mightNarrow != nil {
 		// A restarted transaction is back before its decision point; its
 		// might-set re-widens (no-op if it never narrowed).
-		e.setMight(v, v.mightFull)
+		e.setMight(v, true)
 	}
 	v.resetForRestart()
-	v.inherited = negInf
+	if v.inherited != negInf {
+		v.inherited = negInf
+		e.markStale(v)
+	}
 	if deferRestart {
 		v.state = StateAborting
 	}
@@ -1140,35 +1158,63 @@ func (e *Engine) hasAcquired(t *Txn, item txn.Item) {
 	if t.has.contains(item) {
 		return
 	}
+	if t.has == nil {
+		// A submitted transaction gets its has-set on its first lock: one
+		// that never runs — a parked backlog — never pays for it.
+		t.has = e.serviceBitset()
+	}
 	t.has.add(item)
 	if e.ci != nil {
 		e.ci.hasAdd(t, item)
 	}
 }
 
-// setMight switches t's current might-access set (decision-point narrowing
-// or restart re-widening). Only t's own penalty depends on t.might, so only
-// t's cached term is invalidated (generation 0 never matches a live index).
-func (e *Engine) setMight(t *Txn, b bitset) {
-	t.might = b
-	t.penaltyGen = 0
-	t.predGen = 0
-	t.evalGen = 0
+// setMight switches a decision-point transaction's current might-access set
+// to the narrow (executed-path) or the full (both-branch) one. Only t's own
+// penalty depends on t.might, so only t is queued for re-evaluation.
+func (e *Engine) setMight(t *Txn, full bool) {
+	b, items := t.mightNarrow, t.items
+	if full {
+		b, items = t.mightFull, t.fullItems
+	}
+	if &t.might[0] == &b[0] {
+		return // a restart before the decision point: nothing had narrowed
+	}
+	if e.tracksMight() {
+		e.ci.mightRemove(t)
+	}
+	t.might, t.mightItems = b, items
+	if e.tracksMight() {
+		e.ci.mightAdd(t)
+	}
+	t.evalValid = false
+	e.markStale(t)
 }
 
+// tracksMight reports whether the conflict index keeps its item → might
+// mirror: only the EvalConflictClocked pass reads it (setEvalMode grants
+// that mode only with an index and the incremental pass).
+func (e *Engine) tracksMight() bool { return e.evalMode == EvalConflictClocked }
+
+// markStale queues t for the next dispatch pass to refresh its priority.
+// The full-sweep passes (EvalDynamic, which includes naive dispatch)
+// refresh everything anyway and keep no queue.
+func (e *Engine) markStale(t *Txn) {
+	if e.evalMode != EvalDynamic {
+		e.pending = append(e.pending, t)
+	}
+}
+
+// removeLive takes a finished transaction out of the live list, the ranked
+// order and the might index.
 func (e *Engine) removeLive(t *Txn) {
-	for i, v := range e.live {
-		if v == t {
-			e.live = append(e.live[:i], e.live[i+1:]...)
-			break
-		}
+	if t.ranked {
+		e.rankedRemove(t)
 	}
-	for i, v := range e.ranked {
-		if v == t {
-			e.ranked = append(e.ranked[:i], e.ranked[i+1:]...)
-			return
-		}
+	if e.tracksMight() {
+		e.ci.mightRemove(t)
 	}
+	e.live.remove(t)
 }
 
 // --- scheduler ---------------------------------------------------------
@@ -1236,7 +1282,7 @@ func (e *Engine) reschedule() {
 // dispatchPass below produces bit-identical schedules and metrics.
 func (e *Engine) dispatchPassNaive() {
 	// Continuous evaluation.
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		t.priority = e.policy.Evaluate(e, t)
 		if e.policy.Inherits() && t.inherited > t.priority {
 			t.priority = t.inherited
@@ -1247,7 +1293,7 @@ func (e *Engine) dispatchPassNaive() {
 	// state: the paper's invariant is that the CPU runs TH, or — if TH is
 	// blocked — under CCA only transactions compatible with the P-list.
 	var top *Txn
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		if t.state == StateAborting {
 			continue
 		}
@@ -1261,7 +1307,7 @@ func (e *Engine) dispatchPassNaive() {
 
 	// Dispatchable pool, best first.
 	var pool []*Txn
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		if t.state == StateReady || (t.state == StateRunning && !t.inRollback) {
 			pool = append(pool, t)
 		}
@@ -1271,7 +1317,7 @@ func (e *Engine) dispatchPassNaive() {
 	// Choose the desired occupants.
 	slots := len(e.slots)
 	desired := make([]*Txn, 0, slots)
-	for _, t := range e.live {
+	for t := e.live.head; t != nil; t = t.liveNext {
 		if t.state == StateRunning && t.inRollback {
 			desired = append(desired, t) // pinned
 		}
@@ -1361,84 +1407,29 @@ func (e *Engine) dispatchPassNaive() {
 	}
 }
 
-// compareTxn is less as a three-way comparison for slices.SortFunc. less is
-// a strict total order (ID tie-break), so the sorted order is unique and any
-// comparison sort — stable or not — produces the same permutation the naive
-// pass's sort.SliceStable does.
-func compareTxn(a, b *Txn) int {
-	if less(a, b) {
-		return -1
-	}
-	if less(b, a) {
-		return 1
-	}
-	return 0
-}
-
-// dispatchPass is the allocation-free scheduling pass. It computes exactly
-// what dispatchPassNaive computes — the equivalence suite asserts bit
-// identity — but avoids the per-pass costs:
+// dispatchPass is the incremental, allocation-free scheduling pass. It
+// computes exactly what dispatchPassNaive computes — the equivalence suite
+// asserts bit identity — at a cost set by what changed since the last pass,
+// not by the size of the live set:
 //
-//   - priorities are re-evaluated only when the policy's Staticness contract
-//     says the value could have moved (never for EDF/FCFS/PCP after the
-//     first pass; for CCA only when the clock advanced or a has-set changed;
-//     every pass for LSF/AED);
-//   - the priority order is maintained in e.ranked across passes and
-//     re-sorted only when some effective priority actually changed, instead
-//     of rebuilding and stable-sorting a fresh pool slice;
-//   - the pool and desired sets live in engine-owned scratch buffers, and
-//     desired-set membership is a generation stamp instead of a linear scan.
-//
-// The evaluation loop iterates e.live in arrival order — the same order the
-// naive pass uses — because stateful policies can consume randomness on
-// first evaluation (AED draws its group key lazily), so evaluation order is
-// behaviourally observable.
+//   - refreshPriorities re-evaluates only the transactions whose priority
+//     the policy's Staticness contract allows to have moved, and re-keys
+//     only those whose priority did move, by binary search in e.ranked;
+//   - the pass walks e.ranked from the best and stops as soon as every CPU
+//     has an occupant, instead of filtering the whole order into a pool;
+//   - pinned rollbacks are found on the CPUs (a running transaction is in a
+//     slot by definition), not by sweeping the live set.
 func (e *Engine) dispatchPass() {
-	// Continuous evaluation, memoised per the policy's Staticness.
-	now := e.sim.Now()
-	var gen uint64
-	if e.ci != nil {
-		gen = e.ci.gen
-	}
-	inherits := e.policy.Inherits()
-	dirty := e.orderDirty
-	for _, t := range e.live {
-		need := !t.evalValid
-		if !need {
-			switch e.evalMode {
-			case EvalStatic:
-				// A valid base priority is final.
-			case EvalConflictClocked:
-				need = t.evalAt != now || t.evalGen != gen
-			default: // EvalDynamic
-				need = true
-			}
-		}
-		if need {
-			t.basePr = e.policy.Evaluate(e, t)
-			t.evalValid = true
-			t.evalAt, t.evalGen = now, gen
-		}
-		pr := t.basePr
-		if inherits && t.inherited > pr {
-			pr = t.inherited
-		}
-		if pr != t.priority {
-			t.priority = pr
-			dirty = true
-		}
-	}
-	if dirty {
-		slices.SortFunc(e.ranked, compareTxn)
-	}
-	e.orderDirty = false
+	e.passes++
+	e.refreshPriorities()
 
 	// The globally highest-priority live transaction (TH): the first
-	// non-aborting member of the ranked order. less is total, so this is
-	// the same transaction the naive pass's minimum scan finds.
+	// non-aborting member of the ranked order, walked from its best (tail)
+	// end. less is total, so this is the same transaction the naive pass's
+	// minimum scan finds.
 	var top *Txn
-	for _, t := range e.ranked {
-		if t.state != StateAborting {
+	for i := len(e.ranked) - 1; i >= 0; i-- {
+		if t := e.ranked[i]; t.state != StateAborting {
 			top = t
 			break
 		}
@@ -1447,32 +1438,27 @@ func (e *Engine) dispatchPass() {
 		return
 	}
 
-	// Dispatchable pool, best first: filtering the sorted ranked slice
-	// yields the same order as the naive pass's filter-then-stable-sort.
-	pool := e.poolBuf[:0]
-	for _, t := range e.ranked {
-		if t.state == StateReady || (t.state == StateRunning && !t.inRollback) {
-			pool = append(pool, t)
-		}
-	}
-	e.poolBuf = pool
-
-	// Choose the desired occupants, marking membership with the pass stamp.
+	// Choose the desired occupants, marking membership with the pass stamp:
+	// first the transactions pinned to their CPU by a rollback section
+	// (their order among themselves is immaterial — they are never
+	// dispatched, only counted and tested for compatibility), then the best
+	// dispatchable transactions in ranked order.
 	e.passStamp++
 	stamp := e.passStamp
 	slots := len(e.slots)
 	desired := e.desiredBuf[:0]
-	for _, t := range e.live {
-		if t.state == StateRunning && t.inRollback {
-			t.desiredStamp = stamp
-			desired = append(desired, t) // pinned
+	for _, s := range e.slots {
+		if s != nil && s.state == StateRunning && s.inRollback {
+			s.desiredStamp = stamp
+			desired = append(desired, s)
 		}
 	}
 	filter := e.policy.FiltersIOWait()
 	admission, hasAdmission := e.policy.(admissionPolicy)
-	for _, c := range pool {
-		if len(desired) >= slots {
-			break
+	for i := len(e.ranked) - 1; i >= 0 && len(desired) < slots; i-- {
+		c := e.ranked[i]
+		if !dispatchable(c) {
+			continue
 		}
 		if c != top && filter && !e.compatible(c, desired) {
 			continue
@@ -1480,8 +1466,8 @@ func (e *Engine) dispatchPass() {
 		if hasAdmission && c.state != StateRunning {
 			ok, changed := admission.admits(e, c)
 			if changed {
-				// Inheritance was applied: re-rank the pool so the
-				// promoted holder gets the CPU.
+				// Inheritance was applied: re-rank so the promoted
+				// holder gets the CPU.
 				e.rescheduleAgain = true
 			}
 			if !ok {
@@ -1493,18 +1479,28 @@ func (e *Engine) dispatchPass() {
 	}
 
 	// Progress override for admission policies (PCP); see dispatchPassNaive.
-	if hasAdmission && len(desired) == 0 && len(pool) > 0 {
-		best := pool[0]
-		for _, c := range pool {
+	// The only consumer of the whole dispatchable order walks it on demand.
+	if hasAdmission && len(desired) == 0 {
+		var best *Txn
+		for i := len(e.ranked) - 1; i >= 0; i-- {
+			c := e.ranked[i]
+			if !dispatchable(c) {
+				continue
+			}
+			if best == nil {
+				best = c
+			}
 			if c.has.any() {
 				best = c
 				break
 			}
 		}
-		e.tracef("T%d dispatched by PCP progress override", best.ID())
-		best.ceilingExempt = true
-		best.desiredStamp = stamp
-		desired = append(desired, best)
+		if best != nil {
+			e.tracef("T%d dispatched by PCP progress override", best.ID())
+			best.ceilingExempt = true
+			best.desiredStamp = stamp
+			desired = append(desired, best)
+		}
 	}
 	e.desiredBuf = desired
 
@@ -1541,6 +1537,157 @@ func (e *Engine) dispatchPass() {
 	}
 }
 
+// dispatchable reports whether c may be given (or keep) a CPU.
+func dispatchable(c *Txn) bool {
+	return c.state == StateReady || (c.state == StateRunning && !c.inRollback)
+}
+
+// refreshPriorities is the pass's continuous evaluation, restricted to the
+// transactions whose priority the Staticness contract (policy.go) allows to
+// have moved since the last pass: the pending queue; for
+// EvalConflictClocked also the conflict index's hot set, plus the previous
+// hot set when the generation moved, so a transaction whose last penaliser
+// left falls back to its constant; for EvalDynamic every live transaction,
+// in the arrival order the naive pass uses. Every stored value is the
+// result of a real Evaluate call; one is skipped only where the contract
+// says it would return what is already stored.
+func (e *Engine) refreshPriorities() {
+	now := e.sim.Now()
+	if e.evalMode == EvalDynamic {
+		moved := false
+		for t := e.live.head; t != nil; t = t.liveNext {
+			t.basePr = e.policy.Evaluate(e, t)
+			pr := t.flooredPriority()
+			if !t.ranked {
+				t.ranked = true
+				e.ranked = append(e.ranked, t)
+			} else if pr == t.priority {
+				continue
+			}
+			t.priority = pr
+			moved = true
+		}
+		if moved {
+			e.restoreRanked()
+		}
+		return
+	}
+
+	var gen uint64
+	if e.ci != nil {
+		gen = e.ci.gen
+	}
+	for _, t := range e.pending {
+		if !t.inLive {
+			continue
+		}
+		if !t.evalValid {
+			e.evaluate(t, now, gen)
+		}
+		e.rekey(t)
+	}
+	clear(e.pending)
+	e.pending = e.pending[:0]
+	if e.evalMode != EvalConflictClocked {
+		return
+	}
+	if e.ci.hotGen != gen {
+		e.refreshHot(now, gen)
+		e.ci.rebuildHot()
+	}
+	e.refreshHot(now, gen)
+	if e.cfg.CheckInvariants {
+		e.ci.verifyHot(e)
+	}
+}
+
+// refreshHot re-evaluates the hot-set members whose value predates the
+// current (clock, generation).
+func (e *Engine) refreshHot(now sim.Time, gen uint64) {
+	for _, t := range e.ci.hot {
+		if t.inLive && (t.evalAt != now || t.evalGen != gen) {
+			e.evaluate(t, now, gen)
+			e.rekey(t)
+		}
+	}
+}
+
+func (e *Engine) evaluate(t *Txn, now sim.Time, gen uint64) {
+	t.basePr = e.policy.Evaluate(e, t)
+	t.evalValid = true
+	t.evalAt, t.evalGen = now, gen
+}
+
+// flooredPriority is the effective priority: the policy's value, floored at
+// the priority inherited from waiters (negInf unless the policy Inherits).
+func (t *Txn) flooredPriority() float64 {
+	if t.inherited > t.basePr {
+		return t.inherited
+	}
+	return t.basePr
+}
+
+// rekey moves t to the place in the ranked order its effective priority
+// calls for: removed under the old key, before the priority is overwritten,
+// and reinserted under the new one.
+func (e *Engine) rekey(t *Txn) {
+	pr := t.flooredPriority()
+	if t.ranked {
+		if pr == t.priority {
+			return
+		}
+		e.rankedRemove(t)
+	}
+	t.priority = pr
+	i := e.rankedSearch(t)
+	e.ranked = append(e.ranked, nil)
+	copy(e.ranked[i+1:], e.ranked[i:])
+	e.ranked[i] = t
+	t.ranked = true
+}
+
+// rankedSearch returns the position t holds, or would take, in the ranked
+// order: the first index whose occupant is not worse than t. less is a
+// strict total order (ID tie-break), so a member is found exactly.
+func (e *Engine) rankedSearch(t *Txn) int {
+	lo, hi := 0, len(e.ranked)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		e.rankCompares++
+		if less(t, e.ranked[mid]) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func (e *Engine) rankedRemove(t *Txn) {
+	i := e.rankedSearch(t)
+	if i == len(e.ranked) || e.ranked[i] != t {
+		panic(fmt.Sprintf("core: T%d not at its place in the ranked order", t.ID()))
+	}
+	e.ranked = slices.Delete(e.ranked, i, i+1)
+	t.ranked = false
+}
+
+// restoreRanked re-establishes the ranked order after a full sweep
+// overwrote priorities in place (EvalDynamic): one insertion pass, linear
+// when the sweep preserved the order — LSF's slack shrinks uniformly — and
+// proportional to the displacement otherwise.
+func (e *Engine) restoreRanked() {
+	r := e.ranked
+	for i := 1; i < len(r); i++ {
+		t := r[i]
+		j := i
+		for ; j > 0 && less(r[j-1], t); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = t
+	}
+}
+
 // blocked reports whether the globally top transaction cannot use a CPU.
 func blocked(top *Txn) bool {
 	return top.state == StateIOWait || top.state == StateLockWait
@@ -1571,7 +1718,7 @@ func (e *Engine) compatible(c *Txn, desired []*Txn) bool {
 // compatibleScan is the original full-scan IOwait-schedule test, kept for
 // Config.NaiveConflictScan and the equivalence suite.
 func (e *Engine) compatibleScan(c *Txn, desired []*Txn) bool {
-	for _, p := range e.live {
+	for p := e.live.head; p != nil; p = p.liveNext {
 		if p != c && p.PartiallyExecuted() && p.might.intersects(c.might) {
 			return false
 		}
@@ -1619,20 +1766,16 @@ func (e *Engine) checkInvariants() {
 	if !e.cfg.NaiveDispatch {
 		// ranked mirrors live's membership and, between scheduling points,
 		// stays sorted by the stored priorities (nothing mutates a priority
-		// outside the dispatch pass, and the pass re-sorts on any change).
-		if len(e.ranked) != len(e.live) {
-			panic(fmt.Sprintf("core: ranked has %d members, live has %d", len(e.ranked), len(e.live)))
-		}
-		inLive := make(map[*Txn]bool, len(e.live))
-		for _, t := range e.live {
-			inLive[t] = true
+		// outside the dispatch pass, and the pass re-keys on any change).
+		if len(e.ranked) != e.live.n {
+			panic(fmt.Sprintf("core: ranked has %d members, live has %d", len(e.ranked), e.live.n))
 		}
 		for i, t := range e.ranked {
-			if !inLive[t] {
+			if !t.inLive || !t.ranked {
 				panic(fmt.Sprintf("core: ranked member T%d not live", t.ID()))
 			}
-			if i > 0 && less(t, e.ranked[i-1]) {
-				panic(fmt.Sprintf("core: ranked order violated at %d (T%d before T%d)", i, e.ranked[i-1].ID(), t.ID()))
+			if i > 0 && !less(t, e.ranked[i-1]) {
+				panic(fmt.Sprintf("core: ranked order violated at %d (T%d below T%d)", i, e.ranked[i-1].ID(), t.ID()))
 			}
 		}
 	}
@@ -1652,7 +1795,9 @@ func (e *Engine) checkInvariants() {
 		}
 		occupied[s.ID()] = true
 	}
-	for _, t := range e.live {
+	n := 0
+	for t := e.live.head; t != nil; t = t.liveNext {
+		n++
 		switch t.state {
 		case StateRunning:
 			if t.cpu < 0 || e.slots[t.cpu] != t {
@@ -1685,6 +1830,9 @@ func (e *Engine) checkInvariants() {
 		if e.store.Pending(db.TxnID(t.ID())) > t.next {
 			panic(fmt.Sprintf("core: T%d has %d pending writes after %d updates", t.ID(), e.store.Pending(db.TxnID(t.ID())), t.next))
 		}
+	}
+	if n != e.live.n {
+		panic(fmt.Sprintf("core: live list links %d transactions, counts %d", n, e.live.n))
 	}
 	if isCCAFamily(e.policy.Kind()) && e.run.LockWaits > 0 {
 		panic("core: Theorem 1 violated — CCA recorded lock waits")

@@ -64,7 +64,7 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 	}
 	base := p.Evaluate(e, t) // ceilings compare base (non-inherited) priorities
 	ok = true
-	for _, h := range e.live {
+	for h := e.live.head; h != nil; h = h.liveNext {
 		if h == t || !h.has.any() {
 			continue
 		}
@@ -73,7 +73,7 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 		// over holders h whose held set intersects a claimant's might
 		// set is equivalent and avoids per-item bookkeeping.
 		ceiling := negInf
-		for _, c := range e.live {
+		for c := e.live.head; c != nil; c = c.liveNext {
 			if c != h && c.might.intersects(h.has) {
 				if pr := p.Evaluate(e, c); pr > ceiling {
 					ceiling = pr
@@ -87,6 +87,7 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 			// claimant's priority so it runs and releases.
 			if base > h.inherited {
 				h.inherited = base
+				e.markStale(h)
 				inheritanceChanged = true
 			}
 		}
@@ -99,7 +100,7 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 // might access it.
 func (p pcpPolicy) itemCeiling(e *Engine, item txn.Item) float64 {
 	ceiling := negInf
-	for _, c := range e.live {
+	for c := e.live.head; c != nil; c = c.liveNext {
 		if c.might.contains(item) {
 			if pr := p.Evaluate(e, c); pr > ceiling {
 				ceiling = pr

@@ -7,27 +7,47 @@ import (
 
 // Staticness classifies how a policy's Evaluate output can change over a
 // transaction's life — the contract the engine's incremental dispatch pass
-// uses to skip provably redundant re-evaluations (continuous evaluation
-// with memoisation; the observable priorities are identical to evaluating
-// from scratch at every scheduling point, which the equivalence suite
-// asserts against the retained Config.NaiveDispatch path).
+// uses to evaluate a set of transactions instead of the live list
+// (continuous evaluation restricted to what can have moved; the observable
+// priorities are identical to evaluating everything from scratch at every
+// scheduling point, which the equivalence suite asserts against the
+// retained Config.NaiveDispatch path).
 type Staticness int
 
 const (
 	// EvalStatic: Evaluate(t) is a constant for t's whole life, restarts
 	// included (EDF's deadline, FCFS's arrival time are fixed at arrival).
+	// The engine evaluates a transaction once, on its first pass.
 	EvalStatic Staticness = iota
-	// EvalConflictClocked: Evaluate(t) is constant while the pair
-	// (simulated time, conflict-index generation) is unchanged — CCA's
-	// penalty of conflict moves only when the clock advances (running
-	// holders accrue service) or a has-set changes (the same key the
-	// engine's penalty cache uses). Without a conflict index (naive scans)
-	// the engine conservatively treats such a policy as EvalDynamic.
+	// EvalConflictClocked: Evaluate(t) depends on t's fixed spec, on t's
+	// current might-access set, and on the P-list members whose has-set
+	// meets that might-set — their effective service time, plus whatever
+	// the policy derives from observer-fed state. Precisely:
+	//
+	//   - with no such member, Evaluate(t) is a constant of t's spec (for
+	//     the CCA family -ms(deadline): the penalty term is w·0, exactly 0
+	//     for any finite w CCA-T may tune);
+	//   - otherwise it is constant while the pair (simulated time,
+	//     conflict-index generation) is unchanged — the clock moves a
+	//     running holder's service time, the generation moves with every
+	//     has-set change and every decision-tap notification;
+	//   - Evaluate has no side effect another evaluation could observe
+	//     (private memoisation is fine), so the order of evaluation within
+	//     a pass is immaterial.
+	//
+	// The engine therefore re-evaluates only the conflict index's hot set
+	// (the transactions with at least one such member), the previous hot
+	// set when the generation moved, and transactions whose might-set was
+	// switched. CCA, CCA-P and CCA-T satisfy this. Without a conflict index
+	// (naive scans) the engine conservatively treats such a policy as
+	// EvalDynamic.
 	EvalConflictClocked
 	// EvalDynamic: Evaluate(t) may change at any scheduling point for
 	// reasons the engine cannot observe cheaply (LSF's slack shrinks with
 	// wall-clock time; AED's group assignment depends on the whole live
-	// set and its feedback controller), so it is re-run every pass.
+	// set and its feedback controller), or Evaluate has side effects (AED
+	// draws a transaction's random key on its first evaluation). Every live
+	// transaction is re-evaluated every pass, in arrival order.
 	EvalDynamic
 )
 
@@ -94,10 +114,11 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 //
 // with High Priority (always-wound) data conflict resolution and the
 // IOwait-schedule CPU filter. Continuous evaluation: the penalty changes as
-// partially executed transactions accumulate service time, so Evaluate runs
-// for every live transaction at every scheduling point — the engine's
-// incremental conflict index (conflict.go) keeps each evaluation
-// near-O(overlap) rather than O(live × DBSize).
+// partially executed transactions accumulate service time. Only a
+// transaction some P-list member conflicts with has a non-zero penalty, so
+// the engine re-evaluates just those at a scheduling point (Staticness), and
+// the conflict index (conflict.go) makes each evaluation a walk over the
+// transaction's own items.
 type ccaPolicy struct {
 	weight float64
 }
@@ -117,7 +138,9 @@ func (ccaPolicy) FiltersIOWait() bool { return true }
 func (ccaPolicy) Inherits() bool      { return false }
 
 // Staticness: the priority is -(deadline + w·penalty); the deadline is
-// fixed and the penalty moves only with (clock, conflict-index generation).
+// fixed, the penalty is a sum over the conflicting P-list members only and
+// moves only with (clock, conflict-index generation), and Evaluate touches
+// nothing but the transaction's own penalty memo.
 func (ccaPolicy) Staticness() Staticness { return EvalConflictClocked }
 
 // edfPolicy is Earliest Deadline First. With wounds=true it is the paper's

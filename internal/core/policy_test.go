@@ -24,7 +24,8 @@ func policyFixture(t *testing.T, kind PolicyKind) (*Engine, *Txn, *Txn) {
 		t.Fatal(err)
 	}
 	t0, t1 := e.all[0], e.all[1]
-	e.live = []*Txn{t0, t1}
+	e.live.push(t0)
+	e.live.push(t1)
 	e.hasAcquired(t0, 0)
 	t0.service = 6 * msec
 	return e, t0, t1

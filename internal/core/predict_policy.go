@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/predict"
 	"repro/internal/stats"
-	"repro/internal/txn"
 )
 
 // PredictConfig tunes the conflict-prediction layer of CCA-P and CCA-T.
@@ -179,7 +178,9 @@ func (p *ccapPolicy) Inherits() bool      { return false }
 // Staticness: the priority moves only with (clock, generation) — the base
 // penalty by CCA's argument, the prediction term because every stats
 // update and view install re-clocks the generation through the observer
-// tap.
+// tap. Both terms sum over the conflicting P-list members only, so with
+// none the value is the constant -deadline whatever w the tuner has reached,
+// and predict.Table's decayed reads are pure.
 func (p *ccapPolicy) Staticness() Staticness { return EvalConflictClocked }
 
 // --- observer feed ------------------------------------------------------
@@ -216,7 +217,7 @@ func (p *ccapPolicy) ObserveTerminal(e *Engine, t *Txn, committed, missed bool) 
 		}
 		return
 	}
-	for _, peer := range e.live {
+	for peer := e.live.head; peer != nil; peer = peer.liveNext {
 		if peer != t && peer.PartiallyExecuted() {
 			p.table.Record(predict.Commit, t.Spec.Type, peer.Spec.Type, now)
 		}
@@ -356,14 +357,11 @@ func (p *ccatPolicy) predictState() (float64, int, []float64) {
 // for every partially executed holder conflicting with t it adds
 // scale · rate(t.Type, holder.Type) · (the holder's base penalty
 // contribution), each term rounded to an integer Duration so the sum is
-// permutation-invariant across the index walk and the naive scan. Cached
-// under the same (timestamp, generation) key as the base penalty — stats
-// updates and view installs bump the generation via the observer tap, so a
-// hit is exact.
+// permutation-invariant across the index walk and the naive scan.
 func (e *Engine) predictPenalty(t *Txn, tab *predict.Table, scale float64) time.Duration {
 	if e.ci == nil {
 		var sum time.Duration
-		for _, p := range e.live {
+		for p := e.live.head; p != nil; p = p.liveNext {
 			if p == t || !p.PartiallyExecuted() {
 				continue
 			}
@@ -372,10 +370,6 @@ func (e *Engine) predictPenalty(t *Txn, tab *predict.Table, scale float64) time.
 			}
 		}
 		return sum
-	}
-	now := e.sim.Now()
-	if t.predGen == e.ci.gen && t.predAt == now {
-		return t.predVal
 	}
 	ci := e.ci
 	ci.stamp++
@@ -387,17 +381,9 @@ func (e *Engine) predictPenalty(t *Txn, tab *predict.Table, scale float64) time.
 		p.seenStamp = ci.stamp
 		sum += e.predictTerm(t, p, tab, scale)
 	}
-	t.might.forEach(func(it txn.Item) {
-		hs := &ci.hasAt[int(it)]
-		if hs.first == nil {
-			return
-		}
-		visit(hs.first)
-		for _, q := range hs.extra {
-			visit(q)
-		}
-	})
-	t.predVal, t.predAt, t.predGen = sum, now, ci.gen
+	for _, it := range t.mightItems {
+		ci.items[int(it)].has.each(visit)
+	}
 	return sum
 }
 

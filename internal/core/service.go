@@ -213,10 +213,7 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if !cfg.NaiveConflictScan {
 		e.ci = newConflictIndex(cfg.Workload.DBSize)
 	}
-	e.evalMode = e.policy.Staticness()
-	if e.evalMode == EvalConflictClocked && e.ci == nil {
-		e.evalMode = EvalDynamic
-	}
+	e.setEvalMode()
 	if o, ok := e.policy.(DecisionObserver); ok {
 		e.obs = o
 	}
@@ -301,8 +298,8 @@ func (s *Service) failLive(cause error) {
 	if cause != nil && !errors.Is(cause, context.Canceled) && !errors.Is(cause, context.DeadlineExceeded) {
 		ferr = fmt.Errorf("%w: %v", ErrEngineFailed, cause)
 	}
-	for _, t := range s.e.live {
-		if t == nil || t.failHook == nil {
+	for t := s.e.live.head; t != nil; t = t.liveNext {
+		if t.failHook == nil {
 			continue
 		}
 		hook := t.failHook
@@ -449,7 +446,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	for {
 		live := make(chan int, 1)
-		if err := s.rt.Call(func() { live <- len(s.e.live) }); err != nil {
+		if err := s.rt.Call(func() { live <- s.e.live.n }); err != nil {
 			return nil // driver already stopped: nothing left to drain
 		}
 		select {
@@ -496,7 +493,7 @@ func (s *Service) Stats() (ServiceStats, bool) {
 	if err := s.rt.Call(func() {
 		st := ServiceStats{
 			Result: s.e.run.Result(),
-			Live:   len(s.e.live),
+			Live:   s.e.live.n,
 			Now:    time.Duration(s.e.sim.Now()),
 		}
 		if ps, ok := s.e.PredictSnapshot(); ok {
@@ -527,7 +524,7 @@ func (s *Service) RunSnapshot() (run metrics.Run, live int, now time.Duration, o
 	}
 	ch := make(chan snap, 1)
 	if err := s.rt.Call(func() {
-		ch <- snap{run: s.e.run.Clone(), live: len(s.e.live), now: time.Duration(s.e.sim.Now())}
+		ch <- snap{run: s.e.run.Clone(), live: s.e.live.n, now: time.Duration(s.e.sim.Now())}
 	}); err != nil {
 		return metrics.Run{}, 0, 0, false
 	}
@@ -599,8 +596,7 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // addServiceTxn builds the runtime transaction for a dynamically submitted
 // spec, assigns its ID (recycling finished IDs so the lock-manager, store
 // and transaction tables stay bounded by the peak live set, not the
-// request count) and registers the terminal callback. The construction
-// mirrors NewWithWorkload's per-transaction setup.
+// request count) and registers the terminal callback.
 func (e *Engine) addServiceTxn(spec *workload.Spec, done func(*Txn)) *Txn {
 	// Recycling is safe only when nothing identifies transactions across
 	// time: the history (and so the oracle's serializability checks) and
@@ -620,41 +616,8 @@ func (e *Engine) addServiceTxn(spec *workload.Spec, done func(*Txn)) *Txn {
 	}
 	spec.ID = id
 
-	t := &Txn{Spec: spec}
-	words := (e.cfg.Workload.DBSize + 63) / 64
-	nsets := 2
-	if len(spec.MightFull) > 0 {
-		nsets++
-	}
-	slab := make([]uint64, nsets*words)
-	carve := func(items []txn.Item) bitset {
-		b := bitset(slab[:words:words])
-		slab = slab[words:]
-		for _, it := range items {
-			b.add(it)
-		}
-		return b
-	}
-	t.might = carve(spec.Items)
-	t.has = carve(nil)
-	t.cpu = -1
-	t.plistIdx = -1
-	t.inherited = negInf
-	if len(spec.MightFull) > 0 && !e.cfg.PessimisticAnalysis {
-		t.mightNarrow = t.might
-		t.mightFull = carve(spec.MightFull)
-		t.might = t.mightFull
-	} else if len(spec.MightFull) > 0 {
-		t.might = carve(spec.MightFull)
-	}
-	for _, r := range spec.Reads {
-		if r {
-			e.hasReads = true
-			break
-		}
-	}
-	t.updateDoneFn = func() { e.onUpdateDone(t) }
-	t.rollbackDoneFn = func() { e.onRollbackDone(t, t.pendingRollback) }
+	t := &Txn{}
+	e.initTxn(t, spec, e.serviceBitset)
 	t.done = done
 	e.all[id] = t
 	return t
@@ -670,6 +633,31 @@ func (e *Engine) retireServiceTxn(t *Txn) {
 	}
 	e.all[t.ID()] = nil
 	e.freeIDs = append(e.freeIDs, t.ID())
+	// The item sets go back too: at two DBSize-bit sets per submission they
+	// are most of what a request allocates. Nothing reads a retired
+	// transaction's sets (stale references only look at its state), and
+	// dropping them here turns a read that would into a panic.
+	if t.mightNarrow != nil {
+		e.freeSets = append(e.freeSets, t.mightNarrow, t.mightFull)
+	} else {
+		e.freeSets = append(e.freeSets, t.might)
+	}
+	if t.has != nil {
+		e.freeSets = append(e.freeSets, t.has)
+	}
+	t.might, t.mightNarrow, t.mightFull, t.has = nil, nil, nil, nil
+}
+
+// serviceBitset returns an empty item set for a submitted transaction,
+// reusing a retired one when there is one.
+func (e *Engine) serviceBitset() bitset {
+	if n := len(e.freeSets); n > 0 {
+		b := e.freeSets[n-1]
+		e.freeSets = e.freeSets[:n-1]
+		b.clear()
+		return b
+	}
+	return newBitset(e.cfg.Workload.DBSize)
 }
 
 // cancelServiceTxn wounds a submitted transaction whose client has gone
@@ -691,8 +679,8 @@ func (e *Engine) cancelServiceTxn(t *Txn) {
 // dropAllLive wounds every live transaction (drain-deadline expiry).
 func (e *Engine) dropAllLive() {
 	e.note()
-	for len(e.live) > 0 {
-		e.drop(e.live[0])
+	for e.live.head != nil {
+		e.drop(e.live.head)
 	}
 	e.reschedule()
 }

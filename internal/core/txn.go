@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -112,6 +113,12 @@ type Txn struct {
 	mightNarrow bitset
 	// has is the set of items accessed (locked) so far.
 	has bitset
+	// items and fullItems list Spec.Items and Spec.MightFull without
+	// repeats (the spec's own slice when it has none), and mightItems is
+	// whichever of them lists the current might-set. The conflict index
+	// walks these lists — a handful of items — where walking the bitsets
+	// would cost DBSize/64 words per visit.
+	items, fullItems, mightItems []txn.Item
 
 	// Conflict-index state (unused when the engine runs the naive scan,
 	// Config.NaiveConflictScan):
@@ -119,23 +126,9 @@ type Txn struct {
 	// plistIdx is this transaction's position on the index's P-list slice,
 	// or -1 while it has accessed nothing.
 	plistIdx int
-	// hasCount is the number of items in has (maintained by the index;
-	// an O(1) stand-in for has.count()).
-	hasCount int
 	// seenStamp marks the last penalty walk that visited this transaction
 	// (deduplicates holders of several overlapping items).
 	seenStamp uint64
-	// penaltyVal caches PenaltyOfConflict computed at simulated time
-	// penaltyAt under index generation penaltyGen; valid while both still
-	// match (no has-set changed and the clock has not advanced).
-	penaltyVal time.Duration
-	penaltyAt  sim.Time
-	penaltyGen uint64
-	// predVal/predAt/predGen cache the prediction-policy penalty extension
-	// (Engine.predictPenalty) under the same keying discipline.
-	predVal time.Duration
-	predAt  sim.Time
-	predGen uint64
 
 	// priority is the value from the last continuous-evaluation pass
 	// (higher runs first).
@@ -144,24 +137,34 @@ type Txn struct {
 	// Wait Promote baseline.
 	inherited float64
 
-	// Incremental-evaluation state (unused when Config.NaiveDispatch keeps
-	// the original re-evaluate-everything dispatch pass):
+	// Incremental-dispatch state (unused when Config.NaiveDispatch keeps the
+	// original re-evaluate-everything dispatch pass):
 	//
 	// basePr is the policy's own Evaluate value from the last evaluation
 	// (before the inherited-priority floor is applied).
 	basePr float64
-	// evalValid marks basePr as ever-evaluated; for EvalStatic policies a
-	// valid basePr is final for the transaction's whole life.
+	// evalValid marks basePr as usable. It is false for a fresh arrival and
+	// after Engine.setMight; for EvalStatic policies a valid basePr is final
+	// for the transaction's whole life.
 	evalValid bool
-	// evalAt/evalGen key basePr for EvalConflictClocked policies (CCA):
-	// the value is provably unchanged while the simulated clock and the
-	// conflict-index generation both stand still. evalGen 0 (set by
-	// Engine.setMight) never matches a live index generation.
+	// evalAt/evalGen key basePr for EvalConflictClocked policies (CCA): the
+	// value is provably unchanged while the simulated clock and the
+	// conflict-index generation both stand still.
 	evalAt  sim.Time
 	evalGen uint64
+	// ranked records membership in Engine.ranked (false between arrival and
+	// the first dispatch pass).
+	ranked bool
+	// hotStamp marks membership in the conflict index's current hot set.
+	hotStamp uint64
 	// desiredStamp marks membership in the dispatch pass identified by
 	// Engine.passStamp — an O(1) replacement for scanning the desired set.
 	desiredStamp uint64
+
+	// liveNext/livePrev link the engine's arrival-ordered live list;
+	// inLive records membership.
+	liveNext, livePrev *Txn
+	inLive             bool
 
 	finish sim.Time
 
@@ -178,6 +181,42 @@ type Txn struct {
 	// the waiter gets failed-with-error instead of a hang. Disarmed the
 	// moment done fires — a transaction is answered exactly once.
 	failHook func(error)
+}
+
+// liveList is the set of arrived, unfinished transactions in arrival order:
+// an intrusive doubly linked list, so a departure unlinks in O(1) while
+// every sweep still visits transactions in the order they arrived.
+type liveList struct {
+	head, tail *Txn
+	n          int
+}
+
+func (l *liveList) push(t *Txn) {
+	t.livePrev, t.liveNext = l.tail, nil
+	if l.tail != nil {
+		l.tail.liveNext = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+	t.inLive = true
+	l.n++
+}
+
+func (l *liveList) remove(t *Txn) {
+	if t.livePrev != nil {
+		t.livePrev.liveNext = t.liveNext
+	} else {
+		l.head = t.liveNext
+	}
+	if t.liveNext != nil {
+		t.liveNext.livePrev = t.livePrev
+	} else {
+		l.tail = t.livePrev
+	}
+	t.livePrev, t.liveNext = nil, nil
+	t.inLive = false
+	l.n--
 }
 
 // notifyDone fires the terminal callback (if any) and disarms the
@@ -230,7 +269,8 @@ func (t *Txn) remainingStatic() time.Duration {
 
 // resetForRestart rewinds the transaction to its beginning after an abort.
 // The deadline, item list and IO draws are unchanged: the paper's soft
-// real-time model re-executes the same transaction.
+// real-time model re-executes the same transaction. (Engine.abort re-widens
+// a narrowed might-set first, through setMight, so the index follows.)
 func (t *Txn) resetForRestart() {
 	t.next = 0
 	t.remain = 0
@@ -240,11 +280,6 @@ func (t *Txn) resetForRestart() {
 	t.ranAsSecondary = false
 	t.ceilingExempt = false
 	t.has.clear()
-	if t.mightNarrow != nil {
-		// A restarted transaction is back before its decision point:
-		// its access set is pessimistic again.
-		t.might = t.mightFull
-	}
 	t.cpuEvent = sim.Handle{}
 	t.ioReq = nil
 	t.cpu = -1

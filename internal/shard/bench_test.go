@@ -1,19 +1,27 @@
 package shard
 
-// Submit-throughput scaling baseline: BENCH_shard.json records committed
-// submissions per wall second for the wall-clock sharded service on a
-// single-shard-heavy workload, across shards × GOMAXPROCS. The win at N
-// shards is algorithmic, not (only) parallel: every scheduling point costs
-// O(live) in the engine's evaluation and pool sweeps, and N shards each
-// carry live/N, so the sweep work per commit shrinks even on one core.
+// Submit-throughput baseline over a standing backlog: BENCH_shard.json
+// records committed submissions per wall second for the wall-clock sharded
+// service on a single-shard-heavy workload, across shards × GOMAXPROCS,
+// with and without 1024 parked live transactions.
+//
+// The file used to encode an algorithmic effect: every scheduling point
+// swept O(live), N shards each carried live/N, and 4 shards were required
+// to reach 2× one shard. The dispatch pass no longer sweeps the live set
+// (core's BENCH_core.json dispatch_growth curve is flat), so that effect is
+// gone and the 4-shard/1-shard ratio is recorded as measured, without a
+// floor: what is left of it is parallelism (1.2–1.8× across refreshes on
+// the 2-CPU host of the committed file, whose cores the clients share; down
+// from 3.9×). What is enforced instead is the property that replaced it:
+// one shard over the parked backlog must reach at least half the throughput
+// of one shard over no backlog.
 //
 // Refresh with:
 //
 //	BENCH_BASELINE=1 go test ./internal/shard -run TestWriteShardBenchBaseline
 //
-// The test fails (and refuses to write a baseline) if 4 shards do not reach
-// at least 2× the 1-shard throughput at the best GOMAXPROCS — the issue's
-// acceptance floor.
+// In-process, client and server sharing the host's CPUs: a micro-baseline,
+// not capacity (bench/README.md).
 
 import (
 	"context"
@@ -43,20 +51,19 @@ const (
 
 	// benchParked is the standing backlog: long transactions that stay live
 	// (ready, never finishing, far deadlines so short work always outranks
-	// them) for the whole window. They are what sharding divides: every
-	// scheduling point sweeps O(live) in evaluation and pool building, so
-	// one engine pays O(benchParked) per event where each of 4 shards pays
-	// O(benchParked/4). Parked items occupy a reserved region so they never
-	// conflict with measured traffic.
+	// them) for the whole window. Their items occupy a reserved region —
+	// kept clear of the measured traffic whether or not anything is parked
+	// there — so they never conflict with it.
 	benchParked       = 1024
 	benchParkCompute  = 1_000_000 * time.Second   // sim time; never completes in-window
 	benchParkDeadline = 100_000_000 * time.Second // far enough to never fire in-window
 )
 
-// measureSubmitThroughput boots a sharded wall-clock service, drives it with
+// measureSubmitThroughput boots a sharded wall-clock service, parks the
+// given number of never-finishing transactions on it, drives it with
 // closed-loop clients issuing 4-item shard-aligned writes, and returns
 // committed submissions per wall second over the measurement window.
-func measureSubmitThroughput(t *testing.T, shards, procs int) float64 {
+func measureSubmitThroughput(t *testing.T, shards, procs, parked int) float64 {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
@@ -81,7 +88,7 @@ func measureSubmitThroughput(t *testing.T, shards, procs int) float64 {
 	// region [0, benchParked), residue-balanced across the partition. Their
 	// Submits block until the final cancel wounds them.
 	var parkedWG sync.WaitGroup
-	for j := 0; j < benchParked; j++ {
+	for j := 0; j < parked; j++ {
 		parkedWG.Add(1)
 		go func(j int) {
 			defer parkedWG.Done()
@@ -95,7 +102,7 @@ func measureSubmitThroughput(t *testing.T, shards, procs int) float64 {
 	parkDeadline := time.Now().Add(15 * time.Second)
 	for {
 		st, ok := svc.Stats()
-		if ok && st.Live >= benchParked {
+		if ok && st.Live >= parked {
 			break
 		}
 		if time.Now().After(parkDeadline) {
@@ -172,6 +179,7 @@ func measureSubmitThroughput(t *testing.T, shards, procs int) float64 {
 type shardBenchEntry struct {
 	Shards        int     `json:"shards"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
+	Parked        int     `json:"parked_backlog"`
 	SubmitsPerSec float64 `json:"submits_per_sec"`
 }
 
@@ -179,56 +187,67 @@ type shardBenchBaseline struct {
 	Note     string            `json:"note"`
 	Refresh  string            `json:"refresh"`
 	Clients  int               `json:"clients"`
-	Parked   int               `json:"parked_backlog"`
 	DBSize   int               `json:"db_size"`
 	Speed    float64           `json:"speed"`
 	HostCPUs int               `json:"host_cpus"`
 	Entries  []shardBenchEntry `json:"entries"`
-	Ratio4v1 float64           `json:"ratio_4shard_vs_1shard"`
+	// Ratio4v1 is best 4-shard over best 1-shard throughput, both over the
+	// parked backlog: recorded, not enforced.
+	Ratio4v1 float64 `json:"ratio_4shard_vs_1shard"`
+	// RatioParkedVsEmpty is best 1-shard throughput over the parked backlog
+	// over best 1-shard throughput with nothing parked: enforced ≥ 0.5.
+	RatioParkedVsEmpty float64 `json:"ratio_1shard_parked_vs_empty"`
 }
 
-// TestWriteShardBenchBaseline measures the shards × GOMAXPROCS throughput
-// matrix and writes BENCH_shard.json at the repo root. Gated behind
-// BENCH_BASELINE=1: it takes ~15s of wall time and saturates the machine,
-// which is exactly what a unit-test run must not do.
+// TestWriteShardBenchBaseline measures the throughput matrix and writes
+// BENCH_shard.json at the repo root. Gated behind BENCH_BASELINE=1: it takes
+// ~20s of wall time and saturates the machine, which is exactly what a
+// unit-test run must not do. GOMAXPROCS values above the host's CPU count
+// are skipped: they would measure scheduler oversubscription, not cores.
 func TestWriteShardBenchBaseline(t *testing.T) {
 	if os.Getenv("BENCH_BASELINE") == "" {
 		t.Skip("set BENCH_BASELINE=1 to measure and write BENCH_shard.json")
 	}
 
-	shardCounts := []int{1, 4}
-	procCounts := []int{1, 2, 4}
-	best := map[int]float64{}
+	type cell struct{ shards, parked int }
+	best := map[cell]float64{}
 	var entries []shardBenchEntry
-	for _, n := range shardCounts {
-		for _, p := range procCounts {
-			tput := measureSubmitThroughput(t, n, p)
-			entries = append(entries, shardBenchEntry{Shards: n, GOMAXPROCS: p, SubmitsPerSec: tput})
-			if tput > best[n] {
-				best[n] = tput
+	for _, c := range []cell{{1, 0}, {1, benchParked}, {4, benchParked}} {
+		for _, p := range []int{1, 2, 4} {
+			if p > runtime.NumCPU() {
+				continue
 			}
-			t.Logf("shards=%d GOMAXPROCS=%d: %.0f submits/s", n, p, tput)
+			tput := measureSubmitThroughput(t, c.shards, p, c.parked)
+			entries = append(entries, shardBenchEntry{Shards: c.shards, GOMAXPROCS: p, Parked: c.parked, SubmitsPerSec: tput})
+			best[c] = max(best[c], tput)
+			t.Logf("shards=%d parked=%d GOMAXPROCS=%d: %.0f submits/s", c.shards, c.parked, p, tput)
 		}
 	}
 
-	ratio := best[4] / best[1]
-	if ratio < 2 {
-		t.Errorf("4-shard vs 1-shard Submit throughput ratio = %.2f, want >= 2 (acceptance floor)", ratio)
+	ratio4v1 := best[cell{4, benchParked}] / best[cell{1, benchParked}]
+	parkedVsEmpty := best[cell{1, benchParked}] / best[cell{1, 0}]
+	t.Logf("4 shards vs 1 shard over %d parked: %.2fx; 1 shard over %d parked vs none: %.2fx",
+		benchParked, ratio4v1, benchParked, parkedVsEmpty)
+	if parkedVsEmpty < 0.5 {
+		t.Errorf("1 shard over %d parked reaches %.2fx its empty-backlog throughput, want >= 0.5 (the backlog cliff is back)",
+			benchParked, parkedVsEmpty)
 	}
 
 	base := shardBenchBaseline{
-		Note: "wall-clock shard.Service Submit throughput (committed submissions per wall second): " +
-			"closed-loop clients issue 4-item single-shard-aligned writes over a standing backlog " +
-			"of parked live transactions; the N-shard win is algorithmic — every scheduling point " +
-			"sweeps O(live) and each shard carries live/N",
-		Refresh:  "BENCH_BASELINE=1 go test ./internal/shard -run TestWriteShardBenchBaseline",
-		Clients:  benchClients,
-		Parked:   benchParked,
-		DBSize:   benchDBSize,
-		Speed:    benchSpeed,
-		HostCPUs: runtime.NumCPU(),
-		Entries:  entries,
-		Ratio4v1: ratio,
+		Note: "in-process micro-baseline, client and server sharing the host's CPUs — not capacity. " +
+			"Wall-clock shard.Service Submit throughput (committed submissions per wall second): " +
+			"closed-loop clients issue 4-item single-shard-aligned writes, with and without a standing " +
+			"backlog of parked live transactions. A scheduling point no longer sweeps the live set, so " +
+			"sharding no longer buys an algorithmic O(live/N) win: ratio_4shard_vs_1shard is recorded " +
+			"as measured (no floor), and the enforced property is ratio_1shard_parked_vs_empty >= 0.5",
+		Refresh:            "BENCH_BASELINE=1 go test ./internal/shard -run TestWriteShardBenchBaseline",
+		Clients:            benchClients,
+		DBSize:             benchDBSize,
+		Speed:              benchSpeed,
+		HostCPUs:           runtime.NumCPU(),
+		Entries:            entries,
+		Ratio4v1:           ratio4v1,
+		RatioParkedVsEmpty: parkedVsEmpty,
 	}
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {

@@ -486,7 +486,6 @@ func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 		}
 		// Cross-shard (or empty — validation inside the shard rejects it):
 		// one epoch-queue entry with a cancellable fan-out context.
-		i := i
 		ctx, cancel := context.WithCancel(context.Background())
 		pc := &pendingCross{
 			ctx:   ctx,
@@ -508,13 +507,17 @@ func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 		}
 		s.queue = append(s.queue, pc)
 		s.mu.Unlock()
+		// The caller may reuse subs the moment SubmitBatch returns (the
+		// server's batcher does): the goroutine keeps the callback, not an
+		// index into the caller's slice.
+		done := subs[i].Done
 		go func() {
 			defer cancel()
 			select {
 			case r := <-pc.out:
-				subs[i].Done(r.outcome, r.err)
+				done(r.outcome, r.err)
 			case <-s.stopCh:
-				subs[i].Done(core.ServiceOutcome{}, core.ErrServiceStopped)
+				done(core.ServiceOutcome{}, core.ErrServiceStopped)
 			}
 		}()
 	}

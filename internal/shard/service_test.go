@@ -107,3 +107,68 @@ func TestServiceDrainRefusesAndFlushesQueued(t *testing.T) {
 		t.Fatalf("Submit after drain: %v, want ErrDraining", err)
 	}
 }
+
+// TestSubmitBatchDoesNotRetainCallerSlice: the batch slice belongs to the
+// caller again the moment SubmitBatch returns — server.batcher refills it
+// with the next batch. A cross-shard submission is answered later, from a
+// goroutine; it must answer through the callback it was submitted with,
+// not through whatever the slice holds by then. (It used to read
+// subs[i].Done at answer time: the original request went unanswered and
+// the slot's new occupant was answered twice.)
+func TestSubmitBatchDoesNotRetainCallerSlice(t *testing.T) {
+	s, _ := startService(t, 2)
+	const n = 32
+	type answer struct {
+		id  int
+		o   core.ServiceOutcome
+		err error
+	}
+	answers := make(chan answer, 2*n) // room for every wrong extra answer too
+	foreign := make(chan struct{}, 2*n)
+	subs := make([]core.Submission, n)
+	for i := range subs {
+		i := i
+		items := itemList(2*i, 2*i+2) // both on shard 0
+		if i%2 == 0 {
+			items = itemList(2*i, 2*i+1) // shards 0 and 1: the epoch queue
+		}
+		subs[i] = core.Submission{
+			Req:  core.ServiceRequest{Items: items, Compute: 100 * time.Microsecond, Deadline: 5 * time.Second},
+			Done: func(o core.ServiceOutcome, err error) { answers <- answer{i, o, err} },
+		}
+	}
+	s.SubmitBatch(subs)
+	for i := range subs {
+		subs[i] = core.Submission{Done: func(core.ServiceOutcome, error) { foreign <- struct{}{} }}
+	}
+
+	got := make([]int, n)
+	timeout := time.After(10 * time.Second)
+	for seen := 0; seen < n; seen++ {
+		select {
+		case a := <-answers:
+			got[a.id]++
+			if a.err != nil || a.o.State != core.StateCommitted {
+				t.Errorf("submission %d: outcome %+v err %v, want committed", a.id, a.o, a.err)
+			}
+		case <-foreign:
+			t.Fatal("a submission was answered through the slot's later occupant")
+		case <-timeout:
+			t.Fatalf("%d/%d submissions answered; per-submission counts %v", seen, n, got)
+		}
+	}
+	// Every submission has answered once; a second answer to any of them,
+	// or one to a later occupant, would arrive within an epoch or two.
+	select {
+	case a := <-answers:
+		t.Fatalf("submission %d answered twice", a.id)
+	case <-foreign:
+		t.Fatal("a submission was answered through the slot's later occupant")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for i, c := range got {
+		if c != 1 {
+			t.Errorf("submission %d answered %d times, want exactly once", i, c)
+		}
+	}
+}
