@@ -1,12 +1,12 @@
-// Batched submission: the wire-speed ingestion path into the wall-clock
-// service. Submit pays one driver Call — a mutex, a closure, a wakeup —
-// per transaction; under a high-rate front-end that per-request handoff is
-// the bottleneck, not the engine. SubmitBatch amortises it: the server's
-// submit queues collect every request that arrived while the driver was
-// busy and inject them all in a single Call, so the handoff cost is paid
-// once per driver wakeup instead of once per transaction. The engine-side
-// semantics are unchanged — each submission still goes through the same
-// validation, admission control and onArrival as Submit, in batch order.
+// Batched submission: the one ingestion path into the wall-clock service.
+// A driver Call costs a mutex, a closure and a wakeup; under a high-rate
+// front-end that handoff is the bottleneck, not the engine. SubmitBatch
+// amortises it: the server's submit queues collect every request that
+// arrived while the driver was busy and inject them all in a single Call,
+// so the handoff cost is paid once per driver wakeup instead of once per
+// transaction. Each submission goes through validation, admission control
+// and onArrival in batch order; the blocking Submit is a one-element batch
+// (SubmitOne).
 package core
 
 import (
@@ -30,8 +30,7 @@ type Submission struct {
 	WALSeq uint64
 }
 
-// SubmitHandle wounds one batched in-flight submission, the batch
-// analogue of Submit's cancel-on-context-done: the front-end calls Cancel
+// SubmitHandle wounds one in-flight submission: the front-end calls Cancel
 // when the client disconnects so abandoned work stops consuming the CPU.
 // The zero handle is a no-op (a submission that was never injected).
 // Cancel is idempotent and safe after the transaction reached a terminal
@@ -82,26 +81,16 @@ func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 	}
 	s.mu.Unlock()
 
+	// specs[i] != nil marks an entry that is still this call's to answer:
+	// validation clears it by never setting it, injection clears it when the
+	// transaction's completion slot takes over.
 	specs := make([]*workload.Spec, len(subs))
 	any := false
 	for i := range subs {
 		sub := &subs[i]
-		if err := sub.Req.validate(&s.e.cfg); err != nil {
+		if err := sub.Req.Validate(&s.e.cfg); err != nil {
 			sub.Done(ServiceOutcome{}, err)
 			continue
-		}
-		// Durability: append the submit record before injection (replays
-		// already have one), and gate Done on the outcome record's fsync.
-		if s.wal.Enabled() {
-			seq, replay := sub.WALSeq, sub.WALSeq != 0
-			if !replay {
-				var err error
-				if seq, err = s.wal.LogSubmit(&sub.Req); err != nil {
-					sub.Done(ServiceOutcome{}, err)
-					continue
-				}
-			}
-			sub.Done = s.wal.WrapDone(seq, replay, sub.Done)
 		}
 		specs[i] = &workload.Spec{
 			Items:       sub.Req.Items,
@@ -120,21 +109,16 @@ func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 	ready := make(chan struct{})
 	err := s.rt.Call(func() {
 		now := time.Duration(s.e.sim.Now())
-		for i := range subs {
-			spec := specs[i]
+		for i, spec := range specs {
 			if spec == nil {
 				continue
 			}
-			done := subs[i].Done
 			spec.Arrival = now
 			spec.Deadline = now + subs[i].Req.Deadline
-			t := s.e.addServiceTxn(spec, func(t *Txn) {
-				done(outcomeOf(t), nil)
-				s.e.retireServiceTxn(t)
-			})
-			// If the driver dies with this submission live, the failure
-			// sweep answers it (exactly once — notifyDone disarms this).
-			t.failHook = func(err error) { done(ServiceOutcome{}, err) }
+			// From here the slot answers: the terminal path, or the failure
+			// sweep if the driver dies with this submission live.
+			t := s.e.addServiceTxn(spec, subs[i].Done)
+			specs[i] = nil
 			handles[i] = SubmitHandle{svc: s, t: t}
 			s.e.onArrival(t)
 		}
@@ -146,16 +130,11 @@ func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 	}
 	select {
 	case <-ready:
-		return handles
 	case <-s.stopCh:
-		// The driver may have run the injection just before stopping; only
-		// fail the batch if it truly never ran (dropped calls never run).
-		select {
-		case <-ready:
-			return handles
-		default:
-			failAll(subs, specs, ErrServiceStopped)
-			return handles
-		}
+		// The driver stopped: whatever it injected first was answered by its
+		// terminal path or the failure sweep (both ordered before stopCh
+		// closes); the entries it never reached are still ours.
+		failAll(subs, specs, ErrServiceStopped)
 	}
+	return handles
 }

@@ -45,6 +45,7 @@ func backlogEngine(tb testing.TB, policy PolicyKind, parked int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	e.retires = true
 	e.StartRun()
 	for j := 0; j < parked; j++ {
 		e.SubmitSpec(&workload.Spec{
@@ -57,7 +58,7 @@ func backlogEngine(tb testing.TB, policy PolicyKind, parked int) *Engine {
 }
 
 // foreground runs one two-item transaction from arrival to commit over the
-// backlog, the way Service.SubmitBatch's done callback would retire it.
+// backlog, retired on its answer the way a service engine does.
 func foreground(tb testing.TB, e *Engine, parked, i int) {
 	now := time.Duration(e.sim.Now())
 	span := costDBSize - parked
@@ -67,7 +68,7 @@ func foreground(tb testing.TB, e *Engine, parked, i int) {
 		Arrival:  now,
 		Deadline: now + time.Minute,
 	}
-	tp := e.SubmitSpec(spec, func(tx *Txn) { e.retireServiceTxn(tx) })
+	tp := e.SubmitSpec(spec, func(ServiceOutcome, error) {})
 	if err := e.StepTo(e.sim.Now() + sim.Time(200*time.Microsecond)); err != nil {
 		tb.Fatal(err)
 	}

@@ -59,8 +59,11 @@ type Engine struct {
 	all   []*Txn   // every transaction, indexed by ID
 	live  liveList // arrived, not yet committed, in arrival order
 	slots []*Txn   // CPU occupants (nil = idle)
-	// freeIDs holds retired transaction IDs for reuse (wall-clock service
-	// mode only; simulation runs never retire IDs).
+	// retires is the wall-clock service mode: an answered submission's ID
+	// and item sets go back for reuse (answer → retireServiceTxn). Simulation
+	// and shard-runner engines never retire, so their IDs stay stable.
+	retires bool
+	// freeIDs holds retired transaction IDs for reuse.
 	freeIDs []int
 	// freeSets holds the item sets of retired transactions for reuse
 	// (retireServiceTxn, serviceBitset).
@@ -507,15 +510,29 @@ func (e *Engine) FinishRun() (metrics.Result, error) {
 // here, in canonical order. spec.Arrival must equal the engine's current
 // clock and spec.Deadline is absolute (under FirmDeadlines it must not be
 // in the past, or the deadline event would be unschedulable). done, when
-// non-nil, fires once when the transaction reaches a terminal state; it
-// runs inside the engine's event processing and must not block.
-func (e *Engine) SubmitSpec(spec *workload.Spec, done func(*Txn)) *Txn {
+// non-nil, is the transaction's completion slot (see Txn.done): it receives
+// the terminal outcome inside the engine's event processing and must not
+// block.
+func (e *Engine) SubmitSpec(spec *workload.Spec, done func(ServiceOutcome, error)) *Txn {
 	if got, now := spec.Arrival, time.Duration(e.sim.Now()); got != now {
 		panic(fmt.Sprintf("core: SubmitSpec arrival %v != engine clock %v", got, now))
 	}
 	t := e.addServiceTxn(spec, done)
 	e.onArrival(t)
 	return t
+}
+
+// answer delivers a terminal transaction's outcome through its completion
+// slot and, in service mode, retires it. A no-op for simulation transactions
+// (no slot) and for one the slot already answered.
+func (e *Engine) answer(t *Txn) {
+	if t.done == nil {
+		return
+	}
+	t.complete(outcomeOf(t), nil)
+	if e.retires {
+		e.retireServiceTxn(t)
+	}
 }
 
 // stallDump renders the watchdog's diagnostic: where the calendar stuck
@@ -669,7 +686,7 @@ func (e *Engine) onArrival(t *Txn) {
 			if now := time.Duration(e.sim.Now()); now > e.run.Elapsed {
 				e.run.Elapsed = now
 			}
-			t.notifyDone()
+			e.answer(t)
 			return
 		}
 		e.run.Admitted++
@@ -988,7 +1005,7 @@ func (e *Engine) commit(t *Txn) {
 		e.tracef("T%d commits (lateness %.1fms, restarts %d)", t.ID(), ms(time.Duration(t.finish)-t.Spec.Deadline), t.restarts)
 	}
 	e.emit(trace.Event{Kind: trace.Commit, Txn: t.ID(), Other: -1, Item: -1, Priority: t.priority})
-	t.notifyDone()
+	e.answer(t)
 	e.requestReschedule()
 	if !e.inReschedule {
 		e.reschedule()
@@ -1034,7 +1051,7 @@ func (e *Engine) drop(t *Txn) {
 	if now > e.run.Elapsed {
 		e.run.Elapsed = now
 	}
-	t.notifyDone()
+	e.answer(t)
 	e.requestReschedule()
 }
 

@@ -152,7 +152,7 @@ func TestEnginePanicFailsBatch(t *testing.T) {
 
 // TestCancelUnaffectedByFailHook: the ordinary cancel/drain paths still
 // answer exactly once with the hardening in place (regression guard for
-// the notifyDone refactor).
+// the completion slot).
 func TestCancelUnaffectedByFailHook(t *testing.T) {
 	s, stop := startService(t, MainMemoryConfig(CCA, 7), ServiceOptions{Speed: 1})
 	defer stop()

@@ -28,12 +28,13 @@ func serviceEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.retires = true
 	e.StartRun()
 	return e
 }
 
 // submitAndFinish runs one submission to its terminal state and retires it,
-// mirroring Service.Submit's done callback.
+// the way a service engine's answer path does.
 func submitAndFinish(t *testing.T, e *Engine, item int) int {
 	t.Helper()
 	now := time.Duration(e.sim.Now())
@@ -43,7 +44,7 @@ func submitAndFinish(t *testing.T, e *Engine, item int) int {
 		Arrival:  now,
 		Deadline: now + 50*time.Millisecond,
 	}
-	tp := e.SubmitSpec(spec, func(tx *Txn) { e.retireServiceTxn(tx) })
+	tp := e.SubmitSpec(spec, func(ServiceOutcome, error) {})
 	id := tp.ID()
 	if err := e.StepTo(e.sim.Now() + sim.Time(100*time.Millisecond)); err != nil {
 		t.Fatal(err)

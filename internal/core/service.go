@@ -7,11 +7,16 @@
 // The engine code is shared, not forked: the same calendar, the same
 // scheduling points, the same conflict machinery. The only difference is
 // the driver (sim.Realtime sleeps until events are due and folds in
-// injected arrivals) and the per-transaction completion callback, which is
+// injected arrivals) and the per-transaction completion slot, which is
 // nil on every simulation run. That is the whole equivalence argument for
 // the Clock refactor — virtual-time runs execute byte-for-byte the same
 // code they always did, and the equivalence matrix keeps proving them
 // bit-identical.
+//
+// A Service is one shard's worker: the serving stack always runs
+// shard.Service over N of them (N = 1 included), which owns routing,
+// durability and supervision. There is one way in — SubmitBatch (batch.go);
+// Submit is a one-element batch.
 package core
 
 import (
@@ -31,11 +36,10 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
-// Errors reported by Service.Submit.
+// Errors a submission can be answered with.
 var (
 	// ErrServiceStopped reports a submission against a service whose Run
 	// has returned (shutdown, engine failure).
@@ -78,10 +82,6 @@ type ServiceOptions struct {
 	// .StallBudget): max same-instant events before the driver declares a
 	// stall. 0 picks a generous default; < 0 disables.
 	StallBudget int
-	// WAL, when non-nil, makes submissions durable: submit records are
-	// appended before injection, outcomes before the client's callback
-	// fires (see WALHook). nil leaves the submit path untouched.
-	WAL *wal.Logger
 }
 
 // ServiceRequest describes one submitted transaction. The deadline is
@@ -106,9 +106,9 @@ type ServiceRequest struct {
 	Class       int
 }
 
-// validate reports the first problem with the request against the
+// Validate reports the first problem with the request against the
 // service's configuration.
-func (r *ServiceRequest) validate(cfg *Config) error {
+func (r *ServiceRequest) Validate(cfg *Config) error {
 	if len(r.Items) == 0 {
 		return fmt.Errorf("core: transaction accesses no items")
 	}
@@ -179,9 +179,8 @@ type ServiceStats struct {
 
 // Service is a wall-clock transaction service over one Engine.
 type Service struct {
-	e   *Engine
-	rt  *sim.Realtime
-	wal WALHook
+	e  *Engine
+	rt *sim.Realtime
 
 	stopCh chan struct{}
 
@@ -239,7 +238,8 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if e.run.SampleWindow == 0 {
 		e.run.SampleWindow = 4096
 	}
-	s := &Service{e: e, wal: WALHook{Log: opt.WAL}, stopCh: make(chan struct{})}
+	e.retires = true
+	s := &Service{e: e, stopCh: make(chan struct{})}
 	if opt.Oracle {
 		e.EnableOracle()
 	}
@@ -258,7 +258,7 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 
 // Run drives the service until the context is cancelled or the engine
 // fails (a panic, a stall, or an oracle violation). It must be called
-// exactly once; Submit blocks until Run is live. Cancellation is a normal
+// exactly once; submissions wait until Run is live. Cancellation is a normal
 // shutdown and returns ctx.Err(); any other return is a failure, also
 // surfaced by Err.
 func (s *Service) Run(ctx context.Context) error {
@@ -277,41 +277,29 @@ func (s *Service) Run(ctx context.Context) error {
 		s.mu.Unlock()
 	}
 	// The driver is dead (this goroutine WAS the driver), so the live
-	// set is frozen: answer every still-inflight waiter before stopCh
+	// set is frozen: answer every still-inflight submission before stopCh
 	// closes, converting a crashed engine into failed-with-error
-	// outcomes instead of hangs or misleading "stopped" errors.
+	// outcomes instead of hangs.
 	s.failLive(err)
 	return err
 }
 
-// failLive fires the failure hook of every transaction that was still
-// live when the driver stopped. On a clean cancellation waiters get
-// ErrServiceStopped (what the stopCh path would have told them); on an
-// engine failure they get ErrEngineFailed wrapping the cause, which the
-// front-ends must NOT mark retriable — the transaction may have
-// partially executed. Runs on Run's goroutine after the driver exited,
-// so it owns the engine state; notifyDone's disarming guarantees no
-// transaction is answered twice even if the panic struck between a
-// terminal callback and live-set removal.
+// failLive answers every transaction that was still live when the driver
+// stopped: ErrServiceStopped on a clean cancellation, ErrEngineFailed
+// wrapping the cause on an engine failure, which the front-ends must NOT
+// mark retriable — the transaction may have partially executed. Runs on
+// Run's goroutine after the driver exited, so it owns the engine state; the
+// completion slot empties itself, so no transaction is answered twice even
+// if the panic struck between a terminal answer and live-set removal.
 func (s *Service) failLive(cause error) {
 	ferr := error(ErrServiceStopped)
 	if cause != nil && !errors.Is(cause, context.Canceled) && !errors.Is(cause, context.DeadlineExceeded) {
 		ferr = fmt.Errorf("%w: %v", ErrEngineFailed, cause)
 	}
 	for t := s.e.live.head; t != nil; t = t.liveNext {
-		if t.failHook == nil {
-			continue
-		}
-		hook := t.failHook
-		t.failHook = nil
-		hook(ferr)
+		t.complete(ServiceOutcome{}, ferr)
 	}
 }
-
-// Degraded reports partial capacity loss. A single-engine service is
-// never degraded — an engine failure stops it outright (see Err). The
-// sharded service overrides this with real partial-failure state.
-func (s *Service) Degraded() bool { return false }
 
 // InjectPanic crashes the engine driver with a forged panic on its own
 // goroutine — fault-injection tooling for supervision and containment
@@ -339,98 +327,37 @@ func (s *Service) Draining() bool {
 }
 
 // Submit runs one transaction through the service and blocks until it
-// reaches a terminal state. The request context carries the client:
-// cancellation wounds the transaction (it is dropped — a response no one
-// is waiting for has no value) and returns the ctx error alongside the
-// dropped outcome. ErrDraining and ErrServiceStopped reject the
-// submission outright; an admission-control rejection is not an error but
-// an outcome (StateRejected) so callers can distinguish shedding from
-// failure.
+// reaches a terminal state (see SubmitOne).
 func (s *Service) Submit(ctx context.Context, req ServiceRequest) (ServiceOutcome, error) {
-	if err := req.validate(&s.e.cfg); err != nil {
-		return ServiceOutcome{}, err
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return ServiceOutcome{}, ErrDraining
-	}
-	s.mu.Unlock()
-
-	done := make(chan ServiceOutcome, 1)
-	failed := make(chan error, 1)
-	seq, err := s.wal.LogSubmit(&req)
-	if err != nil {
-		return ServiceOutcome{}, err
-	}
-	// deliver routes a terminal answer onto the waiter's channels; with a
-	// WAL the wrapping defers it until the outcome record is durable.
-	deliver := s.wal.WrapDone(seq, false, func(o ServiceOutcome, err error) {
-		if err != nil {
-			failed <- err
-			return
-		}
-		done <- o
-	})
-	spec := &workload.Spec{
-		Items:       req.Items,
-		Compute:     req.Compute,
-		Reads:       req.Reads,
-		NeedsIO:     req.NeedsIO,
-		Criticality: req.Criticality,
-		Class:       req.Class,
-	}
-	// tp is written by the arrival call and read by the cancellation
-	// call; both run on the driver goroutine, which orders them.
-	var tp *Txn
-	err = s.rt.Call(func() {
-		now := time.Duration(s.e.sim.Now())
-		spec.Arrival = now
-		spec.Deadline = now + req.Deadline
-		tp = s.e.addServiceTxn(spec, func(t *Txn) {
-			deliver(outcomeOf(t), nil)
-			s.e.retireServiceTxn(t)
-		})
-		tp.failHook = func(err error) { deliver(ServiceOutcome{}, err) }
-		s.e.onArrival(tp)
-	})
-	if err != nil {
-		deliver(ServiceOutcome{}, ErrServiceStopped)
-		return ServiceOutcome{}, ErrServiceStopped
-	}
-
-	select {
-	case o := <-done:
-		return o, nil
-	case err := <-failed:
-		return ServiceOutcome{}, err
-	case <-s.stopCh:
-		return ServiceOutcome{}, s.stoppedErr(failed)
-	case <-ctx.Done():
-		// The client is gone: wound the transaction if it is still in
-		// flight. Its terminal callback still fires (as a drop), so the
-		// outcome arrives on done unless the driver stops first.
-		_ = s.rt.Call(func() { s.e.cancelServiceTxn(tp) })
-		select {
-		case o := <-done:
-			return o, ctx.Err()
-		case err := <-failed:
-			return ServiceOutcome{}, err
-		case <-s.stopCh:
-			return ServiceOutcome{}, s.stoppedErr(failed)
-		}
-	}
+	return SubmitOne(ctx, s.SubmitBatch, req)
 }
 
-// stoppedErr resolves the stopCh race: the failure sweep delivers on
-// failed strictly before stopCh closes, but a waiter's select may still
-// pick the stop case when both are ready — prefer the precise error.
-func (s *Service) stoppedErr(failed chan error) error {
+// SubmitOne is the blocking form of a batched submit, shared by every
+// service: a one-element batch, then wait for its Done. The request context
+// carries the client: cancellation wounds the transaction (it is dropped — a
+// response no one is waiting for has no value) and returns the ctx error
+// alongside the terminal outcome. Validation, ErrDraining, ErrServiceStopped
+// and ErrEngineFailed come back as the error; an admission-control rejection
+// is not an error but an outcome (StateRejected) so callers can distinguish
+// shedding from failure. There is no stop signal to race: Done is guaranteed
+// to fire exactly once, so waiting on it alone cannot hang.
+func SubmitOne(ctx context.Context, batch func([]Submission) []SubmitHandle, req ServiceRequest) (ServiceOutcome, error) {
+	type answer struct {
+		o   ServiceOutcome
+		err error
+	}
+	ch := make(chan answer, 1)
+	h := batch([]Submission{{Req: req, Done: func(o ServiceOutcome, err error) { ch <- answer{o, err} }}})[0]
 	select {
-	case err := <-failed:
-		return err
-	default:
-		return ErrServiceStopped
+	case a := <-ch:
+		return a.o, a.err
+	case <-ctx.Done():
+		h.Cancel()
+		a := <-ch
+		if a.err == nil {
+			a.err = ctx.Err()
+		}
+		return a.o, a.err
 	}
 }
 
@@ -567,11 +494,6 @@ func (s *Service) SetPredictView(v *predict.Table) error {
 	return s.rt.Call(func() { s.e.SetPredictView(v) })
 }
 
-// Outcome converts a terminal transaction into its submission outcome —
-// the exported form of the service's internal conversion, for the shard
-// runner's cross-shard completion callbacks.
-func (t *Txn) Outcome() ServiceOutcome { return outcomeOf(t) }
-
 // outcomeOf converts a terminal transaction into its submission outcome.
 func outcomeOf(t *Txn) ServiceOutcome {
 	o := ServiceOutcome{
@@ -596,8 +518,8 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // addServiceTxn builds the runtime transaction for a dynamically submitted
 // spec, assigns its ID (recycling finished IDs so the lock-manager, store
 // and transaction tables stay bounded by the peak live set, not the
-// request count) and registers the terminal callback.
-func (e *Engine) addServiceTxn(spec *workload.Spec, done func(*Txn)) *Txn {
+// request count) and arms the completion slot.
+func (e *Engine) addServiceTxn(spec *workload.Spec, done func(ServiceOutcome, error)) *Txn {
 	// Recycling is safe only when nothing identifies transactions across
 	// time: the history (and so the oracle's serializability checks) and
 	// the trace recorder key operations by transaction ID. idsPinned is the

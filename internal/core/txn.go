@@ -168,19 +168,24 @@ type Txn struct {
 
 	finish sim.Time
 
-	// done, when non-nil, is invoked once when the transaction reaches a
-	// terminal state (committed, dropped or rejected) — the wall-clock
-	// service's completion notification. nil for every simulation run, so
-	// the virtual-time path is untouched. It runs on the engine's driver
-	// goroutine and must not block.
-	done func(*Txn)
+	// done is the transaction's one completion slot: nil for every
+	// simulation run (the virtual-time path is untouched), set for a
+	// dynamically submitted transaction. It receives either the terminal
+	// outcome (committed, dropped or rejected) on the engine's driver
+	// goroutine — it must not block — or the error of the driver-failure
+	// sweep. complete empties the slot before calling it, which is the one
+	// place "answered exactly once" is enforced.
+	done func(ServiceOutcome, error)
+}
 
-	// failHook, when non-nil, is the engine-failure escape hatch: if the
-	// driver dies (panic, stall, oracle violation) with this transaction
-	// still live, the service's failure sweep invokes it exactly once so
-	// the waiter gets failed-with-error instead of a hang. Disarmed the
-	// moment done fires — a transaction is answered exactly once.
-	failHook func(error)
+// complete answers the transaction through its completion slot, at most
+// once: whichever of the terminal path and the failure sweep gets here
+// first finds the slot armed, every later call finds it empty.
+func (t *Txn) complete(o ServiceOutcome, err error) {
+	if done := t.done; done != nil {
+		t.done = nil
+		done(o, err)
+	}
 }
 
 // liveList is the set of arrived, unfinished transactions in arrival order:
@@ -217,16 +222,6 @@ func (l *liveList) remove(t *Txn) {
 	t.livePrev, t.liveNext = nil, nil
 	t.inLive = false
 	l.n--
-}
-
-// notifyDone fires the terminal callback (if any) and disarms the
-// failure hook, so the engine-failure sweep can never answer a
-// transaction its terminal callback already answered.
-func (t *Txn) notifyDone() {
-	t.failHook = nil
-	if t.done != nil {
-		t.done(t)
-	}
 }
 
 // ID returns the transaction instance ID.

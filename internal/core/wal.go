@@ -1,12 +1,12 @@
-// WAL binding: how the wall-clock service makes submissions durable.
-//
-// The contract, shared by Service and shard.Service (which logs at its
-// top level before routing, so per-shard cores run with a nil hook):
+// WAL binding: how the wall-clock serving path makes submissions durable.
+// Durability lives in exactly one place — shard.Service.SubmitBatch binds
+// this hook before routing, so one log orders the whole sharded system and
+// the per-shard Services never log. The contract:
 //
 //   - A submit record is appended after validation, before the
 //     submission is injected into the engine (append-before-ack). The
 //     append is buffered — the driver goroutine never waits on disk.
-//   - The terminal outcome is appended from the engine's done-hook and
+//   - The terminal outcome is appended from the completion slot and
 //     the client's Done fires only once that record is fsynced (group
 //     commit). FIFO append order makes the durable outcome imply a
 //     durable submit, so one wait covers both.
@@ -84,7 +84,7 @@ func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
 // record was never appended) returns done unchanged. replay marks the
 // outcome record FlagReplayed.
 //
-// The wrapped callback is safe for the engine's done-hook contract: it
+// The wrapped callback is safe for the completion-slot contract: it
 // never blocks — the durability wait happens on the logger's sync
 // goroutine, which then runs done there.
 func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, error)) func(ServiceOutcome, error) {
@@ -100,8 +100,8 @@ func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, er
 				done(o, err)
 				return
 			}
-			// The client is told to retry (drain, shutdown, validation on
-			// the sharded path): resolve the record so recovery does not
+			// The client is told to retry (drain, shutdown, a replayed
+			// record that no longer validates): resolve the record so recovery does not
 			// double-run the retried work. Fire-and-forget — the error
 			// answer does not need to wait for the abort record.
 			rec := abortRecord(seq, replay)

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -24,7 +25,7 @@ type pending struct {
 }
 
 type batcher struct {
-	svc      Service
+	svc      *shard.Service
 	queues   []chan pending
 	maxBatch int
 	stop     chan struct{}
@@ -34,14 +35,8 @@ type batcher struct {
 	closed bool
 }
 
-func newBatcher(svc Service, shards, depth int) *batcher {
-	if shards < 1 {
-		shards = 1
-	}
-	if depth < 1 {
-		depth = 256
-	}
-	qs := make([]chan pending, shards)
+func newBatcher(svc *shard.Service, depth int) *batcher {
+	qs := make([]chan pending, svc.Shards())
 	for i := range qs {
 		qs[i] = make(chan pending, depth)
 	}

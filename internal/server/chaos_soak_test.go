@@ -269,10 +269,7 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 		t.Fatalf("healthz before panic: %q", body)
 	}
 
-	sv, ok := s.svc.(*shard.Service)
-	if !ok {
-		t.Fatalf("supervised options built %T, want *shard.Service", s.svc)
-	}
+	sv := s.svc
 	if err := sv.InjectShardPanic(2, "server chaos"); err != nil {
 		t.Fatalf("InjectShardPanic: %v", err)
 	}
@@ -342,7 +339,7 @@ func TestSupervisedRestartServesAgain(t *testing.T) {
 		Shards:    2,
 		Supervise: shard.SuperviseOptions{Enabled: true, Restart: true},
 	})
-	sv := s.svc.(*shard.Service)
+	sv := s.svc
 	if err := sv.InjectShardPanic(1, "restart"); err != nil {
 		t.Fatal(err)
 	}

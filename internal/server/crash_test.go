@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/shard"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -101,7 +102,11 @@ func runVictim(t *testing.T, memfs *wal.MemFS, plan fault.FilePlan, seed int64) 
 	if err != nil {
 		t.Fatalf("open victim wal: %v", err)
 	}
-	svc, err := core.NewService(core.MainMemoryConfig(core.CCA, seed), core.ServiceOptions{Speed: 5000, WAL: log})
+	svc, err := shard.NewService(core.MainMemoryConfig(core.CCA, seed), shard.ServiceOptions{
+		Shards: 1,
+		Core:   core.ServiceOptions{Speed: 5000},
+		WAL:    log,
+	})
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}

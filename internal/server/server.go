@@ -1,5 +1,6 @@
-// Package server exposes the wall-clock transaction service (core.Service)
-// over HTTP/JSON, engineered to degrade gracefully under real overload:
+// Package server exposes the wall-clock transaction service (shard.Service
+// over N ≥ 1 engine shards) over HTTP/JSON, engineered to degrade
+// gracefully under real overload:
 //
 //   - submissions carry the client's deadline and are load-shed by the
 //     engine's admission controller (a shed request gets a fast 503 with
@@ -20,10 +21,11 @@
 // binary wire protocol (internal/wire, enabled via ServeListeners). Both
 // decode into core.ServiceRequest and enqueue into the sharded batcher,
 // which injects every submission that arrived while the engine driver
-// was busy in one SubmitBatch call — so the per-request handoff cost is
-// paid per driver wakeup, not per transaction. Overload and drain
-// behavior is identical on both: fast shed with an admission-derived
-// Retry-After.
+// was busy in one shard.Service.SubmitBatch call — so the per-request
+// handoff cost is paid per driver wakeup, not per transaction. There is no
+// second service type behind the batcher: one shard is the same code as
+// many. Overload and drain behavior is identical on both front-ends: fast
+// shed with an admission-derived Retry-After.
 package server
 
 import (
@@ -45,30 +47,10 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
-	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
-
-// Service is the server's view of a wall-clock transaction service. Both
-// core.Service (one engine) and shard.Service (N engine shards behind a
-// router) satisfy it; the server is agnostic to which is behind it.
-type Service interface {
-	Run(ctx context.Context) error
-	Submit(ctx context.Context, req core.ServiceRequest) (core.ServiceOutcome, error)
-	SubmitBatch(subs []core.Submission) []core.SubmitHandle
-	Drain(ctx context.Context) error
-	Stats() (core.ServiceStats, bool)
-	InjectEvent(ev trace.Event) error
-	Err() error
-	Draining() bool
-	// Degraded reports that the service survived an internal failure
-	// (e.g. a supervised shard driver panicked and was contained or
-	// restarted). The server stays up but advertises the event on
-	// /healthz and /metrics.
-	Degraded() bool
-}
 
 // Options configure the server.
 type Options struct {
@@ -83,15 +65,14 @@ type Options struct {
 	// Shards partitions the item space across N engine shards (item i →
 	// shard i % N): single-shard submissions route directly to their
 	// shard, cross-shard ones batch at epoch boundaries (see
-	// internal/shard). 0 or 1 runs the classic single-engine service.
+	// internal/shard). Below 1 means 1.
 	Shards int
 	// Epoch is the cross-shard batching interval in simulated time
-	// (0 = shard.DefaultEpoch). Ignored unless Shards > 1.
+	// (0 = shard.DefaultEpoch). Without effect on one shard.
 	Epoch time.Duration
 	// Supervise contains shard-driver failures: a panicking shard becomes
 	// failed-with-error outcomes for its inflight transactions and a
-	// degraded /healthz instead of a dead process. Enabling it with
-	// Shards <= 1 runs a single supervised shard.
+	// degraded /healthz instead of a dead process.
 	Supervise shard.SuperviseOptions
 	// WireIdleTimeout closes a wire connection that sits idle between
 	// frames (slow-loris guard). 0 = wire.DefaultIdleTimeout; negative
@@ -137,6 +118,9 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
+	if o.Shards < 1 {
+		o.Shards = 1
+	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
@@ -151,12 +135,12 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Server is the front-end over one transaction Service (single engine
-// or sharded): the HTTP/JSON listener, and optionally the binary wire
-// listener (ServeListeners), both feeding the sharded submit batcher.
+// Server is the front-end over the sharded transaction service: the
+// HTTP/JSON listener, and optionally the binary wire listener
+// (ServeListeners), both feeding the sharded submit batcher.
 type Server struct {
 	opts  Options
-	svc   Service
+	svc   *shard.Service
 	mux   *http.ServeMux
 	batch *batcher
 
@@ -204,31 +188,20 @@ type Server struct {
 	replay     replayState
 }
 
-// New builds the server and its engine(s): one core.Service, or a
-// shard.Service when Options.Shards > 1.
+// New builds the server and its Options.Shards engine shards.
 func New(opts Options) (*Server, error) {
 	opts.fillDefaults()
 	log, recovery, err := openWAL(&opts)
 	if err != nil {
 		return nil, err
 	}
-	var svc Service
-	if opts.Shards > 1 || opts.Supervise.Enabled {
-		n := opts.Shards
-		if n < 1 {
-			n = 1
-		}
-		svc, err = shard.NewService(opts.Core, shard.ServiceOptions{
-			Shards:    n,
-			Epoch:     opts.Epoch,
-			Core:      opts.Service,
-			Supervise: opts.Supervise,
-			WAL:       log,
-		})
-	} else {
-		opts.Service.WAL = log
-		svc, err = core.NewService(opts.Core, opts.Service)
-	}
+	svc, err := shard.NewService(opts.Core, shard.ServiceOptions{
+		Shards:    opts.Shards,
+		Epoch:     opts.Epoch,
+		Core:      opts.Service,
+		Supervise: opts.Supervise,
+		WAL:       log,
+	})
 	if err != nil {
 		if log != nil {
 			_ = log.Close()
@@ -250,7 +223,7 @@ func New(opts Options) (*Server, error) {
 	} else {
 		close(s.replayDone)
 	}
-	s.batch = newBatcher(svc, opts.Shards, opts.MaxInflight)
+	s.batch = newBatcher(svc, opts.MaxInflight)
 	s.mux.HandleFunc("/submit", s.handleSubmit)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -262,9 +235,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.Handle("/debug/vars", expvar.Handler())
 	return s, nil
 }
-
-// Service returns the underlying wall-clock service (tests, direct use).
-func (s *Server) Service() Service { return s.svc }
 
 // Final returns the metrics snapshot flushed during shutdown, once Serve
 // has returned. It reports false if Serve never drained (engine died
@@ -564,15 +534,11 @@ func (s *Server) retryAfterSecs() int {
 	if cpus <= 0 {
 		cpus = 1
 	}
-	shards := s.opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	speed := s.opts.Service.Speed
 	if speed <= 0 {
 		speed = 1
 	}
-	drainSim := time.Duration(float64(st.Live) * float64(perTxn) / float64(cpus*shards))
+	drainSim := time.Duration(float64(st.Live) * float64(perTxn) / float64(cpus*s.opts.Shards))
 	drainWall := time.Duration(float64(drainSim) / speed)
 	secs := int((drainWall + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -758,8 +724,8 @@ type MetricsResponse struct {
 	// Degraded reports the service survived an internal failure (a
 	// supervised shard driver died and was contained or restarted).
 	Degraded bool `json:"degraded"`
-	// Supervision is the shard-supervisor snapshot (sharded service with
-	// supervision enabled only; null otherwise).
+	// Supervision is the shard-supervisor snapshot (supervision enabled
+	// only; null otherwise).
 	Supervision *shard.SupervisionStats `json:"supervision,omitempty"`
 	// Wire holds the binary front-end's connection counters (null when
 	// the wire listener is not running).
@@ -803,11 +769,8 @@ func (s *Server) metricsResponse() MetricsResponse {
 		Failed:   s.failed.Load(),
 		Inflight: len(s.inflight),
 	}
-	if sup, ok := s.svc.(interface{ SupervisionStats() shard.SupervisionStats }); ok {
-		st := sup.SupervisionStats()
-		if st.Enabled {
-			resp.Supervision = &st
-		}
+	if st := s.svc.SupervisionStats(); st.Enabled {
+		resp.Supervision = &st
 	}
 	if ws := s.wireSrv.Load(); ws != nil {
 		wc := ws.Counters()

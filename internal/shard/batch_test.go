@@ -31,7 +31,7 @@ func TestServiceSubmitBatchMixed(t *testing.T) {
 	s1, oc1, _ := mk(5, 9)   // shard 1
 	s2, oc2, _ := mk(6, 10)  // shard 2
 	sx, ocx, ecx := mk(1, 2) // shards 1 and 2: cross
-	bad, _, ecBad := mk()    // no items: fails validation in splitRequest
+	bad, _, ecBad := mk()    // no items: fails validation
 
 	s.SubmitBatch([]core.Submission{s0, s1, s2, sx, bad})
 	for i, oc := range []chan core.ServiceOutcome{oc0, oc1, oc2, ocx} {

@@ -225,7 +225,7 @@ func (r *Runner) Run() (Result, error) {
 		}
 	}
 	for _, c := range r.cross {
-		o := c.logical()
+		o := foldParts(c.spec.Arrival, c.spec.Deadline, c.outcomes)
 		res.Outcomes[c.spec.ID] = o
 		res.Cross.Total++
 		committed := 0
@@ -267,7 +267,7 @@ func (r *Runner) mergePredict() {
 }
 
 // inject submits one logical cross-shard transaction's parts, in ascending
-// shard order, at the epoch boundary `now`. The completion callbacks run
+// shard order, at the epoch boundary `now`. The completion slots are answered
 // inside the shards' event processing (on their round goroutines); each
 // writes only its own outcome slot, and the lockstep barrier orders every
 // write before the runner reads them, so no lock is needed.
@@ -284,34 +284,36 @@ func (r *Runner) inject(c *crossEntry, now time.Duration) {
 			spec.Deadline = now
 		}
 		pi := pi
-		r.engines[p.Shard].SubmitSpec(&spec, func(t *core.Txn) {
-			c.outcomes[pi] = t.Outcome()
+		r.engines[p.Shard].SubmitSpec(&spec, func(o core.ServiceOutcome, _ error) {
+			c.outcomes[pi] = o
 		})
 	}
 }
 
-// logical folds one cross-shard transaction's part outcomes into its
-// logical outcome: committed iff every part committed (finish = latest
-// part, missed vs the original deadline); rejected dominates dropped
-// otherwise; restarts sum.
-func (c *crossEntry) logical() core.ServiceOutcome {
+// foldParts folds one cross-shard transaction's part outcomes into its
+// logical outcome — the one definition both the virtual Runner and the
+// wall-clock Service report: committed iff every part committed (finish =
+// latest part, missed against the logical deadline); otherwise rejected
+// dominates dropped, and a part without a terminal state (its shard
+// answered with an error) counts as dropped; restarts sum.
+func foldParts(arrival, deadline time.Duration, parts []core.ServiceOutcome) core.ServiceOutcome {
 	o := core.ServiceOutcome{
 		State:    core.StateCommitted,
-		Arrival:  c.spec.Arrival,
-		Deadline: c.spec.Deadline,
+		Arrival:  arrival,
+		Deadline: deadline,
 	}
-	for _, po := range c.outcomes {
+	for _, po := range parts {
 		o.Restarts += po.Restarts
 		switch po.State {
 		case core.StateRejected:
 			o.State = core.StateRejected
-		case core.StateDropped:
-			if o.State != core.StateRejected {
-				o.State = core.StateDropped
-			}
 		case core.StateCommitted:
 			if po.Finish > o.Finish {
 				o.Finish = po.Finish
+			}
+		default:
+			if o.State != core.StateRejected {
+				o.State = core.StateDropped
 			}
 		}
 	}

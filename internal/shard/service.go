@@ -1,26 +1,35 @@
 package shard
 
 // Wall-clock sharded service: N independent core.Services (one engine
-// shard each, its own Realtime driver goroutine) behind one Submit front.
-// Requests whose access list lies on a single shard go straight to that
-// shard's service — the scaling path: submissions to different shards
-// never contend on a driver goroutine. Cross-shard requests are queued and
-// flushed to their shards in canonical FIFO order at wall-clock epoch
-// ticks, the wall analogue of the virtual runner's boundary exchange.
+// shard each, its own Realtime driver goroutine) behind one SubmitBatch
+// front — the only service the server runs, N = 1 included. Requests whose
+// access list lies on a single shard go straight to that shard's service —
+// the scaling path: submissions to different shards never contend on a
+// driver goroutine. Cross-shard requests are queued and, at wall-clock epoch
+// ticks, flushed through the same SubmitBatch primitive: the queued parts
+// are grouped by shard in queue order and each touched shard receives one
+// batch, ascending by shard — the wall analogue of the virtual runner's
+// boundary exchange. What that guarantees: every shard sees the cross
+// requests of an epoch, and of successive epochs, in the same relative
+// arrival order.
 //
-// Unlike the virtual Runner, the wall-clock service is not deterministic —
-// arrival instants come from the wall — and it has no cross-shard atomic
-// commit: sub-transactions commit or fail per shard (a rejection on one
-// shard does not undo the siblings). The merged outcome reports the
-// logical fate (committed iff every part committed); workloads where
-// partial application is unacceptable should run with AdmitAll admission
-// and soft deadlines, where parts only fail if the service itself stops.
+// What it does not: unlike the virtual Runner, the wall-clock service is not
+// deterministic — arrival instants come from the wall — and it has no
+// cross-shard atomic commit or cross-shard serializability: sub-transactions
+// commit or fail per shard (a rejection on one shard does not undo the
+// siblings) and interleave with each shard's single-shard traffic. The
+// merged outcome reports the logical fate (foldParts: committed iff every
+// part committed); workloads where partial application is unacceptable
+// should run with AdmitAll admission and soft deadlines, where parts only
+// fail if the service itself stops.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -86,11 +95,10 @@ type ServiceOptions struct {
 	// Supervise contains shard-driver failures instead of letting one
 	// panicking shard kill the whole service.
 	Supervise SuperviseOptions
-	// WAL, when non-nil, makes submissions durable at the service level:
-	// records are appended before routing, so one log orders the whole
-	// sharded system and replay re-routes through the same footprint
-	// logic. The per-shard cores always run without a WAL of their own
-	// (Core.WAL is ignored).
+	// WAL, when non-nil, makes submissions durable: records are appended
+	// after validation and before routing, so one log orders the whole
+	// sharded system and replay re-routes through the same footprint logic
+	// (see core.WALHook).
 	WAL *wal.Logger
 }
 
@@ -100,17 +108,84 @@ type partReq struct {
 	req   core.ServiceRequest
 }
 
-// pendingCross is a queued cross-shard submission waiting for the next
-// epoch flush.
+// pendingCross is one logical cross-shard submission: queued until the next
+// epoch flush, then in flight as one part per touched shard.
 type pendingCross struct {
-	ctx   context.Context
 	parts []partReq
-	out   chan crossResult
+	done  func(core.ServiceOutcome, error)
+
+	// left counts the parts not yet answered. Each part writes only its own
+	// slot of outcomes/errs; the atomic countdown orders those writes before
+	// the last part's fold.
+	left     atomic.Int32
+	outcomes []core.ServiceOutcome
+	errs     []error
+
+	// mu guards the cancel handshake: Cancel may arrive before the flush
+	// has handles to wound.
+	mu        sync.Mutex
+	handles   []core.SubmitHandle
+	cancelled bool
 }
 
-type crossResult struct {
-	outcome core.ServiceOutcome
-	err     error
+func newPendingCross(req core.ServiceRequest, n int, done func(core.ServiceOutcome, error)) *pendingCross {
+	c := &pendingCross{parts: splitRequest(req, n), done: done}
+	c.left.Store(int32(len(c.parts)))
+	c.outcomes = make([]core.ServiceOutcome, len(c.parts))
+	c.errs = make([]error, len(c.parts))
+	return c
+}
+
+// partDone is part pi's completion: it records the part's fate, and the
+// last part to finish answers the logical request — the folded outcome
+// (logical arrival = earliest part, deadline = latest; the shards' clocks
+// are independent) and the first per-part error by shard order.
+func (c *pendingCross) partDone(pi int) func(core.ServiceOutcome, error) {
+	return func(o core.ServiceOutcome, err error) {
+		c.outcomes[pi], c.errs[pi] = o, err
+		if c.left.Add(-1) > 0 {
+			return
+		}
+		var arrival, deadline time.Duration
+		var first error
+		for i, po := range c.outcomes {
+			if first == nil {
+				first = c.errs[i]
+			}
+			if po.Arrival > 0 && (arrival == 0 || po.Arrival < arrival) {
+				arrival = po.Arrival
+			}
+			if po.Deadline > deadline {
+				deadline = po.Deadline
+			}
+		}
+		c.done(foldParts(arrival, deadline, c.outcomes), first)
+	}
+}
+
+// arm hands the entry one injected part's handle, wounding it at once if
+// the client already cancelled.
+func (c *pendingCross) arm(h core.SubmitHandle) {
+	c.mu.Lock()
+	c.handles = append(c.handles, h)
+	cancelled := c.cancelled
+	c.mu.Unlock()
+	if cancelled {
+		h.Cancel()
+	}
+}
+
+// cancel wounds every part: those already injected now, the rest as the
+// flush arms them. The logical request is then answered like any other —
+// dropped (or whatever its parts had already reached), nil error.
+func (c *pendingCross) cancel() {
+	c.mu.Lock()
+	c.cancelled = true
+	handles := c.handles
+	c.mu.Unlock()
+	for _, h := range handles {
+		h.Cancel()
+	}
 }
 
 // Service is the sharded wall-clock transaction service.
@@ -139,11 +214,11 @@ type Service struct {
 	// runner's boundary merge.
 	predict bool
 
-	stopCh chan struct{}
-
-	mu       sync.Mutex
-	draining bool
-	queue    []*pendingCross
+	mu sync.Mutex
+	// refuse is nil while the service accepts work: Drain sets it to
+	// core.ErrDraining, the end of Run to core.ErrServiceStopped.
+	refuse error
+	queue  []*pendingCross
 }
 
 // NewService builds an N-shard wall-clock service. Every shard runs the
@@ -161,10 +236,6 @@ func NewService(cfg core.Config, opt ServiceOptions) (*Service, error) {
 	if speed <= 0 {
 		speed = 1
 	}
-	// Durability is a service-level concern: the shard cores must not
-	// double-log, so the logger lives on this service and the per-shard
-	// option is forced off (restarted shards inherit the same coreOpt).
-	opt.Core.WAL = nil
 	wall := time.Duration(float64(epoch) / speed)
 	if wall < time.Millisecond {
 		wall = time.Millisecond // don't busy-tick at extreme test speeds
@@ -176,7 +247,6 @@ func NewService(cfg core.Config, opt ServiceOptions) (*Service, error) {
 		sup:       opt.Supervise,
 		wal:       core.WALHook{Log: opt.WAL},
 		wallEpoch: wall,
-		stopCh:    make(chan struct{}),
 		dead:      make([]bool, opt.Shards),
 		failures:  make([]error, opt.Shards),
 		restarts:  make([]int, opt.Shards),
@@ -247,7 +317,6 @@ func (s *Service) noteFailure(i int, err error) int {
 // returns the first shard failure (if any), so a degraded-then-drained
 // service still reports what went wrong. Must be called exactly once.
 func (s *Service) Run(ctx context.Context) error {
-	defer close(s.stopCh)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errCh := make(chan error, s.n)
@@ -255,12 +324,19 @@ func (s *Service) Run(ctx context.Context) error {
 		i := i
 		go func() { errCh <- s.supervise(ctx, i) }()
 	}
-	tick := time.NewTicker(s.wallEpoch)
-	defer tick.Stop()
+	// The epoch tick exists only where there can be something to flush or
+	// merge: a single shard never sees a cross-shard footprint and has no
+	// one to merge statistics with.
+	var tick <-chan time.Time
+	if s.n > 1 {
+		t := time.NewTicker(s.wallEpoch)
+		defer t.Stop()
+		tick = t.C
+	}
 	var first error
 	for running := s.n; running > 0; {
 		select {
-		case <-tick.C:
+		case <-tick:
 			s.flush()
 			s.mergePredict()
 		case err := <-errCh:
@@ -349,177 +425,90 @@ func (s *Service) InjectShardPanic(i int, msg string) error {
 	return s.shard(i).InjectPanic(msg)
 }
 
-// Submit routes one request: single-shard requests go straight to their
-// shard's engine; cross-shard requests wait for the next epoch flush (so
-// they lose up to one epoch of deadline budget — size Epoch accordingly)
-// and then fan out to every touched shard.
+// Submit routes one request and blocks until its terminal outcome (see
+// core.SubmitOne). A cross-shard request waits for the next epoch flush, so
+// it loses up to one epoch of deadline budget — size Epoch accordingly.
 func (s *Service) Submit(ctx context.Context, req core.ServiceRequest) (core.ServiceOutcome, error) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return core.ServiceOutcome{}, core.ErrDraining
-	}
-	if !s.wal.Enabled() {
-		return s.submit(ctx, req)
-	}
-	// Durable path: submit record before routing, answer released only
-	// once the outcome record is fsynced (see core.WALHook).
-	seq, err := s.wal.LogSubmit(&req)
-	if err != nil {
-		return core.ServiceOutcome{}, err
-	}
-	type res struct {
-		o   core.ServiceOutcome
-		err error
-	}
-	ch := make(chan res, 1)
-	deliver := s.wal.WrapDone(seq, false, func(o core.ServiceOutcome, err error) { ch <- res{o, err} })
-	o, err := s.submit(ctx, req)
-	deliver(o, err)
-	r := <-ch
-	return r.o, r.err
+	return core.SubmitOne(ctx, s.SubmitBatch, req)
 }
 
-// submit is Submit's routing body, shared by the durable and direct
-// paths.
-func (s *Service) submit(ctx context.Context, req core.ServiceRequest) (core.ServiceOutcome, error) {
-	mask := txn.ShardsTouched(req.Items, s.n)
-	if mask&(mask-1) == 0 {
-		home := 0
-		for mask > 1 {
-			mask >>= 1
-			home++
-		}
-		return s.shard(home).Submit(ctx, req)
+// homeOf returns the shard holding every item of the access list, or -1
+// when the (validated, so non-empty) list crosses shards.
+func (s *Service) homeOf(items []txn.Item) int {
+	mask := txn.ShardsTouched(items, s.n)
+	if mask&(mask-1) != 0 {
+		return -1
 	}
-	pc := &pendingCross{
-		ctx:   ctx,
-		parts: splitRequest(req, s.n),
-		out:   make(chan crossResult, 1),
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return core.ServiceOutcome{}, core.ErrDraining
-	}
-	s.queue = append(s.queue, pc)
-	s.mu.Unlock()
-	select {
-	case r := <-pc.out:
-		return r.outcome, r.err
-	case <-s.stopCh:
-		return core.ServiceOutcome{}, core.ErrServiceStopped
-	case <-ctx.Done():
-		// The flush may already hold the request; the parts themselves
-		// carry ctx and are wounded by their shards. Wait for the merged
-		// outcome rather than abandoning the channel.
-		select {
-		case r := <-pc.out:
-			if r.err == nil {
-				r.err = ctx.Err()
-			}
-			return r.outcome, r.err
-		case <-s.stopCh:
-			return core.ServiceOutcome{}, core.ErrServiceStopped
-		}
-	}
+	return bits.TrailingZeros64(mask)
 }
 
-// SubmitBatch is the batched ingestion path (see core.Service.SubmitBatch;
-// the contract is identical — every Submission.Done fires exactly once).
-// Single-shard submissions are grouped by home shard and injected with one
-// driver call per touched shard, so a batch of K requests costs at most
-// N driver wakeups instead of K. Cross-shard submissions join the normal
-// epoch queue; their handles cancel the whole fan-out via a shared
-// context.
+// SubmitBatch is the one way in (see core.Service.SubmitBatch; the contract
+// is identical — every Submission.Done fires exactly once). Each entry is
+// validated, then logged (WAL on), then routed: single-shard entries are
+// injected with one driver call per touched shard, so a batch of K requests
+// costs at most N driver wakeups instead of K; cross-shard entries join the
+// epoch queue, and their handles wound every part.
 func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
-	handles := make([]core.SubmitHandle, len(subs))
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if err := s.refusing(); err != nil {
 		for i := range subs {
-			subs[i].Done(core.ServiceOutcome{}, core.ErrDraining)
+			subs[i].Done(core.ServiceOutcome{}, err)
 		}
-		return handles
+		return make([]core.SubmitHandle, len(subs))
 	}
-	s.mu.Unlock()
 
-	// Durability first, so every later path — home-shard injection,
-	// cross-shard fan-out, even validation failures inside the shard —
-	// flows through the log's resolve-or-replay accounting. Replays
-	// (WALSeq set) keep their existing record.
-	if s.wal.Enabled() {
-		for i := range subs {
-			sub := &subs[i]
-			seq, replay := sub.WALSeq, sub.WALSeq != 0
-			if !replay {
-				var err error
-				if seq, err = s.wal.LogSubmit(&sub.Req); err != nil {
-					// Logging is down (sticky failure): answer and mark the
-					// entry answered so no later path touches it.
-					sub.Done(core.ServiceOutcome{}, err)
-					sub.Done = nil
-					continue
-				}
-				sub.WALSeq = seq
+	// uniform holds while every entry so far is unanswered and lives on the
+	// one shard home (-1 before the first routed entry).
+	home, uniform := -1, true
+	for i := range subs {
+		sub := &subs[i]
+		// A replayed entry's submit record already exists: wrap first, so
+		// even a validation refusal resolves it in the log.
+		seq, replay := sub.WALSeq, sub.WALSeq != 0
+		if replay {
+			sub.Done = s.wal.WrapDone(seq, true, sub.Done)
+		}
+		err := sub.Req.Validate(&s.cfg)
+		if err == nil && !replay && s.wal.Enabled() {
+			if seq, err = s.wal.LogSubmit(&sub.Req); err == nil {
+				sub.Done = s.wal.WrapDone(seq, false, sub.Done)
 			}
-			sub.Done = s.wal.WrapDone(seq, replay, sub.Done)
+		}
+		if err != nil {
+			sub.Done(core.ServiceOutcome{}, err)
+			sub.Done = nil // answered: no later path touches it
+			uniform = false
+			continue
+		}
+		h := s.homeOf(sub.Req.Items)
+		if home < 0 {
+			home = h
+		}
+		if h < 0 || h != home {
+			uniform = false
 		}
 	}
+	// One home shard for the whole batch — always at N = 1, and the common
+	// case beyond it because the server's submit queues are keyed by
+	// Items[0] % N: hand the caller's slice straight to that shard.
+	if uniform && home >= 0 {
+		return s.shard(home).SubmitBatch(subs)
+	}
 
-	// Group by home shard; -1 marks cross-shard entries.
+	handles := make([]core.SubmitHandle, len(subs))
 	byShard := make([][]int, s.n)
 	for i := range subs {
 		if subs[i].Done == nil {
-			continue // already answered: WAL append failed above
-		}
-		mask := txn.ShardsTouched(subs[i].Req.Items, s.n)
-		if mask != 0 && mask&(mask-1) == 0 {
-			home := 0
-			for mask > 1 {
-				mask >>= 1
-				home++
-			}
-			byShard[home] = append(byShard[home], i)
 			continue
 		}
-		// Cross-shard (or empty — validation inside the shard rejects it):
-		// one epoch-queue entry with a cancellable fan-out context.
-		ctx, cancel := context.WithCancel(context.Background())
-		pc := &pendingCross{
-			ctx:   ctx,
-			parts: splitRequest(subs[i].Req, s.n),
-			out:   make(chan crossResult, 1),
-		}
-		if len(pc.parts) == 0 {
-			cancel()
-			subs[i].Done(core.ServiceOutcome{}, fmt.Errorf("core: transaction accesses no items"))
+		if h := s.homeOf(subs[i].Req.Items); h >= 0 {
+			byShard[h] = append(byShard[h], i)
 			continue
 		}
-		handles[i] = core.CancelHandle(cancel)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			cancel()
-			subs[i].Done(core.ServiceOutcome{}, core.ErrDraining)
-			continue
+		c := newPendingCross(subs[i].Req, s.n, subs[i].Done)
+		handles[i] = core.CancelHandle(c.cancel)
+		if err := s.enqueue(c); err != nil {
+			c.done(core.ServiceOutcome{}, err)
 		}
-		s.queue = append(s.queue, pc)
-		s.mu.Unlock()
-		// The caller may reuse subs the moment SubmitBatch returns (the
-		// server's batcher does): the goroutine keeps the callback, not an
-		// index into the caller's slice.
-		done := subs[i].Done
-		go func() {
-			defer cancel()
-			select {
-			case r := <-pc.out:
-				done(r.outcome, r.err)
-			case <-s.stopCh:
-				done(core.ServiceOutcome{}, core.ErrServiceStopped)
-			}
-		}()
 	}
 	for shard, idxs := range byShard {
 		if len(idxs) == 0 {
@@ -536,21 +525,52 @@ func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 	return handles
 }
 
-// flush drains the cross-shard queue: each queued request fans out to its
-// shards concurrently (a slow shard must not serialise the whole batch),
-// but the queue is dispatched in FIFO order so same-epoch requests reach
-// each shard's driver in a consistent arrival order.
+// refusing reports why the service accepts no work (nil while it does).
+func (s *Service) refusing() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refuse
+}
+
+// enqueue queues c for the next flush, unless the service refuses work.
+func (s *Service) enqueue(c *pendingCross) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.refuse == nil {
+		s.queue = append(s.queue, c)
+	}
+	return s.refuse
+}
+
+// flush drains the cross-shard queue through the batch primitive: the
+// queued parts are grouped by shard in queue order and every touched shard
+// gets one SubmitBatch, ascending by shard (the virtual Runner's canonical
+// order). flush only ever runs on Run's goroutine, so each shard's driver
+// sees the cross requests of this and every other epoch in the same
+// relative order.
 func (s *Service) flush() {
 	s.mu.Lock()
 	batch := s.queue
 	s.queue = nil
 	s.mu.Unlock()
-	for _, pc := range batch {
-		pc := pc
-		go func() {
-			outcome, err := s.fanOut(pc)
-			pc.out <- crossResult{outcome, err}
-		}()
+	if len(batch) == 0 {
+		return
+	}
+	groups := make([][]core.Submission, s.n)
+	owners := make([][]*pendingCross, s.n)
+	for _, c := range batch {
+		for pi, p := range c.parts {
+			groups[p.shard] = append(groups[p.shard], core.Submission{Req: p.req, Done: c.partDone(pi)})
+			owners[p.shard] = append(owners[p.shard], c)
+		}
+	}
+	for shard, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		for k, h := range s.shard(shard).SubmitBatch(group) {
+			owners[shard][k].arm(h)
+		}
 	}
 }
 
@@ -587,65 +607,6 @@ func (s *Service) mergePredict() {
 			return
 		}
 	}
-}
-
-// fanOut submits one cross request's parts to their shards concurrently
-// and folds the results into the logical outcome: committed iff every
-// part committed; a rejection dominates a drop; finish is the latest part;
-// restarts sum. The first per-part error (by shard order) is returned.
-func (s *Service) fanOut(pc *pendingCross) (core.ServiceOutcome, error) {
-	outs := make([]core.ServiceOutcome, len(pc.parts))
-	errs := make([]error, len(pc.parts))
-	var wg sync.WaitGroup
-	wg.Add(len(pc.parts))
-	for i, p := range pc.parts {
-		i, p := i, p
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = s.shard(p.shard).Submit(pc.ctx, p.req)
-		}()
-	}
-	wg.Wait()
-	var firstErr error
-	o := core.ServiceOutcome{State: core.StateCommitted}
-	for i, po := range outs {
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-		o.Restarts += po.Restarts
-		if po.Arrival > 0 && (o.Arrival == 0 || po.Arrival < o.Arrival) {
-			o.Arrival = po.Arrival
-		}
-		if po.Deadline > o.Deadline {
-			o.Deadline = po.Deadline
-		}
-		switch po.State {
-		case core.StateRejected:
-			o.State = core.StateRejected
-		case core.StateDropped:
-			if o.State != core.StateRejected {
-				o.State = core.StateDropped
-			}
-		case core.StateCommitted:
-			if po.Finish > o.Finish {
-				o.Finish = po.Finish
-			}
-		default: // zero outcome from an errored part
-			if o.State == core.StateCommitted {
-				o.State = core.StateDropped
-			}
-		}
-	}
-	if firstErr != nil && o.State == core.StateCommitted {
-		o.State = core.StateDropped
-	}
-	if o.State == core.StateCommitted {
-		o.Response = o.Finish - o.Arrival
-		o.Missed = o.Finish > o.Deadline
-	} else {
-		o.Finish, o.Response, o.Missed = 0, 0, true
-	}
-	return o, firstErr
 }
 
 // splitRequest cuts a cross-shard request into per-shard parts, ascending
@@ -689,9 +650,6 @@ func splitRequest(req core.ServiceRequest, n int) []partReq {
 // shard concurrently. Returns nil when all shards drained naturally, the
 // first context error when stragglers were wounded.
 func (s *Service) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
 	s.failQueued(core.ErrDraining)
 	errs := make([]error, s.n)
 	var wg sync.WaitGroup
@@ -712,14 +670,19 @@ func (s *Service) Drain(ctx context.Context) error {
 	return nil
 }
 
-// failQueued answers every queued cross submission with err.
+// failQueued makes the service refuse work and answers the queued cross
+// entries, both with err. A drain that began stays reported as one: the
+// stop at the end of Run does not overwrite ErrDraining.
 func (s *Service) failQueued(err error) {
 	s.mu.Lock()
 	batch := s.queue
 	s.queue = nil
+	if s.refuse != core.ErrDraining {
+		s.refuse = err
+	}
 	s.mu.Unlock()
-	for _, pc := range batch {
-		pc.out <- crossResult{err: err}
+	for _, c := range batch {
+		c.done(core.ServiceOutcome{}, err)
 	}
 }
 
@@ -731,11 +694,7 @@ func (s *Service) InjectEvent(ev trace.Event) error {
 }
 
 // Draining reports whether graceful drain has begun.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Service) Draining() bool { return s.refusing() == core.ErrDraining }
 
 // Err reports the failure that stops (or stopped) the whole service.
 // Unsupervised, that is the first shard failure (by shard index).
