@@ -488,4 +488,3 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	c.dmu.Unlock()
 	return c.nc.SetWriteDeadline(t)
 }
-

@@ -26,6 +26,7 @@ package core
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -57,10 +58,12 @@ func benchRun(b *testing.B, cfg Config) {
 // the conflict index but restores the original dispatch pass and calendar —
 // the previous PR's engine, the baseline this PR's allocation work is
 // measured against. NaiveFull disables both fast paths.
-func BenchmarkCCABaseFast(b *testing.B)          { benchRun(b, benchCCAConfig(30, 300, 8, false, false)) }
-func BenchmarkCCABaseNaiveDispatch(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, false, true)) }
-func BenchmarkCCABaseNaiveScan(b *testing.B)     { benchRun(b, benchCCAConfig(30, 300, 8, true, false)) }
-func BenchmarkCCABaseNaiveFull(b *testing.B)     { benchRun(b, benchCCAConfig(30, 300, 8, true, true)) }
+func BenchmarkCCABaseFast(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, false, false)) }
+func BenchmarkCCABaseNaiveDispatch(b *testing.B) {
+	benchRun(b, benchCCAConfig(30, 300, 8, false, true))
+}
+func BenchmarkCCABaseNaiveScan(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, false)) }
+func BenchmarkCCABaseNaiveFull(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, true)) }
 
 func BenchmarkCCALargeDBHighMPLFast(b *testing.B) {
 	benchRun(b, benchCCAConfig(8192, 400, 25, false, false))
@@ -182,7 +185,8 @@ type dispatchGrowthPoint struct {
 // than the fully naive engine, on base-mm the fast engine's wall time must
 // not regress against naive dispatch, and on the dispatch_growth curve a
 // scheduling point over 8192 live transactions may cost at most 3× one over
-// 16.
+// 16, and on batch_disjoint a conflict-free batch is evaluated exactly once
+// per transaction.
 func TestWriteBenchBaseline(t *testing.T) {
 	if os.Getenv("BENCH_BASELINE") == "" {
 		t.Skip("set BENCH_BASELINE=1 to refresh BENCH_core.json (see DESIGN.md)")
@@ -218,6 +222,12 @@ func TestWriteBenchBaseline(t *testing.T) {
 			Points []dispatchGrowthPoint `json:"points"`
 			Ratio  float64               `json:"ratio_largest_vs_smallest"`
 		} `json:"dispatch_growth"`
+		BatchDisjoint struct {
+			Note        string  `json:"note"`
+			HostCPUs    int     `json:"host_cpus"`
+			NsPerTxn    float64 `json:"ns_per_txn"`
+			EvalsPerTxn float64 `json:"evals_per_txn"`
+		} `json:"batch_disjoint"`
 	}{
 		Note:    "CCA engine wall time and allocations per full run: fast (incremental dispatch + conflict index + pooled calendar) vs naive_dispatch (index only) vs naive_full (original seed engine); measured by testing.Benchmark",
 		Refresh: "BENCH_BASELINE=1 go test ./internal/core -run TestWriteBenchBaseline",
@@ -284,6 +294,19 @@ func TestWriteBenchBaseline(t *testing.T) {
 	if out.DispatchGrowth.Ratio > 3 {
 		t.Errorf("dispatch-growth: live %d costs %.2fx live %d per scheduling point, ceiling 3x",
 			pts[len(pts)-1].Live, out.DispatchGrowth.Ratio, pts[0].Live)
+	}
+
+	// Conflict-free batch: what dispatch_growth cannot see — 64 live
+	// transactions over a 8192-item table instead of one cache-hot
+	// foreground. Ceiling: exactly one evaluation per transaction.
+	r := testing.Benchmark(benchBatchDisjoint)
+	out.BatchDisjoint.Note = "wall ns per transaction, arrival to retirement, for batches of 64 item-disjoint 2-item CCA transactions arriving at one instant over 8192 items (BenchmarkBatchDisjoint); single goroutine, in-process, no serving stack"
+	out.BatchDisjoint.HostCPUs = runtime.NumCPU()
+	out.BatchDisjoint.NsPerTxn = r.Extra["ns/txn"]
+	out.BatchDisjoint.EvalsPerTxn = r.Extra["evals/txn"]
+	t.Logf("batch-disjoint: %.0f ns per transaction, %.2f evaluations per transaction", out.BatchDisjoint.NsPerTxn, out.BatchDisjoint.EvalsPerTxn)
+	if out.BatchDisjoint.EvalsPerTxn != 1 {
+		t.Errorf("batch-disjoint: %.2f evaluations per transaction with no conflict in the system, want exactly 1", out.BatchDisjoint.EvalsPerTxn)
 	}
 
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -26,10 +26,18 @@ import (
 //   - plist, the paper's P-list: the live transactions with at least one
 //     accessed item, as a dense slice for cheap iteration (the paper
 //     observes it averages 1–2 members).
-//   - hot, the conflict neighbourhood of the P-list: every live transaction
-//     whose might-set meets some member's has-set — the only transactions
-//     whose penalty of conflict can be non-zero, hence the only ones a
-//     dispatch pass has to re-evaluate (see Engine.refreshPriorities).
+//   - hot, the conflict neighbourhood of the P-list: exactly the live
+//     transactions whose might-set meets the has-set of some *other*
+//     member — the only transactions whose penalty of conflict can be
+//     non-zero, hence the only ones a dispatch pass has to re-evaluate
+//     (see Engine.refreshPriorities). It is maintained, not rebuilt: each
+//     transaction counts its (item, holder) pairs in Txn.hotRefs, and a
+//     change to one item's has or might list adjusts the counts of that
+//     item's claimants only (shiftHot). A transaction's own locks never
+//     count — its penalty excludes itself — so traffic without conflicts
+//     keeps the set empty and pays nothing for it. A transaction whose
+//     count falls to zero leaves the set and is queued for the one
+//     re-evaluation that returns it to its constant.
 //   - gen, a generation counter bumped by every has-set change: while it
 //     and the simulated clock stand still every penalty is provably
 //     constant (a running overlapper's service time grows only with the
@@ -104,13 +112,9 @@ type conflictIndex struct {
 	// stamp is the visit marker for the penalty walk's deduplication.
 	stamp uint64
 
-	// hot is the P-list's conflict neighbourhood as of generation hotGen; a
-	// member's hotStamp equals hotStamp. Between rebuilds it only grows
-	// (mightAdd), so it may hold departed transactions and ones that no
-	// longer overlap; it never misses one that does.
-	hot      []*Txn
-	hotGen   uint64
-	hotStamp uint64
+	// hot is the P-list's conflict neighbourhood: the live transactions
+	// with hotRefs > 0, each at position hotIdx (swap-remove keeps it dense).
+	hot []*Txn
 
 	// slab is the unused rest of the current overflow chunk (listAdd).
 	slab []*Txn
@@ -142,62 +146,75 @@ func (ci *conflictIndex) listAdd(h *itemHolders, t *Txn) {
 }
 
 // newConflictIndex returns an empty index over a database of dbSize items.
-// gen starts at 1 so the zero hotGen and a zero Txn.evalGen never match a
-// live generation.
+// gen starts at 1 so a zero Txn.evalGen never matches a live generation.
 func newConflictIndex(dbSize int) *conflictIndex {
-	return &conflictIndex{items: make([]itemRecord, dbSize), gen: 1, hotStamp: 1}
+	return &conflictIndex{items: make([]itemRecord, dbSize), gen: 1}
 }
 
-// mightAdd lists t against every item of its might-set and, when one of
-// them is already held, puts t in the hot set — a has-set change would
-// have rebuilt the set, a might-set change has to extend it.
-func (ci *conflictIndex) mightAdd(t *Txn) {
-	held := false
+// mightAdd lists t against every item of its might-set and counts the
+// holders, other than t itself, it finds there.
+func (ci *conflictIndex) mightAdd(e *Engine, t *Txn) {
+	refs := 0
+	count := func(p *Txn) {
+		if p != t {
+			refs++
+		}
+	}
 	for _, it := range t.mightItems {
 		rec := &ci.items[int(it)]
 		ci.listAdd(&rec.might, t)
-		held = held || rec.has.first != nil
+		rec.has.each(count)
 	}
-	if held {
-		ci.addHot(t)
-	}
+	ci.shiftHot(e, t, refs)
 }
 
-// mightRemove undoes mightAdd's listing (departure, or setMight switching
-// sets). A hot-set entry stays until the next rebuild.
-func (ci *conflictIndex) mightRemove(t *Txn) {
+// mightRemove undoes mightAdd (departure, or setMight switching sets).
+func (ci *conflictIndex) mightRemove(e *Engine, t *Txn) {
 	for _, it := range t.mightItems {
 		ci.items[int(it)].might.remove(t)
 	}
+	ci.shiftHot(e, t, -t.hotRefs)
 }
 
-func (ci *conflictIndex) addHot(t *Txn) {
-	if t.hotStamp != ci.hotStamp {
-		t.hotStamp = ci.hotStamp
+// shiftHot adds d to t's count of (item, holder) pairs and moves t into or
+// out of the hot set as the count leaves or reaches zero. A leaver's stored
+// priority still carries the penalty it no longer has, so it is queued for
+// one re-evaluation.
+func (ci *conflictIndex) shiftHot(e *Engine, t *Txn, d int) {
+	was := t.hotRefs
+	t.hotRefs += d
+	switch {
+	case was == 0 && d > 0:
+		t.hotIdx = len(ci.hot)
 		ci.hot = append(ci.hot, t)
+	case was > 0 && t.hotRefs == 0:
+		last := len(ci.hot) - 1
+		moved := ci.hot[last]
+		ci.hot[t.hotIdx] = moved
+		moved.hotIdx = t.hotIdx
+		ci.hot[last] = nil
+		ci.hot = ci.hot[:last]
+		t.evalValid = false
+		e.markStale(t)
 	}
 }
 
-// rebuildHot recomputes the hot set for the current generation: the
-// claimants of every item some P-list member holds.
-func (ci *conflictIndex) rebuildHot() {
-	ci.hotStamp++
-	clear(ci.hot)
-	ci.hot = ci.hot[:0]
-	for _, p := range ci.plist {
-		for _, it := range p.items {
-			if p.has.contains(it) {
-				ci.items[int(it)].might.each(ci.addHot)
-			}
+// shiftClaimants adds d to the count of every claimant of rec's item other
+// than holder, whose lock on it was just taken (d = 1) or released (d = -1).
+func (ci *conflictIndex) shiftClaimants(e *Engine, rec *itemRecord, holder *Txn, d int) {
+	rec.might.each(func(c *Txn) {
+		if c != holder {
+			ci.shiftHot(e, c, d)
 		}
-	}
-	ci.hotGen = ci.gen
+	})
 }
 
 // hasAdd records that t has accessed (locked) a new item. Callers must not
 // report an item already in t.has.
-func (ci *conflictIndex) hasAdd(t *Txn, it txn.Item) {
-	ci.listAdd(&ci.items[int(it)].has, t)
+func (ci *conflictIndex) hasAdd(e *Engine, t *Txn, it txn.Item) {
+	rec := &ci.items[int(it)]
+	ci.listAdd(&rec.has, t)
+	ci.shiftClaimants(e, rec, t, 1)
 	if t.plistIdx < 0 {
 		t.plistIdx = len(ci.plist)
 		ci.plist = append(ci.plist, t)
@@ -208,13 +225,15 @@ func (ci *conflictIndex) hasAdd(t *Txn, it txn.Item) {
 // deindexHas removes every item of t.has from the inverted index and t
 // from the P-list (abort release, commit, drop). It reads t.has but does
 // not clear it; callers that empty the set (abort, drop) do so afterwards.
-func (ci *conflictIndex) deindexHas(t *Txn) {
+func (ci *conflictIndex) deindexHas(e *Engine, t *Txn) {
 	if t.plistIdx < 0 {
 		return
 	}
 	for _, it := range t.items {
 		if t.has.contains(it) {
-			ci.items[int(it)].has.remove(t)
+			rec := &ci.items[int(it)]
+			rec.has.remove(t)
+			ci.shiftClaimants(e, rec, t, -1)
 		}
 	}
 	last := len(ci.plist) - 1
@@ -320,24 +339,38 @@ func (ci *conflictIndex) verifyInverted(e *Engine, name string, dir func(*itemRe
 	}
 }
 
-// verifyHot asserts, by brute force, that the hot set is current and
-// covers every live transaction whose might-set meets a P-list member's
-// has-set — so that every transaction outside it has a zero penalty of
-// conflict. Called (under Config.CheckInvariants) where the dispatch pass
-// relies on it: right after the incremental re-evaluation.
+// verifyHot asserts, by brute force, that the hot set is exact: a live
+// transaction is in it if and only if some other P-list member's has-set
+// meets its might-set, and its hotRefs is the number of such (item, holder)
+// pairs — so every transaction outside it has a zero penalty of conflict.
+// Called (under Config.CheckInvariants) where the dispatch pass relies on
+// it: right after the incremental re-evaluation.
 func (ci *conflictIndex) verifyHot(e *Engine) {
-	if ci.hotGen != ci.gen {
-		panic(fmt.Sprintf("core: hot set built at generation %d, index is at %d", ci.hotGen, ci.gen))
-	}
+	members := 0
 	for t := e.live.head; t != nil; t = t.liveNext {
-		if t.hotStamp == ci.hotStamp {
-			continue
-		}
+		refs := 0
 		for _, p := range ci.plist {
-			if p.has.intersects(t.might) {
-				panic(fmt.Sprintf("core: T%d overlaps P-list member T%d but is outside the hot set (penalty %v)",
-					t.ID(), p.ID(), e.penaltyOfConflictScan(t)))
+			if p == t {
+				continue
+			}
+			for _, it := range t.mightItems {
+				if p.has.contains(it) {
+					refs++
+				}
 			}
 		}
+		if t.hotRefs != refs {
+			panic(fmt.Sprintf("core: T%d counts %d conflicting (item, holder) pairs, brute force finds %d (penalty %v)",
+				t.ID(), t.hotRefs, refs, e.penaltyOfConflictScan(t)))
+		}
+		if refs > 0 {
+			if t.hotIdx >= len(ci.hot) || ci.hot[t.hotIdx] != t {
+				panic(fmt.Sprintf("core: T%d has %d conflicting pairs but is outside the hot set", t.ID(), refs))
+			}
+			members++
+		}
+	}
+	if members != len(ci.hot) {
+		panic(fmt.Sprintf("core: hot set has %d members, %d live transactions conflict", len(ci.hot), members))
 	}
 }

@@ -21,17 +21,6 @@ import (
 // the per-evaluation bitset width does not vary with it.
 const costDBSize = 16384
 
-// countingPolicy counts Evaluate calls on their way to the wrapped policy.
-type countingPolicy struct {
-	Policy
-	evals *int
-}
-
-func (p countingPolicy) Evaluate(e *Engine, t *Txn) float64 {
-	*p.evals++
-	return p.Policy.Evaluate(e, t)
-}
-
 // backlogEngine builds a virtual-time service-style engine holding parked
 // live transactions that never finish and conflict with nobody: one item
 // each on items [0, parked), a compute time no run reaches. Exactly one of
@@ -88,15 +77,12 @@ func TestDispatchCostIndependentOfBacklog(t *testing.T) {
 	sizes := []int{16, 1024, 8192}
 	for _, n := range sizes {
 		e := backlogEngine(t, CCA, n)
-		evals := 0
-		e.policy = countingPolicy{e.policy, &evals}
 		foreground(t, e, n, 0) // settle: the first parked transaction is running
 		var c cost
 		for i := 1; i <= 3; i++ {
-			evals = 0
-			p0, c0 := e.passes, e.rankCompares
+			v0, p0, c0 := e.evals, e.passes, e.rankCompares
 			foreground(t, e, n, i)
-			got := cost{evals, int(e.passes - p0), int(e.rankCompares - c0)}
+			got := cost{int(e.evals - v0), int(e.passes - p0), int(e.rankCompares - c0)}
 			if i > 1 && got != c {
 				t.Fatalf("%d parked: cost does not repeat: %+v then %+v", n, c, got)
 			}
@@ -160,4 +146,94 @@ func BenchmarkDispatchGrowth(b *testing.B) {
 	for _, n := range dispatchGrowthSizes {
 		b.Run(fmt.Sprintf("live=%d", n), func(b *testing.B) { benchDispatchGrowth(b, n) })
 	}
+}
+
+// disjointBatchSize and disjointDBSize are the shape of one driver batch on
+// the benchmark's wire_open workload: 64 two-item transactions over 8 192
+// items, no two sharing an item.
+const (
+	disjointBatchSize = 64
+	disjointDBSize    = 8192
+)
+
+func disjointEngine(tb testing.TB) *Engine {
+	tb.Helper()
+	cfg := MainMemoryConfig(CCA, 1)
+	cfg.Workload.DBSize = disjointDBSize
+	e, err := NewShardEngine(cfg, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.retires = true
+	e.StartRun()
+	return e
+}
+
+// disjointBatch submits batch number i — disjointBatchSize item-disjoint
+// transactions arriving at the current instant — and runs it to completion,
+// calling probe after every arrival and at every answer.
+func disjointBatch(tb testing.TB, e *Engine, i int, probe func()) {
+	now := time.Duration(e.sim.Now())
+	committed := e.committed
+	done := func(ServiceOutcome, error) { probe() }
+	for j := 0; j < disjointBatchSize; j++ {
+		k := (i*disjointBatchSize + j) * 2 % disjointDBSize
+		e.SubmitSpec(&workload.Spec{
+			Items:    []txn.Item{txn.Item(k), txn.Item(k + 1)},
+			Compute:  50 * time.Microsecond,
+			Arrival:  now,
+			Deadline: now + time.Minute,
+		}, done)
+		probe()
+	}
+	if err := e.StepTo(e.sim.Now() + sim.Time(disjointBatchSize*200*time.Microsecond)); err != nil {
+		tb.Fatal(err)
+	}
+	if got := e.committed - committed; got != disjointBatchSize || e.live.n != 0 {
+		tb.Fatalf("batch %d: %d committed, %d still live", i, got, e.live.n)
+	}
+}
+
+// TestDisjointBatchDoesNoConflictWork pins what a scheduling point costs
+// when nothing conflicts: a batch of item-disjoint transactions is
+// evaluated once each, on arrival, however many passes its arrivals, lock
+// acquisitions and commits cause — the running transaction holds locks but
+// penalises nobody, itself included — and the hot set stays empty throughout.
+func TestDisjointBatchDoesNoConflictWork(t *testing.T) {
+	e := disjointEngine(t)
+	e.cfg.CheckInvariants = true
+	for i := 0; i < 3; i++ {
+		v0, p0, maxHot := e.evals, e.passes, 0
+		disjointBatch(t, e, i, func() { maxHot = max(maxHot, len(e.ci.hot)) })
+		evals, passes := e.evals-v0, e.passes-p0
+		t.Logf("batch %d: %d evaluations in %d passes, hot set peaked at %d", i, evals, passes, maxHot)
+		if evals != disjointBatchSize {
+			t.Errorf("batch %d: %d evaluations for %d disjoint transactions, want one each", i, evals, disjointBatchSize)
+		}
+		if passes < 2*disjointBatchSize {
+			t.Errorf("batch %d: only %d passes — the batch did not exercise an arrival and a commit pass per transaction", i, passes)
+		}
+		if maxHot != 0 {
+			t.Errorf("batch %d: hot set reached %d members with no conflict in the system", i, maxHot)
+		}
+	}
+}
+
+// BenchmarkBatchDisjoint times that batch shape: wall nanoseconds per
+// transaction, arrival to retirement, 64 live at the start of every batch.
+func BenchmarkBatchDisjoint(b *testing.B) { benchBatchDisjoint(b) }
+
+func benchBatchDisjoint(b *testing.B) {
+	e := disjointEngine(b)
+	disjointBatch(b, e, 0, func() {})
+	v0 := e.evals
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		disjointBatch(b, e, i, func() {})
+	}
+	b.StopTimer()
+	txns := float64(b.N * disjointBatchSize)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txns, "ns/txn")
+	b.ReportMetric(float64(e.evals-v0)/txns, "evals/txn")
 }

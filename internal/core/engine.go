@@ -92,9 +92,10 @@ type Engine struct {
 	// than it, not the backlog behind it.
 	ranked []*Txn
 	// pending lists the transactions whose stored priority may be stale for
-	// a reason the conflict index cannot see — a fresh arrival, a might-set
-	// switch, an inherited-priority change — for the next pass to refresh
-	// (markStale). Duplicates and departed transactions are tolerated.
+	// a reason the hot set does not cover — a fresh arrival, a might-set
+	// switch, an inherited-priority change, a transaction that just left
+	// the hot set — for the next pass to refresh (markStale). Duplicates and
+	// departed transactions are tolerated.
 	pending []*Txn
 	// desiredBuf is engine-owned scratch for the dispatch pass, reused so
 	// steady-state passes allocate nothing.
@@ -105,9 +106,11 @@ type Engine struct {
 	// evalMode is the evaluation discipline in force (setEvalMode): the
 	// policy's Staticness, or EvalDynamic when a full sweep is required.
 	evalMode Staticness
-	// passes and rankCompares count dispatch passes and ranked-order
-	// comparisons; the cost tests and the growth benchmark read them.
+	// passes, evals and rankCompares count dispatch passes, policy
+	// evaluations and ranked-order comparisons; the cost tests and the
+	// benchmarks read them.
 	passes       uint64
+	evals        uint64
 	rankCompares uint64
 
 	// ci incrementally tracks might/has overlaps between live
@@ -694,7 +697,7 @@ func (e *Engine) onArrival(t *Txn) {
 	t.state = StateReady
 	e.live.push(t)
 	if e.tracksMight() {
-		e.ci.mightAdd(t)
+		e.ci.mightAdd(e, t)
 	}
 	e.markStale(t)
 	if e.trace != nil {
@@ -991,7 +994,7 @@ func (e *Engine) commit(t *Txn) {
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
 	if e.ci != nil {
-		e.ci.deindexHas(t)
+		e.ci.deindexHas(e, t)
 	}
 	e.removeLive(t)
 	e.committed++
@@ -1034,7 +1037,7 @@ func (e *Engine) drop(t *Txn) {
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
 	if e.ci != nil {
-		e.ci.deindexHas(t) // before has.clear: deindexing reads the has-set
+		e.ci.deindexHas(e, t) // before has.clear: deindexing reads the has-set
 	}
 	t.cpuEvent = sim.Handle{}
 	t.ioReq = nil
@@ -1112,7 +1115,7 @@ func (e *Engine) abort(v *Txn) {
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(v.ID())))
 	if e.ci != nil {
-		e.ci.deindexHas(v) // before resetForRestart clears the has-set
+		e.ci.deindexHas(e, v) // before resetForRestart clears the has-set
 	}
 	if v.mightNarrow != nil {
 		// A restarted transaction is back before its decision point; its
@@ -1182,7 +1185,7 @@ func (e *Engine) hasAcquired(t *Txn, item txn.Item) {
 	}
 	t.has.add(item)
 	if e.ci != nil {
-		e.ci.hasAdd(t, item)
+		e.ci.hasAdd(e, t, item)
 	}
 }
 
@@ -1198,11 +1201,11 @@ func (e *Engine) setMight(t *Txn, full bool) {
 		return // a restart before the decision point: nothing had narrowed
 	}
 	if e.tracksMight() {
-		e.ci.mightRemove(t)
+		e.ci.mightRemove(e, t)
 	}
 	t.might, t.mightItems = b, items
 	if e.tracksMight() {
-		e.ci.mightAdd(t)
+		e.ci.mightAdd(e, t)
 	}
 	t.evalValid = false
 	e.markStale(t)
@@ -1229,7 +1232,7 @@ func (e *Engine) removeLive(t *Txn) {
 		e.rankedRemove(t)
 	}
 	if e.tracksMight() {
-		e.ci.mightRemove(t)
+		e.ci.mightRemove(e, t)
 	}
 	e.live.remove(t)
 }
@@ -1561,18 +1564,21 @@ func dispatchable(c *Txn) bool {
 
 // refreshPriorities is the pass's continuous evaluation, restricted to the
 // transactions whose priority the Staticness contract (policy.go) allows to
-// have moved since the last pass: the pending queue; for
-// EvalConflictClocked also the conflict index's hot set, plus the previous
-// hot set when the generation moved, so a transaction whose last penaliser
-// left falls back to its constant; for EvalDynamic every live transaction,
-// in the arrival order the naive pass uses. Every stored value is the
-// result of a real Evaluate call; one is skipped only where the contract
-// says it would return what is already stored.
+// have moved since the last pass: the pending queue — which includes every
+// transaction that left the hot set since, so one whose last penaliser
+// went falls back to its constant — and, for EvalConflictClocked, the
+// conflict index's hot set, whose members are re-evaluated when the clock
+// or the generation moved; for EvalDynamic every live transaction, in the
+// arrival order the naive pass uses. Every stored value is the result of a
+// real Evaluate call; one is skipped only where the contract says it would
+// return what is already stored. With no conflict in the system the hot
+// set is empty and a pass evaluates its arrivals and nothing else.
 func (e *Engine) refreshPriorities() {
 	now := e.sim.Now()
 	if e.evalMode == EvalDynamic {
 		moved := false
 		for t := e.live.head; t != nil; t = t.liveNext {
+			e.evals++
 			t.basePr = e.policy.Evaluate(e, t)
 			pr := t.flooredPriority()
 			if !t.ranked {
@@ -1608,28 +1614,19 @@ func (e *Engine) refreshPriorities() {
 	if e.evalMode != EvalConflictClocked {
 		return
 	}
-	if e.ci.hotGen != gen {
-		e.refreshHot(now, gen)
-		e.ci.rebuildHot()
+	for _, t := range e.ci.hot {
+		if t.evalAt != now || t.evalGen != gen {
+			e.evaluate(t, now, gen)
+			e.rekey(t)
+		}
 	}
-	e.refreshHot(now, gen)
 	if e.cfg.CheckInvariants {
 		e.ci.verifyHot(e)
 	}
 }
 
-// refreshHot re-evaluates the hot-set members whose value predates the
-// current (clock, generation).
-func (e *Engine) refreshHot(now sim.Time, gen uint64) {
-	for _, t := range e.ci.hot {
-		if t.inLive && (t.evalAt != now || t.evalGen != gen) {
-			e.evaluate(t, now, gen)
-			e.rekey(t)
-		}
-	}
-}
-
 func (e *Engine) evaluate(t *Txn, now sim.Time, gen uint64) {
+	e.evals++
 	t.basePr = e.policy.Evaluate(e, t)
 	t.evalValid = true
 	t.evalAt, t.evalGen = now, gen

@@ -35,12 +35,17 @@ const (
 	//     (private memoisation is fine), so the order of evaluation within
 	//     a pass is immaterial.
 	//
-	// The engine therefore re-evaluates only the conflict index's hot set
-	// (the transactions with at least one such member), the previous hot
-	// set when the generation moved, and transactions whose might-set was
-	// switched. CCA, CCA-P and CCA-T satisfy this. Without a conflict index
-	// (naive scans) the engine conservatively treats such a policy as
-	// EvalDynamic.
+	// "Such a member" never includes t itself: a transaction's own locks
+	// contribute nothing to its own penalty.
+	//
+	// The engine therefore re-evaluates only the conflict index's hot set —
+	// maintained incrementally, exactly the transactions with at least one
+	// such member — when the clock or the generation moved; a transaction
+	// once, when its last such member goes and it leaves the set; and one
+	// whose might-set was switched. With no conflict in the system nothing
+	// is re-evaluated at all. CCA, CCA-P and CCA-T satisfy this. Without a
+	// conflict index (naive scans) the engine conservatively treats such a
+	// policy as EvalDynamic.
 	EvalConflictClocked
 	// EvalDynamic: Evaluate(t) may change at any scheduling point for
 	// reasons the engine cannot observe cheaply (LSF's slack shrinks with

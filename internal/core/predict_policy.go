@@ -226,8 +226,8 @@ func (p *ccapPolicy) ObserveTerminal(e *Engine, t *Txn, committed, missed bool) 
 
 // --- predictive plumbing ------------------------------------------------
 
-func (p *ccapPolicy) predictTable() *predict.Table        { return p.table }
-func (p *ccapPolicy) setPredictView(v *predict.Table)     { p.view = v }
+func (p *ccapPolicy) predictTable() *predict.Table    { return p.table }
+func (p *ccapPolicy) setPredictView(v *predict.Table) { p.view = v }
 func (p *ccapPolicy) predictState() (float64, int, []float64) {
 	return p.weight, 0, nil
 }

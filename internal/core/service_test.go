@@ -94,11 +94,11 @@ func TestServiceValidation(t *testing.T) {
 	defer stop()
 
 	bad := []ServiceRequest{
-		{Compute: time.Millisecond, Deadline: time.Second},                                          // no items
-		{Items: []txn.Item{100000}, Compute: time.Millisecond, Deadline: time.Second},               // out of range
-		{Items: []txn.Item{1}, Compute: 0, Deadline: time.Second},                                   // no compute
-		{Items: []txn.Item{1}, Compute: time.Millisecond, Deadline: 0},                              // no deadline
-		{Items: []txn.Item{1}, Compute: time.Millisecond, Deadline: time.Second, Reads: []bool{}},   // flag length
+		{Compute: time.Millisecond, Deadline: time.Second},                                              // no items
+		{Items: []txn.Item{100000}, Compute: time.Millisecond, Deadline: time.Second},                   // out of range
+		{Items: []txn.Item{1}, Compute: 0, Deadline: time.Second},                                       // no compute
+		{Items: []txn.Item{1}, Compute: time.Millisecond, Deadline: 0},                                  // no deadline
+		{Items: []txn.Item{1}, Compute: time.Millisecond, Deadline: time.Second, Reads: []bool{}},       // flag length
 		{Items: []txn.Item{1}, Compute: time.Millisecond, Deadline: time.Second, NeedsIO: []bool{true}}, // IO without disks
 	}
 	bad[4].Reads = []bool{true, false}

@@ -143,9 +143,9 @@ type Txn struct {
 	// basePr is the policy's own Evaluate value from the last evaluation
 	// (before the inherited-priority floor is applied).
 	basePr float64
-	// evalValid marks basePr as usable. It is false for a fresh arrival and
-	// after Engine.setMight; for EvalStatic policies a valid basePr is final
-	// for the transaction's whole life.
+	// evalValid marks basePr as usable. It is false for a fresh arrival,
+	// after Engine.setMight and on leaving the hot set; for EvalStatic
+	// policies a valid basePr is final for the transaction's whole life.
 	evalValid bool
 	// evalAt/evalGen key basePr for EvalConflictClocked policies (CCA): the
 	// value is provably unchanged while the simulated clock and the
@@ -155,8 +155,11 @@ type Txn struct {
 	// ranked records membership in Engine.ranked (false between arrival and
 	// the first dispatch pass).
 	ranked bool
-	// hotStamp marks membership in the conflict index's current hot set.
-	hotStamp uint64
+	// hotRefs counts the (item, holder) pairs with the item in this
+	// transaction's might-set and another transaction holding it; while it
+	// is positive the transaction sits in the conflict index's hot set, at
+	// position hotIdx.
+	hotRefs, hotIdx int
 	// desiredStamp marks membership in the dispatch pass identified by
 	// Engine.passStamp — an O(1) replacement for scanning the desired set.
 	desiredStamp uint64

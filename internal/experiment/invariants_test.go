@@ -35,8 +35,8 @@ func TestAdaptiveRunUpholdsPaperGuarantees(t *testing.T) {
 		dbSize := 10 + rng.Intn(40)
 		readFraction := 0.5 * rng.Float64()
 		def := Definition{
-			ID:     fmt.Sprintf("inv-%d", trial),
-			Title:  "invariants", XLabel: "rate",
+			ID:    fmt.Sprintf("inv-%d", trial),
+			Title: "invariants", XLabel: "rate",
 			Xs:    []float64{4 + 4*rng.Float64(), 8 + 6*rng.Float64()},
 			Seeds: 2,
 			Variants: []Variant{{

@@ -22,10 +22,16 @@ type pending struct {
 	id  uint64
 	req core.ServiceRequest
 	c   wire.Completer
+	// counted has the batcher fold the answer into the server's request
+	// counters: the wire path. The HTTP handler counts as it writes its
+	// response.
+	counted bool
 }
 
 type batcher struct {
-	svc      *shard.Service
+	svc *shard.Service
+	// count is Server.countAnswer.
+	count    func(core.ServiceOutcome, error)
 	queues   []chan pending
 	maxBatch int
 	stop     chan struct{}
@@ -35,13 +41,14 @@ type batcher struct {
 	closed bool
 }
 
-func newBatcher(svc *shard.Service, depth int) *batcher {
+func newBatcher(svc *shard.Service, depth int, count func(core.ServiceOutcome, error)) *batcher {
 	qs := make([]chan pending, svc.Shards())
 	for i := range qs {
 		qs[i] = make(chan pending, depth)
 	}
 	return &batcher{
 		svc:      svc,
+		count:    count,
 		queues:   qs,
 		maxBatch: 512,
 		stop:     make(chan struct{}),
@@ -82,7 +89,7 @@ func (b *batcher) shutdown() {
 // enqueue routes one submission to its shard-aligned queue. False means
 // the queue is full or the batcher is shut down — an overload shed the
 // caller must answer itself (nothing will be called back).
-func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
+func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer, counted bool) bool {
 	qi := 0
 	if n := len(b.queues); n > 1 && len(req.Items) > 0 {
 		if it := int(req.Items[0]); it >= 0 {
@@ -95,7 +102,7 @@ func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer) 
 		return false
 	}
 	select {
-	case b.queues[qi] <- pending{id: id, req: req, c: c}:
+	case b.queues[qi] <- pending{id: id, req: req, c: c, counted: counted}:
 		return true
 	default:
 		return false
@@ -144,10 +151,17 @@ func (b *batcher) fill(batch *[]pending, q chan pending) {
 
 func (b *batcher) inject(batch []pending, subs []core.Submission) []core.Submission {
 	for i := range batch {
-		p := batch[i]
+		// The closure outlives the batch slice; it captures the three
+		// words it needs, not the request.
+		id, c, counted := batch[i].id, batch[i].c, batch[i].counted
 		subs = append(subs, core.Submission{
-			Req:  p.req,
-			Done: func(o core.ServiceOutcome, err error) { p.c.Complete(p.id, o, err) },
+			Req: batch[i].req,
+			Done: func(o core.ServiceOutcome, err error) {
+				if counted {
+					b.count(o, err)
+				}
+				c.Complete(id, o, err)
+			},
 		})
 	}
 	handles := b.svc.SubmitBatch(subs)

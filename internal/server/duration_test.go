@@ -24,8 +24,8 @@ func TestJSONDurationRejectsNonsense(t *testing.T) {
 		{`0`, true}, // zero passes the codec; the engine rejects it with its own message
 		{`"-5ms"`, false},
 		{`-3`, false},
-		{`1e309`, false},       // +Inf after parsing
-		{`1e308`, false},       // finite but overflows int64 nanoseconds
+		{`1e309`, false}, // +Inf after parsing
+		{`1e308`, false}, // finite but overflows int64 nanoseconds
 		{`"not-a-dur"`, false},
 		{`{"ms":1}`, false},
 	} {

@@ -223,7 +223,7 @@ func New(opts Options) (*Server, error) {
 	} else {
 		close(s.replayDone)
 	}
-	s.batch = newBatcher(svc, opts.MaxInflight)
+	s.batch = newBatcher(svc, opts.MaxInflight, s.countAnswer)
 	s.mux.HandleFunc("/submit", s.handleSubmit)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -368,34 +368,26 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 type wireBackend struct{ s *Server }
 
 func (b wireBackend) Enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
-	return b.s.batch.enqueue(id, req, countingCompleter{b.s, c})
+	return b.s.batch.enqueue(id, req, c, true)
 }
 
-// countingCompleter folds wire-path submissions into the server's
-// request counters so /metrics reports the same truths regardless of
-// which protocol carried the request.
-type countingCompleter struct {
-	s *Server
-	c wire.Completer
-}
-
-func (cc countingCompleter) OnHandle(id uint64, h core.SubmitHandle) { cc.c.OnHandle(id, h) }
-
-func (cc countingCompleter) Complete(id uint64, o core.ServiceOutcome, err error) {
+// countAnswer folds a wire-path answer into the server's request counters
+// so /metrics reports the same truths regardless of which protocol carried
+// the request.
+func (s *Server) countAnswer(o core.ServiceOutcome, err error) {
 	switch {
 	case err == nil:
-		cc.s.accepted.Add(1)
+		s.accepted.Add(1)
 		if o.State == core.StateRejected {
-			cc.s.rejected.Add(1)
+			s.rejected.Add(1)
 		}
 	case errors.Is(err, core.ErrDraining) || errors.Is(err, core.ErrServiceStopped):
-		cc.s.shed.Add(1)
+		s.shed.Add(1)
 	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
-		cc.s.failed.Add(1)
+		s.failed.Add(1)
 	default:
-		cc.s.badReqs.Add(1)
+		s.badReqs.Add(1)
 	}
-	cc.c.Complete(id, o, err)
 }
 
 func (b wireBackend) RetryAfterSecs() int { return b.s.retryAfterSecs() }
@@ -600,7 +592,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// front-end; if the client disconnects the waiter wounds it so
 	// abandoned work stops consuming CPU.
 	wt := &httpWaiter{ch: make(chan outcomeErr, 1)}
-	if !s.batch.enqueue(0, creq, wt) {
+	if !s.batch.enqueue(0, creq, wt, false) {
 		s.shedResponse(w, "server at capacity")
 		return
 	}

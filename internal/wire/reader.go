@@ -26,6 +26,17 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), max: maxFrame}
 }
 
+// Buffered reports whether a complete frame is already in memory, so that
+// the following Next returns it without reading the stream.
+func (fr *FrameReader) Buffered() bool {
+	n := fr.br.Buffered() - lenPrefix
+	if n < 0 {
+		return false
+	}
+	p, _ := fr.br.Peek(lenPrefix)
+	return n >= int(getU32(p))
+}
+
 // Next reads one frame and returns its header and payload. The payload
 // aliases the reader's internal buffer. io.EOF is returned verbatim on a
 // clean close between frames.

@@ -15,8 +15,8 @@ import (
 func submitFrame(t *testing.T) []byte {
 	t.Helper()
 	return AppendSubmit(nil, 7, &SubmitReq{
-		Items:   []txn.Item{1, 2},
-		Compute: time.Millisecond,
+		Items:    []txn.Item{1, 2},
+		Compute:  time.Millisecond,
 		Deadline: 50 * time.Millisecond,
 	})
 }

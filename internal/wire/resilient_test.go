@@ -230,3 +230,91 @@ func TestServerIdleTimeoutSparesActive(t *testing.T) {
 		t.Fatalf("active connection idle-closed %d times", n)
 	}
 }
+
+// deadlineCountingListener hands the server connections that count their
+// socket reads and writes and how often each deadline was armed.
+type deadlineCountingListener struct {
+	net.Listener
+	reads, readArms, writes, writeArms atomic.Int64
+}
+
+type deadlineCountingConn struct {
+	net.Conn
+	l *deadlineCountingListener
+}
+
+func (l *deadlineCountingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &deadlineCountingConn{nc, l}, nil
+}
+
+func (c *deadlineCountingConn) Read(p []byte) (int, error) {
+	c.l.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineCountingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *deadlineCountingConn) SetReadDeadline(t time.Time) error {
+	c.l.readArms.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *deadlineCountingConn) SetWriteDeadline(t time.Time) error {
+	c.l.writeArms.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// TestServerArmsDeadlinesPerSocketOp: a pipelined burst that reaches the
+// server in a few segments costs a deadline per socket read and per socket
+// write, not two per frame — the idle budget is for frames the server has
+// to wait for, the flush budget for writes that reach the socket.
+func TestServerArmsDeadlinesPerSocketOp(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &deadlineCountingListener{Listener: inner}
+	_, addr := serveWire(t, ln, &stubBackend{}, ServerOptions{IdleTimeout: time.Minute})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	const frames = 1000
+	var burst []byte
+	for id := uint64(1); id <= frames; id++ {
+		burst = AppendHealthReq(burst, id)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := NewFrameReader(nc, 0)
+	for i := 0; i < frames; i++ {
+		if h, _, err := fr.Next(); err != nil || h.Type != FrameHealthResp {
+			t.Fatalf("answer %d: %+v, %v", i, h, err)
+		}
+	}
+	// The reader is now parked in a socket read for frame 1001, armed once.
+	reads, readArms := ln.reads.Load(), ln.readArms.Load()
+	writes, writeArms := ln.writes.Load(), ln.writeArms.Load()
+	t.Logf("%d frames: %d socket reads, %d read deadlines; %d socket writes, %d write deadlines",
+		frames, reads, readArms, writes, writeArms)
+	if readArms > reads+1 {
+		t.Errorf("%d read deadlines armed for %d socket reads", readArms, reads)
+	}
+	if writeArms != writes {
+		t.Errorf("%d write deadlines armed for %d socket writes", writeArms, writes)
+	}
+	if reads > frames/4 {
+		t.Fatalf("burst took %d socket reads for %d frames: it was not pipelined, the bound above proves nothing", reads, frames)
+	}
+}

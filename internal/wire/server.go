@@ -56,8 +56,9 @@ type ServerOptions struct {
 	// IdleTimeout is the rolling per-frame read deadline: a connection
 	// that fails to deliver one complete frame within it is closed and
 	// counted (slow-loris / half-open guard). The deadline re-arms
-	// before every frame, so a healthy pipelined connection is never
-	// cut no matter how long it lives. Default 2m; negative disables.
+	// whenever the server starts waiting on the socket for a frame, so
+	// a healthy pipelined connection is never cut no matter how long it
+	// lives. Default 2m; negative disables.
 	IdleTimeout time.Duration
 }
 
@@ -447,10 +448,13 @@ func (c *conn) readLoop() {
 	fr := NewFrameReader(c.nc, c.srv.maxFrame)
 	var req SubmitReq // reused across frames: the zero-alloc decode path
 	for {
-		// Rolling idle deadline: each frame gets a fresh budget, so a
-		// peer that stops mid-frame (slow loris) or goes half-open is
-		// cut instead of pinning the connection forever.
-		if c.srv.idleEvery > 0 {
+		// Rolling idle deadline: each frame the server has to wait for
+		// gets a fresh budget, so a peer that stops mid-frame (slow
+		// loris) or goes half-open is cut instead of pinning the
+		// connection forever. A frame already buffered is not waited
+		// for: a pipelined burst arms the deadline once per socket read,
+		// not once per frame.
+		if c.srv.idleEvery > 0 && !fr.Buffered() {
 			c.nc.SetReadDeadline(time.Now().Add(c.srv.idleEvery))
 		}
 		h, p, err := fr.Next()
@@ -524,12 +528,18 @@ func (c *conn) handleSubmit(id uint64, p []byte, req *SubmitReq) {
 	c.srv.submits.Add(1)
 }
 
+// Write is the writer's path to the socket: every write bufio passes down —
+// a full buffer or a flush, many responses each — gets a fresh FlushTimeout.
+func (c *conn) Write(p []byte) (int, error) {
+	c.nc.SetWriteDeadline(time.Now().Add(c.srv.flushEvery))
+	return c.nc.Write(p)
+}
+
 func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	bw := bufio.NewWriterSize(c, 64<<10)
 	var buf []byte
 	write := func(f *outFrame) bool {
 		buf = c.encode(buf[:0], f)
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.flushEvery))
 		if _, err := bw.Write(buf); err != nil {
 			return false
 		}

@@ -74,6 +74,11 @@ func startWire(t *testing.T, b Backend, opt ServerOptions) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveWire(t, ln, b, opt)
+}
+
+func serveWire(t *testing.T, ln net.Listener, b Backend, opt ServerOptions) (*Server, string) {
+	t.Helper()
 	s := NewServer(b, opt)
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()

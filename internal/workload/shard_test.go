@@ -109,7 +109,7 @@ func TestShardOfAndTouched(t *testing.T) {
 	if mask := txn.ShardsTouched([]txn.Item{1, 5, 9}, 4); mask != 1<<1 {
 		t.Fatalf("mask = %b, want only shard 1", mask)
 	}
-	if mask := txn.ShardsTouched([]txn.Item{0, 3}, 4); mask != (1|1<<3) {
+	if mask := txn.ShardsTouched([]txn.Item{0, 3}, 4); mask != (1 | 1<<3) {
 		t.Fatalf("mask = %b, want shards 0 and 3", mask)
 	}
 }

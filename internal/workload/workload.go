@@ -373,7 +373,7 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 			}
 		}
 		if p.ReadFraction > 0 {
-			s.Reads = make([]bool, len(ty.Items))
+			s.Reads = make([]bool, len(s.Items)) // the taken branch included
 			for j := range s.Reads {
 				s.Reads[j] = reads.Bernoulli(p.ReadFraction)
 			}
