@@ -33,11 +33,13 @@ type Submission struct {
 // SubmitHandle wounds one in-flight submission: the front-end calls Cancel
 // when the client disconnects so abandoned work stops consuming the CPU.
 // The zero handle is a no-op (a submission that was never injected).
-// Cancel is idempotent and safe after the transaction reached a terminal
-// state.
+// Cancel is idempotent and safe at any later time: the handle is (object,
+// generation) the way sim.Handle is, so once the transaction was answered —
+// and its object perhaps handed to another submission — Cancel does nothing.
 type SubmitHandle struct {
 	svc      *Service
 	t        *Txn
+	gen      uint64
 	cancelFn func()
 }
 
@@ -45,7 +47,7 @@ type SubmitHandle struct {
 func (h SubmitHandle) Cancel() {
 	switch {
 	case h.svc != nil:
-		_ = h.svc.rt.Call(func() { h.svc.e.cancelServiceTxn(h.t) })
+		_ = h.svc.rt.Call(func() { h.svc.e.cancelServiceTxn(h.t, h.gen) })
 	case h.cancelFn != nil:
 		h.cancelFn()
 	}
@@ -55,12 +57,13 @@ func (h SubmitHandle) Cancel() {
 // sharded service's cross-shard path uses it).
 func CancelHandle(fn func()) SubmitHandle { return SubmitHandle{cancelFn: fn} }
 
-// failAll reports err to every submission that has not been answered yet
-// (specs[i] == nil marks an entry whose Done already ran).
-func failAll(subs []Submission, specs []*workload.Spec, err error) {
+// failAll reports err to every submission that is still the call's to
+// answer (Done != nil).
+func failAll(subs []Submission, err error) {
 	for i := range subs {
-		if specs == nil || specs[i] != nil {
-			subs[i].Done(ServiceOutcome{}, err)
+		if done := subs[i].Done; done != nil {
+			subs[i].Done = nil
+			done(ServiceOutcome{}, err)
 		}
 	}
 }
@@ -70,35 +73,29 @@ func failAll(subs []Submission, specs []*workload.Spec, err error) {
 // stopped service) are delivered through each Submission.Done, which is
 // guaranteed to be invoked exactly once per entry. The returned handles
 // are index-aligned with subs; an entry that was never injected (it
-// already failed) carries the zero no-op handle.
+// already failed) carries the zero no-op handle. The call consumes subs:
+// an entry's Done is cleared the moment someone else owns its answer —
+// validation answered it, or a transaction's completion slot took it over.
+// Requests are validated here, on the caller's goroutine; the driver call
+// only copies each into a (recycled) transaction, so a batch allocates its
+// handles and its handoff, and nothing per entry.
 func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 	handles := make([]SubmitHandle, len(subs))
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		failAll(subs, nil, ErrDraining)
+		failAll(subs, ErrDraining)
 		return handles
 	}
 	s.mu.Unlock()
 
-	// specs[i] != nil marks an entry that is still this call's to answer:
-	// validation clears it by never setting it, injection clears it when the
-	// transaction's completion slot takes over.
-	specs := make([]*workload.Spec, len(subs))
 	any := false
 	for i := range subs {
 		sub := &subs[i]
 		if err := sub.Req.Validate(&s.e.cfg); err != nil {
 			sub.Done(ServiceOutcome{}, err)
+			sub.Done = nil
 			continue
-		}
-		specs[i] = &workload.Spec{
-			Items:       sub.Req.Items,
-			Compute:     sub.Req.Compute,
-			Reads:       sub.Req.Reads,
-			NeedsIO:     sub.Req.NeedsIO,
-			Criticality: sub.Req.Criticality,
-			Class:       sub.Req.Class,
 		}
 		any = true
 	}
@@ -108,24 +105,27 @@ func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 
 	ready := make(chan struct{})
 	err := s.rt.Call(func() {
-		now := time.Duration(s.e.sim.Now())
-		for i, spec := range specs {
-			if spec == nil {
+		spec := workload.Spec{Arrival: time.Duration(s.e.sim.Now())}
+		for i := range subs {
+			sub := &subs[i]
+			if sub.Done == nil {
 				continue
 			}
-			spec.Arrival = now
-			spec.Deadline = now + subs[i].Req.Deadline
+			req := &sub.Req
+			spec.Deadline = spec.Arrival + req.Deadline
+			spec.Items, spec.Reads, spec.NeedsIO = req.Items, req.Reads, req.NeedsIO
+			spec.Compute, spec.Criticality, spec.Class = req.Compute, req.Criticality, req.Class
 			// From here the slot answers: the terminal path, or the failure
 			// sweep if the driver dies with this submission live.
-			t := s.e.addServiceTxn(spec, subs[i].Done)
-			specs[i] = nil
-			handles[i] = SubmitHandle{svc: s, t: t}
+			t := s.e.addServiceTxn(&spec, sub.Done)
+			sub.Done = nil
+			handles[i] = SubmitHandle{svc: s, t: t, gen: t.gen}
 			s.e.onArrival(t)
 		}
 		close(ready)
 	})
 	if err != nil {
-		failAll(subs, specs, ErrServiceStopped)
+		failAll(subs, ErrServiceStopped)
 		return handles
 	}
 	select {
@@ -134,7 +134,7 @@ func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
 		// The driver stopped: whatever it injected first was answered by its
 		// terminal path or the failure sweep (both ordered before stopCh
 		// closes); the entries it never reached are still ours.
-		failAll(subs, specs, ErrServiceStopped)
+		failAll(subs, ErrServiceStopped)
 	}
 	return handles
 }

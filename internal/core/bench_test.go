@@ -27,7 +27,11 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/txn"
 )
 
 func benchCCAConfig(dbSize, count int, rate float64, naiveScan, naiveDispatch bool) Config {
@@ -141,6 +145,85 @@ func TestObserverTapZeroAlloc(t *testing.T) {
 	}
 }
 
+// The allocation budget of the serving path below the front-end: what one
+// committed transaction may cost the collector once the service is warm.
+const (
+	maxSubmitObjectsPerTxn = 2
+	maxSubmitBytesPerTxn   = 128
+)
+
+// serviceSubmitAllocs measures that cost: a warmed 1-shard Service takes
+// disjointBatchSize-entry item-disjoint batches (the wire_open shape) from
+// SubmitBatch to the last commit, counted across every goroutine — caller
+// and engine driver alike. Objects come from testing.AllocsPerRun, bytes
+// from the runtime's running total over the same runs.
+func serviceSubmitAllocs(tb testing.TB) (objects, bytes float64) {
+	tb.Helper()
+	cfg := MainMemoryConfig(CCA, 1)
+	cfg.Workload.DBSize = disjointDBSize
+	s, stop := startService(tb, cfg, ServiceOptions{Speed: 10000})
+	defer stop()
+
+	var left atomic.Int32
+	var failed atomic.Bool
+	idle := make(chan struct{}, 1)
+	done := func(o ServiceOutcome, err error) {
+		if err != nil || o.State != StateCommitted {
+			failed.Store(true)
+		}
+		if left.Add(-1) == 0 {
+			idle <- struct{}{}
+		}
+	}
+	subs := make([]Submission, disjointBatchSize)
+	for j := range subs {
+		subs[j].Req = ServiceRequest{
+			Items:    []txn.Item{txn.Item(2 * j), txn.Item(2*j + 1)},
+			Compute:  50 * time.Microsecond,
+			Deadline: time.Minute,
+		}
+	}
+	batch := func() {
+		for j := range subs {
+			subs[j].Done = done // SubmitBatch consumes it
+		}
+		left.Store(disjointBatchSize)
+		s.SubmitBatch(subs)
+		<-idle
+	}
+	for i := 0; i < 8; i++ {
+		batch() // warm: free lists, lock tables and the calendar reach their size
+	}
+	const runs = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	perBatch := testing.AllocsPerRun(runs, batch)
+	runtime.ReadMemStats(&m1)
+	if failed.Load() {
+		tb.Fatal("a budget-run transaction did not commit")
+	}
+	// AllocsPerRun calls batch once more than it counts.
+	return perBatch / disjointBatchSize,
+		float64(m1.TotalAlloc-m0.TotalAlloc) / ((runs + 1) * disjointBatchSize)
+}
+
+// checkSubmitBudget measures the serving path and fails t if a committed
+// transaction costs more than the budget.
+func checkSubmitBudget(t *testing.T) (objects, bytes float64) {
+	t.Helper()
+	objects, bytes = serviceSubmitAllocs(t)
+	t.Logf("service submit→commit: %.3f objects, %.1f B per committed transaction", objects, bytes)
+	if objects > maxSubmitObjectsPerTxn || bytes > maxSubmitBytesPerTxn {
+		t.Errorf("%.3f objects and %.1f B per committed transaction; budget is %d objects, %d B",
+			objects, bytes, maxSubmitObjectsPerTxn, maxSubmitBytesPerTxn)
+	}
+	return objects, bytes
+}
+
+// TestServiceSubmitAllocBudget enforces the budget on every run; the
+// measured values go to BENCH_core.json's service_submit row.
+func TestServiceSubmitAllocBudget(t *testing.T) { checkSubmitBudget(t) }
+
 // benchModeResult is one engine mode's measurement in BENCH_core.json.
 type benchModeResult struct {
 	Ms       float64 `json:"ms"`
@@ -185,8 +268,9 @@ type dispatchGrowthPoint struct {
 // than the fully naive engine, on base-mm the fast engine's wall time must
 // not regress against naive dispatch, and on the dispatch_growth curve a
 // scheduling point over 8192 live transactions may cost at most 3× one over
-// 16, and on batch_disjoint a conflict-free batch is evaluated exactly once
-// per transaction.
+// 16, on batch_disjoint a conflict-free batch is evaluated exactly once per
+// transaction, and on service_submit a committed transaction stays inside the
+// allocation budget.
 func TestWriteBenchBaseline(t *testing.T) {
 	if os.Getenv("BENCH_BASELINE") == "" {
 		t.Skip("set BENCH_BASELINE=1 to refresh BENCH_core.json (see DESIGN.md)")
@@ -228,6 +312,13 @@ func TestWriteBenchBaseline(t *testing.T) {
 			NsPerTxn    float64 `json:"ns_per_txn"`
 			EvalsPerTxn float64 `json:"evals_per_txn"`
 		} `json:"batch_disjoint"`
+		ServiceSubmit struct {
+			Note          string  `json:"note"`
+			ObjectsPerTxn float64 `json:"objects_per_txn"`
+			BytesPerTxn   float64 `json:"bytes_per_txn"`
+			MaxObjects    int     `json:"max_objects_per_txn"`
+			MaxBytes      int     `json:"max_bytes_per_txn"`
+		} `json:"service_submit"`
 	}{
 		Note:    "CCA engine wall time and allocations per full run: fast (incremental dispatch + conflict index + pooled calendar) vs naive_dispatch (index only) vs naive_full (original seed engine); measured by testing.Benchmark",
 		Refresh: "BENCH_BASELINE=1 go test ./internal/core -run TestWriteBenchBaseline",
@@ -308,6 +399,13 @@ func TestWriteBenchBaseline(t *testing.T) {
 	if out.BatchDisjoint.EvalsPerTxn != 1 {
 		t.Errorf("batch-disjoint: %.2f evaluations per transaction with no conflict in the system, want exactly 1", out.BatchDisjoint.EvalsPerTxn)
 	}
+
+	// Allocation budget of the serving path below the front-end (also
+	// enforced on every run by TestServiceSubmitAllocBudget).
+	ss := &out.ServiceSubmit
+	ss.Note = "heap objects and bytes allocated per committed transaction, SubmitBatch to commit, by a warmed 1-shard core.Service taking 64-entry item-disjoint batches (the wire_open shape): caller and engine driver together, front-end excluded; in-process, not capacity"
+	ss.ObjectsPerTxn, ss.BytesPerTxn = checkSubmitBudget(t)
+	ss.MaxObjects, ss.MaxBytes = maxSubmitObjectsPerTxn, maxSubmitBytesPerTxn
 
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -59,12 +59,14 @@ type Engine struct {
 	all   []*Txn   // every transaction, indexed by ID
 	live  liveList // arrived, not yet committed, in arrival order
 	slots []*Txn   // CPU occupants (nil = idle)
-	// retires is the wall-clock service mode: an answered submission's ID
-	// and item sets go back for reuse (answer → retireServiceTxn). Simulation
-	// and shard-runner engines never retire, so their IDs stay stable.
+	// retires is the wall-clock service mode: an answered submission's
+	// object (with its ID, spec storage and event callbacks) and item sets go
+	// back for reuse (answer → retireServiceTxn). Simulation and shard-runner
+	// engines never retire, so their IDs stay stable.
 	retires bool
-	// freeIDs holds retired transaction IDs for reuse.
-	freeIDs []int
+	// freeTxns holds retired transactions for reuse, each still carrying the
+	// ID it gives its next occupant; never longer than the peak live set.
+	freeTxns []*Txn
 	// freeSets holds the item sets of retired transactions for reuse
 	// (retireServiceTxn, serviceBitset).
 	freeSets []bitset
@@ -327,10 +329,13 @@ func (e *Engine) initTxn(t *Txn, spec *workload.Spec, carve func() bitset) {
 			break
 		}
 	}
-	// Recurring event callbacks, built once so the hot path never
-	// allocates a closure per scheduled event.
-	t.updateDoneFn = func() { e.onUpdateDone(t) }
-	t.rollbackDoneFn = func() { e.onRollbackDone(t, t.pendingRollback) }
+	// Recurring event callbacks, built once per object — a recycled one
+	// already has them — so the hot path never allocates a closure per
+	// scheduled event.
+	if t.updateDoneFn == nil {
+		t.updateDoneFn = func() { e.onUpdateDone(t) }
+		t.rollbackDoneFn = func() { e.onRollbackDone(t, t.pendingRollback) }
+	}
 }
 
 // SetTrace installs a human-readable trace sink (nil disables tracing).
@@ -512,7 +517,8 @@ func (e *Engine) FinishRun() (metrics.Result, error) {
 // boundary every participant shard receives its sub-transaction through
 // here, in canonical order. spec.Arrival must equal the engine's current
 // clock and spec.Deadline is absolute (under FirmDeadlines it must not be
-// in the past, or the deadline event would be unschedulable). done, when
+// in the past, or the deadline event would be unschedulable). The spec is
+// copied, not retained (addServiceTxn). done, when
 // non-nil, is the transaction's completion slot (see Txn.done): it receives
 // the terminal outcome inside the engine's event processing and must not
 // block.
@@ -705,7 +711,10 @@ func (e *Engine) onArrival(t *Txn) {
 	}
 	e.emit(trace.Event{Kind: trace.Arrival, Txn: t.ID(), Other: -1, Item: -1})
 	if e.cfg.FirmDeadlines {
-		e.sim.At(sim.Time(t.Spec.Deadline), func() { e.onDeadline(t) })
+		if t.deadlineFn == nil {
+			t.deadlineFn = func() { e.onDeadline(t) }
+		}
+		t.deadlineEvent = e.sim.At(sim.Time(t.Spec.Deadline), t.deadlineFn)
 	}
 	e.reschedule()
 }
@@ -897,8 +906,12 @@ func (e *Engine) startItem(t *Txn) {
 // not happened yet) and then the computation for the current update.
 func (e *Engine) proceedItem(t *Txn) {
 	if t.next < len(t.Spec.NeedsIO) && t.Spec.NeedsIO[t.next] && !t.ioDone {
-		req := &disk.Request{Priority: t.priority, Tag: t}
-		req.Done = func() { e.onIODone(t, req) }
+		req, gen := &disk.Request{Priority: t.priority, Tag: t}, t.gen
+		req.Done = func() {
+			if t.gen == gen { // else t retired with the access in service
+				e.onIODone(t, req)
+			}
+		}
 		t.ioReq = req
 		t.state = StateIOWait
 		e.freeCPU(t)

@@ -53,7 +53,7 @@ func TestHotSetExactProperty(t *testing.T) {
 						for i := rng.Intn(e.live.n); i > 0; i-- {
 							victim = victim.liveNext
 						}
-						e.cancelServiceTxn(victim)
+						e.cancelServiceTxn(victim, victim.gen)
 						cancelled++
 					}
 					e.ci.verify(e)

@@ -516,49 +516,65 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // --- engine-side service plumbing (driver goroutine only) ---------------
 
 // addServiceTxn builds the runtime transaction for a dynamically submitted
-// spec, assigns its ID (recycling finished IDs so the lock-manager, store
-// and transaction tables stay bounded by the peak live set, not the
-// request count) and arms the completion slot.
-func (e *Engine) addServiceTxn(spec *workload.Spec, done func(ServiceOutcome, error)) *Txn {
+// spec and arms the completion slot. The transaction owns its spec: src is
+// copied — the item and flag lists into the object's own arrays — and not
+// retained. A retired object is reused when there is one, so the steady state
+// allocates nothing and the lock-manager, store and transaction tables stay
+// bounded by the peak live set, not the request count: it brings its ID, its
+// spec storage and its event callbacks, and everything else starts from zero.
+func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, error)) *Txn {
 	// Recycling is safe only when nothing identifies transactions across
 	// time: the history (and so the oracle's serializability checks) and
 	// the trace recorder key operations by transaction ID. idsPinned is the
-	// lifetime latch — once any such consumer has ever attached, IDs stay
-	// stable even if the consumer is later detached.
+	// lifetime latch — once any such consumer has ever attached, IDs (and
+	// objects) stay unique even if the consumer is later detached.
 	recycle := !e.idsPinned && e.hist == nil && e.rec == nil
-	id := -1
-	if recycle && len(e.freeIDs) > 0 {
-		id = e.freeIDs[len(e.freeIDs)-1]
-		e.freeIDs = e.freeIDs[:len(e.freeIDs)-1]
+	var t *Txn
+	if n := len(e.freeTxns); recycle && n > 0 {
+		t = e.freeTxns[n-1]
+		e.freeTxns = e.freeTxns[:n-1]
 		e.idRecycled = true
-	}
-	if id < 0 {
-		id = len(e.all)
+		*t = Txn{Spec: t.Spec, gen: t.gen, updateDoneFn: t.updateDoneFn,
+			rollbackDoneFn: t.rollbackDoneFn, deadlineFn: t.deadlineFn}
+	} else {
+		st := &serviceTxn{}
+		st.spec.ID = len(e.all)
+		st.Spec = &st.spec
+		t = &st.Txn
 		e.all = append(e.all, nil)
 	}
-	spec.ID = id
-
-	t := &Txn{}
-	e.initTxn(t, spec, e.serviceBitset)
+	own := t.Spec
+	id, items, io, reads, full := own.ID, own.Items[:0], own.NeedsIO[:0], own.Reads[:0], own.MightFull[:0]
+	*own = *src
+	own.ID = id
+	own.Items = append(items, src.Items...)
+	own.NeedsIO = append(io, src.NeedsIO...)
+	own.Reads = append(reads, src.Reads...)
+	own.MightFull = append(full, src.MightFull...)
+	e.initTxn(t, own, e.serviceBitset)
 	t.done = done
 	e.all[id] = t
 	return t
 }
 
-// retireServiceTxn releases a terminal transaction's table slot so its ID
-// can be reused by a later submission. Old references (a pending firm
-// deadline event, a stale disk completion) hold the Txn object itself and
-// observe its terminal state; they never go through the freed slot.
+// retireServiceTxn releases a terminal transaction for reuse: its table slot
+// empties and the object joins the free list. Whoever may still hold the
+// *Txn is cut off here, not at reuse: the generation moves on, which voids
+// every SubmitHandle and disk completion taken under the old one, and the
+// pending firm-deadline event is cancelled. (The engine's own lists — live,
+// ranked, pending, the conflict index — dropped it on the terminal path.)
 func (e *Engine) retireServiceTxn(t *Txn) {
 	if e.idsPinned || e.hist != nil || e.rec != nil {
 		return // IDs stay unique for the history/trace; tables grow instead
 	}
 	e.all[t.ID()] = nil
-	e.freeIDs = append(e.freeIDs, t.ID())
-	// The item sets go back too: at two DBSize-bit sets per submission they
-	// are most of what a request allocates. Nothing reads a retired
-	// transaction's sets (stale references only look at its state), and
-	// dropping them here turns a read that would into a panic.
+	t.gen++
+	e.sim.Cancel(t.deadlineEvent)
+	e.freeTxns = append(e.freeTxns, t)
+	// The item sets go back separately: a parked transaction never needs a
+	// has-set, a decision-point one needs two might-sets. Nothing reads a
+	// retired transaction's sets, and dropping them here turns a read that
+	// would into a panic.
 	if t.mightNarrow != nil {
 		e.freeSets = append(e.freeSets, t.mightNarrow, t.mightFull)
 	} else {
@@ -582,11 +598,12 @@ func (e *Engine) serviceBitset() bitset {
 	return newBitset(e.cfg.Workload.DBSize)
 }
 
-// cancelServiceTxn wounds a submitted transaction whose client has gone
-// away (or whose drain deadline expired): it is dropped exactly like a
-// firm-deadline expiry. A transaction already terminal is left alone.
-func (e *Engine) cancelServiceTxn(t *Txn) {
-	if t == nil {
+// cancelServiceTxn wounds the submitted transaction that occupied t at
+// generation gen, because its client has gone away: it is dropped exactly
+// like a firm-deadline expiry. One already terminal is left alone, and so is
+// the object's next occupant when that one was answered and retired.
+func (e *Engine) cancelServiceTxn(t *Txn, gen uint64) {
+	if t == nil || t.gen != gen {
 		return
 	}
 	switch t.state {

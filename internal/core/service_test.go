@@ -13,7 +13,7 @@ import (
 // startService builds and runs a wall-clock service at heavily compressed
 // time, returning it plus a shutdown func that stops the driver and waits
 // for Run to return.
-func startService(t *testing.T, cfg Config, opt ServiceOptions) (*Service, func()) {
+func startService(t testing.TB, cfg Config, opt ServiceOptions) (*Service, func()) {
 	t.Helper()
 	if opt.Speed == 0 {
 		opt.Speed = 5000 // 1ms simulated ≈ 200ns wall

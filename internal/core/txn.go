@@ -95,11 +95,15 @@ type Txn struct {
 	cpu        int // CPU slot while running, -1 otherwise
 
 	// updateDoneFn and rollbackDoneFn are the transaction's recurring event
-	// callbacks, built once at engine construction so the hot path schedules
+	// callbacks, built once per object (initTxn) so the hot path schedules
 	// tens of thousands of events without allocating a closure per event.
 	// rollbackDoneFn reads pendingRollback, set just before scheduling.
+	// deadlineFn is the firm-deadline callback, built at the object's first
+	// firm arrival; deadlineEvent is the pending one, cancelled at retire.
 	updateDoneFn    func()
 	rollbackDoneFn  func()
+	deadlineFn      func()
+	deadlineEvent   sim.Handle
 	pendingRollback time.Duration
 
 	// might is the current might-access set: mightFull before the
@@ -179,6 +183,19 @@ type Txn struct {
 	// sweep. complete empties the slot before calling it, which is the one
 	// place "answered exactly once" is enforced.
 	done func(ServiceOutcome, error)
+	// gen counts the object's retirements (retireServiceTxn; always 0 in a
+	// simulation). A reference that can outlive the transaction — a
+	// SubmitHandle, a disk completion — records the generation it was taken
+	// at and is void once the object has moved on to its next occupant.
+	gen uint64
+}
+
+// serviceTxn is a submitted transaction's one allocation: the Txn and the
+// Spec it points at for life, so a recycled object brings its spec storage
+// (and the Items/Reads/NeedsIO arrays behind it) along.
+type serviceTxn struct {
+	Txn
+	spec workload.Spec
 }
 
 // complete answers the transaction through its completion slot, at most

@@ -56,21 +56,21 @@ func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
 	if !h.Enabled() {
 		return 0, nil
 	}
+	// The record only lives until AppendSubmit has encoded it, so it borrows
+	// the request's flag slices and narrows the items into a stack buffer
+	// (append moves a longer list to the heap).
+	var buf [32]int32
 	rec := wal.SubmitRecord{
-		Items:       make([]int32, len(req.Items)),
+		Items:       buf[:0],
+		Reads:       req.Reads,
+		NeedsIO:     req.NeedsIO,
 		Compute:     req.Compute,
 		Deadline:    req.Deadline,
 		Criticality: req.Criticality,
 		Class:       req.Class,
 	}
-	for i, it := range req.Items {
-		rec.Items[i] = int32(it)
-	}
-	if req.Reads != nil {
-		rec.Reads = append([]bool(nil), req.Reads...)
-	}
-	if req.NeedsIO != nil {
-		rec.NeedsIO = append([]bool(nil), req.NeedsIO...)
+	for _, it := range req.Items {
+		rec.Items = append(rec.Items, int32(it))
 	}
 	seq, err := h.Log.AppendSubmit(&rec)
 	if err != nil {

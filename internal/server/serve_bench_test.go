@@ -342,13 +342,16 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 	}
 
 	base := serveBenchBaseline{
-		Note: "end-to-end serving throughput (committed transactions per wall second) for the two " +
+		Note: "IN-PROCESS MICRO-BASELINE, NOT CAPACITY: client and server share one process and " +
+			"host_cpus CPUs, and p50/p99 are histogram bucket edges; capacity and latency are " +
+			"bench/'s out-of-process numbers (BENCHMARK.json). What this file enforces is ratios. " +
+			"End-to-end serving throughput (committed transactions per wall second) for the two " +
 			"front-ends against one engine: closed-loop workers issue 2-item writes; the wire " +
 			"protocol's pipelined frames, batched submit and zero-alloc codecs carry the gap; " +
 			"bytes_per_req is heap allocated per answered request (client+server in-process, " +
 			"same accounting both protocols); wire_open and wire_wal run the wire path open-loop " +
 			"(Poisson arrivals) at the same offered rate, without and with an on-disk write-ahead " +
-			"log at the default sync interval (0: fsync whenever appends are pending) — every " +
+			"log at the default sync interval (0: fsync whenever an outcome is pending) — every " +
 			"WAL-arm answer waits for its outcome record's group-commit fsync, and the ratio of " +
 			"the two isolates the WAL's cost from the host's absolute durable-fsync ceiling",
 		Refresh:      "BENCH_BASELINE=1 go test ./internal/server -run TestWriteServeBenchBaseline",

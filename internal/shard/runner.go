@@ -275,7 +275,7 @@ func (r *Runner) inject(c *crossEntry, now time.Duration) {
 	c.outcomes = make([]core.ServiceOutcome, len(c.parts))
 	for pi := range c.parts {
 		p := &c.parts[pi]
-		spec := p.Spec // fresh copy per injection: the engine keeps the pointer
+		spec := p.Spec // Arrival and Deadline are this injection's; the engine copies it
 		spec.Arrival = now
 		if r.cfg.FirmDeadlines && spec.Deadline < now {
 			// The deadline passed while the transaction waited for the

@@ -148,8 +148,10 @@ func parseSegName(name string) (uint64, bool) {
 
 // AppendSubmit assigns the next sequence number, stamps it into r, and
 // buffers a submit record for the next group commit. It never blocks
-// on I/O. The record is durable once any later outcome append's
-// durability callback fires (FIFO order), or after Sync.
+// on I/O and does not wake the syncer: nothing waits on a lone submit
+// record. It is durable once any later outcome append's durability
+// callback fires (FIFO order), or after Sync or Close. r is encoded
+// before the call returns and not retained.
 func (l *Logger) AppendSubmit(r *SubmitRecord) (uint64, error) {
 	l.mu.Lock()
 	if err := l.appendErrLocked(); err != nil {
@@ -163,7 +165,6 @@ func (l *Logger) AppendSubmit(r *SubmitRecord) (uint64, error) {
 	l.pendSubmits = append(l.pendSubmits, seq)
 	l.stats.Submits++
 	l.mu.Unlock()
-	l.kickSync()
 	return seq, nil
 }
 

@@ -377,3 +377,64 @@ func TestSyncFailureIsSticky(t *testing.T) {
 	}
 	l.Close()
 }
+
+// TestSubmitAppendDoesNotWakeSyncer: nothing waits on a lone submit
+// record, so appending one costs no fsync — it stays buffered until the
+// next outcome append (whose callback then covers it, FIFO) or an
+// explicit Sync.
+func TestSubmitAppendDoesNotWakeSyncer(t *testing.T) {
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, nil)
+	defer l.Close()
+	appendPair(t, l, 1) // the syncer is up and has flushed once
+	before := l.Stats()
+
+	var seqs []uint64
+	for i := 0; i < 3; i++ {
+		seq, err := l.AppendSubmit(&SubmitRecord{Items: []int32{int32(10 + i)}, Compute: time.Millisecond, Deadline: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	time.Sleep(20 * time.Millisecond) // a kicked syncer would have flushed by now
+	if st := l.Stats(); st.Syncs != before.Syncs || st.PendingSync == 0 || st.Unresolved != 0 {
+		t.Fatalf("after submit-only appends: %+v (before: syncs %d); want no sync, bytes pending, nothing registered", st, before.Syncs)
+	}
+
+	// The next outcome's durability callback makes all three durable.
+	ch := make(chan error, 1)
+	if err := l.AppendOutcome(&OutcomeRecord{Seq: seqs[0], State: 3}, func(err error) { ch <- err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ch; err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Syncs != before.Syncs+1 || st.PendingSync != 0 || st.Unresolved != 2 {
+		t.Fatalf("after the outcome's callback: %+v; want one more sync, nothing pending, two unresolved", st)
+	}
+
+	// So does Sync, with no outcome in sight.
+	last, err := l.AppendSubmit(&SubmitRecord{Items: []int32{20}, Compute: time.Millisecond, Deadline: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.PendingSync != 0 || st.Unresolved != 3 {
+		t.Fatalf("after Sync: %+v; want nothing pending, three unresolved", st)
+	}
+	fs.Crash()
+	rec, err := Scan(fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, u := range rec.Unresolved {
+		got = append(got, u.Seq)
+	}
+	if want := []uint64{seqs[1], seqs[2], last}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unresolved after crash: %v, want %v", got, want)
+	}
+}
