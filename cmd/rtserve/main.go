@@ -81,13 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		walRetain  = fs.Int("wal-retain", 0, "fully-resolved WAL segments to keep before deletion (0 = default)")
 		recoverWAL = fs.Bool("recover", false, "replay unresolved WAL submissions through the engine at startup (requires -wal-dir); without it they are resolved as aborted")
 		walDump    = fs.Bool("wal-dump", false, "scan the WAL at -wal-dir, print every record as JSON lines plus a summary, and exit")
-
-		predScale = fs.Float64("predict-scale", -1, "cca-p/cca-t: observed-conflict-rate penalty scale (-1 = default)")
-		predDecay = fs.Float64("predict-decay", -1, "cca-p/cca-t: per-window statistics decay in [0,1] (-1 = default)")
-		feedback  = fs.Int("feedback", 0, "cca-t: terminal decisions per tuner feedback window (0 = default)")
-		tunerStep = fs.Float64("tuner-step", 0, "cca-t: initial hill-climb step for the penalty weight (0 = default)")
-		tunerMax  = fs.Float64("tuner-max", 0, "cca-t: upper clamp for the tuned weight (0 = default)")
-		epsilon   = fs.Float64("epsilon", 0, "cca-t: ε-greedy exploration probability")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,24 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Admission = core.AdmissionConfig{Mode: mode, MaxLive: *admMax}
 	if cfg.Policy == core.CCAP || cfg.Policy == core.CCAT {
-		p := core.DefaultPredictConfig()
-		if *predScale >= 0 {
-			p.RateScale = *predScale
-		}
-		if *predDecay >= 0 {
-			p.Decay = *predDecay
-		}
-		if *feedback > 0 {
-			p.FeedbackWindow = *feedback
-		}
-		if *tunerStep > 0 {
-			p.TunerStep = *tunerStep
-		}
-		if *tunerMax > 0 {
-			p.TunerMax = *tunerMax
-		}
-		p.Epsilon = *epsilon
-		cfg.Predict = p
+		cfg.Predict = core.DefaultPredictConfig()
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "rtserve: %v\n", err)

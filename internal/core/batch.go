@@ -6,10 +6,12 @@
 // so the handoff cost is paid once per driver wakeup instead of once per
 // transaction. Each submission goes through validation, admission control
 // and onArrival in batch order; the blocking Submit is a one-element batch
-// (SubmitOne).
+// behind a Waiter.
 package core
 
 import (
+	"context"
+	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -56,6 +58,84 @@ func (h SubmitHandle) Cancel() {
 // CancelHandle wraps an arbitrary cancel func as a SubmitHandle (the
 // sharded service's cross-shard path uses it).
 func CancelHandle(fn func()) SubmitHandle { return SubmitHandle{cancelFn: fn} }
+
+// LateCancel is the cancel side of a submission whose handles arrive after
+// the submit call returned (the server's batcher injects later; a cross-shard
+// request gets one handle per part at the next epoch flush). Cancel wounds
+// every handle armed so far, and Arm wounds on arrival once Cancel has been
+// asked for — so a cancel request is never lost to the handoff.
+type LateCancel struct {
+	mu        sync.Mutex
+	handles   []SubmitHandle
+	cancelled bool
+}
+
+// Arm hands over one injected handle.
+func (c *LateCancel) Arm(h SubmitHandle) {
+	c.mu.Lock()
+	cancelled := c.cancelled
+	if !cancelled {
+		c.handles = append(c.handles, h)
+	}
+	c.mu.Unlock()
+	if cancelled {
+		h.Cancel()
+	}
+}
+
+// Cancel wounds the submission: the handles already armed now, the rest as
+// they arrive. The answer still comes through Done, like any other.
+func (c *LateCancel) Cancel() {
+	c.mu.Lock()
+	c.cancelled = true
+	handles := c.handles
+	c.handles = nil
+	c.mu.Unlock()
+	for _, h := range handles {
+		h.Cancel()
+	}
+}
+
+// Waiter is the blocking end of one submission, shared by every Submit and
+// the HTTP front-end: Done is its Submission.Done, Arm takes its handle
+// whenever that arrives, Wait blocks for the answer.
+type Waiter struct {
+	LateCancel
+	ch chan answer
+}
+
+type answer struct {
+	o   ServiceOutcome
+	err error
+}
+
+// NewWaiter returns a waiter for one submission.
+func NewWaiter() *Waiter { return &Waiter{ch: make(chan answer, 1)} }
+
+// Done delivers the answer; it never blocks.
+func (w *Waiter) Done(o ServiceOutcome, err error) { w.ch <- answer{o, err} }
+
+// Wait blocks until the submission's terminal answer. The context carries
+// the client: cancellation wounds the transaction (it is dropped — a response
+// no one is waiting for has no value) and Wait returns the ctx error
+// alongside the terminal outcome. Validation, ErrDraining, ErrServiceStopped
+// and ErrEngineFailed come back as the error; an admission-control rejection
+// is not an error but an outcome (StateRejected) so callers can distinguish
+// shedding from failure. There is no stop signal to race: Done is guaranteed
+// to fire exactly once, so waiting on it alone cannot hang.
+func (w *Waiter) Wait(ctx context.Context) (ServiceOutcome, error) {
+	select {
+	case a := <-w.ch:
+		return a.o, a.err
+	case <-ctx.Done():
+		w.Cancel()
+		a := <-w.ch
+		if a.err == nil {
+			a.err = ctx.Err()
+		}
+		return a.o, a.err
+	}
+}
 
 // failAll reports err to every submission that is still the call's to
 // answer (Done != nil).

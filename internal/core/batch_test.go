@@ -126,3 +126,69 @@ func TestSubmitBatchDraining(t *testing.T) {
 		t.Fatal("draining batch never answered")
 	}
 }
+
+// TestLateCancel: a cancel request reaches every handle of its submission
+// exactly once, whichever side of the handoff it arrives on — before any
+// handle (the server's queue, a cross-shard request waiting for its flush),
+// after, in between the N parts of a cross-shard request, twice, or racing
+// the arming goroutine.
+func TestLateCancel(t *testing.T) {
+	counting := func(n *[4]int, i int) SubmitHandle { return CancelHandle(func() { n[i]++ }) }
+
+	t.Run("cancel before arm", func(t *testing.T) {
+		var lc LateCancel
+		var n [4]int
+		lc.Cancel()
+		lc.Arm(counting(&n, 0))
+		if n[0] != 1 {
+			t.Fatalf("handle armed after the cancel wounded %d times, want 1", n[0])
+		}
+	})
+	t.Run("cancel after arm, twice", func(t *testing.T) {
+		var lc LateCancel
+		var n [4]int
+		lc.Arm(counting(&n, 0))
+		if n[0] != 0 {
+			t.Fatal("Arm wounded a handle nobody cancelled")
+		}
+		lc.Cancel()
+		lc.Cancel()
+		if n[0] != 1 {
+			t.Fatalf("handle wounded %d times by two Cancels, want 1", n[0])
+		}
+	})
+	t.Run("n handles, cancel in between", func(t *testing.T) {
+		var lc LateCancel
+		var n [4]int
+		lc.Arm(counting(&n, 0))
+		lc.Arm(counting(&n, 1))
+		lc.Cancel()
+		lc.Arm(counting(&n, 2))
+		lc.Arm(counting(&n, 3))
+		if n != [4]int{1, 1, 1, 1} {
+			t.Fatalf("parts wounded %v times, want each exactly once", n)
+		}
+	})
+	t.Run("racing", func(t *testing.T) {
+		for round := 0; round < 200; round++ {
+			var lc LateCancel
+			var wounded [4]chan struct{}
+			armed := make(chan struct{})
+			go func() {
+				defer close(armed)
+				for i := range wounded {
+					ch := make(chan struct{}, 2)
+					wounded[i] = ch
+					lc.Arm(CancelHandle(func() { ch <- struct{}{} }))
+				}
+			}()
+			lc.Cancel()
+			<-armed
+			for i, ch := range wounded {
+				if len(ch) != 1 {
+					t.Fatalf("round %d: part %d wounded %d times, want 1", round, i, len(ch))
+				}
+			}
+		}
+	})
+}

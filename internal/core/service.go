@@ -327,38 +327,11 @@ func (s *Service) Draining() bool {
 }
 
 // Submit runs one transaction through the service and blocks until it
-// reaches a terminal state (see SubmitOne).
+// reaches a terminal state: a one-element batch behind a Waiter.
 func (s *Service) Submit(ctx context.Context, req ServiceRequest) (ServiceOutcome, error) {
-	return SubmitOne(ctx, s.SubmitBatch, req)
-}
-
-// SubmitOne is the blocking form of a batched submit, shared by every
-// service: a one-element batch, then wait for its Done. The request context
-// carries the client: cancellation wounds the transaction (it is dropped — a
-// response no one is waiting for has no value) and returns the ctx error
-// alongside the terminal outcome. Validation, ErrDraining, ErrServiceStopped
-// and ErrEngineFailed come back as the error; an admission-control rejection
-// is not an error but an outcome (StateRejected) so callers can distinguish
-// shedding from failure. There is no stop signal to race: Done is guaranteed
-// to fire exactly once, so waiting on it alone cannot hang.
-func SubmitOne(ctx context.Context, batch func([]Submission) []SubmitHandle, req ServiceRequest) (ServiceOutcome, error) {
-	type answer struct {
-		o   ServiceOutcome
-		err error
-	}
-	ch := make(chan answer, 1)
-	h := batch([]Submission{{Req: req, Done: func(o ServiceOutcome, err error) { ch <- answer{o, err} }}})[0]
-	select {
-	case a := <-ch:
-		return a.o, a.err
-	case <-ctx.Done():
-		h.Cancel()
-		a := <-ch
-		if a.err == nil {
-			a.err = ctx.Err()
-		}
-		return a.o, a.err
-	}
+	w := NewWaiter()
+	w.Arm(s.SubmitBatch([]Submission{{Req: req, Done: w.Done}})[0])
+	return w.Wait(ctx)
 }
 
 // Drain performs graceful shutdown of the transaction flow: new

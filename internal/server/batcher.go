@@ -7,10 +7,17 @@
 // wakeup per batch. Queues are sharded to align with the engine shards
 // (item i lives on shard i % N), so a flusher's batch tends to be
 // single-shard and takes the sharded service's direct routing path.
+//
+// It is also where an answer leaves the service: batcher.done is the only
+// adapter between a Submission.Done and a front-end, so every answer of
+// either protocol — terminal outcomes, refusals, the shutdown sweep — moves
+// the request counters there, once, and is then handed to its
+// wire.Completer.
 package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -22,16 +29,20 @@ type pending struct {
 	id  uint64
 	req core.ServiceRequest
 	c   wire.Completer
-	// counted has the batcher fold the answer into the server's request
-	// counters: the wire path. The HTTP handler counts as it writes its
-	// response.
-	counted bool
+}
+
+// answerCounts tallies answers by their wire.Status*.
+type answerCounts [wire.StatusFailed + 1]atomic.Int64
+
+// engineAnswered is every answer the engine gave, whatever the fate.
+func (a *answerCounts) engineAnswered() int64 {
+	return a[wire.StatusCommitted].Load() + a[wire.StatusDropped].Load() + a[wire.StatusRejected].Load()
 }
 
 type batcher struct {
 	svc *shard.Service
-	// count is Server.countAnswer.
-	count    func(core.ServiceOutcome, error)
+	// answers is Server.answers.
+	answers  *answerCounts
 	queues   []chan pending
 	maxBatch int
 	stop     chan struct{}
@@ -41,14 +52,14 @@ type batcher struct {
 	closed bool
 }
 
-func newBatcher(svc *shard.Service, depth int, count func(core.ServiceOutcome, error)) *batcher {
+func newBatcher(svc *shard.Service, depth int, answers *answerCounts) *batcher {
 	qs := make([]chan pending, svc.Shards())
 	for i := range qs {
 		qs[i] = make(chan pending, depth)
 	}
 	return &batcher{
 		svc:      svc,
-		count:    count,
+		answers:  answers,
 		queues:   qs,
 		maxBatch: 512,
 		stop:     make(chan struct{}),
@@ -62,10 +73,12 @@ func (b *batcher) start() {
 	}
 }
 
-// shutdown stops the flushers and fails anything still queued. Every
-// enqueued submission is guaranteed an answer: entries that reached a
-// flusher were answered through SubmitBatch's Done contract, and the
-// final sweep here answers the stragglers.
+// shutdown stops the flushers and answers what is still queued through the
+// same done as every other answer. Every enqueued submission is guaranteed
+// one: entries a flusher took were answered through SubmitBatch's Done
+// contract, nothing can join a queue once closed is set (enqueue sends under
+// the read lock), and the service is draining by now, so the refusal here is
+// the one SubmitBatch would have given.
 func (b *batcher) shutdown() {
 	b.mu.Lock()
 	b.closed = true
@@ -73,15 +86,9 @@ func (b *batcher) shutdown() {
 	close(b.stop)
 	b.wg.Wait()
 	for _, q := range b.queues {
-		for {
-			select {
-			case p := <-q:
-				p.c.Complete(p.id, core.ServiceOutcome{}, core.ErrDraining)
-			default:
-			}
-			if len(q) == 0 {
-				break
-			}
+		for len(q) > 0 {
+			p := <-q
+			b.done(p.id, p.c)(core.ServiceOutcome{}, core.ErrDraining)
 		}
 	}
 }
@@ -89,7 +96,7 @@ func (b *batcher) shutdown() {
 // enqueue routes one submission to its shard-aligned queue. False means
 // the queue is full or the batcher is shut down — an overload shed the
 // caller must answer itself (nothing will be called back).
-func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer, counted bool) bool {
+func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
 	qi := 0
 	if n := len(b.queues); n > 1 && len(req.Items) > 0 {
 		if it := int(req.Items[0]); it >= 0 {
@@ -102,7 +109,7 @@ func (b *batcher) enqueue(id uint64, req core.ServiceRequest, c wire.Completer, 
 		return false
 	}
 	select {
-	case b.queues[qi] <- pending{id: id, req: req, c: c, counted: counted}:
+	case b.queues[qi] <- pending{id: id, req: req, c: c}:
 		return true
 	default:
 		return false
@@ -120,18 +127,7 @@ func (b *batcher) flusher(q chan pending) {
 			b.fill(&batch, q)
 			subs = b.inject(batch, subs[:0])
 		case <-b.stop:
-			// Final greedy sweep; the service is draining by now, so
-			// these resolve instantly with ErrDraining.
-			for {
-				select {
-				case p := <-q:
-					batch = append(batch[:0], p)
-					b.fill(&batch, q)
-					subs = b.inject(batch, subs[:0])
-				default:
-					return
-				}
-			}
+			return
 		}
 	}
 }
@@ -149,20 +145,20 @@ func (b *batcher) fill(batch *[]pending, q chan pending) {
 	}
 }
 
+// done is a submission's Submission.Done: count the answer, then hand it to
+// the front-end that is waiting for it. The closure outlives the batch
+// slice; it captures the two words it needs, not the request.
+func (b *batcher) done(id uint64, c wire.Completer) func(core.ServiceOutcome, error) {
+	return func(o core.ServiceOutcome, err error) {
+		status, _, _ := wire.Classify(o, err)
+		b.answers[status].Add(1)
+		c.Complete(id, o, err)
+	}
+}
+
 func (b *batcher) inject(batch []pending, subs []core.Submission) []core.Submission {
 	for i := range batch {
-		// The closure outlives the batch slice; it captures the three
-		// words it needs, not the request.
-		id, c, counted := batch[i].id, batch[i].c, batch[i].counted
-		subs = append(subs, core.Submission{
-			Req: batch[i].req,
-			Done: func(o core.ServiceOutcome, err error) {
-				if counted {
-					b.count(o, err)
-				}
-				c.Complete(id, o, err)
-			},
-		})
+		subs = append(subs, core.Submission{Req: batch[i].req, Done: b.done(batch[i].id, batch[i].c)})
 	}
 	handles := b.svc.SubmitBatch(subs)
 	for i := range handles {

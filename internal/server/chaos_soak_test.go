@@ -233,6 +233,38 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("chaos soak: %d committed, %d transport failures of %d", committed.Load(), failed.Load(), total)
 
+	// No-timeout phase: a direct client that abandons nothing, pipelining
+	// into the server the chaos just left full of severed connections and
+	// wounded transactions. Every request gets its own answer, and every
+	// frame the client reads is one somebody waits for — a twice-answered
+	// or foreign correlation ID shows up here and nowhere else in-process.
+	direct, err := wire.DialOptions(wireAddr, 2*time.Second, wire.ClientOptions{RequestTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dwg sync.WaitGroup
+	var directAnswers atomic.Int64
+	for g := 0; g < 8; g++ {
+		dwg.Add(1)
+		go func(g int) {
+			defer dwg.Done()
+			for i := 0; i < 32; i++ {
+				if _, err := direct.Submit(&wire.SubmitReq{
+					Items:    []txn.Item{txn.Item((g*32 + i) % 30)},
+					Compute:  100 * time.Microsecond,
+					Deadline: 2 * time.Second,
+				}); err == nil {
+					directAnswers.Add(1)
+				}
+			}
+		}(g)
+	}
+	dwg.Wait()
+	if got, n := directAnswers.Load(), direct.Unmatched(); got != 8*32 || n != 0 {
+		t.Fatalf("no-timeout phase: %d/%d answered, %d unmatched frames", got, 8*32, n)
+	}
+	direct.Close()
+
 	if err := stop(); err != nil {
 		t.Fatalf("drain under chaos: %v", err)
 	}

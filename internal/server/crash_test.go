@@ -193,7 +193,7 @@ func openAndClose(t *testing.T, fsys wal.FS) *wal.Recovery {
 func waitNotRecovering(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Recovering() {
+	for s.recovering.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("replay did not finish")
 		}
@@ -424,7 +424,7 @@ func TestDrainDuringRecoveryReplay(t *testing.T) {
 		Recover:      true,
 		DrainTimeout: time.Second,
 	})
-	if !srv.Recovering() {
+	if !srv.recovering.Load() {
 		t.Fatal("server not recovering right after start")
 	}
 	resp, err := http.Get(base + "/healthz")
@@ -441,7 +441,7 @@ func TestDrainDuringRecoveryReplay(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	if srv.Recovering() {
+	if srv.recovering.Load() {
 		t.Error("still recovering after drain")
 	}
 	rs := srv.ReplayStats()

@@ -26,12 +26,19 @@
 // second service type behind the batcher: one shard is the same code as
 // many. Overload and drain behavior is identical on both front-ends: fast
 // shed with an admission-derived Retry-After.
+//
+// The way back is as single as the way in. wire.Classify turns an answer
+// into a status once; the batcher's done closure counts it (Server.answers
+// is indexed by that status) and hands it to the waiting front-end, which
+// only renders it: the HTTP handler blocks on the core.Waiter every
+// Service.Submit uses and looks its status code up from the same table the
+// wire response is built from. The handler itself counts only what never
+// reached the batcher: undecodable JSON and the at-capacity shed.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"math"
@@ -155,13 +162,15 @@ type Server struct {
 	stats   core.ServiceStats
 	statsOK bool
 
-	// Request counters (also rendered by /metrics).
-	accepted atomic.Int64 // submissions that reached the engine
-	shed     atomic.Int64 // fast 503s: inflight bound or draining
-	rejected atomic.Int64 // engine admission rejections
-	badReqs  atomic.Int64
-	panics   atomic.Int64
-	failed   atomic.Int64 // engine-failure outcomes (500s): outcome unknown
+	// Request counters (also rendered by /metrics). answers counts every
+	// answer that came back through the batcher (batcher.done, the one
+	// place it moves), either protocol, by its wire.Status*; shed and
+	// badReqs count what the HTTP handler refused before the batcher
+	// (inflight bound or full queue; undecodable JSON).
+	answers answerCounts
+	shed    atomic.Int64
+	badReqs atomic.Int64
+	panics  atomic.Int64
 
 	// wireSrv holds the wire front-end once ServeListeners starts it, so
 	// /metrics can render its connection counters.
@@ -223,7 +232,7 @@ func New(opts Options) (*Server, error) {
 	} else {
 		close(s.replayDone)
 	}
-	s.batch = newBatcher(svc, opts.MaxInflight, s.countAnswer)
+	s.batch = newBatcher(svc, opts.MaxInflight, &s.answers)
 	s.mux.HandleFunc("/submit", s.handleSubmit)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -236,9 +245,9 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Final returns the metrics snapshot flushed during shutdown, once Serve
-// has returned. It reports false if Serve never drained (engine died
-// before the snapshot could be taken).
+// Final returns the metrics snapshot flushed during shutdown, once
+// ServeListeners has returned. It reports false if it never drained (engine
+// died before the snapshot could be taken).
 func (s *Server) Final() (core.ServiceStats, bool) {
 	s.finalMu.Lock()
 	defer s.finalMu.Unlock()
@@ -262,19 +271,13 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Serve runs the engine and the HTTP server on ln until ctx is cancelled
-// or the engine fails, then shuts down gracefully: refuse new work, drain
-// or wound in-flight transactions, stop the listener, stop the engine.
-// A cancellation-initiated shutdown returns nil; an engine failure returns
-// its error.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	return s.ServeListeners(ctx, ln, nil)
-}
-
-// ServeListeners is Serve with an optional second listener speaking the
-// binary wire protocol (internal/wire). Both front-ends share the
-// batcher, the admission machinery and the drain sequence; wireLn may be
-// nil for HTTP only.
+// ServeListeners runs the engine, the HTTP server on httpLn and — when
+// wireLn is not nil — the binary wire protocol (internal/wire) on wireLn,
+// until ctx is cancelled or the engine fails, then shuts down gracefully:
+// refuse new work, drain or wound in-flight transactions, stop the
+// listeners, stop the engine. Both front-ends share the batcher, the
+// admission machinery and the drain sequence. A cancellation-initiated
+// shutdown returns nil; an engine failure returns its error.
 func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener) error {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
@@ -368,26 +371,7 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 type wireBackend struct{ s *Server }
 
 func (b wireBackend) Enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
-	return b.s.batch.enqueue(id, req, c, true)
-}
-
-// countAnswer folds a wire-path answer into the server's request counters
-// so /metrics reports the same truths regardless of which protocol carried
-// the request.
-func (s *Server) countAnswer(o core.ServiceOutcome, err error) {
-	switch {
-	case err == nil:
-		s.accepted.Add(1)
-		if o.State == core.StateRejected {
-			s.rejected.Add(1)
-		}
-	case errors.Is(err, core.ErrDraining) || errors.Is(err, core.ErrServiceStopped):
-		s.shed.Add(1)
-	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
-		s.failed.Add(1)
-	default:
-		s.badReqs.Add(1)
-	}
+	return b.s.batch.enqueue(id, req, c)
 }
 
 func (b wireBackend) RetryAfterSecs() int { return b.s.retryAfterSecs() }
@@ -542,12 +526,22 @@ func (s *Server) retryAfterSecs() int {
 	return secs
 }
 
-func (s *Server) shedResponse(w http.ResponseWriter, reason string) {
-	s.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
+// respond renders one /submit answer; it counts nothing.
+func (s *Server) respond(w http.ResponseWriter, code int, retry bool, resp SubmitResponse) {
+	if retry {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(SubmitResponse{State: "shed", Missed: true, Error: reason})
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// atCapacity sheds a request the batcher never saw — the one answer the
+// handler counts itself.
+func (s *Server) atCapacity(w http.ResponseWriter) {
+	s.shed.Add(1)
+	s.respond(w, http.StatusServiceUnavailable, true,
+		SubmitResponse{State: "shed", Missed: true, Error: "server at capacity"})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -562,7 +556,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case s.inflight <- struct{}{}:
 		defer func() { <-s.inflight }()
 	default:
-		s.shedResponse(w, "server at capacity")
+		s.atCapacity(w)
 		return
 	}
 
@@ -588,52 +582,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	// The submission rides the sharded batcher like every other
-	// front-end; if the client disconnects the waiter wounds it so
-	// abandoned work stops consuming CPU.
-	wt := &httpWaiter{ch: make(chan outcomeErr, 1)}
-	if !s.batch.enqueue(0, creq, wt, false) {
-		s.shedResponse(w, "server at capacity")
+	// The submission rides the sharded batcher like every other front-end,
+	// and the handler blocks the way Service.Submit does: if the client
+	// disconnects, Wait wounds the submission (so abandoned work stops
+	// consuming CPU) and still takes its terminal answer, so the engine is
+	// done with it before we return.
+	wt := httpWaiter{core.NewWaiter()}
+	if !s.batch.enqueue(0, creq, wt) {
+		s.atCapacity(w)
 		return
 	}
-	var o core.ServiceOutcome
-	var err error
-	select {
-	case oe := <-wt.ch:
-		o, err = oe.o, oe.err
-	case <-r.Context().Done():
-		// Client gone: wound the submission, then wait for its terminal
-		// outcome so the engine is done with it before we return. Nobody
-		// is reading the response, but write a coherent one for proxies
-		// that still are.
-		wt.cancel()
-		<-wt.ch
+	o, err := wt.Wait(r.Context())
+	if r.Context().Err() != nil {
+		// Nobody is reading the response, but write a coherent one for
+		// proxies that still are.
 		w.WriteHeader(http.StatusServiceUnavailable)
 		return
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrDraining):
-		s.shedResponse(w, "draining")
+	status, code, retry := wire.Classify(o, err)
+	switch status {
+	case wire.StatusShed:
+		s.respond(w, code, retry, SubmitResponse{State: "shed", Missed: true, Error: err.Error()})
 		return
-	case errors.Is(err, core.ErrServiceStopped):
-		s.shedResponse(w, "service stopped")
-		return
-	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
-		// The engine died with this submission in flight (or its outcome
-		// could not be made durable): the outcome is unknown, so this is
-		// a 500 (not a retriable 503) — blind resubmission could
-		// double-execute.
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	default:
-		s.badReqs.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	case wire.StatusFailed, wire.StatusInvalid:
+		// Failed is a 500, not a retriable 503: the engine died with this
+		// submission in flight (or its outcome could not be made durable),
+		// so blind resubmission could double-execute.
+		http.Error(w, err.Error(), code)
 		return
 	}
-	s.accepted.Add(1)
-
 	resp := SubmitResponse{
 		State:      o.State.String(),
 		Missed:     o.Missed,
@@ -642,66 +619,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Restarts:   o.Restarts,
 		WALSeq:     o.Seq,
 	}
-	status := http.StatusOK
-	switch o.State {
-	case core.StateCommitted:
+	if status == wire.StatusCommitted {
 		resp.FinishMs = ms(o.Finish)
 		resp.ResponseMs = ms(o.Response)
 		s.observeResponse(time.Since(start))
-	case core.StateRejected:
-		// Load shed by the engine's admission controller: the deadline
-		// was infeasible given the backlog. Fast 503, try again later.
-		s.rejected.Add(1)
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-	default: // dropped (drain wound)
-		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	s.respond(w, code, retry, resp)
 }
 
-// outcomeErr pairs a terminal outcome with its error for channel
-// delivery.
-type outcomeErr struct {
-	o   core.ServiceOutcome
-	err error
-}
+// httpWaiter is the HTTP handler's wire.Completer: a core.Waiter behind the
+// batcher's completion interface.
+type httpWaiter struct{ *core.Waiter }
 
-// httpWaiter adapts one HTTP submission to the batcher's completion
-// interface: the handler goroutine parks on ch while the flusher and
-// engine do the work, and cancel wounds the submission on client
-// disconnect whether the handle has arrived yet or not.
-type httpWaiter struct {
-	ch chan outcomeErr
-
-	mu        sync.Mutex
-	h         core.SubmitHandle
-	cancelled bool
-}
-
-func (wt *httpWaiter) Complete(_ uint64, o core.ServiceOutcome, err error) {
-	wt.ch <- outcomeErr{o, err}
-}
-
-func (wt *httpWaiter) OnHandle(_ uint64, h core.SubmitHandle) {
-	wt.mu.Lock()
-	wt.h = h
-	cancelled := wt.cancelled
-	wt.mu.Unlock()
-	if cancelled {
-		h.Cancel()
-	}
-}
-
-func (wt *httpWaiter) cancel() {
-	wt.mu.Lock()
-	wt.cancelled = true
-	h := wt.h
-	wt.mu.Unlock()
-	h.Cancel()
-}
+func (wt httpWaiter) Complete(_ uint64, o core.ServiceOutcome, err error) { wt.Done(o, err) }
+func (wt httpWaiter) OnHandle(_ uint64, h core.SubmitHandle)              { wt.Arm(h) }
 
 // MetricsResponse is the GET /metrics body.
 type MetricsResponse struct {
@@ -753,12 +684,12 @@ func (s *Server) metricsResponse() MetricsResponse {
 	resp := MetricsResponse{
 		Draining: s.svc.Draining(),
 		Degraded: s.svc.Degraded(),
-		Accepted: s.accepted.Load(),
-		Shed:     s.shed.Load(),
-		Rejected: s.rejected.Load(),
-		BadReqs:  s.badReqs.Load(),
+		Accepted: s.answers.engineAnswered(),
+		Shed:     s.shed.Load() + s.answers[wire.StatusShed].Load(),
+		Rejected: s.answers[wire.StatusRejected].Load(),
+		BadReqs:  s.badReqs.Load() + s.answers[wire.StatusInvalid].Load(),
 		Panics:   s.panics.Load(),
-		Failed:   s.failed.Load(),
+		Failed:   s.answers[wire.StatusFailed].Load(),
 		Inflight: len(s.inflight),
 	}
 	if st := s.svc.SupervisionStats(); st.Enabled {
@@ -779,7 +710,7 @@ func (s *Server) metricsResponse() MetricsResponse {
 		rs := s.ReplayStats()
 		resp.WAL = &ws
 		resp.Replay = &rs
-		resp.Recovering = s.Recovering()
+		resp.Recovering = s.recovering.Load()
 	}
 	resp.P50ResponseMs, resp.P95ResponseMs, resp.P99ResponseMs = s.responsePercentiles()
 	return resp
@@ -804,7 +735,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// recovering=true means the startup replay of unresolved WAL records
 	// is still running (new traffic is served normally meanwhile).
 	fmt.Fprintf(w, "ok draining=%v degraded=%v recovering=%v\n",
-		s.svc.Draining(), s.svc.Degraded(), s.Recovering())
+		s.svc.Draining(), s.svc.Degraded(), s.recovering.Load())
 }
 
 // observeResponse records one completed submission's wall response time.

@@ -32,7 +32,7 @@ func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Serve(ctx, ln) }()
+	go func() { done <- s.ServeListeners(ctx, ln, nil) }()
 	stopped := false
 	stop := func() error {
 		if stopped {
@@ -44,7 +44,7 @@ func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
 		case err := <-done:
 			return err
 		case <-time.After(30 * time.Second):
-			t.Fatal("Serve did not return after cancel")
+			t.Fatal("ServeListeners did not return after cancel")
 			return nil
 		}
 	}
@@ -349,7 +349,7 @@ func TestServerEngineFailureSurfaces(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- s.Serve(ctx, ln) }()
+	go func() { done <- s.ServeListeners(ctx, ln, nil) }()
 
 	// A lower-priority transaction wounding a higher-priority one violates
 	// Lemma 1; the live oracle must stop the service on observing it.

@@ -110,6 +110,9 @@ func TestOneServingPath(t *testing.T) {
 		note("wire out of range: status %d err %v", resp.Status, err)
 		hr, err := c.Health()
 		note("wire health: healthy=%v draining=%v err %v", hr.Healthy, hr.Draining, err)
+		if n := c.Unmatched(); n != 0 {
+			t.Errorf("%s: wire client read %d frames nobody was waiting for", v.name, n)
+		}
 		c.Close()
 
 		note("healthz: %s", getBody(t, base+"/healthz"))

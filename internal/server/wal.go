@@ -23,7 +23,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // replayChunk bounds one SubmitBatch of recovered submissions, so a
@@ -57,10 +57,12 @@ type ReplayStats struct {
 }
 
 // replayState carries the counters the replay goroutine updates while
-// /metrics reads them.
+// /metrics reads them: answers tallies every replayed submission's answer by
+// its wire.Status* (ReplayStats folds them); aborted and failed count the
+// records resolved, or given up on, without a submission.
 type replayState struct {
 	unresolved int
-	replayed   atomic.Int64
+	answers    answerCounts
 	aborted    atomic.Int64
 	failed     atomic.Int64
 }
@@ -107,10 +109,6 @@ func openWAL(opts *Options) (*wal.Logger, *wal.Recovery, error) {
 	return wal.Open(wo)
 }
 
-// Recovering reports that the startup replay of unresolved WAL records
-// is still in progress (also on /healthz as recovering=true).
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // WAL returns the server's write-ahead log (nil when disabled) — test
 // and tooling access.
 func (s *Server) WAL() *wal.Logger { return s.wal }
@@ -119,13 +117,18 @@ func (s *Server) WAL() *wal.Logger { return s.wal }
 // the WAL is disabled).
 func (s *Server) Recovery() *wal.Recovery { return s.recovery }
 
-// ReplayStats snapshots the recovery-replay counters.
+// ReplayStats snapshots the recovery-replay counters. An engine answer of
+// any fate re-executed the record. Shed and Failed did not: a record left
+// unresolved (the drain path refuses before any append) is picked up by the
+// next recovery. Invalid was refused by validation: WrapDone appended the
+// aborted outcome, so the record is resolved.
 func (s *Server) ReplayStats() ReplayStats {
+	a := &s.replay.answers
 	return ReplayStats{
 		Unresolved: s.replay.unresolved,
-		Replayed:   s.replay.replayed.Load(),
-		Aborted:    s.replay.aborted.Load(),
-		Failed:     s.replay.failed.Load(),
+		Replayed:   a.engineAnswered(),
+		Aborted:    s.replay.aborted.Load() + a[wire.StatusInvalid].Load(),
+		Failed:     s.replay.failed.Load() + a[wire.StatusShed].Load() + a[wire.StatusFailed].Load(),
 		Done:       !s.recovering.Load(),
 	}
 }
@@ -183,22 +186,8 @@ func (s *Server) replayWAL(ctx context.Context) {
 				WALSeq: rec.Seq,
 				Done: func(o core.ServiceOutcome, err error) {
 					defer wg.Done()
-					switch {
-					case err == nil:
-						s.replay.replayed.Add(1)
-					case errors.Is(err, core.ErrDraining),
-						errors.Is(err, core.ErrServiceStopped),
-						errors.Is(err, core.ErrEngineFailed),
-						errors.Is(err, core.ErrLogFailed):
-						// Not re-executed; a record left unresolved (the
-						// drain path refuses before any append) is picked
-						// up by the next recovery.
-						s.replay.failed.Add(1)
-					default:
-						// Refused by validation: WrapDone appended the
-						// aborted outcome; the record is resolved.
-						s.replay.aborted.Add(1)
-					}
+					status, _, _ := wire.Classify(o, err)
+					s.replay.answers[status].Add(1)
 				},
 			})
 		}

@@ -160,7 +160,7 @@ func TestWireFrontEnd(t *testing.T) {
 
 // TestWireBatchedThroughput pushes concurrent pipelined submissions
 // from several connections through the batcher and checks they all
-// commit and are counted.
+// commit and show up in http_accepted.
 func TestWireBatchedThroughput(t *testing.T) {
 	s, _, wireAddr, _ := startDualServer(t, Options{
 		Core:        core.MainMemoryConfig(core.CCA, 22),
@@ -208,7 +208,7 @@ func TestWireBatchedThroughput(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := s.accepted.Load(); got != conns*perConn {
+	if got := s.metricsResponse().Accepted; got != conns*perConn {
 		t.Fatalf("accepted %d, want %d", got, conns*perConn)
 	}
 }

@@ -210,10 +210,17 @@ func TestCrossAnsweredExactlyOnce(t *testing.T) {
 		cancel()
 		<-stopped
 		var c counted
-		s.SubmitBatch([]core.Submission{crossSub(&c, long, 0, 1)})
+		subs := []core.Submission{crossSub(&c, long, 0, 1)}
+		s.SubmitBatch(subs)
 		c.wait(t, "submission after stop")
 		if !errors.Is(c.err, core.ErrServiceStopped) || c.calls.Load() != 1 {
 			t.Errorf("answered %d times with err %v, want once with ErrServiceStopped", c.calls.Load(), c.err)
+		}
+		// SubmitBatch consumes subs[i].Done on every branch, the refusal
+		// included: a caller that reuses the slice must not find an
+		// already-answered Done in it.
+		if subs[0].Done != nil {
+			t.Error("the refusal path answered the entry and left its Done set")
 		}
 	})
 }

@@ -109,10 +109,15 @@ type partReq struct {
 }
 
 // pendingCross is one logical cross-shard submission: queued until the next
-// epoch flush, then in flight as one part per touched shard.
+// epoch flush, then in flight as one part per touched shard. Its handle is
+// cancel.Cancel: the flush arms one handle per injected part, and a client
+// that cancelled before the flush wounds each as it is armed. The logical
+// request is then answered like any other — dropped (or whatever its parts
+// had already reached), nil error.
 type pendingCross struct {
-	parts []partReq
-	done  func(core.ServiceOutcome, error)
+	parts  []partReq
+	done   func(core.ServiceOutcome, error)
+	cancel core.LateCancel
 
 	// left counts the parts not yet answered. Each part writes only its own
 	// slot of outcomes/errs; the atomic countdown orders those writes before
@@ -120,12 +125,6 @@ type pendingCross struct {
 	left     atomic.Int32
 	outcomes []core.ServiceOutcome
 	errs     []error
-
-	// mu guards the cancel handshake: Cancel may arrive before the flush
-	// has handles to wound.
-	mu        sync.Mutex
-	handles   []core.SubmitHandle
-	cancelled bool
 }
 
 func newPendingCross(req core.ServiceRequest, n int, done func(core.ServiceOutcome, error)) *pendingCross {
@@ -160,31 +159,6 @@ func (c *pendingCross) partDone(pi int) func(core.ServiceOutcome, error) {
 			}
 		}
 		c.done(foldParts(arrival, deadline, c.outcomes), first)
-	}
-}
-
-// arm hands the entry one injected part's handle, wounding it at once if
-// the client already cancelled.
-func (c *pendingCross) arm(h core.SubmitHandle) {
-	c.mu.Lock()
-	c.handles = append(c.handles, h)
-	cancelled := c.cancelled
-	c.mu.Unlock()
-	if cancelled {
-		h.Cancel()
-	}
-}
-
-// cancel wounds every part: those already injected now, the rest as the
-// flush arms them. The logical request is then answered like any other —
-// dropped (or whatever its parts had already reached), nil error.
-func (c *pendingCross) cancel() {
-	c.mu.Lock()
-	c.cancelled = true
-	handles := c.handles
-	c.mu.Unlock()
-	for _, h := range handles {
-		h.Cancel()
 	}
 }
 
@@ -426,10 +400,12 @@ func (s *Service) InjectShardPanic(i int, msg string) error {
 }
 
 // Submit routes one request and blocks until its terminal outcome (see
-// core.SubmitOne). A cross-shard request waits for the next epoch flush, so
+// core.Waiter). A cross-shard request waits for the next epoch flush, so
 // it loses up to one epoch of deadline budget — size Epoch accordingly.
 func (s *Service) Submit(ctx context.Context, req core.ServiceRequest) (core.ServiceOutcome, error) {
-	return core.SubmitOne(ctx, s.SubmitBatch, req)
+	w := core.NewWaiter()
+	w.Arm(s.SubmitBatch([]core.Submission{{Req: req, Done: w.Done}})[0])
+	return w.Wait(ctx)
 }
 
 // homeOf returns the shard holding every item of the access list, or -1
@@ -452,6 +428,7 @@ func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 	if err := s.refusing(); err != nil {
 		for i := range subs {
 			subs[i].Done(core.ServiceOutcome{}, err)
+			subs[i].Done = nil
 		}
 		return make([]core.SubmitHandle, len(subs))
 	}
@@ -505,7 +482,7 @@ func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 			continue
 		}
 		c := newPendingCross(subs[i].Req, s.n, subs[i].Done)
-		handles[i] = core.CancelHandle(c.cancel)
+		handles[i] = core.CancelHandle(c.cancel.Cancel)
 		if err := s.enqueue(c); err != nil {
 			c.done(core.ServiceOutcome{}, err)
 		}
@@ -569,7 +546,7 @@ func (s *Service) flush() {
 			continue
 		}
 		for k, h := range s.shard(shard).SubmitBatch(group) {
-			owners[shard][k].arm(h)
+			owners[shard][k].cancel.Arm(h)
 		}
 	}
 }

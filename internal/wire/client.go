@@ -37,9 +37,9 @@ type ClientOptions struct {
 	RequestTimeout time.Duration
 }
 
-// DefaultRequestTimeout is the per-request answer timeout when
+// defaultRequestTimeout is the per-request answer timeout when
 // ClientOptions leaves it zero.
-const DefaultRequestTimeout = 30 * time.Second
+const defaultRequestTimeout = 30 * time.Second
 
 // clientResp is what the reader goroutine delivers to a waiter.
 type clientResp struct {
@@ -69,6 +69,8 @@ type Client struct {
 	mu      sync.Mutex
 	waiters map[uint64]chan clientResp
 	err     error // set once broken/closed
+
+	unmatched atomic.Int64
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -111,20 +113,15 @@ func DialOptions(addr string, timeout time.Duration, opt ClientOptions) (*Client
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return NewClientOptions(nc, opt), nil
+	return newClient(nc, opt), nil
 }
 
-// NewClient wraps an established connection with default options.
-func NewClient(nc net.Conn) *Client {
-	return NewClientOptions(nc, ClientOptions{})
-}
-
-// NewClientOptions wraps an established connection.
-func NewClientOptions(nc net.Conn, opt ClientOptions) *Client {
+// newClient wraps an established connection.
+func newClient(nc net.Conn, opt ClientOptions) *Client {
 	to := opt.RequestTimeout
 	switch {
 	case to == 0:
-		to = DefaultRequestTimeout
+		to = defaultRequestTimeout
 	case to < 0:
 		to = 0
 	}
@@ -272,9 +269,18 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- cr
+		} else {
+			c.unmatched.Add(1)
 		}
 	}
 }
+
+// Unmatched counts the response frames that arrived for an ID nobody was
+// waiting on. A request abandoned by its timeout or context leaves one
+// behind when its answer does come; with no abandoned request, anything
+// above zero is a server answering a correlation ID twice, or one it was
+// never sent.
+func (c *Client) Unmatched() int64 { return c.unmatched.Load() }
 
 // await blocks until the response for id arrives, the context is done,
 // or the request timeout fires. The waiter channel is buffered, so a

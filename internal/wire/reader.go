@@ -26,9 +26,9 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), max: maxFrame}
 }
 
-// Buffered reports whether a complete frame is already in memory, so that
+// buffered reports whether a complete frame is already in memory, so that
 // the following Next returns it without reading the stream.
-func (fr *FrameReader) Buffered() bool {
+func (fr *FrameReader) buffered() bool {
 	n := fr.br.Buffered() - lenPrefix
 	if n < 0 {
 		return false

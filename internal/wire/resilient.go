@@ -80,12 +80,6 @@ func NewResilient(addr string, opt ResilientOptions) *Resilient {
 	}
 }
 
-// Redials returns how many reconnects the client has performed.
-func (r *Resilient) Redials() int64 { return r.redials.Load() }
-
-// Resubmits returns how many provably-unsent requests were retried.
-func (r *Resilient) Resubmits() int64 { return r.resubmits.Load() }
-
 // Close tears down the current connection and refuses further requests.
 func (r *Resilient) Close() error {
 	r.mu.Lock()

@@ -47,9 +47,17 @@ func TestRequestTimeoutNoHang(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxCancel: a per-request context beats the default timeout.
+// TestSubmitCtxCancel: a per-request context beats the default timeout, and
+// the answer that does arrive for the abandoned request is counted as
+// unmatched, not silently dropped.
 func TestSubmitCtxCancel(t *testing.T) {
-	_, addr := startWire(t, newBlackholeBackend(), ServerOptions{})
+	b := &stubBackend{}
+	late := make(chan func(), 1)
+	b.accept = func(id uint64, _ core.ServiceRequest, c Completer) bool {
+		late <- func() { c.Complete(id, core.ServiceOutcome{State: core.StateCommitted}, nil) }
+		return true
+	}
+	_, addr := startWire(t, b, ServerOptions{})
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +70,11 @@ func TestSubmitCtxCancel(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+	if n := c.Unmatched(); n != 0 {
+		t.Fatalf("%d unmatched frames before the server answered anything", n)
+	}
+	(<-late)()
+	waitFor(t, func() bool { return c.Unmatched() == 1 })
 }
 
 // TestClientFailsPendingOnConnDeath: killing the connection under a
@@ -146,7 +159,7 @@ func TestResilientReconnects(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if r.Redials() == 0 {
+	if r.redials.Load() == 0 {
 		t.Fatal("no redial counted after connection death")
 	}
 }
@@ -177,8 +190,8 @@ func TestResilientNeverRetriesAmbiguous(t *testing.T) {
 	if n := enqueued.Load(); n != 1 {
 		t.Fatalf("server saw %d submissions, want exactly 1 (no ambiguous retry)", n)
 	}
-	if r.Resubmits() != 0 {
-		t.Fatalf("resubmits = %d, want 0", r.Resubmits())
+	if n := r.resubmits.Load(); n != 0 {
+		t.Fatalf("resubmits = %d, want 0", n)
 	}
 }
 

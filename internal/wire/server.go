@@ -15,20 +15,26 @@ import (
 
 // Backend is what the wire server needs from the serving stack. The
 // HTTP server's batcher implements it, so both front-ends shed, drain
-// and report through exactly the same admission machinery.
+// and report through exactly the same admission machinery. This front-end
+// decides nothing about an answer: it refuses only what it cannot queue (a
+// full pipeline, a false Enqueue) and renders whatever Complete is given —
+// drain refusals included — through Classify.
 type Backend interface {
 	// Enqueue hands one submission to the serving path. It must not
-	// block; false means the request was shed (queues full / draining)
-	// and nothing will be called back. On true, c.Complete(id, ...) fires
-	// exactly once with the terminal outcome or error, and c.OnHandle
-	// may fire once (before or after Complete) with a cancel handle.
+	// block; false means the request was shed (queues full, batcher shut
+	// down) and nothing will be called back. On true, c.Complete(id, ...)
+	// fires exactly once with the terminal outcome or error — already
+	// counted by the serving path — and c.OnHandle may fire once (before or
+	// after Complete) with a cancel handle.
 	Enqueue(id uint64, req core.ServiceRequest, c Completer) bool
 	// RetryAfterSecs is the admission-derived backoff hint attached to
 	// shed and rejected responses. It may block briefly (it is only
 	// called from connection reader/writer goroutines, never from the
 	// engine driver).
 	RetryAfterSecs() int
-	// Draining reports whether the service has begun its shutdown drain.
+	// Draining reports whether the service has begun its shutdown drain
+	// (health frames; submissions during drain are refused by the serving
+	// path itself and come back through Complete).
 	Draining() bool
 	// HealthErr reports nil when the service is live.
 	HealthErr() error
@@ -36,9 +42,12 @@ type Backend interface {
 	MetricsBody() ([]byte, error)
 }
 
-// Completer receives the outcome of an enqueued submission. Both
-// methods may be invoked on the engine's driver goroutine and must not
-// block.
+// Completer receives the answer of an enqueued submission. Both methods
+// may be invoked on the engine's driver goroutine and must not block.
+// Complete only renders: Classify says what the (outcome, error) pair
+// means. OnHandle may find its client already gone and must then cancel
+// the handle itself (conn checks its dead flag; core.Waiter is a
+// core.LateCancel).
 type Completer interface {
 	Complete(id uint64, o core.ServiceOutcome, err error)
 	OnHandle(id uint64, h core.SubmitHandle)
@@ -360,23 +369,15 @@ func (c *conn) send(f outFrame) {
 	}
 }
 
-// Complete implements Completer: map the engine outcome (or refusal) to
-// a SubmitResp. Runs on the driver goroutine; must not block, and the
-// Retry-After lookup is deferred to the writer for that reason.
+// Complete implements Completer: the classified answer as a SubmitResp.
+// Runs on the driver goroutine; must not block, and the Retry-After lookup is
+// deferred to the writer for that reason.
 func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
 	c.finish(id)
-	f := outFrame{id: id, typ: FrameSubmitResp}
-	switch {
-	case err == nil:
-		switch o.State {
-		case core.StateCommitted:
-			f.resp.Status = StatusCommitted
-		case core.StateRejected:
-			f.resp.Status = StatusRejected
-			f.needRetry = true
-		default:
-			f.resp.Status = StatusDropped
-		}
+	status, _, retry := Classify(o, err)
+	f := outFrame{id: id, typ: FrameSubmitResp, needRetry: retry}
+	f.resp.Status = status
+	if err == nil {
 		f.resp.Missed = o.Missed
 		f.resp.Restarts = uint32(o.Restarts)
 		f.resp.Arrival = o.Arrival
@@ -384,20 +385,11 @@ func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
 		f.resp.Deadline = o.Deadline
 		f.resp.Response = o.Response
 		f.resp.Seq = o.Seq
-	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
-		// Outcome unknown: the transaction may have partially run (or run
-		// without a durable record), so no retry hint — blind resubmission
-		// could double-execute it.
-		f.resp.Status = StatusFailed
+	} else {
 		f.resp.Err = err.Error()
-	case errors.Is(err, core.ErrDraining) || errors.Is(err, core.ErrServiceStopped):
-		f.resp.Status = StatusShed
-		f.resp.Err = err.Error()
-		f.needRetry = true
-		c.srv.shed.Add(1)
-	default:
-		f.resp.Status = StatusInvalid
-		f.resp.Err = err.Error()
+		if status == StatusShed {
+			c.srv.shed.Add(1)
+		}
 	}
 	c.send(f)
 }
@@ -454,7 +446,7 @@ func (c *conn) readLoop() {
 		// connection forever. A frame already buffered is not waited
 		// for: a pipelined burst arms the deadline once per socket read,
 		// not once per frame.
-		if c.srv.idleEvery > 0 && !fr.Buffered() {
+		if c.srv.idleEvery > 0 && !fr.buffered() {
 			c.nc.SetReadDeadline(time.Now().Add(c.srv.idleEvery))
 		}
 		h, p, err := fr.Next()
@@ -495,10 +487,6 @@ func (c *conn) handleSubmit(id uint64, p []byte, req *SubmitReq) {
 			id: id, typ: FrameSubmitResp,
 			resp: SubmitResp{Status: StatusInvalid, Err: err.Error()},
 		})
-		return
-	}
-	if c.srv.b.Draining() {
-		c.shed(id, "server draining")
 		return
 	}
 	if !c.track(id) {

@@ -163,9 +163,11 @@ func TestWirePipelined(t *testing.T) {
 	}
 }
 
-// TestWireShedding checks the three refusal paths: draining, backend
-// refusal, and invalid payloads — all must answer with Retry-After
-// semantics rather than hanging or closing the connection.
+// TestWireShedding checks the three refusal paths: draining (the serving
+// path answers core.ErrDraining through Complete — this front-end has no
+// drain check of its own), backend refusal, and invalid payloads — all must
+// answer with Retry-After semantics rather than hanging or closing the
+// connection.
 func TestWireShedding(t *testing.T) {
 	b := &stubBackend{}
 	_, addr := startWire(t, b, ServerOptions{})
@@ -180,12 +182,16 @@ func TestWireShedding(t *testing.T) {
 	b.mu.Lock()
 	b.draining = true
 	b.healthErr = core.ErrDraining
+	b.accept = func(id uint64, _ core.ServiceRequest, c Completer) bool {
+		c.Complete(id, core.ServiceOutcome{}, core.ErrDraining)
+		return true
+	}
 	b.mu.Unlock()
 	resp, err := c.Submit(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusShed || resp.RetryAfter != 7 {
+	if resp.Status != StatusShed || resp.RetryAfter != 7 || resp.Err != core.ErrDraining.Error() {
 		t.Fatalf("draining: %+v, want shed with Retry-After 7", resp)
 	}
 	hr, err := c.Health()

@@ -27,6 +27,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/txn"
 )
 
@@ -71,6 +72,49 @@ const (
 	StatusInvalid   = 4 // malformed or rejected by validation
 	StatusFailed    = 5 // engine failed with the submission in flight; outcome unknown
 )
+
+// statusMeta is what each status tells a client, in either protocol: the
+// HTTP code /submit answers with, and whether the answer carries a retry hint
+// (SubmitResp.RetryAfter, the Retry-After header). Failed has none on
+// purpose: the transaction may have partially run (or run without a durable
+// record), so blind resubmission could double-execute it.
+var statusMeta = [...]struct {
+	http  int
+	retry bool
+}{
+	StatusCommitted: {200, false},
+	StatusDropped:   {503, false},
+	StatusRejected:  {503, true},
+	StatusShed:      {503, true},
+	StatusInvalid:   {400, false},
+	StatusFailed:    {500, false},
+}
+
+// Classify is the one place an answer — a Submission.Done's (outcome, error)
+// pair — becomes a status. Everything that needs to tell answers apart (the
+// wire response, the HTTP code, the server's request counters, the replay
+// tallies) looks the result up instead of testing the error itself.
+func Classify(o core.ServiceOutcome, err error) (status uint8, httpCode int, retry bool) {
+	switch {
+	case err == nil:
+		switch o.State {
+		case core.StateCommitted:
+			status = StatusCommitted
+		case core.StateRejected:
+			status = StatusRejected
+		default:
+			status = StatusDropped
+		}
+	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
+		status = StatusFailed
+	case errors.Is(err, core.ErrDraining), errors.Is(err, core.ErrServiceStopped):
+		status = StatusShed
+	default:
+		status = StatusInvalid
+	}
+	m := statusMeta[status]
+	return status, m.http, m.retry
+}
 
 // ErrFrameTooLarge reports a length prefix above the reader's cap.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
