@@ -144,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if rec := srv.Recovery(); rec != nil {
-		fmt.Fprintf(stderr, "rtserve: wal: scanned %d segments, %d records, %d unresolved (truncated=%v)\n",
-			rec.Segments, rec.Records, len(rec.Unresolved), rec.Truncated)
+		fmt.Fprintf(stderr, "rtserve: wal: scanned %d segments, %d records, %d unresolved (truncated=%v zero_tail_bytes=%d)\n",
+			rec.Segments, rec.Records, len(rec.Unresolved), rec.Truncated, rec.ZeroTailBytes)
 		if len(rec.Unresolved) > 0 && !*recoverWAL {
 			fmt.Fprintf(stderr, "rtserve: wal: resolving %d unresolved submissions as aborted (run with -recover to replay them)\n", len(rec.Unresolved))
 		}

@@ -15,6 +15,11 @@
 //   - scanning or recovering the same crashed log twice is
 //     bit-identical.
 //
+// Each crashed log is then checked twice more in the shape a DirFS
+// segment has after a crash — zeros after the last whole record, and
+// zeros after the half-written one — and must scan to the same Recovery
+// apart from the tail bookkeeping (zero_tail_bytes, truncated_bytes).
+//
 // The matrix re-runs under every file-fault plan. Faults shrink the
 // acked set (the logger's sticky failure answers clients with
 // ErrLogFailed — ambiguous, not lost), but must never cost an acked
@@ -220,113 +225,185 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			t.Parallel()
 			memfs := wal.NewMemFS()
 			v := runVictim(t, memfs, tc.plan, 42)
+			crashed, final := snapshotFS(t, memfs), walSegments(t, memfs)
+			scan := checkCrashedLog(t, memfs, v, tc.plan, tc.corrupt)
 
-			// Read-only scans of the crashed log are bit-identical.
-			scanA, err := wal.Scan(memfs, nil)
-			if err != nil {
-				t.Fatalf("scan A: %v", err)
+			// The same kill points as a DirFS segment shows them: the file is
+			// zero-written ahead of its records and a crash leaves that tail.
+			// Killed between batches the zeros follow the last whole record;
+			// cut mid-batch they follow the half-written one.
+			if len(final) == 0 {
+				return
 			}
-			scanB, err := wal.Scan(memfs, nil)
-			if err != nil {
-				t.Fatalf("scan B: %v", err)
-			}
-			if !reflect.DeepEqual(scanA, scanB) {
-				t.Fatalf("read-only scans disagree:\n%+v\nvs\n%+v", scanA, scanB)
-			}
-			// So are repairing recoveries (the first truncates the torn
-			// tail; the bytes it removes are exactly the bytes the next
-			// run never sees).
-			rec1 := openAndClose(t, memfs)
-			rec2 := openAndClose(t, memfs)
-			if a, b := recoveredView(t, rec1), recoveredView(t, rec2); a != b {
-				t.Fatalf("recovery not deterministic:\n%s\nvs\n%s", a, b)
-			}
-			if a, b := recoveredView(t, scanA), recoveredView(t, rec1); a != b {
-				t.Fatalf("read-only scan and repair recovered different states:\n%s\nvs\n%s", a, b)
-			}
-
-			if tc.plan.Zero() {
-				// No faults: nothing ambiguous, and recovery's unresolved
-				// set is exactly what the victim left unanswered.
-				if len(v.acked) != 12 || v.ackErrs != 0 {
-					t.Fatalf("clean victim: %d acked, %d errors (want 12, 0)", len(v.acked), v.ackErrs)
-				}
-				if len(v.unresolved) != 5 {
-					t.Fatalf("clean victim: %d unresolved (want 5)", len(v.unresolved))
-				}
-				var got []uint64
-				for i := range rec1.Unresolved {
-					got = append(got, rec1.Unresolved[i].Seq)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(v.unresolved) {
-					t.Fatalf("recovered unresolved %v, victim left %v", got, v.unresolved)
-				}
-			}
-
-			// Stage 2: a fresh server recovers the log and replays.
-			srv, _, stop := startServer(t, Options{
-				Core:      core.MainMemoryConfig(core.CCA, 7),
-				Service:   core.ServiceOptions{Speed: 5000},
-				WALFS:     memfs,
-				WALRetain: 16, // keep every segment: stage 3 reads them all back
-				Recover:   true,
-			})
-			waitNotRecovering(t, srv)
-			if rs := srv.ReplayStats(); rs.Unresolved != len(rec1.Unresolved) {
-				t.Fatalf("server saw %d unresolved, recovery found %d", rs.Unresolved, len(rec1.Unresolved))
-			}
-			if err := stop(); err != nil {
-				t.Fatalf("serve: %v", err)
-			}
-
-			// Stage 3: the contract, read back from what is durable now.
-			submits := make(map[uint64]bool)
-			outcomes := make(map[uint64]wal.OutcomeRecord)
-			if _, err := wal.Scan(memfs, func(h wal.Header, sub *wal.SubmitRecord, out *wal.OutcomeRecord) error {
-				switch h.Type {
-				case wal.RecSubmit:
-					if submits[sub.Seq] {
-						t.Errorf("seq %d has two submit records", sub.Seq)
+			last := final[len(final)-1]
+			const tail = 4096
+			zeroTail, tornThenZeros := *scan, *scan
+			zeroTail.Truncated, zeroTail.TruncatedSegment, zeroTail.TruncatedBytes, zeroTail.ZeroTailBytes = false, "", 0, tail
+			tornThenZeros.TruncatedBytes += tail
+			for _, shape := range []struct {
+				name string
+				data []byte // the final segment before the zeros
+				want wal.Recovery
+			}{
+				{"zero-tail", crashed[last][:int64(len(crashed[last]))-scan.TruncatedBytes], zeroTail},
+				{"torn-then-zeros", crashed[last], tornThenZeros},
+			} {
+				shape := shape
+				t.Run(shape.name, func(t *testing.T) {
+					fsys := wal.NewMemFS()
+					for name, data := range crashed {
+						if name == last {
+							data = append(append([]byte(nil), shape.data...), make([]byte, tail)...)
+						}
+						restoreFile(t, fsys, name, data)
 					}
-					submits[sub.Seq] = true
-				case wal.RecOutcome:
-					if _, dup := outcomes[out.Seq]; dup {
-						t.Errorf("seq %d has two outcome records (duplicate effect)", out.Seq)
+					if got := checkCrashedLog(t, fsys, v, tc.plan, tc.corrupt); !reflect.DeepEqual(*got, shape.want) {
+						t.Fatalf("scan of the crashed log with a zero tail:\n%+v\nwant\n%+v", *got, shape.want)
 					}
-					outcomes[out.Seq] = *out
-				}
-				return nil
-			}); err != nil {
-				t.Fatalf("final scan: %v", err)
-			}
-			if !tc.corrupt {
-				for seq := range v.acked {
-					o, ok := outcomes[seq]
-					if !ok {
-						t.Errorf("acked seq %d lost its outcome record", seq)
-						continue
-					}
-					if o.Replayed() {
-						t.Errorf("acked seq %d was replayed: duplicate effect", seq)
-					}
-				}
-			}
-			for i := range rec1.Unresolved {
-				seq := rec1.Unresolved[i].Seq
-				o, ok := outcomes[seq]
-				if !ok {
-					t.Errorf("unresolved seq %d was never resolved by replay", seq)
-					continue
-				}
-				if !o.Replayed() {
-					t.Errorf("seq %d resolved by replay but not marked FlagReplayed", seq)
-				}
-			}
-			if submits[tornSeq] {
-				t.Error("half-written tail record survived recovery")
+				})
 			}
 		})
 	}
+}
+
+// snapshotFS copies every file of a MemFS, and restoreFile puts one back
+// into another as durable bytes: the crashed log, reproducible.
+func snapshotFS(t *testing.T, fsys *wal.MemFS) map[string][]byte {
+	t.Helper()
+	names, err := fsys.List()
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	files := make(map[string][]byte, len(names))
+	for _, name := range names {
+		if files[name], err = fsys.ReadFile(name); err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+	}
+	return files
+}
+
+func restoreFile(t *testing.T, fsys *wal.MemFS, name string, data []byte) {
+	t.Helper()
+	if _, err := fsys.Create(name); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := fsys.Append(name, data); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+}
+
+// checkCrashedLog holds a crashed log to the contract in the file
+// comment — scan and recover twice, replay through a fresh server, read
+// back what is durable — and returns the first read-only scan.
+func checkCrashedLog(t *testing.T, memfs *wal.MemFS, v victimState, plan fault.FilePlan, corrupt bool) *wal.Recovery {
+	t.Helper()
+
+	// Read-only scans of the crashed log are bit-identical.
+	scanA, err := wal.Scan(memfs, nil)
+	if err != nil {
+		t.Fatalf("scan A: %v", err)
+	}
+	scanB, err := wal.Scan(memfs, nil)
+	if err != nil {
+		t.Fatalf("scan B: %v", err)
+	}
+	if !reflect.DeepEqual(scanA, scanB) {
+		t.Fatalf("read-only scans disagree:\n%+v\nvs\n%+v", scanA, scanB)
+	}
+	// So are repairing recoveries (the first truncates the torn
+	// tail; the bytes it removes are exactly the bytes the next
+	// run never sees).
+	rec1 := openAndClose(t, memfs)
+	rec2 := openAndClose(t, memfs)
+	if a, b := recoveredView(t, rec1), recoveredView(t, rec2); a != b {
+		t.Fatalf("recovery not deterministic:\n%s\nvs\n%s", a, b)
+	}
+	if a, b := recoveredView(t, scanA), recoveredView(t, rec1); a != b {
+		t.Fatalf("read-only scan and repair recovered different states:\n%s\nvs\n%s", a, b)
+	}
+
+	if plan.Zero() {
+		// No faults: nothing ambiguous, and recovery's unresolved
+		// set is exactly what the victim left unanswered.
+		if len(v.acked) != 12 || v.ackErrs != 0 {
+			t.Fatalf("clean victim: %d acked, %d errors (want 12, 0)", len(v.acked), v.ackErrs)
+		}
+		if len(v.unresolved) != 5 {
+			t.Fatalf("clean victim: %d unresolved (want 5)", len(v.unresolved))
+		}
+		var got []uint64
+		for i := range rec1.Unresolved {
+			got = append(got, rec1.Unresolved[i].Seq)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(v.unresolved) {
+			t.Fatalf("recovered unresolved %v, victim left %v", got, v.unresolved)
+		}
+	}
+
+	// Stage 2: a fresh server recovers the log and replays.
+	srv, _, stop := startServer(t, Options{
+		Core:      core.MainMemoryConfig(core.CCA, 7),
+		Service:   core.ServiceOptions{Speed: 5000},
+		WALFS:     memfs,
+		WALRetain: 16, // keep every segment: stage 3 reads them all back
+		Recover:   true,
+	})
+	waitNotRecovering(t, srv)
+	if rs := srv.ReplayStats(); rs.Unresolved != len(rec1.Unresolved) {
+		t.Fatalf("server saw %d unresolved, recovery found %d", rs.Unresolved, len(rec1.Unresolved))
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+
+	// Stage 3: the contract, read back from what is durable now.
+	submits := make(map[uint64]bool)
+	outcomes := make(map[uint64]wal.OutcomeRecord)
+	if _, err := wal.Scan(memfs, func(h wal.Header, sub *wal.SubmitRecord, out *wal.OutcomeRecord) error {
+		switch h.Type {
+		case wal.RecSubmit:
+			if submits[sub.Seq] {
+				t.Errorf("seq %d has two submit records", sub.Seq)
+			}
+			submits[sub.Seq] = true
+		case wal.RecOutcome:
+			if _, dup := outcomes[out.Seq]; dup {
+				t.Errorf("seq %d has two outcome records (duplicate effect)", out.Seq)
+			}
+			outcomes[out.Seq] = *out
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("final scan: %v", err)
+	}
+	if !corrupt {
+		for seq := range v.acked {
+			o, ok := outcomes[seq]
+			if !ok {
+				t.Errorf("acked seq %d lost its outcome record", seq)
+				continue
+			}
+			if o.Replayed() {
+				t.Errorf("acked seq %d was replayed: duplicate effect", seq)
+			}
+		}
+	}
+	for i := range rec1.Unresolved {
+		seq := rec1.Unresolved[i].Seq
+		o, ok := outcomes[seq]
+		if !ok {
+			t.Errorf("unresolved seq %d was never resolved by replay", seq)
+			continue
+		}
+		if !o.Replayed() {
+			t.Errorf("seq %d resolved by replay but not marked FlagReplayed", seq)
+		}
+	}
+	if submits[tornSeq] {
+		t.Error("half-written tail record survived recovery")
+	}
+	return scanA
 }
 
 // TestRecoveryWithoutReplayAborts: without Recover, unresolved records

@@ -20,7 +20,10 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +278,78 @@ type serveBenchBaseline struct {
 	BytesRatio   float64            `json:"ratio_json_vs_wire_bytes_per_req"`
 	CodecAllocs  float64            `json:"codec_allocs_per_op"`
 	WallP99WireS float64            `json:"wire_p99_ms"`
+	GroupCommit  walGroupCommit     `json:"wal_group_commit"`
+}
+
+// walGroupCommit is internal/wal's BenchmarkGroupCommit as this ledger
+// records it. Recorded, not enforced: on tmpfs both sides are ≈ 0.
+type walGroupCommit struct {
+	Note          string  `json:"note"`
+	NsPerCommit   float64 `json:"ns_per_commit"`
+	AppendFsyncNs float64 `json:"append_fsync_ns"`
+	Ratio         float64 `json:"ratio"`
+	Filesystem    string  `json:"filesystem"`
+}
+
+// measureGroupCommit runs BenchmarkGroupCommit where it lives (its body
+// needs the wal package's internals) and reads the metrics off its
+// result line: "BenchmarkGroupCommit-2  2000  201890 ns/op  230204 append_fsync_ns  0.8770 ratio".
+func measureGroupCommit(t *testing.T) walGroupCommit {
+	t.Helper()
+	out, err := exec.Command("go", "test", "-run", "^$", "-bench", "^BenchmarkGroupCommit$", "-benchtime", "2000x", "repro/internal/wal").CombinedOutput()
+	if err != nil {
+		t.Fatalf("BenchmarkGroupCommit: %v\n%s", err, out)
+	}
+	gc := walGroupCommit{
+		Note: "IN-PROCESS, NOT CAPACITY: one wal.Logger over DirFS in the test temp dir flushing 64 submit+outcome " +
+			"pairs per commit (encode + positional write into zero-written blocks + fsync) against a plain file " +
+			"taking the same bytes by append + fsync; ratio = ns_per_commit / append_fsync_ns",
+		Filesystem: filesystemOf(os.TempDir()),
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || !strings.HasPrefix(f[0], "BenchmarkGroupCommit") {
+			continue
+		}
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				t.Fatalf("BenchmarkGroupCommit: bad value in %q", line)
+			}
+			switch f[i+1] {
+			case "ns/op":
+				gc.NsPerCommit = v
+			case "append_fsync_ns":
+				gc.AppendFsyncNs = v
+			case "ratio":
+				gc.Ratio = v
+			}
+		}
+	}
+	if gc.NsPerCommit == 0 {
+		t.Fatalf("BenchmarkGroupCommit printed no result line:\n%s", out)
+	}
+	return gc
+}
+
+// filesystemOf names the filesystem type dir is mounted from (the
+// longest mount point in /proc/self/mounts that contains it).
+func filesystemOf(dir string) string {
+	mounts, err := os.ReadFile("/proc/self/mounts")
+	if err != nil {
+		return "unknown"
+	}
+	best, typ := "", "unknown"
+	for _, line := range strings.Split(string(mounts), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		if mp := f[1]; (dir == mp || strings.HasPrefix(dir, strings.TrimSuffix(mp, "/")+"/")) && len(mp) >= len(best) {
+			best, typ = mp, f[2]
+		}
+	}
+	return typ
 }
 
 // TestWriteServeBenchBaseline measures both serving protocols end to
@@ -324,6 +399,9 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 	t.Logf("wire: %.0f txns/s p99=%.3fms %.0f B/req", wireRes.TxnsPerSec, wireRes.P99Ms, wireRes.BytesPerReq)
 	t.Logf("wire open @%.0f/s: %.0f txns/s p99=%.3fms", rate, openRes.TxnsPerSec, openRes.P99Ms)
 	t.Logf("wire+wal @%.0f/s: %.0f txns/s p99=%.3fms %.0f B/req", rate, walRes.TxnsPerSec, walRes.P99Ms, walRes.BytesPerReq)
+	groupCommit := measureGroupCommit(t)
+	t.Logf("wal group commit on %s: %.0f ns/commit, append+fsync %.0f ns, ratio %.3f",
+		groupCommit.Filesystem, groupCommit.NsPerCommit, groupCommit.AppendFsyncNs, groupCommit.Ratio)
 
 	tputRatio := wireRes.TxnsPerSec / jsonRes.TxnsPerSec
 	bytesRatio := jsonRes.BytesPerReq / wireRes.BytesPerReq
@@ -365,6 +443,7 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 		BytesRatio:   bytesRatio,
 		CodecAllocs:  codecAllocs,
 		WallP99WireS: wireRes.P99Ms,
+		GroupCommit:  groupCommit,
 	}
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {

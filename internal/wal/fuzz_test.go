@@ -15,7 +15,8 @@ import (
 // record. The seed corpus covers both record types, every
 // optional-field shape, and the corruption shapes recovery meets in
 // practice: truncated tails, flipped checksum bytes, lying length
-// words.
+// words, and the zeros a preallocated segment ends in (which must never
+// decode: recovery takes an all-zero remainder as the end of a segment).
 func FuzzWALRecord(f *testing.F) {
 	for _, r := range submitFixtures() {
 		f.Add(AppendSubmit(nil, &r))
@@ -36,6 +37,9 @@ func FuzzWALRecord(f *testing.F) {
 	lying[0] = 0xff // length word far past the buffer
 	f.Add(lying)
 	f.Add(append(append([]byte(nil), whole...), 0xde, 0xad)) // trailing garbage
+	for n := 1; n <= 64; n++ {
+		f.Add(make([]byte, n)) // a zero tail of every short length
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sub SubmitRecord
@@ -43,6 +47,9 @@ func FuzzWALRecord(f *testing.F) {
 		h, n, err := DecodeRecord(data, &sub, &out)
 		if err != nil {
 			return
+		}
+		if allZero(data[:n]) {
+			t.Fatalf("decoder accepted %d zero bytes as a record", n)
 		}
 		var again []byte
 		switch h.Type {

@@ -1,11 +1,15 @@
 // Recovery: scanning segments back into memory after a restart.
 //
 // The scan walks segments in ordinal order and decodes records
-// front-to-back. The first invalid record in the FINAL segment is a
-// torn tail — the batch that was mid-write when the process died — and
-// is truncated away together with everything after it (nothing after a
-// torn batch was ever acknowledged, because acks wait for fsync). An
-// invalid record in any earlier segment means real corruption of
+// front-to-back. A remainder that is all zeros is the clean end of a
+// segment, final or not: DirFS keeps a live segment zero-written ahead
+// of its records and only Close trims that, so every segment a crash
+// interrupted ends this way. It is counted (ZeroTailBytes) and left
+// alone. Any other invalid record in the FINAL segment is a torn tail
+// — the batch that was mid-write when the process died, zeros after it
+// or not — and is truncated away together with everything after it
+// (nothing after a torn batch was ever acknowledged, because acks wait
+// for fsync). In any earlier segment it means real corruption of
 // acknowledged data and fails the scan: silently dropping acked work
 // would be worse than refusing to start.
 //
@@ -39,6 +43,11 @@ type Recovery struct {
 	Truncated        bool   `json:"truncated"`
 	TruncatedSegment string `json:"truncated_segment,omitempty"`
 	TruncatedBytes   int64  `json:"truncated_bytes,omitempty"`
+
+	// ZeroTailBytes is the total length of the all-zero remainders the
+	// scan found after the last record of a segment: preallocation a
+	// crash kept Close from trimming. Not damage; nothing is rewritten.
+	ZeroTailBytes int64 `json:"zero_tail_bytes"`
 }
 
 type unresolvedEntry struct {
@@ -55,10 +64,11 @@ type scanState struct {
 	lastSubmitSeq uint64
 }
 
-// Open scans the log directory, truncates a torn tail, and returns a
-// running Logger (sequence numbers continue after the highest seen)
-// plus the Recovery describing what the scan found. The logger never
-// appends to pre-existing segments; its first flush opens a fresh one.
+// Open scans the log directory, truncates a torn tail (a zero tail is
+// not one and stays), and returns a running Logger (sequence numbers
+// continue after the highest seen) plus the Recovery describing what
+// the scan found. The logger never appends to pre-existing segments;
+// its first flush opens a fresh one.
 func Open(o Options) (*Logger, *Recovery, error) {
 	opt := o.withDefaults()
 	if opt.FS == nil {
@@ -130,6 +140,11 @@ func scan(fsys FS, repair bool, visit func(Header, *SubmitRecord, *OutcomeRecord
 		for off < len(data) {
 			h, n, derr := DecodeRecord(data[off:], &sub, &out)
 			if derr != nil {
+				if allZero(data[off:]) {
+					st.rec.ZeroTailBytes += int64(len(data) - off)
+					data = data[:off]
+					break
+				}
 				if !final {
 					return nil, fmt.Errorf("wal: segment %s: invalid record at offset %d in non-final segment: %w", name, off, derr)
 				}
@@ -190,6 +205,15 @@ func scan(fsys FS, repair bool, visit func(Header, *SubmitRecord, *OutcomeRecord
 		st.rec.Unresolved = append(st.rec.Unresolved, st.unresolved[seq].sub)
 	}
 	return st, nil
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func cloneSubmit(r *SubmitRecord) SubmitRecord {

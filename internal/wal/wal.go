@@ -13,10 +13,15 @@
 // Segments rotate at a size threshold and are named by a monotonic
 // ordinal (wal-%016x.log), so lexicographic order is log order. Closed
 // segments whose every submission has a durable outcome are deleted
-// once they age past the retention count. Recovery (Open) scans the
-// segments in order, truncates a torn tail in the final segment, and
-// reports the submissions that never reached an outcome so the server
-// can replay them through the unchanged deterministic kernel.
+// once they age past the retention count. On disk (DirFS) the active
+// segment is its records followed by zeros: the file is kept
+// zero-written a fixed chunk ahead and each batch overwrites those
+// blocks in place, so a group commit's fsync is a data flush and not a
+// filesystem journal commit; rotation and Close trim the zeros.
+// Recovery (Open) scans the segments in order, takes an all-zero
+// remainder as the end of a segment, truncates a torn tail in the final
+// segment, and reports the submissions that never reached an outcome so
+// the server can replay them through the unchanged deterministic kernel.
 package wal
 
 import (
@@ -84,6 +89,15 @@ type Stats struct {
 	Failed      bool   `json:"failed"`       // sticky failure state
 }
 
+// batch is what one group commit carries: the encoded records and the
+// bookkeeping that becomes true once they are durable.
+type batch struct {
+	buf     []byte        // encoded records
+	cbs     []func(error) // durability callbacks of the outcome records in buf
+	submits []uint64      // seqs of submit records in buf
+	resolve []uint64      // seqs resolved by outcome records in buf
+}
+
 type segment struct {
 	ord         uint64
 	name        string
@@ -97,19 +111,16 @@ type segment struct {
 type Logger struct {
 	opt Options
 
-	mu          sync.Mutex
-	nextSeq     uint64
-	nextOrd     uint64
-	buf         []byte // encoded records awaiting the next flush
-	spare       []byte // recycled flush buffer
-	cbs         []func(error)
-	pendSubmits []uint64 // seqs of submit records in buf
-	pendResolve []uint64 // seqs resolved by outcome records in buf
-	segs        []*segment
-	bySeq       map[uint64]*segment // unresolved submit seq -> its segment
-	closing     bool
-	failed      error
-	stats       Stats
+	mu      sync.Mutex
+	nextSeq uint64
+	nextOrd uint64
+	pend    batch // appends awaiting the next flush
+	spare   batch // the previous flush's batch, emptied for reuse
+	segs    []*segment
+	bySeq   map[uint64]*segment // unresolved submit seq -> its segment
+	closing bool
+	failed  error
+	stats   Stats
 
 	flushMu sync.Mutex // serializes flush bodies (syncer vs Sync)
 	kick    chan struct{}
@@ -161,8 +172,8 @@ func (l *Logger) AppendSubmit(r *SubmitRecord) (uint64, error) {
 	seq := l.nextSeq
 	l.nextSeq++
 	r.Seq = seq
-	l.buf = AppendSubmit(l.buf, r)
-	l.pendSubmits = append(l.pendSubmits, seq)
+	l.pend.buf = AppendSubmit(l.pend.buf, r)
+	l.pend.submits = append(l.pend.submits, seq)
 	l.stats.Submits++
 	l.mu.Unlock()
 	return seq, nil
@@ -179,11 +190,11 @@ func (l *Logger) AppendOutcome(r *OutcomeRecord, durable func(error)) error {
 		l.mu.Unlock()
 		return err
 	}
-	l.buf = AppendOutcome(l.buf, r)
+	l.pend.buf = AppendOutcome(l.pend.buf, r)
 	if durable != nil {
-		l.cbs = append(l.cbs, durable)
+		l.pend.cbs = append(l.pend.cbs, durable)
 	}
-	l.pendResolve = append(l.pendResolve, r.Seq)
+	l.pend.resolve = append(l.pend.resolve, r.Seq)
 	l.stats.Outcomes++
 	l.mu.Unlock()
 	l.kickSync()
@@ -241,7 +252,7 @@ func (l *Logger) Stats() Stats {
 	s := l.stats
 	s.Segments = len(l.segs)
 	s.Unresolved = len(l.bySeq)
-	s.PendingSync = len(l.buf)
+	s.PendingSync = len(l.pend.buf)
 	s.Failed = l.failed != nil
 	return s
 }
@@ -291,16 +302,11 @@ func (l *Logger) flush() error {
 	defer l.flushMu.Unlock()
 
 	l.mu.Lock()
-	buf := l.buf
-	cbs := l.cbs
-	subs := l.pendSubmits
-	res := l.pendResolve
-	l.buf = l.spare[:0]
-	l.cbs = nil
-	l.pendSubmits = nil
-	l.pendResolve = nil
+	b := l.pend
+	l.pend, l.spare = l.spare, batch{}
 	failed := l.failed
 	l.mu.Unlock()
+	defer l.recycle(b)
 
 	fail := func(err error) error {
 		l.mu.Lock()
@@ -309,7 +315,7 @@ func (l *Logger) flush() error {
 		}
 		err = l.failed
 		l.mu.Unlock()
-		for _, cb := range cbs {
+		for _, cb := range b.cbs {
 			cb(err)
 		}
 		return err
@@ -317,18 +323,17 @@ func (l *Logger) flush() error {
 	if failed != nil {
 		return fail(failed)
 	}
-	if len(buf) == 0 && len(cbs) == 0 {
-		l.recycle(buf)
+	if len(b.buf) == 0 && len(b.cbs) == 0 {
 		return nil
 	}
-	seg, err := l.activeSegment(int64(len(buf)))
+	seg, err := l.activeSegment(int64(len(b.buf)))
 	if err != nil {
 		return fail(err)
 	}
-	if len(buf) > 0 {
-		n, werr := seg.f.Write(buf)
-		if werr == nil && n < len(buf) {
-			werr = fmt.Errorf("wal: short write: %d of %d bytes: %w", n, len(buf), io.ErrShortWrite)
+	if len(b.buf) > 0 {
+		n, werr := seg.f.Write(b.buf)
+		if werr == nil && n < len(b.buf) {
+			werr = fmt.Errorf("wal: short write: %d of %d bytes: %w", n, len(b.buf), io.ErrShortWrite)
 		}
 		if werr == nil {
 			werr = seg.f.Sync()
@@ -336,17 +341,17 @@ func (l *Logger) flush() error {
 		if werr != nil {
 			return fail(fmt.Errorf("wal: segment %s: %w", seg.name, werr))
 		}
-		seg.size += int64(len(buf))
+		seg.size += int64(len(b.buf))
 	}
 
 	l.mu.Lock()
 	l.stats.Syncs++
-	l.stats.Bytes += uint64(len(buf))
-	for _, seq := range subs {
+	l.stats.Bytes += uint64(len(b.buf))
+	for _, seq := range b.submits {
 		l.bySeq[seq] = seg
 		seg.outstanding++
 	}
-	for _, seq := range res {
+	for _, seq := range b.resolve {
 		if s, ok := l.bySeq[seq]; ok {
 			s.outstanding--
 			delete(l.bySeq, seq)
@@ -355,20 +360,24 @@ func (l *Logger) flush() error {
 	remove := l.retireLocked()
 	l.mu.Unlock()
 
-	for _, cb := range cbs {
+	for _, cb := range b.cbs {
 		cb(nil)
 	}
 	for _, name := range remove {
 		// Retention is advisory; a failed delete is retried next flush.
 		l.opt.FS.Remove(name)
 	}
-	l.recycle(buf)
 	return nil
 }
 
-func (l *Logger) recycle(buf []byte) {
+// recycle empties a flushed batch and keeps its four backing arrays for
+// the flush after next (the callback slots are cleared so a finished
+// request's closure is not pinned until they are overwritten).
+func (l *Logger) recycle(b batch) {
+	clear(b.cbs)
+	b = batch{b.buf[:0], b.cbs[:0], b.submits[:0], b.resolve[:0]}
 	l.mu.Lock()
-	l.spare = buf[:0]
+	l.spare = b
 	l.mu.Unlock()
 }
 

@@ -1,9 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -134,16 +134,28 @@ func TestCrashLosesUnsyncedTail(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncation: garbage (and a half-written record) after the
-// synced prefix is truncated in the final segment; two scans of the
-// same log agree bit-identically.
+// TestTornTailTruncation: garbage (and a half-written record, with or
+// without preallocation zeros after it) after the synced prefix is
+// truncated in the final segment; two scans of the same log agree
+// bit-identically. A tail of nothing but zeros is not torn: it is the
+// preallocation a crash left behind — reported, never rewritten.
 func TestTornTailTruncation(t *testing.T) {
-	for _, tail := range [][]byte{
-		{0x00},                   // lone short length prefix
-		{0xde, 0xad, 0xbe, 0xef}, // length word of garbage
-		make([]byte, 64),         // zeros: undersized record length
+	half := AppendSubmit(nil, &SubmitRecord{Seq: 77, Items: []int32{4, 5}, Compute: 1, Deadline: 1})
+	half = half[:len(half)/2]
+	for _, tc := range []struct {
+		name string
+		tail []byte
+		zero bool
+	}{
+		{"tail-00", []byte{0x00}, true},
+		{"tail-deadbeef", []byte{0xde, 0xad, 0xbe, 0xef}, false}, // length word of garbage
+		{"tail-00000000", make([]byte, 64), true},                // what a crashed DirFS segment ends in
+		{"half-record", half, false},
+		{"half-record-then-zeros", append(append([]byte(nil), half...), make([]byte, 4096)...), false},
+		{"zeros-then-garbage", append(make([]byte, 32), 0xde, 0xad), false},
 	} {
-		t.Run(fmt.Sprintf("tail-%x", tail[:min(len(tail), 4)]), func(t *testing.T) {
+		tail := tc.tail
+		t.Run(tc.name, func(t *testing.T) {
 			fs := NewMemFS()
 			l, _ := openMem(t, fs, nil)
 			appendPair(t, l, 1, 2)
@@ -162,30 +174,42 @@ func TestTornTailTruncation(t *testing.T) {
 			if err := fs.Append(names[0], tail); err != nil {
 				t.Fatal(err)
 			}
+			crashed, _ := fs.ReadFile(names[0])
+			wantTorn, wantZero := int64(len(tail)), int64(0)
+			if tc.zero {
+				wantTorn, wantZero = 0, int64(len(tail))
+			}
 
 			scan1, err := Scan(fs, nil) // read-only scan notes the tear
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !scan1.Truncated || scan1.TruncatedBytes != int64(len(tail)) {
+			if scan1.Truncated == tc.zero || scan1.TruncatedBytes != wantTorn || scan1.ZeroTailBytes != wantZero {
 				t.Fatalf("read-only scan: %+v", scan1)
 			}
 
-			l2, rec := openMem(t, fs, nil) // repairing open truncates
+			l2, rec := openMem(t, fs, nil) // repairing open truncates a tear, and only a tear
 			l2.Close()
-			if !rec.Truncated || rec.TruncatedBytes != int64(len(tail)) {
+			if rec.Truncated == tc.zero || rec.TruncatedBytes != wantTorn || rec.ZeroTailBytes != wantZero {
 				t.Fatalf("recovery: %+v", rec)
 			}
 			if len(rec.Unresolved) != 1 || rec.Unresolved[0].Seq != seqU {
 				t.Fatalf("unresolved after tear: %+v", rec)
 			}
+			after, _ := fs.ReadFile(names[0])
+			if tc.zero && !bytes.Equal(after, crashed) {
+				t.Fatalf("recovery rewrote a segment with a zero tail: %d -> %d bytes", len(crashed), len(after))
+			}
+			if !tc.zero && !bytes.Equal(after, crashed[:len(crashed)-len(tail)]) {
+				t.Fatalf("repair kept %d bytes of a %d-byte segment with a %d-byte torn tail", len(after), len(crashed), len(tail))
+			}
 
-			// Second recovery of the repaired log: identical modulo the
+			// Second recovery of the (repaired) log: identical modulo the
 			// truncation note, bit-identical unresolved set.
 			l3, rec2 := openMem(t, fs, nil)
 			l3.Close()
-			if rec2.Truncated {
-				t.Fatalf("tear survived repair: %+v", rec2)
+			if rec2.Truncated || rec2.ZeroTailBytes != wantZero {
+				t.Fatalf("second recovery: %+v", rec2)
 			}
 			j1, _ := json.Marshal(rec.Unresolved)
 			j2, _ := json.Marshal(rec2.Unresolved)
