@@ -1,27 +1,19 @@
 package core
 
-// Scheduling hot-path benchmarks: full CCA simulations across the engine's
-// fast-path matrix. Two axes (see Config):
-//
-//   - NaiveConflictScan: incremental conflict index vs the original
-//     O(live × DBSize/64) full rescans;
-//   - NaiveDispatch: incremental memoised dispatch pass + pooled event
-//     calendar + engine-owned scratch vs the original re-evaluate-and-
-//     stable-sort pass with an allocate-per-event calendar.
-//
-// The configurations mirror the two regimes that matter:
+// Scheduling hot-path benchmarks: full simulations of the one engine in
+// the two regimes that matter:
 //
 //   - base-mm: the paper's Table 1 database (30 items) — heavily contended,
-//     small bitsets, the fast paths' worst case;
+//     small bitsets;
 //   - large-db-high-mpl: a large database (8192 items) driven past
 //     saturation so hundreds of transactions are live at once — the regime
-//     the naive rescans and per-pass sorting collapse in.
+//     a full rescan or a per-pass sort would collapse in.
 //
 // `BENCH_BASELINE=1 go test ./internal/core -run TestWriteBenchBaseline`
 // refreshes the committed BENCH_core.json baseline (see DESIGN.md) so
 // future changes can track the trajectory. Run the benchmarks themselves
 // with -benchmem: allocation counts are first-class here — the dispatch
-// fast path's whole point is an allocation-free steady state.
+// pass's whole point is an allocation-free steady state.
 
 import (
 	"encoding/json"
@@ -34,13 +26,11 @@ import (
 	"repro/internal/txn"
 )
 
-func benchCCAConfig(dbSize, count int, rate float64, naiveScan, naiveDispatch bool) Config {
+func benchCCAConfig(dbSize, count int, rate float64) Config {
 	cfg := MainMemoryConfig(CCA, 7)
 	cfg.Workload.DBSize = dbSize
 	cfg.Workload.Count = count
 	cfg.Workload.ArrivalRate = rate
-	cfg.NaiveConflictScan = naiveScan
-	cfg.NaiveDispatch = naiveDispatch
 	return cfg
 }
 
@@ -58,43 +48,16 @@ func benchRun(b *testing.B, cfg Config) {
 	}
 }
 
-// Fast = incremental everything (the default engine). NaiveDispatch keeps
-// the conflict index but restores the original dispatch pass and calendar —
-// the previous PR's engine, the baseline this PR's allocation work is
-// measured against. NaiveFull disables both fast paths.
-func BenchmarkCCABaseFast(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, false, false)) }
-func BenchmarkCCABaseNaiveDispatch(b *testing.B) {
-	benchRun(b, benchCCAConfig(30, 300, 8, false, true))
-}
-func BenchmarkCCABaseNaiveScan(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, false)) }
-func BenchmarkCCABaseNaiveFull(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, true)) }
+func BenchmarkCCABaseFast(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8)) }
 
 func BenchmarkCCALargeDBHighMPLFast(b *testing.B) {
-	benchRun(b, benchCCAConfig(8192, 400, 25, false, false))
+	benchRun(b, benchCCAConfig(8192, 400, 25))
 }
 
-func BenchmarkCCALargeDBHighMPLNaiveDispatch(b *testing.B) {
-	benchRun(b, benchCCAConfig(8192, 400, 25, false, true))
-}
-
-func BenchmarkCCALargeDBHighMPLNaiveScan(b *testing.B) {
-	benchRun(b, benchCCAConfig(8192, 400, 25, true, false))
-}
-
-func BenchmarkCCALargeDBHighMPLNaiveFull(b *testing.B) {
-	benchRun(b, benchCCAConfig(8192, 400, 25, true, true))
-}
-
-// The EDF-HP pair isolates the static-policy win: with EvalStatic the fast
-// pass stops calling Evaluate entirely after each transaction's first pass.
+// With EvalStatic the pass stops calling Evaluate entirely after each
+// transaction's first pass.
 func BenchmarkEDFHPBaseFast(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8, false, false)
-	cfg.Policy = EDFHP
-	benchRun(b, cfg)
-}
-
-func BenchmarkEDFHPBaseNaiveDispatch(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8, false, true)
+	cfg := benchCCAConfig(30, 300, 8)
 	cfg.Policy = EDFHP
 	benchRun(b, cfg)
 }
@@ -105,14 +68,14 @@ func BenchmarkEDFHPBaseNaiveDispatch(b *testing.B) {
 // acceptance floor is throughput ≥0.9× stock — prediction must ride the
 // memoised dispatch pass, not defeat it.
 func BenchmarkCCAPBaseFast(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8, false, false)
+	cfg := benchCCAConfig(30, 300, 8)
 	cfg.Policy = CCAP
 	cfg.Predict = DefaultPredictConfig()
 	benchRun(b, cfg)
 }
 
 func BenchmarkCCATBaseFast(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8, false, false)
+	cfg := benchCCAConfig(30, 300, 8)
 	cfg.Policy = CCAT
 	cfg.Predict = DefaultPredictConfig()
 	benchRun(b, cfg)
@@ -123,7 +86,7 @@ func BenchmarkCCATBaseFast(b *testing.B) {
 // zero allocations on the hot paths that wound, block, restart and commit
 // take.
 func TestObserverTapZeroAlloc(t *testing.T) {
-	cfg := benchCCAConfig(30, 50, 8, false, false)
+	cfg := benchCCAConfig(30, 50, 8)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +187,7 @@ func checkSubmitBudget(t *testing.T) (objects, bytes float64) {
 // measured values go to BENCH_core.json's service_submit row.
 func TestServiceSubmitAllocBudget(t *testing.T) { checkSubmitBudget(t) }
 
-// benchModeResult is one engine mode's measurement in BENCH_core.json.
+// benchModeResult is one configuration's measurement in BENCH_core.json.
 type benchModeResult struct {
 	Ms       float64 `json:"ms"`
 	BOp      int64   `json:"b_op"`
@@ -233,24 +196,11 @@ type benchModeResult struct {
 
 // benchBaselineEntry is one row of BENCH_core.json.
 type benchBaselineEntry struct {
-	Case   string  `json:"case"`
-	DBSize int     `json:"db_size"`
-	Txns   int     `json:"txns"`
-	Rate   float64 `json:"arrival_rate"`
-	// Fast is the default engine (incremental dispatch + conflict index +
-	// pooled calendar). NaiveDispatch keeps the index but restores the
-	// original dispatch pass and allocate-per-event calendar (the previous
-	// baseline the allocation work is measured against). NaiveFull disables
-	// both fast paths (the original seed engine).
-	Fast          benchModeResult `json:"fast"`
-	NaiveDispatch benchModeResult `json:"naive_dispatch"`
-	NaiveFull     benchModeResult `json:"naive_full"`
-	// SpeedupVsNaiveDispatch and AllocRatioVsNaiveDispatch are this PR's
-	// wall-time and allocs/op improvements; SpeedupVsNaiveFull is the
-	// cumulative improvement over the seed engine.
-	SpeedupVsNaiveDispatch    float64 `json:"speedup_vs_naive_dispatch"`
-	AllocRatioVsNaiveDispatch float64 `json:"alloc_ratio_vs_naive_dispatch"`
-	SpeedupVsNaiveFull        float64 `json:"speedup_vs_naive_full"`
+	Case   string          `json:"case"`
+	DBSize int             `json:"db_size"`
+	Txns   int             `json:"txns"`
+	Rate   float64         `json:"arrival_rate"`
+	Engine benchModeResult `json:"engine"`
 }
 
 // dispatchGrowthPoint is one point of BENCH_core.json's dispatch_growth
@@ -261,12 +211,9 @@ type dispatchGrowthPoint struct {
 }
 
 // TestWriteBenchBaseline refreshes the repository's BENCH_core.json when
-// BENCH_BASELINE=1 is set. It measures wall time, B/op and allocs/op for the
-// three engine modes on both benchmark configurations via testing.Benchmark
-// and enforces the acceptance floors: on large-db-high-mpl the fast engine
-// must allocate ≥5× less than the naive-dispatch engine and run ≥2× faster
-// than the fully naive engine, on base-mm the fast engine's wall time must
-// not regress against naive dispatch, and on the dispatch_growth curve a
+// BENCH_BASELINE=1 is set. It records wall time, B/op and allocs/op for both
+// benchmark configurations via testing.Benchmark and enforces the floors: CCA-P
+// keeps ≥0.9× stock CCA's throughput, on the dispatch_growth curve a
 // scheduling point over 8192 live transactions may cost at most 3× one over
 // 16, on batch_disjoint a conflict-free batch is evaluated exactly once per
 // transaction, and on service_submit a committed transaction stays inside the
@@ -320,44 +267,19 @@ func TestWriteBenchBaseline(t *testing.T) {
 			MaxBytes      int     `json:"max_bytes_per_txn"`
 		} `json:"service_submit"`
 	}{
-		Note:    "CCA engine wall time and allocations per full run: fast (incremental dispatch + conflict index + pooled calendar) vs naive_dispatch (index only) vs naive_full (original seed engine); measured by testing.Benchmark",
+		Note:    "CCA engine wall time and allocations per full simulation run, measured by testing.Benchmark; in-process, single goroutine, not capacity",
 		Refresh: "BENCH_BASELINE=1 go test ./internal/core -run TestWriteBenchBaseline",
 	}
 	for _, c := range cases {
 		e := benchBaselineEntry{Case: c.name, DBSize: c.dbSize, Txns: c.count, Rate: c.rate}
-		e.Fast = measure(benchCCAConfig(c.dbSize, c.count, c.rate, false, false))
-		e.NaiveDispatch = measure(benchCCAConfig(c.dbSize, c.count, c.rate, false, true))
-		e.NaiveFull = measure(benchCCAConfig(c.dbSize, c.count, c.rate, true, true))
-		if e.Fast.Ms > 0 {
-			e.SpeedupVsNaiveDispatch = e.NaiveDispatch.Ms / e.Fast.Ms
-			e.SpeedupVsNaiveFull = e.NaiveFull.Ms / e.Fast.Ms
-		}
-		if e.Fast.AllocsOp > 0 {
-			e.AllocRatioVsNaiveDispatch = float64(e.NaiveDispatch.AllocsOp) / float64(e.Fast.AllocsOp)
-		}
+		e.Engine = measure(benchCCAConfig(c.dbSize, c.count, c.rate))
 		out.Cases = append(out.Cases, e)
-		t.Logf("%s: fast %.1fms/%d allocs, naive-dispatch %.1fms/%d allocs, naive-full %.1fms/%d allocs → speedup %.2fx, alloc ratio %.1fx, vs seed %.2fx",
-			c.name, e.Fast.Ms, e.Fast.AllocsOp, e.NaiveDispatch.Ms, e.NaiveDispatch.AllocsOp,
-			e.NaiveFull.Ms, e.NaiveFull.AllocsOp,
-			e.SpeedupVsNaiveDispatch, e.AllocRatioVsNaiveDispatch, e.SpeedupVsNaiveFull)
-		switch c.name {
-		case "large-db-high-mpl":
-			if e.AllocRatioVsNaiveDispatch < 5 {
-				t.Errorf("%s: alloc ratio %.1fx < 5x acceptance floor", c.name, e.AllocRatioVsNaiveDispatch)
-			}
-			if e.SpeedupVsNaiveFull < 2 {
-				t.Errorf("%s: speedup vs seed engine %.2fx < 2x acceptance floor", c.name, e.SpeedupVsNaiveFull)
-			}
-		case "base-mm":
-			if e.Fast.Ms > e.NaiveDispatch.Ms*1.15 {
-				t.Errorf("%s: fast wall time %.1fms regresses vs naive dispatch %.1fms", c.name, e.Fast.Ms, e.NaiveDispatch.Ms)
-			}
-		}
+		t.Logf("%s: %.1fms, %d allocs per run", c.name, e.Engine.Ms, e.Engine.AllocsOp)
 	}
 	// Predict-policy dispatch overhead: CCA-P with live stats vs stock CCA
 	// on the base configuration. Acceptance floor: ≥0.9× stock throughput.
-	ccaMs := measure(benchCCAConfig(30, 300, 8, false, false)).Ms
-	ccapCfg := benchCCAConfig(30, 300, 8, false, false)
+	ccaMs := measure(benchCCAConfig(30, 300, 8)).Ms
+	ccapCfg := benchCCAConfig(30, 300, 8)
 	ccapCfg.Policy = CCAP
 	ccapCfg.Predict = DefaultPredictConfig()
 	ccapMs := measure(ccapCfg).Ms

@@ -112,7 +112,8 @@ type Config struct {
 	// late result has no value. Dropped transactions count as misses.
 	FirmDeadlines bool
 	// CheckInvariants enables expensive internal consistency checks at
-	// every scheduling point (used by the test suite).
+	// every scheduling point (used by the test suite), among them the
+	// reference check of every stored priority against a fresh evaluation.
 	CheckInvariants bool
 	// PessimisticAnalysis disables might-set narrowing at decision
 	// points: the scheduler then treats every conditionally-conflicting
@@ -124,21 +125,6 @@ type Config struct {
 	// RecordHistory records every data operation for post-run conflict
 	// serializability checking (Engine.History).
 	RecordHistory bool
-	// NaiveConflictScan disables the incremental conflict index and falls
-	// back to the original O(live × DBSize) bitset rescans at every
-	// scheduling point. Behaviour is bit-identical either way (the
-	// equivalence suite asserts it); the flag exists for that suite and
-	// for benchmarking the index (see BENCH_core.json).
-	NaiveConflictScan bool
-	// NaiveDispatch disables the allocation-free incremental dispatch pass
-	// and the pooled event calendar, restoring the original scheduling hot
-	// path: every pass re-evaluates every live transaction's priority,
-	// rebuilds and stable-sorts a fresh dispatch pool, scans the desired
-	// set linearly, and every simulator event is a fresh heap allocation.
-	// Behaviour is bit-identical either way (the equivalence suite asserts
-	// it); the flag exists for that suite and for the allocation
-	// benchmarks (see BENCH_core.json).
-	NaiveDispatch bool
 	// MaxEvents bounds the simulation as a runaway guard; 0 picks a
 	// generous default derived from the workload size.
 	MaxEvents uint64

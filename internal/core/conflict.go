@@ -46,9 +46,9 @@ import (
 // With the index, PenaltyOfConflict walks the holders of the items the
 // transaction might access (deduplicated with a visit stamp — no
 // allocation), and the IOwait-schedule test intersects against the P-list
-// only. The engine keeps the original full-scan implementations alongside
-// (Config.NaiveConflictScan); the equivalence suite in conflict_test.go
-// asserts both produce bit-identical schedules and metrics.
+// only. Under Config.CheckInvariants verify rebuilds the index by brute force
+// and Engine.verifyPriorities compares every penalty with the full scan
+// (Engine.penaltyOfConflictScan) at every scheduling point.
 
 // itemHolders is one inverted-index entry: the transactions listed against
 // one item. The first is stored inline: without shared locks an item never

@@ -1,19 +1,15 @@
 package core
 
-// Equivalence suite for the scheduling fast paths: every run must be
-// bit-identical — same per-transaction schedule (commit times, restarts,
-// secondary dispatches) and same metrics — across the full 2×2 matrix of
-// Config.NaiveConflictScan (incremental conflict index vs original full
-// scans) × Config.NaiveDispatch (incremental memoised dispatch pass and
-// pooled event calendar vs original re-evaluate-and-re-sort pass with
-// allocate-per-event calendar). Every variant executes with CheckInvariants
-// on, which additionally cross-checks the index against a brute-force
-// recomputation and the ranked order against the stored priorities at every
-// scheduling point.
+// Equivalence suite for the scheduling fast paths: every cell runs the one
+// engine with CheckInvariants on — which cross-checks the conflict index
+// against a brute-force recomputation, every stored priority against a fresh
+// evaluation and every index penalty against the full scan at every
+// scheduling point (verifyPriorities) — and must reproduce the schedule
+// (commit times, restarts, secondary dispatches) and metrics digest recorded
+// when a naive second engine still existed to agree with (digest_test.go).
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -31,7 +27,7 @@ type txnOutcome struct {
 
 // equivOpts widens an equivalence run beyond the plain Run-to-completion.
 type equivOpts struct {
-	// oracle attaches the runtime safety oracle to every variant.
+	// oracle attaches the runtime safety oracle.
 	oracle bool
 	// until, when non-zero, steps the run to that instant instead of to
 	// completion and compares the raw run counters there — for workloads
@@ -83,10 +79,8 @@ func runEquivalence(t *testing.T, cfg Config, wl *workload.Workload, opts equivO
 	return out, res
 }
 
-// assertEquivalent runs cfg through the full fast-path matrix — the fully
-// incremental engine (reference), naive conflict scans, naive dispatch, and
-// both naive — and requires bit-identical schedules and metrics everywhere.
-// All four variants run with invariant checking on.
+// assertEquivalent runs cfg with invariant checking on and requires the
+// recorded digest of its schedule and metrics.
 func assertEquivalent(t *testing.T, name string, cfg Config, wl *workload.Workload) {
 	t.Helper()
 	assertEquivalentOpts(t, name, cfg, wl, equivOpts{})
@@ -94,38 +88,9 @@ func assertEquivalent(t *testing.T, name string, cfg Config, wl *workload.Worklo
 
 func assertEquivalentOpts(t *testing.T, name string, cfg Config, wl *workload.Workload, opts equivOpts) {
 	t.Helper()
-	ref := cfg
-	ref.NaiveConflictScan = false
-	ref.NaiveDispatch = false
-	ref.CheckInvariants = true
-	refSched, refRes := runEquivalence(t, ref, wl, opts)
-
-	variants := []struct {
-		label          string
-		scan, dispatch bool
-	}{
-		{"naive-scan", true, false},
-		{"naive-dispatch", false, true},
-		{"naive-both", true, true},
-	}
-	for _, v := range variants {
-		c := cfg
-		c.NaiveConflictScan = v.scan
-		c.NaiveDispatch = v.dispatch
-		c.CheckInvariants = true
-		sched, res := runEquivalence(t, c, wl, opts)
-		if !reflect.DeepEqual(refSched, sched) {
-			for i := range refSched {
-				if refSched[i] != sched[i] {
-					t.Errorf("%s: T%d diverges: incremental %+v, %s %+v", name, i, refSched[i], v.label, sched[i])
-				}
-			}
-			t.Fatalf("%s: schedules diverge between incremental and %s engines", name, v.label)
-		}
-		if !reflect.DeepEqual(refRes, res) {
-			t.Fatalf("%s: metrics diverge:\nincremental: %+v\n%s: %+v", name, refRes, v.label, res)
-		}
-	}
+	cfg.CheckInvariants = true
+	sched, res := runEquivalence(t, cfg, wl, opts)
+	checkDigest(t, name, sched, res)
 }
 
 // TestConflictIndexEquivalenceGenerated covers the paper's generated
@@ -195,7 +160,7 @@ func TestConflictIndexEquivalenceFirmAndMP(t *testing.T) {
 
 // TestConflictIndexEquivalenceRandomWorkloads replays the adversarial
 // random-workload generator (clustered items, reads, criticalities, bursty
-// arrivals, near-zero slack) through both engines for a spread of policies.
+// arrivals, near-zero slack) for a spread of policies.
 func TestConflictIndexEquivalenceRandomWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

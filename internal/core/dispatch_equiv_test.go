@@ -2,11 +2,11 @@ package core
 
 // Equivalence scenarios for the incremental dispatch pass's own code paths:
 // the hot-set evaluation, the ranked-order re-keying and the might-index
-// maintenance. Each runs the naive-vs-fast matrix (assertEquivalentOpts)
-// for every policy on 1, 2 and 4 CPUs, main-memory and disk-resident, with
-// the safety oracle attached and invariants — including the brute-force
-// recomputation of the might index, the hot set and the ranked order —
-// checked at every scheduling point.
+// maintenance. Each checks the recorded digest (assertEquivalentOpts) for
+// every policy on 1, 2 and 4 CPUs, main-memory and disk-resident, with the
+// safety oracle attached and invariants — including the brute-force
+// recomputation of the might index, the hot set, every stored priority and
+// the ranked order — checked at every scheduling point.
 
 import (
 	"fmt"
@@ -39,7 +39,7 @@ func forDispatchMatrix(t *testing.T, fn func(t *testing.T, name string, cfg Conf
 				cfg.NumCPUs = cpus
 				name := fmt.Sprintf("%s/%dcpu/%s", pol, cpus, kind)
 				t.Run(name, func(t *testing.T) {
-					t.Parallel() // cells share nothing; the naive scans are slow at 512 live
+					t.Parallel() // cells share nothing; the reference checks are slow at 512 live
 					fn(t, name, cfg, disk)
 				})
 			}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -82,8 +81,7 @@ type Engine struct {
 	// stable IDs).
 	idRecycled bool
 
-	// Incremental dispatch state (unused when Config.NaiveDispatch keeps
-	// the original re-sort-everything pass):
+	// Incremental dispatch state:
 	//
 	// ranked holds the live transactions sorted by less, worst first, and
 	// stays sorted across scheduling points: a transaction is inserted by
@@ -105,8 +103,8 @@ type Engine struct {
 	// passStamp identifies the current dispatch pass; Txn.desiredStamp ==
 	// passStamp marks membership in the pass's desired set in O(1).
 	passStamp uint64
-	// evalMode is the evaluation discipline in force (setEvalMode): the
-	// policy's Staticness, or EvalDynamic when a full sweep is required.
+	// evalMode is the policy's Staticness, read once at construction so the
+	// hot path does not ask the interface.
 	evalMode Staticness
 	// passes, evals and rankCompares count dispatch passes, policy
 	// evaluations and ranked-order comparisons; the cost tests and the
@@ -118,8 +116,7 @@ type Engine struct {
 	// ci incrementally tracks might/has overlaps between live
 	// transactions so the scheduling hot paths (PenaltyOfConflict, the
 	// IOwait-schedule compatibility test, P-list size accounting) avoid
-	// rescanning every live transaction; nil when
-	// Config.NaiveConflictScan selects the original full scans.
+	// rescanning every live transaction. Always built.
 	ci *conflictIndex
 
 	committed int
@@ -216,51 +213,7 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 			return nil, fmt.Errorf("core: transaction %d arrives before its predecessor", i)
 		}
 	}
-	newSim := sim.New
-	if cfg.NaiveDispatch {
-		// The naive path keeps the original allocate-per-event calendar
-		// so the allocation benchmarks compare against the true baseline;
-		// behaviour is identical either way.
-		newSim = sim.NewUnpooled
-	}
-	e := &Engine{
-		cfg:    cfg,
-		policy: newPolicy(cfg),
-		sim:    newSim(),
-		lm:     lock.NewManagerSized(cfg.Workload.DBSize, len(wl.Txns)),
-		store:  db.New(cfg.Workload.DBSize),
-		wl:     wl,
-		slots:  make([]*Txn, cfg.NumCPUs),
-	}
-	if cfg.RecordHistory {
-		e.hist = history.New()
-	}
-	if !cfg.NaiveConflictScan {
-		e.ci = newConflictIndex(cfg.Workload.DBSize)
-	}
-	e.setEvalMode()
-	if o, ok := e.policy.(DecisionObserver); ok {
-		e.obs = o
-	}
-	if !cfg.Fault.Zero() {
-		// One shared injector: draws happen in simulation-event order
-		// across all disks and transactions, which is what makes a
-		// faulted run deterministic and bit-reproducible.
-		e.fault = fault.NewInjector(cfg.Seed, cfg.Fault)
-	}
-	if cfg.Workload.DiskAccessProb > 0 {
-		n := cfg.NumDisks
-		if n <= 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			d := disk.New(e.sim, cfg.Workload.DiskAccessTime, cfg.DiskDiscipline)
-			if e.fault != nil {
-				d.SetFaults(e.fault)
-			}
-			e.disks = append(e.disks, d)
-		}
-	}
+	e := newKernel(cfg, wl, len(wl.Txns))
 	// The Txn records and their bitsets are carved out of two slab
 	// allocations: with thousands of transactions × (might + has [+
 	// mightFull]) sets, individual allocations dominate construction cost.
@@ -285,19 +238,49 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 		txns[i].has = carve()
 		e.all = append(e.all, &txns[i])
 	}
-	e.run.CPUs = cfg.NumCPUs
 	return e, nil
 }
 
-// setEvalMode derives evalMode from the policy's Staticness. Two cases run
-// as EvalDynamic whatever the policy declares: the naive pass, which sweeps
-// everything by definition, and an EvalConflictClocked policy without the
-// conflict index, which has no generation to key staleness on.
-func (e *Engine) setEvalMode() {
-	e.evalMode = e.policy.Staticness()
-	if e.cfg.NaiveDispatch || (e.evalMode == EvalConflictClocked && e.ci == nil) {
-		e.evalMode = EvalDynamic
+// newKernel builds what a simulation engine and a wall-clock service share:
+// the policy, calendar, lock table, store, conflict index and evaluation
+// mode, the optional history, decision observer, fault injector and disks.
+// txnHint sizes the lock table.
+func newKernel(cfg Config, wl *workload.Workload, txnHint int) *Engine {
+	e := &Engine{
+		cfg:    cfg,
+		policy: newPolicy(cfg),
+		sim:    sim.New(),
+		lm:     lock.NewManagerSized(cfg.Workload.DBSize, txnHint),
+		store:  db.New(cfg.Workload.DBSize),
+		wl:     wl,
+		slots:  make([]*Txn, cfg.NumCPUs),
+		ci:     newConflictIndex(cfg.Workload.DBSize),
 	}
+	e.evalMode = e.policy.Staticness()
+	e.run.CPUs = cfg.NumCPUs
+	if cfg.RecordHistory {
+		e.hist = history.New()
+	}
+	if o, ok := e.policy.(DecisionObserver); ok {
+		e.obs = o
+	}
+	if !cfg.Fault.Zero() {
+		// One shared injector: draws happen in simulation-event order
+		// across all disks and transactions, which is what makes a
+		// faulted run deterministic and bit-reproducible.
+		e.fault = fault.NewInjector(cfg.Seed, cfg.Fault)
+	}
+	if cfg.Workload.DiskAccessProb > 0 {
+		n := max(cfg.NumDisks, 1)
+		for i := 0; i < n; i++ {
+			d := disk.New(e.sim, cfg.Workload.DiskAccessTime, cfg.DiskDiscipline)
+			if e.fault != nil {
+				d.SetFaults(e.fault)
+			}
+			e.disks = append(e.disks, d)
+		}
+	}
+	return e
 }
 
 // initTxn fills in the runtime transaction for spec; carve supplies its
@@ -608,17 +591,7 @@ func (e *Engine) History() *history.History { return e.hist }
 func (e *Engine) note() {
 	now := e.sim.Now()
 	if now > e.lastNote {
-		n := 0
-		if e.ci != nil {
-			n = len(e.ci.plist)
-		} else {
-			for t := e.live.head; t != nil; t = t.liveNext {
-				if t.PartiallyExecuted() {
-					n++
-				}
-			}
-		}
-		e.run.PListArea += float64(n) * float64(now-e.lastNote)
+		e.run.PListArea += float64(len(e.ci.plist)) * float64(now-e.lastNote)
 		e.run.LiveArea += float64(e.live.n) * float64(now-e.lastNote)
 		e.lastNote = now
 	}
@@ -630,32 +603,10 @@ func (e *Engine) note() {
 // i.e. has accessed an item t might access. (Paper §3.3.1; the simulation
 // mode treats unsafe and conditionally unsafe alike, as §4 does.)
 //
-// With the conflict index the sum walks only the partially executed
-// holders of the items t might access.
+// The conflict index walks only the partially executed holders of the
+// items t might access.
 func (e *Engine) PenaltyOfConflict(t *Txn) time.Duration {
-	if e.ci == nil {
-		return e.penaltyOfConflictScan(t)
-	}
 	return e.ci.penalty(e, t)
-}
-
-// penaltyOfConflictScan is the original full-scan implementation
-// (O(live × DBSize/64) per call), kept for Config.NaiveConflictScan and
-// the equivalence suite.
-func (e *Engine) penaltyOfConflictScan(t *Txn) time.Duration {
-	var sum time.Duration
-	for p := e.live.head; p != nil; p = p.liveNext {
-		if p == t || !p.PartiallyExecuted() {
-			continue
-		}
-		if p.has.intersects(t.might) {
-			sum += e.serviceNow(p)
-			if e.cfg.PenaltyIncludesRollback {
-				sum += e.rollbackCost(p)
-			}
-		}
-	}
-	return sum
 }
 
 // serviceNow returns p's effective service time including the partial
@@ -801,6 +752,11 @@ func (e *Engine) onRollbackDone(t *Txn, cost time.Duration) {
 	t.inRollback = false
 	e.run.CPUBusy += cost
 	e.run.RollbackTime += cost
+	// serviceNow(t) counted the rollback section while it ran (cpuEvent
+	// pending, sliceStart stale) and stops counting it here, at an instant
+	// and generation a priority may already have been evaluated under: move
+	// the memo key so penalties that include t are recomputed.
+	e.reclockEval()
 	e.proceedItem(t)
 	e.reschedule()
 }
@@ -1006,9 +962,7 @@ func (e *Engine) commit(t *Txn) {
 		e.hist.Commit(t.ID(), time.Duration(t.finish))
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
-	if e.ci != nil {
-		e.ci.deindexHas(e, t)
-	}
+	e.ci.deindexHas(e, t)
 	e.removeLive(t)
 	e.committed++
 	e.run.Observe(t.Spec.Class, t.Spec.Arrival, time.Duration(t.finish), t.Spec.Deadline)
@@ -1049,9 +1003,7 @@ func (e *Engine) drop(t *Txn) {
 		e.hist.Abort(t.ID())
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
-	if e.ci != nil {
-		e.ci.deindexHas(e, t) // before has.clear: deindexing reads the has-set
-	}
+	e.ci.deindexHas(e, t) // before has.clear: deindexing reads the has-set
 	t.cpuEvent = sim.Handle{}
 	t.ioReq = nil
 	t.has.clear()
@@ -1127,9 +1079,7 @@ func (e *Engine) abort(v *Txn) {
 		e.hist.Abort(v.ID())
 	}
 	e.wake(e.lm.ReleaseAll(lock.TxnID(v.ID())))
-	if e.ci != nil {
-		e.ci.deindexHas(e, v) // before resetForRestart clears the has-set
-	}
+	e.ci.deindexHas(e, v) // before resetForRestart clears the has-set
 	if v.mightNarrow != nil {
 		// A restarted transaction is back before its decision point; its
 		// might-set re-widens (no-op if it never narrowed).
@@ -1197,9 +1147,7 @@ func (e *Engine) hasAcquired(t *Txn, item txn.Item) {
 		t.has = e.serviceBitset()
 	}
 	t.has.add(item)
-	if e.ci != nil {
-		e.ci.hasAdd(e, t, item)
-	}
+	e.ci.hasAdd(e, t, item)
 }
 
 // setMight switches a decision-point transaction's current might-access set
@@ -1225,13 +1173,11 @@ func (e *Engine) setMight(t *Txn, full bool) {
 }
 
 // tracksMight reports whether the conflict index keeps its item → might
-// mirror: only the EvalConflictClocked pass reads it (setEvalMode grants
-// that mode only with an index and the incremental pass).
+// mirror: only the EvalConflictClocked pass reads it.
 func (e *Engine) tracksMight() bool { return e.evalMode == EvalConflictClocked }
 
 // markStale queues t for the next dispatch pass to refresh its priority.
-// The full-sweep passes (EvalDynamic, which includes naive dispatch)
-// refresh everything anyway and keep no queue.
+// The EvalDynamic full sweep refreshes everything anyway and keeps no queue.
 func (e *Engine) markStale(t *Txn) {
 	if e.evalMode != EvalDynamic {
 		e.pending = append(e.pending, t)
@@ -1293,11 +1239,7 @@ func (e *Engine) reschedule() {
 			panic("core: reschedule did not converge")
 		}
 		e.rescheduleAgain = false
-		if e.cfg.NaiveDispatch {
-			e.dispatchPassNaive()
-		} else {
-			e.dispatchPass()
-		}
+		e.dispatchPass()
 		if !e.rescheduleAgain {
 			break
 		}
@@ -1308,142 +1250,12 @@ func (e *Engine) reschedule() {
 	}
 }
 
-// dispatchPassNaive is the original scheduling pass, retained verbatim
-// behind Config.NaiveDispatch: every live transaction is re-evaluated, the
-// dispatch pool is rebuilt and stable-sorted from scratch, and desired-set
-// membership is a linear scan. The equivalence suite asserts the incremental
-// dispatchPass below produces bit-identical schedules and metrics.
-func (e *Engine) dispatchPassNaive() {
-	// Continuous evaluation.
-	for t := e.live.head; t != nil; t = t.liveNext {
-		t.priority = e.policy.Evaluate(e, t)
-		if e.policy.Inherits() && t.inherited > t.priority {
-			t.priority = t.inherited
-		}
-	}
-
-	// The globally highest-priority live transaction (TH), whatever its
-	// state: the paper's invariant is that the CPU runs TH, or — if TH is
-	// blocked — under CCA only transactions compatible with the P-list.
-	var top *Txn
-	for t := e.live.head; t != nil; t = t.liveNext {
-		if t.state == StateAborting {
-			continue
-		}
-		if top == nil || less(t, top) {
-			top = t
-		}
-	}
-	if top == nil {
-		return
-	}
-
-	// Dispatchable pool, best first.
-	var pool []*Txn
-	for t := e.live.head; t != nil; t = t.liveNext {
-		if t.state == StateReady || (t.state == StateRunning && !t.inRollback) {
-			pool = append(pool, t)
-		}
-	}
-	sort.SliceStable(pool, func(i, j int) bool { return less(pool[i], pool[j]) })
-
-	// Choose the desired occupants.
-	slots := len(e.slots)
-	desired := make([]*Txn, 0, slots)
-	for t := e.live.head; t != nil; t = t.liveNext {
-		if t.state == StateRunning && t.inRollback {
-			desired = append(desired, t) // pinned
-		}
-	}
-	filter := e.policy.FiltersIOWait()
-	admission, hasAdmission := e.policy.(admissionPolicy)
-	for _, c := range pool {
-		if len(desired) >= slots {
-			break
-		}
-		if c != top && filter && !e.compatible(c, desired) {
-			continue
-		}
-		if hasAdmission && c.state != StateRunning {
-			ok, changed := admission.admits(e, c)
-			if changed {
-				// Inheritance was applied: re-rank the pool so the
-				// promoted holder gets the CPU.
-				e.rescheduleAgain = true
-			}
-			if !ok {
-				continue // ceiling-blocked
-			}
-		}
-		desired = append(desired, c)
-	}
-
-	// Progress override for admission policies (PCP): classic PCP assumes
-	// no self-suspension and a static claim set, but disk IO suspends
-	// lock holders mid-region and new arrivals raise ceilings after
-	// entry, so two entered holders can end up mutually ceiling-blocked.
-	// When nothing at all is admitted, dispatch the best lock-holding
-	// candidate anyway; direct conflicts then resolve by inheritance
-	// waits, with the deadlock detector as backstop.
-	if hasAdmission && len(desired) == 0 && len(pool) > 0 {
-		best := pool[0]
-		for _, c := range pool {
-			if c.has.any() {
-				best = c
-				break
-			}
-		}
-		e.tracef("T%d dispatched by PCP progress override", best.ID())
-		best.ceilingExempt = true
-		desired = append(desired, best)
-	}
-
-	inDesired := func(t *Txn) bool {
-		for _, d := range desired {
-			if d == t {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Preempt running transactions that lost their slot.
-	for _, s := range e.slots {
-		if s != nil && !inDesired(s) {
-			e.tracef("T%d preempted", s.ID())
-			e.emit(trace.Event{Kind: trace.Preempt, Txn: s.ID(), Other: -1, Item: -1, Priority: s.priority})
-			e.preempt(s)
-		}
-	}
-
-	// Dispatch the rest onto free slots.
-	for _, d := range desired {
-		if d.state == StateRunning {
-			continue
-		}
-		slot := -1
-		for i, s := range e.slots {
-			if s == nil {
-				slot = i
-				break
-			}
-		}
-		if slot < 0 {
-			panic("core: no free CPU for desired transaction")
-		}
-		e.dispatch(d, slot, d != top && blocked(top))
-		if d.state != StateRunning {
-			// The dispatch immediately blocked or committed; the
-			// pass must be recomputed.
-			return
-		}
-	}
-}
-
 // dispatchPass is the incremental, allocation-free scheduling pass. It
-// computes exactly what dispatchPassNaive computes — the equivalence suite
-// asserts bit identity — at a cost set by what changed since the last pass,
-// not by the size of the live set:
+// computes what re-evaluating and re-sorting every live transaction would —
+// verifyPriorities checks the priorities at every pass under
+// Config.CheckInvariants, the recorded equivalence digests pin the schedules
+// — at a cost set by what changed since the last pass, not by the size of the
+// live set:
 //
 //   - refreshPriorities re-evaluates only the transactions whose priority
 //     the policy's Staticness contract allows to have moved, and re-keys
@@ -1455,11 +1267,15 @@ func (e *Engine) dispatchPassNaive() {
 func (e *Engine) dispatchPass() {
 	e.passes++
 	e.refreshPriorities()
+	if e.cfg.CheckInvariants {
+		e.verifyPriorities()
+	}
 
-	// The globally highest-priority live transaction (TH): the first
-	// non-aborting member of the ranked order, walked from its best (tail)
-	// end. less is total, so this is the same transaction the naive pass's
-	// minimum scan finds.
+	// The globally highest-priority live transaction (TH), whatever its
+	// state: the paper's invariant is that the CPU runs TH, or — if TH is
+	// blocked — under CCA only transactions compatible with the P-list. It is
+	// the first non-aborting member of the ranked order, walked from its best
+	// (tail) end.
 	var top *Txn
 	for i := len(e.ranked) - 1; i >= 0; i-- {
 		if t := e.ranked[i]; t.state != StateAborting {
@@ -1511,8 +1327,13 @@ func (e *Engine) dispatchPass() {
 		desired = append(desired, c)
 	}
 
-	// Progress override for admission policies (PCP); see dispatchPassNaive.
-	// The only consumer of the whole dispatchable order walks it on demand.
+	// Progress override for admission policies (PCP): classic PCP assumes
+	// no self-suspension and a static claim set, but disk IO suspends lock
+	// holders mid-region and new arrivals raise ceilings after entry, so two
+	// entered holders can end up mutually ceiling-blocked. When nothing at
+	// all is admitted, dispatch the best lock-holding candidate (else the
+	// best) anyway; direct conflicts then resolve by inheritance waits, with
+	// the deadlock detector as backstop.
 	if hasAdmission && len(desired) == 0 {
 		var best *Txn
 		for i := len(e.ranked) - 1; i >= 0; i-- {
@@ -1581,8 +1402,8 @@ func dispatchable(c *Txn) bool {
 // transaction that left the hot set since, so one whose last penaliser
 // went falls back to its constant — and, for EvalConflictClocked, the
 // conflict index's hot set, whose members are re-evaluated when the clock
-// or the generation moved; for EvalDynamic every live transaction, in the
-// arrival order the naive pass uses. Every stored value is the result of a
+// or the generation moved; for EvalDynamic every live transaction, in
+// arrival order. Every stored value is the result of a
 // real Evaluate call; one is skipped only where the contract says it would
 // return what is already stored. With no conflict in the system the hot
 // set is empty and a pass evaluates its arrivals and nothing else.
@@ -1609,10 +1430,7 @@ func (e *Engine) refreshPriorities() {
 		return
 	}
 
-	var gen uint64
-	if e.ci != nil {
-		gen = e.ci.gen
-	}
+	gen := e.ci.gen
 	for _, t := range e.pending {
 		if !t.inLive {
 			continue
@@ -1632,9 +1450,6 @@ func (e *Engine) refreshPriorities() {
 			e.evaluate(t, now, gen)
 			e.rekey(t)
 		}
-	}
-	if e.cfg.CheckInvariants {
-		e.ci.verifyHot(e)
 	}
 }
 
@@ -1722,31 +1537,12 @@ func blocked(top *Txn) bool {
 
 // compatible reports whether c conflicts with no partially executed
 // transaction (the IOwait-schedule admission test) and, on a
-// multiprocessor, with no already-chosen peer. With the conflict index the
-// test intersects against the P-list only (average size 1–2 per the paper)
-// instead of scanning every live transaction.
+// multiprocessor, with no already-chosen peer. The test intersects against
+// the P-list only (average size 1–2 per the paper), not every live
+// transaction.
 func (e *Engine) compatible(c *Txn, desired []*Txn) bool {
-	if e.ci == nil {
-		return e.compatibleScan(c, desired)
-	}
 	for _, p := range e.ci.plist {
 		if p != c && p.might.intersects(c.might) {
-			return false
-		}
-	}
-	for _, d := range desired {
-		if d != c && d.might.intersects(c.might) {
-			return false
-		}
-	}
-	return true
-}
-
-// compatibleScan is the original full-scan IOwait-schedule test, kept for
-// Config.NaiveConflictScan and the equivalence suite.
-func (e *Engine) compatibleScan(c *Txn, desired []*Txn) bool {
-	for p := e.live.head; p != nil; p = p.liveNext {
-		if p != c && p.PartiallyExecuted() && p.might.intersects(c.might) {
 			return false
 		}
 	}
@@ -1780,6 +1576,55 @@ func (e *Engine) dispatch(t *Txn, slot int, asSecondary bool) {
 
 // --- invariants ---------------------------------------------------------
 
+// verifyPriorities is the per-scheduling-point reference check, run under
+// Config.CheckInvariants right after refreshPriorities: whatever the memo
+// skipped, every live transaction must hold the priority continuous
+// evaluation defines — a fresh Evaluate, floored at the inherited priority —
+// and the index's penalty must equal the full scan. EvalDynamic policies
+// re-evaluate everything every pass already (and AED's Evaluate draws random
+// numbers), so they are left out. Evaluate is called directly: e.evals, which
+// the cost tests read, does not move.
+func (e *Engine) verifyPriorities() {
+	if e.evalMode == EvalDynamic {
+		return
+	}
+	if e.evalMode == EvalConflictClocked {
+		e.ci.verifyHot(e)
+	}
+	for t := e.live.head; t != nil; t = t.liveNext {
+		if got, want := e.ci.penalty(e, t), e.penaltyOfConflictScan(t); got != want {
+			panic(fmt.Sprintf("core: T%d index penalty %v, full scan %v", t.ID(), got, want))
+		}
+		fresh := e.policy.Evaluate(e, t)
+		if t.inherited > fresh {
+			fresh = t.inherited
+		}
+		if t.priority != fresh {
+			panic(fmt.Sprintf("core: T%d stored priority %f, fresh %f (evaluated at %v gen %d, now %v gen %d)",
+				t.ID(), t.priority, fresh, t.evalAt, t.evalGen, e.sim.Now(), e.ci.gen))
+		}
+	}
+}
+
+// penaltyOfConflictScan is PenaltyOfConflict by definition — every partially
+// executed live transaction whose has-set meets t's might-set — in
+// O(live × DBSize/64): the reference the conflict index is checked against.
+func (e *Engine) penaltyOfConflictScan(t *Txn) time.Duration {
+	var sum time.Duration
+	for p := e.live.head; p != nil; p = p.liveNext {
+		if p == t || !p.PartiallyExecuted() {
+			continue
+		}
+		if p.has.intersects(t.might) {
+			sum += e.serviceNow(p)
+			if e.cfg.PenaltyIncludesRollback {
+				sum += e.rollbackCost(p)
+			}
+		}
+	}
+	return sum
+}
+
 // checkInvariants asserts engine-wide consistency; it is enabled by
 // Config.CheckInvariants and exercised heavily by the test suite. The
 // checks encode the paper's theorems: no lock waits under CCA (Theorem 1:
@@ -1787,23 +1632,19 @@ func (e *Engine) dispatch(t *Txn, slot int, asSecondary bool) {
 // priority under the HP baselines.
 func (e *Engine) checkInvariants() {
 	e.lm.CheckInvariants()
-	if e.ci != nil {
-		e.ci.verify(e)
+	e.ci.verify(e)
+	// ranked mirrors live's membership and, between scheduling points, stays
+	// sorted by the stored priorities (nothing mutates a priority outside the
+	// dispatch pass, and the pass re-keys on any change).
+	if len(e.ranked) != e.live.n {
+		panic(fmt.Sprintf("core: ranked has %d members, live has %d", len(e.ranked), e.live.n))
 	}
-	if !e.cfg.NaiveDispatch {
-		// ranked mirrors live's membership and, between scheduling points,
-		// stays sorted by the stored priorities (nothing mutates a priority
-		// outside the dispatch pass, and the pass re-keys on any change).
-		if len(e.ranked) != e.live.n {
-			panic(fmt.Sprintf("core: ranked has %d members, live has %d", len(e.ranked), e.live.n))
+	for i, t := range e.ranked {
+		if !t.inLive || !t.ranked {
+			panic(fmt.Sprintf("core: ranked member T%d not live", t.ID()))
 		}
-		for i, t := range e.ranked {
-			if !t.inLive || !t.ranked {
-				panic(fmt.Sprintf("core: ranked member T%d not live", t.ID()))
-			}
-			if i > 0 && !less(t, e.ranked[i-1]) {
-				panic(fmt.Sprintf("core: ranked order violated at %d (T%d below T%d)", i, e.ranked[i-1].ID(), t.ID()))
-			}
+		if i > 0 && !less(t, e.ranked[i-1]) {
+			panic(fmt.Sprintf("core: ranked order violated at %d (T%d below T%d)", i, e.ranked[i-1].ID(), t.ID()))
 		}
 	}
 	occupied := make(map[int]bool)

@@ -102,8 +102,9 @@ func TestFaultedRunDeterministic(t *testing.T) {
 }
 
 // TestFaultedEquivalenceMatrix: the scheduling fast paths must stay
-// bit-identical to the naive reference under active fault injection too —
-// fault draws happen at simulation events shared by all four engines.
+// bit-identical to the recorded reference under active fault injection too —
+// fault draws happen at simulation events, which the fast paths must not
+// reorder.
 func TestFaultedEquivalenceMatrix(t *testing.T) {
 	mm := MainMemoryConfig(CCA, 7)
 	mm.Workload.Count = 120

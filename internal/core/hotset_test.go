@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,4 +86,97 @@ func TestHotSetExactProperty(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRollbackEndReclocksEvaluation is the regression for the memo hole the
+// per-scheduling-point oracle (verifyPriorities) found: a wounder runs its
+// victims' rollback on its own CPU, and serviceNow counts that section as its
+// service until onRollbackDone, where the holder's service drops without the
+// clock or the conflict-index generation moving — so a claimant evaluated
+// earlier in the same instant kept a stale priority under its (now, gen) memo
+// key. Without the reclockEval in onRollbackDone these runs panic with
+// "stored priority …, fresh …".
+func TestRollbackEndReclocksEvaluation(t *testing.T) {
+	for _, pol := range []PolicyKind{CCA, CCAP, CCAT} {
+		e, err := New(multiCPUConfig(pol, 4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Restarts == 0 {
+			t.Fatalf("%s: no restarts, so no rollback section ended", pol)
+		}
+	}
+}
+
+// TestPriorityOracleCatchesStaleMemo is the oracle's mutation test: a check
+// that never fires proves nothing. Step a contended CCA run to an instant
+// where a hot transaction's penalty includes a running holder, move the clock
+// without firing an event (the holder's service grows), and forge the
+// claimant's memo key to say it was evaluated at the new instant: the next
+// pass skips it and verifyPriorities must panic. The same pass without the
+// forgery re-evaluates it and is clean.
+func TestPriorityOracleCatchesStaleMemo(t *testing.T) {
+	for _, forge := range []bool{false, true} {
+		cfg := MainMemoryConfig(CCA, 3)
+		cfg.CheckInvariants = true
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.StartRun()
+		var claimant *Txn
+		var next sim.Time
+		for claimant == nil {
+			at, ok := e.sim.NextAt()
+			if !ok {
+				t.Fatal("run ended without a hot transaction behind a running holder")
+			}
+			if err := e.StepTo(at); err != nil {
+				t.Fatal(err)
+			}
+			if next, ok = e.sim.NextAt(); ok && next-e.sim.Now() >= 2 {
+				claimant = claimantOfRunningHolder(e)
+			}
+		}
+		mid := e.sim.Now() + (next-e.sim.Now())/2
+		if err := e.StepTo(mid); err != nil {
+			t.Fatal(err)
+		}
+		if forge {
+			claimant.evalAt, claimant.evalGen = mid, e.ci.gen
+		}
+		msg := func() (msg string) {
+			defer func() {
+				if p := recover(); p != nil {
+					msg = fmt.Sprint(p)
+				}
+			}()
+			e.note()
+			e.reschedule()
+			return ""
+		}()
+		switch {
+		case !forge && msg != "":
+			t.Fatalf("unforged pass panicked: %s", msg)
+		case forge && !strings.Contains(msg, "stored priority"):
+			t.Fatalf("forged memo for T%d: want the oracle's stored-priority panic, got %q", claimant.ID(), msg)
+		}
+	}
+}
+
+// claimantOfRunningHolder returns a hot transaction whose might-set meets the
+// has-set of another transaction that is computing on a CPU, or nil.
+func claimantOfRunningHolder(e *Engine) *Txn {
+	for _, c := range e.ci.hot {
+		for _, p := range e.slots {
+			if p != nil && p != c && !p.inRollback && p.cpuEvent.Pending() && p.has.intersects(c.might) {
+				return c
+			}
+		}
+	}
+	return nil
 }

@@ -4,9 +4,10 @@ package core
 // fills slots from the ranked pool in order, so any instability in pool
 // ordering or desired-set construction would surface as schedule divergence
 // here first. These tests pin (a) replay determinism — identical configs
-// replay identical multi-CPU schedules — and (b) fast-path equivalence —
-// the incremental dispatch pass and the naive pass agree on multiprocessor
-// configurations, with invariants checked at every scheduling point.
+// replay identical multi-CPU schedules — and (b) equivalence — the recorded
+// digests hold on multiprocessor configurations, with invariants (stored
+// priorities against fresh evaluations included) checked at every scheduling
+// point.
 
 import (
 	"reflect"
@@ -28,25 +29,22 @@ func multiCPUConfig(pol PolicyKind, cpus int, seed int64) Config {
 }
 
 // TestMultiCPUDeterministicReplay: the same multi-CPU config replays to an
-// identical schedule, for both the incremental and the naive dispatch pass.
+// identical schedule.
 func TestMultiCPUDeterministicReplay(t *testing.T) {
 	for _, cpus := range []int{2, 4} {
-		for _, naive := range []bool{false, true} {
-			cfg := multiCPUConfig(CCA, cpus, 7)
-			cfg.NaiveDispatch = naive
-			s1, r1 := runForEquivalence(t, cfg, nil)
-			s2, r2 := runForEquivalence(t, cfg, nil)
-			if !reflect.DeepEqual(s1, s2) {
-				t.Fatalf("cpus=%d naive=%v: replay diverged", cpus, naive)
-			}
-			if !reflect.DeepEqual(r1, r2) {
-				t.Fatalf("cpus=%d naive=%v: replay metrics diverged", cpus, naive)
-			}
+		cfg := multiCPUConfig(CCA, cpus, 7)
+		s1, r1 := runForEquivalence(t, cfg, nil)
+		s2, r2 := runForEquivalence(t, cfg, nil)
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("cpus=%d: replay diverged", cpus)
+		}
+		if !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("cpus=%d: replay metrics diverged", cpus)
 		}
 	}
 }
 
-// TestMultiCPUDispatchEquivalence: the full fast-path matrix agrees on
+// TestMultiCPUDispatchEquivalence: the recorded digests hold on
 // multiprocessor configurations across policies with distinct Staticness
 // contracts (static EDF-HP, conflict-clocked CCA, dynamic LSF/AED) and on a
 // multi-disk configuration where IO waits interleave with dispatch.

@@ -47,14 +47,10 @@ func (e *Engine) SetDecisionObserver(o DecisionObserver) {
 // reclockEval invalidates the evaluation and penalty memos by bumping the
 // conflict-index generation — the same key a has-set change bumps — so the
 // Staticness contract covers observer-driven state: stats updates re-clock
-// evaluation exactly like conflict events do. Without the index (naive
-// scans) EvalConflictClocked policies already run as EvalDynamic and every
-// pass re-evaluates.
-func (e *Engine) reclockEval() {
-	if e.ci != nil {
-		e.ci.gen++
-	}
-}
+// evaluation exactly like conflict events do. A rollback section's end
+// re-clocks too (onRollbackDone): it changes a holder's service time without
+// moving the clock or the has-sets.
+func (e *Engine) reclockEval() { e.ci.gen++ }
 
 func (e *Engine) notifyWound(wounder, victim *Txn) {
 	if e.obs == nil {

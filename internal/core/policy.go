@@ -10,8 +10,8 @@ import (
 // uses to evaluate a set of transactions instead of the live list
 // (continuous evaluation restricted to what can have moved; the observable
 // priorities are identical to evaluating everything from scratch at every
-// scheduling point, which the equivalence suite asserts against the
-// retained Config.NaiveDispatch path).
+// scheduling point, which Engine.verifyPriorities checks at every pass under
+// Config.CheckInvariants).
 type Staticness int
 
 const (
@@ -43,9 +43,7 @@ const (
 	// such member — when the clock or the generation moved; a transaction
 	// once, when its last such member goes and it leaves the set; and one
 	// whose might-set was switched. With no conflict in the system nothing
-	// is re-evaluated at all. CCA, CCA-P and CCA-T satisfy this. Without a
-	// conflict index (naive scans) the engine conservatively treats such a
-	// policy as EvalDynamic.
+	// is re-evaluated at all. CCA, CCA-P and CCA-T satisfy this.
 	EvalConflictClocked
 	// EvalDynamic: Evaluate(t) may change at any scheduling point for
 	// reasons the engine cannot observe cheaply (LSF's slack shrinks with

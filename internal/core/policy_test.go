@@ -41,9 +41,7 @@ func TestCCAEvaluateIncludesPenalty(t *testing.T) {
 
 func TestCCAEvaluateNoPenaltyForDisjoint(t *testing.T) {
 	e, t0, t1 := policyFixture(t, CCA)
-	if e.ci != nil {
-		e.ci.deindexHas(e, t0)
-	}
+	e.ci.deindexHas(e, t0)
 	t0.has.clear()
 	e.hasAcquired(t0, 1) // now holds only item 1, which T1 never accesses
 	if got := e.policy.Evaluate(e, t1); got != -90 {

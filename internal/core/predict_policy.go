@@ -14,9 +14,8 @@ package core
 // Determinism and equivalence:
 //
 //   - every extra penalty term is rounded to an integer time.Duration
-//     before summation, so the sum is permutation-invariant and the
-//     naive/fast equivalence matrix holds for the prediction term exactly
-//     as it does for the base penalty;
+//     before summation, so the sum is permutation-invariant: the order the
+//     conflict index visits holders in cannot change a priority;
 //   - with RateScale 0 the evaluation expression is literally CCA's, and
 //     with Decay 0 the table retains nothing so every rate term is 0 —
 //     either degenerate knob reduces CCA-P bit-identically to stock CCA
@@ -203,24 +202,15 @@ func (p *ccapPolicy) ObserveRestart(e *Engine, victim *Txn) {
 
 // ObserveTerminal credits a commit against every partially executed peer
 // the committer coexisted with — the conflict-rate denominator: "this pair
-// was live together and did not conflict". Peers are read from the P-list
-// (or the live scan, naive mode); both enumerate the same set, and counts
-// are order-free, so the equivalence matrix is unaffected.
+// was live together and did not conflict". Peers are read from the P-list,
+// which the committer has already left.
 func (p *ccapPolicy) ObserveTerminal(e *Engine, t *Txn, committed, missed bool) {
 	if !committed {
 		return
 	}
 	now := e.Now()
-	if e.ci != nil {
-		for _, peer := range e.ci.plist {
-			p.table.Record(predict.Commit, t.Spec.Type, peer.Spec.Type, now)
-		}
-		return
-	}
-	for peer := e.live.head; peer != nil; peer = peer.liveNext {
-		if peer != t && peer.PartiallyExecuted() {
-			p.table.Record(predict.Commit, t.Spec.Type, peer.Spec.Type, now)
-		}
+	for _, peer := range e.ci.plist {
+		p.table.Record(predict.Commit, t.Spec.Type, peer.Spec.Type, now)
 	}
 }
 
@@ -356,21 +346,9 @@ func (p *ccatPolicy) predictState() (float64, int, []float64) {
 // predictPenalty is the observed-conflict extension of PenaltyOfConflict:
 // for every partially executed holder conflicting with t it adds
 // scale · rate(t.Type, holder.Type) · (the holder's base penalty
-// contribution), each term rounded to an integer Duration so the sum is
-// permutation-invariant across the index walk and the naive scan.
+// contribution), each term rounded to an integer Duration so the sum does
+// not depend on the order the index walk visits holders in.
 func (e *Engine) predictPenalty(t *Txn, tab *predict.Table, scale float64) time.Duration {
-	if e.ci == nil {
-		var sum time.Duration
-		for p := e.live.head; p != nil; p = p.liveNext {
-			if p == t || !p.PartiallyExecuted() {
-				continue
-			}
-			if p.has.intersects(t.might) {
-				sum += e.predictTerm(t, p, tab, scale)
-			}
-		}
-		return sum
-	}
 	ci := e.ci
 	ci.stamp++
 	var sum time.Duration

@@ -10,8 +10,8 @@
 // injected arrivals) and the per-transaction completion slot, which is
 // nil on every simulation run. That is the whole equivalence argument for
 // the Clock refactor — virtual-time runs execute byte-for-byte the same
-// code they always did, and the equivalence matrix keeps proving them
-// bit-identical.
+// code they always did, and the recorded equivalence digests keep proving
+// them bit-identical.
 //
 // A Service is one shard's worker: the serving stack always runs
 // shard.Service over N of them (N = 1 included), which owns routing,
@@ -26,11 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/db"
-	"repro/internal/disk"
-	"repro/internal/fault"
-	"repro/internal/history"
-	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/sim"
@@ -61,27 +56,12 @@ type ServiceOptions struct {
 	// Speed is the simulated-to-wall time ratio (sim.RealtimeOptions.Speed);
 	// 0 means 1 (real time). Tests compress time with large speeds.
 	Speed float64
-	// SampleWindow bounds the engine's per-commit tardiness samples to the
-	// most recent N commits so a long-lived service keeps constant memory
-	// (0 picks a default of 4096). Only consulted with UseSampleRing: the
-	// default histogram is constant-memory over any run length.
-	SampleWindow int
-	// UseSampleRing is the compat flag for the pre-histogram percentile
-	// path: keep the bounded sample ring (recent-window percentiles,
-	// re-sorted per query) instead of the fixed-bucket log-scale
-	// histogram (whole-run percentiles, exact-to-bucket, bucket-sum
-	// merging). Retired once the figure suite migrates to histograms.
-	UseSampleRing bool
 	// Oracle attaches the runtime safety oracle: a violated paper
 	// invariant stops the service with an error (surfaced by Err and
 	// /healthz) instead of silently corrupting results. The oracle records
 	// the full operation history, so it is meant for soak and verification
 	// runs, not unbounded production serving.
 	Oracle bool
-	// StallBudget is the wall-clock watchdog (sim.RealtimeOptions
-	// .StallBudget): max same-instant events before the driver declares a
-	// stall. 0 picks a generous default; < 0 disables.
-	StallBudget int
 }
 
 // ServiceRequest describes one submitted transaction. The deadline is
@@ -197,55 +177,17 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:    cfg,
-		policy: newPolicy(cfg),
-		sim:    sim.New(),
-		lm:     lock.NewManagerSized(cfg.Workload.DBSize, 64),
-		store:  db.New(cfg.Workload.DBSize),
-		wl:     &workload.Workload{Params: cfg.Workload},
-		slots:  make([]*Txn, cfg.NumCPUs),
-	}
-	if cfg.RecordHistory {
-		e.hist = history.New()
-	}
-	if !cfg.NaiveConflictScan {
-		e.ci = newConflictIndex(cfg.Workload.DBSize)
-	}
-	e.setEvalMode()
-	if o, ok := e.policy.(DecisionObserver); ok {
-		e.obs = o
-	}
-	if !cfg.Fault.Zero() {
-		e.fault = fault.NewInjector(cfg.Seed, cfg.Fault)
-	}
-	if cfg.Workload.DiskAccessProb > 0 {
-		n := cfg.NumDisks
-		if n <= 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			d := disk.New(e.sim, cfg.Workload.DiskAccessTime, cfg.DiskDiscipline)
-			if e.fault != nil {
-				d.SetFaults(e.fault)
-			}
-			e.disks = append(e.disks, d)
-		}
-	}
-	e.run.CPUs = cfg.NumCPUs
-	e.run.UseHistogram = !opt.UseSampleRing
-	e.run.SampleWindow = opt.SampleWindow
-	if e.run.SampleWindow == 0 {
-		e.run.SampleWindow = 4096
-	}
+	// The lock table starts small: a service's transactions arrive over time.
+	e := newKernel(cfg, &workload.Workload{Params: cfg.Workload}, 64)
+	// Tardiness goes to a constant-memory histogram over an unbounded run.
+	e.run.UseHistogram = true
 	e.retires = true
 	s := &Service{e: e, stopCh: make(chan struct{})}
 	if opt.Oracle {
 		e.EnableOracle()
 	}
 	s.rt = sim.NewRealtime(e.sim, sim.RealtimeOptions{
-		Speed:       opt.Speed,
-		StallBudget: opt.StallBudget,
+		Speed: opt.Speed,
 		Check: func() error {
 			if e.oracle != nil && e.oracle.err != nil {
 				return fmt.Errorf("core: oracle: %w", e.oracle.err)
@@ -496,14 +438,8 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // bounded by the peak live set, not the request count: it brings its ID, its
 // spec storage and its event callbacks, and everything else starts from zero.
 func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, error)) *Txn {
-	// Recycling is safe only when nothing identifies transactions across
-	// time: the history (and so the oracle's serializability checks) and
-	// the trace recorder key operations by transaction ID. idsPinned is the
-	// lifetime latch — once any such consumer has ever attached, IDs (and
-	// objects) stay unique even if the consumer is later detached.
-	recycle := !e.idsPinned && e.hist == nil && e.rec == nil
 	var t *Txn
-	if n := len(e.freeTxns); recycle && n > 0 {
+	if n := len(e.freeTxns); n > 0 && e.recycles() {
 		t = e.freeTxns[n-1]
 		e.freeTxns = e.freeTxns[:n-1]
 		e.idRecycled = true
@@ -537,7 +473,7 @@ func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, err
 // pending firm-deadline event is cancelled. (The engine's own lists — live,
 // ranked, pending, the conflict index — dropped it on the terminal path.)
 func (e *Engine) retireServiceTxn(t *Txn) {
-	if e.idsPinned || e.hist != nil || e.rec != nil {
+	if !e.recycles() {
 		return // IDs stay unique for the history/trace; tables grow instead
 	}
 	e.all[t.ID()] = nil
@@ -558,6 +494,14 @@ func (e *Engine) retireServiceTxn(t *Txn) {
 	}
 	t.might, t.mightNarrow, t.mightFull, t.has = nil, nil, nil, nil
 }
+
+// recycles reports whether a retired transaction's object and ID may be
+// reused. Only when nothing identifies transactions across time: the history
+// (and so the oracle's serializability checks) and the trace recorder key
+// operations by transaction ID. idsPinned is the lifetime latch — once any
+// such consumer has ever attached, IDs (and objects) stay unique even if the
+// consumer is later detached.
+func (e *Engine) recycles() bool { return !e.idsPinned && e.hist == nil && e.rec == nil }
 
 // serviceBitset returns an empty item set for a submitted transaction,
 // reusing a retired one when there is one.

@@ -124,8 +124,7 @@ type Txn struct {
 	// would cost DBSize/64 words per visit.
 	items, fullItems, mightItems []txn.Item
 
-	// Conflict-index state (unused when the engine runs the naive scan,
-	// Config.NaiveConflictScan):
+	// Conflict-index state:
 	//
 	// plistIdx is this transaction's position on the index's P-list slice,
 	// or -1 while it has accessed nothing.
@@ -141,8 +140,7 @@ type Txn struct {
 	// Wait Promote baseline.
 	inherited float64
 
-	// Incremental-dispatch state (unused when Config.NaiveDispatch keeps the
-	// original re-evaluate-everything dispatch pass):
+	// Incremental-dispatch state:
 	//
 	// basePr is the policy's own Evaluate value from the last evaluation
 	// (before the inherited-priority floor is applied).

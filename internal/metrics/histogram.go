@@ -1,9 +1,9 @@
-// Histogram is the constant-memory replacement for the percentile sample
-// ring: a fixed-bucket log-scale latency histogram. The sample ring keeps
-// the last N observations and re-sorts them on every percentile query,
-// which under a multi-million-request soak means the percentiles describe
-// an arbitrary recent window and the query cost grows with the window. The
-// histogram instead buckets every observation ever made into a fixed
+// Histogram is the constant-memory percentile store of unbounded runs (the
+// wall-clock service): a fixed-bucket log-scale latency histogram. Keeping
+// samples would grow without bound under a multi-million-request soak, and
+// a bounded ring of them would describe an arbitrary recent window and
+// re-sort it on every query. The histogram instead buckets every
+// observation ever made into a fixed
 // log-spaced grid: memory is constant (a few KiB) no matter how long the
 // service runs, a percentile query is one cumulative scan over the grid,
 // and merging shards is a bucket-wise sum instead of re-slicing samples.

@@ -98,10 +98,10 @@ func TestHistogramMergeEqualsUnion(t *testing.T) {
 }
 
 // TestRunHistogramMode checks the Run integration: UseHistogram routes
-// observations into the histogram, Result reads percentiles from it, the
-// ring stays empty, Clone deep-copies, and MergeRuns sums buckets.
+// observations into the histogram, Result reads percentiles from it, no
+// sample is kept, Clone deep-copies, and MergeRuns sums buckets.
 func TestRunHistogramMode(t *testing.T) {
-	mk := func() *Run { return &Run{UseHistogram: true, SampleWindow: 8} }
+	mk := func() *Run { return &Run{UseHistogram: true} }
 	r1, r2 := mk(), mk()
 	for i := 1; i <= 1000; i++ {
 		late := time.Duration(i) * time.Millisecond
@@ -112,7 +112,7 @@ func TestRunHistogramMode(t *testing.T) {
 		r2.Observe(0, 0, time.Duration(i)*time.Second, time.Duration(i)*time.Second+time.Millisecond)
 	}
 	if len(r1.latenessSamples) != 0 {
-		t.Fatalf("histogram mode still appended %d ring samples", len(r1.latenessSamples))
+		t.Fatalf("histogram mode still appended %d samples", len(r1.latenessSamples))
 	}
 	res := r1.Result()
 	if res.P99LatenessMs < 990*0.9 || res.P99LatenessMs > 990*1.2 {
@@ -144,17 +144,21 @@ func TestRunHistogramMode(t *testing.T) {
 	}
 }
 
-// TestRunRingCompat: with UseHistogram off nothing changes — the ring
-// fills exactly as before (the compat path for the figure suite).
+// TestRunRingCompat: with UseHistogram off (simulation runs) every sample is
+// kept — the contract that replaced the bounded ring — and no histogram is
+// allocated.
 func TestRunRingCompat(t *testing.T) {
-	r := &Run{SampleWindow: 4}
+	r := &Run{}
 	for i := 1; i <= 6; i++ {
 		r.Observe(0, 0, time.Duration(i)*time.Second, 0)
 	}
-	if len(r.latenessSamples) != 4 {
-		t.Fatalf("ring kept %d samples, want 4", len(r.latenessSamples))
+	if len(r.latenessSamples) != 6 {
+		t.Fatalf("kept %d samples, want all 6", len(r.latenessSamples))
 	}
 	if r.hist != nil {
-		t.Fatal("ring mode allocated a histogram")
+		t.Fatal("sample mode allocated a histogram")
+	}
+	if got := r.Result().MaxLatenessMs; got != 6000 {
+		t.Fatalf("max lateness %v ms, want 6000 (the oldest sample is still counted)", got)
 	}
 }

@@ -1,10 +1,9 @@
 package metrics
 
-// MergeRuns is how a sharded run becomes one system-wide Run. These tests
-// pin the tricky part: merging per-shard percentile rings after wraparound
-// without double-counting a sample and without per-shard ordering bias
-// (the merged window must be the most recent commits by commit instant,
-// not "all of shard 0 then all of shard 1").
+// MergeRuns is how a sharded run becomes one system-wide Run. Samples are
+// unbounded: merging concatenates them in argument order, so no sample is
+// lost or counted twice, and percentiles (which sort) do not depend on the
+// order.
 
 import (
 	"reflect"
@@ -19,32 +18,25 @@ func obs(r *Run, finishMs int) {
 	r.Observe(0, 0, f, 0)
 }
 
-func sampleValues(r *Run) []float64 {
-	var out []float64
-	for _, s := range r.orderedSamples() {
-		out = append(out, s.tardy)
-	}
-	return out
-}
-
+// TestMergeRunsRingWrapAndOrder: there is no ring to wrap any more — every
+// sample of every shard survives the merge, shard by shard in argument order,
+// and the merged run keeps appending after it.
 func TestMergeRunsRingWrapAndOrder(t *testing.T) {
-	a := &Run{SampleWindow: 4}
-	for _, ms := range []int{10, 20, 30, 40, 50} { // wraps: ring keeps 20..50
+	a := &Run{}
+	for _, ms := range []int{10, 20, 30, 40, 50} {
 		obs(a, ms)
 	}
-	if got, want := sampleValues(a), []float64{20, 30, 40, 50}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring after wrap = %v, want %v", got, want)
+	if got, want := a.latenessSamples, []float64{10, 20, 30, 40, 50}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples = %v, want %v", got, want)
 	}
-	b := &Run{SampleWindow: 4}
-	for _, ms := range []int{15, 25, 35} { // no wrap
+	b := &Run{}
+	for _, ms := range []int{15, 25, 35} {
 		obs(b, ms)
 	}
 
 	m := MergeRuns(a, b)
-	// Union of retained samples is {20,30,40,50,15,25,35}; the merged
-	// window (4) must keep the most recent four by commit instant.
-	if got, want := sampleValues(&m), []float64{30, 35, 40, 50}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged ring = %v, want %v", got, want)
+	if got, want := m.latenessSamples, []float64{10, 20, 30, 40, 50, 15, 25, 35}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged samples = %v, want %v", got, want)
 	}
 	if m.Committed != a.Committed+b.Committed {
 		t.Fatalf("merged Committed = %d, want %d", m.Committed, a.Committed+b.Committed)
@@ -52,34 +44,34 @@ func TestMergeRunsRingWrapAndOrder(t *testing.T) {
 	if m.Missed != 8 || m.TardinessSum != a.TardinessSum+b.TardinessSum {
 		t.Fatalf("merged miss counters wrong: %+v", m)
 	}
-	// The merged ring is a valid ring: a further Observe overwrites the
-	// oldest sample, not an arbitrary one.
 	obs(&m, 60)
-	if got, want := sampleValues(&m), []float64{35, 40, 50, 60}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring after post-merge observe = %v, want %v", got, want)
+	if got := len(m.latenessSamples); got != 9 {
+		t.Fatalf("post-merge observe left %d samples, want 9", got)
+	}
+	// Order is immaterial to the percentiles: merging the other way round
+	// yields the same Result.
+	if ab, ba := MergeRuns(a, b), MergeRuns(b, a); !reflect.DeepEqual(ab.Result(), ba.Result()) {
+		t.Fatalf("merge order changed the Result:\n%+v\n%+v", ab.Result(), ba.Result())
 	}
 }
 
 func TestMergeRunsUnboundedKeepsEverything(t *testing.T) {
-	a := &Run{} // SampleWindow 0: simulation mode, keep all samples
+	a := &Run{}
 	for _, ms := range []int{5, 30} {
 		obs(a, ms)
 	}
-	b := &Run{SampleWindow: 2}
-	for _, ms := range []int{10, 20, 40} { // wraps to {20, 40}
+	b := &Run{}
+	for _, ms := range []int{10, 20, 40} {
 		obs(b, ms)
 	}
 	m := MergeRuns(a, b)
-	if m.SampleWindow != 0 {
-		t.Fatalf("merged SampleWindow = %d, want 0 (unbounded)", m.SampleWindow)
-	}
-	if got, want := sampleValues(&m), []float64{5, 20, 30, 40}; !reflect.DeepEqual(got, want) {
+	if got, want := m.latenessSamples, []float64{5, 30, 10, 20, 40}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged samples = %v, want %v", got, want)
 	}
 }
 
 func TestMergeRunsSingleIsIdentity(t *testing.T) {
-	r := &Run{SampleWindow: 3, CPUs: 1}
+	r := &Run{CPUs: 1}
 	for _, ms := range []int{10, 20, 30, 40} {
 		obs(r, ms)
 	}
@@ -108,13 +100,13 @@ func TestMergeRunsClasses(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	r := &Run{SampleWindow: 2}
+	r := &Run{}
 	obs(r, 10)
 	r.Observe(3, 0, 5*time.Millisecond, 20*time.Millisecond)
 	c := r.Clone()
 	obs(r, 99)
 	r.classes[3].committed++
-	if got, want := sampleValues(&c), []float64{10, 0}; !reflect.DeepEqual(got, want) {
+	if got, want := c.latenessSamples, []float64{10, 0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("clone samples mutated: %v, want %v", got, want)
 	}
 	if c.classes[3].committed != 1 {

@@ -80,30 +80,16 @@ type Run struct {
 	CPUs int
 	// Disks is the number of disks (for utilisation normalisation).
 	Disks int
-	// SampleWindow, when > 0, bounds latenessSamples to a ring of the most
-	// recent commits so that an unbounded run (the wall-clock service)
-	// keeps constant memory; the percentile metrics then describe the
-	// recent window rather than the whole run. 0 (the default, used by
-	// every simulation run) keeps every sample.
-	SampleWindow int
 	// UseHistogram routes tardiness observations into a fixed-bucket
-	// log-scale Histogram instead of the sample ring: constant memory over
-	// any run length, percentiles exact-to-bucket over the whole run (not
-	// a recent window), and shard merging by bucket sums. The wall-clock
-	// service turns it on by default; the ring stays available behind the
-	// service's compat flag until the figure suite migrates (simulation
-	// runs keep unbounded samples and are untouched either way).
+	// log-scale Histogram instead of the sample list: constant memory over
+	// any run length, percentiles exact-to-bucket, and shard merging by
+	// bucket sums. The wall-clock service sets it; simulation runs keep
+	// every sample for exact percentiles.
 	UseHistogram bool
 	hist         *Histogram
 	// latenessSamples holds each commit's tardiness in ms, for the
-	// percentile metrics (a ring of the last SampleWindow commits when
-	// SampleWindow > 0, rotated at sampleIdx). sampleTimes is the parallel
-	// ring of commit instants: the merge key that lets MergeRuns interleave
-	// several shards' rings in true commit order instead of concatenation
-	// order.
+	// percentile metrics (simulation runs, which are bounded).
 	latenessSamples []float64
-	sampleTimes     []time.Duration
-	sampleIdx       int
 	// classes holds per-class commit counters (high-variance experiment).
 	classes map[int]*classCounts
 }
@@ -145,54 +131,19 @@ func (r *Run) Observe(class int, arrival, finish, deadline time.Duration) {
 		r.hist.Observe(tardy)
 		return
 	}
-	if r.SampleWindow > 0 && len(r.latenessSamples) >= r.SampleWindow {
-		r.latenessSamples[r.sampleIdx] = tardy
-		r.sampleTimes[r.sampleIdx] = finish
-		r.sampleIdx = (r.sampleIdx + 1) % r.SampleWindow
-	} else {
-		r.latenessSamples = append(r.latenessSamples, tardy)
-		r.sampleTimes = append(r.sampleTimes, finish)
-	}
+	r.latenessSamples = append(r.latenessSamples, tardy)
 }
 
 // TardinessHistogram returns the run's latency histogram, or nil when the
-// run uses the sample ring.
+// run keeps samples.
 func (r *Run) TardinessHistogram() *Histogram { return r.hist }
 
-// sample pairs one ring entry's commit instant with its tardiness.
-type sample struct {
-	at    time.Duration
-	tardy float64
-}
-
-// orderedSamples unrolls the ring oldest-first. A full ring's oldest entry
-// sits at sampleIdx (the next overwrite position); a partial ring is already
-// in append order.
-func (r *Run) orderedSamples() []sample {
-	out := make([]sample, 0, len(r.latenessSamples))
-	emit := func(i int) { out = append(out, sample{at: r.sampleTimes[i], tardy: r.latenessSamples[i]}) }
-	if r.SampleWindow > 0 && len(r.latenessSamples) >= r.SampleWindow {
-		for i := r.sampleIdx; i < len(r.latenessSamples); i++ {
-			emit(i)
-		}
-		for i := 0; i < r.sampleIdx; i++ {
-			emit(i)
-		}
-		return out
-	}
-	for i := range r.latenessSamples {
-		emit(i)
-	}
-	return out
-}
-
-// Clone returns a deep copy of the run counters: the sample rings and the
-// per-class map are fresh, so the copy can be read (or merged) off the
-// engine's goroutine while the original keeps accumulating.
+// Clone returns a deep copy of the run counters: the samples, the histogram
+// and the per-class map are fresh, so the copy can be read (or merged) off
+// the engine's goroutine while the original keeps accumulating.
 func (r *Run) Clone() Run {
 	c := *r
 	c.latenessSamples = append([]float64(nil), r.latenessSamples...)
-	c.sampleTimes = append([]time.Duration(nil), r.sampleTimes...)
 	if r.hist != nil {
 		c.hist = r.hist.Clone()
 	}
@@ -208,20 +159,14 @@ func (r *Run) Clone() Run {
 
 // MergeRuns folds several shards' runs into one system-wide Run, as if a
 // single engine had observed every commit. Counters, busy times and areas
-// are summed; Elapsed is the max; CPUs and Disks add up. The percentile
-// sample rings are merged by commit instant — each ring is unrolled
-// oldest-first and merge-interleaved, then clipped to the most recent
-// SampleWindow entries — so no sample is counted twice and the merged
-// window has no per-shard ordering bias. (This is NOT what Aggregate does:
-// Aggregate averages derived Results across independent seeded runs, while
-// MergeRuns sums raw counters of concurrent shards of one run.)
-//
-// The merged SampleWindow is the largest shard window, or 0 (unbounded)
-// when any shard keeps every sample.
+// are summed; Elapsed is the max; CPUs and Disks add up. Histograms merge by
+// bucket sums and samples concatenate in argument order — percentiles sort
+// them anyway — so no observation is lost or counted twice. (This is NOT what
+// Aggregate does: Aggregate averages derived Results across independent
+// seeded runs, while MergeRuns sums raw counters of concurrent shards of one
+// run.)
 func MergeRuns(runs ...*Run) Run {
 	var m Run
-	unbounded := false
-	all := make([]sample, 0)
 	for _, r := range runs {
 		m.Committed += r.Committed
 		m.Missed += r.Missed
@@ -248,14 +193,8 @@ func MergeRuns(runs ...*Run) Run {
 		if r.Elapsed > m.Elapsed {
 			m.Elapsed = r.Elapsed
 		}
-		if r.SampleWindow == 0 {
-			unbounded = true
-		} else if r.SampleWindow > m.SampleWindow {
-			m.SampleWindow = r.SampleWindow
-		}
 		if r.UseHistogram {
-			// Histogram runs merge by bucket sums: exact, order-free, no
-			// window clipping — every shard's whole distribution counts.
+			// Histogram runs merge by bucket sums: exact and order-free.
 			m.UseHistogram = true
 			if r.hist != nil {
 				if m.hist == nil {
@@ -264,7 +203,7 @@ func MergeRuns(runs ...*Run) Run {
 				m.hist.Merge(r.hist)
 			}
 		}
-		all = append(all, r.orderedSamples()...)
+		m.latenessSamples = append(m.latenessSamples, r.latenessSamples...)
 		for k, v := range r.classes {
 			if m.classes == nil {
 				m.classes = make(map[int]*classCounts)
@@ -279,23 +218,6 @@ func MergeRuns(runs ...*Run) Run {
 			mc.tardinessSum += v.tardinessSum
 		}
 	}
-	if unbounded {
-		m.SampleWindow = 0
-	}
-	// Chronological interleave; the stable sort keeps each shard's internal
-	// order (and argument order across shards) for equal instants, so the
-	// merge is deterministic.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
-	if m.SampleWindow > 0 && len(all) > m.SampleWindow {
-		all = all[len(all)-m.SampleWindow:]
-	}
-	m.latenessSamples = make([]float64, len(all))
-	m.sampleTimes = make([]time.Duration, len(all))
-	for i, s := range all {
-		m.latenessSamples[i] = s.tardy
-		m.sampleTimes[i] = s.at
-	}
-	m.sampleIdx = 0
 	return m
 }
 
@@ -449,8 +371,8 @@ func (r Result) String() string {
 // the shards of a single sharded run — shard counters are partial counts of
 // one system, not independent samples, and averaging their percentile
 // fields would double-weight quiet shards. Combine shards with MergeRuns
-// (which sums raw counters and merges the sample rings by commit instant)
-// and Add the merged run's Result here.
+// (which sums raw counters and pools the samples) and Add the merged run's
+// Result here.
 type Aggregate struct {
 	Committed       stats.Accumulator
 	Dropped         stats.Accumulator

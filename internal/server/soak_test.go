@@ -37,7 +37,7 @@ func TestSoakOverload(t *testing.T) {
 		// (2 items × 2 sim-ms = 80µs wall) independent of machine speed,
 		// so 24 tight-loop workers always outrun the engine's capacity and
 		// the run reliably saturates — with or without the race detector.
-		Service:      core.ServiceOptions{Speed: 50, SampleWindow: 2048},
+		Service:      core.ServiceOptions{Speed: 50},
 		MaxInflight:  32,
 		DrainTimeout: 2 * time.Second,
 	}

@@ -3,7 +3,7 @@ package shard
 // The sharded engine's two determinism contracts:
 //
 //  1. N=1 is the unsharded engine, bit for bit: same per-transaction
-//     outcomes, same metrics, across the full 2×2 naive-path grid — the
+//     outcomes, same metrics, with the engine's invariant checks on — the
 //     epoch boundaries only partition the event sequence, they never
 //     perturb it.
 //  2. N>1 is deterministic: the result is a pure function of (config,
@@ -62,8 +62,8 @@ func runSharded(t *testing.T, cfg core.Config, wl *workload.Workload, opt Option
 }
 
 // TestOneShardBitIdentical: a 1-shard run equals the unsharded engine bit
-// for bit — outcomes and metrics — across the 2×2 naive grid, on both the
-// main-memory and the disk base configurations.
+// for bit — outcomes and metrics — on both the main-memory and the disk base
+// configurations.
 func TestOneShardBitIdentical(t *testing.T) {
 	base := []struct {
 		name string
@@ -83,32 +83,24 @@ func TestOneShardBitIdentical(t *testing.T) {
 		}()},
 	}
 	for _, b := range base {
-		for _, scan := range []bool{false, true} {
-			for _, dispatch := range []bool{false, true} {
-				cfg := b.cfg
-				cfg.NaiveConflictScan = scan
-				cfg.NaiveDispatch = dispatch
-				cfg.CheckInvariants = true
-				refOut, refRes := runUnsharded(t, cfg, generate(t, cfg))
-				got := runSharded(t, cfg, generate(t, cfg), Options{Shards: 1})
-				if !reflect.DeepEqual(refOut, got.Outcomes) {
-					for i := range refOut {
-						if refOut[i] != got.Outcomes[i] {
-							t.Errorf("%s scan=%v dispatch=%v: T%d diverges: unsharded %+v, 1-shard %+v",
-								b.name, scan, dispatch, i, refOut[i], got.Outcomes[i])
-							break
-						}
-					}
-					t.Fatalf("%s scan=%v dispatch=%v: outcomes diverge", b.name, scan, dispatch)
-				}
-				if !reflect.DeepEqual(refRes, got.Metrics) {
-					t.Fatalf("%s scan=%v dispatch=%v: metrics diverge:\nunsharded: %+v\n1-shard:   %+v",
-						b.name, scan, dispatch, refRes, got.Metrics)
-				}
-				if got.Cross.Total != 0 {
-					t.Fatalf("%s: %d cross-shard transactions under 1 shard", b.name, got.Cross.Total)
+		cfg := b.cfg
+		cfg.CheckInvariants = true
+		refOut, refRes := runUnsharded(t, cfg, generate(t, cfg))
+		got := runSharded(t, cfg, generate(t, cfg), Options{Shards: 1})
+		if !reflect.DeepEqual(refOut, got.Outcomes) {
+			for i := range refOut {
+				if refOut[i] != got.Outcomes[i] {
+					t.Errorf("%s: T%d diverges: unsharded %+v, 1-shard %+v", b.name, i, refOut[i], got.Outcomes[i])
+					break
 				}
 			}
+			t.Fatalf("%s: outcomes diverge", b.name)
+		}
+		if !reflect.DeepEqual(refRes, got.Metrics) {
+			t.Fatalf("%s: metrics diverge:\nunsharded: %+v\n1-shard:   %+v", b.name, refRes, got.Metrics)
+		}
+		if got.Cross.Total != 0 {
+			t.Fatalf("%s: %d cross-shard transactions under 1 shard", b.name, got.Cross.Total)
 		}
 	}
 }

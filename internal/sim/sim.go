@@ -17,9 +17,7 @@
 // values: a Handle captures the incarnation of the record it was issued
 // for, so Cancel (or Pending/Cancelled) on a handle whose event has already
 // fired is a guaranteed no-op even after the record has been reused for an
-// unrelated event. NewUnpooled retains the original allocate-per-event
-// calendar for the equivalence suite and allocation benchmarks; behaviour
-// is bit-identical either way.
+// unrelated event.
 package sim
 
 import (
@@ -78,9 +76,8 @@ func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 // underlying record is recycled and the new incarnation is cancelled.
 func (h Handle) Cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }
 
-// eventSlabSize is the batch size for refilling a pooled simulator's free
-// list: records are allocated in slabs so calendar growth amortises to one
-// allocation per slab.
+// eventSlabSize is the batch size for refilling the free list: records are
+// allocated in slabs so calendar growth amortises to one allocation per slab.
 const eventSlabSize = 64
 
 // Simulator owns the virtual clock and the event calendar.
@@ -89,11 +86,8 @@ type Simulator struct {
 	seq      uint64
 	calendar eventHeap
 	executed uint64
-	// free holds recycled event records (LIFO); nil disables pooling
-	// entirely (NewUnpooled) — pool reports whether pooling is on, since
-	// an empty pooled free list is also nil-lengthed.
+	// free holds recycled event records (LIFO).
 	free []*Event
-	pool bool
 }
 
 // New returns an empty simulator with the clock at zero. Event records are
@@ -101,15 +95,6 @@ type Simulator struct {
 // next At/After, so a long run's calendar allocates only up to its
 // high-water mark of concurrently pending events.
 func New() *Simulator {
-	return &Simulator{pool: true}
-}
-
-// NewUnpooled returns a simulator that allocates a fresh record for every
-// scheduled event — the original calendar, retained so the equivalence
-// suite and the allocation benchmarks can compare against it. Handle
-// semantics (generation checks included) are identical to the pooled
-// calendar.
-func NewUnpooled() *Simulator {
 	return &Simulator{}
 }
 
@@ -133,7 +118,7 @@ func (s *Simulator) NextAt() (t Time, ok bool) {
 }
 
 // FreeListLen returns the number of recycled records currently available
-// for reuse (0 for an unpooled simulator); exposed for tests.
+// for reuse; exposed for tests.
 func (s *Simulator) FreeListLen() int { return len(s.free) }
 
 // At schedules fn to run at absolute simulated time t. It panics if t is in
@@ -151,7 +136,7 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-	} else if s.pool {
+	} else {
 		// Refill the free list a slab at a time: growing the calendar to its
 		// high-water mark costs one allocation per batch, not per event.
 		// gen starts at 1 so a zero Handle (gen 0) can never match, and
@@ -164,8 +149,6 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 			s.free = append(s.free, &slab[i])
 		}
 		e = &slab[0]
-	} else {
-		e = &Event{gen: 1}
 	}
 	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
@@ -182,14 +165,11 @@ func (s *Simulator) After(d time.Duration, fn func()) Handle {
 }
 
 // recycle retires a record that has left the calendar: its incarnation is
-// closed (so stale handles go inert) and, on a pooled simulator, the record
-// is returned to the free list.
+// closed (so stale handles go inert) and the record returns to the free list.
 func (s *Simulator) recycle(e *Event) {
 	e.gen++
 	e.fn = nil
-	if s.pool {
-		s.free = append(s.free, e)
-	}
+	s.free = append(s.free, e)
 }
 
 // Cancel removes a scheduled event from the calendar. It reports whether the

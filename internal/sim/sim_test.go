@@ -433,20 +433,21 @@ func TestPoolReusesRecordsBounded(t *testing.T) {
 	}
 }
 
-// TestUnpooledSemanticsMatch: the unpooled calendar must behave identically
-// (ordering, cancellation, handle checks) — it only skips record reuse.
+// TestUnpooledSemanticsMatch: ordering, cancellation and handle checks on the
+// one (pooled) calendar, with every record back on the free list at the end.
+// The name is kept from when an unpooled calendar existed to compare against.
 func TestUnpooledSemanticsMatch(t *testing.T) {
-	s := NewUnpooled()
+	s := New()
 	var got []Time
 	h := s.At(5, func() { t.Error("cancelled event fired") })
 	for _, d := range []time.Duration{30, 10, 20} {
 		s.At(d, func() { got = append(got, s.Now()) })
 	}
 	if !s.Cancel(h) {
-		t.Fatal("Cancel failed on unpooled calendar")
+		t.Fatal("Cancel failed")
 	}
 	if !h.Cancelled() || h.Pending() {
-		t.Fatal("handle state wrong after unpooled Cancel")
+		t.Fatal("handle state wrong after Cancel")
 	}
 	s.Run()
 	want := []Time{10, 20, 30}
@@ -458,8 +459,8 @@ func TestUnpooledSemanticsMatch(t *testing.T) {
 			t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
 		}
 	}
-	if s.FreeListLen() != 0 {
-		t.Fatalf("unpooled simulator grew a free list of %d", s.FreeListLen())
+	if s.FreeListLen() != eventSlabSize {
+		t.Fatalf("free list holds %d records after the calendar drained, want %d", s.FreeListLen(), eventSlabSize)
 	}
 }
 
@@ -474,15 +475,14 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// benchCalendarChurn drives the regime engines put the calendar through:
+// BenchmarkCalendarChurnPooled drives the regime engines put the calendar through:
 // a bounded number of pending events recycled through schedule/fire (and
 // an occasional cancel) hundreds of thousands of times.
-func benchCalendarChurn(b *testing.B, s func() *Simulator) {
-	b.Helper()
+func BenchmarkCalendarChurnPooled(b *testing.B) {
 	b.ReportAllocs()
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
-		sim := s()
+		sim := New()
 		for j := 0; j < 64; j++ {
 			sim.At(Time(j), fn)
 		}
@@ -496,6 +496,3 @@ func benchCalendarChurn(b *testing.B, s func() *Simulator) {
 		sim.Run()
 	}
 }
-
-func BenchmarkCalendarChurnPooled(b *testing.B)   { benchCalendarChurn(b, New) }
-func BenchmarkCalendarChurnUnpooled(b *testing.B) { benchCalendarChurn(b, NewUnpooled) }
