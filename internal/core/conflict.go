@@ -19,8 +19,8 @@ import (
 //
 //   - items, one record per data item holding two inverted indexes: has,
 //     the partially executed transactions that have accessed (locked) the
-//     item — updated on lock acquisition, commit release and abort release
-//     — and its mirror might, the live transactions whose might-access set
+//     item — updated on lock acquisition, commit release and abort release,
+//     and itself the lock table (locks.go) — and its mirror might, the live transactions whose might-access set
 //     contains the item — updated on arrival, Engine.setMight and departure,
 //     and kept only for EvalConflictClocked policies.
 //   - plist, the paper's P-list: the live transactions with at least one

@@ -33,7 +33,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/history"
-	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -49,7 +48,6 @@ type Engine struct {
 	cfg    Config
 	policy Policy
 	sim    *sim.Simulator
-	lm     *lock.Manager
 	disks  []*disk.Disk // empty for the main-memory configuration
 	store  *db.Store
 	hist   *history.History // nil unless Config.RecordHistory
@@ -118,6 +116,12 @@ type Engine struct {
 	// IOwait-schedule compatibility test, P-list size accounting) avoid
 	// rescanning every live transaction. Always built.
 	ci *conflictIndex
+	// conflictBuf is startItem's scratch for the holders blocking a request.
+	conflictBuf []*Txn
+	// waitq holds each item's queue of blocked requests (locks.go), built at
+	// the first block; queued counts the requests in all of them.
+	waitq  [][]*Txn
+	queued int
 
 	committed int
 	dropped   int
@@ -213,7 +217,7 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 			return nil, fmt.Errorf("core: transaction %d arrives before its predecessor", i)
 		}
 	}
-	e := newKernel(cfg, wl, len(wl.Txns))
+	e := newKernel(cfg, wl)
 	// The Txn records and their bitsets are carved out of two slab
 	// allocations: with thousands of transactions × (might + has [+
 	// mightFull]) sets, individual allocations dominate construction cost.
@@ -235,6 +239,9 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 	e.all = make([]*Txn, 0, len(wl.Txns))
 	for i := range wl.Txns {
 		e.initTxn(&txns[i], &wl.Txns[i], carve)
+		if len(txns[i].items) != len(wl.Txns[i].Items) {
+			return nil, fmt.Errorf("core: transaction %d accesses an item twice", i)
+		}
 		txns[i].has = carve()
 		e.all = append(e.all, &txns[i])
 	}
@@ -242,15 +249,14 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 }
 
 // newKernel builds what a simulation engine and a wall-clock service share:
-// the policy, calendar, lock table, store, conflict index and evaluation
-// mode, the optional history, decision observer, fault injector and disks.
-// txnHint sizes the lock table.
-func newKernel(cfg Config, wl *workload.Workload, txnHint int) *Engine {
+// the policy, calendar, store, conflict index (which is the lock table) and
+// evaluation mode, the optional history, decision observer, fault injector
+// and disks.
+func newKernel(cfg Config, wl *workload.Workload) *Engine {
 	e := &Engine{
 		cfg:    cfg,
 		policy: newPolicy(cfg),
 		sim:    sim.New(),
-		lm:     lock.NewManagerSized(cfg.Workload.DBSize, txnHint),
 		store:  db.New(cfg.Workload.DBSize),
 		wl:     wl,
 		slots:  make([]*Txn, cfg.NumCPUs),
@@ -765,8 +771,7 @@ func (e *Engine) onRollbackDone(t *Txn, cost time.Duration) {
 // store (under the lock acquired at item start) and records it in the
 // history when recording is enabled.
 func (e *Engine) applyUpdate(t *Txn) {
-	item := t.Spec.Items[t.next]
-	read := len(t.Spec.Reads) > 0 && t.Spec.Reads[t.next]
+	item, read := t.access()
 	if read {
 		e.store.Read(db.TxnID(t.ID()), item)
 	} else {
@@ -804,39 +809,31 @@ func (e *Engine) startItem(t *Txn) {
 		}
 	}
 	t.ceilingExempt = false
-	item := t.Spec.Items[t.next]
-	mode := lock.Write
-	if len(t.Spec.Reads) > 0 && t.Spec.Reads[t.next] {
-		mode = lock.Read
-	}
+	item, read := t.access()
 	var rollback time.Duration
-	for !e.lm.Acquire(lock.TxnID(t.ID()), item, mode) {
-		holders := e.lm.Conflicting(lock.TxnID(t.ID()), item, mode)
+	// Wounding a holder releases its locks, which can grant the item to a
+	// queued waiter: the conflict set is re-read until it is empty.
+	for {
+		holders := e.conflicting(e.conflictBuf, t, item, read)
+		e.conflictBuf = holders
 		if len(holders) == 0 {
-			// Shared-lock corner: the grant is blocked not by a
-			// holder but by a queued writer (reader fairness) or by
-			// co-readers on an upgrade. Queue behind them. This can
-			// only happen under the waiting baselines — CCA never
-			// enqueues, so its queues are always empty.
-			e.block(t, item, mode)
-			return
+			break
 		}
 		woundAll := true
 		for _, h := range holders {
-			if !e.policy.Wounds(e, t, e.all[int(h)]) {
+			if !e.policy.Wounds(e, t, h) {
 				woundAll = false
 				break
 			}
 		}
 		if !woundAll {
 			for _, h := range holders {
-				e.notifyBlock(t, e.all[int(h)])
+				e.notifyBlock(t, h)
 			}
-			e.block(t, item, mode)
+			e.block(t, item)
 			return
 		}
-		for _, h := range holders {
-			v := e.all[int(h)]
+		for _, v := range holders {
 			rollback += e.rollbackCost(v)
 			e.tracef("T%d wounds T%d on item %d (victim service %.1fms)", t.ID(), v.ID(), item, ms(v.service))
 			e.emit(trace.Event{Kind: trace.Wound, Txn: t.ID(), Other: v.ID(), Item: item,
@@ -890,12 +887,12 @@ func (e *Engine) proceedItem(t *Txn) {
 	t.cpuEvent = e.sim.After(t.remain, t.updateDoneFn)
 }
 
-// block suspends t on a data conflict (waiting baselines only).
-func (e *Engine) block(t *Txn, item txn.Item, mode lock.Mode) {
+// block suspends t on a data conflict over item (waiting baselines only).
+func (e *Engine) block(t *Txn, item txn.Item) {
 	e.run.LockWaits++
 	t.state = StateLockWait
 	e.freeCPU(t)
-	e.lm.Enqueue(&lock.Request{Txn: lock.TxnID(t.ID()), Item: item, Mode: mode, Priority: t.priority})
+	e.enqueue(t)
 	e.tracef("T%d blocks on item %d", t.ID(), item)
 	e.emit(trace.Event{Kind: trace.Block, Txn: t.ID(), Other: -1, Item: item, Priority: t.priority})
 	if e.policy.Inherits() {
@@ -908,7 +905,7 @@ func (e *Engine) block(t *Txn, item txn.Item, mode lock.Mode) {
 	// continuously re-evaluated priorities can invert a wait edge after
 	// it is created — cycles are possible and are resolved by aborting
 	// the lowest-priority member.
-	if cycle := e.lm.DetectCycle(lock.TxnID(t.ID())); len(cycle) > 0 {
+	if cycle := e.detectCycle(t); len(cycle) > 0 {
 		e.resolveDeadlock(cycle)
 	}
 	e.requestReschedule()
@@ -917,15 +914,14 @@ func (e *Engine) block(t *Txn, item txn.Item, mode lock.Mode) {
 // propagateInheritance floors the priority of every transaction t
 // transitively waits on at t's priority (Wait Promote).
 func (e *Engine) propagateInheritance(t *Txn) {
-	seen := make(map[int]bool)
+	seen := make(map[*Txn]bool)
 	var walk func(v *Txn)
 	walk = func(v *Txn) {
-		for _, h := range e.lm.WaitsFor(lock.TxnID(v.ID())) {
-			ht := e.all[int(h)]
-			if seen[ht.ID()] {
+		for _, ht := range e.waitsFor(v) {
+			if seen[ht] {
 				continue
 			}
-			seen[ht.ID()] = true
+			seen[ht] = true
 			if t.priority > ht.inherited {
 				ht.inherited = t.priority
 				e.markStale(ht)
@@ -937,11 +933,10 @@ func (e *Engine) propagateInheritance(t *Txn) {
 }
 
 // resolveDeadlock aborts the lowest-priority transaction on the cycle.
-func (e *Engine) resolveDeadlock(cycle []lock.TxnID) {
+func (e *Engine) resolveDeadlock(cycle []*Txn) {
 	e.run.Deadlocks++
-	victim := e.all[int(cycle[0])]
-	for _, id := range cycle[1:] {
-		c := e.all[int(id)]
+	victim := cycle[0]
+	for _, c := range cycle[1:] {
 		if less(victim, c) {
 			victim = c
 		}
@@ -961,8 +956,7 @@ func (e *Engine) commit(t *Txn) {
 	if e.hist != nil {
 		e.hist.Commit(t.ID(), time.Duration(t.finish))
 	}
-	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
-	e.ci.deindexHas(e, t)
+	e.releaseLocks(t)
 	e.removeLive(t)
 	e.committed++
 	e.run.Observe(t.Spec.Class, t.Spec.Arrival, time.Duration(t.finish), t.Spec.Deadline)
@@ -1002,8 +996,7 @@ func (e *Engine) drop(t *Txn) {
 	if e.hist != nil {
 		e.hist.Abort(t.ID())
 	}
-	e.wake(e.lm.ReleaseAll(lock.TxnID(t.ID())))
-	e.ci.deindexHas(e, t) // before has.clear: deindexing reads the has-set
+	e.releaseLocks(t) // before has.clear: releasing reads the has-set
 	t.cpuEvent = sim.Handle{}
 	t.ioReq = nil
 	t.has.clear()
@@ -1042,8 +1035,7 @@ func (e *Engine) detach(v *Txn) {
 			e.preempt(v)
 		}
 	case StateLockWait:
-		granted, _ := e.lm.CancelWait(lock.TxnID(v.ID()))
-		e.wake(granted)
+		e.cancelWait(v)
 	case StateIOWait:
 		if v.ioReq != nil && !v.ioReq.InService() {
 			// Queued, or waiting out a transient-error retry backoff:
@@ -1078,8 +1070,7 @@ func (e *Engine) abort(v *Txn) {
 	if e.hist != nil {
 		e.hist.Abort(v.ID())
 	}
-	e.wake(e.lm.ReleaseAll(lock.TxnID(v.ID())))
-	e.ci.deindexHas(e, v) // before resetForRestart clears the has-set
+	e.releaseLocks(v) // before resetForRestart clears the has-set
 	if v.mightNarrow != nil {
 		// A restarted transaction is back before its decision point; its
 		// might-set re-widens (no-op if it never narrowed).
@@ -1113,20 +1104,6 @@ func (e *Engine) preempt(v *Txn) {
 	v.state = StateReady
 }
 
-// wake transitions lock-grant recipients back to ready.
-func (e *Engine) wake(granted []*lock.Request) {
-	for _, g := range granted {
-		w := e.all[int(g.Txn)]
-		if w.state != StateLockWait {
-			panic(fmt.Sprintf("core: waking T%d in state %v", w.ID(), w.state))
-		}
-		e.hasAcquired(w, g.Item)
-		w.state = StateReady
-		e.tracef("T%d granted item %d, wakes", w.ID(), g.Item)
-		e.emit(trace.Event{Kind: trace.Wake, Txn: w.ID(), Other: -1, Item: g.Item})
-	}
-}
-
 func (e *Engine) freeCPU(t *Txn) {
 	if t.cpu >= 0 {
 		e.slots[t.cpu] = nil
@@ -1134,9 +1111,9 @@ func (e *Engine) freeCPU(t *Txn) {
 	}
 }
 
-// hasAcquired records that t now holds item, keeping the has-set and the
-// conflict index in sync. Re-acquisitions (re-entrant locks, read→write
-// upgrades, a wait grant on an already-held item) are no-ops.
+// hasAcquired records that t now holds item, in its has-set and in the
+// conflict index. A woken transaction re-runs startItem on the item it was
+// granted, and that second acquisition is a no-op.
 func (e *Engine) hasAcquired(t *Txn, item txn.Item) {
 	if t.has.contains(item) {
 		return
@@ -1631,8 +1608,8 @@ func (e *Engine) penaltyOfConflictScan(t *Txn) time.Duration {
 // deadlock freedom via no-wait) and wound edges only from higher to lower
 // priority under the HP baselines.
 func (e *Engine) checkInvariants() {
-	e.lm.CheckInvariants()
 	e.ci.verify(e)
+	e.verifyLocks()
 	// ranked mirrors live's membership and, between scheduling points, stays
 	// sorted by the stored priorities (nothing mutates a priority outside the
 	// dispatch pass, and the pass re-keys on any change).
@@ -1684,16 +1661,6 @@ func (e *Engine) checkInvariants() {
 		if t.state == StateAborting && t.has.any() {
 			panic(fmt.Sprintf("core: aborting T%d still holds items", t.ID()))
 		}
-		// The hasaccessed bitset mirrors the lock table exactly: equal
-		// counts plus has ⊆ held imply set equality.
-		if n := e.lm.HeldCount(lock.TxnID(t.ID())); n != t.has.count() {
-			panic(fmt.Sprintf("core: T%d bitset has %d items but holds %d locks", t.ID(), t.has.count(), n))
-		}
-		t.has.forEach(func(it txn.Item) {
-			if !e.lm.Holds(lock.TxnID(t.ID()), it) {
-				panic(fmt.Sprintf("core: T%d bitset item %d not locked", t.ID(), it))
-			}
-		})
 		// Pending store writes never exceed processed updates.
 		if e.store.Pending(db.TxnID(t.ID())) > t.next {
 			panic(fmt.Sprintf("core: T%d has %d pending writes after %d updates", t.ID(), e.store.Pending(db.TxnID(t.ID())), t.next))

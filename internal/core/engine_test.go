@@ -183,7 +183,7 @@ func TestLocksReleasedAtEnd(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.lm.LockedItems(); n != 0 {
+	if n := lockedItems(e); n != 0 {
 		t.Fatalf("%d items still locked after drain", n)
 	}
 	for _, tx := range e.all {
@@ -191,6 +191,21 @@ func TestLocksReleasedAtEnd(t *testing.T) {
 			t.Fatalf("T%d in state %v after drain", tx.ID(), tx.state)
 		}
 	}
+}
+
+// lockedItems counts the items with a lock holder, and fails the count with
+// -1 while the P-list is non-empty: both are zero once every lock is gone.
+func lockedItems(e *Engine) int {
+	if len(e.ci.plist) != 0 {
+		return -1
+	}
+	n := 0
+	for i := range e.ci.items {
+		if e.ci.items[i].has.first != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPaperPListSize: the paper reports an average of 1-2 partially
@@ -311,6 +326,10 @@ func TestNewWithWorkloadValidation(t *testing.T) {
 	oob := buildWorkload(5, []specIn{{arrival: 0, deadline: msec, items: []txn.Item{9}}})
 	if _, err := NewWithWorkload(cfg, oob); err == nil {
 		t.Error("out-of-range item accepted")
+	}
+	twice := buildWorkload(5, []specIn{{arrival: 0, deadline: msec, items: []txn.Item{2, 1, 2}}})
+	if _, err := NewWithWorkload(cfg, twice); err == nil {
+		t.Error("transaction naming an item twice accepted")
 	}
 	unordered := buildWorkload(5, []specIn{
 		{arrival: 10 * msec, deadline: 20 * msec, items: []txn.Item{0}},

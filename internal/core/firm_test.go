@@ -50,7 +50,7 @@ func TestFirmDropReleasesLocks(t *testing.T) {
 	// T1 blocked at 1ms on item 0; T0 dropped at 6ms; T1 granted and
 	// finishes its two updates by 14ms (compute restarts fresh at 6).
 	wantCommit(t, e, 1, 14*msec)
-	if e.lm.LockedItems() != 0 {
+	if lockedItems(e) != 0 {
 		t.Fatal("locks leak after drop")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,6 +98,9 @@ func (r *ServiceRequest) Validate(cfg *Config) error {
 			return fmt.Errorf("core: item %d outside database of size %d", it, cfg.Workload.DBSize)
 		}
 	}
+	if it, ok := repeatedItem(r.Items); ok {
+		return fmt.Errorf("core: item %d named twice", it)
+	}
 	if r.Reads != nil && len(r.Reads) != len(r.Items) {
 		return fmt.Errorf("core: %d read flags for %d items", len(r.Reads), len(r.Items))
 	}
@@ -117,6 +121,29 @@ func (r *ServiceRequest) Validate(cfg *Config) error {
 		}
 	}
 	return nil
+}
+
+// repeatedItem returns an item the list names twice, if there is one. A
+// transaction locks each item once, in the one mode its spec gives it
+// (locks.go). The few items of a typical request are compared pairwise,
+// without allocating; a long list goes through a set.
+func repeatedItem(items []txn.Item) (txn.Item, bool) {
+	if len(items) > 32 {
+		seen := make(map[txn.Item]bool, len(items))
+		for _, it := range items {
+			if seen[it] {
+				return it, true
+			}
+			seen[it] = true
+		}
+		return 0, false
+	}
+	for i, it := range items {
+		if slices.Contains(items[:i], it) {
+			return it, true
+		}
+	}
+	return 0, false
 }
 
 // ServiceOutcome reports a submitted transaction's fate. Times are on the
@@ -177,8 +204,7 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The lock table starts small: a service's transactions arrive over time.
-	e := newKernel(cfg, &workload.Workload{Params: cfg.Workload}, 64)
+	e := newKernel(cfg, &workload.Workload{Params: cfg.Workload})
 	// Tardiness goes to a constant-memory histogram over an unbounded run.
 	e.run.UseHistogram = true
 	e.retires = true
@@ -434,8 +460,8 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // spec and arms the completion slot. The transaction owns its spec: src is
 // copied — the item and flag lists into the object's own arrays — and not
 // retained. A retired object is reused when there is one, so the steady state
-// allocates nothing and the lock-manager, store and transaction tables stay
-// bounded by the peak live set, not the request count: it brings its ID, its
+// allocates nothing and the store and transaction tables stay bounded by
+// the peak live set, not the request count: it brings its ID, its
 // spec storage and its event callbacks, and everything else starts from zero.
 func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, error)) *Txn {
 	var t *Txn

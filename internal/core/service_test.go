@@ -109,6 +109,31 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsRepeatedItem: a request naming an item twice is
+// refused at the boundary — a transaction holds each item once, in the one
+// mode its spec gives it — on the pairwise path for a few items and on the
+// set path for a long list.
+func TestValidateRejectsRepeatedItem(t *testing.T) {
+	cfg := MainMemoryConfig(CCA, 2)
+	cfg.Workload.DBSize = 64
+	long := make([]txn.Item, 40)
+	for i := range long {
+		long[i] = txn.Item(i)
+	}
+	for _, items := range [][]txn.Item{{3, 3}, {1, 2, 1}, append(long[:40:40], 39)} {
+		req := ServiceRequest{Items: items, Compute: time.Millisecond, Deadline: time.Second}
+		if err := req.Validate(&cfg); err == nil {
+			t.Errorf("%d items with a repeat accepted", len(items))
+		}
+	}
+	for _, items := range [][]txn.Item{{3}, {1, 2, 3}, long} {
+		req := ServiceRequest{Items: items, Compute: time.Millisecond, Deadline: time.Second}
+		if err := req.Validate(&cfg); err != nil {
+			t.Errorf("%d distinct items refused: %v", len(items), err)
+		}
+	}
+}
+
 // TestServiceAdmissionSheds checks that the reject-infeasible admission
 // controller surfaces shedding as a StateRejected outcome, not an error.
 func TestServiceAdmissionSheds(t *testing.T) {

@@ -136,6 +136,9 @@ type Txn struct {
 	// priority is the value from the last continuous-evaluation pass
 	// (higher runs first).
 	priority float64
+	// waitPr is the priority t had when it blocked: its place in the wait
+	// queue of the item its current update locks (locks.go).
+	waitPr float64
 	// inherited is the floor priority received from waiters under the
 	// Wait Promote baseline.
 	inherited float64

@@ -170,6 +170,7 @@ func TestCounterParity(t *testing.T) {
 	small := core.ServiceRequest{Items: itemSeq(1, 2), Compute: time.Millisecond, Deadline: 10 * time.Second}
 	long := core.ServiceRequest{Items: itemSeq(3, 4), Compute: time.Minute, Deadline: time.Hour}
 	outOfRange := core.ServiceRequest{Items: itemSeq(10_000), Compute: time.Millisecond, Deadline: time.Second}
+	repeated := core.ServiceRequest{Items: itemSeq(3, 3), Compute: time.Millisecond, Deadline: time.Second}
 
 	run := func(t *testing.T, dial func(base, wireAddr string) parityClient) requestCounters {
 		cfg := core.MainMemoryConfig(core.CCA, 33)
@@ -198,6 +199,7 @@ func TestCounterParity(t *testing.T) {
 		waitUntil(t, "parked transaction live", liveIs(s, 1))
 		expect("admission reject", c.submit(t, small), wire.StatusRejected, 503, true)
 		expect("out of range", c.submit(t, outOfRange), wire.StatusInvalid, 400, false)
+		expect("item named twice", c.submit(t, repeated), wire.StatusInvalid, 400, false)
 
 		disconnect()
 		waitUntil(t, "disconnected client's transaction wounded and tallied", func() bool {
@@ -218,7 +220,7 @@ func TestCounterParity(t *testing.T) {
 		return countersOf(s)
 	}
 
-	want := requestCounters{Accepted: 4, Rejected: 1, Shed: 1, BadReqs: 1}
+	want := requestCounters{Accepted: 4, Rejected: 1, Shed: 1, BadReqs: 2}
 	got := map[string]requestCounters{}
 	t.Run("http", func(t *testing.T) {
 		got["http"] = run(t, func(base, _ string) parityClient { return httpParity{base} })

@@ -71,8 +71,9 @@ func TestSoakOverload(t *testing.T) {
 				if i%10 == 0 {
 					time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 				}
+				first := rng.Intn(30)
 				req := SubmitRequest{
-					Items: []int{rng.Intn(30), rng.Intn(30)},
+					Items: []int{first, (first + 1 + rng.Intn(29)) % 30},
 					// 2 sim-ms per item on one CPU, 20 sim-ms deadline:
 					// at most ~5 transactions fit the deadline, so 24
 					// concurrent workers guarantee admission shedding.

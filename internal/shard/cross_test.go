@@ -280,6 +280,8 @@ func TestSubmitBatchValidatesBeforeLogging(t *testing.T) {
 		{"no items", nil},
 		{"item out of range, one shard", []int{2, 5000}},
 		{"item out of range, two shards", []int{1, 5000}},
+		{"item named twice, one shard", []int{3, 3}},
+		{"item named twice, two shards", []int{1, 2, 1}},
 	}
 	reqs := make([]counted, len(bad))
 	subs := make([]core.Submission, len(bad))

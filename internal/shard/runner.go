@@ -13,7 +13,7 @@
 //
 // Determinism survives parallelism because the shards share nothing
 // between boundaries — each is a sequential discrete-event kernel with its
-// own calendar, lock manager, store and disks — and everything exchanged
+// own calendar, lock table, store and disks — and everything exchanged
 // at a boundary is ordered canonically, never by goroutine arrival. The
 // outcome is therefore a pure function of (config, workload, shard count,
 // epoch interval), independent of GOMAXPROCS; with N=1 the single shard

@@ -104,7 +104,7 @@ func ReadJSON(in io.Reader) (*Workload, error) {
 
 // Check validates the structural invariants a replayable workload must
 // satisfy: dense IDs in arrival order, at least one item per transaction,
-// items within the database, deadlines after arrival.
+// items within the database and none repeated, deadlines after arrival.
 func (w *Workload) Check() error {
 	if len(w.Txns) == 0 {
 		return fmt.Errorf("workload: no transactions")
@@ -128,6 +128,9 @@ func (w *Workload) Check() error {
 			if int(it) < 0 || int(it) >= w.Params.DBSize {
 				return fmt.Errorf("workload: transaction %d item %d outside [0,%d)", i, it, w.Params.DBSize)
 			}
+		}
+		if txn.NewSet(s.Items...).Len() != len(s.Items) {
+			return fmt.Errorf("workload: transaction %d names an item twice", i)
 		}
 		if len(s.NeedsIO) != 0 && len(s.NeedsIO) != len(s.Items) {
 			return fmt.Errorf("workload: transaction %d NeedsIO length %d != %d items", i, len(s.NeedsIO), len(s.Items))

@@ -73,6 +73,10 @@ func TestCheckCatchesCorruption(t *testing.T) {
 		"deadline<=arrival": func(w *Workload) { w.Txns[0].Deadline = w.Txns[0].Arrival },
 		"zero dbsize":       func(w *Workload) { w.Params.DBSize = 0 },
 		"needsio mismatch":  func(w *Workload) { w.Txns[0].NeedsIO = []bool{true} },
+		"item twice": func(w *Workload) {
+			w.Txns[0].Items = []txn.Item{4, 4}
+			w.Txns[0].NeedsIO, w.Txns[0].Reads, w.Txns[0].MightFull = nil, nil, nil
+		},
 	}
 	for name, mutate := range cases {
 		w := brokenWorkload(mutate)
