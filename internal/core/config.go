@@ -125,8 +125,10 @@ type Config struct {
 	// RecordHistory records every data operation for post-run conflict
 	// serializability checking (Engine.History).
 	RecordHistory bool
-	// MaxEvents bounds the simulation as a runaway guard; 0 picks a
-	// generous default derived from the workload size.
+	// MaxEvents bounds an unbounded Run as a runaway guard; 0 picks a
+	// generous default derived from the workload size. A bounded step
+	// (StepTo, the wall-clock service) never consults it: it cannot run
+	// past its bound, and same-instant churn is the watchdog's job.
 	MaxEvents uint64
 	// Fault declares the deterministic fault plan of the run: disk latency
 	// spikes, transient IO errors with bounded retry, brownout windows,
@@ -139,8 +141,10 @@ type Config struct {
 	Admission AdmissionConfig
 	// WatchdogBudget bounds how many consecutive events the engine may
 	// execute without the simulated clock advancing before the run fails
-	// fast with a stall diagnostic. 0 picks a generous default scaled to
-	// the workload; < 0 disables the watchdog.
+	// fast with a stall diagnostic, in every run mode: Run, StepTo and the
+	// wall-clock service. 0 picks a generous default scaled to the number
+	// of transactions (16 per transaction plus 1024; for a service, the
+	// peak live set); < 0 disables the watchdog.
 	WatchdogBudget int
 	// Predict configures the conflict-prediction layer of the CCAP and
 	// CCAT policies; ignored by every other policy. The zero value is

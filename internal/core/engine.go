@@ -410,11 +410,12 @@ func (e *Engine) StartRun() {
 }
 
 // StepTo fires every calendar event due at or before t — with the same
-// event guard, oracle fail-fast and stall watchdog Run applies — and then
-// advances the simulated clock to exactly t. Splitting a run into StepTo
-// segments fires the identical event sequence a single Run does: the
-// boundaries only partition it, they never reorder or perturb it (the
-// shard equivalence suite asserts bit identity for N=1).
+// oracle fail-fast and stall watchdog Run applies, but no event guard (a
+// bounded step cannot run past t) — and then advances the simulated clock
+// to exactly t. Splitting a run into StepTo segments fires the identical
+// event sequence a single Run does: the boundaries only partition it, they
+// never reorder or perturb it (the shard equivalence suite asserts bit
+// identity for N=1).
 func (e *Engine) StepTo(t sim.Time) error {
 	if !e.runStarted {
 		panic("core: StepTo before StartRun")
@@ -432,13 +433,26 @@ func (e *Engine) Done() bool {
 // for cross-shard merging (metrics.MergeRuns).
 func (e *Engine) RunSnapshot() metrics.Run { return e.run.Clone() }
 
-// stepEvents is the run loop shared by Run (unbounded) and StepTo
-// (bounded): fire events — all of them, or those due at or before bound —
-// under the event guard, the oracle fail-fast and the stall watchdog. The
-// guard and watchdog budget are derived from the current transaction count
-// so injected transactions scale them exactly as workload ones do.
+// stepEvents is the one loop that fires calendar events, in every run mode:
+// Run (unbounded), StepTo (the shard runner) and the wall-clock service's
+// driver (bounded by the wall instant it has caught up to). It fires events
+// — all of them, or those due at or before bound — under the oracle
+// fail-fast and the stall watchdog; the unbounded run also stops at the
+// event guard. A violation the oracle recorded outside this loop (an
+// injected call, a SubmitSpec arrival) stops it before anything fires. The
+// watchdog budget is derived from the current transaction count so
+// injected transactions scale it exactly as workload ones do.
 func (e *Engine) stepEvents(bound sim.Time, bounded bool) error {
-	guard := e.cfg.maxEvents(len(e.all))
+	if e.oracle != nil && e.oracle.err != nil {
+		return fmt.Errorf("core: oracle: %w", e.oracle.err)
+	}
+	// A bounded step cannot run away: the clock cannot pass the bound, and
+	// same-instant churn is the watchdog's job. For a service, len(e.all)
+	// is only the peak live set, so the guard would be wrong there anyway.
+	guard := uint64(math.MaxUint64)
+	if !bounded {
+		guard = e.cfg.maxEvents(len(e.all))
+	}
 	budget := e.cfg.WatchdogBudget
 	if budget == 0 {
 		// Default: generously above any legitimate same-instant burst
@@ -538,8 +552,8 @@ func (e *Engine) answer(t *Txn) {
 // the error alone.
 func (e *Engine) stallDump(budget int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "calendar stalled at t=%v: %d events executed without the clock advancing (budget %d); %d/%d finished, %d live",
-		time.Duration(e.sim.Now()), budget, budget, e.committed+e.dropped+e.rejected, len(e.all), e.live.n)
+	fmt.Fprintf(&b, "calendar stalled at t=%v: %d events executed without the clock advancing (budget %d); %d finished, %d live",
+		time.Duration(e.sim.Now()), budget, budget, e.committed+e.dropped+e.rejected, e.live.n)
 	counts := make(map[State]int)
 	for t := e.live.head; t != nil; t = t.liveNext {
 		counts[t.state]++

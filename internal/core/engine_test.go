@@ -380,7 +380,7 @@ func TestQuickEngineAlwaysDrains(t *testing.T) {
 		res, err := e.Run()
 		return err == nil && res.Committed == 40
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickConfig(50, 1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -407,7 +407,7 @@ func TestQuickDiskEngineAlwaysDrains(t *testing.T) {
 		res, err := e.Run()
 		return err == nil && res.Committed == 30
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickConfig(40, 1)); err != nil {
 		t.Fatal(err)
 	}
 }

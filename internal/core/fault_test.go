@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -303,6 +304,34 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("disabled watchdog still fired: %v", err)
+	}
+}
+
+// TestStepToWatchdogPastEventGuard: the event guard bounds an unbounded Run
+// only. A bounded step that meets a same-instant livelock keeps firing
+// through the one loop until the watchdog stops it, instead of handing the
+// rest of the calendar to an unguarded RunUntil.
+func TestStepToWatchdogPastEventGuard(t *testing.T) {
+	cfg := MainMemoryConfig(CCA, 1)
+	cfg.MaxEvents = 10
+	cfg.WatchdogBudget = 64
+	e, err := NewShardEngine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.StartRun()
+	var spin func()
+	spin = func() { e.sim.At(e.sim.Now(), spin) }
+	e.sim.At(0, spin)
+	done := make(chan error, 1)
+	go func() { done <- e.StepTo(sim.Time(time.Second)) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "core: watchdog") || !strings.Contains(err.Error(), "budget 64") {
+			t.Fatalf("StepTo returned %v, want the watchdog error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("StepTo spun past the event guard without the watchdog")
 	}
 }
 

@@ -486,7 +486,7 @@ func TestQuickSharedLockRuns(t *testing.T) {
 			waits += e.run.LockWaits
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		if err := quick.Check(f, quickConfig(40, 1)); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		if (pol == EDFHP || pol == EDFWP) && waits == 0 {
@@ -495,11 +495,41 @@ func TestQuickSharedLockRuns(t *testing.T) {
 	}
 }
 
-// TestQuickNoDeadlockUnderStaticHP: with exclusive locks and distinct
-// priorities, EDF-HP and FCFS only ever wait on a higher-priority holder, so
-// the waits-for graph stays acyclic; the runs must block without a single
-// deadlock. Arrivals are made distinct: FCFS breaks no priority tie, so two
-// simultaneous arrivals can wait on each other.
+// TestFCFSSimultaneousArrivalsBreakTiesByID: transactions arriving at one
+// instant tie under FCFS (a served batch's arrivals always do), and the tie
+// breaks by ID as under EDF-HP and LSF-HP. Without it, two tied
+// transactions that each took their first item on their own CPU wait on
+// each other for the second, which the invariant checker reports as a
+// deadlock under a static-priority HP policy.
+func TestFCFSSimultaneousArrivalsBreakTiesByID(t *testing.T) {
+	p := workload.BaseMainMemory()
+	p.DBSize = 4
+	p.Count = 2
+	wl := &workload.Workload{Params: p, Txns: []workload.Spec{
+		{ID: 0, Items: []txn.Item{1, 2}, Compute: time.Millisecond, Deadline: time.Second},
+		{ID: 1, Items: []txn.Item{2, 1}, Compute: time.Millisecond, Deadline: time.Second},
+	}}
+	cfg := MainMemoryConfig(FCFS, 1)
+	cfg.Workload = p
+	cfg.NumCPUs = 2
+	cfg.CheckInvariants = true
+	e, err := NewWithWorkload(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil || res.Committed != 2 {
+		t.Fatalf("run: %v, committed %d", err, res.Committed)
+	}
+	if e.run.Deadlocks != 0 || res.Restarts != 1 {
+		t.Fatalf("%d deadlocks and %d restarts, want T0 to wound T1 once", e.run.Deadlocks, res.Restarts)
+	}
+}
+
+// TestQuickNoDeadlockUnderStaticHP: with exclusive locks, EDF-HP and FCFS
+// only ever wait on a holder that is higher in (priority, ID) order, so the
+// waits-for graph stays acyclic; the runs must block without a single
+// deadlock, simultaneous arrivals included.
 func TestQuickNoDeadlockUnderStaticHP(t *testing.T) {
 	for _, pol := range []PolicyKind{EDFHP, FCFS} {
 		waits := 0
@@ -507,9 +537,6 @@ func TestQuickNoDeadlockUnderStaticHP(t *testing.T) {
 			wl := genRandomWorkload(rand.New(rand.NewSource(seed)), 24, 50, false)
 			for i := range wl.Txns {
 				wl.Txns[i].Reads = nil
-				if i > 0 && wl.Txns[i].Arrival <= wl.Txns[i-1].Arrival {
-					wl.Txns[i].Arrival = wl.Txns[i-1].Arrival + 1
-				}
 			}
 			cfg := MainMemoryConfig(pol, seed)
 			cfg.Workload = wl.Params
@@ -522,7 +549,7 @@ func TestQuickNoDeadlockUnderStaticHP(t *testing.T) {
 			waits += e.run.LockWaits
 			return err == nil && res.Committed == len(wl.Txns) && e.run.Deadlocks == 0
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		if err := quick.Check(f, quickConfig(40, 1)); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		if waits == 0 {

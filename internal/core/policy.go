@@ -246,7 +246,8 @@ func (edfCRPolicy) Inherits() bool      { return false }
 func (edfCRPolicy) Staticness() Staticness { return EvalStatic }
 
 // fcfsPolicy is the non-real-time control: arrival-order priority with High
-// Priority conflict resolution.
+// Priority conflict resolution. Simultaneous arrivals tie, and the tie
+// breaks by ID, so two of them never wait on each other.
 type fcfsPolicy struct{}
 
 func (fcfsPolicy) Kind() PolicyKind { return FCFS }
@@ -254,7 +255,8 @@ func (fcfsPolicy) Kind() PolicyKind { return FCFS }
 func (fcfsPolicy) Evaluate(_ *Engine, t *Txn) float64 { return -ms(t.Spec.Arrival) }
 
 func (fcfsPolicy) Wounds(_ *Engine, requester, holder *Txn) bool {
-	return requester.priority > holder.priority
+	return requester.priority > holder.priority ||
+		(requester.priority == holder.priority && requester.ID() < holder.ID())
 }
 
 func (fcfsPolicy) FiltersIOWait() bool { return false }

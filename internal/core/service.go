@@ -5,13 +5,14 @@
 // simulator, and report their fate back to the submitter.
 //
 // The engine code is shared, not forked: the same calendar, the same
-// scheduling points, the same conflict machinery. The only difference is
-// the driver (sim.Realtime sleeps until events are due and folds in
-// injected arrivals) and the per-transaction completion slot, which is
-// nil on every simulation run. That is the whole equivalence argument for
-// the Clock refactor — virtual-time runs execute byte-for-byte the same
-// code they always did, and the recorded equivalence digests keep proving
-// them bit-identical.
+// scheduling points, the same conflict machinery, the same event loop
+// (Engine.stepEvents, with its watchdog and oracle). The only difference is
+// the clock (sim.Realtime sleeps until events are due, folds in injected
+// arrivals and asks the engine to step to the wall instant) and the
+// per-transaction completion slot, which is nil on every simulation run.
+// That is the whole equivalence argument for the Clock refactor —
+// virtual-time runs execute byte-for-byte the same code they always did,
+// and the recorded equivalence digests keep proving them bit-identical.
 //
 // A Service is one shard's worker: the serving stack always runs
 // shard.Service over N of them (N = 1 included), which owns routing,
@@ -212,23 +213,20 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if opt.Oracle {
 		e.EnableOracle()
 	}
+	// The driver only keeps the clock: every event fires through the
+	// engine's own bounded step, under its watchdog and oracle.
 	s.rt = sim.NewRealtime(e.sim, sim.RealtimeOptions{
 		Speed: opt.Speed,
-		Check: func() error {
-			if e.oracle != nil && e.oracle.err != nil {
-				return fmt.Errorf("core: oracle: %w", e.oracle.err)
-			}
-			return nil
-		},
+		Step:  func(to sim.Time) error { return e.stepEvents(to, true) },
 	})
 	return s, nil
 }
 
 // Run drives the service until the context is cancelled or the engine
-// fails (a panic, a stall, or an oracle violation). It must be called
-// exactly once; submissions wait until Run is live. Cancellation is a normal
-// shutdown and returns ctx.Err(); any other return is a failure, also
-// surfaced by Err.
+// fails (a panic, a watchdog stall, or an oracle violation). It must be
+// called exactly once; submissions wait until Run is live. Cancellation is
+// a normal shutdown and returns ctx.Err(); any other return is a failure,
+// also surfaced by Err.
 func (s *Service) Run(ctx context.Context) error {
 	defer close(s.stopCh)
 	err := func() (err error) {
@@ -279,7 +277,7 @@ func (s *Service) InjectPanic(msg string) error {
 }
 
 // Err returns the failure that stopped (or is about to stop) the service:
-// an engine panic, a driver stall, or an oracle violation. nil while
+// an engine panic, a watchdog stall, or an oracle violation. nil while
 // healthy and after a clean cancellation.
 func (s *Service) Err() error {
 	s.mu.Lock()
@@ -313,30 +311,14 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	for {
-		live := make(chan int, 1)
-		if err := s.rt.Call(func() { live <- s.e.live.n }); err != nil {
-			return nil // driver already stopped: nothing left to drain
-		}
-		select {
-		case n := <-live:
-			if n == 0 {
-				return nil
-			}
-		case <-s.stopCh:
-			return nil
+		n, ok := onDriver(s, func() int { return s.e.live.n })
+		if !ok || n == 0 {
+			return nil // drained, or the driver already stopped
 		}
 		select {
 		case <-ctx.Done():
-			wounded := make(chan struct{}, 1)
-			if err := s.rt.Call(func() {
-				s.e.dropAllLive()
-				wounded <- struct{}{}
-			}); err != nil {
+			if _, ok := onDriver(s, func() struct{} { s.e.dropAllLive(); return struct{}{} }); !ok {
 				return nil
-			}
-			select {
-			case <-wounded:
-			case <-s.stopCh:
 			}
 			return ctx.Err()
 		case <-time.After(2 * time.Millisecond):
@@ -357,8 +339,7 @@ func (s *Service) InjectEvent(ev trace.Event) error {
 // Stats returns a point-in-time observability snapshot, or ok=false once
 // the service has stopped.
 func (s *Service) Stats() (ServiceStats, bool) {
-	ch := make(chan ServiceStats, 1)
-	if err := s.rt.Call(func() {
+	return onDriver(s, func() ServiceStats {
 		st := ServiceStats{
 			Result: s.e.run.Result(),
 			Live:   s.e.live.n,
@@ -367,16 +348,8 @@ func (s *Service) Stats() (ServiceStats, bool) {
 		if ps, ok := s.e.PredictSnapshot(); ok {
 			st.Predict = &ps
 		}
-		ch <- st
-	}); err != nil {
-		return ServiceStats{}, false
-	}
-	select {
-	case st := <-ch:
-		return st, true
-	case <-s.stopCh:
-		return ServiceStats{}, false
-	}
+		return st
+	})
 }
 
 // RunSnapshot is Stats in mergeable form: a deep copy of the raw run
@@ -390,18 +363,10 @@ func (s *Service) RunSnapshot() (run metrics.Run, live int, now time.Duration, o
 		live int
 		now  time.Duration
 	}
-	ch := make(chan snap, 1)
-	if err := s.rt.Call(func() {
-		ch <- snap{run: s.e.run.Clone(), live: s.e.live.n, now: time.Duration(s.e.sim.Now())}
-	}); err != nil {
-		return metrics.Run{}, 0, 0, false
-	}
-	select {
-	case sn := <-ch:
-		return sn.run, sn.live, sn.now, true
-	case <-s.stopCh:
-		return metrics.Run{}, 0, 0, false
-	}
+	sn, ok := onDriver(s, func() snap {
+		return snap{run: s.e.run.Clone(), live: s.e.live.n, now: time.Duration(s.e.sim.Now())}
+	})
+	return sn.run, sn.live, sn.now, ok
 }
 
 // PredictSnapshot returns the conflict-prediction snapshot on the driver
@@ -413,18 +378,25 @@ func (s *Service) PredictSnapshot() (PredictSnapshot, bool) {
 		ps PredictSnapshot
 		ok bool
 	}
-	ch := make(chan snap, 1)
-	if err := s.rt.Call(func() {
+	sn, _ := onDriver(s, func() snap {
 		ps, ok := s.e.PredictSnapshot()
-		ch <- snap{ps, ok}
-	}); err != nil {
-		return PredictSnapshot{}, false
+		return snap{ps, ok}
+	})
+	return sn.ps, sn.ok // zero, and so false, once the driver has stopped
+}
+
+// onDriver runs fn on the driver goroutine and returns its result; ok is
+// false once the driver has stopped (fn then may or may not have run).
+func onDriver[T any](s *Service, fn func() T) (v T, ok bool) {
+	ch := make(chan T, 1)
+	if s.rt.Call(func() { ch <- fn() }) != nil {
+		return v, false
 	}
 	select {
-	case sn := <-ch:
-		return sn.ps, sn.ok
+	case v = <-ch:
+		return v, true
 	case <-s.stopCh:
-		return PredictSnapshot{}, false
+		return v, false
 	}
 }
 

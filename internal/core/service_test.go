@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,6 +318,43 @@ func TestServiceOracleLive(t *testing.T) {
 	}
 	if got := <-n; got != 30 {
 		t.Fatalf("oracle run recycled IDs: table has %d entries, want 30", got)
+	}
+}
+
+// TestServiceWatchdogStopsDriver: the wall-clock driver fires events
+// through the engine's own step, so a same-instant livelock started by an
+// injected call trips Config.WatchdogBudget and stops Run with the engine's
+// stall dump.
+func TestServiceWatchdogStopsDriver(t *testing.T) {
+	cfg := MainMemoryConfig(CCA, 1)
+	cfg.WatchdogBudget = 64
+	s, err := NewService(cfg, ServiceOptions{Speed: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx) }()
+	if err := s.rt.Call(func() {
+		var spin func()
+		spin = func() { s.e.sim.After(0, spin) }
+		s.e.sim.After(0, spin)
+	}); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	select {
+	case err := <-done:
+		for _, want := range []string{"core: watchdog", "calendar stalled", "budget 64", "0 finished, 0 live"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run returned %v, want an error containing %q", err, want)
+			}
+		}
+		if s.Err() != err {
+			t.Fatalf("Err() = %v, want the Run error", s.Err())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("driver did not stop on a same-instant livelock")
 	}
 }
 

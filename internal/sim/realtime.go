@@ -2,17 +2,18 @@
 // the repository's Clock abstraction: the calendar, the event records and
 // every engine callback are exactly the ones the virtual-time path uses —
 // the only thing that changes is who decides when the next event fires.
-// The virtual driver (Simulator.Run and the engine's Run loop) fires events
-// as fast as the CPU allows; the real-time driver sleeps until the wall
-// instant an event is due and folds in work injected asynchronously from
-// other goroutines (arriving transaction requests, cancellations, metric
-// probes).
+// The virtual driver (the engine's Run loop) fires events as fast as the
+// CPU allows; the real-time driver sleeps until the wall instant an event is
+// due, asks its owner's step function to fire everything due by then, and
+// folds in work injected asynchronously from other goroutines (arriving
+// transaction requests, cancellations, metric probes).
 //
-// Because the calendar itself is untouched, a virtual-time run is
-// bit-identical to what it was before this file existed — the equivalence
-// matrix in internal/core proves it — and everything proven about the
-// engine under the simulator (determinism, the paper's theorems, the
-// oracle's checks) transfers unchanged to the wall-clock service.
+// Realtime never fires an event itself: the step function is the owner's
+// own event loop (for the engine, the same loop a virtual run uses, with
+// its watchdog and oracle checks), so a served run and a simulated one fire
+// events through one piece of code, and everything proven about the engine
+// under the simulator (determinism, the paper's theorems, the oracle's
+// checks) transfers unchanged to the wall-clock service.
 //
 // Shutdown discipline: the driver may be asleep for a long time (an idle
 // server, a disk retry backoff minutes away). Every sleep is a
@@ -36,22 +37,14 @@ type RealtimeOptions struct {
 	// speeds; the engine's millisecond-scale events then fire in
 	// microseconds of wall time.
 	Speed float64
-	// StallBudget bounds how many consecutive events may fire without the
-	// simulated clock advancing before Run fails with a stall error — the
-	// wall-clock analogue of the engine's watchdog. 0 picks a generous
-	// default; < 0 disables the check.
-	StallBudget int
-	// Check, when non-nil, runs after every catch-up batch (and after
-	// every injected call batch); a non-nil error stops the driver and is
-	// returned by Run. The service layer uses it to surface live oracle
-	// violations.
-	Check func() error
+	// Step fires every event due at or before the given simulated time and
+	// advances the clock to it. Required. Run calls it once per catch-up; a
+	// non-nil error stops the driver and is returned by Run.
+	Step func(to Time) error
 }
 
 // ErrStopped reports a Call against a driver whose Run has returned.
 var ErrStopped = errors.New("sim: realtime driver stopped")
-
-const defaultStallBudget = 1 << 20
 
 // Realtime runs a Simulator in wall-clock time. Construct with NewRealtime,
 // start the single driver goroutine with Run, and inject work from any
@@ -60,8 +53,7 @@ const defaultStallBudget = 1 << 20
 type Realtime struct {
 	s     *Simulator
 	speed float64
-	stall int
-	check func() error
+	step  func(Time) error
 
 	mu      sync.Mutex
 	calls   []func()
@@ -83,34 +75,19 @@ func NewRealtime(s *Simulator, opt RealtimeOptions) *Realtime {
 	if speed < 0 {
 		panic(fmt.Sprintf("sim: realtime speed %v < 0", speed))
 	}
-	stall := opt.StallBudget
-	if stall == 0 {
-		stall = defaultStallBudget
+	if opt.Step == nil {
+		panic("sim: realtime driver needs a Step function")
 	}
 	return &Realtime{
 		s:     s,
 		speed: speed,
-		stall: stall,
-		check: opt.Check,
+		step:  opt.Step,
 		wake:  make(chan struct{}, 1),
 	}
 }
 
-// Now returns the driver's current simulated time: the calendar clock once
-// Run has started (mapped to the wall), zero before. It is safe from any
-// goroutine but only approximate outside the driver goroutine; injected
-// calls observe the exact advanced clock via Simulator.Now.
-func (r *Realtime) Now() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.started {
-		return 0
-	}
-	return r.simNow(time.Now())
-}
-
-// simNow maps a wall instant to simulated time. Callers hold r.mu or run
-// on the driver goroutine after start (r.start is written once).
+// simNow maps a wall instant to simulated time. Only the driver goroutine
+// calls it, after start (r.start is written once).
 func (r *Realtime) simNow(wall time.Time) Time {
 	return Time(float64(wall.Sub(r.start)) * r.speed)
 }
@@ -141,8 +118,8 @@ func (r *Realtime) Call(fn func()) error {
 	return nil
 }
 
-// Run drives the calendar until the context is cancelled or a check/stall
-// error occurs. It must be called exactly once, and it owns the Simulator
+// Run drives the calendar until the context is cancelled or the step
+// function fails. It must be called exactly once, and it owns the Simulator
 // until it returns. Pending calls that never got to run are dropped once
 // Run returns; subsequent Calls return ErrStopped.
 func (r *Realtime) Run(ctx context.Context) error {
@@ -179,9 +156,10 @@ func (r *Realtime) Run(ctx context.Context) error {
 		// Catch up: fire everything due at the current wall instant, then
 		// fold in injected calls at that instant. Calls may schedule new
 		// due events (an arrival dispatches immediately), so loop until
-		// neither source has anything due.
-		target := r.simNow(time.Now())
-		if err := r.stepUntil(target); err != nil {
+		// neither source has anything due; a call batch is therefore
+		// always followed by a catch-up, which is where a failure a call
+		// left behind surfaces.
+		if err := r.step(r.simNow(time.Now())); err != nil {
 			return err
 		}
 		r.mu.Lock()
@@ -190,11 +168,6 @@ func (r *Realtime) Run(ctx context.Context) error {
 		r.mu.Unlock()
 		for _, fn := range calls {
 			fn()
-		}
-		if r.check != nil {
-			if err := r.check(); err != nil {
-				return err
-			}
 		}
 		if len(calls) > 0 {
 			continue // calls may have scheduled events already due
@@ -227,30 +200,4 @@ func (r *Realtime) Run(ctx context.Context) error {
 			}
 		}
 	}
-}
-
-// stepUntil fires every event due at or before target and advances the
-// clock to target, guarding against a calendar that churns events without
-// the simulated clock advancing (the stall watchdog).
-func (r *Realtime) stepUntil(target Time) error {
-	var (
-		stallAt    Time
-		stallCount int
-	)
-	for {
-		next, ok := r.s.NextAt()
-		if !ok || next > target {
-			break
-		}
-		r.s.Step()
-		if r.stall > 0 {
-			if now := r.s.Now(); now != stallAt {
-				stallAt, stallCount = now, 0
-			} else if stallCount++; stallCount > r.stall {
-				return fmt.Errorf("sim: realtime stall: %d events at t=%v without the clock advancing", stallCount, time.Duration(stallAt))
-			}
-		}
-	}
-	r.s.RunUntil(target)
-	return nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -24,7 +23,7 @@ func TestRealtimeFiresInOrder(t *testing.T) {
 			}
 		})
 	}
-	rt := NewRealtime(s, RealtimeOptions{Speed: 100})
+	rt := NewRealtime(s, RealtimeOptions{Speed: 100, Step: stepper(s)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- rt.Run(ctx) }()
@@ -53,7 +52,7 @@ func TestRealtimeFiresInOrder(t *testing.T) {
 // then fire, and that calls submitted before Run still execute.
 func TestRealtimeCallInjection(t *testing.T) {
 	s := New()
-	rt := NewRealtime(s, RealtimeOptions{Speed: 1000})
+	rt := NewRealtime(s, RealtimeOptions{Speed: 1000, Step: stepper(s)})
 
 	early := make(chan Time, 1)
 	if err := rt.Call(func() { early <- s.Now() }); err != nil {
@@ -100,7 +99,7 @@ func TestRealtimeCancelDuringBackoff(t *testing.T) {
 	// One event an hour of simulated time away: the driver will go to
 	// sleep on its timer for ~an hour of wall time at Speed 1.
 	s.After(time.Hour, func() { t.Error("backoff event fired") })
-	rt := NewRealtime(s, RealtimeOptions{})
+	rt := NewRealtime(s, RealtimeOptions{Step: stepper(s)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- rt.Run(ctx) }()
@@ -125,7 +124,7 @@ func TestRealtimeCancelDuringBackoff(t *testing.T) {
 // and is woken by an injected call rather than spinning.
 func TestRealtimeIdleWakeup(t *testing.T) {
 	s := New()
-	rt := NewRealtime(s, RealtimeOptions{Speed: 1000})
+	rt := NewRealtime(s, RealtimeOptions{Speed: 1000, Step: stepper(s)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -145,57 +144,49 @@ func TestRealtimeIdleWakeup(t *testing.T) {
 	<-done
 }
 
-// TestRealtimeCheckStops checks that a failing Check hook stops the driver
-// with its error.
-func TestRealtimeCheckStops(t *testing.T) {
+// TestRealtimeStepErrorStops checks that a failing Step stops the driver
+// with its error, and that a failure an injected call leaves behind
+// surfaces at the catch-up that follows the call batch.
+func TestRealtimeStepErrorStops(t *testing.T) {
 	s := New()
 	boom := errors.New("oracle violation")
-	var once sync.Once
 	failing := false
-	rt := NewRealtime(s, RealtimeOptions{Speed: 1000, Check: func() error {
+	rt := NewRealtime(s, RealtimeOptions{Speed: 1000, Step: func(to Time) error {
 		if failing {
 			return boom
 		}
+		s.RunUntil(to)
 		return nil
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- rt.Run(ctx) }()
-	once.Do(func() {})
 	if err := rt.Call(func() { failing = true }); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	select {
 	case err := <-done:
 		if !errors.Is(err, boom) {
-			t.Fatalf("Run returned %v, want the check error", err)
+			t.Fatalf("Run returned %v, want the step error", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("driver did not stop on a failing check")
+		t.Fatal("driver did not stop on a failing step")
 	}
 }
 
-// TestRealtimeStallWatchdog checks that a same-instant event livelock is
-// detected instead of spinning forever.
-func TestRealtimeStallWatchdog(t *testing.T) {
-	s := New()
-	// A self-rescheduling zero-delay event: the simulated clock never
-	// advances past its first firing instant.
-	var spin func()
-	spin = func() { s.After(0, spin) }
-	s.After(0, spin)
-	rt := NewRealtime(s, RealtimeOptions{Speed: 1000, StallBudget: 1000})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- rt.Run(ctx) }()
-	select {
-	case err := <-done:
-		if err == nil || errors.Is(err, context.Canceled) {
-			t.Fatalf("Run returned %v, want a stall error", err)
+// TestRealtimeNeedsStep checks that a driver without a step function is
+// refused at construction.
+func TestRealtimeNeedsStep(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRealtime without Step did not panic")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("stall watchdog never tripped")
-	}
+	}()
+	NewRealtime(New(), RealtimeOptions{})
+}
+
+// stepper is the plain calendar step a driver over a bare Simulator uses.
+func stepper(s *Simulator) func(Time) error {
+	return func(to Time) error { s.RunUntil(to); return nil }
 }

@@ -117,10 +117,6 @@ func (s *Simulator) NextAt() (t Time, ok bool) {
 	return s.calendar[0].at, true
 }
 
-// FreeListLen returns the number of recycled records currently available
-// for reuse; exposed for tests.
-func (s *Simulator) FreeListLen() int { return len(s.free) }
-
 // At schedules fn to run at absolute simulated time t. It panics if t is in
 // the past; scheduling at the current instant is allowed and fires after all
 // previously scheduled events for that instant (FIFO order).
@@ -220,16 +216,6 @@ func (s *Simulator) RunUntil(t Time) {
 	if t > s.now {
 		s.now = t
 	}
-}
-
-// RunLimit fires at most n events; it returns the number actually fired.
-// It exists as a guard for tests that want to bound runaway simulations.
-func (s *Simulator) RunLimit(n uint64) uint64 {
-	var fired uint64
-	for fired < n && s.Step() {
-		fired++
-	}
-	return fired
 }
 
 // eventHeap is a min-heap ordered by (time, scheduling sequence).

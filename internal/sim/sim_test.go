@@ -182,21 +182,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestRunLimitBoundsExecution(t *testing.T) {
-	s := New()
-	// Self-perpetuating event chain.
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.After(1, tick)
-	n := s.RunLimit(500)
-	if n != 500 {
-		t.Fatalf("RunLimit fired %d, want 500", n)
-	}
-	if s.Executed() != 500 {
-		t.Fatalf("Executed() = %d, want 500", s.Executed())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	s := New()
 	if s.Step() {
@@ -330,8 +315,8 @@ func TestFiredHandleIsInertAfterRecycle(t *testing.T) {
 	s.Run()
 	// The first At refilled the free list with a whole slab; the fired
 	// record went back on top of it.
-	if s.FreeListLen() != eventSlabSize {
-		t.Fatalf("free list holds %d records after one fire, want %d", s.FreeListLen(), eventSlabSize)
+	if len(s.free) != eventSlabSize {
+		t.Fatalf("free list holds %d records after one fire, want %d", len(s.free), eventSlabSize)
 	}
 
 	secondFired := false
@@ -428,8 +413,8 @@ func TestPoolReusesRecordsBounded(t *testing.T) {
 	}
 	// The whole chain ran on the one slab allocated by the first After: the
 	// free list never dipped below slab size - 1 and ends exactly full.
-	if s.FreeListLen() != eventSlabSize {
-		t.Fatalf("free list holds %d records after a serial chain, want %d", s.FreeListLen(), eventSlabSize)
+	if len(s.free) != eventSlabSize {
+		t.Fatalf("free list holds %d records after a serial chain, want %d", len(s.free), eventSlabSize)
 	}
 }
 
@@ -459,8 +444,8 @@ func TestUnpooledSemanticsMatch(t *testing.T) {
 			t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
 		}
 	}
-	if s.FreeListLen() != eventSlabSize {
-		t.Fatalf("free list holds %d records after the calendar drained, want %d", s.FreeListLen(), eventSlabSize)
+	if len(s.free) != eventSlabSize {
+		t.Fatalf("free list holds %d records after the calendar drained, want %d", len(s.free), eventSlabSize)
 	}
 }
 
