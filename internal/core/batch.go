@@ -1,12 +1,15 @@
-// Batched submission: the one ingestion path into the wall-clock service.
-// A driver Call costs a mutex, a closure and a wakeup; under a high-rate
-// front-end that handoff is the bottleneck, not the engine. SubmitBatch
-// amortises it: the server's submit queues collect every request that
-// arrived while the driver was busy and inject them all in a single Call,
-// so the handoff cost is paid once per driver wakeup instead of once per
-// transaction. Each submission goes through validation, admission control
-// and onArrival in batch order; the blocking Submit is a one-element batch
-// behind a Waiter.
+// The inbox: the one ingestion path into the wall-clock service. A driver
+// Call costs a mutex, a closure and a wakeup; under a high-rate front-end
+// that handoff is the bottleneck, not the engine. So a submission does not
+// get a Call of its own: Enqueue appends it to the service's inbox, and the
+// driver injects the whole inbox in one pass (drain) at its next catch-up.
+// The driver is woken by one Call of a pre-built func, and only when the
+// inbox goes from empty to non-empty, so the handoff cost is paid once per
+// driver wakeup instead of once per transaction, and the path allocates
+// nothing per batch. Each submission goes through validation, admission
+// control and onArrival in inbox order. SubmitBatch is Enqueue for every
+// entry plus a wait for their handles; the blocking Submit is a one-element
+// batch behind a Waiter.
 package core
 
 import (
@@ -17,11 +20,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Submission is one entry of a batched submit. Done is invoked exactly
-// once per submission: with the terminal outcome (on the engine's driver
-// goroutine — it must not block; hand off to a channel or queue), or with
-// a validation / ErrDraining / ErrServiceStopped error (from the
-// SubmitBatch caller's goroutine).
+// Submission is one entry of a submit. Done is invoked exactly once per
+// submission: with the terminal outcome (on the engine's driver goroutine —
+// it must not block; hand off to a channel or queue), or with a validation /
+// ErrDraining / ErrServiceStopped error (from the submitting goroutine, or
+// from Run's once the driver has stopped).
 type Submission struct {
 	Req  ServiceRequest
 	Done func(ServiceOutcome, error)
@@ -30,6 +33,27 @@ type Submission struct {
 	// number, so the service skips the submit append and stamps the
 	// outcome record FlagReplayed. Zero for ordinary submissions.
 	WALSeq uint64
+	// Handle, when set, receives the submission's cancel handle as
+	// Handle.OnHandle(ID, h), exactly once and before Done: on the driver
+	// as the transaction is injected, or the no-op handle when the
+	// submission is answered without reaching the engine. SubmitBatch sets
+	// both fields itself.
+	Handle HandleSink
+	ID     uint64
+}
+
+// HandleSink takes a submission's cancel handle (see Submission.Handle).
+type HandleSink interface {
+	OnHandle(id uint64, h SubmitHandle)
+}
+
+// Fail answers a submission that never reached the engine: the no-op
+// handle, then err.
+func (sub *Submission) Fail(err error) {
+	if sub.Handle != nil {
+		sub.Handle.OnHandle(sub.ID, SubmitHandle{})
+	}
+	sub.Done(ServiceOutcome{}, err)
 }
 
 // SubmitHandle wounds one in-flight submission: the front-end calls Cancel
@@ -60,10 +84,11 @@ func (h SubmitHandle) Cancel() {
 func CancelHandle(fn func()) SubmitHandle { return SubmitHandle{cancelFn: fn} }
 
 // LateCancel is the cancel side of a submission whose handles arrive after
-// the submit call returned (the server's batcher injects later; a cross-shard
-// request gets one handle per part at the next epoch flush). Cancel wounds
-// every handle armed so far, and Arm wounds on arrival once Cancel has been
-// asked for — so a cancel request is never lost to the handoff.
+// the client may already have given up: the driver arms a handle only when
+// it injects the submission, and a cross-shard request gets one handle per
+// part at the next epoch flush. Cancel wounds every handle armed so far, and
+// Arm wounds on arrival once Cancel has been asked for — so a cancel request
+// is never lost to the handoff.
 type LateCancel struct {
 	mu        sync.Mutex
 	handles   []SubmitHandle
@@ -137,84 +162,139 @@ func (w *Waiter) Wait(ctx context.Context) (ServiceOutcome, error) {
 	}
 }
 
-// failAll reports err to every submission that is still the call's to
-// answer (Done != nil).
-func failAll(subs []Submission, err error) {
-	for i := range subs {
-		if done := subs[i].Done; done != nil {
-			subs[i].Done = nil
-			done(ServiceOutcome{}, err)
+// Enqueue hands sub to the driver without waiting for it: the submission
+// joins the inbox, and the driver injects the whole inbox at its next
+// catch-up. Unless Enqueue returns false, the submission is the service's to
+// answer (see Submission). False means the inbox already held limit entries
+// (limit > 0): nothing was logged and nothing will be called back — an
+// overload shed the caller answers itself.
+//
+// With log enabled, the submit record of a submission that is not a replay
+// is appended under the inbox lock, so the inbox, and with it the order of
+// injection, follows the log's sequence numbers.
+func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
+	if err := sub.Req.Validate(&s.e.cfg); err != nil {
+		sub.Fail(err)
+		return true
+	}
+	var err error
+	s.mu.Lock()
+	switch {
+	case s.draining:
+		err = ErrDraining
+	case s.stopped:
+		err = ErrServiceStopped
+	case limit > 0 && len(s.inbox) >= limit:
+		s.mu.Unlock()
+		return false
+	case sub.WALSeq == 0 && log.Enabled():
+		var seq uint64
+		if seq, err = log.LogSubmit(&sub.Req); err == nil {
+			sub.Done = log.WrapDone(seq, false, sub.Done)
+		}
+	}
+	if err == nil {
+		s.inbox = append(s.inbox, sub)
+		if !s.woken {
+			// Under the lock, so a driver call queued after this Enqueue
+			// (Drain's live-count probe) runs after the drain. A stopped
+			// driver refuses the call and leaves the entry to Run's sweep.
+			s.woken = true
+			_ = s.rt.Call(s.drainFn)
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		sub.Fail(err)
+	}
+	return true
+}
+
+// drain injects everything the inbox holds, in inbox order, at the current
+// instant: the driver's one injection loop.
+func (s *Service) drain() {
+	s.mu.Lock()
+	batch := s.inbox
+	s.inbox, s.woken = s.spare, false
+	s.mu.Unlock()
+	// Until the loop is through, spare is the batch: if the engine panics
+	// mid-way, Run's sweep answers the entries not yet injected.
+	s.spare = batch
+	spec := workload.Spec{Arrival: time.Duration(s.e.sim.Now())}
+	for i := range batch {
+		sub := &batch[i]
+		req := &sub.Req
+		spec.Deadline = spec.Arrival + req.Deadline
+		spec.Items, spec.Reads, spec.NeedsIO = req.Items, req.Reads, req.NeedsIO
+		spec.Compute, spec.Criticality, spec.Class = req.Compute, req.Criticality, req.Class
+		// From here the slot answers: the terminal path, or the failure
+		// sweep if the driver dies with this submission live.
+		t := s.e.addServiceTxn(&spec, sub.Done)
+		sub.Done = nil
+		if sub.Handle != nil {
+			sub.Handle.OnHandle(sub.ID, SubmitHandle{svc: s, t: t, gen: t.gen})
+		}
+		s.e.onArrival(t)
+	}
+	clear(batch) // pin no request or callback until the array is reused
+	s.spare = batch[:0]
+}
+
+// sweep answers ErrServiceStopped to every submission the driver will never
+// inject — the inbox, and what a panic left of the batch being injected —
+// and makes every later Enqueue answer at once. Runs on Run's goroutine
+// once the driver has exited, so spare is its to read.
+func (s *Service) sweep() {
+	s.mu.Lock()
+	s.stopped = true
+	left := append(s.spare, s.inbox...)
+	s.inbox = nil
+	s.mu.Unlock()
+	for i := range left {
+		if left[i].Done != nil {
+			left[i].Fail(ErrServiceStopped)
 		}
 	}
 }
 
-// SubmitBatch injects every submission in one driver call and returns
-// right after injection; outcomes (and every error: validation, draining,
+// SubmitBatch enqueues every submission, with no limit, and returns once
+// each has its handle; outcomes (and every error: validation, draining,
 // stopped service) are delivered through each Submission.Done, which is
-// guaranteed to be invoked exactly once per entry. The returned handles
-// are index-aligned with subs; an entry that was never injected (it
-// already failed) carries the zero no-op handle. The call consumes subs:
-// an entry's Done is cleared the moment someone else owns its answer —
-// validation answered it, or a transaction's completion slot took it over.
-// Requests are validated here, on the caller's goroutine; the driver call
-// only copies each into a (recycled) transaction, so a batch allocates its
-// handles and its handoff, and nothing per entry.
+// guaranteed to be invoked exactly once per entry. The returned handles are
+// index-aligned with subs; an entry that was never injected carries the
+// zero no-op handle. The call consumes subs (see AwaitHandles) and does not
+// keep it.
 func (s *Service) SubmitBatch(subs []Submission) []SubmitHandle {
-	handles := make([]SubmitHandle, len(subs))
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		failAll(subs, ErrDraining)
-		return handles
-	}
-	s.mu.Unlock()
+	return AwaitHandles(subs, func(sub Submission) { s.Enqueue(sub, nil, 0) })
+}
 
-	any := false
+// handleBatch is AwaitHandles' HandleSink: handle i lands in hs[i], and wg
+// counts the entries still without one.
+type handleBatch struct {
+	hs []SubmitHandle
+	wg sync.WaitGroup
+}
+
+func (b *handleBatch) OnHandle(i uint64, h SubmitHandle) {
+	b.hs[i] = h
+	b.wg.Done()
+}
+
+// AwaitHandles is SubmitBatch over an enqueue func that takes every
+// submission it is given: each entry goes to enqueue with a sink for its
+// handle, and the handles come back index-aligned once every entry has one.
+// It consumes subs: an entry's Done is cleared as the entry is handed over,
+// so a caller reusing the slice finds no Done that is already somebody
+// else's to call.
+func AwaitHandles(subs []Submission, enqueue func(Submission)) []SubmitHandle {
+	b := &handleBatch{hs: make([]SubmitHandle, len(subs))}
+	b.wg.Add(len(subs))
 	for i := range subs {
-		sub := &subs[i]
-		if err := sub.Req.Validate(&s.e.cfg); err != nil {
-			sub.Done(ServiceOutcome{}, err)
-			sub.Done = nil
-			continue
-		}
-		any = true
+		sub := subs[i]
+		subs[i].Done = nil
+		sub.Handle, sub.ID = b, uint64(i)
+		enqueue(sub)
 	}
-	if !any {
-		return handles
-	}
-
-	ready := make(chan struct{})
-	err := s.rt.Call(func() {
-		spec := workload.Spec{Arrival: time.Duration(s.e.sim.Now())}
-		for i := range subs {
-			sub := &subs[i]
-			if sub.Done == nil {
-				continue
-			}
-			req := &sub.Req
-			spec.Deadline = spec.Arrival + req.Deadline
-			spec.Items, spec.Reads, spec.NeedsIO = req.Items, req.Reads, req.NeedsIO
-			spec.Compute, spec.Criticality, spec.Class = req.Compute, req.Criticality, req.Class
-			// From here the slot answers: the terminal path, or the failure
-			// sweep if the driver dies with this submission live.
-			t := s.e.addServiceTxn(&spec, sub.Done)
-			sub.Done = nil
-			handles[i] = SubmitHandle{svc: s, t: t, gen: t.gen}
-			s.e.onArrival(t)
-		}
-		close(ready)
-	})
-	if err != nil {
-		failAll(subs, ErrServiceStopped)
-		return handles
-	}
-	select {
-	case <-ready:
-	case <-s.stopCh:
-		// The driver stopped: whatever it injected first was answered by its
-		// terminal path or the failure sweep (both ordered before stopCh
-		// closes); the entries it never reached are still ours.
-		failAll(subs, ErrServiceStopped)
-	}
-	return handles
+	b.wg.Wait()
+	return b.hs
 }

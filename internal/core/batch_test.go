@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,9 +128,100 @@ func TestSubmitBatchDraining(t *testing.T) {
 	}
 }
 
+// handleLog is a HandleSink counting, per ID, the handles it was given and
+// how many of them were the no-op handle.
+type handleLog struct {
+	mu         sync.Mutex
+	got, noops map[uint64]int
+}
+
+func (l *handleLog) OnHandle(id uint64, h SubmitHandle) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.got[id]++
+	if h.svc == nil && h.cancelFn == nil {
+		l.noops[id]++
+	}
+}
+
+// TestInboxStopSweep: submissions waiting in the inbox when Run returns are
+// answered by its sweep — the no-op handle, then ErrServiceStopped, once
+// each, before Run returns — and an Enqueue after the sweep is answered
+// before it returns.
+func TestInboxStopSweep(t *testing.T) {
+	s, err := NewService(MainMemoryConfig(CCA, 7), ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- s.Run(ctx) }()
+	// Hold the driver inside a call: the drain the entries below wake is
+	// queued behind it, and the driver looks at ctx before running it.
+	held, release := make(chan struct{}), make(chan struct{})
+	if err := s.rt.Call(func() { close(held); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+
+	const n = 8
+	sink := &handleLog{got: map[uint64]int{}, noops: map[uint64]int{}}
+	answers := make(chan error, 2*n) // room for every wrong extra answer too
+	sub := func(id uint64) Submission {
+		return Submission{
+			Req:    simpleReq(txn.Item(id)),
+			Done:   func(_ ServiceOutcome, err error) { answers <- err },
+			Handle: sink,
+			ID:     id,
+		}
+	}
+	for id := uint64(0); id < n; id++ {
+		if !s.Enqueue(sub(id), nil, 0) {
+			t.Fatalf("entry %d refused by an unbounded inbox", id)
+		}
+	}
+	if len(answers) != 0 {
+		t.Fatal("a queued entry was answered while the driver was held")
+	}
+	cancel()
+	close(release)
+	<-ran
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-answers:
+			if !errors.Is(err, ErrServiceStopped) {
+				t.Fatalf("swept entry answered %v, want ErrServiceStopped", err)
+			}
+		default:
+			t.Fatalf("%d of %d queued entries answered by the time Run returned", i, n)
+		}
+	}
+
+	if !s.Enqueue(sub(n), nil, 0) {
+		t.Fatal("a stopped service refused instead of answering")
+	}
+	select {
+	case err := <-answers:
+		if !errors.Is(err, ErrServiceStopped) {
+			t.Fatalf("entry after the sweep answered %v, want ErrServiceStopped", err)
+		}
+	default:
+		t.Fatal("an entry after the sweep was not answered at once")
+	}
+	if len(answers) != 0 {
+		t.Fatalf("%d extra answers", len(answers))
+	}
+	for id := uint64(0); id <= n; id++ {
+		if sink.got[id] != 1 || sink.noops[id] != 1 {
+			t.Errorf("entry %d: %d handles, %d of them no-op; want one no-op handle", id, sink.got[id], sink.noops[id])
+		}
+	}
+}
+
 // TestLateCancel: a cancel request reaches every handle of its submission
 // exactly once, whichever side of the handoff it arrives on — before any
-// handle (the server's queue, a cross-shard request waiting for its flush),
+// handle (a submission in its shard's inbox, a cross-shard request waiting
+// for its flush),
 // after, in between the N parts of a cross-shard request, twice, or racing
 // the arming goroutine.
 func TestLateCancel(t *testing.T) {

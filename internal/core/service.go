@@ -16,8 +16,9 @@
 //
 // A Service is one shard's worker: the serving stack always runs
 // shard.Service over N of them (N = 1 included), which owns routing,
-// durability and supervision. There is one way in — SubmitBatch (batch.go);
-// Submit is a one-element batch.
+// durability and supervision. There is one way in — the inbox (Enqueue,
+// batch.go); SubmitBatch waits for its entries' handles, and Submit is a
+// one-element batch.
 package core
 
 import (
@@ -189,11 +190,21 @@ type ServiceStats struct {
 type Service struct {
 	e  *Engine
 	rt *sim.Realtime
+	// drainFn is drain as a func value, built once: waking the driver
+	// allocates nothing.
+	drainFn func()
+	// spare is the inbox's second array. The driver owns it: drain swaps
+	// it in for the batch it takes.
+	spare []Submission
 
 	stopCh chan struct{}
 
+	// mu guards the inbox (batch.go) and the service's state.
 	mu       sync.Mutex
+	inbox    []Submission
+	woken    bool // a drain call is queued
 	draining bool
+	stopped  bool // Run has swept the inbox
 	err      error
 }
 
@@ -210,6 +221,7 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	e.run.UseHistogram = true
 	e.retires = true
 	s := &Service{e: e, stopCh: make(chan struct{})}
+	s.drainFn = s.drain
 	if opt.Oracle {
 		e.EnableOracle()
 	}
@@ -243,10 +255,11 @@ func (s *Service) Run(ctx context.Context) error {
 		s.mu.Unlock()
 	}
 	// The driver is dead (this goroutine WAS the driver), so the live
-	// set is frozen: answer every still-inflight submission before stopCh
-	// closes, converting a crashed engine into failed-with-error
-	// outcomes instead of hangs.
+	// set is frozen: answer every still-inflight submission, and every
+	// one still waiting to be injected, before stopCh closes, converting
+	// a crashed engine into failed-with-error outcomes instead of hangs.
 	s.failLive(err)
+	s.sweep()
 	return err
 }
 

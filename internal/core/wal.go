@@ -1,7 +1,9 @@
 // WAL binding: how the wall-clock serving path makes submissions durable.
-// Durability lives in exactly one place — shard.Service.SubmitBatch binds
-// this hook before routing, so one log orders the whole sharded system and
-// the per-shard Services never log. The contract:
+// Durability lives in one place — shard.Service.Enqueue binds this hook
+// after validation: a cross-shard entry's submit record is appended there,
+// a single-home entry's by its home shard's Enqueue under the inbox lock.
+// One log orders the whole sharded system, each shard injects in log order,
+// and a per-shard Service has no log of its own. The contract:
 //
 //   - A submit record is appended after validation, before the
 //     submission is injected into the engine (append-before-ack). The

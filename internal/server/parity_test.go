@@ -159,7 +159,7 @@ func liveIs(s *Server, n int) func() bool {
 
 // TestCounterParity drives the same script over /submit and over the wire
 // listener and requires the same answers and the same request-counter
-// deltas from both: every answer that comes back through the batcher is
+// deltas from both: every answer that comes back through batcher.done is
 // tallied in one place, whichever front-end is waiting for it. The script
 // covers each status a client can be given short of an engine failure —
 // commit, admission reject, validation refusal, a client that disconnects
@@ -285,36 +285,4 @@ func TestFailedParity(t *testing.T) {
 		waitUntil(t, "shard restarted", func() bool { return s.svc.SupervisionStats().Restarts == i+1 })
 	}
 	clients[1].c.finish(t)
-}
-
-// TestShutdownSweepCounts: a submission still queued when the batcher shuts
-// down is answered by the sweep through the same done as every other answer,
-// so it reaches the counters (the parent's sweep called the Completer
-// directly and bumped none).
-func TestShutdownSweepCounts(t *testing.T) {
-	s, err := New(Options{Core: core.MainMemoryConfig(core.CCA, 35)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The service runs (so /metrics can be read) but the flushers are never
-	// started, so the queue keeps what it is given.
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := make(chan error, 1)
-	go func() { ran <- s.svc.Run(ctx) }()
-	defer func() { cancel(); <-ran }()
-	wt := httpWaiter{core.NewWaiter()}
-	if !s.batch.enqueue(0, core.ServiceRequest{Items: itemSeq(1), Compute: time.Millisecond, Deadline: time.Second}, wt) {
-		t.Fatal("enqueue refused on an empty queue")
-	}
-	s.batch.shutdown()
-	o, err := wt.Wait(context.Background())
-	if status, _, _ := wire.Classify(o, err); status != wire.StatusShed {
-		t.Fatalf("swept submission answered (%+v, %v), want a shed", o, err)
-	}
-	if got, want := countersOf(s), (requestCounters{Shed: 1}); got != want {
-		t.Fatalf("request counters %+v after the sweep, want %+v", got, want)
-	}
-	if s.batch.enqueue(0, core.ServiceRequest{}, wt) {
-		t.Fatal("enqueue accepted after shutdown")
-	}
 }

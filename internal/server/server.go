@@ -19,21 +19,21 @@
 //
 // Two front-ends share one serving path: this HTTP/JSON listener and the
 // binary wire protocol (internal/wire, enabled via ServeListeners). Both
-// decode into core.ServiceRequest and enqueue into the sharded batcher,
-// which injects every submission that arrived while the engine driver
-// was busy in one shard.Service.SubmitBatch call — so the per-request
-// handoff cost is paid per driver wakeup, not per transaction. There is no
-// second service type behind the batcher: one shard is the same code as
-// many. Overload and drain behavior is identical on both front-ends: fast
-// shed with an admission-derived Retry-After.
+// decode into core.ServiceRequest and hand it straight to its home shard's
+// inbox (shard.Service.Enqueue), whose driver injects every submission that
+// arrived while it was busy in one pass — so the per-request handoff cost
+// is paid per driver wakeup, not per transaction. There is no second
+// service type behind it: one shard is the same code as many. Overload and
+// drain behavior is identical on both front-ends: fast shed with an
+// admission-derived Retry-After.
 //
 // The way back is as single as the way in. wire.Classify turns an answer
-// into a status once; the batcher's done closure counts it (Server.answers
-// is indexed by that status) and hands it to the waiting front-end, which
+// into a status once; the batcher's done closure counts it (its answers
+// are indexed by that status) and hands it to the waiting front-end, which
 // only renders it: the HTTP handler blocks on the core.Waiter every
 // Service.Submit uses and looks its status code up from the same table the
 // wire response is built from. The handler itself counts only what never
-// reached the batcher: undecodable JSON and the at-capacity shed.
+// reached the service: undecodable JSON and the at-capacity shed.
 package server
 
 import (
@@ -85,8 +85,10 @@ type Options struct {
 	// frames (slow-loris guard). 0 = wire.DefaultIdleTimeout; negative
 	// disables.
 	WireIdleTimeout time.Duration
-	// MaxInflight bounds concurrently admitted HTTP submissions; past the
-	// bound the server sheds with a fast 503 (default 256).
+	// MaxInflight bounds concurrently admitted HTTP submissions, each wire
+	// connection's pipeline and each shard's inbox of not yet injected
+	// submissions; past a bound the server sheds with a fast 503 or a wire
+	// StatusShed (default 256).
 	MaxInflight int
 	// DrainTimeout bounds graceful shutdown: in-flight transactions get
 	// this long to finish before being wounded (default 5s).
@@ -144,12 +146,11 @@ func (o *Options) fillDefaults() {
 
 // Server is the front-end over the sharded transaction service: the
 // HTTP/JSON listener, and optionally the binary wire listener
-// (ServeListeners), both feeding the sharded submit batcher.
+// (ServeListeners), both feeding the sharded service's inboxes.
 type Server struct {
-	opts  Options
-	svc   *shard.Service
-	mux   *http.ServeMux
-	batch *batcher
+	opts Options
+	svc  *shard.Service
+	mux  *http.ServeMux
 
 	inflight chan struct{}
 
@@ -162,12 +163,12 @@ type Server struct {
 	stats   core.ServiceStats
 	statsOK bool
 
-	// Request counters (also rendered by /metrics). answers counts every
-	// answer that came back through the batcher (batcher.done, the one
-	// place it moves), either protocol, by its wire.Status*; shed and
-	// badReqs count what the HTTP handler refused before the batcher
-	// (inflight bound or full queue; undecodable JSON).
-	answers answerCounts
+	// Request counters (also rendered by /metrics). batch counts every
+	// answer that came back from the service (batcher.done, the one place
+	// it moves), either protocol, by its wire.Status*; shed and badReqs
+	// count what the HTTP handler refused before the service (inflight
+	// bound or full inbox; undecodable JSON).
+	batch   batcher
 	shed    atomic.Int64
 	badReqs atomic.Int64
 	panics  atomic.Int64
@@ -232,7 +233,6 @@ func New(opts Options) (*Server, error) {
 	} else {
 		close(s.replayDone)
 	}
-	s.batch = newBatcher(svc, opts.MaxInflight, &s.answers)
 	s.mux.HandleFunc("/submit", s.handleSubmit)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -275,7 +275,7 @@ func (s *Server) Handler() http.Handler {
 // wireLn is not nil — the binary wire protocol (internal/wire) on wireLn,
 // until ctx is cancelled or the engine fails, then shuts down gracefully:
 // refuse new work, drain or wound in-flight transactions, stop the
-// listeners, stop the engine. Both front-ends share the batcher, the
+// listeners, stop the engine. Both front-ends share the way in, the
 // admission machinery and the drain sequence. A cancellation-initiated
 // shutdown returns nil; an engine failure returns its error.
 func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener) error {
@@ -283,7 +283,6 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 	defer cancelRun()
 	svcDone := make(chan error, 1)
 	go func() { svcDone <- s.svc.Run(runCtx) }()
-	s.batch.start()
 	if s.wal != nil {
 		// Resolve the crash backlog in the background while the
 		// listeners serve; /healthz reports recovering=true until done.
@@ -328,9 +327,8 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 	// refusing submissions (503s/sheds for anyone still connected) and
 	// then finishes or wounds the in-flight transactions, which unblocks
 	// their handlers and flushes their wire responses; the listener
-	// shutdowns then wait out the (now fast) active requests; the batcher
-	// sweep answers anything still queued; only then does the engine
-	// driver stop.
+	// shutdowns then wait out the (now fast) active requests; only then do
+	// the engine drivers stop, each answering what its inbox still holds.
 	dctx, dcancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
 	defer dcancel()
 	_ = s.svc.Drain(dctx)
@@ -345,7 +343,6 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 	if ws != nil {
 		_ = ws.Shutdown(dctx)
 	}
-	s.batch.shutdown()
 	cancelRun()
 	if svcDone != nil {
 		<-svcDone
@@ -371,7 +368,15 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 type wireBackend struct{ s *Server }
 
 func (b wireBackend) Enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
-	return b.s.batch.enqueue(id, req, c)
+	return b.s.submit(id, req, c)
+}
+
+// submit hands one decoded request to its home shard's inbox, bounded by
+// MaxInflight. False is an overload shed the caller answers itself;
+// otherwise c.OnHandle and then c.Complete fire once each.
+func (s *Server) submit(id uint64, req core.ServiceRequest, c wire.Completer) bool {
+	sub := core.Submission{Req: req, Done: s.batch.done(id, c), Handle: c, ID: id}
+	return s.svc.Enqueue(sub, s.opts.MaxInflight)
 }
 
 func (b wireBackend) RetryAfterSecs() int { return b.s.retryAfterSecs() }
@@ -536,7 +541,7 @@ func (s *Server) respond(w http.ResponseWriter, code int, retry bool, resp Submi
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// atCapacity sheds a request the batcher never saw — the one answer the
+// atCapacity sheds a request the service never took — the one answer the
 // handler counts itself.
 func (s *Server) atCapacity(w http.ResponseWriter) {
 	s.shed.Add(1)
@@ -582,13 +587,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	// The submission rides the sharded batcher like every other front-end,
-	// and the handler blocks the way Service.Submit does: if the client
+	// The submission takes the same way in as every other front-end, and
+	// the handler blocks the way Service.Submit does: if the client
 	// disconnects, Wait wounds the submission (so abandoned work stops
 	// consuming CPU) and still takes its terminal answer, so the engine is
 	// done with it before we return.
 	wt := httpWaiter{core.NewWaiter()}
-	if !s.batch.enqueue(0, creq, wt) {
+	if !s.submit(0, creq, wt) {
 		s.atCapacity(w)
 		return
 	}
@@ -628,7 +633,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // httpWaiter is the HTTP handler's wire.Completer: a core.Waiter behind the
-// batcher's completion interface.
+// serving path's completion interface.
 type httpWaiter struct{ *core.Waiter }
 
 func (wt httpWaiter) Complete(_ uint64, o core.ServiceOutcome, err error) { wt.Done(o, err) }
@@ -684,12 +689,12 @@ func (s *Server) metricsResponse() MetricsResponse {
 	resp := MetricsResponse{
 		Draining: s.svc.Draining(),
 		Degraded: s.svc.Degraded(),
-		Accepted: s.answers.engineAnswered(),
-		Shed:     s.shed.Load() + s.answers[wire.StatusShed].Load(),
-		Rejected: s.answers[wire.StatusRejected].Load(),
-		BadReqs:  s.badReqs.Load() + s.answers[wire.StatusInvalid].Load(),
+		Accepted: s.batch.answers.engineAnswered(),
+		Shed:     s.shed.Load() + s.batch.answers[wire.StatusShed].Load(),
+		Rejected: s.batch.answers[wire.StatusRejected].Load(),
+		BadReqs:  s.badReqs.Load() + s.batch.answers[wire.StatusInvalid].Load(),
 		Panics:   s.panics.Load(),
-		Failed:   s.answers[wire.StatusFailed].Load(),
+		Failed:   s.batch.answers[wire.StatusFailed].Load(),
 		Inflight: len(s.inflight),
 	}
 	if st := s.svc.SupervisionStats(); st.Enabled {

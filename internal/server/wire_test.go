@@ -159,7 +159,7 @@ func TestWireFrontEnd(t *testing.T) {
 }
 
 // TestWireBatchedThroughput pushes concurrent pipelined submissions
-// from several connections through the batcher and checks they all
+// from several connections through the shard inboxes and checks they all
 // commit and show up in http_accepted.
 func TestWireBatchedThroughput(t *testing.T) {
 	s, _, wireAddr, _ := startDualServer(t, Options{

@@ -11,7 +11,7 @@ import (
 
 // TestServiceSubmitBatchMixed batches single-shard entries for different
 // shards together with a cross-shard entry and checks they all commit —
-// the single-shard ones via grouped per-shard injection, the cross one
+// the single-shard ones each through its home shard's inbox, the cross one
 // through the epoch queue.
 func TestServiceSubmitBatchMixed(t *testing.T) {
 	s, _ := startService(t, 4)

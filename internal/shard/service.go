@@ -1,11 +1,11 @@
 package shard
 
 // Wall-clock sharded service: N independent core.Services (one engine
-// shard each, its own Realtime driver goroutine) behind one SubmitBatch
-// front — the only service the server runs, N = 1 included. Requests whose
-// access list lies on a single shard go straight to that shard's service —
-// the scaling path: submissions to different shards never contend on a
-// driver goroutine. Cross-shard requests are queued and, at wall-clock epoch
+// shard each, its own Realtime driver goroutine) behind one Enqueue front —
+// the only service the server runs, N = 1 included. Requests whose access
+// list lies on a single shard go straight to that shard's inbox — the
+// scaling path: submissions to different shards never contend on a driver
+// goroutine. Cross-shard requests are queued and, at wall-clock epoch
 // ticks, flushed through the same SubmitBatch primitive: the queued parts
 // are grouped by shard in queue order and each touched shard receives one
 // batch, ascending by shard — the wall analogue of the virtual runner's
@@ -96,7 +96,7 @@ type ServiceOptions struct {
 	// panicking shard kill the whole service.
 	Supervise SuperviseOptions
 	// WAL, when non-nil, makes submissions durable: records are appended
-	// after validation and before routing, so one log orders the whole
+	// after validation and before injection, so one log orders the whole
 	// sharded system and replay re-routes through the same footprint logic
 	// (see core.WALHook).
 	WAL *wal.Logger
@@ -418,88 +418,55 @@ func (s *Service) homeOf(items []txn.Item) int {
 	return bits.TrailingZeros64(mask)
 }
 
-// SubmitBatch is the one way in (see core.Service.SubmitBatch; the contract
-// is identical — every Submission.Done fires exactly once). Each entry is
-// validated, then logged (WAL on), then routed: single-shard entries are
-// injected with one driver call per touched shard, so a batch of K requests
-// costs at most N driver wakeups instead of K; cross-shard entries join the
-// epoch queue, and their handles wound every part.
-func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
+// Enqueue is the one way in, and it does not wait: the entry is checked
+// against the service's refusal, validated, then routed. A single-home
+// entry goes straight to its shard's inbox (core.Service.Enqueue), which
+// appends its submit record (WAL on) under the inbox lock, so each shard
+// injects in log order; limit bounds that inbox (0: no bound), and false
+// means it was full — nothing was logged or will be called back, the caller
+// sheds. A cross-shard entry is logged here and joins the epoch queue, and
+// its handle, handed over at once, wounds every part. Otherwise the
+// contract is core.Submission's: Done fires exactly once, after the handle.
+func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 	if err := s.refusing(); err != nil {
-		for i := range subs {
-			subs[i].Done(core.ServiceOutcome{}, err)
-			subs[i].Done = nil
-		}
-		return make([]core.SubmitHandle, len(subs))
+		sub.Fail(err)
+		return true
 	}
-
-	// uniform holds while every entry so far is unanswered and lives on the
-	// one shard home (-1 before the first routed entry).
-	home, uniform := -1, true
-	for i := range subs {
-		sub := &subs[i]
-		// A replayed entry's submit record already exists: wrap first, so
-		// even a validation refusal resolves it in the log.
-		seq, replay := sub.WALSeq, sub.WALSeq != 0
-		if replay {
-			sub.Done = s.wal.WrapDone(seq, true, sub.Done)
-		}
-		err := sub.Req.Validate(&s.cfg)
-		if err == nil && !replay && s.wal.Enabled() {
-			if seq, err = s.wal.LogSubmit(&sub.Req); err == nil {
-				sub.Done = s.wal.WrapDone(seq, false, sub.Done)
-			}
-		}
+	// A replayed entry's submit record already exists: wrap first, so
+	// even a validation refusal resolves it in the log.
+	if sub.WALSeq != 0 {
+		sub.Done = s.wal.WrapDone(sub.WALSeq, true, sub.Done)
+	}
+	if err := sub.Req.Validate(&s.cfg); err != nil {
+		sub.Fail(err)
+		return true
+	}
+	if h := s.homeOf(sub.Req.Items); h >= 0 {
+		return s.shard(h).Enqueue(sub, &s.wal, limit)
+	}
+	if sub.WALSeq == 0 {
+		seq, err := s.wal.LogSubmit(&sub.Req)
 		if err != nil {
-			sub.Done(core.ServiceOutcome{}, err)
-			sub.Done = nil // answered: no later path touches it
-			uniform = false
-			continue
+			sub.Fail(err)
+			return true
 		}
-		h := s.homeOf(sub.Req.Items)
-		if home < 0 {
-			home = h
-		}
-		if h < 0 || h != home {
-			uniform = false
-		}
+		sub.Done = s.wal.WrapDone(seq, false, sub.Done)
 	}
-	// One home shard for the whole batch — always at N = 1, and the common
-	// case beyond it because the server's submit queues are keyed by
-	// Items[0] % N: hand the caller's slice straight to that shard.
-	if uniform && home >= 0 {
-		return s.shard(home).SubmitBatch(subs)
+	c := newPendingCross(sub.Req, s.n, sub.Done)
+	if sub.Handle != nil {
+		sub.Handle.OnHandle(sub.ID, core.CancelHandle(c.cancel.Cancel))
 	}
+	if err := s.enqueue(c); err != nil {
+		c.done(core.ServiceOutcome{}, err)
+	}
+	return true
+}
 
-	handles := make([]core.SubmitHandle, len(subs))
-	byShard := make([][]int, s.n)
-	for i := range subs {
-		if subs[i].Done == nil {
-			continue
-		}
-		if h := s.homeOf(subs[i].Req.Items); h >= 0 {
-			byShard[h] = append(byShard[h], i)
-			continue
-		}
-		c := newPendingCross(subs[i].Req, s.n, subs[i].Done)
-		handles[i] = core.CancelHandle(c.cancel.Cancel)
-		if err := s.enqueue(c); err != nil {
-			c.done(core.ServiceOutcome{}, err)
-		}
-	}
-	for shard, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		group := make([]core.Submission, len(idxs))
-		for k, i := range idxs {
-			group[k] = subs[i]
-		}
-		for k, h := range s.shard(shard).SubmitBatch(group) {
-			handles[idxs[k]] = h
-		}
-	}
-	return handles
+// SubmitBatch is Enqueue, with no limit, for every entry, returning once
+// each has its handle (see core.Service.SubmitBatch; the contract is
+// identical — every Submission.Done fires exactly once).
+func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
+	return core.AwaitHandles(subs, func(sub core.Submission) { s.Enqueue(sub, 0) })
 }
 
 // refusing reports why the service accepts no work (nil while it does).

@@ -109,7 +109,7 @@ func TestServiceDrainRefusesAndFlushesQueued(t *testing.T) {
 }
 
 // TestSubmitBatchDoesNotRetainCallerSlice: the batch slice belongs to the
-// caller again the moment SubmitBatch returns — server.batcher refills it
+// caller again the moment SubmitBatch returns — a caller may refill it
 // with the next batch. A cross-shard submission is answered later, from a
 // goroutine; it must answer through the callback it was submitted with,
 // not through whatever the slice holds by then. (It used to read

@@ -55,6 +55,10 @@ type Realtime struct {
 	speed float64
 	step  func(Time) error
 
+	// spare is the call queue's second array, owned by the driver: Run
+	// swaps it in for the calls it takes, so queueing reallocates nothing.
+	spare []func()
+
 	mu      sync.Mutex
 	calls   []func()
 	started bool
@@ -164,11 +168,13 @@ func (r *Realtime) Run(ctx context.Context) error {
 		}
 		r.mu.Lock()
 		calls := r.calls
-		r.calls = nil
+		r.calls = r.spare
 		r.mu.Unlock()
 		for _, fn := range calls {
 			fn()
 		}
+		clear(calls) // pin no closure until the array is reused
+		r.spare = calls[:0]
 		if len(calls) > 0 {
 			continue // calls may have scheduled events already due
 		}

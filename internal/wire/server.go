@@ -14,18 +14,18 @@ import (
 )
 
 // Backend is what the wire server needs from the serving stack. The
-// HTTP server's batcher implements it, so both front-ends shed, drain
-// and report through exactly the same admission machinery. This front-end
-// decides nothing about an answer: it refuses only what it cannot queue (a
-// full pipeline, a false Enqueue) and renders whatever Complete is given —
-// drain refusals included — through Classify.
+// HTTP server implements it with the entry its own handler uses, so both
+// front-ends shed, drain and report through exactly the same admission
+// machinery. This front-end decides nothing about an answer: it refuses
+// only what it cannot queue (a full pipeline, a false Enqueue) and renders
+// whatever Complete is given — drain refusals included — through Classify.
 type Backend interface {
 	// Enqueue hands one submission to the serving path. It must not
-	// block; false means the request was shed (queues full, batcher shut
-	// down) and nothing will be called back. On true, c.Complete(id, ...)
-	// fires exactly once with the terminal outcome or error — already
-	// counted by the serving path — and c.OnHandle may fire once (before or
-	// after Complete) with a cancel handle.
+	// block; false means the request was shed (its shard's inbox is full)
+	// and nothing will be called back. On true, c.OnHandle(id, ...) fires
+	// exactly once with a cancel handle, and then c.Complete(id, ...)
+	// exactly once with the terminal outcome or error — already counted by
+	// the serving path.
 	Enqueue(id uint64, req core.ServiceRequest, c Completer) bool
 	// RetryAfterSecs is the admission-derived backoff hint attached to
 	// shed and rejected responses. It may block briefly (it is only
@@ -44,10 +44,12 @@ type Backend interface {
 
 // Completer receives the answer of an enqueued submission. Both methods
 // may be invoked on the engine's driver goroutine and must not block.
-// Complete only renders: Classify says what the (outcome, error) pair
-// means. OnHandle may find its client already gone and must then cancel
-// the handle itself (conn checks its dead flag; core.Waiter is a
-// core.LateCancel).
+// OnHandle comes first: the driver hands the handle over as it injects the
+// submission, before the engine can answer it (a submission answered
+// without reaching the engine gets the no-op handle). It may find its
+// client already gone and must then cancel the handle itself (conn checks
+// its dead flag; core.Waiter is a core.LateCancel). Complete only renders:
+// Classify says what the (outcome, error) pair means.
 type Completer interface {
 	Complete(id uint64, o core.ServiceOutcome, err error)
 	OnHandle(id uint64, h core.SubmitHandle)
@@ -395,7 +397,8 @@ func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
 }
 
 // OnHandle implements Completer. If the connection died between enqueue
-// and handle delivery, wound the orphan immediately.
+// and handle delivery, wound the orphan immediately. Otherwise id is still
+// in flight: the handle comes before Complete, which is what finishes it.
 func (c *conn) OnHandle(id uint64, h core.SubmitHandle) {
 	c.mu.Lock()
 	if c.dead {
@@ -403,9 +406,7 @@ func (c *conn) OnHandle(id uint64, h core.SubmitHandle) {
 		h.Cancel()
 		return
 	}
-	if _, ok := c.inflight[id]; ok {
-		c.inflight[id] = h
-	}
+	c.inflight[id] = h
 	c.mu.Unlock()
 }
 
