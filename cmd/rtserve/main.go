@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8344", "listen address")
-		policy    = fs.String("policy", "cca", "scheduling policy: cca, cca-p, cca-t, edf-hp, edf-wp, lsf-hp, fcfs")
+		policy    = fs.String("policy", "cca", "scheduling policy: cca, cca-p, cca-t, edf-hp, edf-wp, edf-cr, lsf-hp, aed, pcp, fcfs")
 		disk      = fs.Bool("disk", false, "disk-resident configuration (Table 2) instead of main memory (Table 1)")
 		dbsize    = fs.Int("dbsize", 0, "database size (0 = paper default)")
 		cpus      = fs.Int("cpus", 1, "number of CPUs")

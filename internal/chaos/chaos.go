@@ -14,7 +14,7 @@
 // only where in the byte stream the kernel happens to slice reads,
 // which the hardened layers above must tolerate anyway.
 //
-// The zero Plan is a provable no-op: WrapConn and WrapListener return
+// The zero Plan is a provable no-op: wrapConn and wrapListener return
 // their argument unchanged (pointer identity), so a disabled injector
 // costs nothing — no wrapper, no allocation, no extra call on the hot
 // path.
@@ -36,10 +36,10 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrInjectedReset is the error surfaced on the wrapped side of a
+// errInjectedReset is the error surfaced on the wrapped side of a
 // connection the injector reset. The peer observes a real TCP RST (the
 // socket is closed with SO_LINGER 0), not this sentinel.
-var ErrInjectedReset = errors.New("chaos: injected connection reset")
+var errInjectedReset = errors.New("chaos: injected connection reset")
 
 // Plan declares the faults to inject into a listener's connections. The
 // zero value injects nothing and wrapping with it is an identity
@@ -95,8 +95,8 @@ func (p Plan) Zero() bool {
 		p.ThrottleProb == 0 && p.WriteDelayProb == 0
 }
 
-// Validate reports the first problem with the plan.
-func (p Plan) Validate() error {
+// validate reports the first problem with the plan.
+func (p Plan) validate() error {
 	for name, prob := range map[string]float64{
 		"ResetProb":      p.ResetProb,
 		"TruncateProb":   p.TruncateProb,
@@ -135,7 +135,7 @@ func ParsePlan(s string) (Plan, error) {
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("chaos: parse plan: %w", err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
 	return p, nil
@@ -176,78 +176,78 @@ func (p Plan) writeDelayMax() time.Duration {
 	return 20 * time.Millisecond
 }
 
-// Schedule is one connection's fully materialized fault assignment — a
+// schedule is one connection's fully materialized fault assignment — a
 // pure function of (seed, plan, accept index). Materializing up front
 // is what makes chaos runs reproducible: no draw depends on goroutine
 // timing, only on the accept order.
-type Schedule struct {
-	// Conn is the accept index the schedule was drawn for.
-	Conn int
-	// ResetAfter is the total transferred-byte budget (both directions)
+type schedule struct {
+	// conn is the accept index the schedule was drawn for.
+	conn int
+	// resetAfter is the total transferred-byte budget (both directions)
 	// after which the connection is reset; 0 means no reset planned.
-	ResetAfter int64
-	// TruncateWrite cuts short the write that crosses ResetAfter, so
+	resetAfter int64
+	// truncateWrite cuts short the write that crosses resetAfter, so
 	// the peer sees a partial frame before the RST.
-	TruncateWrite bool
-	// BlackholeAt/BlackholeFor delimit the stall window relative to the
-	// wrap time; BlackholeFor == 0 means no window.
-	BlackholeAt  time.Duration
-	BlackholeFor time.Duration
-	// ThrottleBps caps the transfer rate per direction; 0 = unlimited.
-	ThrottleBps int64
-	// WriteDelayProb/WriteDelayMax inject per-write stalls, drawn from
-	// the deterministic per-connection stream seeded by WriteSeed.
-	WriteDelayProb float64
-	WriteDelayMax  time.Duration
-	WriteSeed      int64
+	truncateWrite bool
+	// blackholeAt/blackholeFor delimit the stall window relative to the
+	// wrap time; blackholeFor == 0 means no window.
+	blackholeAt  time.Duration
+	blackholeFor time.Duration
+	// throttleBps caps the transfer rate per direction; 0 = unlimited.
+	throttleBps int64
+	// writeDelayProb/writeDelayMax inject per-write stalls, drawn from
+	// the deterministic per-connection stream seeded by writeSeed.
+	writeDelayProb float64
+	writeDelayMax  time.Duration
+	writeSeed      int64
 }
 
-// Zero reports whether the schedule injects nothing.
-func (sc Schedule) Zero() bool {
-	return sc.ResetAfter == 0 && sc.BlackholeFor == 0 &&
-		sc.ThrottleBps == 0 && sc.WriteDelayProb == 0
+// zero reports whether the schedule injects nothing.
+func (sc schedule) zero() bool {
+	return sc.resetAfter == 0 && sc.blackholeFor == 0 &&
+		sc.throttleBps == 0 && sc.writeDelayProb == 0
 }
 
-// ScheduleFor materializes the fault schedule for the connection with
+// scheduleFor materializes the fault schedule for the connection with
 // the given accept index. Same (seed, plan, index) ⇒ same schedule; the
 // draw order below is fixed and every branch draws the same number of
 // variates, so schedules for one connection are independent of the
 // plan's other knobs firing or not.
-func (p Plan) ScheduleFor(seed int64, index int) Schedule {
+func (p Plan) scheduleFor(seed int64, index int) schedule {
 	st := stats.NewSource(seed).Stream(fmt.Sprintf("chaos/conn/%d", index))
-	sc := Schedule{Conn: index}
+	sc := schedule{conn: index}
 	if u, v, w := st.Float64(), st.Exponential(float64(p.resetMean())), st.Float64(); u < p.ResetProb {
-		sc.ResetAfter = 1 + int64(v)
-		sc.TruncateWrite = w < p.TruncateProb
+		sc.resetAfter = 1 + int64(v)
+		sc.truncateWrite = w < p.TruncateProb
 	}
 	if u, v := st.Float64(), st.Exponential(float64(p.blackholeAfter())); u < p.BlackholeProb {
-		sc.BlackholeAt = time.Duration(v)
-		sc.BlackholeFor = p.blackholeFor()
+		sc.blackholeAt = time.Duration(v)
+		sc.blackholeFor = p.blackholeFor()
 	}
 	if st.Float64() < p.ThrottleProb {
-		sc.ThrottleBps = p.throttleBps()
+		sc.throttleBps = p.throttleBps()
 	}
-	sc.WriteDelayProb = p.WriteDelayProb
-	sc.WriteDelayMax = p.writeDelayMax()
+	sc.writeDelayProb = p.WriteDelayProb
+	sc.writeDelayMax = p.writeDelayMax()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/chaos/write/%d", seed, index)
-	sc.WriteSeed = int64(h.Sum64())
+	sc.writeSeed = int64(h.Sum64())
 	return sc
 }
 
-// WrapConn applies a schedule to a connection. A zero schedule returns
+// wrapConn applies a schedule to a connection. A zero schedule returns
 // nc itself — the passthrough guarantee.
-func WrapConn(nc net.Conn, sc Schedule) net.Conn {
-	if sc.Zero() {
+func wrapConn(nc net.Conn, sc schedule) net.Conn {
+	if sc.zero() {
 		return nc
 	}
-	return NewConn(nc, sc)
+	return newConn(nc, sc)
 }
 
-// WrapListener injects the plan into every connection ln accepts,
+// wrapListener injects the plan into every connection ln accepts,
 // assigning accept index 0, 1, 2, ... in order. A zero plan returns ln
 // itself.
-func WrapListener(ln net.Listener, seed int64, p Plan) net.Listener {
+func wrapListener(ln net.Listener, seed int64, p Plan) net.Listener {
 	if p.Zero() {
 		return ln
 	}
@@ -266,18 +266,18 @@ func (l *listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := l.plan.ScheduleFor(l.seed, int(l.next.Add(1))-1)
-	return WrapConn(nc, sc), nil
+	sc := l.plan.scheduleFor(l.seed, int(l.next.Add(1))-1)
+	return wrapConn(nc, sc), nil
 }
 
-// Conn wraps a net.Conn with an injected fault schedule. It tracks
+// conn wraps a net.Conn with an injected fault schedule. It tracks
 // read/write deadlines itself so an injected stall (blackhole,
 // throttle, write delay) still honors the deadline the layer above set
 // — a server's idle-timeout guard keeps working even when the fault
 // injector is the thing stalling the connection.
-type Conn struct {
+type conn struct {
 	nc    net.Conn
-	sc    Schedule
+	sc    schedule
 	start time.Time
 
 	closed    chan struct{}
@@ -292,25 +292,19 @@ type Conn struct {
 	wrng      *rand.Rand
 }
 
-// NewConn wraps nc with the schedule unconditionally (callers wanting
-// the zero-schedule passthrough use WrapConn).
-func NewConn(nc net.Conn, sc Schedule) *Conn {
-	return &Conn{
+// newConn wraps nc with the schedule unconditionally (callers wanting
+// the zero-schedule passthrough use wrapConn).
+func newConn(nc net.Conn, sc schedule) *conn {
+	return &conn{
 		nc:     nc,
 		sc:     sc,
 		start:  time.Now(),
 		closed: make(chan struct{}),
-		wrng:   rand.New(rand.NewSource(sc.WriteSeed)),
+		wrng:   rand.New(rand.NewSource(sc.writeSeed)),
 	}
 }
 
-// Schedule returns the connection's fault assignment.
-func (c *Conn) Schedule() Schedule { return c.sc }
-
-// ResetFired reports whether the planned reset has been injected.
-func (c *Conn) ResetFired() bool { return c.resetFired.Load() }
-
-func (c *Conn) deadline(write bool) time.Time {
+func (c *conn) deadline(write bool) time.Time {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
 	if write {
@@ -322,7 +316,7 @@ func (c *Conn) deadline(write bool) time.Time {
 // stall sleeps for d, waking early on close or on the direction's
 // deadline. It returns a timeout error when the deadline cut the sleep
 // short, net.ErrClosed when the connection closed under it.
-func (c *Conn) stall(d time.Duration, write bool) error {
+func (c *conn) stall(d time.Duration, write bool) error {
 	if d <= 0 {
 		return nil
 	}
@@ -350,23 +344,23 @@ func (c *Conn) stall(d time.Duration, write bool) error {
 
 // gate enforces the connection-level faults that precede any transfer:
 // an already-fired reset and the blackhole window.
-func (c *Conn) gate(write bool) error {
+func (c *conn) gate(write bool) error {
 	select {
 	case <-c.closed:
 		return net.ErrClosed
 	default:
 	}
 	if c.resetFired.Load() {
-		return ErrInjectedReset
+		return errInjectedReset
 	}
-	if c.sc.BlackholeFor > 0 {
+	if c.sc.blackholeFor > 0 {
 		since := time.Since(c.start)
-		if since >= c.sc.BlackholeAt && since < c.sc.BlackholeAt+c.sc.BlackholeFor {
-			if err := c.stall(c.sc.BlackholeAt+c.sc.BlackholeFor-since, write); err != nil {
+		if since >= c.sc.blackholeAt && since < c.sc.blackholeAt+c.sc.blackholeFor {
+			if err := c.stall(c.sc.blackholeAt+c.sc.blackholeFor-since, write); err != nil {
 				return err
 			}
 			if c.resetFired.Load() {
-				return ErrInjectedReset
+				return errInjectedReset
 			}
 		}
 	}
@@ -374,17 +368,17 @@ func (c *Conn) gate(write bool) error {
 }
 
 // throttle paces n transferred bytes at the scheduled rate.
-func (c *Conn) throttle(n int, write bool) error {
-	if c.sc.ThrottleBps <= 0 || n <= 0 {
+func (c *conn) throttle(n int, write bool) error {
+	if c.sc.throttleBps <= 0 || n <= 0 {
 		return nil
 	}
-	d := time.Duration(int64(n) * int64(time.Second) / c.sc.ThrottleBps)
+	d := time.Duration(int64(n) * int64(time.Second) / c.sc.throttleBps)
 	return c.stall(d, write)
 }
 
 // reset fires the planned reset: the peer gets a real RST (linger 0),
-// our side reports ErrInjectedReset from now on.
-func (c *Conn) reset() {
+// our side reports errInjectedReset from now on.
+func (c *conn) reset() {
 	if !c.resetFired.CompareAndSwap(false, true) {
 		return
 	}
@@ -394,13 +388,13 @@ func (c *Conn) reset() {
 	c.nc.Close()
 }
 
-func (c *Conn) Read(p []byte) (int, error) {
+func (c *conn) Read(p []byte) (int, error) {
 	if err := c.gate(false); err != nil {
 		return 0, err
 	}
-	if c.sc.ResetAfter > 0 && c.moved.Load() >= c.sc.ResetAfter {
+	if c.sc.resetAfter > 0 && c.moved.Load() >= c.sc.resetAfter {
 		c.reset()
-		return 0, ErrInjectedReset
+		return 0, errInjectedReset
 	}
 	n, err := c.nc.Read(p)
 	c.moved.Add(int64(n))
@@ -412,33 +406,33 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *Conn) Write(p []byte) (int, error) {
+func (c *conn) Write(p []byte) (int, error) {
 	if err := c.gate(true); err != nil {
 		return 0, err
 	}
-	if c.sc.WriteDelayProb > 0 {
+	if c.sc.writeDelayProb > 0 {
 		c.dmu.Lock()
 		delay := time.Duration(0)
-		if c.wrng.Float64() < c.sc.WriteDelayProb {
-			delay = time.Duration(c.wrng.Int63n(int64(c.sc.WriteDelayMax)) + 1)
+		if c.wrng.Float64() < c.sc.writeDelayProb {
+			delay = time.Duration(c.wrng.Int63n(int64(c.sc.writeDelayMax)) + 1)
 		}
 		c.dmu.Unlock()
 		if err := c.stall(delay, true); err != nil {
 			return 0, err
 		}
 	}
-	if c.sc.ResetAfter > 0 {
-		remaining := c.sc.ResetAfter - c.moved.Load()
+	if c.sc.resetAfter > 0 {
+		remaining := c.sc.resetAfter - c.moved.Load()
 		if remaining <= 0 {
 			c.reset()
-			return 0, ErrInjectedReset
+			return 0, errInjectedReset
 		}
-		if int64(len(p)) > remaining && c.sc.TruncateWrite {
+		if int64(len(p)) > remaining && c.sc.truncateWrite {
 			// Mid-frame truncation: deliver the prefix, then RST.
 			n, _ := c.nc.Write(p[:remaining])
 			c.moved.Add(int64(n))
 			c.reset()
-			return n, ErrInjectedReset
+			return n, errInjectedReset
 		}
 	}
 	n, err := c.nc.Write(p)
@@ -448,7 +442,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			return n, terr
 		}
 	}
-	if err == nil && c.sc.ResetAfter > 0 && c.moved.Load() >= c.sc.ResetAfter {
+	if err == nil && c.sc.resetAfter > 0 && c.moved.Load() >= c.sc.resetAfter {
 		// The budget-crossing write is delivered whole (no truncation
 		// planned); the reset lands between frames.
 		c.reset()
@@ -456,7 +450,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *Conn) Close() error {
+func (c *conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.closed)
@@ -465,24 +459,24 @@ func (c *Conn) Close() error {
 	return err
 }
 
-func (c *Conn) LocalAddr() net.Addr  { return c.nc.LocalAddr() }
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
+func (c *conn) LocalAddr() net.Addr  { return c.nc.LocalAddr() }
+func (c *conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-func (c *Conn) SetDeadline(t time.Time) error {
+func (c *conn) SetDeadline(t time.Time) error {
 	c.dmu.Lock()
 	c.rdeadline, c.wdeadline = t, t
 	c.dmu.Unlock()
 	return c.nc.SetDeadline(t)
 }
 
-func (c *Conn) SetReadDeadline(t time.Time) error {
+func (c *conn) SetReadDeadline(t time.Time) error {
 	c.dmu.Lock()
 	c.rdeadline = t
 	c.dmu.Unlock()
 	return c.nc.SetReadDeadline(t)
 }
 
-func (c *Conn) SetWriteDeadline(t time.Time) error {
+func (c *conn) SetWriteDeadline(t time.Time) error {
 	c.dmu.Lock()
 	c.wdeadline = t
 	c.dmu.Unlock()

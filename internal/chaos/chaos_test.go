@@ -31,18 +31,18 @@ var aggressive = Plan{
 // connection index, and a different seed materializes a different one.
 func TestScheduleDeterminism(t *testing.T) {
 	const n = 200
-	a := make([]Schedule, n)
-	b := make([]Schedule, n)
+	a := make([]schedule, n)
+	b := make([]schedule, n)
 	for i := 0; i < n; i++ {
-		a[i] = aggressive.ScheduleFor(42, i)
-		b[i] = aggressive.ScheduleFor(42, i)
+		a[i] = aggressive.scheduleFor(42, i)
+		b[i] = aggressive.scheduleFor(42, i)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different schedules")
 	}
 	diff := false
 	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(a[i], aggressive.ScheduleFor(43, i)) {
+		if !reflect.DeepEqual(a[i], aggressive.scheduleFor(43, i)) {
 			diff = true
 			break
 		}
@@ -54,16 +54,16 @@ func TestScheduleDeterminism(t *testing.T) {
 	// every fault class at least once.
 	var resets, truncs, holes, throttles int
 	for _, sc := range a {
-		if sc.ResetAfter > 0 {
+		if sc.resetAfter > 0 {
 			resets++
-			if sc.TruncateWrite {
+			if sc.truncateWrite {
 				truncs++
 			}
 		}
-		if sc.BlackholeFor > 0 {
+		if sc.blackholeFor > 0 {
 			holes++
 		}
-		if sc.ThrottleBps > 0 {
+		if sc.throttleBps > 0 {
 			throttles++
 		}
 	}
@@ -80,13 +80,13 @@ func TestScheduleIndependentOfOtherKnobs(t *testing.T) {
 	noReset := aggressive
 	noReset.ResetProb = 0
 	for i := 0; i < 100; i++ {
-		full := aggressive.ScheduleFor(7, i)
-		part := noReset.ScheduleFor(7, i)
-		if part.ResetAfter != 0 {
+		full := aggressive.scheduleFor(7, i)
+		part := noReset.scheduleFor(7, i)
+		if part.resetAfter != 0 {
 			t.Fatalf("conn %d: ResetProb 0 still planned a reset", i)
 		}
-		if part.BlackholeAt != full.BlackholeAt || part.BlackholeFor != full.BlackholeFor ||
-			part.ThrottleBps != full.ThrottleBps {
+		if part.blackholeAt != full.blackholeAt || part.blackholeFor != full.blackholeFor ||
+			part.throttleBps != full.throttleBps {
 			t.Fatalf("conn %d: disabling resets perturbed other draws: %+v vs %+v", i, part, full)
 		}
 	}
@@ -101,22 +101,22 @@ func TestZeroPlanPassthrough(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	if got := WrapConn(c1, Schedule{}); got != c1 {
-		t.Fatalf("WrapConn(zero) returned a wrapper, want the conn itself")
+	if got := wrapConn(c1, schedule{}); got != c1 {
+		t.Fatalf("wrapConn(zero) returned a wrapper, want the conn itself")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if got := WrapListener(ln, 1, Plan{}); got != ln {
-		t.Fatalf("WrapListener(zero) returned a wrapper, want the listener itself")
+	if got := wrapListener(ln, 1, Plan{}); got != ln {
+		t.Fatalf("wrapListener(zero) returned a wrapper, want the listener itself")
 	}
 	// And the allocation side of the claim.
 	if n := testing.AllocsPerRun(100, func() {
-		_ = WrapConn(c1, Schedule{})
+		_ = wrapConn(c1, schedule{})
 	}); n != 0 {
-		t.Fatalf("zero-schedule WrapConn allocates %v per call", n)
+		t.Fatalf("zero-schedule wrapConn allocates %v per call", n)
 	}
 }
 
@@ -130,11 +130,11 @@ func TestPlanValidate(t *testing.T) {
 		{WriteDelayProb: 0.5, WriteDelayMax: -time.Millisecond},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("bad plan %d validated", i)
 		}
 	}
-	if err := aggressive.Validate(); err != nil {
+	if err := aggressive.validate(); err != nil {
 		t.Fatalf("aggressive plan rejected: %v", err)
 	}
 }
@@ -181,10 +181,10 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 }
 
 // TestResetAfterBudget: a planned reset trips once the byte budget is
-// crossed; our side sees ErrInjectedReset, the peer sees a hard error.
+// crossed; our side sees errInjectedReset, the peer sees a hard error.
 func TestResetAfterBudget(t *testing.T) {
 	client, server := tcpPair(t)
-	w := NewConn(client, Schedule{ResetAfter: 100})
+	w := newConn(client, schedule{resetAfter: 100})
 	buf := make([]byte, 64)
 	var total int
 	var lastErr error
@@ -198,16 +198,16 @@ func TestResetAfterBudget(t *testing.T) {
 		// Drain on the peer so the loopback buffers never matter.
 		io.ReadFull(server, make([]byte, n))
 	}
-	if !errors.Is(lastErr, ErrInjectedReset) {
-		t.Fatalf("wanted ErrInjectedReset after budget, got total=%d err=%v", total, lastErr)
+	if !errors.Is(lastErr, errInjectedReset) {
+		t.Fatalf("wanted errInjectedReset after budget, got total=%d err=%v", total, lastErr)
 	}
-	if !w.ResetFired() {
-		t.Fatalf("ResetFired false after injected reset")
+	if !w.resetFired.Load() {
+		t.Fatalf("resetFired false after injected reset")
 	}
-	if _, err := w.Write(buf); !errors.Is(err, ErrInjectedReset) {
+	if _, err := w.Write(buf); !errors.Is(err, errInjectedReset) {
 		t.Fatalf("post-reset write error = %v", err)
 	}
-	if _, err := w.Read(buf); !errors.Is(err, ErrInjectedReset) {
+	if _, err := w.Read(buf); !errors.Is(err, errInjectedReset) {
 		t.Fatalf("post-reset read error = %v", err)
 	}
 	// The peer's next read must fail (RST or EOF depending on timing).
@@ -222,14 +222,14 @@ func TestResetAfterBudget(t *testing.T) {
 	}
 }
 
-// TestTruncatedWrite: with TruncateWrite the budget-crossing write
+// TestTruncatedWrite: with truncateWrite the budget-crossing write
 // delivers exactly the remaining bytes, then resets.
 func TestTruncatedWrite(t *testing.T) {
 	client, server := tcpPair(t)
-	w := NewConn(client, Schedule{ResetAfter: 10, TruncateWrite: true})
+	w := newConn(client, schedule{resetAfter: 10, truncateWrite: true})
 	n, err := w.Write(bytes.Repeat([]byte{0xAB}, 64))
-	if n != 10 || !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("truncated write = (%d, %v), want (10, ErrInjectedReset)", n, err)
+	if n != 10 || !errors.Is(err, errInjectedReset) {
+		t.Fatalf("truncated write = (%d, %v), want (10, errInjectedReset)", n, err)
 	}
 	server.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got, _ := io.ReadAll(server)
@@ -243,7 +243,7 @@ func TestTruncatedWrite(t *testing.T) {
 // guard above the injector keeps working.
 func TestBlackholeHonorsDeadline(t *testing.T) {
 	client, _ := tcpPair(t)
-	w := NewConn(client, Schedule{BlackholeAt: 0, BlackholeFor: 10 * time.Second})
+	w := newConn(client, schedule{blackholeAt: 0, blackholeFor: 10 * time.Second})
 	w.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 	start := time.Now()
 	_, err := w.Read(make([]byte, 1))
@@ -263,7 +263,7 @@ func TestBlackholeHonorsDeadline(t *testing.T) {
 // operation immediately.
 func TestBlackholeWakesOnClose(t *testing.T) {
 	client, _ := tcpPair(t)
-	w := NewConn(client, Schedule{BlackholeAt: 0, BlackholeFor: 10 * time.Second})
+	w := newConn(client, schedule{blackholeAt: 0, blackholeFor: 10 * time.Second})
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := w.Read(make([]byte, 1))
@@ -285,18 +285,18 @@ func TestBlackholeWakesOnClose(t *testing.T) {
 // schedule's seed, so two conns with the same schedule stall the same
 // writes by the same amounts.
 func TestWriteDelaysDeterministic(t *testing.T) {
-	sc := Schedule{WriteDelayProb: 0.5, WriteDelayMax: time.Millisecond, WriteSeed: 99}
+	sc := schedule{writeDelayProb: 0.5, writeDelayMax: time.Millisecond, writeSeed: 99}
 	draw := func() []time.Duration {
 		c1, c2 := net.Pipe()
 		defer c1.Close()
 		go io.Copy(io.Discard, c2)
-		w := NewConn(c1, sc)
+		w := newConn(c1, sc)
 		var ds []time.Duration
 		for i := 0; i < 32; i++ {
 			w.dmu.Lock()
 			var d time.Duration
-			if w.wrng.Float64() < sc.WriteDelayProb {
-				d = time.Duration(w.wrng.Int63n(int64(sc.WriteDelayMax)) + 1)
+			if w.wrng.Float64() < sc.writeDelayProb {
+				d = time.Duration(w.wrng.Int63n(int64(sc.writeDelayMax)) + 1)
 			}
 			w.dmu.Unlock()
 			ds = append(ds, d)

@@ -43,7 +43,7 @@ type Proxy struct {
 	planned    [4]atomic.Int64 // reset, truncate, blackhole, throttle
 
 	mu     sync.Mutex
-	conns  map[net.Conn]*Conn // tracked pairs: upstream -> wrapped client side
+	conns  map[net.Conn]*conn // tracked pairs: upstream -> wrapped client side
 	closed bool
 	wg     sync.WaitGroup
 
@@ -54,7 +54,7 @@ type Proxy struct {
 // zero, which makes the proxy a plain relay — useful as the control arm
 // of a chaos experiment.
 func NewProxy(ln net.Listener, target string, seed int64, plan Plan) (*Proxy, error) {
-	if err := plan.Validate(); err != nil {
+	if err := plan.validate(); err != nil {
 		return nil, err
 	}
 	return &Proxy{
@@ -63,7 +63,7 @@ func NewProxy(ln net.Listener, target string, seed int64, plan Plan) (*Proxy, er
 		seed:        seed,
 		plan:        plan,
 		dialTimeout: 5 * time.Second,
-		conns:       make(map[net.Conn]*Conn),
+		conns:       make(map[net.Conn]*conn),
 	}, nil
 }
 
@@ -98,17 +98,17 @@ func (p *Proxy) Serve() error {
 			return fmt.Errorf("chaos: accept: %w", err)
 		}
 		idx := int(p.accepted.Add(1)) - 1
-		sc := p.plan.ScheduleFor(p.seed, idx)
-		if sc.ResetAfter > 0 {
+		sc := p.plan.scheduleFor(p.seed, idx)
+		if sc.resetAfter > 0 {
 			p.planned[0].Add(1)
-			if sc.TruncateWrite {
+			if sc.truncateWrite {
 				p.planned[1].Add(1)
 			}
 		}
-		if sc.BlackholeFor > 0 {
+		if sc.blackholeFor > 0 {
 			p.planned[2].Add(1)
 		}
-		if sc.ThrottleBps > 0 {
+		if sc.throttleBps > 0 {
 			p.planned[3].Add(1)
 		}
 		p.wg.Add(1)
@@ -127,7 +127,7 @@ func (p *Proxy) Close() error {
 	}
 	p.closed = true
 	ups := make([]net.Conn, 0, len(p.conns))
-	cls := make([]*Conn, 0, len(p.conns))
+	cls := make([]*conn, 0, len(p.conns))
 	for up, cl := range p.conns {
 		ups = append(ups, up)
 		if cl != nil {
@@ -146,7 +146,7 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-func (p *Proxy) relay(client net.Conn, sc Schedule) {
+func (p *Proxy) relay(client net.Conn, sc schedule) {
 	defer p.wg.Done()
 	up, err := net.DialTimeout("tcp", p.target, p.dialTimeout)
 	if err != nil {
@@ -161,8 +161,8 @@ func (p *Proxy) relay(client net.Conn, sc Schedule) {
 		tc.SetNoDelay(true)
 	}
 
-	faulted := WrapConn(client, sc)
-	chaosConn, _ := faulted.(*Conn)
+	faulted := wrapConn(client, sc)
+	chaosConn, _ := faulted.(*conn)
 
 	p.mu.Lock()
 	if p.closed {
@@ -177,7 +177,7 @@ func (p *Proxy) relay(client net.Conn, sc Schedule) {
 		p.mu.Lock()
 		delete(p.conns, up)
 		p.mu.Unlock()
-		if chaosConn != nil && chaosConn.ResetFired() {
+		if chaosConn != nil && chaosConn.resetFired.Load() {
 			p.resetsFired.Add(1)
 		}
 	}()

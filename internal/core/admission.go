@@ -38,8 +38,8 @@ type AdmissionConfig struct {
 	MaxLive int
 }
 
-// Validate reports the first problem with the admission configuration.
-func (a AdmissionConfig) Validate() error {
+// validate reports the first problem with the admission configuration.
+func (a AdmissionConfig) validate() error {
 	switch a.Mode {
 	case AdmitAll, RejectInfeasible:
 	case RejectNewest:
@@ -70,12 +70,12 @@ func (e *Engine) rejects(t *Txn) bool {
 		if a.MaxLive > 0 && e.live.n >= a.MaxLive {
 			return true
 		}
-		backlog := t.Spec.ResourceTime(e.cfg.Workload.DiskAccessTime)
+		backlog := t.spec.ResourceTime(e.cfg.Workload.DiskAccessTime)
 		for v := e.live.head; v != nil; v = v.liveNext {
 			backlog += v.remainingStatic()
 		}
 		eta := time.Duration(e.sim.Now()) + backlog/time.Duration(e.cfg.NumCPUs)
-		return eta > t.Spec.Deadline
+		return eta > t.spec.Deadline
 	}
 	return false
 }

@@ -42,14 +42,14 @@ func newAEDPolicy(seed int64) *aedPolicy {
 	}
 }
 
-func (p *aedPolicy) Kind() PolicyKind { return AED }
+func (p *aedPolicy) kind() PolicyKind { return AED }
 
 // key returns t's random group-assignment key, drawing it on first use.
 func (p *aedPolicy) key(t *Txn) float64 {
-	k, ok := p.keys[t.ID()]
+	k, ok := p.keys[t.id()]
 	if !ok {
 		k = p.rng.Float64()
-		p.keys[t.ID()] = k
+		p.keys[t.id()] = k
 	}
 	return k
 }
@@ -70,27 +70,27 @@ func (p *aedPolicy) inHITGroup(e *Engine, t *Txn) bool {
 	return float64(rank) < p.hitCap
 }
 
-// Evaluate places HIT transactions in a high band ordered by EDF and MISS
+// evaluate places HIT transactions in a high band ordered by EDF and MISS
 // transactions in a low band ordered by their random key.
-func (p *aedPolicy) Evaluate(e *Engine, t *Txn) float64 {
+func (p *aedPolicy) evaluate(e *Engine, t *Txn) float64 {
 	const band = 1e12
 	if p.inHITGroup(e, t) {
-		return band - ms(t.Spec.Deadline)
+		return band - ms(t.spec.Deadline)
 	}
 	return -band - p.key(t)*1e6
 }
 
-func (p *aedPolicy) Wounds(_ *Engine, requester, holder *Txn) bool {
+func (p *aedPolicy) wounds(_ *Engine, requester, holder *Txn) bool {
 	return requester.priority > holder.priority ||
-		(requester.priority == holder.priority && requester.ID() < holder.ID())
+		(requester.priority == holder.priority && requester.id() < holder.id())
 }
 
-func (p *aedPolicy) FiltersIOWait() bool { return false }
-func (p *aedPolicy) Inherits() bool      { return false }
+func (p *aedPolicy) filtersIOWait() bool { return false }
+func (p *aedPolicy) inherits() bool      { return false }
 
-// Staticness: group membership depends on the whole live set and the
+// staticness: group membership depends on the whole live set and the
 // feedback-adapted HIT capacity, both of which move between passes.
-func (p *aedPolicy) Staticness() Staticness { return EvalDynamic }
+func (p *aedPolicy) staticness() staticness { return evalDynamic }
 
 // observeCommit feeds the HIT-ratio controller. The engine calls it on
 // every commit (and on every firm-mode drop, which counts as a miss).

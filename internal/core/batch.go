@@ -187,7 +187,7 @@ func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
 	case limit > 0 && len(s.inbox) >= limit:
 		s.mu.Unlock()
 		return false
-	case sub.WALSeq == 0 && log.Enabled():
+	case sub.WALSeq == 0 && log.enabled():
 		var seq uint64
 		if seq, err = log.LogSubmit(&sub.Req); err == nil {
 			sub.Done = log.WrapDone(seq, false, sub.Done)

@@ -54,7 +54,7 @@ func BenchmarkCCALargeDBHighMPLFast(b *testing.B) {
 	benchRun(b, benchCCAConfig(8192, 400, 25))
 }
 
-// With EvalStatic the pass stops calling Evaluate entirely after each
+// With evalStatic the pass stops calling evaluate entirely after each
 // transaction's first pass.
 func BenchmarkEDFHPBaseFast(b *testing.B) {
 	cfg := benchCCAConfig(30, 300, 8)

@@ -76,19 +76,6 @@ func (b bitset) intersects(o bitset) bool {
 	return false
 }
 
-// intersectCount returns the number of items shared by b and o.
-func (b bitset) intersectCount(o bitset) int {
-	n := len(b)
-	if len(o) < n {
-		n = len(o)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(b[i] & o[i])
-	}
-	return c
-}
-
 // forEach calls fn for every item in the set, in ascending order.
 func (b bitset) forEach(fn func(it txn.Item)) {
 	for i, w := range b {

@@ -58,7 +58,7 @@ const (
 	CCAP PolicyKind = "cca-p"
 	// CCAT is CCAP with a self-tuning penalty weight: a deterministic
 	// seeded hill-climb (optionally ε-greedy) adjusts w over commit-rate
-	// feedback windows (extension). With Predict.TunerOff and a degenerate
+	// feedback windows (extension). With Predict.tunerOff and a degenerate
 	// statistics knob it is bit-identical to CCA.
 	CCAT PolicyKind = "cca-t"
 )
@@ -82,10 +82,10 @@ type Config struct {
 	// conflict in CCA's priority (Table 1/2: 1). 0 reduces CCA to EDF-HP
 	// on a main-memory database.
 	PenaltyWeight float64
-	// PenaltyIncludesRollback adds each victim's rollback time to the
+	// penaltyIncludesRollback adds each victim's rollback time to the
 	// penalty of conflict, matching §3.3.1's TL = Σ (rollback + exec);
 	// disable to match the pseudocode, which adds only effective service.
-	PenaltyIncludesRollback bool
+	penaltyIncludesRollback bool
 	// AbortCost is the fixed CPU time to roll back one transaction
 	// (Table 1: 4 ms; Table 2: 5 ms).
 	AbortCost time.Duration
@@ -125,11 +125,11 @@ type Config struct {
 	// RecordHistory records every data operation for post-run conflict
 	// serializability checking (Engine.History).
 	RecordHistory bool
-	// MaxEvents bounds an unbounded Run as a runaway guard; 0 picks a
+	// maxEvents bounds an unbounded Run as a runaway guard; 0 picks a
 	// generous default derived from the workload size. A bounded step
 	// (StepTo, the wall-clock service) never consults it: it cannot run
 	// past its bound, and same-instant churn is the watchdog's job.
-	MaxEvents uint64
+	maxEvents uint64
 	// Fault declares the deterministic fault plan of the run: disk latency
 	// spikes, transient IO errors with bounded retry, brownout windows,
 	// CPU jitter, spurious aborts and arrival bursts, all drawn from named
@@ -159,7 +159,7 @@ func MainMemoryConfig(p PolicyKind, seed int64) Config {
 		Workload:                workload.BaseMainMemory(),
 		Policy:                  p,
 		PenaltyWeight:           1,
-		PenaltyIncludesRollback: true,
+		penaltyIncludesRollback: true,
 		AbortCost:               4 * time.Millisecond,
 		NumCPUs:                 1,
 		Seed:                    seed,
@@ -184,7 +184,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown policy %q", c.Policy)
 	}
-	if err := c.Predict.Validate(); err != nil {
+	if err := c.Predict.validate(); err != nil {
 		return err
 	}
 	if c.PenaltyWeight < 0 {
@@ -214,16 +214,16 @@ func (c Config) Validate() error {
 	if err := c.Fault.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := c.Admission.Validate(); err != nil {
+	if err := c.Admission.validate(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// maxEvents returns the runaway guard for a run over count transactions.
-func (c Config) maxEvents(count int) uint64 {
-	if c.MaxEvents > 0 {
-		return c.MaxEvents
+// eventGuard returns the runaway guard for a run over count transactions.
+func (c Config) eventGuard(count int) uint64 {
+	if c.maxEvents > 0 {
+		return c.maxEvents
 	}
 	// Generous: every transaction could restart many times; each attempt
 	// touches every item with a lock, an IO and a compute event.

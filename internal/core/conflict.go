@@ -10,7 +10,7 @@ import (
 
 // conflictIndex incrementally maintains the conflict state the scheduler
 // queries at every scheduling point, so that CCA's continuous priority
-// evaluation (PenaltyOfConflict) and the IOwait-schedule compatibility test
+// evaluation (penaltyOfConflict) and the IOwait-schedule compatibility test
 // run in time proportional to the transactions that actually overlap
 // instead of rescanning every live transaction's bitset
 // (O(live × DBSize/64) per query).
@@ -22,7 +22,7 @@ import (
 //     item — updated on lock acquisition, commit release and abort release,
 //     and itself the lock table (locks.go) — and its mirror might, the live transactions whose might-access set
 //     contains the item — updated on arrival, Engine.setMight and departure,
-//     and kept only for EvalConflictClocked policies.
+//     and kept only for evalConflictClocked policies.
 //   - plist, the paper's P-list: the live transactions with at least one
 //     accessed item, as a dense slice for cheap iteration (the paper
 //     observes it averages 1–2 members).
@@ -43,7 +43,7 @@ import (
 //     constant (a running overlapper's service time grows only with the
 //     clock), which is the key the dispatch pass's evaluation memo uses.
 //
-// With the index, PenaltyOfConflict walks the holders of the items the
+// With the index, penaltyOfConflict walks the holders of the items the
 // transaction might access (deduplicated with a visit stamp — no
 // allocation), and the IOwait-schedule test intersects against the P-list
 // only. Under Config.CheckInvariants verify rebuilds the index by brute force
@@ -258,7 +258,7 @@ func (ci *conflictIndex) penalty(e *Engine, t *Txn) time.Duration {
 		}
 		p.seenStamp = ci.stamp
 		sum += e.serviceNow(p)
-		if e.cfg.PenaltyIncludesRollback {
+		if e.cfg.penaltyIncludesRollback {
 			sum += e.rollbackCost(p)
 		}
 	}
@@ -275,17 +275,17 @@ func (ci *conflictIndex) verify(e *Engine) {
 	inPlist := make(map[*Txn]bool, len(ci.plist))
 	for i, t := range ci.plist {
 		if t.plistIdx != i {
-			panic(fmt.Sprintf("core: T%d plistIdx %d but sits at %d", t.ID(), t.plistIdx, i))
+			panic(fmt.Sprintf("core: T%d plistIdx %d but sits at %d", t.id(), t.plistIdx, i))
 		}
 		if inPlist[t] {
-			panic(fmt.Sprintf("core: T%d on the P-list twice", t.ID()))
+			panic(fmt.Sprintf("core: T%d on the P-list twice", t.id()))
 		}
 		inPlist[t] = true
 	}
 	live := 0
 	for t := e.live.head; t != nil; t = t.liveNext {
-		if pe := t.PartiallyExecuted(); pe != inPlist[t] {
-			panic(fmt.Sprintf("core: conflict index P-list disagrees for T%d (partially executed %v)", t.ID(), pe))
+		if pe := t.partiallyExecuted(); pe != inPlist[t] {
+			panic(fmt.Sprintf("core: conflict index P-list disagrees for T%d (partially executed %v)", t.id(), pe))
 		}
 		if inPlist[t] {
 			live++
@@ -319,11 +319,11 @@ func (ci *conflictIndex) verifyInverted(e *Engine, name string, dir func(*itemRe
 		seen := make(map[*Txn]bool, 1+len(hs.extra))
 		hs.each(func(t *Txn) {
 			if seen[t] {
-				panic(fmt.Sprintf("core: %s index item %d lists T%d twice", name, i, t.ID()))
+				panic(fmt.Sprintf("core: %s index item %d lists T%d twice", name, i, t.id()))
 			}
 			seen[t] = true
 			if b := set(t); !t.inLive || b == nil || !b.contains(txn.Item(i)) {
-				panic(fmt.Sprintf("core: stale %s index entry T%d item %d", name, t.ID(), i))
+				panic(fmt.Sprintf("core: stale %s index entry T%d item %d", name, t.id(), i))
 			}
 			entries++
 		})
@@ -361,11 +361,11 @@ func (ci *conflictIndex) verifyHot(e *Engine) {
 		}
 		if t.hotRefs != refs {
 			panic(fmt.Sprintf("core: T%d counts %d conflicting (item, holder) pairs, brute force finds %d (penalty %v)",
-				t.ID(), t.hotRefs, refs, e.penaltyOfConflictScan(t)))
+				t.id(), t.hotRefs, refs, e.penaltyOfConflictScan(t)))
 		}
 		if refs > 0 {
 			if t.hotIdx >= len(ci.hot) || ci.hot[t.hotIdx] != t {
-				panic(fmt.Sprintf("core: T%d has %d conflicting pairs but is outside the hot set", t.ID(), refs))
+				panic(fmt.Sprintf("core: T%d has %d conflicting pairs but is outside the hot set", t.id(), refs))
 			}
 			members++
 		}

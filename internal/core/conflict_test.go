@@ -95,7 +95,7 @@ func assertEquivalentOpts(t *testing.T, name string, cfg Config, wl *workload.Wo
 
 // TestConflictIndexEquivalenceGenerated covers the paper's generated
 // workloads: main-memory and disk base configurations under CCA at several
-// arrival rates and seeds (the paths that exercise PenaltyOfConflict and
+// arrival rates and seeds (the paths that exercise penaltyOfConflict and
 // the IOwait-schedule filter continuously).
 func TestConflictIndexEquivalenceGenerated(t *testing.T) {
 	for _, rate := range []float64{5, 10, 15} {

@@ -48,8 +48,8 @@ func TestSerializabilityAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 				h := e.History()
-				if h.Committed() != len(e.Txns()) {
-					t.Fatalf("history committed %d/%d", h.Committed(), len(e.Txns()))
+				if h.Committed() != len(e.txns()) {
+					t.Fatalf("history committed %d/%d", h.Committed(), len(e.txns()))
 				}
 				if ok, cycle := h.Serializable(); !ok {
 					t.Fatalf("disk=%v: history not serializable, cycle %v", diskRes, cycle)
@@ -99,7 +99,7 @@ func TestFinalStateMatchesHistory(t *testing.T) {
 			}
 		}
 		for it := 0; it < e.cfg.Workload.DBSize; it++ {
-			got := e.Store().Get(txn.Item(it))
+			got := e.store.Get(txn.Item(it))
 			want, written := lastWriter[txn.Item(it)]
 			if !written {
 				if got.Writer != -1 {
@@ -123,11 +123,11 @@ func TestStoreCleanAfterRun(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Store().ActiveWriters() != 0 {
+	if e.store.ActiveWriters() != 0 {
 		t.Fatal("store has active writers after drain")
 	}
-	_, writes, commits, aborts := e.Store().Stats()
-	if writes == 0 || commits != uint64(len(e.Txns())) {
+	_, writes, commits, aborts := e.store.Stats()
+	if writes == 0 || commits != uint64(len(e.txns())) {
 		t.Fatalf("stats: %d writes, %d commits", writes, commits)
 	}
 	// Aborts in the store correspond to engine restarts plus the final
@@ -169,14 +169,14 @@ func TestSerialOrderAgreesWithStore(t *testing.T) {
 	// Replay: execute each transaction's writes serially in that order.
 	replay := db.New(e.cfg.Workload.DBSize)
 	for _, id := range order {
-		spec := e.Txns()[id].Spec
+		spec := e.txns()[id].spec
 		for _, it := range spec.Items {
 			replay.Write(db.TxnID(id), 0, it)
 		}
 		replay.Commit(db.TxnID(id))
 	}
 	for it := 0; it < e.cfg.Workload.DBSize; it++ {
-		got := e.Store().Get(txn.Item(it)).Writer
+		got := e.store.Get(txn.Item(it)).Writer
 		want := replay.Get(txn.Item(it)).Writer
 		if got != want {
 			t.Fatalf("item %d: concurrent writer T%d, serial replay writer T%d", it, got, want)

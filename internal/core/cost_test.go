@@ -61,14 +61,14 @@ func foreground(tb testing.TB, e *Engine, parked, i int) {
 	if err := e.StepTo(e.sim.Now() + sim.Time(200*time.Microsecond)); err != nil {
 		tb.Fatal(err)
 	}
-	if tp.State() != StateCommitted {
-		tb.Fatalf("foreground T%d ended %v, want committed", tp.ID(), tp.State())
+	if tp.state != StateCommitted {
+		tb.Fatalf("foreground T%d ended %v, want committed", tp.id(), tp.state)
 	}
 }
 
 // TestDispatchCostIndependentOfBacklog pins the tentpole's complexity claim
 // with counts: over N parked, non-conflicting live transactions one
-// foreground arrival→commit costs the same number of Evaluate calls and the
+// foreground arrival→commit costs the same number of evaluate calls and the
 // same number of dispatch passes for every N, and O(log N) ranked-order
 // comparisons.
 func TestDispatchCostIndependentOfBacklog(t *testing.T) {

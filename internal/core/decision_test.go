@@ -133,7 +133,7 @@ func TestDecisionRestartRestoresPessimism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := e.Txns()[0]
+	t0 := e.txns()[0]
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

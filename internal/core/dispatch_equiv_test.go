@@ -19,7 +19,7 @@ import (
 )
 
 // forDispatchMatrix calls fn with a base configuration for every cell of
-// policies × CPUs × {mm, disk}. -short keeps one policy per Staticness.
+// policies × CPUs × {mm, disk}. -short keeps one policy per staticness.
 func forDispatchMatrix(t *testing.T, fn func(t *testing.T, name string, cfg Config, disk bool)) {
 	pols := Policies()
 	if testing.Short() {

@@ -46,7 +46,7 @@ var negInf = math.Inf(-1)
 // Engine executes one simulation run.
 type Engine struct {
 	cfg    Config
-	policy Policy
+	policy policy
 	sim    *sim.Simulator
 	disks  []*disk.Disk // empty for the main-memory configuration
 	store  *db.Store
@@ -101,9 +101,9 @@ type Engine struct {
 	// passStamp identifies the current dispatch pass; Txn.desiredStamp ==
 	// passStamp marks membership in the pass's desired set in O(1).
 	passStamp uint64
-	// evalMode is the policy's Staticness, read once at construction so the
+	// evalMode is the policy's staticness, read once at construction so the
 	// hot path does not ask the interface.
-	evalMode Staticness
+	evalMode staticness
 	// passes, evals and rankCompares count dispatch passes, policy
 	// evaluations and ranked-order comparisons; the cost tests and the
 	// benchmarks read them.
@@ -112,7 +112,7 @@ type Engine struct {
 	rankCompares uint64
 
 	// ci incrementally tracks might/has overlaps between live
-	// transactions so the scheduling hot paths (PenaltyOfConflict, the
+	// transactions so the scheduling hot paths (penaltyOfConflict, the
 	// IOwait-schedule compatibility test, P-list size accounting) avoid
 	// rescanning every live transaction. Always built.
 	ci *conflictIndex
@@ -152,8 +152,8 @@ type Engine struct {
 	// rec, when non-nil, receives structured events (internal/trace).
 	rec trace.Recorder
 	// obs, when non-nil, receives scheduler decisions (observer.go). A
-	// policy implementing DecisionObserver is attached automatically.
-	obs DecisionObserver
+	// policy implementing decisionObserver is attached automatically.
+	obs decisionObserver
 }
 
 // New builds an engine for the configuration. The workload is generated
@@ -262,12 +262,12 @@ func newKernel(cfg Config, wl *workload.Workload) *Engine {
 		slots:  make([]*Txn, cfg.NumCPUs),
 		ci:     newConflictIndex(cfg.Workload.DBSize),
 	}
-	e.evalMode = e.policy.Staticness()
+	e.evalMode = e.policy.staticness()
 	e.run.CPUs = cfg.NumCPUs
 	if cfg.RecordHistory {
 		e.hist = history.New()
 	}
-	if o, ok := e.policy.(DecisionObserver); ok {
+	if o, ok := e.policy.(decisionObserver); ok {
 		e.obs = o
 	}
 	if !cfg.Fault.Zero() {
@@ -294,7 +294,7 @@ func newKernel(cfg Config, wl *workload.Workload) *Engine {
 // has-set is the caller's: a workload engine carves it up front, the
 // service leaves it nil until the transaction first takes a lock.
 func (e *Engine) initTxn(t *Txn, spec *workload.Spec, carve func() bitset) {
-	t.Spec = spec
+	t.spec = spec
 	t.might = carve()
 	t.items = t.might.addDistinct(spec.Items)
 	t.mightItems = t.items
@@ -370,14 +370,11 @@ func (e *Engine) tracef(format string, args ...any) {
 	}
 }
 
-// Workload returns the generated workload of this run.
-func (e *Engine) Workload() *workload.Workload { return e.wl }
+// now returns the current simulated time.
+func (e *Engine) now() time.Duration { return time.Duration(e.sim.Now()) }
 
-// Now returns the current simulated time.
-func (e *Engine) Now() time.Duration { return time.Duration(e.sim.Now()) }
-
-// Txns returns the runtime transactions (indexed by ID).
-func (e *Engine) Txns() []*Txn { return e.all }
+// txns returns the runtime transactions (indexed by ID).
+func (e *Engine) txns() []*Txn { return e.all }
 
 // Run executes the simulation to completion and returns the run metrics.
 // It fails if the event guard trips before every transaction commits (which
@@ -405,7 +402,7 @@ func (e *Engine) StartRun() {
 	e.runStarted = true
 	for _, t := range e.all {
 		t := t
-		e.sim.At(sim.Time(t.Spec.Arrival), func() { e.onArrival(t) })
+		e.sim.At(sim.Time(t.spec.Arrival), func() { e.onArrival(t) })
 	}
 }
 
@@ -451,7 +448,7 @@ func (e *Engine) stepEvents(bound sim.Time, bounded bool) error {
 	// is only the peak live set, so the guard would be wrong there anyway.
 	guard := uint64(math.MaxUint64)
 	if !bounded {
-		guard = e.cfg.maxEvents(len(e.all))
+		guard = e.cfg.eventGuard(len(e.all))
 	}
 	budget := e.cfg.WatchdogBudget
 	if budget == 0 {
@@ -558,7 +555,7 @@ func (e *Engine) stallDump(budget int) string {
 	for t := e.live.head; t != nil; t = t.liveNext {
 		counts[t.state]++
 	}
-	for st := StateReady; st <= StateRejected; st++ {
+	for st := stateReady; st <= StateRejected; st++ {
 		if counts[st] > 0 {
 			fmt.Fprintf(&b, "; %d %v", counts[st], st)
 		}
@@ -569,7 +566,7 @@ func (e *Engine) stallDump(budget int) string {
 			fmt.Fprintf(&b, "; … %d more", e.live.n-sample)
 			break
 		}
-		fmt.Fprintf(&b, "; T%d %v item %d/%d", t.ID(), t.state, t.next, len(t.Spec.Items))
+		fmt.Fprintf(&b, "; T%d %v item %d/%d", t.id(), t.state, t.next, len(t.spec.Items))
 	}
 	return b.String()
 }
@@ -579,9 +576,6 @@ func (e *Engine) stallDump(budget int) string {
 func (e *Engine) diskFor(it txn.Item) *disk.Disk {
 	return e.disks[int(it)%len(e.disks)]
 }
-
-// Store returns the database store (for inspection after Run).
-func (e *Engine) Store() *db.Store { return e.store }
 
 // PendingEvents returns the number of scheduled calendar events. The shard
 // runner uses it for stall detection: an engine with live transactions but
@@ -617,7 +611,7 @@ func (e *Engine) note() {
 	}
 }
 
-// PenaltyOfConflict returns the paper's TL for t: the effective service
+// penaltyOfConflict returns the paper's TL for t: the effective service
 // time (plus, optionally, rollback time) of every partially executed
 // transaction that is unsafe or conditionally unsafe with respect to t —
 // i.e. has accessed an item t might access. (Paper §3.3.1; the simulation
@@ -625,7 +619,7 @@ func (e *Engine) note() {
 //
 // The conflict index walks only the partially executed holders of the
 // items t might access.
-func (e *Engine) PenaltyOfConflict(t *Txn) time.Duration {
+func (e *Engine) penaltyOfConflict(t *Txn) time.Duration {
 	return e.ci.penalty(e, t)
 }
 
@@ -661,8 +655,8 @@ func (e *Engine) onArrival(t *Txn) {
 			t.state = StateRejected
 			e.rejected++
 			e.run.Rejected++
-			e.tracef("T%d rejected at arrival (%s, %d live)", t.ID(), e.cfg.Admission.Mode, e.live.n)
-			e.emit(trace.Event{Kind: trace.Reject, Txn: t.ID(), Other: -1, Item: -1})
+			e.tracef("T%d rejected at arrival (%s, %d live)", t.id(), e.cfg.Admission.Mode, e.live.n)
+			e.emit(trace.Event{Kind: trace.Reject, Txn: t.id(), Other: -1, Item: -1})
 			if now := time.Duration(e.sim.Now()); now > e.run.Elapsed {
 				e.run.Elapsed = now
 			}
@@ -671,21 +665,21 @@ func (e *Engine) onArrival(t *Txn) {
 		}
 		e.run.Admitted++
 	}
-	t.state = StateReady
+	t.state = stateReady
 	e.live.push(t)
 	if e.tracksMight() {
 		e.ci.mightAdd(e, t)
 	}
 	e.markStale(t)
 	if e.trace != nil {
-		e.tracef("T%d arrives (deadline %.1fms, %d items)", t.ID(), ms(t.Spec.Deadline), len(t.Spec.Items))
+		e.tracef("T%d arrives (deadline %.1fms, %d items)", t.id(), ms(t.spec.Deadline), len(t.spec.Items))
 	}
-	e.emit(trace.Event{Kind: trace.Arrival, Txn: t.ID(), Other: -1, Item: -1})
+	e.emit(trace.Event{Kind: trace.Arrival, Txn: t.id(), Other: -1, Item: -1})
 	if e.cfg.FirmDeadlines {
 		if t.deadlineFn == nil {
 			t.deadlineFn = func() { e.onDeadline(t) }
 		}
-		t.deadlineEvent = e.sim.At(sim.Time(t.Spec.Deadline), t.deadlineFn)
+		t.deadlineEvent = e.sim.At(sim.Time(t.spec.Deadline), t.deadlineFn)
 	}
 	e.reschedule()
 }
@@ -705,7 +699,7 @@ func (e *Engine) onUpdateDone(t *Txn) {
 		// The slice's CPU time is already accrued (and will be counted as
 		// wasted service by abort); the update itself never applies.
 		e.run.FaultAborts++
-		e.tracef("T%d spuriously aborted by the fault plan (update %d/%d)", t.ID(), t.next+1, len(t.Spec.Items))
+		e.tracef("T%d spuriously aborted by the fault plan (update %d/%d)", t.id(), t.next+1, len(t.spec.Items))
 		e.abort(t)
 		if e.rescheduleAgain && !e.inReschedule {
 			e.reschedule()
@@ -713,13 +707,13 @@ func (e *Engine) onUpdateDone(t *Txn) {
 		return
 	}
 	e.applyUpdate(t)
-	if t.mightNarrow != nil && t.next == t.Spec.DecisionIndex {
+	if t.mightNarrow != nil && t.next == t.spec.DecisionIndex {
 		// The decision point has executed: the transaction is now
 		// committed to its branch and its might-access set narrows
 		// (paper §3.2.2 — "refinements of what we know about the
 		// transaction's execution").
 		e.setMight(t, false)
-		e.tracef("T%d passes its decision point; might-set narrows", t.ID())
+		e.tracef("T%d passes its decision point; might-set narrows", t.id())
 	}
 	t.next++
 	e.startItem(t)
@@ -739,8 +733,8 @@ func (e *Engine) onIODone(t *Txn, req *disk.Request) {
 		// service; the restart was deferred until the disk released
 		// (paper §5).
 		if t.state == StateAborting {
-			t.state = StateReady
-			e.tracef("T%d disk released after wound; restart ready", t.ID())
+			t.state = stateReady
+			e.tracef("T%d disk released after wound; restart ready", t.id())
 			e.reschedule()
 		}
 		return
@@ -752,17 +746,17 @@ func (e *Engine) onIODone(t *Txn, req *disk.Request) {
 		// transaction. ioReq is already nil, so detach's IO branch no-ops
 		// and the restart is immediate.
 		e.run.FaultAborts++
-		e.tracef("T%d IO failed permanently after %d retries; restarting", t.ID(), req.Attempts())
+		e.tracef("T%d IO failed permanently after %d retries; restarting", t.id(), req.Attempts())
 		e.abort(t)
 		e.reschedule()
 		return
 	}
 	t.ioDone = true
-	t.state = StateReady
+	t.state = stateReady
 	if e.trace != nil {
-		e.tracef("T%d IO complete (item %d/%d)", t.ID(), t.next+1, len(t.Spec.Items))
+		e.tracef("T%d IO complete (item %d/%d)", t.id(), t.next+1, len(t.spec.Items))
 	}
-	e.emit(trace.Event{Kind: trace.IODone, Txn: t.ID(), Other: -1, Item: t.Spec.Items[t.next]})
+	e.emit(trace.Event{Kind: trace.IODone, Txn: t.id(), Other: -1, Item: t.spec.Items[t.next]})
 	e.reschedule()
 }
 
@@ -787,16 +781,16 @@ func (e *Engine) onRollbackDone(t *Txn, cost time.Duration) {
 func (e *Engine) applyUpdate(t *Txn) {
 	item, read := t.access()
 	if read {
-		e.store.Read(db.TxnID(t.ID()), item)
+		e.store.Read(db.TxnID(t.id()), item)
 	} else {
-		e.store.Write(db.TxnID(t.ID()), t.restarts, item)
+		e.store.Write(db.TxnID(t.id()), t.restarts, item)
 	}
 	if e.hist != nil {
 		kind := history.Write
 		if read {
 			kind = history.Read
 		}
-		e.hist.Add(t.ID(), item, kind, time.Duration(e.sim.Now()))
+		e.hist.Add(t.id(), item, kind, time.Duration(e.sim.Now()))
 	}
 }
 
@@ -806,7 +800,7 @@ func (e *Engine) applyUpdate(t *Txn) {
 // (wounding or waiting per policy), then perform the disk access and the
 // computation.
 func (e *Engine) startItem(t *Txn) {
-	if t.next >= len(t.Spec.Items) {
+	if t.next >= len(t.spec.Items) {
 		e.commit(t)
 		return
 	}
@@ -815,8 +809,8 @@ func (e *Engine) startItem(t *Txn) {
 			// Ceiling-blocked mid-run (PCP): yield the CPU; dispatch
 			// re-evaluates admission at every scheduling point.
 			e.run.LockWaits++
-			e.tracef("T%d ceiling-blocked before item %d", t.ID(), t.Spec.Items[t.next])
-			t.state = StateReady
+			e.tracef("T%d ceiling-blocked before item %d", t.id(), t.spec.Items[t.next])
+			t.state = stateReady
 			e.freeCPU(t)
 			e.requestReschedule()
 			return
@@ -835,7 +829,7 @@ func (e *Engine) startItem(t *Txn) {
 		}
 		woundAll := true
 		for _, h := range holders {
-			if !e.policy.Wounds(e, t, h) {
+			if !e.policy.wounds(e, t, h) {
 				woundAll = false
 				break
 			}
@@ -849,8 +843,8 @@ func (e *Engine) startItem(t *Txn) {
 		}
 		for _, v := range holders {
 			rollback += e.rollbackCost(v)
-			e.tracef("T%d wounds T%d on item %d (victim service %.1fms)", t.ID(), v.ID(), item, ms(v.service))
-			e.emit(trace.Event{Kind: trace.Wound, Txn: t.ID(), Other: v.ID(), Item: item,
+			e.tracef("T%d wounds T%d on item %d (victim service %.1fms)", t.id(), v.id(), item, ms(v.service))
+			e.emit(trace.Event{Kind: trace.Wound, Txn: t.id(), Other: v.id(), Item: item,
 				Priority: t.priority, OtherPriority: v.priority})
 			e.notifyWound(t, v)
 			e.abort(v)
@@ -872,7 +866,7 @@ func (e *Engine) startItem(t *Txn) {
 // proceedItem performs the disk access (if the update needs one and it has
 // not happened yet) and then the computation for the current update.
 func (e *Engine) proceedItem(t *Txn) {
-	if t.next < len(t.Spec.NeedsIO) && t.Spec.NeedsIO[t.next] && !t.ioDone {
+	if t.next < len(t.spec.NeedsIO) && t.spec.NeedsIO[t.next] && !t.ioDone {
 		req, gen := &disk.Request{Priority: t.priority, Tag: t}, t.gen
 		req.Done = func() {
 			if t.gen == gen { // else t retired with the access in service
@@ -882,15 +876,15 @@ func (e *Engine) proceedItem(t *Txn) {
 		t.ioReq = req
 		t.state = StateIOWait
 		e.freeCPU(t)
-		e.diskFor(t.Spec.Items[t.next]).Submit(req)
+		e.diskFor(t.spec.Items[t.next]).Submit(req)
 		if e.trace != nil {
-			e.tracef("T%d blocks on IO (item %d/%d)", t.ID(), t.next+1, len(t.Spec.Items))
+			e.tracef("T%d blocks on IO (item %d/%d)", t.id(), t.next+1, len(t.spec.Items))
 		}
-		e.emit(trace.Event{Kind: trace.IOStart, Txn: t.ID(), Other: -1, Item: t.Spec.Items[t.next]})
+		e.emit(trace.Event{Kind: trace.IOStart, Txn: t.id(), Other: -1, Item: t.spec.Items[t.next]})
 		e.requestReschedule()
 		return
 	}
-	t.remain = t.Spec.Compute
+	t.remain = t.spec.Compute
 	if e.fault != nil {
 		// CPU jitter applies to fresh slices only; a preempted slice
 		// resumes its drawn remainder, so the draw count is independent
@@ -907,9 +901,9 @@ func (e *Engine) block(t *Txn, item txn.Item) {
 	t.state = StateLockWait
 	e.freeCPU(t)
 	e.enqueue(t)
-	e.tracef("T%d blocks on item %d", t.ID(), item)
-	e.emit(trace.Event{Kind: trace.Block, Txn: t.ID(), Other: -1, Item: item, Priority: t.priority})
-	if e.policy.Inherits() {
+	e.tracef("T%d blocks on item %d", t.id(), item)
+	e.emit(trace.Event{Kind: trace.Block, Txn: t.id(), Other: -1, Item: item, Priority: t.priority})
+	if e.policy.inherits() {
 		e.propagateInheritance(t)
 	}
 	// Deadlock detection runs for every policy that can block. Under
@@ -955,8 +949,8 @@ func (e *Engine) resolveDeadlock(cycle []*Txn) {
 			victim = c
 		}
 	}
-	e.tracef("deadlock: aborting T%d (cycle of %d)", victim.ID(), len(cycle))
-	e.emit(trace.Event{Kind: trace.Deadlock, Txn: victim.ID(), Other: -1, Item: -1})
+	e.tracef("deadlock: aborting T%d (cycle of %d)", victim.id(), len(cycle))
+	e.emit(trace.Event{Kind: trace.Deadlock, Txn: victim.id(), Other: -1, Item: -1})
 	e.abort(victim)
 }
 
@@ -966,23 +960,23 @@ func (e *Engine) commit(t *Txn) {
 	t.state = StateCommitted
 	t.finish = e.sim.Now()
 	e.freeCPU(t)
-	e.store.Commit(db.TxnID(t.ID()))
+	e.store.Commit(db.TxnID(t.id()))
 	if e.hist != nil {
-		e.hist.Commit(t.ID(), time.Duration(t.finish))
+		e.hist.Commit(t.id(), time.Duration(t.finish))
 	}
 	e.releaseLocks(t)
 	e.removeLive(t)
 	e.committed++
-	e.run.Observe(t.Spec.Class, t.Spec.Arrival, time.Duration(t.finish), t.Spec.Deadline)
+	e.run.Observe(t.spec.Class, t.spec.Arrival, time.Duration(t.finish), t.spec.Deadline)
 	if o, ok := e.policy.(commitObserver); ok {
-		o.observeCommit(e, t, time.Duration(t.finish) > t.Spec.Deadline)
+		o.observeCommit(e, t, time.Duration(t.finish) > t.spec.Deadline)
 	}
-	e.notifyTerminal(t, true, time.Duration(t.finish) > t.Spec.Deadline)
+	e.notifyTerminal(t, true, time.Duration(t.finish) > t.spec.Deadline)
 	e.run.Elapsed = time.Duration(t.finish)
 	if e.trace != nil {
-		e.tracef("T%d commits (lateness %.1fms, restarts %d)", t.ID(), ms(time.Duration(t.finish)-t.Spec.Deadline), t.restarts)
+		e.tracef("T%d commits (lateness %.1fms, restarts %d)", t.id(), ms(time.Duration(t.finish)-t.spec.Deadline), t.restarts)
 	}
-	e.emit(trace.Event{Kind: trace.Commit, Txn: t.ID(), Other: -1, Item: -1, Priority: t.priority})
+	e.emit(trace.Event{Kind: trace.Commit, Txn: t.id(), Other: -1, Item: -1, Priority: t.priority})
 	e.answer(t)
 	e.requestReschedule()
 	if !e.inReschedule {
@@ -1004,11 +998,11 @@ func (e *Engine) onDeadline(t *Txn) {
 // drop discards t (firm-deadline mode): everything it holds or waits for is
 // released, its effects are undone, and it never restarts.
 func (e *Engine) drop(t *Txn) {
-	e.tracef("T%d dropped at its deadline", t.ID())
+	e.tracef("T%d dropped at its deadline", t.id())
 	e.detach(t)
-	e.store.Abort(db.TxnID(t.ID()))
+	e.store.Abort(db.TxnID(t.id()))
 	if e.hist != nil {
-		e.hist.Abort(t.ID())
+		e.hist.Abort(t.id())
 	}
 	e.releaseLocks(t) // before has.clear: releasing reads the has-set
 	t.cpuEvent = sim.Handle{}
@@ -1044,7 +1038,7 @@ func (e *Engine) detach(v *Txn) {
 			v.cpuEvent = sim.Handle{}
 			v.inRollback = false
 			e.freeCPU(v)
-			v.state = StateReady
+			v.state = stateReady
 		} else {
 			e.preempt(v)
 		}
@@ -1054,7 +1048,7 @@ func (e *Engine) detach(v *Txn) {
 		if v.ioReq != nil && !v.ioReq.InService() {
 			// Queued, or waiting out a transient-error retry backoff:
 			// either way the disk can drop it immediately.
-			e.diskFor(v.Spec.Items[v.next]).Cancel(v.ioReq)
+			e.diskFor(v.spec.Items[v.next]).Cancel(v.ioReq)
 			v.ioReq = nil
 		}
 		// An in-service access keeps the disk busy; its completion is
@@ -1068,7 +1062,7 @@ func (e *Engine) detach(v *Txn) {
 // completion (paper §5).
 func (e *Engine) abort(v *Txn) {
 	if v.state == StateCommitted || v.state == StateAborting {
-		panic(fmt.Sprintf("core: aborting T%d in state %v", v.ID(), v.state))
+		panic(fmt.Sprintf("core: aborting T%d in state %v", v.id(), v.state))
 	}
 	e.run.Restarts++
 	e.run.WastedService += e.serviceNow(v)
@@ -1080,9 +1074,9 @@ func (e *Engine) abort(v *Txn) {
 
 	deferRestart := v.state == StateIOWait && v.ioReq != nil && v.ioReq.InService()
 	e.detach(v)
-	e.store.Abort(db.TxnID(v.ID()))
+	e.store.Abort(db.TxnID(v.id()))
 	if e.hist != nil {
-		e.hist.Abort(v.ID())
+		e.hist.Abort(v.id())
 	}
 	e.releaseLocks(v) // before resetForRestart clears the has-set
 	if v.mightNarrow != nil {
@@ -1104,7 +1098,7 @@ func (e *Engine) abort(v *Txn) {
 // preempt takes v off its CPU mid-computation, accruing the partial slice.
 func (e *Engine) preempt(v *Txn) {
 	if v.inRollback {
-		panic(fmt.Sprintf("core: preempting T%d during rollback", v.ID()))
+		panic(fmt.Sprintf("core: preempting T%d during rollback", v.id()))
 	}
 	if v.cpuEvent.Pending() {
 		e.sim.Cancel(v.cpuEvent)
@@ -1115,7 +1109,7 @@ func (e *Engine) preempt(v *Txn) {
 		e.run.CPUBusy += elapsed
 	}
 	e.freeCPU(v)
-	v.state = StateReady
+	v.state = stateReady
 }
 
 func (e *Engine) freeCPU(t *Txn) {
@@ -1164,13 +1158,13 @@ func (e *Engine) setMight(t *Txn, full bool) {
 }
 
 // tracksMight reports whether the conflict index keeps its item → might
-// mirror: only the EvalConflictClocked pass reads it.
-func (e *Engine) tracksMight() bool { return e.evalMode == EvalConflictClocked }
+// mirror: only the evalConflictClocked pass reads it.
+func (e *Engine) tracksMight() bool { return e.evalMode == evalConflictClocked }
 
 // markStale queues t for the next dispatch pass to refresh its priority.
-// The EvalDynamic full sweep refreshes everything anyway and keeps no queue.
+// The evalDynamic full sweep refreshes everything anyway and keeps no queue.
 func (e *Engine) markStale(t *Txn) {
-	if e.evalMode != EvalDynamic {
+	if e.evalMode != evalDynamic {
 		e.pending = append(e.pending, t)
 	}
 }
@@ -1192,13 +1186,13 @@ func (e *Engine) removeLive(t *Txn) {
 // less orders transactions for dispatch: higher criticality first, then
 // higher priority, then earlier arrival (lower ID) for determinism.
 func less(a, b *Txn) bool {
-	if a.Spec.Criticality != b.Spec.Criticality {
-		return a.Spec.Criticality > b.Spec.Criticality
+	if a.spec.Criticality != b.spec.Criticality {
+		return a.spec.Criticality > b.spec.Criticality
 	}
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
-	return a.ID() < b.ID()
+	return a.id() < b.id()
 }
 
 // requestReschedule marks that the scheduler must run again; used by
@@ -1213,7 +1207,7 @@ func (e *Engine) requestReschedule() { e.rescheduleAgain = true }
 //     evaluation);
 //   - the CPU(s) run the highest-priority dispatchable transactions, except
 //     that when the overall highest-priority transaction is blocked,
-//     policies with FiltersIOWait (CCA) only dispatch transactions that do
+//     policies with filtersIOWait (CCA) only dispatch transactions that do
 //     not conflict with any partially executed transaction.
 //
 // Dispatching can immediately block the dispatched transaction (IO or lock
@@ -1249,7 +1243,7 @@ func (e *Engine) reschedule() {
 // live set:
 //
 //   - refreshPriorities re-evaluates only the transactions whose priority
-//     the policy's Staticness contract allows to have moved, and re-keys
+//     the policy's staticness contract allows to have moved, and re-keys
 //     only those whose priority did move, by binary search in e.ranked;
 //   - the pass walks e.ranked from the best and stops as soon as every CPU
 //     has an occupant, instead of filtering the whole order into a pool;
@@ -1293,7 +1287,7 @@ func (e *Engine) dispatchPass() {
 			desired = append(desired, s)
 		}
 	}
-	filter := e.policy.FiltersIOWait()
+	filter := e.policy.filtersIOWait()
 	admission, hasAdmission := e.policy.(admissionPolicy)
 	for i := len(e.ranked) - 1; i >= 0 && len(desired) < slots; i-- {
 		c := e.ranked[i]
@@ -1341,7 +1335,7 @@ func (e *Engine) dispatchPass() {
 			}
 		}
 		if best != nil {
-			e.tracef("T%d dispatched by PCP progress override", best.ID())
+			e.tracef("T%d dispatched by PCP progress override", best.id())
 			best.ceilingExempt = true
 			best.desiredStamp = stamp
 			desired = append(desired, best)
@@ -1352,8 +1346,8 @@ func (e *Engine) dispatchPass() {
 	// Preempt running transactions that lost their slot.
 	for _, s := range e.slots {
 		if s != nil && s.desiredStamp != stamp {
-			e.tracef("T%d preempted", s.ID())
-			e.emit(trace.Event{Kind: trace.Preempt, Txn: s.ID(), Other: -1, Item: -1, Priority: s.priority})
+			e.tracef("T%d preempted", s.id())
+			e.emit(trace.Event{Kind: trace.Preempt, Txn: s.id(), Other: -1, Item: -1, Priority: s.priority})
 			e.preempt(s)
 		}
 	}
@@ -1384,27 +1378,27 @@ func (e *Engine) dispatchPass() {
 
 // dispatchable reports whether c may be given (or keep) a CPU.
 func dispatchable(c *Txn) bool {
-	return c.state == StateReady || (c.state == StateRunning && !c.inRollback)
+	return c.state == stateReady || (c.state == StateRunning && !c.inRollback)
 }
 
 // refreshPriorities is the pass's continuous evaluation, restricted to the
-// transactions whose priority the Staticness contract (policy.go) allows to
+// transactions whose priority the staticness contract (policy.go) allows to
 // have moved since the last pass: the pending queue — which includes every
 // transaction that left the hot set since, so one whose last penaliser
-// went falls back to its constant — and, for EvalConflictClocked, the
+// went falls back to its constant — and, for evalConflictClocked, the
 // conflict index's hot set, whose members are re-evaluated when the clock
-// or the generation moved; for EvalDynamic every live transaction, in
+// or the generation moved; for evalDynamic every live transaction, in
 // arrival order. Every stored value is the result of a
-// real Evaluate call; one is skipped only where the contract says it would
+// real evaluate call; one is skipped only where the contract says it would
 // return what is already stored. With no conflict in the system the hot
 // set is empty and a pass evaluates its arrivals and nothing else.
 func (e *Engine) refreshPriorities() {
 	now := e.sim.Now()
-	if e.evalMode == EvalDynamic {
+	if e.evalMode == evalDynamic {
 		moved := false
 		for t := e.live.head; t != nil; t = t.liveNext {
 			e.evals++
-			t.basePr = e.policy.Evaluate(e, t)
+			t.basePr = e.policy.evaluate(e, t)
 			pr := t.flooredPriority()
 			if !t.ranked {
 				t.ranked = true
@@ -1433,7 +1427,7 @@ func (e *Engine) refreshPriorities() {
 	}
 	clear(e.pending)
 	e.pending = e.pending[:0]
-	if e.evalMode != EvalConflictClocked {
+	if e.evalMode != evalConflictClocked {
 		return
 	}
 	for _, t := range e.ci.hot {
@@ -1446,13 +1440,13 @@ func (e *Engine) refreshPriorities() {
 
 func (e *Engine) evaluate(t *Txn, now sim.Time, gen uint64) {
 	e.evals++
-	t.basePr = e.policy.Evaluate(e, t)
+	t.basePr = e.policy.evaluate(e, t)
 	t.evalValid = true
 	t.evalAt, t.evalGen = now, gen
 }
 
 // flooredPriority is the effective priority: the policy's value, floored at
-// the priority inherited from waiters (negInf unless the policy Inherits).
+// the priority inherited from waiters (negInf unless the policy inherits).
 func (t *Txn) flooredPriority() float64 {
 	if t.inherited > t.basePr {
 		return t.inherited
@@ -1499,14 +1493,14 @@ func (e *Engine) rankedSearch(t *Txn) int {
 func (e *Engine) rankedRemove(t *Txn) {
 	i := e.rankedSearch(t)
 	if i == len(e.ranked) || e.ranked[i] != t {
-		panic(fmt.Sprintf("core: T%d not at its place in the ranked order", t.ID()))
+		panic(fmt.Sprintf("core: T%d not at its place in the ranked order", t.id()))
 	}
 	e.ranked = slices.Delete(e.ranked, i, i+1)
 	t.ranked = false
 }
 
 // restoreRanked re-establishes the ranked order after a full sweep
-// overwrote priorities in place (EvalDynamic): one insertion pass, linear
+// overwrote priorities in place (evalDynamic): one insertion pass, linear
 // when the sweep preserved the order — LSF's slack shrinks uniformly — and
 // proportional to the displacement otherwise.
 func (e *Engine) restoreRanked() {
@@ -1552,9 +1546,9 @@ func (e *Engine) dispatch(t *Txn, slot int, asSecondary bool) {
 	e.slots[slot] = t
 	if asSecondary {
 		t.ranAsSecondary = true
-		e.tracef("T%d dispatched as secondary", t.ID())
+		e.tracef("T%d dispatched as secondary", t.id())
 	}
-	e.emit(trace.Event{Kind: trace.Dispatch, Txn: t.ID(), Other: -1, Item: -1,
+	e.emit(trace.Event{Kind: trace.Dispatch, Txn: t.id(), Other: -1, Item: -1,
 		Priority: t.priority, Secondary: asSecondary})
 	if t.remain > 0 {
 		// Resume the interrupted computation.
@@ -1570,45 +1564,45 @@ func (e *Engine) dispatch(t *Txn, slot int, asSecondary bool) {
 // verifyPriorities is the per-scheduling-point reference check, run under
 // Config.CheckInvariants right after refreshPriorities: whatever the memo
 // skipped, every live transaction must hold the priority continuous
-// evaluation defines — a fresh Evaluate, floored at the inherited priority —
-// and the index's penalty must equal the full scan. EvalDynamic policies
-// re-evaluate everything every pass already (and AED's Evaluate draws random
-// numbers), so they are left out. Evaluate is called directly: e.evals, which
+// evaluation defines — a fresh evaluate, floored at the inherited priority —
+// and the index's penalty must equal the full scan. evalDynamic policies
+// re-evaluate everything every pass already (and AED's evaluate draws random
+// numbers), so they are left out. evaluate is called directly: e.evals, which
 // the cost tests read, does not move.
 func (e *Engine) verifyPriorities() {
-	if e.evalMode == EvalDynamic {
+	if e.evalMode == evalDynamic {
 		return
 	}
-	if e.evalMode == EvalConflictClocked {
+	if e.evalMode == evalConflictClocked {
 		e.ci.verifyHot(e)
 	}
 	for t := e.live.head; t != nil; t = t.liveNext {
 		if got, want := e.ci.penalty(e, t), e.penaltyOfConflictScan(t); got != want {
-			panic(fmt.Sprintf("core: T%d index penalty %v, full scan %v", t.ID(), got, want))
+			panic(fmt.Sprintf("core: T%d index penalty %v, full scan %v", t.id(), got, want))
 		}
-		fresh := e.policy.Evaluate(e, t)
+		fresh := e.policy.evaluate(e, t)
 		if t.inherited > fresh {
 			fresh = t.inherited
 		}
 		if t.priority != fresh {
 			panic(fmt.Sprintf("core: T%d stored priority %f, fresh %f (evaluated at %v gen %d, now %v gen %d)",
-				t.ID(), t.priority, fresh, t.evalAt, t.evalGen, e.sim.Now(), e.ci.gen))
+				t.id(), t.priority, fresh, t.evalAt, t.evalGen, e.sim.Now(), e.ci.gen))
 		}
 	}
 }
 
-// penaltyOfConflictScan is PenaltyOfConflict by definition — every partially
+// penaltyOfConflictScan is penaltyOfConflict by definition — every partially
 // executed live transaction whose has-set meets t's might-set — in
 // O(live × DBSize/64): the reference the conflict index is checked against.
 func (e *Engine) penaltyOfConflictScan(t *Txn) time.Duration {
 	var sum time.Duration
 	for p := e.live.head; p != nil; p = p.liveNext {
-		if p == t || !p.PartiallyExecuted() {
+		if p == t || !p.partiallyExecuted() {
 			continue
 		}
 		if p.has.intersects(t.might) {
 			sum += e.serviceNow(p)
-			if e.cfg.PenaltyIncludesRollback {
+			if e.cfg.penaltyIncludesRollback {
 				sum += e.rollbackCost(p)
 			}
 		}
@@ -1632,10 +1626,10 @@ func (e *Engine) checkInvariants() {
 	}
 	for i, t := range e.ranked {
 		if !t.inLive || !t.ranked {
-			panic(fmt.Sprintf("core: ranked member T%d not live", t.ID()))
+			panic(fmt.Sprintf("core: ranked member T%d not live", t.id()))
 		}
 		if i > 0 && !less(t, e.ranked[i-1]) {
-			panic(fmt.Sprintf("core: ranked order violated at %d (T%d below T%d)", i, e.ranked[i-1].ID(), t.ID()))
+			panic(fmt.Sprintf("core: ranked order violated at %d (T%d below T%d)", i, e.ranked[i-1].id(), t.id()))
 		}
 	}
 	occupied := make(map[int]bool)
@@ -1644,15 +1638,15 @@ func (e *Engine) checkInvariants() {
 			continue
 		}
 		if s.state != StateRunning {
-			panic(fmt.Sprintf("core: slot %d occupant T%d in state %v", i, s.ID(), s.state))
+			panic(fmt.Sprintf("core: slot %d occupant T%d in state %v", i, s.id(), s.state))
 		}
 		if s.cpu != i {
-			panic(fmt.Sprintf("core: slot %d occupant T%d thinks it is on %d", i, s.ID(), s.cpu))
+			panic(fmt.Sprintf("core: slot %d occupant T%d thinks it is on %d", i, s.id(), s.cpu))
 		}
-		if occupied[s.ID()] {
-			panic(fmt.Sprintf("core: T%d on two CPUs", s.ID()))
+		if occupied[s.id()] {
+			panic(fmt.Sprintf("core: T%d on two CPUs", s.id()))
 		}
-		occupied[s.ID()] = true
+		occupied[s.id()] = true
 	}
 	n := 0
 	for t := e.live.head; t != nil; t = t.liveNext {
@@ -1660,30 +1654,30 @@ func (e *Engine) checkInvariants() {
 		switch t.state {
 		case StateRunning:
 			if t.cpu < 0 || e.slots[t.cpu] != t {
-				panic(fmt.Sprintf("core: running T%d not on its slot", t.ID()))
+				panic(fmt.Sprintf("core: running T%d not on its slot", t.id()))
 			}
-		case StateReady, StateIOWait, StateLockWait, StateAborting:
+		case stateReady, StateIOWait, StateLockWait, StateAborting:
 			if t.cpu >= 0 {
-				panic(fmt.Sprintf("core: non-running T%d holds CPU %d", t.ID(), t.cpu))
+				panic(fmt.Sprintf("core: non-running T%d holds CPU %d", t.id(), t.cpu))
 			}
 		case StateCommitted:
-			panic(fmt.Sprintf("core: committed T%d still live", t.ID()))
+			panic(fmt.Sprintf("core: committed T%d still live", t.id()))
 		}
-		if t.state == StateLockWait && isCCAFamily(e.policy.Kind()) {
+		if t.state == StateLockWait && isCCAFamily(e.policy.kind()) {
 			panic("core: Theorem 1 violated — lock wait under CCA")
 		}
 		if t.state == StateAborting && t.has.any() {
-			panic(fmt.Sprintf("core: aborting T%d still holds items", t.ID()))
+			panic(fmt.Sprintf("core: aborting T%d still holds items", t.id()))
 		}
 		// Pending store writes never exceed processed updates.
-		if e.store.Pending(db.TxnID(t.ID())) > t.next {
-			panic(fmt.Sprintf("core: T%d has %d pending writes after %d updates", t.ID(), e.store.Pending(db.TxnID(t.ID())), t.next))
+		if e.store.Pending(db.TxnID(t.id())) > t.next {
+			panic(fmt.Sprintf("core: T%d has %d pending writes after %d updates", t.id(), e.store.Pending(db.TxnID(t.id())), t.next))
 		}
 	}
 	if n != e.live.n {
 		panic(fmt.Sprintf("core: live list links %d transactions, counts %d", n, e.live.n))
 	}
-	if isCCAFamily(e.policy.Kind()) && e.run.LockWaits > 0 {
+	if isCCAFamily(e.policy.kind()) && e.run.LockWaits > 0 {
 		panic("core: Theorem 1 violated — CCA recorded lock waits")
 	}
 	// With exclusive locks only, EDF-HP/FCFS waits always point at
@@ -1691,7 +1685,7 @@ func (e *Engine) checkInvariants() {
 	// locks break the argument: a requester facing mixed-priority
 	// co-holders waits on the lower-priority ones too, and such waits can
 	// cycle — a genuine (and resolved) deadlock, not an engine bug.
-	if !e.hasReads && (e.policy.Kind() == EDFHP || e.policy.Kind() == FCFS) && e.run.Deadlocks > 0 {
+	if !e.hasReads && (e.policy.kind() == EDFHP || e.policy.kind() == FCFS) && e.run.Deadlocks > 0 {
 		panic("core: deadlock under a static-priority HP policy with exclusive locks")
 	}
 }

@@ -188,7 +188,7 @@ func TestLocksReleasedAtEnd(t *testing.T) {
 	}
 	for _, tx := range e.all {
 		if tx.state != StateCommitted {
-			t.Fatalf("T%d in state %v after drain", tx.ID(), tx.state)
+			t.Fatalf("T%d in state %v after drain", tx.id(), tx.state)
 		}
 	}
 }
@@ -343,7 +343,7 @@ func TestNewWithWorkloadValidation(t *testing.T) {
 // TestStateString covers the state names.
 func TestStateString(t *testing.T) {
 	names := map[State]string{
-		StateReady:     "ready",
+		stateReady:     "ready",
 		StateRunning:   "running",
 		StateIOWait:    "io-wait",
 		StateLockWait:  "lock-wait",

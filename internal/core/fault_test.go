@@ -154,19 +154,19 @@ func TestFaultPlanValidatedByConfig(t *testing.T) {
 // --- admission control ------------------------------------------------
 
 func TestAdmissionValidate(t *testing.T) {
-	if err := (AdmissionConfig{}).Validate(); err != nil {
+	if err := (AdmissionConfig{}).validate(); err != nil {
 		t.Fatalf("zero admission config rejected: %v", err)
 	}
-	if err := (AdmissionConfig{Mode: RejectNewest}).Validate(); err == nil {
+	if err := (AdmissionConfig{Mode: RejectNewest}).validate(); err == nil {
 		t.Fatal("reject-newest without MaxLive accepted")
 	}
-	if err := (AdmissionConfig{Mode: "bogus"}).Validate(); err == nil {
+	if err := (AdmissionConfig{Mode: "bogus"}).validate(); err == nil {
 		t.Fatal("unknown admission mode accepted")
 	}
-	if err := (AdmissionConfig{Mode: RejectInfeasible, MaxLive: -1}).Validate(); err == nil {
+	if err := (AdmissionConfig{Mode: RejectInfeasible, MaxLive: -1}).validate(); err == nil {
 		t.Fatal("negative MaxLive accepted")
 	}
-	if err := (AdmissionConfig{Mode: RejectInfeasible}).Validate(); err != nil {
+	if err := (AdmissionConfig{Mode: RejectInfeasible}).validate(); err != nil {
 		t.Fatalf("reject-infeasible without cap rejected: %v", err)
 	}
 }
@@ -290,7 +290,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	cfg := MainMemoryConfig(CCA, 1)
 	cfg.Workload.Count = 5
 	cfg.WatchdogBudget = -1
-	cfg.MaxEvents = 3000
+	cfg.maxEvents = 3000
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestWatchdogDisabled(t *testing.T) {
 // rest of the calendar to an unguarded RunUntil.
 func TestStepToWatchdogPastEventGuard(t *testing.T) {
 	cfg := MainMemoryConfig(CCA, 1)
-	cfg.MaxEvents = 10
+	cfg.maxEvents = 10
 	cfg.WatchdogBudget = 64
 	e, err := NewShardEngine(cfg, nil)
 	if err != nil {
@@ -407,8 +407,8 @@ func TestOracleTheorem1(t *testing.T) {
 	}
 	o := e.EnableOracle()
 	o.observe(trace.Event{Kind: trace.Block, Txn: 1, Other: 2, Item: 3})
-	if o.Err() == nil || !strings.Contains(o.Err().Error(), "Theorem 1") {
-		t.Fatalf("CCA block not flagged: %v", o.Err())
+	if o.err == nil || !strings.Contains(o.err.Error(), "Theorem 1") {
+		t.Fatalf("CCA block not flagged: %v", o.err)
 	}
 
 	wp := MainMemoryConfig(EDFWP, 1)
@@ -419,8 +419,8 @@ func TestOracleTheorem1(t *testing.T) {
 	}
 	o = e.EnableOracle()
 	o.observe(trace.Event{Kind: trace.Block, Txn: 1, Other: 2, Item: 3})
-	if o.Err() != nil {
-		t.Fatalf("EDF-WP block wrongly flagged: %v", o.Err())
+	if o.err != nil {
+		t.Fatalf("EDF-WP block wrongly flagged: %v", o.err)
 	}
 }
 
@@ -435,8 +435,8 @@ func TestOracleLemma1(t *testing.T) {
 	}
 	o := e.EnableOracle()
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 1, Other: 2, Priority: 1, OtherPriority: 5})
-	if o.Err() == nil || !strings.Contains(o.Err().Error(), "Lemma 1") {
-		t.Fatalf("priority reversal not flagged: %v", o.Err())
+	if o.err == nil || !strings.Contains(o.err.Error(), "Lemma 1") {
+		t.Fatalf("priority reversal not flagged: %v", o.err)
 	}
 
 	// EDF-CR may legitimately wound upward; the oracle must not check it.
@@ -448,8 +448,8 @@ func TestOracleLemma1(t *testing.T) {
 	}
 	o = e.EnableOracle()
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 1, Other: 2, Priority: 1, OtherPriority: 5})
-	if o.Err() != nil {
-		t.Fatalf("EDF-CR upward wound wrongly flagged: %v", o.Err())
+	if o.err != nil {
+		t.Fatalf("EDF-CR upward wound wrongly flagged: %v", o.err)
 	}
 }
 
@@ -469,16 +469,16 @@ func TestOracleTheorem2(t *testing.T) {
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 1, Other: 2, Priority: 5, OtherPriority: 1})
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 2, Other: 1, Priority: 5, OtherPriority: 1})
 	o.flushInstant()
-	if o.Err() == nil || !strings.Contains(o.Err().Error(), "Theorem 2") {
-		t.Fatalf("wound cycle not flagged: %v", o.Err())
+	if o.err == nil || !strings.Contains(o.err.Error(), "Theorem 2") {
+		t.Fatalf("wound cycle not flagged: %v", o.err)
 	}
 
 	o = mk()
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 1, Other: 2, Priority: 5, OtherPriority: 1})
 	o.observe(trace.Event{Kind: trace.Wound, Txn: 2, Other: 3, Priority: 5, OtherPriority: 1})
 	o.flushInstant()
-	if o.Err() != nil {
-		t.Fatalf("acyclic wound chain wrongly flagged: %v", o.Err())
+	if o.err != nil {
+		t.Fatalf("acyclic wound chain wrongly flagged: %v", o.err)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestFirmSerializable(t *testing.T) {
 		t.Fatal("history commit count mismatch")
 	}
 	for it := 0; it < cfg.Workload.DBSize; it++ {
-		w := e.Store().Get(txn.Item(it)).Writer
+		w := e.store.Get(txn.Item(it)).Writer
 		if w >= 0 && e.all[int(w)].state == StateDropped {
 			t.Fatalf("item %d written by dropped T%d", it, w)
 		}

@@ -163,7 +163,7 @@ func TestPriorityOracleCatchesStaleMemo(t *testing.T) {
 		case !forge && msg != "":
 			t.Fatalf("unforged pass panicked: %s", msg)
 		case forge && !strings.Contains(msg, "stored priority"):
-			t.Fatalf("forged memo for T%d: want the oracle's stored-priority panic, got %q", claimant.ID(), msg)
+			t.Fatalf("forged memo for T%d: want the oracle's stored-priority panic, got %q", claimant.id(), msg)
 		}
 	}
 }

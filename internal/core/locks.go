@@ -32,17 +32,17 @@ import (
 // access returns the item t's current update locks and whether it takes a
 // shared lock on it.
 func (t *Txn) access() (txn.Item, bool) {
-	return t.Spec.Items[t.next], len(t.Spec.Reads) > 0 && t.Spec.Reads[t.next]
+	return t.spec.Items[t.next], len(t.spec.Reads) > 0 && t.spec.Reads[t.next]
 }
 
 // reads reports whether t accesses it with a shared lock.
 func (t *Txn) reads(it txn.Item) bool {
-	if len(t.Spec.Reads) == 0 {
+	if len(t.spec.Reads) == 0 {
 		return false
 	}
-	for i, x := range t.Spec.Items {
+	for i, x := range t.spec.Items {
 		if x == it {
-			return t.Spec.Reads[i]
+			return t.spec.Reads[i]
 		}
 	}
 	return false
@@ -72,7 +72,7 @@ func (e *Engine) conflicting(buf []*Txn, t *Txn, it txn.Item, read bool) []*Txn 
 	}
 	// Insertion sort: holder lists are tiny (the co-readers of one item).
 	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].ID() < buf[j-1].ID(); j-- {
+		for j := i; j > 0 && buf[j].id() < buf[j-1].id(); j-- {
 			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
@@ -126,7 +126,7 @@ func (e *Engine) cancelWait(t *Txn) {
 	i := slices.Index(q, t)
 	e.waitq[int(it)] = slices.Delete(q, i, i+1)
 	e.queued--
-	t.state = StateReady
+	t.state = stateReady
 	e.grantWaiters(it)
 }
 
@@ -169,12 +169,12 @@ func (e *Engine) grantWaiters(it txn.Item) {
 // it ready.
 func (e *Engine) wake(w *Txn, it txn.Item) {
 	if w.state != StateLockWait {
-		panic(fmt.Sprintf("core: waking T%d in state %v", w.ID(), w.state))
+		panic(fmt.Sprintf("core: waking T%d in state %v", w.id(), w.state))
 	}
 	e.hasAcquired(w, it)
-	w.state = StateReady
-	e.tracef("T%d granted item %d, wakes", w.ID(), it)
-	e.emit(trace.Event{Kind: trace.Wake, Txn: w.ID(), Other: -1, Item: it})
+	w.state = stateReady
+	e.tracef("T%d granted item %d, wakes", w.id(), it)
+	e.emit(trace.Event{Kind: trace.Wake, Txn: w.id(), Other: -1, Item: it})
 }
 
 // waitsFor returns the transactions a blocked t directly waits on: the
@@ -196,7 +196,7 @@ func (e *Engine) waitsFor(t *Txn) []*Txn {
 		}
 		out = append(out, w)
 	}
-	slices.SortFunc(out, func(a, b *Txn) int { return cmp.Compare(a.ID(), b.ID()) })
+	slices.SortFunc(out, func(a, b *Txn) int { return cmp.Compare(a.id(), b.id()) })
 	return slices.Compact(out)
 }
 
@@ -270,17 +270,17 @@ func (e *Engine) verifyLocks() {
 		for k, w := range q {
 			queued++
 			if w.state != StateLockWait || !w.inLive {
-				panic(fmt.Sprintf("core: T%d queued on item %d in state %v", w.ID(), i, w.state))
+				panic(fmt.Sprintf("core: T%d queued on item %d in state %v", w.id(), i, w.state))
 			}
 			it, read := w.access()
 			if int(it) != i {
-				panic(fmt.Sprintf("core: T%d queued on item %d but waits for item %d", w.ID(), i, it))
+				panic(fmt.Sprintf("core: T%d queued on item %d but waits for item %d", w.id(), i, it))
 			}
 			if k > 0 && q[k-1].waitPr < w.waitPr {
 				panic(fmt.Sprintf("core: item %d wait queue out of priority order at %d", i, k))
 			}
 			if k == 0 && e.lockable(w, it, read) {
-				panic(fmt.Sprintf("core: T%d heads item %d's queue but nothing blocks it", w.ID(), i))
+				panic(fmt.Sprintf("core: T%d heads item %d's queue but nothing blocks it", w.id(), i))
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func newLockFixture(t *testing.T, txns ...lockTxn) *lockFixture {
 		t.Fatal(err)
 	}
 	for _, tx := range e.all {
-		tx.state = StateReady
+		tx.state = stateReady
 		e.live.push(tx)
 	}
 	return &lockFixture{e: e, tx: e.all}
@@ -62,7 +62,7 @@ func newLockFixture(t *testing.T, txns ...lockTxn) *lockFixture {
 // at points transaction id's current update at item it.
 func (f *lockFixture) at(id int, it txn.Item) *Txn {
 	tx := f.tx[id]
-	tx.next = slices.Index(tx.Spec.Items, it)
+	tx.next = slices.Index(tx.spec.Items, it)
 	return tx
 }
 
@@ -118,7 +118,7 @@ func (f *lockFixture) queue(it txn.Item) []int {
 	var ids []int
 	if f.e.waitq != nil {
 		for _, w := range f.e.waitq[int(it)] {
-			ids = append(ids, w.ID())
+			ids = append(ids, w.id())
 		}
 	}
 	return ids
@@ -127,7 +127,7 @@ func (f *lockFixture) queue(it txn.Item) []int {
 func ids(ts []*Txn) []int {
 	out := make([]int, len(ts))
 	for i, t := range ts {
-		out[i] = t.ID()
+		out[i] = t.id()
 	}
 	return out
 }
@@ -307,7 +307,7 @@ func TestLockCancelWait(t *testing.T) {
 	if got := f.cancel(1); len(got) != 0 {
 		t.Fatalf("cancel woke %v", got)
 	}
-	if len(f.queue(3)) != 0 || f.e.queued != 0 || f.tx[1].state != StateReady {
+	if len(f.queue(3)) != 0 || f.e.queued != 0 || f.tx[1].state != stateReady {
 		t.Fatal("cancelled request still queued")
 	}
 	if got := f.release(0); len(got) != 0 || f.holds(1, 3) {
@@ -395,10 +395,10 @@ func TestLockDetectCycleThreeWay(t *testing.T) {
 	f := newLockFixture(t, lockTxn{items: []txn.Item{10, 11}},
 		lockTxn{items: []txn.Item{11, 12}}, lockTxn{items: []txn.Item{12, 10}})
 	for id := 0; id < 3; id++ {
-		f.acquire(id, f.tx[id].Spec.Items[0])
+		f.acquire(id, f.tx[id].spec.Items[0])
 	}
 	for id := 0; id < 3; id++ {
-		f.block(id, f.tx[id].Spec.Items[1], 1)
+		f.block(id, f.tx[id].spec.Items[1], 1)
 	}
 	if got := f.e.detectCycle(f.tx[1]); len(got) != 3 {
 		t.Fatalf("3-cycle not found: %v", ids(got))

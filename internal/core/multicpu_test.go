@@ -45,7 +45,7 @@ func TestMultiCPUDeterministicReplay(t *testing.T) {
 }
 
 // TestMultiCPUDispatchEquivalence: the recorded digests hold on
-// multiprocessor configurations across policies with distinct Staticness
+// multiprocessor configurations across policies with distinct staticness
 // contracts (static EDF-HP, conflict-clocked CCA, dynamic LSF/AED) and on a
 // multi-disk configuration where IO waits interleave with dispatch.
 func TestMultiCPUDispatchEquivalence(t *testing.T) {

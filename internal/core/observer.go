@@ -1,6 +1,6 @@
 package core
 
-// DecisionObserver is the engine's decision tap: scheduler outcomes —
+// decisionObserver is the engine's decision tap: scheduler outcomes —
 // wounds, blocks, restarts, terminal fates — delivered to one registered
 // observer, synchronously at the decision site. The conflict-prediction
 // policies (predict_policy.go) feed their statistics tables through it, and
@@ -16,37 +16,37 @@ package core
 //     TestObserverTapZeroAlloc in bench_test.go) — an engine without an
 //     observer pays one nil check per decision;
 //   - every notification re-clocks evaluation: the engine bumps the
-//     conflict-index generation afterwards, so a policy whose Evaluate
-//     consumes observer-fed state (an EvalConflictClocked policy reading a
+//     conflict-index generation afterwards, so a policy whose evaluate
+//     consumes observer-fed state (an evalConflictClocked policy reading a
 //     stats table) is re-evaluated exactly as it would be after a conflict
 //     event. Observers that mutate no evaluation inputs just cost a memo
 //     refresh that recomputes identical values.
-type DecisionObserver interface {
-	// ObserveWound: wounder aborted victim on a data conflict.
-	ObserveWound(e *Engine, wounder, victim *Txn)
-	// ObserveBlock: requester chose to wait for holder on a data conflict
+type decisionObserver interface {
+	// observeWound: wounder aborted victim on a data conflict.
+	observeWound(e *Engine, wounder, victim *Txn)
+	// observeBlock: requester chose to wait for holder on a data conflict
 	// (never fires under the CCA family — Theorem 1).
-	ObserveBlock(e *Engine, requester, holder *Txn)
-	// ObserveRestart: victim was aborted — by a wound, a deadlock
+	observeBlock(e *Engine, requester, holder *Txn)
+	// observeRestart: victim was aborted — by a wound, a deadlock
 	// resolution, a fault, or a permanent IO failure — and will rerun.
-	ObserveRestart(e *Engine, victim *Txn)
-	// ObserveTerminal: t reached a terminal state. committed distinguishes
+	observeRestart(e *Engine, victim *Txn)
+	// observeTerminal: t reached a terminal state. committed distinguishes
 	// a commit from a firm-mode drop/cancellation; missed reports a blown
 	// deadline (always true for drops).
-	ObserveTerminal(e *Engine, t *Txn, committed, missed bool)
+	observeTerminal(e *Engine, t *Txn, committed, missed bool)
 }
 
-// SetDecisionObserver installs the decision tap (nil detaches it). A
-// policy that itself implements DecisionObserver is attached automatically
+// setDecisionObserver installs the decision tap (nil detaches it). A
+// policy that itself implements decisionObserver is attached automatically
 // at engine construction; installing an explicit observer replaces that.
-func (e *Engine) SetDecisionObserver(o DecisionObserver) {
+func (e *Engine) setDecisionObserver(o decisionObserver) {
 	e.obs = o
 	e.reclockEval()
 }
 
 // reclockEval invalidates the evaluation and penalty memos by bumping the
 // conflict-index generation — the same key a has-set change bumps — so the
-// Staticness contract covers observer-driven state: stats updates re-clock
+// staticness contract covers observer-driven state: stats updates re-clock
 // evaluation exactly like conflict events do. A rollback section's end
 // re-clocks too (onRollbackDone): it changes a holder's service time without
 // moving the clock or the has-sets.
@@ -56,7 +56,7 @@ func (e *Engine) notifyWound(wounder, victim *Txn) {
 	if e.obs == nil {
 		return
 	}
-	e.obs.ObserveWound(e, wounder, victim)
+	e.obs.observeWound(e, wounder, victim)
 	e.reclockEval()
 }
 
@@ -64,7 +64,7 @@ func (e *Engine) notifyBlock(requester, holder *Txn) {
 	if e.obs == nil {
 		return
 	}
-	e.obs.ObserveBlock(e, requester, holder)
+	e.obs.observeBlock(e, requester, holder)
 	e.reclockEval()
 }
 
@@ -72,7 +72,7 @@ func (e *Engine) notifyRestart(victim *Txn) {
 	if e.obs == nil {
 		return
 	}
-	e.obs.ObserveRestart(e, victim)
+	e.obs.observeRestart(e, victim)
 	e.reclockEval()
 }
 
@@ -80,6 +80,6 @@ func (e *Engine) notifyTerminal(t *Txn, committed, missed bool) {
 	if e.obs == nil {
 		return
 	}
-	e.obs.ObserveTerminal(e, t, committed, missed)
+	e.obs.observeTerminal(e, t, committed, missed)
 	e.reclockEval()
 }

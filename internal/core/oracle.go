@@ -82,9 +82,6 @@ func (e *Engine) EnableOracle() *Oracle {
 	return o
 }
 
-// Err returns the first recorded violation (nil while the run is clean).
-func (o *Oracle) Err() error { return o.err }
-
 func (o *Oracle) fail(format string, args ...any) {
 	if o.err == nil {
 		o.err = fmt.Errorf(format, args...)

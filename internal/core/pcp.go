@@ -29,23 +29,23 @@ import "repro/internal/txn"
 // blockage drains.
 type pcpPolicy struct{}
 
-func (pcpPolicy) Kind() PolicyKind { return PCP }
+func (pcpPolicy) kind() PolicyKind { return PCP }
 
-func (pcpPolicy) Evaluate(_ *Engine, t *Txn) float64 { return -ms(t.Spec.Deadline) }
+func (pcpPolicy) evaluate(_ *Engine, t *Txn) float64 { return -ms(t.spec.Deadline) }
 
-// Wounds should be unreachable: an admitted transaction's lock is always
+// wounds should be unreachable: an admitted transaction's lock is always
 // free (any holder of an item t might access would have given that item a
 // ceiling at least t's priority, blocking t's admission). Waiting is the
 // safe fallback.
-func (pcpPolicy) Wounds(*Engine, *Txn, *Txn) bool { return false }
+func (pcpPolicy) wounds(*Engine, *Txn, *Txn) bool { return false }
 
-func (pcpPolicy) FiltersIOWait() bool { return false }
-func (pcpPolicy) Inherits() bool      { return true }
+func (pcpPolicy) filtersIOWait() bool { return false }
+func (pcpPolicy) inherits() bool      { return true }
 
-// Staticness: the base priority is the fixed deadline; ceiling admission
-// and inheritance act outside Evaluate (the engine re-applies the
+// staticness: the base priority is the fixed deadline; ceiling admission
+// and inheritance act outside evaluate (the engine re-applies the
 // inherited floor every pass regardless of evaluation caching).
-func (pcpPolicy) Staticness() Staticness { return EvalStatic }
+func (pcpPolicy) staticness() staticness { return evalStatic }
 
 // admits implements the ceiling test for dispatching t, applying priority
 // inheritance to the blocking holders when it fails. The second result
@@ -55,14 +55,14 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 	if t.remain > 0 || t.ioDone {
 		return true, false // mid-update: no new lock acquisition pending
 	}
-	if t.next >= len(t.Spec.Items) {
+	if t.next >= len(t.spec.Items) {
 		return true, false // about to commit
 	}
-	item := t.Spec.Items[t.next]
+	item := t.spec.Items[t.next]
 	if t.has.contains(item) {
 		return true, false // re-entrant (granted while waking from a wait)
 	}
-	base := p.Evaluate(e, t) // ceilings compare base (non-inherited) priorities
+	base := p.evaluate(e, t) // ceilings compare base (non-inherited) priorities
 	ok = true
 	for h := e.live.head; h != nil; h = h.liveNext {
 		if h == t || !h.has.any() {
@@ -75,7 +75,7 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 		ceiling := negInf
 		for c := e.live.head; c != nil; c = c.liveNext {
 			if c != h && c.might.intersects(h.has) {
-				if pr := p.Evaluate(e, c); pr > ceiling {
+				if pr := p.evaluate(e, c); pr > ceiling {
 					ceiling = pr
 				}
 			}
@@ -102,7 +102,7 @@ func (p pcpPolicy) itemCeiling(e *Engine, item txn.Item) float64 {
 	ceiling := negInf
 	for c := e.live.head; c != nil; c = c.liveNext {
 		if c.might.contains(item) {
-			if pr := p.Evaluate(e, c); pr > ceiling {
+			if pr := p.evaluate(e, c); pr > ceiling {
 				ceiling = pr
 			}
 		}

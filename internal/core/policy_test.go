@@ -34,7 +34,7 @@ func policyFixture(t *testing.T, kind PolicyKind) (*Engine, *Txn, *Txn) {
 func TestCCAEvaluateIncludesPenalty(t *testing.T) {
 	e, _, t1 := policyFixture(t, CCA)
 	// penalty(T1) = service(6) + rollback(4) = 10ms; deadline 90ms.
-	if got := e.policy.Evaluate(e, t1); got != -100 {
+	if got := e.policy.evaluate(e, t1); got != -100 {
 		t.Fatalf("Pr(T1) = %v, want -100", got)
 	}
 }
@@ -44,22 +44,22 @@ func TestCCAEvaluateNoPenaltyForDisjoint(t *testing.T) {
 	e.ci.deindexHas(e, t0)
 	t0.has.clear()
 	e.hasAcquired(t0, 1) // now holds only item 1, which T1 never accesses
-	if got := e.policy.Evaluate(e, t1); got != -90 {
+	if got := e.policy.evaluate(e, t1); got != -90 {
 		t.Fatalf("Pr(T1) = %v, want -90 (no unsafe P-list member)", got)
 	}
 }
 
 func TestCCAEvaluateExcludesSelf(t *testing.T) {
 	e, t0, _ := policyFixture(t, CCA)
-	if got := e.policy.Evaluate(e, t0); got != -100 {
+	if got := e.policy.evaluate(e, t0); got != -100 {
 		t.Fatalf("Pr(T0) = %v, want -100 (own service is not its own penalty)", got)
 	}
 }
 
 func TestCCAPenaltyWithoutRollback(t *testing.T) {
 	e, _, t1 := policyFixture(t, CCA)
-	e.cfg.PenaltyIncludesRollback = false
-	if got := e.PenaltyOfConflict(t1); got != 6*msec {
+	e.cfg.penaltyIncludesRollback = false
+	if got := e.penaltyOfConflict(t1); got != 6*msec {
 		t.Fatalf("penalty = %v, want 6ms (service only)", got)
 	}
 }
@@ -67,14 +67,14 @@ func TestCCAPenaltyWithoutRollback(t *testing.T) {
 func TestCCAPenaltyWeightScales(t *testing.T) {
 	e, _, t1 := policyFixture(t, CCA)
 	e.policy = ccaPolicy{weight: 3}
-	if got := e.policy.Evaluate(e, t1); got != -120 {
+	if got := e.policy.evaluate(e, t1); got != -120 {
 		t.Fatalf("Pr(T1) with w=3 = %v, want -(90+3*10)", got)
 	}
 }
 
 func TestEDFEvaluateIsDeadlineOnly(t *testing.T) {
 	e, t0, t1 := policyFixture(t, EDFHP)
-	if e.policy.Evaluate(e, t0) != -100 || e.policy.Evaluate(e, t1) != -90 {
+	if e.policy.evaluate(e, t0) != -100 || e.policy.evaluate(e, t1) != -90 {
 		t.Fatal("EDF priority must be -deadline")
 	}
 }
@@ -82,18 +82,18 @@ func TestEDFEvaluateIsDeadlineOnly(t *testing.T) {
 func TestEDFHPWoundsOnlyHigherPriority(t *testing.T) {
 	e, t0, t1 := policyFixture(t, EDFHP)
 	t0.priority, t1.priority = -100, -90
-	if !e.policy.Wounds(e, t1, t0) {
+	if !e.policy.wounds(e, t1, t0) {
 		t.Error("higher-priority requester must wound")
 	}
-	if e.policy.Wounds(e, t0, t1) {
+	if e.policy.wounds(e, t0, t1) {
 		t.Error("lower-priority requester must wait")
 	}
 	// Tie broken by ID.
 	t0.priority = -90
-	if e.policy.Wounds(e, t1, t0) {
+	if e.policy.wounds(e, t1, t0) {
 		t.Error("equal priority: higher ID must not wound lower ID")
 	}
-	if !e.policy.Wounds(e, t0, t1) {
+	if !e.policy.wounds(e, t0, t1) {
 		t.Error("equal priority: lower ID must wound")
 	}
 }
@@ -101,7 +101,7 @@ func TestEDFHPWoundsOnlyHigherPriority(t *testing.T) {
 func TestCCAAlwaysWounds(t *testing.T) {
 	e, t0, t1 := policyFixture(t, CCA)
 	t0.priority, t1.priority = -1, -1000
-	if !e.policy.Wounds(e, t1, t0) || !e.policy.Wounds(e, t0, t1) {
+	if !e.policy.wounds(e, t1, t0) || !e.policy.wounds(e, t0, t1) {
 		t.Error("CCA must wound regardless of priorities (no lock wait)")
 	}
 }
@@ -109,10 +109,10 @@ func TestCCAAlwaysWounds(t *testing.T) {
 func TestEDFWPNeverWounds(t *testing.T) {
 	e, t0, t1 := policyFixture(t, EDFWP)
 	t1.priority, t0.priority = 0, -1000
-	if e.policy.Wounds(e, t1, t0) {
+	if e.policy.wounds(e, t1, t0) {
 		t.Error("WP must never wound")
 	}
-	if !e.policy.Inherits() {
+	if !e.policy.inherits() {
 		t.Error("WP must inherit")
 	}
 }
@@ -120,14 +120,14 @@ func TestEDFWPNeverWounds(t *testing.T) {
 func TestLSFEvaluateStaticSlack(t *testing.T) {
 	e, t0, _ := policyFixture(t, LSFHP)
 	// T0: deadline 100, resource 2x4=8 -> slack 92 at t=0.
-	if got := e.policy.Evaluate(e, t0); got != -92 {
+	if got := e.policy.evaluate(e, t0); got != -92 {
 		t.Fatalf("LSF priority = %v, want -92", got)
 	}
 }
 
 func TestFCFSEvaluateByArrival(t *testing.T) {
 	e, t0, _ := policyFixture(t, FCFS)
-	if got := e.policy.Evaluate(e, t0); got != 0 {
+	if got := e.policy.evaluate(e, t0); got != 0 {
 		t.Fatalf("FCFS priority = %v, want -arrival = 0", got)
 	}
 }
@@ -139,17 +139,17 @@ func TestEDFCRWoundDecision(t *testing.T) {
 	// T0 (holder) remaining static = 8ms - nothing executed in the
 	// runtime sense (next=0, remain=0) -> 8ms. T1's slack at t=0:
 	// 90 - 0 - 8 = 82ms >= 8ms: conditional restart says wait.
-	if e.policy.Wounds(e, t1, t0) {
+	if e.policy.wounds(e, t1, t0) {
 		t.Error("holder fits in requester slack: must wait, not wound")
 	}
 	// Shrink the requester's slack below the holder's remaining time.
-	t1.Spec.Deadline = 15 * msec
-	if !e.policy.Wounds(e, t1, t0) {
+	t1.spec.Deadline = 15 * msec
+	if !e.policy.wounds(e, t1, t0) {
 		t.Error("holder cannot finish within slack: must wound")
 	}
 	// A holder with higher priority is never wounded.
 	t0.priority = -10
-	if e.policy.Wounds(e, t1, t0) {
+	if e.policy.wounds(e, t1, t0) {
 		t.Error("higher-priority holder must never be wounded")
 	}
 }
@@ -177,11 +177,11 @@ func TestPolicyKindsAndFilters(t *testing.T) {
 	for _, c := range cases {
 		cfg := MainMemoryConfig(c.kind, 1)
 		p := newPolicy(cfg)
-		if p.Kind() != c.kind {
-			t.Errorf("Kind() = %v, want %v", p.Kind(), c.kind)
+		if p.kind() != c.kind {
+			t.Errorf("Kind() = %v, want %v", p.kind(), c.kind)
 		}
-		if p.FiltersIOWait() != c.filters {
-			t.Errorf("%v FiltersIOWait = %v", c.kind, p.FiltersIOWait())
+		if p.filtersIOWait() != c.filters {
+			t.Errorf("%v filtersIOWait = %v", c.kind, p.filtersIOWait())
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestRollbackCostProportional(t *testing.T) {
 
 func TestLessOrdering(t *testing.T) {
 	mk := func(id, crit int, pri float64) *Txn {
-		return &Txn{Spec: &workload.Spec{ID: id, Criticality: crit}, priority: pri}
+		return &Txn{spec: &workload.Spec{ID: id, Criticality: crit}, priority: pri}
 	}
 	if !less(mk(1, 1, -100), mk(0, 0, -1)) {
 		t.Error("criticality must dominate priority")

@@ -7,7 +7,7 @@ package core
 // rarely that type pair actually conflicts. CCA-P scales each holder's
 // contribution by the observed conflict rate for the live (type, type)
 // pair, read from an online predict.Table fed through the engine's
-// DecisionObserver tap. CCA-T additionally tunes w itself with a
+// decisionObserver tap. CCA-T additionally tunes w itself with a
 // deterministic seeded hill-climb (optionally ε-greedy) over commit-rate
 // feedback windows.
 //
@@ -21,7 +21,7 @@ package core
 //     either degenerate knob reduces CCA-P bit-identically to stock CCA
 //     (the anchor theorem, pinned by the policy-cross equivalence suite);
 //   - stats updates re-clock evaluation through the observer tap's
-//     generation bump, so Staticness stays EvalConflictClocked: a priority
+//     generation bump, so staticness stays evalConflictClocked: a priority
 //     is provably unchanged while the clock and the generation stand still.
 
 import (
@@ -48,21 +48,21 @@ type PredictConfig struct {
 	// (predict.Config.Decay). 0 retains nothing — the other degenerate
 	// knob.
 	Decay float64
-	// Window is the statistics bucket width in simulated time
-	// (0 = predict.DefaultWindow).
-	Window time.Duration
-	// Windows is the statistics ring length (0 = predict.DefaultWindows).
-	Windows int
+	// window is the statistics bucket width in simulated time
+	// (0 = predict.defaultWindow).
+	window time.Duration
+	// windows is the statistics ring length (0 = predict.defaultWindows).
+	windows int
 	// FeedbackWindow is the number of terminal transactions per tuner
 	// feedback window (CCA-T; 0 = 50).
 	FeedbackWindow int
-	// TunerOff freezes w at Config.PenaltyWeight (CCA-T then evaluates
+	// tunerOff freezes w at Config.PenaltyWeight (CCA-T then evaluates
 	// exactly like CCA-P).
-	TunerOff bool
+	tunerOff bool
 	// TunerStep is the initial hill-climb step (0 = 0.25).
 	TunerStep float64
-	// TunerMin and TunerMax clamp the tuned w (both 0 = [0, 8]).
-	TunerMin, TunerMax float64
+	// tunerMin and TunerMax clamp the tuned w (both 0 = [0, 8]).
+	tunerMin, TunerMax float64
 	// Epsilon is the ε-greedy probability of re-randomising the climb
 	// direction at a feedback window boundary, drawn from the run seed's
 	// "cca-t" stream (0 = pure hill-climb, fully deterministic without
@@ -76,19 +76,19 @@ func DefaultPredictConfig() PredictConfig {
 	return PredictConfig{RateScale: 1, Decay: 0.5}
 }
 
-// Validate reports the first problem with the prediction configuration.
-func (p PredictConfig) Validate() error {
+// validate reports the first problem with the prediction configuration.
+func (p PredictConfig) validate() error {
 	if p.RateScale < 0 || math.IsNaN(p.RateScale) || math.IsInf(p.RateScale, 0) {
 		return fmt.Errorf("core: Predict.RateScale %v invalid", p.RateScale)
 	}
 	if p.Decay < 0 || p.Decay > 1 || math.IsNaN(p.Decay) {
 		return fmt.Errorf("core: Predict.Decay %v outside [0, 1]", p.Decay)
 	}
-	if p.Window < 0 {
-		return fmt.Errorf("core: Predict.Window %v < 0", p.Window)
+	if p.window < 0 {
+		return fmt.Errorf("core: Predict.Window %v < 0", p.window)
 	}
-	if p.Windows < 0 || p.Windows > predict.MaxWindows {
-		return fmt.Errorf("core: Predict.Windows %d outside [0, %d]", p.Windows, predict.MaxWindows)
+	if p.windows < 0 || p.windows > predict.MaxWindows {
+		return fmt.Errorf("core: Predict.Windows %d outside [0, %d]", p.windows, predict.MaxWindows)
 	}
 	if p.FeedbackWindow < 0 {
 		return fmt.Errorf("core: Predict.FeedbackWindow %d < 0", p.FeedbackWindow)
@@ -96,8 +96,8 @@ func (p PredictConfig) Validate() error {
 	if p.TunerStep < 0 || math.IsNaN(p.TunerStep) {
 		return fmt.Errorf("core: Predict.TunerStep %v invalid", p.TunerStep)
 	}
-	if math.IsNaN(p.TunerMin) || math.IsNaN(p.TunerMax) || p.TunerMin > p.TunerMax {
-		return fmt.Errorf("core: Predict tuner bounds [%v, %v] inverted", p.TunerMin, p.TunerMax)
+	if math.IsNaN(p.tunerMin) || math.IsNaN(p.TunerMax) || p.tunerMin > p.TunerMax {
+		return fmt.Errorf("core: Predict tuner bounds [%v, %v] inverted", p.tunerMin, p.TunerMax)
 	}
 	if p.Epsilon < 0 || p.Epsilon > 1 || math.IsNaN(p.Epsilon) {
 		return fmt.Errorf("core: Predict.Epsilon %v outside [0, 1]", p.Epsilon)
@@ -109,8 +109,8 @@ func (p PredictConfig) Validate() error {
 func (p PredictConfig) tableConfig(c *Config) predict.Config {
 	return predict.Config{
 		Types:   c.Workload.TxnTypes,
-		Window:  p.Window,
-		Windows: p.Windows,
+		Window:  p.window,
+		Windows: p.windows,
 		Decay:   p.Decay,
 	}
 }
@@ -126,12 +126,12 @@ type predictivePolicy interface {
 
 // ccapPolicy is CCA-P; with a tuner attached (ccatPolicy) it is CCA-T.
 type ccapPolicy struct {
-	kind   PolicyKind
-	weight float64
-	pc     PredictConfig
+	variant PolicyKind
+	weight  float64
+	pc      PredictConfig
 	// table receives this engine's own decisions (via the observer tap).
 	table *predict.Table
-	// view, when non-nil, is the read side used by Evaluate instead of
+	// view, when non-nil, is the read side used by evaluate instead of
 	// table — the shard runner installs the canonical cross-shard merge at
 	// epoch boundaries. nil (single-kernel runs) reads the live table.
 	view *predict.Table
@@ -139,14 +139,14 @@ type ccapPolicy struct {
 
 func newCCAPPolicy(c Config) *ccapPolicy {
 	return &ccapPolicy{
-		kind:   CCAP,
-		weight: c.PenaltyWeight,
-		pc:     c.Predict,
-		table:  predict.New(c.Predict.tableConfig(&c)),
+		variant: CCAP,
+		weight:  c.PenaltyWeight,
+		pc:      c.Predict,
+		table:   predict.New(c.Predict.tableConfig(&c)),
 	}
 }
 
-func (p *ccapPolicy) Kind() PolicyKind { return p.kind }
+func (p *ccapPolicy) kind() PolicyKind { return p.variant }
 
 func (p *ccapPolicy) readView() *predict.Table {
 	if p.view != nil {
@@ -155,62 +155,62 @@ func (p *ccapPolicy) readView() *predict.Table {
 	return p.table
 }
 
-// Evaluate is CCA's priority with the prediction term folded into the
+// evaluate is CCA's priority with the prediction term folded into the
 // penalty: -(deadline + w·(penalty + predictPenalty)). With RateScale 0
 // the expression reduces to CCA's, float-for-float.
-func (p *ccapPolicy) Evaluate(e *Engine, t *Txn) float64 {
-	pen := e.PenaltyOfConflict(t)
+func (p *ccapPolicy) evaluate(e *Engine, t *Txn) float64 {
+	pen := e.penaltyOfConflict(t)
 	if p.pc.RateScale != 0 {
 		pen += e.predictPenalty(t, p.readView(), p.pc.RateScale)
 	}
-	return -(ms(t.Spec.Deadline) + p.weight*ms(pen))
+	return -(ms(t.spec.Deadline) + p.weight*ms(pen))
 }
 
-// Wounds is unconditionally true — the CCA family never lock-waits
+// wounds is unconditionally true — the CCA family never lock-waits
 // (Theorem 1 applies to CCA-P/CCA-T verbatim: the conflict-resolution rule
 // is untouched, only the priority assignment changes).
-func (p *ccapPolicy) Wounds(*Engine, *Txn, *Txn) bool { return true }
+func (p *ccapPolicy) wounds(*Engine, *Txn, *Txn) bool { return true }
 
-func (p *ccapPolicy) FiltersIOWait() bool { return true }
-func (p *ccapPolicy) Inherits() bool      { return false }
+func (p *ccapPolicy) filtersIOWait() bool { return true }
+func (p *ccapPolicy) inherits() bool      { return false }
 
-// Staticness: the priority moves only with (clock, generation) — the base
+// staticness: the priority moves only with (clock, generation) — the base
 // penalty by CCA's argument, the prediction term because every stats
 // update and view install re-clocks the generation through the observer
 // tap. Both terms sum over the conflicting P-list members only, so with
 // none the value is the constant -deadline whatever w the tuner has reached,
 // and predict.Table's decayed reads are pure.
-func (p *ccapPolicy) Staticness() Staticness { return EvalConflictClocked }
+func (p *ccapPolicy) staticness() staticness { return evalConflictClocked }
 
 // --- observer feed ------------------------------------------------------
 
-func (p *ccapPolicy) ObserveWound(e *Engine, wounder, victim *Txn) {
-	p.table.Record(predict.Wound, wounder.Spec.Type, victim.Spec.Type, e.Now())
+func (p *ccapPolicy) observeWound(e *Engine, wounder, victim *Txn) {
+	p.table.Record(predict.Wound, wounder.spec.Type, victim.spec.Type, e.now())
 }
 
-func (p *ccapPolicy) ObserveBlock(e *Engine, requester, holder *Txn) {
-	p.table.Record(predict.Block, requester.Spec.Type, holder.Spec.Type, e.Now())
+func (p *ccapPolicy) observeBlock(e *Engine, requester, holder *Txn) {
+	p.table.Record(predict.Block, requester.spec.Type, holder.spec.Type, e.now())
 }
 
-// ObserveRestart files system-caused aborts (faults, IO failures,
+// observeRestart files system-caused aborts (faults, IO failures,
 // deadline drops re-running) on the victim's diagonal — they carry no pair
 // information but still mark the type as churn-prone. Wound restarts were
-// already counted pairwise by ObserveWound.
-func (p *ccapPolicy) ObserveRestart(e *Engine, victim *Txn) {
-	p.table.Record(predict.Restart, victim.Spec.Type, victim.Spec.Type, e.Now())
+// already counted pairwise by observeWound.
+func (p *ccapPolicy) observeRestart(e *Engine, victim *Txn) {
+	p.table.Record(predict.Restart, victim.spec.Type, victim.spec.Type, e.now())
 }
 
-// ObserveTerminal credits a commit against every partially executed peer
+// observeTerminal credits a commit against every partially executed peer
 // the committer coexisted with — the conflict-rate denominator: "this pair
 // was live together and did not conflict". Peers are read from the P-list,
 // which the committer has already left.
-func (p *ccapPolicy) ObserveTerminal(e *Engine, t *Txn, committed, missed bool) {
+func (p *ccapPolicy) observeTerminal(e *Engine, t *Txn, committed, missed bool) {
 	if !committed {
 		return
 	}
-	now := e.Now()
+	now := e.now()
 	for _, peer := range e.ci.plist {
-		p.table.Record(predict.Commit, t.Spec.Type, peer.Spec.Type, now)
+		p.table.Record(predict.Commit, t.spec.Type, peer.spec.Type, now)
 	}
 }
 
@@ -254,7 +254,7 @@ func newCCATPolicy(c Config) *ccatPolicy {
 		dir:        1,
 		step:       c.Predict.TunerStep,
 	}
-	p.kind = CCAT
+	p.variant = CCAT
 	if p.step == 0 {
 		p.step = 0.25
 	}
@@ -263,7 +263,7 @@ func newCCATPolicy(c Config) *ccatPolicy {
 
 // tunerBounds returns the effective clamp on w.
 func (p *ccatPolicy) tunerBounds() (float64, float64) {
-	lo, hi := p.pc.TunerMin, p.pc.TunerMax
+	lo, hi := p.pc.tunerMin, p.pc.TunerMax
 	if lo == 0 && hi == 0 {
 		hi = 8
 	}
@@ -277,9 +277,9 @@ func (p *ccatPolicy) feedbackWindow() int {
 	return 50
 }
 
-func (p *ccatPolicy) ObserveTerminal(e *Engine, t *Txn, committed, missed bool) {
-	p.ccapPolicy.ObserveTerminal(e, t, committed, missed)
-	if p.pc.TunerOff {
+func (p *ccatPolicy) observeTerminal(e *Engine, t *Txn, committed, missed bool) {
+	p.ccapPolicy.observeTerminal(e, t, committed, missed)
+	if p.pc.tunerOff {
 		return
 	}
 	p.count++
@@ -343,7 +343,7 @@ func (p *ccatPolicy) predictState() (float64, int, []float64) {
 
 // --- engine-side prediction term ---------------------------------------
 
-// predictPenalty is the observed-conflict extension of PenaltyOfConflict:
+// predictPenalty is the observed-conflict extension of penaltyOfConflict:
 // for every partially executed holder conflicting with t it adds
 // scale · rate(t.Type, holder.Type) · (the holder's base penalty
 // contribution), each term rounded to an integer Duration so the sum does
@@ -367,12 +367,12 @@ func (e *Engine) predictPenalty(t *Txn, tab *predict.Table, scale float64) time.
 
 // predictTerm is one holder's contribution to the prediction penalty.
 func (e *Engine) predictTerm(t, p *Txn, tab *predict.Table, scale float64) time.Duration {
-	r := tab.Rate(t.Spec.Type, p.Spec.Type, time.Duration(e.sim.Now()))
+	r := tab.Rate(t.spec.Type, p.spec.Type, time.Duration(e.sim.Now()))
 	if r == 0 {
 		return 0
 	}
 	contrib := e.serviceNow(p)
-	if e.cfg.PenaltyIncludesRollback {
+	if e.cfg.penaltyIncludesRollback {
 		contrib += e.rollbackCost(p)
 	}
 	return time.Duration(scale * r * float64(contrib))
@@ -413,7 +413,7 @@ func (e *Engine) PredictTable() *predict.Table {
 	return nil
 }
 
-// SetPredictView installs the read-side statistics table used by Evaluate
+// SetPredictView installs the read-side statistics table used by evaluate
 // (nil reverts to the policy's own table). The shard runner installs the
 // canonical cross-shard merge at every epoch boundary; the view must not
 // be mutated after installation. Installing a view re-clocks evaluation.
@@ -433,10 +433,10 @@ func (e *Engine) PredictSnapshot() (PredictSnapshot, bool) {
 		return PredictSnapshot{}, false
 	}
 	w, steps, traj := p.predictState()
-	now := e.Now()
+	now := e.now()
 	tab := p.predictTable()
 	s := PredictSnapshot{
-		Policy:      e.policy.Kind(),
+		Policy:      e.policy.kind(),
 		W:           w,
 		TunerSteps:  steps,
 		ActivePairs: tab.ActivePairs(now),

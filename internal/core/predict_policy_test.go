@@ -23,7 +23,7 @@ func predictOn() PredictConfig {
 
 // TestPredictDegenerateEquivalence is the anchor theorem: with any
 // degenerate knob — RateScale 0 (prediction term off) or Decay 0 (stats
-// retain nothing), plus TunerOff for CCA-T — the prediction policies must
+// retain nothing), plus tunerOff for CCA-T — the prediction policies must
 // be bit-identical to stock CCA: same schedule, same metrics, with the
 // per-scheduling-point reference checks on.
 func TestPredictDegenerateEquivalence(t *testing.T) {
@@ -34,8 +34,8 @@ func TestPredictDegenerateEquivalence(t *testing.T) {
 	}{
 		{"ccap-ratescale0", CCAP, PredictConfig{RateScale: 0, Decay: 0.5}},
 		{"ccap-decay0", CCAP, PredictConfig{RateScale: 1, Decay: 0}},
-		{"ccat-tuneroff-ratescale0", CCAT, PredictConfig{RateScale: 0, Decay: 0.5, TunerOff: true}},
-		{"ccat-tuneroff-decay0", CCAT, PredictConfig{RateScale: 1, Decay: 0, TunerOff: true}},
+		{"ccat-tuneroff-ratescale0", CCAT, PredictConfig{RateScale: 0, Decay: 0.5, tunerOff: true}},
+		{"ccat-tuneroff-decay0", CCAT, PredictConfig{RateScale: 1, Decay: 0, tunerOff: true}},
 	}
 	bases := []struct {
 		name string
@@ -207,8 +207,8 @@ func TestPredictStatsFeed(t *testing.T) {
 	cfg.Predict = PredictConfig{
 		RateScale: 1,
 		Decay:     0.9,
-		Window:    5 * time.Second,
-		Windows:   32,
+		window:    5 * time.Second,
+		windows:   32,
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -252,10 +252,10 @@ type recordingObserver struct {
 	wounds, blocks, restarts, terminals, commits int
 }
 
-func (o *recordingObserver) ObserveWound(*Engine, *Txn, *Txn) { o.wounds++ }
-func (o *recordingObserver) ObserveBlock(*Engine, *Txn, *Txn) { o.blocks++ }
-func (o *recordingObserver) ObserveRestart(*Engine, *Txn)     { o.restarts++ }
-func (o *recordingObserver) ObserveTerminal(_ *Engine, _ *Txn, committed, _ bool) {
+func (o *recordingObserver) observeWound(*Engine, *Txn, *Txn) { o.wounds++ }
+func (o *recordingObserver) observeBlock(*Engine, *Txn, *Txn) { o.blocks++ }
+func (o *recordingObserver) observeRestart(*Engine, *Txn)     { o.restarts++ }
+func (o *recordingObserver) observeTerminal(_ *Engine, _ *Txn, committed, _ bool) {
 	o.terminals++
 	if committed {
 		o.commits++
@@ -274,7 +274,7 @@ func TestDecisionObserverDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &recordingObserver{}
-	e.SetDecisionObserver(obs)
+	e.setDecisionObserver(obs)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestDecisionObserverDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs = &recordingObserver{}
-	e.SetDecisionObserver(obs)
+	e.setDecisionObserver(obs)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDecisionObserverDelivery(t *testing.T) {
 
 // TestObserverAttachmentNeutral: attaching an inert observer must not
 // change the schedule — notifications re-clock evaluation, and the
-// Staticness contract says a re-evaluation recomputes identical values.
+// staticness contract says a re-evaluation recomputes identical values.
 func TestObserverAttachmentNeutral(t *testing.T) {
 	for _, pol := range []PolicyKind{CCA, EDFHP, LSFHP} {
 		cfg := MainMemoryConfig(pol, 2)
@@ -322,7 +322,7 @@ func TestObserverAttachmentNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetDecisionObserver(&recordingObserver{})
+		e.setDecisionObserver(&recordingObserver{})
 		res, err := e.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -128,7 +128,7 @@ func TestQuickRandomWorkloadsDrainSerializable(t *testing.T) {
 			}
 		}
 		for it := 0; it < 40; it++ {
-			v := e.Store().Get(txn.Item(it))
+			v := e.store.Get(txn.Item(it))
 			if w, ok := last[txn.Item(it)]; ok {
 				if int(v.Writer) != w {
 					return false

@@ -47,12 +47,12 @@ func submitAndFinish(t *testing.T, e *Engine, item int) int {
 		Deadline: now + 50*time.Millisecond,
 	}
 	tp := e.SubmitSpec(spec, func(ServiceOutcome, error) {})
-	id := tp.ID()
+	id := tp.id()
 	if err := e.StepTo(e.sim.Now() + sim.Time(100*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if tp.State() != StateCommitted {
-		t.Fatalf("submission T%d ended %v, want committed", id, tp.State())
+	if tp.state != StateCommitted {
+		t.Fatalf("submission T%d ended %v, want committed", id, tp.state)
 	}
 	return id
 }
@@ -176,7 +176,7 @@ func runReuse(t *testing.T, cfg Config, seed int64, prepare func(*Engine)) reuse
 			t.Fatal(err)
 		}
 		if rng.Intn(100) < 35 {
-			now := e.Now()
+			now := e.now()
 			s := &reuseSub{deadline: now + time.Duration(2+rng.Intn(30))*time.Millisecond}
 			spec := workload.Spec{Compute: time.Millisecond, Arrival: now, Deadline: s.deadline}
 			for _, it := range rng.Perm(cfg.Workload.DBSize)[:2+rng.Intn(3)] {
@@ -190,11 +190,11 @@ func runReuse(t *testing.T, cfg Config, seed int64, prepare func(*Engine)) reuse
 				if err != nil {
 					t.Errorf("T%d answered with %v", s.id, err)
 				}
-				if o.State == StateDropped && !s.cancelled && (!cfg.FirmDeadlines || e.Now() < s.deadline) {
-					t.Errorf("T%d dropped at %v, deadline %v, never cancelled: something of the object's previous occupant reached it", s.id, e.Now(), s.deadline)
+				if o.State == StateDropped && !s.cancelled && (!cfg.FirmDeadlines || e.now() < s.deadline) {
+					t.Errorf("T%d dropped at %v, deadline %v, never cancelled: something of the object's previous occupant reached it", s.id, e.now(), s.deadline)
 				}
 			})
-			s.gen, s.id = s.t.gen, s.t.ID()
+			s.gen, s.id = s.t.gen, s.t.id()
 			if prev := cur[s.t]; prev != nil {
 				st.reused++
 				if prev.answers != 1 {
@@ -334,7 +334,7 @@ func TestStaleDiskCompletionSkipsNewOccupant(t *testing.T) {
 	e.StartRun()
 	access := cfg.Workload.DiskAccessTime
 	submit := func(item txn.Item, io bool, deadline time.Duration) *Txn {
-		now := e.Now()
+		now := e.now()
 		return e.SubmitSpec(&workload.Spec{
 			Items: []txn.Item{item}, NeedsIO: []bool{io},
 			Compute: time.Millisecond, Arrival: now, Deadline: now + deadline,

@@ -223,7 +223,7 @@ func TestScenarioPenaltyWeightZero(t *testing.T) {
 	}
 }
 
-// TestScenarioPenaltyPseudocodeVariant: with PenaltyIncludesRollback=false
+// TestScenarioPenaltyPseudocodeVariant: with penaltyIncludesRollback=false
 // the penalty is only the victim's effective service time (the paper's
 // pseudocode); penalty 2 < deadline gap... still large enough here to block
 // the wound (28+2 > 30 is false: -(30) > -(30)? exactly equal deadline+2).
@@ -233,7 +233,7 @@ func TestScenarioPenaltyPseudocodeVariant(t *testing.T) {
 		{arrival: 2 * msec, deadline: 28 * msec, items: []txn.Item{0}},
 	}
 	cfg := scenarioConfig(CCA, 10, false)
-	cfg.PenaltyIncludesRollback = false
+	cfg.penaltyIncludesRollback = false
 	// penalty(T1) = service(T0) = 2ms -> Pr(T1) = -30 > Pr(T0) = -31:
 	// T1 wounds despite the penalty.
 	e, res := runScenario(t, cfg, buildWorkload(10, ins))
@@ -242,7 +242,7 @@ func TestScenarioPenaltyPseudocodeVariant(t *testing.T) {
 		t.Errorf("restarts = %d, want 1", res.Restarts)
 	}
 	// With rollback included the penalty is 6ms and the wound is avoided.
-	cfg.PenaltyIncludesRollback = true
+	cfg.penaltyIncludesRollback = true
 	e2, res2 := runScenario(t, cfg, buildWorkload(10, ins))
 	wantCommit(t, e2, 0, 8*msec)
 	if res2.Restarts != 0 {

@@ -298,13 +298,6 @@ func (s *Service) Err() error {
 	return s.err
 }
 
-// Draining reports whether graceful drain has begun.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Submit runs one transaction through the service and blocks until it
 // reaches a terminal state: a one-element batch behind a Waiter.
 func (s *Service) Submit(ctx context.Context, req ServiceRequest) (ServiceOutcome, error) {
@@ -424,8 +417,8 @@ func (s *Service) SetPredictView(v *predict.Table) error {
 func outcomeOf(t *Txn) ServiceOutcome {
 	o := ServiceOutcome{
 		State:    t.state,
-		Arrival:  t.Spec.Arrival,
-		Deadline: t.Spec.Deadline,
+		Arrival:  t.spec.Arrival,
+		Deadline: t.spec.Deadline,
 		Restarts: t.restarts,
 	}
 	switch t.state {
@@ -454,16 +447,16 @@ func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, err
 		t = e.freeTxns[n-1]
 		e.freeTxns = e.freeTxns[:n-1]
 		e.idRecycled = true
-		*t = Txn{Spec: t.Spec, gen: t.gen, updateDoneFn: t.updateDoneFn,
+		*t = Txn{spec: t.spec, gen: t.gen, updateDoneFn: t.updateDoneFn,
 			rollbackDoneFn: t.rollbackDoneFn, deadlineFn: t.deadlineFn}
 	} else {
 		st := &serviceTxn{}
-		st.spec.ID = len(e.all)
-		st.Spec = &st.spec
+		st.specBuf.ID = len(e.all)
+		st.spec = &st.specBuf
 		t = &st.Txn
 		e.all = append(e.all, nil)
 	}
-	own := t.Spec
+	own := t.spec
 	id, items, io, reads, full := own.ID, own.Items[:0], own.NeedsIO[:0], own.Reads[:0], own.MightFull[:0]
 	*own = *src
 	own.ID = id
@@ -487,7 +480,7 @@ func (e *Engine) retireServiceTxn(t *Txn) {
 	if !e.recycles() {
 		return // IDs stay unique for the history/trace; tables grow instead
 	}
-	e.all[t.ID()] = nil
+	e.all[t.id()] = nil
 	t.gen++
 	e.sim.Cancel(t.deadlineEvent)
 	e.freeTxns = append(e.freeTxns, t)

@@ -14,8 +14,8 @@ import (
 type State int
 
 const (
-	// StateReady: runnable, waiting for a CPU.
-	StateReady State = iota
+	// stateReady: runnable, waiting for a CPU.
+	stateReady State = iota
 	// StateRunning: occupying a CPU.
 	StateRunning
 	// StateIOWait: blocked on a disk access.
@@ -38,7 +38,7 @@ const (
 // String names the state.
 func (s State) String() string {
 	switch s {
-	case StateReady:
+	case stateReady:
 		return "ready"
 	case StateRunning:
 		return "running"
@@ -61,8 +61,8 @@ func (s State) String() string {
 
 // Txn is the runtime representation of one transaction instance.
 type Txn struct {
-	// Spec is the generated workload description (items, deadline, ...).
-	Spec *workload.Spec
+	// spec is the generated workload description (items, deadline, ...).
+	spec *workload.Spec
 
 	state State
 	// next indexes the update currently being processed.
@@ -145,14 +145,14 @@ type Txn struct {
 
 	// Incremental-dispatch state:
 	//
-	// basePr is the policy's own Evaluate value from the last evaluation
+	// basePr is the policy's own evaluate value from the last evaluation
 	// (before the inherited-priority floor is applied).
 	basePr float64
 	// evalValid marks basePr as usable. It is false for a fresh arrival,
-	// after Engine.setMight and on leaving the hot set; for EvalStatic
+	// after Engine.setMight and on leaving the hot set; for evalStatic
 	// policies a valid basePr is final for the transaction's whole life.
 	evalValid bool
-	// evalAt/evalGen key basePr for EvalConflictClocked policies (CCA): the
+	// evalAt/evalGen key basePr for evalConflictClocked policies (CCA): the
 	// value is provably unchanged while the simulated clock and the
 	// conflict-index generation both stand still.
 	evalAt  sim.Time
@@ -196,7 +196,7 @@ type Txn struct {
 // (and the Items/Reads/NeedsIO arrays behind it) along.
 type serviceTxn struct {
 	Txn
-	spec workload.Spec
+	specBuf workload.Spec
 }
 
 // complete answers the transaction through its completion slot, at most
@@ -245,27 +245,12 @@ func (l *liveList) remove(t *Txn) {
 	l.n--
 }
 
-// ID returns the transaction instance ID.
-func (t *Txn) ID() int { return t.Spec.ID }
+// id returns the transaction instance ID.
+func (t *Txn) id() int { return t.spec.ID }
 
-// State returns the lifecycle state.
-func (t *Txn) State() State { return t.state }
-
-// Deadline returns the absolute deadline.
-func (t *Txn) Deadline() time.Duration { return t.Spec.Deadline }
-
-// ServiceTime returns the accumulated effective service time.
-func (t *Txn) ServiceTime() time.Duration { return t.service }
-
-// Restarts returns how many times the transaction was aborted.
-func (t *Txn) Restarts() int { return t.restarts }
-
-// Priority returns the last evaluated scheduling priority.
-func (t *Txn) Priority() float64 { return t.priority }
-
-// PartiallyExecuted reports whether the transaction belongs to the paper's
+// partiallyExecuted reports whether the transaction belongs to the paper's
 // P-list: it has accessed at least one data item and has not committed.
-func (t *Txn) PartiallyExecuted() bool {
+func (t *Txn) partiallyExecuted() bool {
 	return t.state != StateCommitted && t.has.any()
 }
 
@@ -273,12 +258,12 @@ func (t *Txn) PartiallyExecuted() bool {
 // LSF slack estimate).
 func (t *Txn) remainingStatic() time.Duration {
 	rem := t.remain
-	if t.remain == 0 && t.next < len(t.Spec.Items) && t.state != StateCommitted {
+	if t.remain == 0 && t.next < len(t.spec.Items) && t.state != StateCommitted {
 		// The current update's compute has not started.
-		rem = t.Spec.Compute
+		rem = t.spec.Compute
 	}
-	if t.next < len(t.Spec.Items) {
-		rem += time.Duration(len(t.Spec.Items)-t.next-1) * t.Spec.Compute
+	if t.next < len(t.spec.Items) {
+		rem += time.Duration(len(t.spec.Items)-t.next-1) * t.spec.Compute
 	}
 	return rem
 }
@@ -299,5 +284,5 @@ func (t *Txn) resetForRestart() {
 	t.cpuEvent = sim.Handle{}
 	t.ioReq = nil
 	t.cpu = -1
-	t.state = StateReady
+	t.state = stateReady
 }

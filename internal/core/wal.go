@@ -49,13 +49,13 @@ type WALHook struct {
 	Log *wal.Logger
 }
 
-// Enabled reports whether the hook actually logs.
-func (h *WALHook) Enabled() bool { return h != nil && h.Log != nil }
+// enabled reports whether the hook actually logs.
+func (h *WALHook) enabled() bool { return h != nil && h.Log != nil }
 
 // LogSubmit appends the submit record for req and returns its assigned
 // sequence number; 0 with a nil error when logging is disabled.
 func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
-	if !h.Enabled() {
+	if !h.enabled() {
 		return 0, nil
 	}
 	// The record only lives until AppendSubmit has encoded it, so it borrows
@@ -90,7 +90,7 @@ func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
 // never blocks — the durability wait happens on the logger's sync
 // goroutine, which then runs done there.
 func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, error)) func(ServiceOutcome, error) {
-	if !h.Enabled() || seq == 0 {
+	if !h.enabled() || seq == 0 {
 		return done
 	}
 	log := h.Log

@@ -15,7 +15,7 @@ import (
 // function value, no wrapper allocation, no indirection.
 func TestWALHookDisabledPassthrough(t *testing.T) {
 	var h WALHook
-	if h.Enabled() {
+	if h.enabled() {
 		t.Fatal("zero WALHook reports enabled")
 	}
 	seq, err := h.LogSubmit(&ServiceRequest{Items: []txn.Item{1}})
@@ -44,7 +44,7 @@ func TestWALHookSeqZeroPassthrough(t *testing.T) {
 	}
 	defer log.Close()
 	h := WALHook{Log: log}
-	if !h.Enabled() {
+	if !h.enabled() {
 		t.Fatal("hook with logger reports disabled")
 	}
 	done := func(ServiceOutcome, error) {}

@@ -26,10 +26,10 @@ type TxnID int
 type Value struct {
 	// Writer is the transaction that produced this value (-1 initially).
 	Writer TxnID
-	// Incarnation is the writer's restart count at the time of the write.
-	Incarnation int
-	// Seq is the global write sequence number (0 = initial value).
-	Seq uint64
+	// incarnation is the writer's restart count at the time of the write.
+	incarnation int
+	// seq is the global write sequence number (0 = initial value).
+	seq uint64
 }
 
 type undoRec struct {
@@ -81,8 +81,8 @@ func (s *Store) undoOf(t TxnID) []undoRec {
 	return s.undo[t]
 }
 
-// Size returns the number of objects.
-func (s *Store) Size() int { return len(s.values) }
+// size returns the number of objects.
+func (s *Store) size() int { return len(s.values) }
 
 func (s *Store) check(item txn.Item) {
 	if int(item) < 0 || int(item) >= len(s.values) {
@@ -119,7 +119,7 @@ func (s *Store) Write(t TxnID, incarnation int, item txn.Item) Value {
 	s.undo[t] = append(s.undo[t], undoRec{item: item, before: s.values[item]})
 	s.seq++
 	s.writes++
-	v := Value{Writer: t, Incarnation: incarnation, Seq: s.seq}
+	v := Value{Writer: t, incarnation: incarnation, seq: s.seq}
 	s.values[item] = v
 	return v
 }
@@ -168,8 +168,8 @@ func (s *Store) Stats() (reads, writes, commits, aborts uint64) {
 	return s.reads, s.writes, s.commits, s.aborts
 }
 
-// Snapshot copies the current values (verification).
-func (s *Store) Snapshot() []Value {
+// snapshot copies the current values (verification).
+func (s *Store) snapshot() []Value {
 	return append([]Value(nil), s.values...)
 }
 

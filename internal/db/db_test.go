@@ -10,12 +10,12 @@ import (
 
 func TestNewStoreInitialValues(t *testing.T) {
 	s := New(5)
-	if s.Size() != 5 {
-		t.Fatalf("Size = %d", s.Size())
+	if s.size() != 5 {
+		t.Fatalf("Size = %d", s.size())
 	}
 	for i := txn.Item(0); i < 5; i++ {
 		v := s.Get(i)
-		if v.Writer != -1 || v.Seq != 0 {
+		if v.Writer != -1 || v.seq != 0 {
 			t.Fatalf("item %d initial value = %+v", i, v)
 		}
 	}
@@ -33,7 +33,7 @@ func TestNewRejectsNonPositive(t *testing.T) {
 func TestWriteInstallsVersion(t *testing.T) {
 	s := New(3)
 	v := s.Write(7, 2, 1)
-	if v.Writer != 7 || v.Incarnation != 2 || v.Seq != 1 {
+	if v.Writer != 7 || v.incarnation != 2 || v.seq != 1 {
 		t.Fatalf("written value = %+v", v)
 	}
 	if s.Get(1) != v {
@@ -103,10 +103,10 @@ func TestSeqMonotone(t *testing.T) {
 	var last uint64
 	for i := 0; i < 10; i++ {
 		v := s.Write(TxnID(i%3), 0, txn.Item(i%2))
-		if v.Seq <= last {
+		if v.seq <= last {
 			t.Fatal("sequence numbers not strictly increasing")
 		}
-		last = v.Seq
+		last = v.seq
 		s.Commit(TxnID(i % 3))
 	}
 }
@@ -138,7 +138,7 @@ func TestCheckClean(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	s := New(2)
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	s.Write(1, 0, 0)
 	s.Commit(1)
 	if snap[0].Writer != -1 {

@@ -20,16 +20,16 @@ import (
 type Discipline int
 
 const (
-	// FCFS serves requests in arrival order (the paper's model).
-	FCFS Discipline = iota
-	// Priority serves the highest-priority queued request first
+	// fcfs serves requests in arrival order (the paper's model).
+	fcfs Discipline = iota
+	// priority serves the highest-priority queued request first
 	// (ablation; priority is supplied per request, e.g. -deadline).
-	Priority
+	priority
 )
 
 // String names the discipline.
 func (d Discipline) String() string {
-	if d == Priority {
+	if d == priority {
 		return "priority"
 	}
 	return "fcfs"
@@ -79,9 +79,6 @@ type Request struct {
 // InService reports whether the request is currently being served.
 func (r *Request) InService() bool { return r.inService }
 
-// Queued reports whether the request is waiting in the disk queue.
-func (r *Request) Queued() bool { return r.queued }
-
 // Failed reports whether the request exhausted its transient-error
 // retries; its Done callback still runs, and the caller decides what a
 // permanently failed access means (the engine aborts the transaction).
@@ -125,29 +122,17 @@ func New(s *sim.Simulator, accessTime time.Duration, d Discipline) *Disk {
 // request is submitted; nil (the default) disables injection.
 func (d *Disk) SetFaults(f Faults) { d.faults = f }
 
-// AccessTime returns the per-request service time.
-func (d *Disk) AccessTime() time.Duration { return d.accessTime }
+// busy reports whether a request is in service.
+func (d *Disk) busy() bool { return d.current != nil }
 
-// Busy reports whether a request is in service.
-func (d *Disk) Busy() bool { return d.current != nil }
-
-// QueueLen returns the number of waiting (not in-service) requests.
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
-// Served returns the number of completed requests.
-func (d *Disk) Served() int { return d.served }
-
-// Cancelled returns the number of requests cancelled while queued.
-func (d *Disk) Cancelled() int { return d.cancelled }
+// queueLen returns the number of waiting (not in-service) requests.
+func (d *Disk) queueLen() int { return len(d.queue) }
 
 // Retried returns the number of transient-error retries served.
 func (d *Disk) Retried() int { return d.retried }
 
-// Failed returns the number of requests that exhausted their retries.
-func (d *Disk) Failed() int { return d.failed }
-
-// MaxQueueLen returns the high-water mark of the wait queue.
-func (d *Disk) MaxQueueLen() int { return d.maxQueue }
+// maxQueueLen returns the high-water mark of the wait queue.
+func (d *Disk) maxQueueLen() int { return d.maxQueue }
 
 // BusyTime returns the cumulative time the disk has spent serving requests.
 func (d *Disk) BusyTime() time.Duration {
@@ -158,8 +143,8 @@ func (d *Disk) BusyTime() time.Duration {
 	return t
 }
 
-// Utilization returns BusyTime divided by elapsed simulated time.
-func (d *Disk) Utilization() float64 {
+// utilization returns BusyTime divided by elapsed simulated time.
+func (d *Disk) utilization() float64 {
 	now := d.sim.Now()
 	if now == 0 {
 		return 0
@@ -176,8 +161,8 @@ func (d *Disk) noteQueueChange() {
 	}
 }
 
-// MeanQueueLen returns the time-averaged wait-queue length.
-func (d *Disk) MeanQueueLen() float64 {
+// meanQueueLen returns the time-averaged wait-queue length.
+func (d *Disk) meanQueueLen() float64 {
 	now := d.sim.Now()
 	if now == 0 {
 		return 0
@@ -308,7 +293,7 @@ func (d *Disk) startNext() {
 	}
 	d.noteQueueChange()
 	best := 0
-	if d.discipline == Priority {
+	if d.discipline == priority {
 		for i := 1; i < len(d.queue); i++ {
 			q, b := d.queue[i], d.queue[best]
 			if q.Priority > b.Priority || (q.Priority == b.Priority && q.seq < b.seq) {

@@ -11,46 +11,46 @@ const ms = time.Millisecond
 
 func TestSingleRequest(t *testing.T) {
 	s := sim.New()
-	d := New(s, 25*ms, FCFS)
+	d := New(s, 25*ms, fcfs)
 	var doneAt sim.Time = -1
 	d.Submit(&Request{Done: func() { doneAt = s.Now() }})
-	if !d.Busy() {
+	if !d.busy() {
 		t.Fatal("disk idle right after submit")
 	}
 	s.Run()
 	if doneAt != sim.Time(25*ms) {
 		t.Fatalf("completed at %v, want 25ms", doneAt)
 	}
-	if d.Served() != 1 {
-		t.Fatalf("Served = %d", d.Served())
+	if d.served != 1 {
+		t.Fatalf("Served = %d", d.served)
 	}
-	if d.Busy() {
+	if d.busy() {
 		t.Fatal("disk busy after drain")
 	}
 }
 
 func TestFCFSOrder(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
 		d.Submit(&Request{Done: func() { order = append(order, i) }, Priority: float64(i)})
 	}
-	if d.QueueLen() != 3 {
-		t.Fatalf("QueueLen = %d, want 3", d.QueueLen())
+	if d.queueLen() != 3 {
+		t.Fatalf("queueLen = %d, want 3", d.queueLen())
 	}
 	s.Run()
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("FCFS order violated: %v", order)
+			t.Fatalf("fcfs order violated: %v", order)
 		}
 	}
 }
 
 func TestPriorityOrder(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, Priority)
+	d := New(s, 10*ms, priority)
 	var order []int
 	// First submit starts service immediately (seizes the idle disk);
 	// the rest are reordered by priority.
@@ -70,7 +70,7 @@ func TestPriorityOrder(t *testing.T) {
 
 func TestPriorityTieFIFO(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, Priority)
+	d := New(s, 10*ms, priority)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -86,7 +86,7 @@ func TestPriorityTieFIFO(t *testing.T) {
 
 func TestCancelQueuedRequest(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	fired := map[int]bool{}
 	var reqs []*Request
 	for i := 0; i < 3; i++ {
@@ -108,14 +108,14 @@ func TestCancelQueuedRequest(t *testing.T) {
 	if !fired[0] || !fired[2] {
 		t.Fatal("surviving requests did not complete")
 	}
-	if d.Cancelled() != 1 {
-		t.Fatalf("Cancelled = %d", d.Cancelled())
+	if d.cancelled != 1 {
+		t.Fatalf("Cancelled = %d", d.cancelled)
 	}
 }
 
 func TestCancelInServiceKeepsDiskBusy(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	firstDone, secondAt := false, sim.Time(-1)
 	r1 := &Request{Done: func() { firstDone = true }}
 	d.Submit(r1)
@@ -132,14 +132,14 @@ func TestCancelInServiceKeepsDiskBusy(t *testing.T) {
 	if secondAt != sim.Time(20*ms) {
 		t.Fatalf("second completed at %v, want 20ms", secondAt)
 	}
-	if d.Served() != 2 {
-		t.Fatalf("Served = %d, want 2 (cancelled service still occupies disk)", d.Served())
+	if d.served != 2 {
+		t.Fatalf("Served = %d, want 2 (cancelled service still occupies disk)", d.served)
 	}
 }
 
 func TestUtilizationAndBusyTime(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	s.At(sim.Time(10*ms), func() {
 		d.Submit(&Request{Done: func() {}})
 	})
@@ -148,22 +148,22 @@ func TestUtilizationAndBusyTime(t *testing.T) {
 	if d.BusyTime() != 10*ms {
 		t.Fatalf("BusyTime = %v, want 10ms", d.BusyTime())
 	}
-	if got := d.Utilization(); got != 0.25 {
-		t.Fatalf("Utilization = %v, want 0.25", got)
+	if got := d.utilization(); got != 0.25 {
+		t.Fatalf("utilization = %v, want 0.25", got)
 	}
 }
 
 func TestUtilizationAtTimeZero(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
-	if d.Utilization() != 0 || d.MeanQueueLen() != 0 {
+	d := New(s, 10*ms, fcfs)
+	if d.utilization() != 0 || d.meanQueueLen() != 0 {
 		t.Fatal("zero-time stats should be 0")
 	}
 }
 
 func TestMidServiceBusyTime(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.Submit(&Request{Done: func() {}})
 	s.RunUntil(sim.Time(4 * ms))
 	if d.BusyTime() != 4*ms {
@@ -173,25 +173,25 @@ func TestMidServiceBusyTime(t *testing.T) {
 
 func TestQueueStats(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	for i := 0; i < 5; i++ {
 		d.Submit(&Request{Done: func() {}})
 	}
-	if d.MaxQueueLen() != 4 {
-		t.Fatalf("MaxQueueLen = %d, want 4", d.MaxQueueLen())
+	if d.maxQueueLen() != 4 {
+		t.Fatalf("maxQueueLen = %d, want 4", d.maxQueueLen())
 	}
 	s.Run()
-	if d.QueueLen() != 0 {
+	if d.queueLen() != 0 {
 		t.Fatal("queue not drained")
 	}
-	if d.MeanQueueLen() <= 0 {
-		t.Fatal("MeanQueueLen should be positive after queueing")
+	if d.meanQueueLen() <= 0 {
+		t.Fatal("meanQueueLen should be positive after queueing")
 	}
 }
 
 func TestSubmitTwicePanics(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	r := &Request{Done: func() {}}
 	d.Submit(r)
 	defer func() {
@@ -204,7 +204,7 @@ func TestSubmitTwicePanics(t *testing.T) {
 
 func TestSubmitWithoutDonePanics(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil Done did not panic")
@@ -219,37 +219,37 @@ func TestNonPositiveAccessTimePanics(t *testing.T) {
 			t.Fatal("zero access time did not panic")
 		}
 	}()
-	New(sim.New(), 0, FCFS)
+	New(sim.New(), 0, fcfs)
 }
 
 func TestRequestStateAccessors(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	r1 := &Request{Done: func() {}}
 	r2 := &Request{Done: func() {}}
 	d.Submit(r1)
 	d.Submit(r2)
-	if !r1.InService() || r1.Queued() {
+	if !r1.InService() || r1.queued {
 		t.Fatal("r1 state wrong")
 	}
-	if r2.InService() || !r2.Queued() {
+	if r2.InService() || !r2.queued {
 		t.Fatal("r2 state wrong")
 	}
 	s.Run()
-	if r2.InService() || r2.Queued() {
+	if r2.InService() || r2.queued {
 		t.Fatal("completed request still active")
 	}
 }
 
 func TestDisciplineString(t *testing.T) {
-	if FCFS.String() != "fcfs" || Priority.String() != "priority" {
+	if fcfs.String() != "fcfs" || priority.String() != "priority" {
 		t.Fatal("Discipline.String wrong")
 	}
 }
 
 func TestSteadyStreamKeepsFIFOAcrossIdle(t *testing.T) {
 	s := sim.New()
-	d := New(s, 5*ms, FCFS)
+	d := New(s, 5*ms, fcfs)
 	var order []int
 	submit := func(i int, at time.Duration) {
 		s.At(sim.Time(at), func() {

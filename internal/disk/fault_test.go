@@ -36,7 +36,7 @@ func (f *fakeFaults) RetryPolicy() (int, time.Duration) { return f.limit, f.back
 
 func TestFaultServiceTimeInflation(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.SetFaults(&fakeFaults{inflate: func(now, base time.Duration) time.Duration { return 3 * base }})
 	var doneAt sim.Time = -1
 	d.Submit(&Request{Done: func() { doneAt = s.Now() }})
@@ -51,7 +51,7 @@ func TestFaultServiceTimeInflation(t *testing.T) {
 
 func TestTransientErrorRetriesWithBackoff(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.SetFaults(&fakeFaults{errs: []bool{true, true, false}, limit: 3, backoff: ms})
 	var doneAt sim.Time = -1
 	r := &Request{Done: func() { doneAt = s.Now() }}
@@ -68,15 +68,15 @@ func TestTransientErrorRetriesWithBackoff(t *testing.T) {
 	if r.Attempts() != 2 {
 		t.Fatalf("Attempts = %d, want 2", r.Attempts())
 	}
-	if d.Retried() != 2 || d.Failed() != 0 || d.Served() != 1 {
+	if d.Retried() != 2 || d.failed != 0 || d.served != 1 {
 		t.Fatalf("counters = (retried %d, failed %d, served %d), want (2, 0, 1)",
-			d.Retried(), d.Failed(), d.Served())
+			d.Retried(), d.failed, d.served)
 	}
 }
 
 func TestPermanentFailureAfterRetryLimit(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.SetFaults(&fakeFaults{errs: []bool{true, true, true}, limit: 2, backoff: ms})
 	var failed bool
 	doneAt := sim.Time(-1)
@@ -92,14 +92,14 @@ func TestPermanentFailureAfterRetryLimit(t *testing.T) {
 	if doneAt != sim.Time(33*ms) {
 		t.Fatalf("failed access completed at %v, want 33ms", doneAt)
 	}
-	if d.Retried() != 2 || d.Failed() != 1 {
-		t.Fatalf("counters = (retried %d, failed %d), want (2, 1)", d.Retried(), d.Failed())
+	if d.Retried() != 2 || d.failed != 1 {
+		t.Fatalf("counters = (retried %d, failed %d), want (2, 1)", d.Retried(), d.failed)
 	}
 }
 
 func TestCancelDuringRetryBackoff(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.SetFaults(&fakeFaults{errs: []bool{true}, limit: 3, backoff: 5 * ms})
 	done := false
 	r := &Request{Done: func() { done = true }}
@@ -107,7 +107,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	// At 12ms the request sits in its retry backoff (service ended at
 	// 10ms, retry due at 15ms): cancellation must remove it for good.
 	s.At(sim.Time(12*ms), func() {
-		if r.InService() || r.Queued() {
+		if r.InService() || r.queued {
 			t.Fatal("request not in retry backoff at 12ms")
 		}
 		if !d.Cancel(r) {
@@ -118,10 +118,10 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	if done {
 		t.Fatal("cancelled request completed")
 	}
-	if d.Cancelled() != 1 {
-		t.Fatalf("Cancelled = %d, want 1", d.Cancelled())
+	if d.cancelled != 1 {
+		t.Fatalf("Cancelled = %d, want 1", d.cancelled)
 	}
-	if d.Busy() || d.QueueLen() != 0 {
+	if d.busy() || d.queueLen() != 0 {
 		t.Fatal("disk not idle after cancelled retry")
 	}
 }
@@ -131,7 +131,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 // the current service.
 func TestDiskFreeDuringBackoff(t *testing.T) {
 	s := sim.New()
-	d := New(s, 10*ms, FCFS)
+	d := New(s, 10*ms, fcfs)
 	d.SetFaults(&fakeFaults{errs: []bool{true}, limit: 3, backoff: ms})
 	var order []string
 	d.Submit(&Request{Done: func() { order = append(order, "a") }})
@@ -144,7 +144,7 @@ func TestDiskFreeDuringBackoff(t *testing.T) {
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("completion order = %v, want [b a]", order)
 	}
-	if d.Served() != 2 || d.Retried() != 1 {
-		t.Fatalf("counters = (served %d, retried %d), want (2, 1)", d.Served(), d.Retried())
+	if d.served != 2 || d.Retried() != 1 {
+		t.Fatalf("counters = (served %d, retried %d), want (2, 1)", d.served, d.Retried())
 	}
 }

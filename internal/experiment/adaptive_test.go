@@ -27,8 +27,8 @@ func adaptiveDef() Definition {
 		ID: "adaptive-test", Title: "adaptive test", XLabel: "rate",
 		Xs: []float64{4, 10}, Seeds: 2,
 		Variants: []Variant{
-			{Name: "EDF-HP", Configure: mk(core.EDFHP)},
-			{Name: "CCA", Configure: mk(core.CCA)},
+			{name: "EDF-HP", configure: mk(core.EDFHP)},
+			{name: "CCA", configure: mk(core.CCA)},
 		},
 	}
 }
@@ -142,7 +142,7 @@ func TestAdaptiveCustomMetric(t *testing.T) {
 	zero.Add(0)
 	r, err := Run(context.Background(), def, Options{
 		Count: 60, TargetCI: 0.01, MaxSeeds: 9,
-		Metric: func(a *metrics.Aggregate) *stats.Accumulator { return zero },
+		metric: func(a *metrics.Aggregate) *stats.Accumulator { return zero },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ type replay struct {
 func headerFor(def Definition, opt Options, seeds, maxSeeds int) checkpointHeader {
 	names := make([]string, len(def.Variants))
 	for i, v := range def.Variants {
-		names[i] = v.Name
+		names[i] = v.name
 	}
 	faultStr := ""
 	if !opt.Fault.Zero() {
@@ -181,7 +181,7 @@ func loadCheckpoint(path string, def Definition, want checkpointHeader) (replay,
 			return fmt.Errorf("experiment %s: checkpoint %s line %d: run (%d,%d,%d) out of range",
 				def.ID, path, i+1, xi, vi, seed)
 		}
-		if x != def.Xs[xi] || variant != def.Variants[vi].Name {
+		if x != def.Xs[xi] || variant != def.Variants[vi].name {
 			return fmt.Errorf("experiment %s: checkpoint %s line %d: run does not match the sweep (x=%v variant=%q)",
 				def.ID, path, i+1, x, variant)
 		}
@@ -245,7 +245,7 @@ func loadCheckpoint(path string, def Definition, want checkpointHeader) (replay,
 			}
 			key := cellKey{xi: rec.Xi, vi: rec.Vi, seed: int(rec.Seed)}
 			rep.failures[key] = RunFailure{
-				Xi: rec.Xi, X: rec.X, Vi: rec.Vi, Variant: rec.Variant,
+				xi: rec.Xi, X: rec.X, vi: rec.Vi, Variant: rec.Variant,
 				Seed: rec.Seed, Attempts: rec.Attempts, Message: rec.Error,
 			}
 			delete(rep.runs, key)
@@ -287,7 +287,7 @@ func (c *checkpointWriter) record(def Definition, o outcome) error {
 		Xi:      o.xi,
 		X:       def.Xs[o.xi],
 		Vi:      o.vi,
-		Variant: def.Variants[o.vi].Name,
+		Variant: def.Variants[o.vi].name,
 		Seed:    o.seed,
 		Result:  o.res,
 	})
@@ -298,9 +298,9 @@ func (c *checkpointWriter) recordFailure(def Definition, f RunFailure) error {
 	return c.append(checkpointFailure{
 		Kind:     "failed",
 		Def:      def.ID,
-		Xi:       f.Xi,
+		Xi:       f.xi,
 		X:        f.X,
-		Vi:       f.Vi,
+		Vi:       f.vi,
 		Variant:  f.Variant,
 		Seed:     f.Seed,
 		Attempts: f.Attempts,

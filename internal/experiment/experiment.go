@@ -25,8 +25,8 @@
 // engine fails, e.g. an oracle violation under Options.Oracle) is retried
 // up to Options.MaxRetries times and then recorded as a failed seed — in
 // the checkpoint and in Result.Failures — instead of aborting the whole
-// sweep. Only deterministic errors (an invalid configuration, an Inspect
-// rejection) remain fatal: retrying them cannot help, and Inspect is how
+// sweep. Only deterministic errors (an invalid configuration, an inspect
+// rejection) remain fatal: retrying them cannot help, and inspect is how
 // invariant tests report violations.
 package experiment
 
@@ -48,18 +48,18 @@ import (
 // Variant is one curve of a figure: a name ("EDF-HP", "CCA", "5 TPS") and a
 // config builder evaluated at each sweep point.
 type Variant struct {
-	Name      string
-	Configure func(x float64, seed int64) core.Config
+	name      string
+	configure func(x float64, seed int64) core.Config
 }
 
 // Figure renders one paper figure (or table) from a completed sweep.
 type Figure struct {
 	ID     string
 	Title  string
-	Render func(def *Definition, r *Result) *report.Table
-	// Plot, when set, renders the figure as an ASCII chart in addition
+	render func(def *Definition, r *Result) *report.Table
+	// plot, when set, renders the figure as an ASCII chart in addition
 	// to the table (the terminal equivalent of the paper's graphs).
-	Plot func(def *Definition, r *Result) *plot.Chart
+	plot func(def *Definition, r *Result) *plot.Chart
 }
 
 // Definition is one parameter sweep reproducing one or more figures.
@@ -77,7 +77,7 @@ type Definition struct {
 // the completed seed runs of variant vi at sweep point xi (exactly the
 // fixed seed count, or the adaptive schedule's final n for the cell).
 type Result struct {
-	Def *Definition
+	def *Definition
 	Agg [][]*metrics.Aggregate
 	// Converged[xi][vi] reports whether the cell met the adaptive
 	// precision target (always true for fixed-seed runs; false for cells
@@ -91,9 +91,9 @@ type Result struct {
 
 // RunFailure describes one seed run that failed even after retries.
 type RunFailure struct {
-	Xi      int
+	xi      int
 	X       float64
-	Vi      int
+	vi      int
 	Variant string
 	Seed    int64
 	// Attempts is the total number of executions spent (1 + retries).
@@ -125,16 +125,16 @@ type Options struct {
 	// MaxSeeds caps the per-cell seed count in adaptive mode
 	// (0 = 4× the initial batch).
 	MaxSeeds int
-	// Metric picks the accumulator whose confidence interval drives
+	// metric picks the accumulator whose confidence interval drives
 	// adaptive convergence (nil = miss percent).
-	Metric func(*metrics.Aggregate) *stats.Accumulator
+	metric func(*metrics.Aggregate) *stats.Accumulator
 
 	// MaxRetries is how many extra attempts a failed run (a panic, or an
 	// engine error such as an oracle or watchdog violation) gets before
 	// its seed is recorded as failed and the sweep moves on without it
 	// (0 = fail on the first attempt). Deterministic errors — an invalid
-	// configuration, an Inspect rejection — are never retried: they are
-	// fatal, because retrying cannot change them and Inspect is how
+	// configuration, an inspect rejection — are never retried: they are
+	// fatal, because retrying cannot change them and inspect is how
 	// invariant tests report violations.
 	MaxRetries int
 	// Oracle attaches the runtime safety oracle (core.EnableOracle) to
@@ -160,24 +160,24 @@ type Options struct {
 	// (the sweep simply starts from scratch).
 	Resume bool
 
-	// Instrument, if set, is called after each engine is built and
+	// instrument, if set, is called after each engine is built and
 	// before it runs (e.g. to attach a trace recorder). Called
 	// concurrently from worker goroutines.
-	Instrument func(xi, vi int, seed int64, e *core.Engine)
-	// Inspect, if set, is called after each run completes; a non-nil
+	instrument func(xi, vi int, seed int64, e *core.Engine)
+	// inspect, if set, is called after each run completes; a non-nil
 	// error cancels the sweep. Called concurrently from worker
 	// goroutines.
-	Inspect func(xi, vi int, seed int64, e *core.Engine, res metrics.Result) error
+	inspect func(xi, vi int, seed int64, e *core.Engine, res metrics.Result) error
 	// CellDone, if set, receives each cell's final state (seed count and
 	// whether it met the precision target) as soon as the cell finishes.
 	// Called from Run's goroutine.
 	CellDone func(xi, vi, n int, converged bool)
 }
 
-// metric returns the convergence accumulator selector.
-func (o *Options) metric() func(*metrics.Aggregate) *stats.Accumulator {
-	if o.Metric != nil {
-		return o.Metric
+// convergenceMetric returns the convergence accumulator selector.
+func (o *Options) convergenceMetric() func(*metrics.Aggregate) *stats.Accumulator {
+	if o.metric != nil {
+		return o.metric
 	}
 	return func(a *metrics.Aggregate) *stats.Accumulator { return &a.MissPercent }
 }
@@ -196,7 +196,7 @@ type outcome struct {
 	// failure is the retryable failure message ("" on success): a panic
 	// or an engine/oracle/watchdog error.
 	failure string
-	// err is a fatal error that aborts the sweep (config or Inspect).
+	// err is a fatal error that aborts the sweep (config or inspect).
 	err error
 }
 
@@ -290,7 +290,7 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	metric := opt.metric()
+	metric := opt.convergenceMetric()
 
 	nx, nv := len(def.Xs), len(def.Variants)
 	if nx == 0 || nv == 0 {
@@ -419,14 +419,14 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 	handle := func(o outcome) {
 		if o.err != nil {
 			fail(fmt.Errorf("experiment %s: %s at %s=%v seed %d: %w",
-				def.ID, def.Variants[o.vi].Name, def.XLabel, def.Xs[o.xi], o.seed, o.err))
+				def.ID, def.Variants[o.vi].name, def.XLabel, def.Xs[o.xi], o.seed, o.err))
 			return
 		}
 		idx := o.xi*nv + o.vi
 		if o.failure != "" {
 			if o.attempt < opt.MaxRetries {
 				// Retry the same seed; a deterministic engine will fail
-				// again, but transient causes (a panicking Instrument
+				// again, but transient causes (a panicking instrument
 				// hook, an environmental hiccup) get their chance. On
 				// cancellation or a fatal error the retry is simply
 				// never dispatched.
@@ -436,7 +436,7 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 				return
 			}
 			f := RunFailure{
-				Xi: o.xi, X: def.Xs[o.xi], Vi: o.vi, Variant: def.Variants[o.vi].Name,
+				xi: o.xi, X: def.Xs[o.xi], vi: o.vi, Variant: def.Variants[o.vi].name,
 				Seed: o.seed, Attempts: o.attempt + 1, Message: o.failure,
 			}
 			cells[idx].failed[int(o.seed)] = f
@@ -497,7 +497,7 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 	}
 
 	r := &Result{
-		Def:       &def,
+		def:       &def,
 		Agg:       make([][]*metrics.Aggregate, nx),
 		Converged: make([][]bool, nx),
 	}
@@ -529,9 +529,9 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 // either a result, a retryable failure message (a panic anywhere between
 // engine construction and run completion, or an engine error such as an
 // oracle or watchdog violation), or a fatal error (an invalid
-// configuration, an Inspect rejection) that aborts the sweep.
+// configuration, an inspect rejection) that aborts the sweep.
 func runOne(def *Definition, opt *Options, j job) (metrics.Result, string, error) {
-	cfg := def.Variants[j.vi].Configure(def.Xs[j.xi], j.seed)
+	cfg := def.Variants[j.vi].configure(def.Xs[j.xi], j.seed)
 	if opt.Count > 0 {
 		cfg.Workload.Count = opt.Count
 	}
@@ -560,16 +560,16 @@ func runOne(def *Definition, opt *Options, j job) (metrics.Result, string, error
 				runErr = fmt.Errorf("panic: %v", p)
 			}
 		}()
-		if opt.Instrument != nil {
-			opt.Instrument(j.xi, j.vi, j.seed, e)
+		if opt.instrument != nil {
+			opt.instrument(j.xi, j.vi, j.seed, e)
 		}
 		res, runErr = e.Run()
 	}()
 	if runErr != nil {
 		return metrics.Result{}, runErr.Error(), nil
 	}
-	if opt.Inspect != nil {
-		if err := opt.Inspect(j.xi, j.vi, j.seed, e, res); err != nil {
+	if opt.inspect != nil {
+		if err := opt.inspect(j.xi, j.vi, j.seed, e, res); err != nil {
 			return metrics.Result{}, "", err
 		}
 	}
@@ -581,9 +581,9 @@ func (r *Result) Summary(xi, vi int) metrics.Result { return r.Agg[xi][vi].Summa
 
 // Tables renders every figure of the definition.
 func (r *Result) Tables() []*report.Table {
-	out := make([]*report.Table, 0, len(r.Def.Figures))
-	for _, f := range r.Def.Figures {
-		out = append(out, f.Render(r.Def, r))
+	out := make([]*report.Table, 0, len(r.def.Figures))
+	for _, f := range r.def.Figures {
+		out = append(out, f.render(r.def, r))
 	}
 	return out
 }
@@ -591,9 +591,9 @@ func (r *Result) Tables() []*report.Table {
 // Charts renders every figure that defines a chart.
 func (r *Result) Charts() []*plot.Chart {
 	var out []*plot.Chart
-	for _, f := range r.Def.Figures {
-		if f.Plot != nil {
-			out = append(out, f.Plot(r.Def, r))
+	for _, f := range r.def.Figures {
+		if f.plot != nil {
+			out = append(out, f.plot(r.def, r))
 		}
 	}
 	return out

@@ -59,9 +59,9 @@ func TestDefinitionsWellFormed(t *testing.T) {
 			t.Errorf("definition %q incomplete", d.ID)
 		}
 		for _, v := range d.Variants {
-			cfg := v.Configure(d.Xs[0], 1)
+			cfg := v.configure(d.Xs[0], 1)
 			if err := cfg.Validate(); err != nil {
-				t.Errorf("%s/%s: invalid config at x=%v: %v", d.ID, v.Name, d.Xs[0], err)
+				t.Errorf("%s/%s: invalid config at x=%v: %v", d.ID, v.name, d.Xs[0], err)
 			}
 		}
 	}
@@ -150,13 +150,13 @@ func TestSummaryPreservesCommitCounts(t *testing.T) {
 	for vi := range def.Variants {
 		s := r.Summary(0, vi)
 		if s.Committed != count {
-			t.Errorf("%s: Summary.Committed = %d, want %d", def.Variants[vi].Name, s.Committed, count)
+			t.Errorf("%s: Summary.Committed = %d, want %d", def.Variants[vi].name, s.Committed, count)
 		}
 		if s.Dropped != 0 {
-			t.Errorf("%s: Summary.Dropped = %d, want 0 (soft deadlines)", def.Variants[vi].Name, s.Dropped)
+			t.Errorf("%s: Summary.Dropped = %d, want 0 (soft deadlines)", def.Variants[vi].name, s.Dropped)
 		}
 		if s.Elapsed <= 0 {
-			t.Errorf("%s: Summary.Elapsed = %v, want > 0", def.Variants[vi].Name, s.Elapsed)
+			t.Errorf("%s: Summary.Elapsed = %v, want > 0", def.Variants[vi].name, s.Elapsed)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func TestSummaryPreservesCommitCounts(t *testing.T) {
 func TestRunErrorLeaksNoGoroutines(t *testing.T) {
 	def := Definition{
 		ID: "leak", Title: "leak", XLabel: "x", Xs: make([]float64, 40), Seeds: 5,
-		Variants: []Variant{{Name: "bad", Configure: func(x float64, seed int64) core.Config {
+		Variants: []Variant{{name: "bad", configure: func(x float64, seed int64) core.Config {
 			return core.Config{} // invalid: every job fails validation
 		}}},
 	}
@@ -193,7 +193,7 @@ func TestRunErrorLeaksNoGoroutines(t *testing.T) {
 func TestRunPropagatesEngineErrors(t *testing.T) {
 	def := Definition{
 		ID: "bad", Title: "bad", XLabel: "x", Xs: []float64{1}, Seeds: 1,
-		Variants: []Variant{{Name: "b", Configure: func(x float64, seed int64) core.Config {
+		Variants: []Variant{{name: "b", configure: func(x float64, seed int64) core.Config {
 			return core.Config{} // invalid: fails validation
 		}}},
 	}

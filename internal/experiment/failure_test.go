@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// crashOn returns an Instrument hook that panics on one (xi, vi, seed)
+// crashOn returns an instrument hook that panics on one (xi, vi, seed)
 // cell, n times in a row (counting attempts), then lets it run normally.
 func crashOn(xi, vi int, seed int64, times int) func(int, int, int64, *core.Engine) {
 	hits := 0
@@ -36,7 +36,7 @@ func TestPanicRecordedAsFailure(t *testing.T) {
 	def.Xs = []float64{6}
 	r, err := Run(context.Background(), def, Options{
 		Seeds: 3, Count: 60, MaxRetries: 1,
-		Instrument: crashOn(0, 1, 2, 99),
+		instrument: crashOn(0, 1, 2, 99),
 	})
 	if err != nil {
 		t.Fatalf("panicking seed aborted the sweep: %v", err)
@@ -45,7 +45,7 @@ func TestPanicRecordedAsFailure(t *testing.T) {
 		t.Fatalf("failures = %+v, want exactly one", r.Failures)
 	}
 	f := r.Failures[0]
-	if f.Xi != 0 || f.Vi != 1 || f.Seed != 2 {
+	if f.xi != 0 || f.vi != 1 || f.Seed != 2 {
 		t.Fatalf("failure at wrong cell: %+v", f)
 	}
 	if f.Attempts != 2 {
@@ -54,7 +54,7 @@ func TestPanicRecordedAsFailure(t *testing.T) {
 	if !strings.Contains(f.Message, "injected crash") {
 		t.Fatalf("failure message lost the panic value: %q", f.Message)
 	}
-	if f.Variant != def.Variants[1].Name || f.X != 6 {
+	if f.Variant != def.Variants[1].name || f.X != 6 {
 		t.Fatalf("failure metadata wrong: %+v", f)
 	}
 	// The crashed cell still aggregates its two healthy seeds; the other
@@ -74,7 +74,7 @@ func TestRetrySalvagesTransientPanic(t *testing.T) {
 	def.Xs = []float64{6}
 	r, err := Run(context.Background(), def, Options{
 		Seeds: 2, Count: 60, MaxRetries: 2,
-		Instrument: crashOn(0, 0, 1, 1), // crash once, succeed on retry
+		instrument: crashOn(0, 0, 1, 1), // crash once, succeed on retry
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRetrySalvagesTransientPanic(t *testing.T) {
 	// Same crash without a retry budget is a failure.
 	r, err = Run(context.Background(), def, Options{
 		Seeds: 2, Count: 60,
-		Instrument: crashOn(0, 0, 1, 1),
+		instrument: crashOn(0, 0, 1, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestFailureDeterministicAcrossWorkers(t *testing.T) {
 	mk := func(workers int) *Result {
 		r, err := Run(context.Background(), def, Options{
 			Seeds: 3, Count: 60, Workers: workers,
-			Instrument: crashOn(1, 0, 2, 99),
+			instrument: crashOn(1, 0, 2, 99),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestFailureCheckpointedAndResumable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	opt := Options{
 		Seeds: 3, Count: 60, CheckpointPath: path, MaxRetries: 1,
-		Instrument: crashOn(0, 0, 1, 99),
+		instrument: crashOn(0, 0, 1, 99),
 	}
 	first, err := Run(context.Background(), def, opt)
 	if err != nil {
@@ -167,11 +167,11 @@ func TestFailureCheckpointedAndResumable(t *testing.T) {
 		t.Fatalf("no failed record in checkpoint:\n%s", data)
 	}
 
-	// Resume with an Instrument that would crash *any* run: nothing may
+	// Resume with an instrument that would crash *any* run: nothing may
 	// execute, and the failure must come back from the checkpoint.
 	resumeOpt := opt
 	resumeOpt.Resume = true
-	resumeOpt.Instrument = func(int, int, int64, *core.Engine) { panic("resume re-ran a run") }
+	resumeOpt.instrument = func(int, int, int64, *core.Engine) { panic("resume re-ran a run") }
 	second, err := Run(context.Background(), def, resumeOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestRunRecordSupersedesFailed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	// First sweep: seed 1 fails and is checkpointed as such.
-	opt := Options{Seeds: 2, Count: 60, CheckpointPath: path, Instrument: crashOn(0, 0, 1, 99)}
+	opt := Options{Seeds: 2, Count: 60, CheckpointPath: path, instrument: crashOn(0, 0, 1, 99)}
 	if _, err := Run(context.Background(), def, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRunRecordSupersedesFailed(t *testing.T) {
 
 	resumed, err := Run(context.Background(), def, Options{
 		Seeds: 2, Count: 60, CheckpointPath: path, Resume: true,
-		Instrument: func(int, int, int64, *core.Engine) { panic("resume re-ran a run") },
+		instrument: func(int, int, int64, *core.Engine) { panic("resume re-ran a run") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestRunRecordSupersedesFailed(t *testing.T) {
 // seedResult runs one (xi=0, vi=0, seed) cell of def directly.
 func seedResult(t *testing.T, def Definition, seed int64) metrics.Result {
 	t.Helper()
-	cfg := def.Variants[0].Configure(def.Xs[0], seed)
+	cfg := def.Variants[0].configure(def.Xs[0], seed)
 	cfg.Workload.Count = 60
 	e, err := core.New(cfg)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestEngineErrorRetriedThenRecorded(t *testing.T) {
 	def.Xs = []float64{6}
 	r, err := Run(context.Background(), def, Options{
 		Seeds: 2, Count: 60, Oracle: true, MaxRetries: 1,
-		Instrument: func(xi, vi int, seed int64, e *core.Engine) {
+		instrument: func(xi, vi int, seed int64, e *core.Engine) {
 			if xi == 0 && vi == 0 && seed == 1 {
 				// A lower-priority transaction wounding a higher-priority
 				// one violates Lemma 1 under both mm-rate variants.
@@ -290,10 +290,10 @@ func TestOptionFaultAndAdmissionApplied(t *testing.T) {
 	}
 	for vi := range def.Variants {
 		if r.Agg[0][vi].FaultAborts.Mean() == 0 {
-			t.Fatalf("%s: Options.Fault did not reach the engine", def.Variants[vi].Name)
+			t.Fatalf("%s: Options.Fault did not reach the engine", def.Variants[vi].name)
 		}
 		if r.Agg[0][vi].Rejected.Mean() == 0 {
-			t.Fatalf("%s: Options.Admission did not reach the engine", def.Variants[vi].Name)
+			t.Fatalf("%s: Options.Admission did not reach the engine", def.Variants[vi].name)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func curveTable(title, xLabel string, metric string, pick func(*metrics.Aggregat
 	return func(def *Definition, r *Result) *report.Table {
 		cols := []string{xLabel}
 		for _, v := range def.Variants {
-			cols = append(cols, v.Name+" "+metric, "±95% (n)")
+			cols = append(cols, v.name+" "+metric, "±95% (n)")
 		}
 		t := report.NewTable(title, cols...)
 		for xi, x := range def.Xs {
@@ -121,7 +121,7 @@ func curveChart(title, xLabel, yLabel string, pick func(*metrics.Aggregate) *sta
 			for xi := range def.Xs {
 				ys[xi] = pick(r.Agg[xi][vi]).Mean()
 			}
-			c.Series = append(c.Series, plot.Series{Name: v.Name, Ys: ys})
+			c.Series = append(c.Series, plot.Series{Name: v.name, Ys: ys})
 		}
 		return c
 	}
@@ -151,8 +151,8 @@ func curveFigure(id, figTitle, tableTitle, xLabel, metric string, pick func(*met
 	return Figure{
 		ID:     id,
 		Title:  figTitle,
-		Render: curveTable(tableTitle, xLabel, metric, pick),
-		Plot:   curveChart(tableTitle, xLabel, metric, pick),
+		render: curveTable(tableTitle, xLabel, metric, pick),
+		plot:   curveChart(tableTitle, xLabel, metric, pick),
 	}
 }
 
@@ -161,8 +161,8 @@ func improvementFigure(id, figTitle, tableTitle, xLabel string) Figure {
 	return Figure{
 		ID:     id,
 		Title:  figTitle,
-		Render: improvementTable(tableTitle, xLabel),
-		Plot:   improvementChart(tableTitle, xLabel),
+		render: improvementTable(tableTitle, xLabel),
+		plot:   improvementChart(tableTitle, xLabel),
 	}
 }
 
@@ -179,7 +179,7 @@ func classTable(title, xLabel string) func(*Definition, *Result) *report.Table {
 		cols := []string{xLabel}
 		for _, v := range def.Variants {
 			for _, c := range classes {
-				cols = append(cols, fmt.Sprintf("%s c%d miss%%", v.Name, c))
+				cols = append(cols, fmt.Sprintf("%s c%d miss%%", v.name, c))
 			}
 		}
 		t := report.NewTable(title, cols...)
@@ -225,12 +225,12 @@ func seq(from, to, step float64) []float64 {
 // (grouped by sweep) plus the extension ablations.
 func All() []Definition {
 	edfVsCCAmm := []Variant{
-		{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, setRate)},
-		{Name: "CCA", Configure: mmVariant(core.CCA, setRate)},
+		{name: "EDF-HP", configure: mmVariant(core.EDFHP, setRate)},
+		{name: "CCA", configure: mmVariant(core.CCA, setRate)},
 	}
 	edfVsCCAdisk := []Variant{
-		{Name: "EDF-HP", Configure: diskVariant(core.EDFHP, setRate)},
-		{Name: "CCA", Configure: diskVariant(core.CCA, setRate)},
+		{name: "EDF-HP", configure: diskVariant(core.EDFHP, setRate)},
+		{name: "CCA", configure: diskVariant(core.CCA, setRate)},
 	}
 
 	return []Definition{
@@ -259,8 +259,8 @@ func All() []Definition {
 			Xs:     seq(0.2, 1.8, 0.2),
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, highVarianceRate)},
-				{Name: "CCA", Configure: mmVariant(core.CCA, highVarianceRate)},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, highVarianceRate)},
+				{name: "CCA", configure: mmVariant(core.CCA, highVarianceRate)},
 			},
 			Figures: []Figure{
 				curveFigure("4d", "Figure 4.d — miss percent with 0.4/4/40 ms update classes",
@@ -268,7 +268,7 @@ func All() []Definition {
 				improvementFigure("4e", "Figure 4.e — improvement with high variance",
 					"Figure 4.e — improvement of CCA over EDF-HP (%)", "rate"),
 				{ID: "4class", Title: "Per-class miss percent (extension: which update-time class suffers)",
-					Render: classTable("Per-class miss percent (high variance; classes 0.4/4/40 ms)", "rate")},
+					render: classTable("Per-class miss percent (high variance; classes 0.4/4/40 ms)", "rate")},
 			},
 		},
 		{
@@ -278,8 +278,8 @@ func All() []Definition {
 			Xs:     seq(100, 1000, 100),
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 10 })},
-				{Name: "CCA", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 10 })},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 10 })},
+				{name: "CCA", configure: mmVariant(core.CCA, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 10 })},
 			},
 			Figures: []Figure{
 				curveFigure("4f", "Figure 4.f — miss percent vs database size (main memory, rate 10)",
@@ -293,8 +293,8 @@ func All() []Definition {
 			Xs:     []float64{0, 0.5, 1, 2, 5, 10, 15, 20},
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "5 TPS", Configure: mmVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 5 })},
-				{Name: "8 TPS", Configure: mmVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 8 })},
+				{name: "5 TPS", configure: mmVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 5 })},
+				{name: "8 TPS", configure: mmVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 8 })},
 			},
 			Figures: []Figure{
 				curveFigure("5a", "Figure 5.a — miss percent vs penalty-weight (main memory, 5 and 8 tr/s)",
@@ -326,8 +326,8 @@ func All() []Definition {
 			Xs:     seq(100, 600, 100),
 			Seeds:  30,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 4 })},
-				{Name: "CCA", Configure: diskVariant(core.CCA, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 4 })},
+				{name: "EDF-HP", configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 4 })},
+				{name: "CCA", configure: diskVariant(core.CCA, func(c *core.Config, x float64) { setDBSize(c, x); c.Workload.ArrivalRate = 4 })},
 			},
 			Figures: []Figure{
 				curveFigure("5e", "Figure 5.e — miss percent vs database size (disk resident, rate 4)",
@@ -341,7 +341,7 @@ func All() []Definition {
 			Xs:     []float64{0, 0.5, 1, 2, 5, 10, 15, 20},
 			Seeds:  30,
 			Variants: []Variant{
-				{Name: "4 TPS", Configure: diskVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 4 })},
+				{name: "4 TPS", configure: diskVariant(core.CCA, func(c *core.Config, w float64) { c.PenaltyWeight = w; c.Workload.ArrivalRate = 4 })},
 			},
 			Figures: []Figure{
 				curveFigure("5f", "Figure 5.f — miss percent vs penalty-weight (disk resident, 4 tr/s)",
@@ -357,14 +357,14 @@ func All() []Definition {
 			Xs:     []float64{2, 4, 6, 8, 10},
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "CCA", Configure: mmVariant(core.CCA, setRate)},
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, setRate)},
-				{Name: "EDF-WP", Configure: mmVariant(core.EDFWP, setRate)},
-				{Name: "LSF-HP", Configure: mmVariant(core.LSFHP, setRate)},
-				{Name: "EDF-CR", Configure: mmVariant(core.EDFCR, setRate)},
-				{Name: "AED", Configure: mmVariant(core.AED, setRate)},
-				{Name: "PCP", Configure: mmVariant(core.PCP, setRate)},
-				{Name: "FCFS", Configure: mmVariant(core.FCFS, setRate)},
+				{name: "CCA", configure: mmVariant(core.CCA, setRate)},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, setRate)},
+				{name: "EDF-WP", configure: mmVariant(core.EDFWP, setRate)},
+				{name: "LSF-HP", configure: mmVariant(core.LSFHP, setRate)},
+				{name: "EDF-CR", configure: mmVariant(core.EDFCR, setRate)},
+				{name: "AED", configure: mmVariant(core.AED, setRate)},
+				{name: "PCP", configure: mmVariant(core.PCP, setRate)},
+				{name: "FCFS", configure: mmVariant(core.FCFS, setRate)},
 			},
 			Figures: []Figure{
 				curveFigure("ab-pol-miss", "Ablation — miss percent across policies",
@@ -380,14 +380,14 @@ func All() []Definition {
 			Xs:     []float64{0, 0.5, 1, 2, 4},
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { c.RecoveryProportionalFactor = x; c.Workload.ArrivalRate = 8 })},
-				{Name: "CCA", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) { c.RecoveryProportionalFactor = x; c.Workload.ArrivalRate = 8 })},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { c.RecoveryProportionalFactor = x; c.Workload.ArrivalRate = 8 })},
+				{name: "CCA", configure: mmVariant(core.CCA, func(c *core.Config, x float64) { c.RecoveryProportionalFactor = x; c.Workload.ArrivalRate = 8 })},
 			},
 			Figures: []Figure{
 				{ID: "ab-rec-miss", Title: "Ablation — miss percent vs recovery cost factor",
-					Render: curveTable("Ablation — miss percent vs proportional recovery factor (rate 8)", "factor", "miss%", missAcc)},
+					render: curveTable("Ablation — miss percent vs proportional recovery factor (rate 8)", "factor", "miss%", missAcc)},
 				{ID: "ab-rec-imp", Title: "Ablation — CCA improvement vs recovery cost factor",
-					Render: improvementTable("Ablation — improvement of CCA over EDF-HP (%)", "factor")},
+					render: improvementTable("Ablation — improvement of CCA over EDF-HP (%)", "factor")},
 			},
 		},
 		{
@@ -404,12 +404,12 @@ func All() []Definition {
 			// exists under low-to-moderate contention (pairwise conflict
 			// probability ≈ 1-(1-20/4000)^20 ≈ 10%).
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) {
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) {
 					c.NumCPUs = int(x)
 					c.Workload.DBSize = 4000
 					c.Workload.ArrivalRate = 8 * x
 				})},
-				{Name: "CCA", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) {
+				{name: "CCA", configure: mmVariant(core.CCA, func(c *core.Config, x float64) {
 					c.NumCPUs = int(x)
 					c.Workload.DBSize = 4000
 					c.Workload.ArrivalRate = 8 * x
@@ -417,7 +417,7 @@ func All() []Definition {
 			},
 			Figures: []Figure{
 				{ID: "ab-mp-miss", Title: "Ablation — miss percent vs CPU count (rate = 8 tr/s per CPU, 4000-object DB)",
-					Render: curveTable("Ablation — miss percent vs CPUs (rate 8/CPU, DB 4000)", "CPUs", "miss%", missAcc)},
+					render: curveTable("Ablation — miss percent vs CPUs (rate 8/CPU, DB 4000)", "CPUs", "miss%", missAcc)},
 			},
 		},
 		{
@@ -427,12 +427,12 @@ func All() []Definition {
 			Xs:     []float64{0, 0.25, 0.5, 0.75},
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { c.Workload.ReadFraction = x; c.Workload.ArrivalRate = 8 })},
-				{Name: "CCA", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) { c.Workload.ReadFraction = x; c.Workload.ArrivalRate = 8 })},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { c.Workload.ReadFraction = x; c.Workload.ArrivalRate = 8 })},
+				{name: "CCA", configure: mmVariant(core.CCA, func(c *core.Config, x float64) { c.Workload.ReadFraction = x; c.Workload.ArrivalRate = 8 })},
 			},
 			Figures: []Figure{
 				{ID: "ab-read-miss", Title: "Ablation — miss percent vs read fraction",
-					Render: curveTable("Ablation — miss percent vs read fraction (rate 8)", "read frac", "miss%", missAcc)},
+					render: curveTable("Ablation — miss percent vs read fraction (rate 8)", "read frac", "miss%", missAcc)},
 			},
 		},
 		{
@@ -445,9 +445,9 @@ func All() []Definition {
 			// are where refinement can matter: a transaction's untaken
 			// branch is then a meaningful fraction of its claim.
 			Variants: []Variant{
-				{Name: "CCA pre-analysis", Configure: diskVariant(core.CCA, conditionalWorkload(false))},
-				{Name: "CCA pessimistic", Configure: diskVariant(core.CCA, conditionalWorkload(true))},
-				{Name: "EDF-HP", Configure: diskVariant(core.EDFHP, conditionalWorkload(false))},
+				{name: "CCA pre-analysis", configure: diskVariant(core.CCA, conditionalWorkload(false))},
+				{name: "CCA pessimistic", configure: diskVariant(core.CCA, conditionalWorkload(true))},
+				{name: "EDF-HP", configure: diskVariant(core.EDFHP, conditionalWorkload(false))},
 			},
 			Figures: []Figure{
 				curveFigure("ab-cond-miss", "Ablation — miss percent with decision-point workloads",
@@ -463,9 +463,9 @@ func All() []Definition {
 			Xs:     seq(3, 9, 1),
 			Seeds:  15,
 			Variants: []Variant{
-				{Name: "CCA 1-disk", Configure: diskVariant(core.CCA, setRate)},
-				{Name: "CCA 2-disk", Configure: diskVariant(core.CCA, func(c *core.Config, x float64) { setRate(c, x); c.NumDisks = 2 })},
-				{Name: "EDF-HP 2-disk", Configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) { setRate(c, x); c.NumDisks = 2 })},
+				{name: "CCA 1-disk", configure: diskVariant(core.CCA, setRate)},
+				{name: "CCA 2-disk", configure: diskVariant(core.CCA, func(c *core.Config, x float64) { setRate(c, x); c.NumDisks = 2 })},
+				{name: "EDF-HP 2-disk", configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) { setRate(c, x); c.NumDisks = 2 })},
 			},
 			Figures: []Figure{
 				curveFigure("ab-disk2-miss", "Ablation — miss percent with 1 vs 2 disks",
@@ -479,9 +479,9 @@ func All() []Definition {
 			Xs:     seq(4, 12, 2),
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
-				{Name: "CCA", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
-				{Name: "AED", Configure: mmVariant(core.AED, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
+				{name: "CCA", configure: mmVariant(core.CCA, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
+				{name: "AED", configure: mmVariant(core.AED, func(c *core.Config, x float64) { setRate(c, x); c.FirmDeadlines = true })},
 			},
 			Figures: []Figure{
 				curveFigure("ab-firm-miss", "Ablation — miss percent (dropped+late) under firm deadlines",
@@ -500,9 +500,9 @@ func All() []Definition {
 			// races to 100. Shedding infeasible arrivals trades a few
 			// certain rejections for a backlog the CPU can still serve.
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: mmVariant(core.EDFHP, setRate)},
-				{Name: "CCA", Configure: mmVariant(core.CCA, setRate)},
-				{Name: "CCA+reject", Configure: mmVariant(core.CCA, func(c *core.Config, x float64) {
+				{name: "EDF-HP", configure: mmVariant(core.EDFHP, setRate)},
+				{name: "CCA", configure: mmVariant(core.CCA, setRate)},
+				{name: "CCA+reject", configure: mmVariant(core.CCA, func(c *core.Config, x float64) {
 					setRate(c, x)
 					c.Admission = core.AdmissionConfig{Mode: core.RejectInfeasible}
 				})},
@@ -511,7 +511,7 @@ func All() []Definition {
 				curveFigure("ab-over-miss", "Ablation — miss percent past saturation, with and without admission control",
 					"Ablation — overload: miss percent (rejected counts as missed)", "rate", "miss%", missAcc),
 				{ID: "ab-over-rej", Title: "Ablation — rejected transactions per run under admission control",
-					Render: curveTable("Ablation — overload: rejections per run", "rate", "rejected", rejectedAcc)},
+					render: curveTable("Ablation — overload: rejections per run", "rate", "rejected", rejectedAcc)},
 				curveFigure("ab-over-late", "Ablation — mean lateness of served transactions past saturation",
 					"Ablation — overload: mean lateness of commits (ms)", "rate", "lateness", latenessAcc),
 			},
@@ -523,10 +523,10 @@ func All() []Definition {
 			Xs:     seq(8, 14, 2),
 			Seeds:  10,
 			Variants: []Variant{
-				{Name: "EDF-HP", Configure: predictWorkload(core.EDFHP)},
-				{Name: "CCA", Configure: predictWorkload(core.CCA)},
-				{Name: "CCA-P", Configure: predictWorkload(core.CCAP)},
-				{Name: "CCA-T", Configure: predictWorkload(core.CCAT)},
+				{name: "EDF-HP", configure: predictWorkload(core.EDFHP)},
+				{name: "CCA", configure: predictWorkload(core.CCA)},
+				{name: "CCA-P", configure: predictWorkload(core.CCAP)},
+				{name: "CCA-T", configure: predictWorkload(core.CCAT)},
 			},
 			Figures: []Figure{
 				curveFigure("ab-pred-miss", "Ablation — miss percent, static vs predicted vs tuned penalty",
@@ -549,15 +549,15 @@ func All() []Definition {
 			// under EDF-HP, whose noncontributing executions do queue
 			// concurrent disk requests.
 			Variants: []Variant{
-				{Name: "EDFHP/FCFS-disk", Configure: diskVariant(core.EDFHP, setRate)},
-				{Name: "EDFHP/prio-disk", Configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) {
+				{name: "EDFHP/FCFS-disk", configure: diskVariant(core.EDFHP, setRate)},
+				{name: "EDFHP/prio-disk", configure: diskVariant(core.EDFHP, func(c *core.Config, x float64) {
 					setRate(c, x)
-					c.DiskDiscipline = 1 // disk.Priority
+					c.DiskDiscipline = 1 // disk.priority
 				})},
 			},
 			Figures: []Figure{
 				{ID: "ab-dq-miss", Title: "Ablation — miss percent, FCFS vs priority disk queue (EDF-HP)",
-					Render: curveTable("Ablation — EDF-HP miss percent, FCFS vs priority disk queue", "rate", "miss%", missAcc)},
+					render: curveTable("Ablation — EDF-HP miss percent, FCFS vs priority disk queue", "rate", "miss%", missAcc)},
 			},
 		},
 	}

@@ -15,7 +15,7 @@ import (
 
 // TestAdaptiveRunUpholdsPaperGuarantees is the end-to-end property test of
 // the orchestration layer: random configurations executed *through* the
-// adaptive runner (Instrument/Inspect hooks, worker pool, adaptive
+// adaptive runner (instrument/inspect hooks, worker pool, adaptive
 // schedule) still uphold the paper's correctness results on every single
 // run —
 //
@@ -40,8 +40,8 @@ func TestAdaptiveRunUpholdsPaperGuarantees(t *testing.T) {
 			Xs:    []float64{4 + 4*rng.Float64(), 8 + 6*rng.Float64()},
 			Seeds: 2,
 			Variants: []Variant{{
-				Name: polNames[trial%len(pols)],
-				Configure: func(x float64, seed int64) core.Config {
+				name: polNames[trial%len(pols)],
+				configure: func(x float64, seed int64) core.Config {
 					cfg := core.MainMemoryConfig(pol, seed)
 					cfg.Workload.ArrivalRate = x
 					cfg.Workload.DBSize = dbSize
@@ -53,7 +53,7 @@ func TestAdaptiveRunUpholdsPaperGuarantees(t *testing.T) {
 			}},
 		}
 
-		// Instrument attaches a wound trace pre-run; Inspect retrieves it
+		// instrument attaches a wound trace pre-run; inspect retrieves it
 		// post-run. Both are called concurrently from worker goroutines.
 		var mu sync.Mutex
 		bufs := map[[3]int64]*trace.Buffer{}
@@ -61,14 +61,14 @@ func TestAdaptiveRunUpholdsPaperGuarantees(t *testing.T) {
 
 		r, err := Run(context.Background(), def, Options{
 			Count: 80, TargetCI: 0.1, MaxSeeds: 4,
-			Instrument: func(xi, vi int, seed int64, e *core.Engine) {
+			instrument: func(xi, vi int, seed int64, e *core.Engine) {
 				buf := &trace.Buffer{Filter: func(ev trace.Event) bool { return ev.Kind == trace.Wound }}
 				e.SetRecorder(buf)
 				mu.Lock()
 				bufs[key(xi, vi, seed)] = buf
 				mu.Unlock()
 			},
-			Inspect: func(xi, vi int, seed int64, e *core.Engine, res metrics.Result) error {
+			inspect: func(xi, vi int, seed int64, e *core.Engine, res metrics.Result) error {
 				if ok, cycle := e.History().Serializable(); !ok {
 					return fmt.Errorf("history not serializable: cycle %v", cycle)
 				}

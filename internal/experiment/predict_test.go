@@ -21,7 +21,7 @@ func TestAblationPredictEndToEnd(t *testing.T) {
 	}
 	names := make([]string, len(def.Variants))
 	for i, v := range def.Variants {
-		names[i] = v.Name
+		names[i] = v.name
 	}
 	if got := strings.Join(names, ","); got != "EDF-HP,CCA,CCA-P,CCA-T" {
 		t.Fatalf("variants = %s", got)

@@ -210,9 +210,6 @@ func NewInjector(seed int64, p Plan) *Injector {
 	}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // ServiceTime returns the possibly-inflated service time of one disk
 // access starting at the given simulated instant. It implements the disk
 // package's Faults hook.

@@ -68,9 +68,9 @@ func (p FilePlan) Validate() error {
 	return nil
 }
 
-// ParseFilePlan decodes a file plan from JSON, rejecting unknown fields
+// parseFilePlan decodes a file plan from JSON, rejecting unknown fields
 // so a typo cannot silently disable a fault.
-func ParseFilePlan(data []byte) (FilePlan, error) {
+func parseFilePlan(data []byte) (FilePlan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p FilePlan
@@ -80,15 +80,15 @@ func ParseFilePlan(data []byte) (FilePlan, error) {
 	return p, p.Validate()
 }
 
-// FileError is the error injected for torn writes and fsync failures,
+// fileError is the error injected for torn writes and fsync failures,
 // distinguishable from real I/O errors in tests and logs.
-type FileError struct {
-	Op   string // "write" or "sync"
-	Name string // file name as passed to WrapFile
+type fileError struct {
+	op   string // "write" or "sync"
+	name string // file name as passed to WrapFile
 }
 
-func (e *FileError) Error() string {
-	return fmt.Sprintf("fault: injected %s error on %s", e.Op, e.Name)
+func (e *fileError) Error() string {
+	return fmt.Sprintf("fault: injected %s error on %s", e.op, e.name)
 }
 
 // WrapFile wraps f so its writes and syncs draw faults from the stream
@@ -127,7 +127,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		return n, &FileError{Op: "write", Name: ff.name}
+		return n, &fileError{op: "write", name: ff.name}
 	case short && len(p) > 1:
 		cut := 1 + ff.st.Intn(len(p)-1)
 		return ff.f.Write(p[:cut])
@@ -143,7 +143,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 
 func (ff *faultFile) Sync() error {
 	if ff.st.Float64() < ff.plan.SyncErrProb {
-		return &FileError{Op: "sync", Name: ff.name}
+		return &fileError{op: "sync", name: ff.name}
 	}
 	return ff.f.Sync()
 }

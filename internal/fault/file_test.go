@@ -36,10 +36,10 @@ func TestFilePlanValidate(t *testing.T) {
 	if err := (FilePlan{SyncErrProb: -0.1}).Validate(); err == nil {
 		t.Fatal("negative probability accepted")
 	}
-	if _, err := ParseFilePlan([]byte(`{"torn_write_prob":0.5,"typo":1}`)); err == nil {
+	if _, err := parseFilePlan([]byte(`{"torn_write_prob":0.5,"typo":1}`)); err == nil {
 		t.Fatal("unknown JSON field accepted")
 	}
-	p, err := ParseFilePlan([]byte(`{"torn_write_prob":0.25,"sync_err_prob":0.5}`))
+	p, err := parseFilePlan([]byte(`{"torn_write_prob":0.25,"sync_err_prob":0.5}`))
 	if err != nil || p.TornWriteProb != 0.25 || p.SyncErrProb != 0.5 {
 		t.Fatalf("parse: %+v, %v", p, err)
 	}
@@ -86,8 +86,8 @@ func TestFileFaultShapes(t *testing.T) {
 	f := &recFile{}
 	w := WrapFile(1, FilePlan{TornWriteProb: 1}, "t", f)
 	n, err := w.Write(make([]byte, 100))
-	var fe *FileError
-	if !errors.As(err, &fe) || fe.Op != "write" || n != len(f.data) || n >= 100 {
+	var fe *fileError
+	if !errors.As(err, &fe) || fe.op != "write" || n != len(f.data) || n >= 100 {
 		t.Fatalf("torn write: n=%d err=%v disk=%d", n, err, len(f.data))
 	}
 
@@ -121,7 +121,7 @@ func TestFileFaultShapes(t *testing.T) {
 
 	f = &recFile{}
 	w = WrapFile(1, FilePlan{SyncErrProb: 1}, "t", f)
-	if err := w.Sync(); !errors.As(err, &fe) || fe.Op != "sync" || f.syncs != 0 {
+	if err := w.Sync(); !errors.As(err, &fe) || fe.op != "sync" || f.syncs != 0 {
 		t.Fatalf("sync error: %v (syncs=%d)", err, f.syncs)
 	}
 	if err := w.Close(); err != nil || f.closes != 1 {

@@ -40,7 +40,7 @@ type Op struct {
 	Txn  int
 	Item txn.Item
 	Kind Kind
-	At   time.Duration
+	at   time.Duration
 	seq  uint64
 }
 
@@ -64,7 +64,7 @@ func New() *History {
 // Add records one access of the current incarnation of t.
 func (h *History) Add(t int, item txn.Item, kind Kind, at time.Duration) {
 	h.seq++
-	h.pending[t] = append(h.pending[t], Op{Txn: t, Item: item, Kind: kind, At: at, seq: h.seq})
+	h.pending[t] = append(h.pending[t], Op{Txn: t, Item: item, Kind: kind, at: at, seq: h.seq})
 }
 
 // Abort discards the current incarnation's operations (their effects were

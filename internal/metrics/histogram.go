@@ -125,8 +125,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Merge adds other's buckets into h (bucket-wise sum; max of maxes).
-func (h *Histogram) Merge(other *Histogram) {
+// merge adds other's buckets into h (bucket-wise sum; max of maxes).
+func (h *Histogram) merge(other *Histogram) {
 	if other == nil {
 		return
 	}
@@ -140,11 +140,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
+// clone returns a deep copy.
+func (h *Histogram) clone() *Histogram {
 	c := *h
 	return &c
 }
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }

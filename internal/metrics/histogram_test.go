@@ -82,8 +82,8 @@ func TestHistogramMergeEqualsUnion(t *testing.T) {
 		}
 		union.Observe(v)
 	}
-	m := a.Clone()
-	m.Merge(&b)
+	m := a.clone()
+	m.merge(&b)
 	if m.Count() != union.Count() || m.Max() != union.Max() {
 		t.Fatalf("merge: count/max %d/%v, want %d/%v", m.Count(), m.Max(), union.Count(), union.Max())
 	}

@@ -134,10 +134,6 @@ func (r *Run) Observe(class int, arrival, finish, deadline time.Duration) {
 	r.latenessSamples = append(r.latenessSamples, tardy)
 }
 
-// TardinessHistogram returns the run's latency histogram, or nil when the
-// run keeps samples.
-func (r *Run) TardinessHistogram() *Histogram { return r.hist }
-
 // Clone returns a deep copy of the run counters: the samples, the histogram
 // and the per-class map are fresh, so the copy can be read (or merged) off
 // the engine's goroutine while the original keeps accumulating.
@@ -145,7 +141,7 @@ func (r *Run) Clone() Run {
 	c := *r
 	c.latenessSamples = append([]float64(nil), r.latenessSamples...)
 	if r.hist != nil {
-		c.hist = r.hist.Clone()
+		c.hist = r.hist.clone()
 	}
 	if r.classes != nil {
 		c.classes = make(map[int]*classCounts, len(r.classes))
@@ -200,7 +196,7 @@ func MergeRuns(runs ...*Run) Run {
 				if m.hist == nil {
 					m.hist = &Histogram{}
 				}
-				m.hist.Merge(r.hist)
+				m.hist.merge(r.hist)
 			}
 		}
 		m.latenessSamples = append(m.latenessSamples, r.latenessSamples...)
@@ -305,7 +301,7 @@ func (r *Run) Result() Result {
 	sort.Ints(classes)
 	for _, c := range classes {
 		cc := r.classes[c]
-		cr := ClassResult{Class: c, Committed: cc.committed}
+		cr := classResult{Class: c, Committed: cc.committed}
 		if cc.committed > 0 {
 			cr.MissPercent = 100 * float64(cc.missed) / float64(cc.committed)
 			cr.MeanLatenessMs = float64(cc.tardinessSum) / float64(cc.committed) / float64(time.Millisecond)
@@ -349,11 +345,11 @@ type Result struct {
 	// Classes holds per-class results, ascending by class (empty for
 	// single-class workloads that only ever observed class 0... class 0
 	// is still reported so callers can treat it uniformly).
-	Classes []ClassResult `json:"classes,omitempty"`
+	Classes []classResult `json:"classes,omitempty"`
 }
 
-// ClassResult is the per-compute-class breakdown of a run.
-type ClassResult struct {
+// classResult is the per-compute-class breakdown of a run.
+type classResult struct {
 	Class          int     `json:"class"`
 	Committed      int     `json:"committed"`
 	MissPercent    float64 `json:"miss_percent"`
@@ -374,68 +370,68 @@ func (r Result) String() string {
 // (which sums raw counters and pools the samples) and Add the merged run's
 // Result here.
 type Aggregate struct {
-	Committed       stats.Accumulator
-	Dropped         stats.Accumulator
-	Admitted        stats.Accumulator
+	committed       stats.Accumulator
+	dropped         stats.Accumulator
+	admitted        stats.Accumulator
 	Rejected        stats.Accumulator
-	RetriedIO       stats.Accumulator
+	retriedIO       stats.Accumulator
 	FaultAborts     stats.Accumulator
-	Restarts        stats.Accumulator
+	restarts        stats.Accumulator
 	MissPercent     stats.Accumulator
 	MeanLatenessMs  stats.Accumulator
-	MeanResponseMs  stats.Accumulator
-	ElapsedMs       stats.Accumulator
-	P90LatenessMs   stats.Accumulator
-	P99LatenessMs   stats.Accumulator
-	SignedLateness  stats.Accumulator
+	meanResponseMs  stats.Accumulator
+	elapsedMs       stats.Accumulator
+	p90LatenessMs   stats.Accumulator
+	p99LatenessMs   stats.Accumulator
+	signedLateness  stats.Accumulator
 	RestartsPerTxn  stats.Accumulator
-	CPUUtilization  stats.Accumulator
-	DiskUtilization stats.Accumulator
-	AvgPListSize    stats.Accumulator
-	LockWaits       stats.Accumulator
-	Noncontrib      stats.Accumulator
-	Deadlocks       stats.Accumulator
-	// ClassMiss and ClassLateness aggregate the per-class breakdown
+	cpuUtilization  stats.Accumulator
+	diskUtilization stats.Accumulator
+	avgPListSize    stats.Accumulator
+	lockWaits       stats.Accumulator
+	noncontrib      stats.Accumulator
+	deadlocks       stats.Accumulator
+	// ClassMiss and classLateness aggregate the per-class breakdown
 	// (populated lazily; empty for single-class workloads' class 0 too —
 	// every observed class gets an entry).
 	ClassMiss     map[int]*stats.Accumulator
-	ClassLateness map[int]*stats.Accumulator
+	classLateness map[int]*stats.Accumulator
 }
 
 // Add folds one run's result into the aggregate.
 func (a *Aggregate) Add(r Result) {
-	a.Committed.Add(float64(r.Committed))
-	a.Dropped.Add(float64(r.Dropped))
-	a.Admitted.Add(float64(r.Admitted))
+	a.committed.Add(float64(r.Committed))
+	a.dropped.Add(float64(r.Dropped))
+	a.admitted.Add(float64(r.Admitted))
 	a.Rejected.Add(float64(r.Rejected))
-	a.RetriedIO.Add(float64(r.RetriedIO))
+	a.retriedIO.Add(float64(r.RetriedIO))
 	a.FaultAborts.Add(float64(r.FaultAborts))
-	a.Restarts.Add(float64(r.Restarts))
+	a.restarts.Add(float64(r.Restarts))
 	a.MissPercent.Add(r.MissPercent)
 	a.MeanLatenessMs.Add(r.MeanLatenessMs)
-	a.MeanResponseMs.Add(r.MeanResponseMs)
-	a.ElapsedMs.Add(float64(r.Elapsed) / float64(time.Millisecond))
-	a.P90LatenessMs.Add(r.P90LatenessMs)
-	a.P99LatenessMs.Add(r.P99LatenessMs)
-	a.SignedLateness.Add(r.MeanSignedLatenessMs)
+	a.meanResponseMs.Add(r.MeanResponseMs)
+	a.elapsedMs.Add(float64(r.Elapsed) / float64(time.Millisecond))
+	a.p90LatenessMs.Add(r.P90LatenessMs)
+	a.p99LatenessMs.Add(r.P99LatenessMs)
+	a.signedLateness.Add(r.MeanSignedLatenessMs)
 	a.RestartsPerTxn.Add(r.RestartsPerTxn)
-	a.CPUUtilization.Add(r.CPUUtilization)
-	a.DiskUtilization.Add(r.DiskUtilization)
-	a.AvgPListSize.Add(r.AvgPListSize)
-	a.LockWaits.Add(float64(r.LockWaits))
-	a.Noncontrib.Add(float64(r.NoncontributingAborts))
-	a.Deadlocks.Add(float64(r.Deadlocks))
+	a.cpuUtilization.Add(r.CPUUtilization)
+	a.diskUtilization.Add(r.DiskUtilization)
+	a.avgPListSize.Add(r.AvgPListSize)
+	a.lockWaits.Add(float64(r.LockWaits))
+	a.noncontrib.Add(float64(r.NoncontributingAborts))
+	a.deadlocks.Add(float64(r.Deadlocks))
 	for _, c := range r.Classes {
 		if a.ClassMiss == nil {
 			a.ClassMiss = make(map[int]*stats.Accumulator)
-			a.ClassLateness = make(map[int]*stats.Accumulator)
+			a.classLateness = make(map[int]*stats.Accumulator)
 		}
 		if a.ClassMiss[c.Class] == nil {
 			a.ClassMiss[c.Class] = &stats.Accumulator{}
-			a.ClassLateness[c.Class] = &stats.Accumulator{}
+			a.classLateness[c.Class] = &stats.Accumulator{}
 		}
 		a.ClassMiss[c.Class].Add(c.MissPercent)
-		a.ClassLateness[c.Class].Add(c.MeanLatenessMs)
+		a.classLateness[c.Class].Add(c.MeanLatenessMs)
 	}
 }
 
@@ -447,27 +443,27 @@ func (a *Aggregate) N() int { return a.MissPercent.N() }
 // summary of identical runs preserves their counts exactly.
 func (a *Aggregate) Summary() Result {
 	return Result{
-		Committed:             int(a.Committed.Mean() + 0.5),
-		Dropped:               int(a.Dropped.Mean() + 0.5),
-		Admitted:              int(a.Admitted.Mean() + 0.5),
+		Committed:             int(a.committed.Mean() + 0.5),
+		Dropped:               int(a.dropped.Mean() + 0.5),
+		Admitted:              int(a.admitted.Mean() + 0.5),
 		Rejected:              int(a.Rejected.Mean() + 0.5),
-		RetriedIO:             int(a.RetriedIO.Mean() + 0.5),
+		RetriedIO:             int(a.retriedIO.Mean() + 0.5),
 		FaultAborts:           int(a.FaultAborts.Mean() + 0.5),
-		Restarts:              int(a.Restarts.Mean() + 0.5),
+		Restarts:              int(a.restarts.Mean() + 0.5),
 		MissPercent:           a.MissPercent.Mean(),
 		MeanLatenessMs:        a.MeanLatenessMs.Mean(),
-		MeanResponseMs:        a.MeanResponseMs.Mean(),
-		Elapsed:               time.Duration(a.ElapsedMs.Mean() * float64(time.Millisecond)),
-		P90LatenessMs:         a.P90LatenessMs.Mean(),
-		P99LatenessMs:         a.P99LatenessMs.Mean(),
-		MeanSignedLatenessMs:  a.SignedLateness.Mean(),
+		MeanResponseMs:        a.meanResponseMs.Mean(),
+		Elapsed:               time.Duration(a.elapsedMs.Mean() * float64(time.Millisecond)),
+		P90LatenessMs:         a.p90LatenessMs.Mean(),
+		P99LatenessMs:         a.p99LatenessMs.Mean(),
+		MeanSignedLatenessMs:  a.signedLateness.Mean(),
 		RestartsPerTxn:        a.RestartsPerTxn.Mean(),
-		CPUUtilization:        a.CPUUtilization.Mean(),
-		DiskUtilization:       a.DiskUtilization.Mean(),
-		AvgPListSize:          a.AvgPListSize.Mean(),
-		LockWaits:             int(a.LockWaits.Mean() + 0.5),
-		NoncontributingAborts: int(a.Noncontrib.Mean() + 0.5),
-		Deadlocks:             int(a.Deadlocks.Mean() + 0.5),
+		CPUUtilization:        a.cpuUtilization.Mean(),
+		DiskUtilization:       a.diskUtilization.Mean(),
+		AvgPListSize:          a.avgPListSize.Mean(),
+		LockWaits:             int(a.lockWaits.Mean() + 0.5),
+		NoncontributingAborts: int(a.noncontrib.Mean() + 0.5),
+		Deadlocks:             int(a.deadlocks.Mean() + 0.5),
 	}
 }
 
@@ -477,7 +473,7 @@ func (a *Aggregate) Summary() Result {
 type ImprovementResult struct {
 	MissPercent    float64
 	MeanLateness   float64
-	RestartsPerTxn float64
+	restartsPerTxn float64
 }
 
 // ImprovementOver computes the candidate's improvement over the baseline.
@@ -485,6 +481,6 @@ func ImprovementOver(baseline, candidate Result) ImprovementResult {
 	return ImprovementResult{
 		MissPercent:    stats.Improvement(baseline.MissPercent, candidate.MissPercent),
 		MeanLateness:   stats.Improvement(baseline.MeanLatenessMs, candidate.MeanLatenessMs),
-		RestartsPerTxn: stats.Improvement(baseline.RestartsPerTxn, candidate.RestartsPerTxn),
+		restartsPerTxn: stats.Improvement(baseline.RestartsPerTxn, candidate.RestartsPerTxn),
 	}
 }

@@ -112,8 +112,8 @@ func TestImprovementOver(t *testing.T) {
 	if imp.MeanLateness != 30 {
 		t.Fatalf("lateness improvement = %v, want 30", imp.MeanLateness)
 	}
-	if imp.RestartsPerTxn != 50 {
-		t.Fatalf("restart improvement = %v, want 50", imp.RestartsPerTxn)
+	if imp.restartsPerTxn != 50 {
+		t.Fatalf("restart improvement = %v, want 50", imp.restartsPerTxn)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestResultJSONExactRoundTrip(t *testing.T) {
 		AvgLiveTxns:     17.3,
 		Restarts:        88,
 		Elapsed:         123456789 * time.Nanosecond,
-		Classes: []ClassResult{
+		Classes: []classResult{
 			{Class: 0, Committed: 500, MissPercent: 1.0 / 3.0, MeanLatenessMs: 0.7},
 			{Class: 1, Committed: 497, MissPercent: 2.0 / 3.0, MeanLatenessMs: 0.07},
 		},

@@ -26,15 +26,15 @@ type Chart struct {
 	YLabel string
 	Xs     []float64
 	Series []Series
-	// Width and Height are the plot-area dimensions in characters;
+	// width and height are the plot-area dimensions in characters;
 	// zero values choose 64x20.
-	Width, Height int
+	width, height int
 }
 
 // Render draws the chart. Points are plotted at their nearest cell; the
 // Y axis is annotated with min/mid/max values and a legend follows.
 func (c *Chart) Render() string {
-	w, h := c.Width, c.Height
+	w, h := c.width, c.height
 	if w <= 0 {
 		w = 64
 	}

@@ -34,7 +34,7 @@ func TestRenderContainsStructure(t *testing.T) {
 
 func TestRenderDimensions(t *testing.T) {
 	c := twoSeries()
-	c.Width, c.Height = 40, 10
+	c.width, c.height = 40, 10
 	out := c.Render()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// title + 10 rows + axis + x labels + xy label + 2 legend entries
@@ -85,7 +85,7 @@ func TestMarkersTopLeftBottom(t *testing.T) {
 	c := &Chart{
 		Xs:     []float64{0, 1},
 		Series: []Series{{Name: "s", Ys: []float64{0, 10}}},
-		Width:  20, Height: 5,
+		width:  20, height: 5,
 	}
 	out := c.Render()
 	lines := strings.Split(out, "\n")

@@ -4,7 +4,7 @@ package predict
 // shipping per-shard tables. The format is sparse — only cells with a
 // nonzero count are written — and canonical: marshaling a table, then
 // unmarshaling, then marshaling again yields byte-identical output, and the
-// restored table answers every query (Rate, Count, TopPairs) exactly like
+// restored table answers every query (Rate, count, TopPairs) exactly like
 // the original and keeps recording exactly like it (the property tests pin
 // both).
 //
@@ -14,7 +14,7 @@ package predict
 //	Types | Window(ns) | Windows | Decay (IEEE-754 bits, fixed 8 bytes LE)
 //	nonEmptyCells
 //	per cell, ascending index:
-//	  cellIndex | base | Windows×NumKinds counts
+//	  cellIndex | base | Windows×numKinds counts
 
 import (
 	"encoding/binary"
@@ -29,7 +29,7 @@ const codecVersion = 1
 
 // cellDirty reports whether a cell holds any count at all.
 func (t *Table) cellDirty(cell int) bool {
-	row := t.counts[cell*t.cfg.Windows*NumKinds : (cell+1)*t.cfg.Windows*NumKinds]
+	row := t.counts[cell*t.cfg.Windows*numKinds : (cell+1)*t.cfg.Windows*numKinds]
 	for _, c := range row {
 		if c != 0 {
 			return true
@@ -63,7 +63,7 @@ func (t *Table) MarshalBinary() ([]byte, error) {
 		}
 		buf = appendUvarint(buf, uint64(cell))
 		buf = appendUvarint(buf, uint64(t.base[cell]))
-		row := t.counts[cell*t.cfg.Windows*NumKinds : (cell+1)*t.cfg.Windows*NumKinds]
+		row := t.counts[cell*t.cfg.Windows*numKinds : (cell+1)*t.cfg.Windows*numKinds]
 		for _, c := range row {
 			buf = appendUvarint(buf, uint64(c))
 		}
@@ -115,13 +115,13 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 	if types > 4096 || window > uint64(1<<62) || windows > MaxWindows {
 		return fmt.Errorf("predict: implausible header (types %d, window %d, windows %d)", types, window, windows)
 	}
-	if cells := types * (types + 1) / 2; cells*windows*NumKinds > 1<<22 {
-		return fmt.Errorf("predict: table too large (%d count buckets)", cells*windows*NumKinds)
+	if cells := types * (types + 1) / 2; cells*windows*numKinds > 1<<22 {
+		return fmt.Errorf("predict: table too large (%d count buckets)", cells*windows*numKinds)
 	}
 	if cfg.Window <= 0 || cfg.Windows <= 0 {
 		return fmt.Errorf("predict: non-positive window geometry")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 	nt := New(cfg)
@@ -150,7 +150,7 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("predict: cell %d base overflow", cell)
 		}
 		nt.base[cell] = int64(base)
-		row := nt.counts[int(cell)*cfg.Windows*NumKinds : (int(cell)+1)*cfg.Windows*NumKinds]
+		row := nt.counts[int(cell)*cfg.Windows*numKinds : (int(cell)+1)*cfg.Windows*numKinds]
 		dirty := false
 		for j := range row {
 			c, err := d.uvarint()

@@ -17,7 +17,7 @@ func FuzzTableCodec(f *testing.F) {
 
 	busy := New(Config{Types: 8, Window: 5 * time.Millisecond, Windows: 8, Decay: 0.25})
 	for i := 0; i < 200; i++ {
-		busy.Record(Kind(i%NumKinds), i%8, (i*5)%8, time.Duration(i)*time.Millisecond)
+		busy.Record(Kind(i%numKinds), i%8, (i*5)%8, time.Duration(i)*time.Millisecond)
 	}
 	b, _ = busy.MarshalBinary()
 	f.Add(b)

@@ -14,7 +14,7 @@
 //   - state is pure integer counts keyed by absolute window index, so the
 //     final table depends only on the multiset of recorded events, never on
 //     their order within a window;
-//   - reads (Rate, Count, TopPairs) are pure functions of (state, now) — no
+//   - reads (Rate, count, TopPairs) are pure functions of (state, now) — no
 //     mutation, no wall clock — so concurrent readers are safe and a query
 //     at time t returns the same value no matter when buckets were shifted;
 //   - Merge adds counts bucket-wise by absolute window, so merging N
@@ -44,8 +44,8 @@ const (
 	// executed (the conflict-rate denominator).
 	Commit
 
-	// NumKinds is the number of event kinds.
-	NumKinds = 4
+	// numKinds is the number of event kinds.
+	numKinds = 4
 )
 
 // String names the kind.
@@ -66,8 +66,8 @@ func (k Kind) String() string {
 
 // Defaults for the zero fields of Config.
 const (
-	DefaultWindow  = 50 * time.Millisecond
-	DefaultWindows = 8
+	defaultWindow  = 50 * time.Millisecond
+	defaultWindows = 8
 	// MaxWindows bounds the ring so the decay power table and the
 	// serialization stay small.
 	MaxWindows = 64
@@ -78,10 +78,10 @@ type Config struct {
 	// Types is the number of transaction types; pairs are unordered
 	// (type_i, type_j), so the table has Types·(Types+1)/2 cells.
 	Types int
-	// Window is the bucket width in simulated time (0 = DefaultWindow).
+	// Window is the bucket width in simulated time (0 = defaultWindow).
 	Window time.Duration
 	// Windows is the ring length: events older than Windows·Window weigh
-	// zero and are discarded (0 = DefaultWindows; max MaxWindows).
+	// zero and are discarded (0 = defaultWindows; max MaxWindows).
 	Windows int
 	// Decay is the per-window weight multiplier in [0, 1]: an event aged a
 	// windows contributes Decay^a. Decay 0 disables the table — nothing is
@@ -92,17 +92,17 @@ type Config struct {
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
-		c.Window = DefaultWindow
+		c.Window = defaultWindow
 	}
 	if c.Windows <= 0 {
-		c.Windows = DefaultWindows
+		c.Windows = defaultWindows
 	}
 	return c
 }
 
-// Validate reports the first problem with the configuration (after
+// validate reports the first problem with the configuration (after
 // defaulting zero fields).
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	c = c.withDefaults()
 	if c.Types <= 0 {
 		return fmt.Errorf("predict: Types %d <= 0", c.Types)
@@ -127,14 +127,14 @@ type Table struct {
 	// bucket); -1 while the cell has never recorded. Bucket j covers window
 	// base[c]−j.
 	base []int64
-	// counts is cells × Windows × NumKinds, flat.
+	// counts is cells × Windows × numKinds, flat.
 	counts []uint32
 }
 
 // New builds an empty table; it panics on an invalid configuration
 // (callers validate configs at the API boundary, not per table).
 func New(c Config) *Table {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		panic(err)
 	}
 	c = c.withDefaults()
@@ -142,7 +142,7 @@ func New(c Config) *Table {
 		cfg:    c,
 		cells:  c.Types * (c.Types + 1) / 2,
 		powers: make([]float64, c.Windows),
-		counts: make([]uint32, c.Types*(c.Types+1)/2*c.Windows*NumKinds),
+		counts: make([]uint32, c.Types*(c.Types+1)/2*c.Windows*numKinds),
 	}
 	t.base = make([]int64, t.cells)
 	for i := range t.base {
@@ -155,9 +155,6 @@ func New(c Config) *Table {
 	}
 	return t
 }
-
-// Config returns the table's (defaulted) configuration.
-func (t *Table) Config() Config { return t.cfg }
 
 // clampType folds an out-of-range type (service submissions default to 0,
 // which is always valid; anything else is a caller bug we degrade on
@@ -190,8 +187,8 @@ func (t *Table) windowOf(now time.Duration) int64 {
 }
 
 func (t *Table) bucket(cell, j int) []uint32 {
-	off := (cell*t.cfg.Windows + j) * NumKinds
-	return t.counts[off : off+NumKinds]
+	off := (cell*t.cfg.Windows + j) * numKinds
+	return t.counts[off : off+numKinds]
 }
 
 // shiftTo advances cell's bucket 0 to window w (w ≥ base), discarding
@@ -208,7 +205,7 @@ func (t *Table) shiftTo(cell int, w int64) {
 	shift := w - b
 	K := t.cfg.Windows
 	if shift >= int64(K) {
-		row := t.counts[cell*K*NumKinds : (cell+1)*K*NumKinds]
+		row := t.counts[cell*K*numKinds : (cell+1)*K*numKinds]
 		for i := range row {
 			row[i] = 0
 		}
@@ -271,15 +268,9 @@ func (t *Table) count(cell int, k Kind, now time.Duration) float64 {
 	return sum
 }
 
-// Count returns the decayed count of kind k for the pair (a, b) as of the
-// simulated instant now. Pure: depends only on the recorded events and now.
-func (t *Table) Count(k Kind, a, b int, now time.Duration) float64 {
-	return t.count(t.cellOf(a, b), k, now)
-}
-
 // rate computes the conflict rate of one cell: decayed (blocks + wounds)
 // over decayed (blocks + wounds + commits); 0 with no observations.
-// Restarts are tracked (Count) but deliberately excluded — a wound already
+// Restarts are tracked (count) but deliberately excluded — a wound already
 // counted the conflict, and restarts also arise from faults and deadline
 // drops that say nothing about this pair.
 func (t *Table) rate(cell int, now time.Duration) float64 {
@@ -340,16 +331,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Reset empties the table in place.
-func (t *Table) Reset() {
-	for i := range t.base {
-		t.base[i] = -1
-	}
-	for i := range t.counts {
-		t.counts[i] = 0
-	}
-}
-
 // pairOf inverts cellOf: the (lo, hi) pair of a triangular index.
 func (t *Table) pairOf(cell int) (int, int) {
 	hi := int((math.Sqrt(float64(8*cell+1)) - 1) / 2)
@@ -372,7 +353,7 @@ func (t *Table) ActivePairs(now time.Duration) int {
 			continue
 		}
 		total := 0.0
-		for k := Kind(0); k < NumKinds; k++ {
+		for k := Kind(0); k < numKinds; k++ {
 			total += t.count(cell, k, now)
 		}
 		if total > 0 {

@@ -25,7 +25,7 @@ func randomEvents(rng *rand.Rand, n, types int, span time.Duration) []event {
 	for i := range evs {
 		at += time.Duration(rng.Int63n(int64(span / time.Duration(n))))
 		evs[i] = event{
-			k:  Kind(rng.Intn(NumKinds)),
+			k:  Kind(rng.Intn(numKinds)),
 			a:  rng.Intn(types),
 			b:  rng.Intn(types),
 			at: at,
@@ -128,8 +128,8 @@ func TestDecaySemantics(t *testing.T) {
 		{time.Hour, 0},
 	}
 	for _, c := range cases {
-		if got := tab.Count(Wound, 2, 1, c.now); got != c.want {
-			t.Errorf("Count at %v = %v, want %v", c.now, got, c.want)
+		if got := tab.count(tab.cellOf(2, 1), Wound, c.now); got != c.want {
+			t.Errorf("count at %v = %v, want %v", c.now, got, c.want)
 		}
 	}
 }
@@ -312,10 +312,10 @@ func TestCloneIndependent(t *testing.T) {
 	tab.Record(Wound, 0, 1, time.Millisecond)
 	c := tab.Clone()
 	c.Record(Wound, 0, 1, time.Millisecond)
-	if tab.Count(Wound, 0, 1, time.Millisecond) != 1 {
+	if tab.count(tab.cellOf(0, 1), Wound, time.Millisecond) != 1 {
 		t.Fatal("clone write visible in origin")
 	}
-	if c.Count(Wound, 0, 1, time.Millisecond) != 2 {
+	if c.count(c.cellOf(0, 1), Wound, time.Millisecond) != 2 {
 		t.Fatal("clone did not record")
 	}
 }
@@ -328,12 +328,12 @@ func TestConfigValidate(t *testing.T) {
 		{Types: 1, Windows: MaxWindows + 1},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("case %d: invalid config %+v accepted", i, c)
 		}
 	}
 	ok := Config{Types: 50, Decay: 0.5}
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

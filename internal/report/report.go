@@ -10,31 +10,31 @@ import (
 
 // Table is a simple column-oriented result table.
 type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
+	title   string
+	columns []string
+	rows    [][]string
 }
 
 // NewTable returns a table with the given title and column headers.
 func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
+	return &Table{title: title, columns: columns}
 }
 
 // AddRow appends a row; cells beyond the column count are dropped, missing
 // cells render empty.
 func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.Columns))
+	row := make([]string, len(t.columns))
 	for i := range row {
 		if i < len(cells) {
 			row[i] = cells[i]
 		}
 	}
-	t.Rows = append(t.Rows, row)
+	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values: each value is rendered with
+// addRowf appends a row of formatted values: each value is rendered with
 // %v, floats with %.2f.
-func (t *Table) AddRowf(values ...any) {
+func (t *Table) addRowf(values ...any) {
 	cells := make([]string, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
@@ -50,11 +50,11 @@ func (t *Table) AddRowf(values ...any) {
 }
 
 func (t *Table) widths() []int {
-	w := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	w := make([]int, len(t.columns))
+	for i, c := range t.columns {
 		w[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		for i, cell := range row {
 			if len(cell) > w[i] {
 				w[i] = len(cell)
@@ -67,8 +67,8 @@ func (t *Table) widths() []int {
 // Text renders the table as aligned plain text.
 func (t *Table) Text() string {
 	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+	if t.title != "" {
+		fmt.Fprintf(&b, "%s\n", t.title)
 	}
 	w := t.widths()
 	writeRow := func(cells []string) {
@@ -80,13 +80,13 @@ func (t *Table) Text() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	sep := make([]string, len(t.Columns))
+	writeRow(t.columns)
+	sep := make([]string, len(t.columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", w[i])
 	}
 	writeRow(sep)
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		writeRow(row)
 	}
 	return b.String()
@@ -95,16 +95,16 @@ func (t *Table) Text() string {
 // Markdown renders the table as a GitHub-flavoured markdown table.
 func (t *Table) Markdown() string {
 	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
+	if t.title != "" {
+		fmt.Fprintf(&b, "**%s**\n\n", t.title)
 	}
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.Columns, " | "))
-	sep := make([]string, len(t.Columns))
+	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.columns, " | "))
+	sep := make([]string, len(t.columns))
 	for i := range sep {
 		sep[i] = "---"
 	}
 	fmt.Fprintf(&b, "| %s |\n", strings.Join(sep, " | "))
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		fmt.Fprintf(&b, "| %s |\n", strings.Join(row, " | "))
 	}
 	return b.String()
@@ -127,8 +127,8 @@ func (t *Table) CSV() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
+	writeRow(t.columns)
+	for _, row := range t.rows {
 		writeRow(row)
 	}
 	return b.String()
@@ -142,8 +142,8 @@ func CIn(ci float64, n int) string { return fmt.Sprintf("%.2f (n=%d)", ci, n) }
 // F formats a float with two decimals (helper for table rows).
 func F(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// F1 formats a float with one decimal.
-func F1(v float64) string { return fmt.Sprintf("%.1f", v) }
+// f1 formats a float with one decimal.
+func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
-// F3 formats a float with three decimals.
-func F3(v float64) string { return fmt.Sprintf("%.3f", v) }
+// f3 formats a float with three decimals.
+func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -71,18 +71,18 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	tbl := NewTable("t", "a", "b")
 	tbl.AddRow("only")
 	tbl.AddRow("1", "2", "3-dropped")
-	if tbl.Rows[0][1] != "" {
+	if tbl.rows[0][1] != "" {
 		t.Error("missing cell not padded")
 	}
-	if len(tbl.Rows[1]) != 2 {
+	if len(tbl.rows[1]) != 2 {
 		t.Error("extra cell not dropped")
 	}
 }
 
 func TestAddRowf(t *testing.T) {
 	tbl := NewTable("t", "a", "b", "c")
-	tbl.AddRowf(1.23456, 7, "x")
-	row := tbl.Rows[0]
+	tbl.addRowf(1.23456, 7, "x")
+	row := tbl.rows[0]
 	if row[0] != "1.23" || row[1] != "7" || row[2] != "x" {
 		t.Fatalf("row = %v", row)
 	}
@@ -92,11 +92,11 @@ func TestFormatHelpers(t *testing.T) {
 	if F(1.005) != "1.00" && F(1.005) != "1.01" {
 		t.Error("F format wrong")
 	}
-	if F1(2.25) != "2.2" && F1(2.25) != "2.3" {
+	if f1(2.25) != "2.2" && f1(2.25) != "2.3" {
 		t.Error("F1 format wrong")
 	}
-	if F3(0.1234) != "0.123" {
-		t.Errorf("F3 = %q", F3(0.1234))
+	if f3(0.1234) != "0.123" {
+		t.Errorf("F3 = %q", f3(0.1234))
 	}
 }
 

@@ -185,7 +185,7 @@ func TestChaosSoak(t *testing.T) {
 			url := "http://" + httpProxy + "/submit"
 			for i := 0; i < httpPer; i++ {
 				issued.Add(1)
-				body, _ := json.Marshal(SubmitRequest{
+				body, _ := json.Marshal(submitRequest{
 					Items:    []int{rng.Intn(20), 20 + rng.Intn(10)},
 					Compute:  jsonDuration(100 * time.Microsecond),
 					Deadline: jsonDuration(2 * time.Second),
@@ -196,7 +196,7 @@ func TestChaosSoak(t *testing.T) {
 					failed.Add(1)
 					continue
 				}
-				var out SubmitResponse
+				var out submitResponse
 				if json.NewDecoder(resp.Body).Decode(&out) == nil && out.State == "committed" {
 					committed.Add(1)
 				}
@@ -328,7 +328,7 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 	}
 
 	// /metrics reports the supervision snapshot.
-	var m MetricsResponse
+	var m metricsResponse
 	if err := json.Unmarshal([]byte(getBody(t, base+"/metrics")), &m); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 
 	// Shards 0, 1, 3 still commit (single-item submissions route direct).
 	for _, item := range []int{0, 1, 3} {
-		code, out := postSubmit(t, base, SubmitRequest{
+		code, out := postSubmit(t, base, submitRequest{
 			Items:    []int{item},
 			Compute:  jsonDuration(time.Millisecond),
 			Deadline: jsonDuration(2 * time.Second),
@@ -348,7 +348,7 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 		}
 	}
 	// The dead shard's traffic gets an error response, not a hang.
-	code, _ := postSubmit(t, base, SubmitRequest{
+	code, _ := postSubmit(t, base, submitRequest{
 		Items:    []int{2},
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(2 * time.Second),
@@ -377,7 +377,7 @@ func TestSupervisedRestartServesAgain(t *testing.T) {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		code, out := postSubmit(t, base, SubmitRequest{
+		code, out := postSubmit(t, base, submitRequest{
 			Items:    []int{1},
 			Compute:  jsonDuration(time.Millisecond),
 			Deadline: jsonDuration(2 * time.Second),

@@ -554,7 +554,7 @@ func TestWALSeqOnHTTPResponse(t *testing.T) {
 		Core:  core.MainMemoryConfig(core.CCA, 1),
 		WALFS: wal.NewMemFS(),
 	})
-	status, resp := postSubmit(t, base, SubmitRequest{
+	status, resp := postSubmit(t, base, submitRequest{
 		Items: []int{3, 17}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
 	})
 	if status != http.StatusOK {

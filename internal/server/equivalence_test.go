@@ -36,7 +36,7 @@ func jsonBody(req core.ServiceRequest) []byte {
 	for i, it := range req.Items {
 		items[i] = int(it)
 	}
-	b, err := json.Marshal(SubmitRequest{
+	b, err := json.Marshal(submitRequest{
 		Items:       items,
 		Reads:       req.Reads,
 		NeedsIO:     req.NeedsIO,
@@ -54,7 +54,7 @@ func jsonBody(req core.ServiceRequest) []byte {
 // decodeJSONPath mirrors handleSubmit's decode step.
 func decodeJSONPath(t *testing.T, body []byte) core.ServiceRequest {
 	t.Helper()
-	var req SubmitRequest
+	var req submitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		t.Fatalf("json decode: %v", err)
 	}

@@ -42,7 +42,7 @@ func (h httpParity) body(req core.ServiceRequest) *bytes.Reader {
 	for i, it := range req.Items {
 		items[i] = int(it)
 	}
-	b, _ := json.Marshal(SubmitRequest{Items: items, Compute: jsonDuration(req.Compute), Deadline: jsonDuration(req.Deadline)})
+	b, _ := json.Marshal(submitRequest{Items: items, Compute: jsonDuration(req.Compute), Deadline: jsonDuration(req.Deadline)})
 	return bytes.NewReader(b)
 }
 
@@ -60,7 +60,7 @@ func (h httpParity) submit(t *testing.T, req core.ServiceRequest) answerSeen {
 	case http.StatusInternalServerError:
 		seen.status = wire.StatusFailed
 	default:
-		var out SubmitResponse
+		var out submitResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode %d response: %v", resp.StatusCode, err)
 		}

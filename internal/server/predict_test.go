@@ -17,7 +17,7 @@ func TestMetricsPredictSnapshot(t *testing.T) {
 	cfg.Predict = core.DefaultPredictConfig()
 	_, base, _ := startServer(t, Options{Core: cfg})
 
-	code, out := postSubmit(t, base, SubmitRequest{
+	code, out := postSubmit(t, base, submitRequest{
 		Items:    []int{1, 2, 3},
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(500 * time.Millisecond),

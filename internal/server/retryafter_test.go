@@ -37,7 +37,7 @@ func TestRetryAfterTracksLoad(t *testing.T) {
 	defer bgCancel()
 	launched := make(chan struct{})
 	go func() {
-		body, _ := json.Marshal(SubmitRequest{
+		body, _ := json.Marshal(submitRequest{
 			Items:    []int{1},
 			Compute:  jsonDuration(10 * time.Millisecond),
 			Deadline: jsonDuration(time.Hour),
@@ -64,7 +64,7 @@ func TestRetryAfterTracksLoad(t *testing.T) {
 	// Wait out the stats cache so the estimate sees the live transaction.
 	time.Sleep(2 * statsCacheTTL)
 	resp, err := http.Post(base+"/submit", "application/json",
-		bytes.NewReader(mustJSON(t, SubmitRequest{
+		bytes.NewReader(mustJSON(t, submitRequest{
 			Items:    []int{2},
 			Compute:  jsonDuration(time.Millisecond),
 			Deadline: jsonDuration(time.Second),

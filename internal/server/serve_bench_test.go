@@ -132,7 +132,7 @@ func measureServe(t *testing.T, proto string, withWAL bool, rate float64) serveB
 		url := base + "/submit"
 		submit = func(rng *rand.Rand) (bool, time.Duration) {
 			a := rng.Intn(serveBenchDBSize - 1)
-			body, _ := json.Marshal(SubmitRequest{
+			body, _ := json.Marshal(submitRequest{
 				Items:   []int{a, a + 1},
 				Compute: jsonDuration(50 * time.Microsecond), Deadline: jsonDuration(time.Minute),
 			})
@@ -141,7 +141,7 @@ func measureServe(t *testing.T, proto string, withWAL bool, rate float64) serveB
 			if err != nil {
 				return false, time.Since(t0)
 			}
-			var sr SubmitResponse
+			var sr submitResponse
 			derr := json.NewDecoder(resp.Body).Decode(&sr)
 			resp.Body.Close()
 			return derr == nil && sr.State == "committed", time.Since(t0)

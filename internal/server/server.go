@@ -66,8 +66,8 @@ type Options struct {
 	// core.RejectInfeasible turns arrivals that cannot meet their deadline
 	// into fast 503s.
 	Core core.Config
-	// Service tunes the wall-clock service (speed for tests, sample
-	// window, live oracle).
+	// Service tunes the wall-clock service (speed for tests, live
+	// oracle).
 	Service core.ServiceOptions
 	// Shards partitions the item space across N engine shards (item i →
 	// shard i % N): single-shard submissions route directly to their
@@ -75,7 +75,7 @@ type Options struct {
 	// internal/shard). Below 1 means 1.
 	Shards int
 	// Epoch is the cross-shard batching interval in simulated time
-	// (0 = shard.DefaultEpoch). Without effect on one shard.
+	// (0 = shard.defaultEpoch). Without effect on one shard.
 	Epoch time.Duration
 	// Supervise contains shard-driver failures: a panicking shard becomes
 	// failed-with-error outcomes for its inflight transactions and a
@@ -118,12 +118,12 @@ type Options struct {
 	// WALFS overrides the log's filesystem (tests, crash harness);
 	// when set, WALDir is ignored.
 	WALFS wal.FS
-	// WALFileFaults injects seeded file-level faults (torn writes,
+	// walFileFaults injects seeded file-level faults (torn writes,
 	// short writes, fsync errors, checksum corruption) into every
 	// segment file — the crash harness's knob. The zero plan is an
 	// identity passthrough.
-	WALFileFaults fault.FilePlan
-	WALFaultSeed  int64
+	walFileFaults fault.FilePlan
+	walFaultSeed  int64
 }
 
 func (o *Options) fillDefaults() {
@@ -254,8 +254,8 @@ func (s *Server) Final() (core.ServiceStats, bool) {
 	return s.final, s.finalOK
 }
 
-// Handler returns the full HTTP handler with per-request panic isolation.
-func (s *Server) Handler() http.Handler {
+// handler returns the full HTTP handler with per-request panic isolation.
+func (s *Server) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -290,7 +290,7 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 	}
 
 	hs := &http.Server{
-		Handler:      s.Handler(),
+		Handler:      s.handler(),
 		ReadTimeout:  s.opts.ReadTimeout,
 		WriteTimeout: s.opts.WriteTimeout,
 	}
@@ -430,8 +430,8 @@ func (d *jsonDuration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SubmitRequest is the POST /submit body.
-type SubmitRequest struct {
+// submitRequest is the POST /submit body.
+type submitRequest struct {
 	// Items is the ordered data-item access list.
 	Items []int `json:"items"`
 	// Reads optionally flags shared-lock accesses, per item.
@@ -447,8 +447,8 @@ type SubmitRequest struct {
 	Class       int `json:"class,omitempty"`
 }
 
-// SubmitResponse is the POST /submit reply.
-type SubmitResponse struct {
+// submitResponse is the POST /submit reply.
+type submitResponse struct {
 	// State is the terminal state: "committed", "dropped" or "rejected".
 	State string `json:"state"`
 	// Missed reports a deadline miss (late commit, drop or rejection).
@@ -532,7 +532,7 @@ func (s *Server) retryAfterSecs() int {
 }
 
 // respond renders one /submit answer; it counts nothing.
-func (s *Server) respond(w http.ResponseWriter, code int, retry bool, resp SubmitResponse) {
+func (s *Server) respond(w http.ResponseWriter, code int, retry bool, resp submitResponse) {
 	if retry {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
 	}
@@ -546,7 +546,7 @@ func (s *Server) respond(w http.ResponseWriter, code int, retry bool, resp Submi
 func (s *Server) atCapacity(w http.ResponseWriter) {
 	s.shed.Add(1)
 	s.respond(w, http.StatusServiceUnavailable, true,
-		SubmitResponse{State: "shed", Missed: true, Error: "server at capacity"})
+		submitResponse{State: "shed", Missed: true, Error: "server at capacity"})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -565,7 +565,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req SubmitRequest
+	var req submitRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.badReqs.Add(1)
@@ -607,7 +607,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	status, code, retry := wire.Classify(o, err)
 	switch status {
 	case wire.StatusShed:
-		s.respond(w, code, retry, SubmitResponse{State: "shed", Missed: true, Error: err.Error()})
+		s.respond(w, code, retry, submitResponse{State: "shed", Missed: true, Error: err.Error()})
 		return
 	case wire.StatusFailed, wire.StatusInvalid:
 		// Failed is a 500, not a retriable 503: the engine died with this
@@ -616,7 +616,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	resp := SubmitResponse{
+	resp := submitResponse{
 		State:      o.State.String(),
 		Missed:     o.Missed,
 		ArrivalMs:  ms(o.Arrival),
@@ -639,8 +639,8 @@ type httpWaiter struct{ *core.Waiter }
 func (wt httpWaiter) Complete(_ uint64, o core.ServiceOutcome, err error) { wt.Done(o, err) }
 func (wt httpWaiter) OnHandle(_ uint64, h core.SubmitHandle)              { wt.Arm(h) }
 
-// MetricsResponse is the GET /metrics body.
-type MetricsResponse struct {
+// metricsResponse is the GET /metrics body.
+type metricsResponse struct {
 	// Engine is the service's run counters, or null once stopped.
 	Engine any `json:"engine"`
 	// Live is the number of admitted, unfinished transactions.
@@ -685,8 +685,8 @@ type MetricsResponse struct {
 // wire protocol's metrics frame. The engine-side fields ride the same
 // 250ms stats cache as Retry-After derivation, so a metrics-polling
 // dashboard cannot add driver pressure during an overload.
-func (s *Server) metricsResponse() MetricsResponse {
-	resp := MetricsResponse{
+func (s *Server) metricsResponse() metricsResponse {
+	resp := metricsResponse{
 		Draining: s.svc.Draining(),
 		Degraded: s.svc.Degraded(),
 		Accepted: s.batch.answers.engineAnswered(),

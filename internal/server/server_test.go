@@ -52,7 +52,7 @@ func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
 	return s, "http://" + ln.Addr().String(), stop
 }
 
-func postSubmit(t *testing.T, base string, req SubmitRequest) (int, SubmitResponse) {
+func postSubmit(t *testing.T, base string, req submitRequest) (int, submitResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
@@ -60,7 +60,7 @@ func postSubmit(t *testing.T, base string, req SubmitRequest) (int, SubmitRespon
 		t.Fatalf("POST /submit: %v", err)
 	}
 	defer resp.Body.Close()
-	var out SubmitResponse
+	var out submitResponse
 	if resp.StatusCode != http.StatusMethodNotAllowed && resp.StatusCode != http.StatusBadRequest {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -72,7 +72,7 @@ func postSubmit(t *testing.T, base string, req SubmitRequest) (int, SubmitRespon
 // TestServerSubmitCommit drives a commit end to end over HTTP.
 func TestServerSubmitCommit(t *testing.T) {
 	_, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 1)})
-	code, out := postSubmit(t, base, SubmitRequest{
+	code, out := postSubmit(t, base, submitRequest{
 		Items:    []int{1, 2, 3},
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(500 * time.Millisecond),
@@ -111,7 +111,7 @@ func TestServerBadRequests(t *testing.T) {
 	}
 
 	// Valid JSON, invalid transaction (no items).
-	code, _ := postSubmit(t, base, SubmitRequest{Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
+	code, _ := postSubmit(t, base, submitRequest{Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty items: status %d, want 400", code)
 	}
@@ -144,7 +144,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 
 	slow := make(chan int, 1)
 	go func() {
-		code, _ := postSubmit(t, base, SubmitRequest{
+		code, _ := postSubmit(t, base, submitRequest{
 			Items:    []int{1},
 			Compute:  jsonDuration(2 * time.Second), // 40ms wall at speed 50
 			Deadline: jsonDuration(time.Hour),
@@ -161,7 +161,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET /metrics: %v", err)
 		}
-		var m MetricsResponse
+		var m metricsResponse
 		err = json.NewDecoder(resp.Body).Decode(&m)
 		resp.Body.Close()
 		if err != nil {
@@ -174,7 +174,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 	}
 
 	start := time.Now()
-	body, _ := json.Marshal(SubmitRequest{Items: []int{2}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
+	body, _ := json.Marshal(submitRequest{Items: []int{2}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
 	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("shed POST: %v", err)
@@ -206,7 +206,7 @@ func TestServerAdmissionRejects(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	code, out := postSubmit(t, base, SubmitRequest{
+	code, out := postSubmit(t, base, submitRequest{
 		Items:    items,
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(2 * time.Millisecond), // infeasible
@@ -220,7 +220,7 @@ func TestServerAdmissionRejects(t *testing.T) {
 // /debug/pprof respond sensibly.
 func TestServerObservability(t *testing.T) {
 	_, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 5)})
-	if code, _ := postSubmit(t, base, SubmitRequest{
+	if code, _ := postSubmit(t, base, submitRequest{
 		Items: []int{4}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
 	}); code != http.StatusOK {
 		t.Fatalf("seed submit: %d", code)
@@ -230,7 +230,7 @@ func TestServerObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	var m MetricsResponse
+	var m metricsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatalf("decode metrics: %v", err)
 	}
@@ -277,7 +277,7 @@ func TestServerPanicIsolation(t *testing.T) {
 		t.Fatalf("panic counter %d, want 1", got)
 	}
 	// The service survived and still commits.
-	code, out := postSubmit(t, base, SubmitRequest{
+	code, out := postSubmit(t, base, submitRequest{
 		Items: []int{1}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
 	})
 	if code != http.StatusOK || out.State != "committed" {
@@ -296,10 +296,10 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 	_, base, stop := startServer(t, opts)
 
-	inflight := make(chan SubmitResponse, 1)
+	inflight := make(chan submitResponse, 1)
 	codes := make(chan int, 1)
 	go func() {
-		code, out := postSubmit(t, base, SubmitRequest{
+		code, out := postSubmit(t, base, submitRequest{
 			Items:    []int{1, 2, 3},
 			Compute:  jsonDuration(time.Minute), // far longer than the drain budget
 			Deadline: jsonDuration(time.Hour),
@@ -371,7 +371,7 @@ func TestServerEngineFailureSurfaces(t *testing.T) {
 	// closed: exercise /healthz directly against the mux.
 	req, _ := http.NewRequest(http.MethodGet, "/healthz", nil)
 	rec := newRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	s.handler().ServeHTTP(rec, req)
 	if rec.status != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz after violation: status %d, want 503", rec.status)
 	}

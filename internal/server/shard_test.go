@@ -28,7 +28,7 @@ func TestServerShardedSubmitAndMetrics(t *testing.T) {
 	})
 
 	// Single-shard: items 3, 7 both live on shard 3.
-	code, out := postSubmit(t, base, SubmitRequest{
+	code, out := postSubmit(t, base, submitRequest{
 		Items:    []int{3, 7},
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(2 * time.Second),
@@ -38,7 +38,7 @@ func TestServerShardedSubmitAndMetrics(t *testing.T) {
 	}
 
 	// Cross-shard: items on shards 0 and 1, epoch-batched.
-	code, out = postSubmit(t, base, SubmitRequest{
+	code, out = postSubmit(t, base, submitRequest{
 		Items:    []int{4, 5},
 		Compute:  jsonDuration(time.Millisecond),
 		Deadline: jsonDuration(5 * time.Second),
@@ -91,11 +91,11 @@ func TestOneServingPath(t *testing.T) {
 		var seen []string
 		note := func(format string, args ...any) { seen = append(seen, fmt.Sprintf(format, args...)) }
 
-		code, out := postSubmit(t, base, SubmitRequest{
+		code, out := postSubmit(t, base, submitRequest{
 			Items: []int{1, 2, 3}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(10 * time.Second),
 		})
 		note("http submit: %d %s missed=%v", code, out.State, out.Missed)
-		code, _ = postSubmit(t, base, SubmitRequest{
+		code, _ = postSubmit(t, base, submitRequest{
 			Items: []int{10_000}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
 		})
 		note("http out of range: %d", code)

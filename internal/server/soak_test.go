@@ -72,7 +72,7 @@ func TestSoakOverload(t *testing.T) {
 					time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 				}
 				first := rng.Intn(30)
-				req := SubmitRequest{
+				req := submitRequest{
 					Items: []int{first, (first + 1 + rng.Intn(29)) % 30},
 					// 2 sim-ms per item on one CPU, 20 sim-ms deadline:
 					// at most ~5 transactions fit the deadline, so 24
@@ -88,7 +88,7 @@ func TestSoakOverload(t *testing.T) {
 					t.Errorf("worker %d: POST: %v", w, err)
 					return
 				}
-				var out SubmitResponse
+				var out submitResponse
 				decErr := json.NewDecoder(resp.Body).Decode(&out)
 				resp.Body.Close()
 				if decErr != nil {

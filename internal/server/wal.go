@@ -97,11 +97,11 @@ func openWAL(opts *Options) (*wal.Logger, *wal.Recovery, error) {
 		SegmentBytes: opts.WALSegmentBytes,
 		Retain:       opts.WALRetain,
 	}
-	if !opts.WALFileFaults.Zero() {
-		if err := opts.WALFileFaults.Validate(); err != nil {
+	if !opts.walFileFaults.Zero() {
+		if err := opts.walFileFaults.Validate(); err != nil {
 			return nil, nil, err
 		}
-		plan, seed := opts.WALFileFaults, opts.WALFaultSeed
+		plan, seed := opts.walFileFaults, opts.walFaultSeed
 		wo.WrapFile = func(name string, f wal.File) wal.File {
 			return fault.WrapFile(seed, plan, name, f)
 		}

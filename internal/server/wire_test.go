@@ -114,15 +114,15 @@ func TestWireFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaWire MetricsResponse
+	var viaWire metricsResponse
 	if err := json.Unmarshal(body, &viaWire); err != nil {
-		t.Fatalf("wire metrics not MetricsResponse JSON: %v\n%s", err, body)
+		t.Fatalf("wire metrics not metricsResponse JSON: %v\n%s", err, body)
 	}
 	hres, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaHTTP MetricsResponse
+	var viaHTTP metricsResponse
 	if err := json.NewDecoder(hres.Body).Decode(&viaHTTP); err != nil {
 		t.Fatal(err)
 	}

@@ -87,10 +87,10 @@ func TestOneShardBitIdentical(t *testing.T) {
 		cfg.CheckInvariants = true
 		refOut, refRes := runUnsharded(t, cfg, generate(t, cfg))
 		got := runSharded(t, cfg, generate(t, cfg), Options{Shards: 1})
-		if !reflect.DeepEqual(refOut, got.Outcomes) {
+		if !reflect.DeepEqual(refOut, got.outcomes) {
 			for i := range refOut {
-				if refOut[i] != got.Outcomes[i] {
-					t.Errorf("%s: T%d diverges: unsharded %+v, 1-shard %+v", b.name, i, refOut[i], got.Outcomes[i])
+				if refOut[i] != got.outcomes[i] {
+					t.Errorf("%s: T%d diverges: unsharded %+v, 1-shard %+v", b.name, i, refOut[i], got.outcomes[i])
 					break
 				}
 			}
@@ -156,14 +156,14 @@ func TestMultiShardEpochIntervalIsSemantic(t *testing.T) {
 			t.Fatalf("epoch %v: repeated run diverged", epoch)
 		}
 		terminal := 0
-		for _, o := range a.Outcomes {
+		for _, o := range a.outcomes {
 			switch o.State {
 			case core.StateCommitted, core.StateDropped, core.StateRejected:
 				terminal++
 			}
 		}
-		if terminal != len(a.Outcomes) {
-			t.Fatalf("epoch %v: %d/%d transactions terminal", epoch, terminal, len(a.Outcomes))
+		if terminal != len(a.outcomes) {
+			t.Fatalf("epoch %v: %d/%d transactions terminal", epoch, terminal, len(a.outcomes))
 		}
 	}
 }
@@ -203,7 +203,7 @@ func TestCrossShardScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o0, o1 := res.Outcomes[0], res.Outcomes[1]
+	o0, o1 := res.outcomes[0], res.outcomes[1]
 	if o0.State != core.StateCommitted || o0.Finish != 2*time.Millisecond {
 		t.Fatalf("single-shard outcome %+v, want commit at 2ms (ran immediately)", o0)
 	}

@@ -65,7 +65,7 @@ func TestPredictOneShardBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(refOut, got.Outcomes) {
+		if !reflect.DeepEqual(refOut, got.outcomes) {
 			t.Fatalf("%v: 1-shard outcomes diverge from unsharded", pol)
 		}
 		_ = refRes

@@ -31,17 +31,17 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultEpoch is the cross-shard epoch interval when Options.Epoch is 0.
+// defaultEpoch is the cross-shard epoch interval when Options.Epoch is 0.
 // It trades cross-shard latency (a cross transaction waits for the next
 // boundary before starting anywhere) against barrier overhead.
-const DefaultEpoch = 10 * time.Millisecond
+const defaultEpoch = 10 * time.Millisecond
 
 // Options configure a sharded run.
 type Options struct {
 	// Shards is the number of engine shards (1..64).
 	Shards int
 	// Epoch is the simulated-time interval between cross-shard boundaries
-	// (0 = DefaultEpoch).
+	// (0 = defaultEpoch).
 	Epoch time.Duration
 }
 
@@ -66,9 +66,9 @@ type Result struct {
 	// the shards). Each cross-shard sub-transaction counts as one engine
 	// transaction here; use Cross for logical-level accounting.
 	Metrics metrics.Result
-	// Outcomes holds one logical outcome per workload transaction, indexed
+	// outcomes holds one logical outcome per workload transaction, indexed
 	// by its workload ID.
-	Outcomes []core.ServiceOutcome
+	outcomes []core.ServiceOutcome
 	// Cross summarises the cross-shard transactions.
 	Cross CrossSummary
 	// Epochs is the number of boundaries the run took.
@@ -116,7 +116,7 @@ func New(cfg core.Config, wl *workload.Workload, opt Options) (*Runner, error) {
 	}
 	epoch := opt.Epoch
 	if epoch == 0 {
-		epoch = DefaultEpoch
+		epoch = defaultEpoch
 	}
 	if epoch < 0 {
 		return nil, fmt.Errorf("shard: negative epoch interval %v", epoch)
@@ -205,7 +205,7 @@ func (r *Runner) Run() (Result, error) {
 			return Result{}, fmt.Errorf("shard: stalled at epoch %d (t=%v): live transactions with empty calendars", k, time.Duration(b))
 		}
 	}
-	res := Result{Outcomes: make([]core.ServiceOutcome, r.n), Epochs: epochs}
+	res := Result{outcomes: make([]core.ServiceOutcome, r.n), Epochs: epochs}
 	for i, e := range r.engines {
 		if _, err := e.FinishRun(); err != nil {
 			return Result{}, fmt.Errorf("shard %d: %w", i, err)
@@ -221,12 +221,12 @@ func (r *Runner) Run() (Result, error) {
 	for i, e := range r.engines {
 		all := e.TxnOutcomes()
 		for li, gid := range r.global[i] {
-			res.Outcomes[gid] = all[li]
+			res.outcomes[gid] = all[li]
 		}
 	}
 	for _, c := range r.cross {
 		o := foldParts(c.spec.Arrival, c.spec.Deadline, c.outcomes)
-		res.Outcomes[c.spec.ID] = o
+		res.outcomes[c.spec.ID] = o
 		res.Cross.Total++
 		committed := 0
 		for _, po := range c.outcomes {

@@ -86,11 +86,10 @@ type ServiceOptions struct {
 	// Shards is the number of engine shards (1..64).
 	Shards int
 	// Epoch is the simulated-time cross-shard batching interval
-	// (0 = DefaultEpoch). The wall flush period is Epoch divided by the
+	// (0 = defaultEpoch). The wall flush period is Epoch divided by the
 	// core speed factor.
 	Epoch time.Duration
-	// Core tunes each shard's wall-clock service (speed, sample window,
-	// oracle).
+	// Core tunes each shard's wall-clock service (speed, oracle).
 	Core core.ServiceOptions
 	// Supervise contains shard-driver failures instead of letting one
 	// panicking shard kill the whole service.
@@ -204,7 +203,7 @@ func NewService(cfg core.Config, opt ServiceOptions) (*Service, error) {
 	}
 	epoch := opt.Epoch
 	if epoch <= 0 {
-		epoch = DefaultEpoch
+		epoch = defaultEpoch
 	}
 	speed := opt.Core.Speed
 	if speed <= 0 {

@@ -28,10 +28,10 @@ func (s EpochSchedule) Boundary(k int) Time {
 	return Time(k) * s.Interval
 }
 
-// EpochOf returns the index of the first boundary at or after t, i.e. the
+// epochOf returns the index of the first boundary at or after t, i.e. the
 // epoch during which an event at time t is exchanged. Events exactly on a
 // boundary belong to that boundary's epoch.
-func (s EpochSchedule) EpochOf(t Time) int {
+func (s EpochSchedule) epochOf(t Time) int {
 	if s.Interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive epoch interval %v", s.Interval))
 	}

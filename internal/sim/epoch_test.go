@@ -30,14 +30,14 @@ func TestEpochOf(t *testing.T) {
 		{Time(25 * time.Millisecond), 3},
 	}
 	for _, c := range cases {
-		if got := s.EpochOf(c.at); got != c.want {
-			t.Errorf("EpochOf(%v) = %d, want %d", c.at, got, c.want)
+		if got := s.epochOf(c.at); got != c.want {
+			t.Errorf("epochOf(%v) = %d, want %d", c.at, got, c.want)
 		}
 		// Consistency: an event at t is applied no later than its epoch's
 		// boundary, and after the previous one.
-		k := s.EpochOf(c.at)
+		k := s.epochOf(c.at)
 		if b := s.Boundary(k); b < c.at {
-			t.Errorf("EpochOf(%v) = %d but Boundary(%d) = %v is earlier", c.at, k, k, b)
+			t.Errorf("epochOf(%v) = %d but Boundary(%d) = %v is earlier", c.at, k, k, b)
 		}
 	}
 }

@@ -43,8 +43,8 @@ type RealtimeOptions struct {
 	Step func(to Time) error
 }
 
-// ErrStopped reports a Call against a driver whose Run has returned.
-var ErrStopped = errors.New("sim: realtime driver stopped")
+// errStopped reports a Call against a driver whose Run has returned.
+var errStopped = errors.New("sim: realtime driver stopped")
 
 // Realtime runs a Simulator in wall-clock time. Construct with NewRealtime,
 // start the single driver goroutine with Run, and inject work from any
@@ -104,14 +104,14 @@ func (r *Realtime) wallFor(t Time) time.Time {
 // Call enqueues fn to run on the driver goroutine, with the simulated
 // clock advanced to the current wall instant — the injection point for
 // asynchronously arriving work. Calls run in submission order, before any
-// event due later. It returns ErrStopped once Run has returned (fn will
+// event due later. It returns errStopped once Run has returned (fn will
 // never run); a call enqueued while Run is shutting down may also be
 // dropped, so waiters must additionally select on their own stop signal.
 func (r *Realtime) Call(fn func()) error {
 	r.mu.Lock()
 	if r.stopped {
 		r.mu.Unlock()
-		return ErrStopped
+		return errStopped
 	}
 	r.calls = append(r.calls, fn)
 	r.mu.Unlock()
@@ -125,7 +125,7 @@ func (r *Realtime) Call(fn func()) error {
 // Run drives the calendar until the context is cancelled or the step
 // function fails. It must be called exactly once, and it owns the Simulator
 // until it returns. Pending calls that never got to run are dropped once
-// Run returns; subsequent Calls return ErrStopped.
+// Run returns; subsequent Calls return errStopped.
 func (r *Realtime) Run(ctx context.Context) error {
 	r.mu.Lock()
 	if r.started {

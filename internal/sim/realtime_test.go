@@ -84,8 +84,8 @@ func TestRealtimeCallInjection(t *testing.T) {
 
 	cancel()
 	<-done
-	if err := rt.Call(func() {}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Call after stop returned %v, want ErrStopped", err)
+	if err := rt.Call(func() {}); !errors.Is(err, errStopped) {
+		t.Fatalf("Call after stop returned %v, want errStopped", err)
 	}
 }
 

@@ -15,7 +15,7 @@
 // recycles event records through a per-Simulator free list instead of
 // allocating each one on the heap. Callers hold generation-checked Handle
 // values: a Handle captures the incarnation of the record it was issued
-// for, so Cancel (or Pending/Cancelled) on a handle whose event has already
+// for, so Cancel (or Pending/cancelled) on a handle whose event has already
 // fired is a guaranteed no-op even after the record has been reused for an
 // unrelated event.
 package sim
@@ -31,10 +31,10 @@ import (
 // finer than the paper's millisecond-scale parameters.
 type Time = time.Duration
 
-// Event is one scheduled-callback record in the calendar. Records are owned
+// event is one scheduled-callback record in the calendar. Records are owned
 // and recycled by the Simulator; callers refer to them only through the
 // generation-checked Handle returned by At and After.
-type Event struct {
+type event struct {
 	at  Time
 	seq uint64
 	fn  func()
@@ -45,36 +45,31 @@ type Event struct {
 	// an earlier incarnation can never act on a recycled record.
 	gen uint64
 	// cancelledGen remembers the incarnation (if any) that was removed by
-	// Cancel rather than by firing, so Handle.Cancelled stays answerable
+	// Cancel rather than by firing, so Handle.cancelled stays answerable
 	// after the record is recycled.
 	cancelledGen uint64
 }
 
 // Handle is a caller's reference to one scheduled event. It is a small
 // value (no allocation) pairing the calendar record with the incarnation it
-// was issued for. The zero Handle refers to no event: Pending and Cancelled
+// was issued for. The zero Handle refers to no event: Pending and cancelled
 // report false and Cancel is a no-op.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	gen uint64
 	at  Time
 }
-
-// At returns the simulated time the event was scheduled to fire. It remains
-// valid after the event fires or is cancelled (the time is captured in the
-// handle). The zero Handle returns 0.
-func (h Handle) At() Time { return h.at }
 
 // Pending reports whether the event is still in the calendar: it has
 // neither fired nor been cancelled. A stale handle — one whose record has
 // been recycled for a different event — reports false.
 func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// Cancelled reports whether Cancel removed this handle's event before it
+// cancelled reports whether Cancel removed this handle's event before it
 // fired. It answers for exactly the incarnation the handle was issued for:
 // a handle whose event fired reports false forever, even after the
 // underlying record is recycled and the new incarnation is cancelled.
-func (h Handle) Cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }
+func (h Handle) cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }
 
 // eventSlabSize is the batch size for refilling the free list: records are
 // allocated in slabs so calendar growth amortises to one allocation per slab.
@@ -87,7 +82,7 @@ type Simulator struct {
 	calendar eventHeap
 	executed uint64
 	// free holds recycled event records (LIFO).
-	free []*Event
+	free []*event
 }
 
 // New returns an empty simulator with the clock at zero. Event records are
@@ -127,7 +122,7 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
@@ -137,7 +132,7 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 		// high-water mark costs one allocation per batch, not per event.
 		// gen starts at 1 so a zero Handle (gen 0) can never match, and
 		// cancelledGen 0 means "no incarnation was ever cancelled".
-		slab := make([]Event, eventSlabSize)
+		slab := make([]event, eventSlabSize)
 		for i := range slab {
 			slab[i].gen = 1
 		}
@@ -162,7 +157,7 @@ func (s *Simulator) After(d time.Duration, fn func()) Handle {
 
 // recycle retires a record that has left the calendar: its incarnation is
 // closed (so stale handles go inert) and the record returns to the free list.
-func (s *Simulator) recycle(e *Event) {
+func (s *Simulator) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	s.free = append(s.free, e)
@@ -189,7 +184,7 @@ func (s *Simulator) Step() bool {
 	if len(s.calendar) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.calendar).(*Event)
+	e := heap.Pop(&s.calendar).(*event)
 	s.now = e.at
 	s.executed++
 	fn := e.fn
@@ -219,7 +214,7 @@ func (s *Simulator) RunUntil(t Time) {
 }
 
 // eventHeap is a min-heap ordered by (time, scheduling sequence).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 
@@ -237,7 +232,7 @@ func (h eventHeap) Swap(i, j int) {
 }
 
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.index = len(*h)
 	*h = append(*h, e)
 }

@@ -74,7 +74,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if !s.Cancel(e) {
 		t.Fatal("Cancel returned false for a pending event")
 	}
-	if !e.Cancelled() {
+	if !e.cancelled() {
 		t.Fatal("event not marked cancelled")
 	}
 	s.Run()
@@ -91,7 +91,7 @@ func TestCancelZeroHandleIsNoop(t *testing.T) {
 	if s.Cancel(Handle{}) {
 		t.Fatal("Cancel of the zero handle returned true")
 	}
-	if (Handle{}).Pending() || (Handle{}).Cancelled() {
+	if (Handle{}).Pending() || (Handle{}).cancelled() {
 		t.Fatal("zero handle reports pending or cancelled")
 	}
 }
@@ -192,8 +192,8 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 func TestEventAtAccessor(t *testing.T) {
 	s := New()
 	e := s.At(42, func() {})
-	if e.At() != 42 {
-		t.Fatalf("At() = %v, want 42", e.At())
+	if e.at != 42 {
+		t.Fatalf("At() = %v, want 42", e.at)
 	}
 	if !e.Pending() {
 		t.Fatal("freshly scheduled event not pending")
@@ -306,7 +306,7 @@ func TestQuickCancellationProperty(t *testing.T) {
 // TestFiredHandleIsInertAfterRecycle is the core pooling-safety regression:
 // once an event fires, its record goes back to the free list and is reused
 // for the next scheduled event. A stale handle to the fired event must stay
-// a complete no-op — Cancel false, Pending false, Cancelled false — and in
+// a complete no-op — Cancel false, Pending false, cancelled false — and in
 // particular must not cancel or otherwise disturb the recycled record's new
 // event.
 func TestFiredHandleIsInertAfterRecycle(t *testing.T) {
@@ -328,7 +328,7 @@ func TestFiredHandleIsInertAfterRecycle(t *testing.T) {
 	if h1.Pending() {
 		t.Error("fired handle reports pending after its record was recycled")
 	}
-	if h1.Cancelled() {
+	if h1.cancelled() {
 		t.Error("fired handle reports cancelled")
 	}
 	if s.Cancel(h1) {
@@ -346,14 +346,14 @@ func TestFiredHandleIsInertAfterRecycle(t *testing.T) {
 
 // TestCancelledHandleIsInertAfterRecycle: same guarantee for a handle whose
 // event was cancelled (rather than fired) before the record was reused —
-// and Cancelled() keeps answering for the right incarnation on both sides.
+// and cancelled() keeps answering for the right incarnation on both sides.
 func TestCancelledHandleIsInertAfterRecycle(t *testing.T) {
 	s := New()
 	h1 := s.At(10, func() { t.Error("cancelled event fired") })
 	if !s.Cancel(h1) {
 		t.Fatal("Cancel of a pending event returned false")
 	}
-	if !h1.Cancelled() {
+	if !h1.cancelled() {
 		t.Fatal("handle not marked cancelled before reuse")
 	}
 
@@ -363,13 +363,13 @@ func TestCancelledHandleIsInertAfterRecycle(t *testing.T) {
 		t.Fatal("second event did not reuse the cancelled record")
 	}
 	// h1's incarnation was cancelled; h2's was not (yet).
-	if !h1.Cancelled() {
+	if !h1.cancelled() {
 		t.Error("cancelled handle forgot its cancellation after record reuse")
 	}
 	if h1.Pending() {
 		t.Error("cancelled handle reports pending after record reuse")
 	}
-	if h2.Cancelled() {
+	if h2.cancelled() {
 		t.Error("fresh event reports cancelled because its record's previous incarnation was")
 	}
 	if s.Cancel(h1) {
@@ -389,8 +389,8 @@ func TestHandleAtSurvivesRecycling(t *testing.T) {
 	h1 := s.At(7, func() {})
 	s.Run()
 	s.At(99, func() {})
-	if h1.At() != 7 {
-		t.Fatalf("stale handle At() = %v, want 7", h1.At())
+	if h1.at != 7 {
+		t.Fatalf("stale handle At() = %v, want 7", h1.at)
 	}
 }
 
@@ -431,7 +431,7 @@ func TestUnpooledSemanticsMatch(t *testing.T) {
 	if !s.Cancel(h) {
 		t.Fatal("Cancel failed")
 	}
-	if !h.Cancelled() || h.Pending() {
+	if !h.cancelled() || h.Pending() {
 		t.Fatal("handle state wrong after Cancel")
 	}
 	s.Run()

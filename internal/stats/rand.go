@@ -26,9 +26,6 @@ func NewSource(seed int64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the root seed of the source.
-func (s *Source) Seed() int64 { return s.seed }
-
 // Stream returns the substream with the given name. Calling Stream twice
 // with the same name yields streams that produce identical sequences.
 func (s *Source) Stream(name string) *Stream {
@@ -42,9 +39,9 @@ type Stream struct {
 	rng *rand.Rand
 }
 
-// NewStream returns a stand-alone stream with the given seed; most callers
+// newStream returns a stand-alone stream with the given seed; most callers
 // should derive streams from a Source instead.
-func NewStream(seed int64) *Stream {
+func newStream(seed int64) *Stream {
 	return &Stream{rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -53,9 +50,6 @@ func (st *Stream) Float64() float64 { return st.rng.Float64() }
 
 // Intn returns a uniform integer in [0, n).
 func (st *Stream) Intn(n int) int { return st.rng.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (st *Stream) Perm(n int) []int { return st.rng.Perm(n) }
 
 // Uniform returns a uniform variate in [a, b). It panics if b < a.
 func (st *Stream) Uniform(a, b float64) float64 {
@@ -74,8 +68,8 @@ func (st *Stream) Exponential(mean float64) float64 {
 	return st.rng.ExpFloat64() * mean
 }
 
-// Normal returns a normal variate with the given mean and standard deviation.
-func (st *Stream) Normal(mean, std float64) float64 {
+// normal returns a normal variate with the given mean and standard deviation.
+func (st *Stream) normal(mean, std float64) float64 {
 	if std < 0 {
 		panic(fmt.Sprintf("stats: Normal std %v < 0", std))
 	}
@@ -90,7 +84,7 @@ func (st *Stream) NormalIntClamped(mean, std float64, min, max int) int {
 	if min > max {
 		panic(fmt.Sprintf("stats: NormalIntClamped bounds inverted: [%d, %d]", min, max))
 	}
-	v := int(math.Round(st.Normal(mean, std)))
+	v := int(math.Round(st.normal(mean, std)))
 	if v < min {
 		v = min
 	}

@@ -41,13 +41,13 @@ func TestStreamsDifferBySeed(t *testing.T) {
 }
 
 func TestSourceSeedAccessor(t *testing.T) {
-	if got := NewSource(99).Seed(); got != 99 {
+	if got := NewSource(99).seed; got != 99 {
 		t.Fatalf("Seed() = %d, want 99", got)
 	}
 }
 
 func TestUniformRange(t *testing.T) {
-	st := NewStream(7)
+	st := newStream(7)
 	for i := 0; i < 1000; i++ {
 		v := st.Uniform(0.2, 8.0)
 		if v < 0.2 || v >= 8.0 {
@@ -62,11 +62,11 @@ func TestUniformInvertedPanics(t *testing.T) {
 			t.Fatal("inverted bounds did not panic")
 		}
 	}()
-	NewStream(1).Uniform(2, 1)
+	newStream(1).Uniform(2, 1)
 }
 
 func TestExponentialMean(t *testing.T) {
-	st := NewStream(11)
+	st := newStream(11)
 	var acc Accumulator
 	for i := 0; i < 200000; i++ {
 		acc.Add(st.Exponential(100))
@@ -82,20 +82,20 @@ func TestExponentialNonPositiveMeanPanics(t *testing.T) {
 			t.Fatal("non-positive mean did not panic")
 		}
 	}()
-	NewStream(1).Exponential(0)
+	newStream(1).Exponential(0)
 }
 
 func TestNormalMoments(t *testing.T) {
-	st := NewStream(13)
+	st := newStream(13)
 	var acc Accumulator
 	for i := 0; i < 200000; i++ {
-		acc.Add(st.Normal(20, 10))
+		acc.Add(st.normal(20, 10))
 	}
 	if math.Abs(acc.Mean()-20) > 0.3 {
 		t.Fatalf("Normal mean = %v, want ~20", acc.Mean())
 	}
-	if math.Abs(acc.StdDev()-10) > 0.3 {
-		t.Fatalf("Normal std = %v, want ~10", acc.StdDev())
+	if math.Abs(acc.stdDev()-10) > 0.3 {
+		t.Fatalf("Normal std = %v, want ~10", acc.stdDev())
 	}
 }
 
@@ -105,11 +105,11 @@ func TestNormalNegativeStdPanics(t *testing.T) {
 			t.Fatal("negative std did not panic")
 		}
 	}()
-	NewStream(1).Normal(0, -1)
+	newStream(1).normal(0, -1)
 }
 
 func TestNormalIntClamped(t *testing.T) {
-	st := NewStream(17)
+	st := newStream(17)
 	for i := 0; i < 5000; i++ {
 		v := st.NormalIntClamped(20, 10, 1, 30)
 		if v < 1 || v > 30 {
@@ -124,11 +124,11 @@ func TestNormalIntClampedInvertedPanics(t *testing.T) {
 			t.Fatal("inverted clamp bounds did not panic")
 		}
 	}()
-	NewStream(1).NormalIntClamped(0, 1, 5, 4)
+	newStream(1).NormalIntClamped(0, 1, 5, 4)
 }
 
 func TestBernoulliProbability(t *testing.T) {
-	st := NewStream(19)
+	st := newStream(19)
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -143,7 +143,7 @@ func TestBernoulliProbability(t *testing.T) {
 }
 
 func TestBernoulliEdges(t *testing.T) {
-	st := NewStream(23)
+	st := newStream(23)
 	for i := 0; i < 100; i++ {
 		if st.Bernoulli(0) {
 			t.Fatal("Bernoulli(0) returned true")
@@ -160,11 +160,11 @@ func TestBernoulliOutOfRangePanics(t *testing.T) {
 			t.Fatal("p>1 did not panic")
 		}
 	}()
-	NewStream(1).Bernoulli(1.5)
+	newStream(1).Bernoulli(1.5)
 }
 
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
-	st := NewStream(29)
+	st := newStream(29)
 	for trial := 0; trial < 200; trial++ {
 		got := st.SampleWithoutReplacement(30, 20)
 		if len(got) != 20 {
@@ -184,7 +184,7 @@ func TestSampleWithoutReplacementDistinct(t *testing.T) {
 }
 
 func TestSampleWithoutReplacementFull(t *testing.T) {
-	st := NewStream(31)
+	st := newStream(31)
 	got := st.SampleWithoutReplacement(5, 5)
 	seen := map[int]bool{}
 	for _, v := range got {
@@ -201,11 +201,11 @@ func TestSampleWithoutReplacementTooManyPanics(t *testing.T) {
 			t.Fatal("k > n did not panic")
 		}
 	}()
-	NewStream(1).SampleWithoutReplacement(3, 4)
+	newStream(1).SampleWithoutReplacement(3, 4)
 }
 
 func TestSampleWithoutReplacementUniform(t *testing.T) {
-	st := NewStream(37)
+	st := newStream(37)
 	counts := make([]int, 10)
 	const trials = 30000
 	for i := 0; i < trials; i++ {
@@ -232,17 +232,17 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", a.Mean())
 	}
-	if math.Abs(a.Variance()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Variance = %v, want %v", a.Variance(), 32.0/7.0)
+	if math.Abs(a.variance()-32.0/7.0) > 1e-12 {
+		t.Fatalf("Variance = %v, want %v", a.variance(), 32.0/7.0)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", a.Min(), a.Max())
+	if a.min != 2 || a.max != 9 {
+		t.Fatalf("Min/Max = %v/%v, want 2/9", a.min, a.max)
 	}
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.CI95() != 0 || a.StdErr() != 0 {
+	if a.Mean() != 0 || a.variance() != 0 || a.CI95() != 0 || a.stdErr() != 0 {
 		t.Fatal("empty accumulator not all-zero")
 	}
 }
@@ -250,7 +250,7 @@ func TestAccumulatorEmpty(t *testing.T) {
 func TestAccumulatorSingle(t *testing.T) {
 	var a Accumulator
 	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Variance() != 0 || a.CI95() != 0 {
+	if a.Mean() != 3.5 || a.variance() != 0 || a.CI95() != 0 {
 		t.Fatal("single-observation accumulator wrong")
 	}
 }
@@ -285,16 +285,16 @@ func TestTCriticalMonotone(t *testing.T) {
 }
 
 func TestMeanMedian(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 {
+	if mean(nil) != 0 || median(nil) != 0 {
 		t.Fatal("empty slice should give 0")
 	}
-	if Mean([]float64{1, 2, 3, 4}) != 2.5 {
+	if mean([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("Mean wrong")
 	}
-	if Median([]float64{5, 1, 3}) != 3 {
+	if median([]float64{5, 1, 3}) != 3 {
 		t.Fatal("odd Median wrong")
 	}
-	if Median([]float64{4, 1, 3, 2}) != 2.5 {
+	if median([]float64{4, 1, 3, 2}) != 2.5 {
 		t.Fatal("even Median wrong")
 	}
 }
@@ -327,7 +327,7 @@ func TestQuickAccumulatorMatchesDirect(t *testing.T) {
 		for _, x := range clean {
 			a.Add(x)
 		}
-		m := Mean(clean)
+		m := mean(clean)
 		if math.Abs(a.Mean()-m) > 1e-6*(1+math.Abs(m)) {
 			return false
 		}
@@ -336,7 +336,7 @@ func TestQuickAccumulatorMatchesDirect(t *testing.T) {
 			ss += (x - m) * (x - m)
 		}
 		v := ss / float64(len(clean)-1)
-		return math.Abs(a.Variance()-v) <= 1e-6*(1+v)
+		return math.Abs(a.variance()-v) <= 1e-6*(1+v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -40,29 +40,23 @@ func (a *Accumulator) N() int { return a.n }
 // Mean returns the sample mean (0 for an empty accumulator).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
-// Min returns the smallest observation (0 for an empty accumulator).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 for an empty accumulator).
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the unbiased sample variance.
-func (a *Accumulator) Variance() float64 {
+// variance returns the unbiased sample variance.
+func (a *Accumulator) variance() float64 {
 	if a.n < 2 {
 		return 0
 	}
 	return a.m2 / float64(a.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
+// stdDev returns the sample standard deviation.
+func (a *Accumulator) stdDev() float64 { return math.Sqrt(a.variance()) }
 
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
+// stdErr returns the standard error of the mean.
+func (a *Accumulator) stdErr() float64 {
 	if a.n == 0 {
 		return 0
 	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
+	return a.stdDev() / math.Sqrt(float64(a.n))
 }
 
 // CI95 returns the half-width of the 95% confidence interval for the mean,
@@ -71,7 +65,7 @@ func (a *Accumulator) CI95() float64 {
 	if a.n < 2 {
 		return 0
 	}
-	return tCritical95(a.n-1) * a.StdErr()
+	return tCritical95(a.n-1) * a.stdErr()
 }
 
 // RelCI95 returns the CI95 half-width relative to the magnitude of the
@@ -121,8 +115,8 @@ func tCritical95(df int) float64 {
 	return 1.96
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs (0 for an empty slice).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -133,8 +127,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the median of xs (0 for an empty slice).
-func Median(xs []float64) float64 {
+// median returns the median of xs (0 for an empty slice).
+func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}

@@ -26,7 +26,7 @@ const (
 	Wake
 	IOStart
 	IODone
-	Rollback
+	rollback
 	Deadlock
 	Commit
 	// Reject marks an arrival turned away by the admission controller.
@@ -111,9 +111,6 @@ func (b *Buffer) Record(e Event) {
 
 // Events returns the recorded events in order.
 func (b *Buffer) Events() []Event { return b.events }
-
-// Dropped returns how many events were evicted by the capacity bound.
-func (b *Buffer) Dropped() int { return b.dropped }
 
 // OfKind returns the recorded events of one kind.
 func (b *Buffer) OfKind(k Kind) []Event {

@@ -10,7 +10,7 @@ func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Arrival: "arrival", Dispatch: "dispatch", Preempt: "preempt",
 		Wound: "wound", Block: "block", Wake: "wake",
-		IOStart: "io-start", IODone: "io-done", Rollback: "rollback",
+		IOStart: "io-start", IODone: "io-done", rollback: "rollback",
 		Deadlock: "deadlock", Commit: "commit",
 	}
 	for k, s := range want {
@@ -75,8 +75,8 @@ func TestBufferCapacityDropsOldest(t *testing.T) {
 	if len(evs) != 3 || evs[0].Txn != 2 || evs[2].Txn != 4 {
 		t.Fatalf("ring behaviour wrong: %v", evs)
 	}
-	if b.Dropped() != 2 {
-		t.Fatalf("Dropped = %d", b.Dropped())
+	if b.dropped != 2 {
+		t.Fatalf("Dropped = %d", b.dropped)
 	}
 }
 

@@ -100,7 +100,7 @@ func ParseProgram(r io.Reader) (*Program, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("txn: reading program: %w", err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -109,7 +109,7 @@ func ParseProgram(r io.Reader) (*Program, error) {
 // WriteProgram renders a program in the text format accepted by
 // ParseProgram (round-trip safe for valid programs).
 func WriteProgram(w io.Writer, p *Program) error {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "program %s\n", p.Name); err != nil {
@@ -118,9 +118,9 @@ func WriteProgram(w io.Writer, p *Program) error {
 	var walk func(n *Node, depth int) error
 	walk = func(n *Node, depth int) error {
 		line := strings.Repeat("  ", depth) + "node " + n.Label
-		if !n.Accesses.Empty() {
+		if !n.Accesses.empty() {
 			parts := make([]string, 0, n.Accesses.Len())
-			items := n.Accesses.Items()
+			items := n.Accesses.items()
 			sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 			for _, it := range items {
 				parts = append(parts, strconv.Itoa(int(it)))

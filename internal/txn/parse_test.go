@@ -24,8 +24,8 @@ func TestParsePaperProgram(t *testing.T) {
 	if p.Name != "A" {
 		t.Fatalf("name = %q", p.Name)
 	}
-	a := MustAnalyze(p)
-	if !a.MightAccess("A").Equal(NewSet(0, 1, 2, 3, 4, 5, 6)) {
+	a := mustAnalyze(p)
+	if !a.MightAccess("A").equal(NewSet(0, 1, 2, 3, 4, 5, 6)) {
 		t.Fatalf("mightaccess(A) = %v", a.MightAccess("A"))
 	}
 	if !a.IsLeaf("Aa") || !a.IsLeaf("Ab") || a.IsLeaf("A") {
@@ -47,11 +47,11 @@ node T21
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := MustAnalyze(p)
+	a := mustAnalyze(p)
 	if got := a.Leaves("T21"); len(got) != 4 {
 		t.Fatalf("leaves = %v", got)
 	}
-	if !a.HasAccessed("T26").Equal(NewSet(11, 12)) {
+	if !a.HasAccessed("T26").equal(NewSet(11, 12)) {
 		t.Fatalf("hasaccessed(T26) = %v", a.HasAccessed("T26"))
 	}
 }
@@ -80,8 +80,8 @@ func TestParseAccesslessNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := MustAnalyze(p)
-	if !a.HasAccessed("root").Empty() {
+	a := mustAnalyze(p)
+	if !a.HasAccessed("root").empty() {
 		t.Fatal("access-less root should have empty hasaccessed")
 	}
 }
@@ -117,7 +117,7 @@ func equalPrograms(a, b *Program) bool {
 	}
 	var eq func(x, y *Node) bool
 	eq = func(x, y *Node) bool {
-		if x.Label != y.Label || !x.Accesses.Equal(y.Accesses) || len(x.Children) != len(y.Children) {
+		if x.Label != y.Label || !x.Accesses.equal(y.Accesses) || len(x.Children) != len(y.Children) {
 			return false
 		}
 		for i := range x.Children {

@@ -42,20 +42,20 @@ func Flat(name string, items ...Item) *Program {
 	return &Program{Name: name, Root: &Node{Label: name, Accesses: NewSet(items...)}}
 }
 
-// Branch builds an interior node. It is a convenience for assembling
+// branch builds an interior node. It is a convenience for assembling
 // programs in tests and examples.
-func Branch(label string, accesses Set, children ...*Node) *Node {
+func branch(label string, accesses Set, children ...*Node) *Node {
 	return &Node{Label: label, Accesses: accesses, Children: children}
 }
 
-// Leaf builds a leaf node.
-func Leaf(label string, items ...Item) *Node {
+// leaf builds a leaf node.
+func leaf(label string, items ...Item) *Node {
 	return &Node{Label: label, Accesses: NewSet(items...)}
 }
 
-// Validate checks the structural invariants of the program: a non-nil root,
+// validate checks the structural invariants of the program: a non-nil root,
 // non-nil nodes, and unique labels. Analysis requires a valid program.
-func (p *Program) Validate() error {
+func (p *Program) validate() error {
 	if p == nil || p.Root == nil {
 		return fmt.Errorf("txn: program %q has no root", p.name())
 	}
@@ -106,7 +106,7 @@ type Analysis struct {
 
 // Analyze validates the program and computes its analysis tables.
 func Analyze(p *Program) (*Analysis, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	a := &Analysis{
@@ -120,7 +120,7 @@ func Analyze(p *Program) (*Analysis, error) {
 	var walk func(n *Node, pathAcc Set)
 	walk = func(n *Node, pathAcc Set) {
 		a.nodes[n.Label] = n
-		has := pathAcc.Union(n.Accesses)
+		has := pathAcc.union(n.Accesses)
 		a.hasAccessed[n.Label] = has
 		if len(n.Children) == 0 {
 			a.mightAccess[n.Label] = has
@@ -132,7 +132,7 @@ func Analyze(p *Program) (*Analysis, error) {
 		for _, c := range n.Children {
 			a.parent[c.Label] = n.Label
 			walk(c, has)
-			might = might.Union(a.mightAccess[c.Label])
+			might = might.union(a.mightAccess[c.Label])
 			lv = append(lv, a.leaves[c.Label]...)
 		}
 		a.mightAccess[n.Label] = might
@@ -142,9 +142,9 @@ func Analyze(p *Program) (*Analysis, error) {
 	return a, nil
 }
 
-// MustAnalyze is Analyze for statically known-good programs; it panics on
+// mustAnalyze is Analyze for statically known-good programs; it panics on
 // error.
-func MustAnalyze(p *Program) *Analysis {
+func mustAnalyze(p *Program) *Analysis {
 	a, err := Analyze(p)
 	if err != nil {
 		panic(err)
@@ -155,8 +155,8 @@ func MustAnalyze(p *Program) *Analysis {
 // Program returns the analysed program.
 func (a *Analysis) Program() *Program { return a.prog }
 
-// Node returns the node with the given label, or nil.
-func (a *Analysis) Node(label string) *Node { return a.nodes[label] }
+// node returns the node with the given label, or nil.
+func (a *Analysis) node(label string) *Node { return a.nodes[label] }
 
 // Labels returns all node labels in sorted order.
 func (a *Analysis) Labels() []string {
@@ -185,10 +185,4 @@ func (a *Analysis) Leaves(label string) []string { return a.leaves[label] }
 func (a *Analysis) IsLeaf(label string) bool {
 	n := a.nodes[label]
 	return n != nil && len(n.Children) == 0
-}
-
-// Parent returns the parent label of the given node and whether it has one.
-func (a *Analysis) Parent(label string) (string, bool) {
-	p, ok := a.parent[label]
-	return p, ok
 }

@@ -10,9 +10,9 @@ import (
 func paperProgramA() *Program {
 	return &Program{
 		Name: "A",
-		Root: Branch("A", NewSet(0),
-			Leaf("Aa", 1, 2, 3),
-			Leaf("Ab", 4, 5, 6),
+		Root: branch("A", NewSet(0),
+			leaf("Aa", 1, 2, 3),
+			leaf("Ab", 4, 5, 6),
 		),
 	}
 }
@@ -30,14 +30,14 @@ func paperProgramB() *Program {
 func paperProgramT2() *Program {
 	return &Program{
 		Name: "T2",
-		Root: Branch("T21", Set{},
-			Branch("T22", NewSet(10),
-				Leaf("T24", 12),
-				Leaf("T25", 13),
+		Root: branch("T21", Set{},
+			branch("T22", NewSet(10),
+				leaf("T24", 12),
+				leaf("T25", 13),
 			),
-			Branch("T23", NewSet(11),
-				Leaf("T26", 12),
-				Leaf("T27", 13),
+			branch("T23", NewSet(11),
+				leaf("T26", 12),
+				leaf("T27", 13),
 			),
 		),
 	}
@@ -45,40 +45,40 @@ func paperProgramT2() *Program {
 
 func TestValidateAcceptsPaperPrograms(t *testing.T) {
 	for _, p := range []*Program{paperProgramA(), paperProgramB(), paperProgramT2()} {
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Fatalf("Validate(%s) = %v", p.Name, err)
 		}
 	}
 }
 
 func TestValidateRejectsNilRoot(t *testing.T) {
-	if err := (&Program{Name: "x"}).Validate(); err == nil {
+	if err := (&Program{Name: "x"}).validate(); err == nil {
 		t.Fatal("nil root accepted")
 	}
 	var p *Program
-	if err := p.Validate(); err == nil {
+	if err := p.validate(); err == nil {
 		t.Fatal("nil program accepted")
 	}
 }
 
 func TestValidateRejectsDuplicateLabels(t *testing.T) {
-	p := &Program{Name: "d", Root: Branch("d", Set{}, Leaf("x"), Leaf("x"))}
-	err := p.Validate()
+	p := &Program{Name: "d", Root: branch("d", Set{}, leaf("x"), leaf("x"))}
+	err := p.validate()
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate labels: err = %v", err)
 	}
 }
 
 func TestValidateRejectsEmptyLabel(t *testing.T) {
-	p := &Program{Name: "e", Root: Branch("e", Set{}, Leaf(""))}
-	if err := p.Validate(); err == nil {
+	p := &Program{Name: "e", Root: branch("e", Set{}, leaf(""))}
+	if err := p.validate(); err == nil {
 		t.Fatal("empty label accepted")
 	}
 }
 
 func TestValidateRejectsNilChild(t *testing.T) {
 	p := &Program{Name: "n", Root: &Node{Label: "n", Children: []*Node{nil}}}
-	if err := p.Validate(); err == nil {
+	if err := p.validate(); err == nil {
 		t.Fatal("nil child accepted")
 	}
 }
@@ -92,34 +92,34 @@ func TestAnalyzeRejectsInvalid(t *testing.T) {
 func TestMustAnalyzePanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustAnalyze did not panic")
+			t.Fatal("mustAnalyze did not panic")
 		}
 	}()
-	MustAnalyze(&Program{Name: "bad"})
+	mustAnalyze(&Program{Name: "bad"})
 }
 
 // TestPaperFigure2 checks hasaccessed/mightaccess for programs A and B.
 func TestPaperFigure2(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
+	a := mustAnalyze(paperProgramA())
 
-	if got := a.HasAccessed("A"); !got.Equal(NewSet(0)) {
+	if got := a.HasAccessed("A"); !got.equal(NewSet(0)) {
 		t.Errorf("hasaccessed(A) = %v, want {0}", got)
 	}
-	if got := a.MightAccess("A"); !got.Equal(NewSet(0, 1, 2, 3, 4, 5, 6)) {
+	if got := a.MightAccess("A"); !got.equal(NewSet(0, 1, 2, 3, 4, 5, 6)) {
 		t.Errorf("mightaccess(A) = %v, want {0..6}", got)
 	}
-	if got := a.HasAccessed("Aa"); !got.Equal(NewSet(0, 1, 2, 3)) {
+	if got := a.HasAccessed("Aa"); !got.equal(NewSet(0, 1, 2, 3)) {
 		t.Errorf("hasaccessed(Aa) = %v", got)
 	}
-	if got := a.MightAccess("Aa"); !got.Equal(NewSet(0, 1, 2, 3)) {
+	if got := a.MightAccess("Aa"); !got.equal(NewSet(0, 1, 2, 3)) {
 		t.Errorf("mightaccess(Aa) = %v", got)
 	}
-	if got := a.MightAccess("Ab"); !got.Equal(NewSet(0, 4, 5, 6)) {
+	if got := a.MightAccess("Ab"); !got.equal(NewSet(0, 4, 5, 6)) {
 		t.Errorf("mightaccess(Ab) = %v", got)
 	}
 
-	b := MustAnalyze(paperProgramB())
-	if got := b.MightAccess("B"); !got.Equal(NewSet(1, 2, 3)) {
+	b := mustAnalyze(paperProgramB())
+	if got := b.MightAccess("B"); !got.equal(NewSet(1, 2, 3)) {
 		t.Errorf("mightaccess(B) = %v", got)
 	}
 	if !b.IsLeaf("B") {
@@ -129,7 +129,7 @@ func TestPaperFigure2(t *testing.T) {
 
 // TestPaperFigure3 checks the auxiliary transaction tree's derived sets.
 func TestPaperFigure3(t *testing.T) {
-	a := MustAnalyze(paperProgramT2())
+	a := mustAnalyze(paperProgramT2())
 
 	wantHas := map[string]Set{
 		"T21": {},
@@ -141,7 +141,7 @@ func TestPaperFigure3(t *testing.T) {
 		"T27": NewSet(11, 13),
 	}
 	for label, want := range wantHas {
-		if got := a.HasAccessed(label); !got.Equal(want) {
+		if got := a.HasAccessed(label); !got.equal(want) {
 			t.Errorf("hasaccessed(%s) = %v, want %v", label, got, want)
 		}
 	}
@@ -153,7 +153,7 @@ func TestPaperFigure3(t *testing.T) {
 		"T27": NewSet(11, 13),
 	}
 	for label, want := range wantMight {
-		if got := a.MightAccess(label); !got.Equal(want) {
+		if got := a.MightAccess(label); !got.equal(want) {
 			t.Errorf("mightaccess(%s) = %v, want %v", label, got, want)
 		}
 	}
@@ -166,11 +166,11 @@ func TestPaperFigure3(t *testing.T) {
 }
 
 func TestAnalysisAccessors(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
+	a := mustAnalyze(paperProgramA())
 	if a.Program().Name != "A" {
 		t.Error("Program() wrong")
 	}
-	if a.Node("Aa") == nil || a.Node("zzz") != nil {
+	if a.node("Aa") == nil || a.node("zzz") != nil {
 		t.Error("Node lookup wrong")
 	}
 	labels := a.Labels()
@@ -183,10 +183,10 @@ func TestAnalysisAccessors(t *testing.T) {
 			t.Fatalf("Labels = %v, want %v", labels, want)
 		}
 	}
-	if p, ok := a.Parent("Aa"); !ok || p != "A" {
-		t.Errorf("Parent(Aa) = %q, %v", p, ok)
+	if p, ok := a.parent["Aa"]; !ok || p != "A" {
+		t.Errorf("parent[Aa] = %q, %v", p, ok)
 	}
-	if _, ok := a.Parent("A"); ok {
+	if _, ok := a.parent["A"]; ok {
 		t.Error("root should have no parent")
 	}
 	if !a.IsLeaf("Ab") || a.IsLeaf("A") {
@@ -196,14 +196,14 @@ func TestAnalysisAccessors(t *testing.T) {
 
 func TestFlatProgram(t *testing.T) {
 	p := Flat("F", 7, 8)
-	a := MustAnalyze(p)
+	a := mustAnalyze(p)
 	if !a.IsLeaf("F") {
 		t.Fatal("flat program root is not a leaf")
 	}
-	if !a.MightAccess("F").Equal(NewSet(7, 8)) {
+	if !a.MightAccess("F").equal(NewSet(7, 8)) {
 		t.Fatal("flat program might-access wrong")
 	}
-	if !a.HasAccessed("F").Equal(a.MightAccess("F")) {
+	if !a.HasAccessed("F").equal(a.MightAccess("F")) {
 		t.Fatal("flat program has/might mismatch")
 	}
 }

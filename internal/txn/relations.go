@@ -67,32 +67,32 @@ func (s SafetyClass) String() string {
 // State is a transaction's position in its program: an analysis plus the
 // label of the node it most recently reached.
 type State struct {
-	Analysis *Analysis
-	Label    string
+	analysis *Analysis
+	label    string
 }
 
 // NewState returns the state of a freshly started transaction of the given
 // analysed program (positioned at the root).
 func NewState(a *Analysis) State {
-	return State{Analysis: a, Label: a.Program().Root.Label}
+	return State{analysis: a, label: a.Program().Root.Label}
 }
 
 // At returns the state positioned at the given label.
 func At(a *Analysis, label string) State {
-	if a.Node(label) == nil {
+	if a.node(label) == nil {
 		panic(fmt.Sprintf("txn: program %q has no node %q", a.Program().Name, label))
 	}
-	return State{Analysis: a, Label: label}
+	return State{analysis: a, label: label}
 }
 
-// HasAccessed returns the items the transaction has accessed so far.
-func (s State) HasAccessed() Set { return s.Analysis.HasAccessed(s.Label) }
+// hasAccessed returns the items the transaction has accessed so far.
+func (s State) hasAccessed() Set { return s.analysis.HasAccessed(s.label) }
 
-// MightAccess returns the items the transaction might access.
-func (s State) MightAccess() Set { return s.Analysis.MightAccess(s.Label) }
+// mightAccess returns the items the transaction might access.
+func (s State) mightAccess() Set { return s.analysis.MightAccess(s.label) }
 
-// Leaves returns the leaf labels reachable from the state.
-func (s State) Leaves() []string { return s.Analysis.Leaves(s.Label) }
+// leaves returns the leaf labels reachable from the state.
+func (s State) leaves() []string { return s.analysis.Leaves(s.label) }
 
 // ConflictBetween classifies the conflict relation between two transaction
 // states, following the paper's definitions:
@@ -106,10 +106,10 @@ func (s State) Leaves() []string { return s.Analysis.Leaves(s.Label) }
 // The relation is symmetric.
 func ConflictBetween(a, b State) ConflictClass {
 	anyOverlap, anyDisjoint := false, false
-	for _, p := range a.Leaves() {
-		mp := a.Analysis.MightAccess(p)
-		for _, q := range b.Leaves() {
-			if mp.Intersects(b.Analysis.MightAccess(q)) {
+	for _, p := range a.leaves() {
+		mp := a.analysis.MightAccess(p)
+		for _, q := range b.leaves() {
+			if mp.Intersects(b.analysis.MightAccess(q)) {
 				anyOverlap = true
 			} else {
 				anyDisjoint = true
@@ -139,32 +139,32 @@ func ConflictBetween(a, b State) ConflictClass {
 // Unlike conflict, safety is not symmetric: it depends on what `part` has
 // already accessed.
 func SafetyOf(part, sched State) SafetyClass {
-	has := part.HasAccessed()
-	if !has.Intersects(sched.MightAccess()) {
+	has := part.hasAccessed()
+	if !has.Intersects(sched.mightAccess()) {
 		return Safe
 	}
-	for _, q := range sched.Leaves() {
-		if !has.Intersects(sched.Analysis.MightAccess(q)) {
+	for _, q := range sched.leaves() {
+		if !has.Intersects(sched.analysis.MightAccess(q)) {
 			return ConditionallyUnsafe
 		}
 	}
 	return Unsafe
 }
 
-// RelationTable precomputes the pairwise conflict classification for every
+// relationTable precomputes the pairwise conflict classification for every
 // (node, node) pair of two programs. The scheduler consults tables like this
 // instead of re-deriving relations at every scheduling point; the paper
 // argues this space-for-time trade-off is reasonable for an RTDBS (§3.2.2).
-type RelationTable struct {
+type relationTable struct {
 	a, b     *Analysis
 	conflict map[[2]string]ConflictClass
 	safety   map[[2]string]SafetyClass
 }
 
-// BuildRelationTable computes the full table between two analysed programs
+// buildRelationTable computes the full table between two analysed programs
 // (which may be the same program, for self-relations between two instances).
-func BuildRelationTable(a, b *Analysis) *RelationTable {
-	t := &RelationTable{
+func buildRelationTable(a, b *Analysis) *relationTable {
+	t := &relationTable{
 		a:        a,
 		b:        b,
 		conflict: make(map[[2]string]ConflictClass),
@@ -181,13 +181,13 @@ func BuildRelationTable(a, b *Analysis) *RelationTable {
 	return t
 }
 
-// Conflict returns the precomputed conflict class for (labelA, labelB).
-func (t *RelationTable) Conflict(labelA, labelB string) ConflictClass {
+// conflictOf returns the precomputed conflict class for (labelA, labelB).
+func (t *relationTable) conflictOf(labelA, labelB string) ConflictClass {
 	return t.conflict[[2]string{labelA, labelB}]
 }
 
-// Safety returns the precomputed safety class of a partially executed
+// safetyOf returns the precomputed safety class of a partially executed
 // transaction at labelA with respect to scheduling a transaction at labelB.
-func (t *RelationTable) Safety(labelA, labelB string) SafetyClass {
+func (t *relationTable) safetyOf(labelA, labelB string) SafetyClass {
 	return t.safety[[2]string{labelA, labelB}]
 }

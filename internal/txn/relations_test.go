@@ -10,8 +10,8 @@ import (
 // decision point A and B conditionally conflict; after taking the Aa branch
 // they conflict; after taking Ab they don't conflict.
 func TestPaperConflictExample(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
-	b := MustAnalyze(paperProgramB())
+	a := mustAnalyze(paperProgramA())
+	b := mustAnalyze(paperProgramB())
 	bState := NewState(b)
 
 	if got := ConflictBetween(At(a, "A"), bState); got != ConditionallyConflict {
@@ -26,9 +26,9 @@ func TestPaperConflictExample(t *testing.T) {
 }
 
 func TestConflictSymmetry(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
-	b := MustAnalyze(paperProgramB())
-	t2 := MustAnalyze(paperProgramT2())
+	a := mustAnalyze(paperProgramA())
+	b := mustAnalyze(paperProgramB())
+	t2 := mustAnalyze(paperProgramT2())
 	states := []State{
 		At(a, "A"), At(a, "Aa"), At(a, "Ab"),
 		NewState(b),
@@ -37,15 +37,15 @@ func TestConflictSymmetry(t *testing.T) {
 	for _, x := range states {
 		for _, y := range states {
 			if ConflictBetween(x, y) != ConflictBetween(y, x) {
-				t.Fatalf("conflict not symmetric for %s vs %s", x.Label, y.Label)
+				t.Fatalf("conflict not symmetric for %s vs %s", x.label, y.label)
 			}
 		}
 	}
 }
 
 func TestPaperSafetyExample(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
-	b := MustAnalyze(paperProgramB())
+	a := mustAnalyze(paperProgramA())
+	b := mustAnalyze(paperProgramB())
 	bState := NewState(b)
 
 	// A at its root has accessed only w (item 0): safe wrt scheduling B.
@@ -76,9 +76,9 @@ func TestPaperSafetyExample(t *testing.T) {
 }
 
 func TestSafetyOnAuxiliaryTree(t *testing.T) {
-	t2 := MustAnalyze(paperProgramT2())
+	t2 := mustAnalyze(paperProgramT2())
 	// A flat transaction that accessed item C (12).
-	c := MustAnalyze(Flat("C", 12))
+	c := mustAnalyze(Flat("C", 12))
 	cState := NewState(c)
 
 	// Scheduling T2 at its root: C's accessed item appears on leaves T24
@@ -97,9 +97,9 @@ func TestSafetyOnAuxiliaryTree(t *testing.T) {
 }
 
 func TestFlatSafetyReducesToIntersection(t *testing.T) {
-	x := NewState(MustAnalyze(Flat("X", 1, 2)))
-	y := NewState(MustAnalyze(Flat("Y", 2, 3)))
-	z := NewState(MustAnalyze(Flat("Z", 4, 5)))
+	x := NewState(mustAnalyze(Flat("X", 1, 2)))
+	y := NewState(mustAnalyze(Flat("Y", 2, 3)))
+	z := NewState(mustAnalyze(Flat("Z", 4, 5)))
 	if SafetyOf(x, y) != Unsafe || SafetyOf(y, x) != Unsafe {
 		t.Error("overlapping flat transactions should be mutually unsafe")
 	}
@@ -115,7 +115,7 @@ func TestFlatSafetyReducesToIntersection(t *testing.T) {
 }
 
 func TestAtPanicsOnUnknownLabel(t *testing.T) {
-	a := MustAnalyze(paperProgramB())
+	a := mustAnalyze(paperProgramB())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At with unknown label did not panic")
@@ -125,15 +125,15 @@ func TestAtPanicsOnUnknownLabel(t *testing.T) {
 }
 
 func TestRelationTableMatchesDirect(t *testing.T) {
-	a := MustAnalyze(paperProgramA())
-	t2 := MustAnalyze(paperProgramT2())
-	tab := BuildRelationTable(a, t2)
+	a := mustAnalyze(paperProgramA())
+	t2 := mustAnalyze(paperProgramT2())
+	tab := buildRelationTable(a, t2)
 	for _, la := range a.Labels() {
 		for _, lb := range t2.Labels() {
-			if tab.Conflict(la, lb) != ConflictBetween(At(a, la), At(t2, lb)) {
+			if tab.conflictOf(la, lb) != ConflictBetween(At(a, la), At(t2, lb)) {
 				t.Fatalf("table conflict mismatch at (%s, %s)", la, lb)
 			}
-			if tab.Safety(la, lb) != SafetyOf(At(a, la), At(t2, lb)) {
+			if tab.safetyOf(la, lb) != SafetyOf(At(a, la), At(t2, lb)) {
 				t.Fatalf("table safety mismatch at (%s, %s)", la, lb)
 			}
 		}
@@ -199,28 +199,28 @@ func itoa(v int) string {
 func TestQuickAnalysisInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := MustAnalyze(genProgram(rng, "P"))
+		a := mustAnalyze(genProgram(rng, "P"))
 		for _, l := range a.Labels() {
 			has, might := a.HasAccessed(l), a.MightAccess(l)
 			// hasaccessed is always a subset of mightaccess.
-			if !has.Subset(might) {
+			if !has.subset(might) {
 				return false
 			}
 			// mightaccess is the union over the subtree's leaves.
 			u := Set{}
 			for _, leaf := range a.Leaves(l) {
-				u = u.Union(a.MightAccess(leaf))
+				u = u.union(a.MightAccess(leaf))
 			}
-			if !might.Equal(u) {
+			if !might.equal(u) {
 				return false
 			}
 			// at a leaf, has == might.
-			if a.IsLeaf(l) && !has.Equal(might) {
+			if a.IsLeaf(l) && !has.equal(might) {
 				return false
 			}
 			// children have at least the parent's hasaccessed.
-			for _, c := range a.Node(l).Children {
-				if !has.Subset(a.HasAccessed(c.Label)) {
+			for _, c := range a.node(l).Children {
+				if !has.subset(a.HasAccessed(c.Label)) {
 					return false
 				}
 			}
@@ -247,8 +247,8 @@ func TestQuickAnalysisInvariants(t *testing.T) {
 func TestQuickConflictRefinementMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := MustAnalyze(genProgram(rng, "A"))
-		b := MustAnalyze(genProgram(rng, "B"))
+		a := mustAnalyze(genProgram(rng, "A"))
+		b := mustAnalyze(genProgram(rng, "B"))
 		var descend func(n *Node, visit func(anc, desc *Node))
 		descend = func(n *Node, visit func(anc, desc *Node)) {
 			var walk func(d *Node)
@@ -300,8 +300,8 @@ func TestQuickConflictRefinementMonotone(t *testing.T) {
 func TestQuickConflictConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := MustAnalyze(genProgram(rng, "A"))
-		b := MustAnalyze(genProgram(rng, "B"))
+		a := mustAnalyze(genProgram(rng, "A"))
+		b := mustAnalyze(genProgram(rng, "B"))
 		for _, la := range a.Labels() {
 			sa := At(a, la)
 			for _, lb := range b.Labels() {
@@ -310,7 +310,7 @@ func TestQuickConflictConsistency(t *testing.T) {
 				if c != ConflictBetween(sb, sa) {
 					return false // symmetry
 				}
-				overlap := sa.MightAccess().Intersects(sb.MightAccess())
+				overlap := sa.mightAccess().Intersects(sb.mightAccess())
 				switch c {
 				case NoConflict:
 					// all leaf pairs disjoint => unions disjoint
@@ -324,12 +324,12 @@ func TestQuickConflictConsistency(t *testing.T) {
 				}
 				// safety consistency
 				s := SafetyOf(sa, sb)
-				hasOverlap := sa.HasAccessed().Intersects(sb.MightAccess())
+				hasOverlap := sa.hasAccessed().Intersects(sb.mightAccess())
 				if (s == Safe) == hasOverlap {
 					return false
 				}
 				// A transaction that accessed nothing is safe wrt anything.
-				if sa.HasAccessed().Empty() && s != Safe {
+				if sa.hasAccessed().empty() && s != Safe {
 					return false
 				}
 				// Unsafe implies conflict is not NoConflict.

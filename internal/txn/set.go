@@ -32,8 +32,8 @@ func NewSet(items ...Item) Set {
 // Len returns the number of items in the set.
 func (s Set) Len() int { return len(s.m) }
 
-// Empty reports whether the set has no items.
-func (s Set) Empty() bool { return len(s.m) == 0 }
+// empty reports whether the set has no items.
+func (s Set) empty() bool { return len(s.m) == 0 }
 
 // Contains reports whether the set holds it.
 func (s Set) Contains(it Item) bool {
@@ -41,8 +41,8 @@ func (s Set) Contains(it Item) bool {
 	return ok
 }
 
-// Union returns a new set holding the items of s and t.
-func (s Set) Union(t Set) Set {
+// union returns a new set holding the items of s and t.
+func (s Set) union(t Set) Set {
 	u := Set{m: make(map[Item]struct{}, len(s.m)+len(t.m))}
 	for it := range s.m {
 		u.m[it] = struct{}{}
@@ -67,8 +67,8 @@ func (s Set) Intersects(t Set) bool {
 	return false
 }
 
-// Intersection returns the set of items present in both s and t.
-func (s Set) Intersection(t Set) Set {
+// intersection returns the set of items present in both s and t.
+func (s Set) intersection(t Set) Set {
 	small, large := s.m, t.m
 	if len(large) < len(small) {
 		small, large = large, small
@@ -82,8 +82,8 @@ func (s Set) Intersection(t Set) Set {
 	return u
 }
 
-// Subset reports whether every item of s is in t.
-func (s Set) Subset(t Set) bool {
+// subset reports whether every item of s is in t.
+func (s Set) subset(t Set) bool {
 	if len(s.m) > len(t.m) {
 		return false
 	}
@@ -95,13 +95,13 @@ func (s Set) Subset(t Set) bool {
 	return true
 }
 
-// Equal reports whether s and t hold exactly the same items.
-func (s Set) Equal(t Set) bool {
-	return len(s.m) == len(t.m) && s.Subset(t)
+// equal reports whether s and t hold exactly the same items.
+func (s Set) equal(t Set) bool {
+	return len(s.m) == len(t.m) && s.subset(t)
 }
 
-// Items returns the elements in ascending order.
-func (s Set) Items() []Item {
+// items returns the elements in ascending order.
+func (s Set) items() []Item {
 	out := make([]Item, 0, len(s.m))
 	for it := range s.m {
 		out = append(out, it)
@@ -114,7 +114,7 @@ func (s Set) Items() []Item {
 func (s Set) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, it := range s.Items() {
+	for i, it := range s.items() {
 		if i > 0 {
 			b.WriteString(", ")
 		}

@@ -16,11 +16,11 @@ func TestSetBasics(t *testing.T) {
 	if s.Contains(4) {
 		t.Fatal("spurious member")
 	}
-	if s.Empty() {
+	if s.empty() {
 		t.Fatal("non-empty set reported Empty")
 	}
 	var zero Set
-	if !zero.Empty() || zero.Len() != 0 {
+	if !zero.empty() || zero.Len() != 0 {
 		t.Fatal("zero Set is not empty")
 	}
 	if zero.Contains(1) {
@@ -29,13 +29,13 @@ func TestSetBasics(t *testing.T) {
 }
 
 func TestSetUnion(t *testing.T) {
-	u := NewSet(1, 2).Union(NewSet(2, 3))
-	if !u.Equal(NewSet(1, 2, 3)) {
+	u := NewSet(1, 2).union(NewSet(2, 3))
+	if !u.equal(NewSet(1, 2, 3)) {
 		t.Fatalf("Union = %v", u)
 	}
 	// Union must not mutate operands.
 	a := NewSet(1)
-	_ = a.Union(NewSet(9))
+	_ = a.union(NewSet(9))
 	if a.Contains(9) {
 		t.Fatal("Union mutated its receiver")
 	}
@@ -55,31 +55,31 @@ func TestSetIntersects(t *testing.T) {
 }
 
 func TestSetIntersection(t *testing.T) {
-	got := NewSet(1, 2, 3, 4).Intersection(NewSet(2, 4, 6))
-	if !got.Equal(NewSet(2, 4)) {
-		t.Fatalf("Intersection = %v, want {2, 4}", got)
+	got := NewSet(1, 2, 3, 4).intersection(NewSet(2, 4, 6))
+	if !got.equal(NewSet(2, 4)) {
+		t.Fatalf("intersection = %v, want {2, 4}", got)
 	}
 }
 
 func TestSetSubsetEqual(t *testing.T) {
 	a := NewSet(1, 2)
 	b := NewSet(1, 2, 3)
-	if !a.Subset(b) {
+	if !a.subset(b) {
 		t.Fatal("subset not detected")
 	}
-	if b.Subset(a) {
+	if b.subset(a) {
 		t.Fatal("superset reported as subset")
 	}
-	if !a.Equal(NewSet(2, 1)) {
+	if !a.equal(NewSet(2, 1)) {
 		t.Fatal("order-independent equality failed")
 	}
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Fatal("unequal sets reported equal")
 	}
 }
 
 func TestSetItemsSorted(t *testing.T) {
-	got := NewSet(5, 1, 3).Items()
+	got := NewSet(5, 1, 3).items()
 	want := []Item{1, 3, 5}
 	for i := range want {
 		if got[i] != want[i] {
@@ -109,18 +109,18 @@ func toSet(xs []uint8) Set {
 func TestQuickSetAlgebra(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a, b := toSet(xs), toSet(ys)
-		u := a.Union(b)
+		u := a.union(b)
 		// union contains both operands
-		if !a.Subset(u) || !b.Subset(u) {
+		if !a.subset(u) || !b.subset(u) {
 			return false
 		}
 		// intersection is subset of both
-		in := a.Intersection(b)
-		if !in.Subset(a) || !in.Subset(b) {
+		in := a.intersection(b)
+		if !in.subset(a) || !in.subset(b) {
 			return false
 		}
-		// Intersects agrees with Intersection
-		if a.Intersects(b) != !in.Empty() {
+		// Intersects agrees with intersection
+		if a.Intersects(b) != !in.empty() {
 			return false
 		}
 		// symmetry

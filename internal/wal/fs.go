@@ -287,9 +287,9 @@ func (m *MemFS) Crash() {
 	}
 }
 
-// Corrupt flips one byte at off in the named file, bypassing the sync
+// corrupt flips one byte at off in the named file, bypassing the sync
 // model — for building bad-checksum fixtures.
-func (m *MemFS) Corrupt(name string, off int) error {
+func (m *MemFS) corrupt(name string, off int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.files[name]
@@ -315,16 +315,6 @@ func (m *MemFS) Append(name string, p []byte) error {
 	f.data = append(f.data, p...)
 	f.synced = len(f.data)
 	return nil
-}
-
-// SyncedLen reports the synced prefix length of the named file.
-func (m *MemFS) SyncedLen(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f, ok := m.files[name]; ok {
-		return f.synced
-	}
-	return -1
 }
 
 func (f *memFile) Write(p []byte) (int, error) {

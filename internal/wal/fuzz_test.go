@@ -22,7 +22,7 @@ func FuzzWALRecord(f *testing.F) {
 		f.Add(AppendSubmit(nil, &r))
 	}
 	for _, r := range outcomeFixtures() {
-		f.Add(AppendOutcome(nil, &r))
+		f.Add(appendOutcome(nil, &r))
 	}
 	whole := AppendSubmit(nil, &SubmitRecord{
 		Seq: 42, Items: []int32{5, 6, 7}, Reads: []bool{true, false, true},
@@ -44,7 +44,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sub SubmitRecord
 		var out OutcomeRecord
-		h, n, err := DecodeRecord(data, &sub, &out)
+		h, n, err := decodeRecord(data, &sub, &out)
 		if err != nil {
 			return
 		}
@@ -56,7 +56,7 @@ func FuzzWALRecord(f *testing.F) {
 		case RecSubmit:
 			again = AppendSubmit(nil, &sub)
 		case RecOutcome:
-			again = AppendOutcome(nil, &out)
+			again = appendOutcome(nil, &out)
 		default:
 			t.Fatalf("decoder accepted unknown type %#x", h.Type)
 		}
@@ -66,7 +66,7 @@ func FuzzWALRecord(f *testing.F) {
 		// Decoding the re-encoded bytes must agree field-for-field.
 		var sub2 SubmitRecord
 		var out2 OutcomeRecord
-		h2, n2, err := DecodeRecord(again, &sub2, &out2)
+		h2, n2, err := decodeRecord(again, &sub2, &out2)
 		if err != nil || n2 != len(again) || h2 != h {
 			t.Fatalf("re-encoded record rejected: %v (n=%d h=%+v)", err, n2, h2)
 		}

@@ -30,8 +30,8 @@ import (
 	"time"
 )
 
-// RecordVersion is the record format version stamped on every record.
-const RecordVersion = 1
+// recordVersion is the record format version stamped on every record.
+const recordVersion = 1
 
 // Record types.
 const (
@@ -67,30 +67,30 @@ const (
 	recCRCLen    = 4
 )
 
-// MaxRecord bounds a single record (header + payload + CRC): a hostile
+// maxRecord bounds a single record (header + payload + CRC): a hostile
 // or corrupt length prefix cannot balloon recovery memory.
-const MaxRecord = 1 << 20
+const maxRecord = 1 << 20
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms this serves from.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Decode errors. ErrCorrupt covers every way stored bytes can fail
+// Decode errors. errCorrupt covers every way stored bytes can fail
 // validation (bad CRC, bad length, unknown version or type, trailing
 // bytes); scanners treat it at the log tail as a torn write.
 var (
-	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrShort reports a buffer that ends before the record does — at
+	errCorrupt = errors.New("wal: corrupt record")
+	// errShort reports a buffer that ends before the record does — at
 	// the log tail this is a torn append, mid-log it is corruption.
-	ErrShort = errors.New("wal: truncated record")
+	errShort = errors.New("wal: truncated record")
 )
 
 // Header is a decoded record header.
 type Header struct {
-	Version uint8
+	version uint8
 	Type    uint8
-	Flags   uint16
-	Seq     uint64
+	flags   uint16
+	seq     uint64
 }
 
 // SubmitRecord is the decoded form of a RecSubmit payload. It carries
@@ -156,7 +156,7 @@ func getU64(b []byte) uint64 {
 // length word and appends the CRC trailer for the same start offset.
 func appendHeader(buf []byte, typ uint8, flags uint16, seq uint64) []byte {
 	buf = appendU32(buf, 0) // length, patched by sealRecord
-	buf = append(buf, RecordVersion, typ)
+	buf = append(buf, recordVersion, typ)
 	buf = appendU16(buf, flags)
 	return appendU64(buf, seq)
 }
@@ -229,11 +229,11 @@ func appendBitmap(buf []byte, bools []bool) []byte {
 func bitmapLen(n int) int { return (n + 7) / 8 }
 
 // decodeSubmitPayload decodes a submit payload into r, reusing r's
-// slices. Strictly canonical: any length mismatch is ErrCorrupt.
+// slices. Strictly canonical: any length mismatch is errCorrupt.
 func decodeSubmitPayload(p []byte, r *SubmitRecord) error {
 	const fixed = 8 + 8 + 4 + 4 + 4 + 1
 	if len(p) < fixed {
-		return fmt.Errorf("%w: submit payload %d bytes", ErrCorrupt, len(p))
+		return fmt.Errorf("%w: submit payload %d bytes", errCorrupt, len(p))
 	}
 	r.Compute = time.Duration(getU64(p))
 	r.Deadline = time.Duration(getU64(p[8:]))
@@ -243,10 +243,10 @@ func decodeSubmitPayload(p []byte, r *SubmitRecord) error {
 	bits := p[28]
 	p = p[fixed:]
 	if bits&^uint8(submitHasReads|submitHasIO) != 0 {
-		return fmt.Errorf("%w: unknown submit payload bits %#x", ErrCorrupt, bits)
+		return fmt.Errorf("%w: unknown submit payload bits %#x", errCorrupt, bits)
 	}
 	if n < 0 || n > math.MaxInt32 {
-		return fmt.Errorf("%w: submit item count %d", ErrCorrupt, n)
+		return fmt.Errorf("%w: submit item count %d", errCorrupt, n)
 	}
 	want := 4 * n
 	if bits&submitHasReads != 0 {
@@ -256,7 +256,7 @@ func decodeSubmitPayload(p []byte, r *SubmitRecord) error {
 		want += bitmapLen(n)
 	}
 	if len(p) != want {
-		return fmt.Errorf("%w: submit payload length %d, want %d for %d items", ErrCorrupt, len(p), want, n)
+		return fmt.Errorf("%w: submit payload length %d, want %d for %d items", errCorrupt, len(p), want, n)
 	}
 	r.Items = r.Items[:0]
 	for i := 0; i < n; i++ {
@@ -290,7 +290,7 @@ func decodeBitmap(p []byte, dst []bool, n int, present bool) ([]bool, []byte, er
 	}
 	// Canonical encoding: padding bits past n in the final byte are zero.
 	if rem := n % 8; rem != 0 && p[n/8]&^(1<<rem-1) != 0 {
-		return nil, nil, fmt.Errorf("%w: nonzero bitmap padding", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: nonzero bitmap padding", errCorrupt)
 	}
 	return dst, p[bitmapLen(n):], nil
 }
@@ -300,8 +300,8 @@ func decodeBitmap(p []byte, dst []bool, n int, present bool) ([]bool, []byte, er
 // outcomePayloadLen is the fixed outcome payload size.
 const outcomePayloadLen = 1 + 1 + 4 + 4*8
 
-// AppendOutcome appends a complete outcome record to buf.
-func AppendOutcome(buf []byte, r *OutcomeRecord) []byte {
+// appendOutcome appends a complete outcome record to buf.
+func appendOutcome(buf []byte, r *OutcomeRecord) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, RecOutcome, r.Flags, r.Seq)
 	missed := uint8(0)
@@ -319,13 +319,13 @@ func AppendOutcome(buf []byte, r *OutcomeRecord) []byte {
 
 func decodeOutcomePayload(p []byte, flags uint16, r *OutcomeRecord) error {
 	if len(p) != outcomePayloadLen {
-		return fmt.Errorf("%w: outcome payload length %d, want %d", ErrCorrupt, len(p), outcomePayloadLen)
+		return fmt.Errorf("%w: outcome payload length %d, want %d", errCorrupt, len(p), outcomePayloadLen)
 	}
 	if flags&^uint16(FlagReplayed|FlagAborted) != 0 {
-		return fmt.Errorf("%w: unknown outcome flags %#x", ErrCorrupt, flags)
+		return fmt.Errorf("%w: unknown outcome flags %#x", errCorrupt, flags)
 	}
 	if p[1] > 1 {
-		return fmt.Errorf("%w: outcome missed byte %#x", ErrCorrupt, p[1])
+		return fmt.Errorf("%w: outcome missed byte %#x", errCorrupt, p[1])
 	}
 	r.Flags = flags
 	r.State = p[0]
@@ -340,53 +340,53 @@ func decodeOutcomePayload(p []byte, flags uint16, r *OutcomeRecord) error {
 
 // --- record-level decode -------------------------------------------------
 
-// DecodeRecord decodes exactly one record from the front of b, reusing
+// decodeRecord decodes exactly one record from the front of b, reusing
 // sub/out's slices, and returns the header and the number of bytes
 // consumed. Exactly one of sub/out is filled, selected by the returned
-// header type. ErrShort means b ends mid-record (a torn tail when b is
-// the end of a segment); every other failure wraps ErrCorrupt.
-func DecodeRecord(b []byte, sub *SubmitRecord, out *OutcomeRecord) (Header, int, error) {
+// header type. errShort means b ends mid-record (a torn tail when b is
+// the end of a segment); every other failure wraps errCorrupt.
+func decodeRecord(b []byte, sub *SubmitRecord, out *OutcomeRecord) (Header, int, error) {
 	if len(b) < recLenPrefix {
-		return Header{}, 0, fmt.Errorf("%w: %d header bytes", ErrShort, len(b))
+		return Header{}, 0, fmt.Errorf("%w: %d header bytes", errShort, len(b))
 	}
 	n := int(getU32(b))
-	if n < recRestLen+recCRCLen || n > MaxRecord {
-		return Header{}, 0, fmt.Errorf("%w: record length %d", ErrCorrupt, n)
+	if n < recRestLen+recCRCLen || n > maxRecord {
+		return Header{}, 0, fmt.Errorf("%w: record length %d", errCorrupt, n)
 	}
 	if len(b) < recLenPrefix+n {
-		return Header{}, 0, fmt.Errorf("%w: %d of %d record bytes", ErrShort, len(b)-recLenPrefix, n)
+		return Header{}, 0, fmt.Errorf("%w: %d of %d record bytes", errShort, len(b)-recLenPrefix, n)
 	}
 	rec := b[recLenPrefix : recLenPrefix+n]
 	body, crcb := rec[:n-recCRCLen], rec[n-recCRCLen:]
 	if crc32.Checksum(body, crcTable) != getU32(crcb) {
-		return Header{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return Header{}, 0, fmt.Errorf("%w: checksum mismatch", errCorrupt)
 	}
 	h := Header{
-		Version: body[0],
+		version: body[0],
 		Type:    body[1],
-		Flags:   getU16(body[2:]),
-		Seq:     getU64(body[4:]),
+		flags:   getU16(body[2:]),
+		seq:     getU64(body[4:]),
 	}
-	if h.Version != RecordVersion {
-		return Header{}, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, h.Version)
+	if h.version != recordVersion {
+		return Header{}, 0, fmt.Errorf("%w: record version %d", errCorrupt, h.version)
 	}
 	payload := body[recRestLen:]
 	switch h.Type {
 	case RecSubmit:
-		if h.Flags != 0 {
-			return Header{}, 0, fmt.Errorf("%w: submit flags %#x", ErrCorrupt, h.Flags)
+		if h.flags != 0 {
+			return Header{}, 0, fmt.Errorf("%w: submit flags %#x", errCorrupt, h.flags)
 		}
-		sub.Seq = h.Seq
+		sub.Seq = h.seq
 		if err := decodeSubmitPayload(payload, sub); err != nil {
 			return Header{}, 0, err
 		}
 	case RecOutcome:
-		out.Seq = h.Seq
-		if err := decodeOutcomePayload(payload, h.Flags, out); err != nil {
+		out.Seq = h.seq
+		if err := decodeOutcomePayload(payload, h.flags, out); err != nil {
 			return Header{}, 0, err
 		}
 	default:
-		return Header{}, 0, fmt.Errorf("%w: record type %#x", ErrCorrupt, h.Type)
+		return Header{}, 0, fmt.Errorf("%w: record type %#x", errCorrupt, h.Type)
 	}
 	return h, recLenPrefix + n, nil
 }

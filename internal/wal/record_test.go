@@ -39,14 +39,14 @@ func TestRecordRoundTrip(t *testing.T) {
 		buf := AppendSubmit(nil, &want)
 		var sub SubmitRecord
 		var out OutcomeRecord
-		h, n, err := DecodeRecord(buf, &sub, &out)
+		h, n, err := decodeRecord(buf, &sub, &out)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
 		if n != len(buf) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(buf))
 		}
-		if h.Type != RecSubmit || h.Seq != want.Seq || h.Version != RecordVersion {
+		if h.Type != RecSubmit || h.seq != want.Seq || h.version != recordVersion {
 			t.Fatalf("header %+v for %+v", h, want)
 		}
 		if !reflect.DeepEqual(sub, want) {
@@ -54,17 +54,17 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 	}
 	for _, want := range outcomeFixtures() {
-		buf := AppendOutcome(nil, &want)
+		buf := appendOutcome(nil, &want)
 		var sub SubmitRecord
 		var out OutcomeRecord
-		h, n, err := DecodeRecord(buf, &sub, &out)
+		h, n, err := decodeRecord(buf, &sub, &out)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
 		if n != len(buf) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(buf))
 		}
-		if h.Type != RecOutcome || h.Seq != want.Seq || h.Flags != want.Flags {
+		if h.Type != RecOutcome || h.seq != want.Seq || h.flags != want.Flags {
 			t.Fatalf("header %+v for %+v", h, want)
 		}
 		if !reflect.DeepEqual(out, want) {
@@ -83,13 +83,13 @@ func TestRecordStream(t *testing.T) {
 		buf = AppendSubmit(buf, &subs[i])
 	}
 	for i := range outs {
-		buf = AppendOutcome(buf, &outs[i])
+		buf = appendOutcome(buf, &outs[i])
 	}
 	var sub SubmitRecord
 	var out OutcomeRecord
 	var got int
 	for off := 0; off < len(buf); {
-		_, n, err := DecodeRecord(buf[off:], &sub, &out)
+		_, n, err := decodeRecord(buf[off:], &sub, &out)
 		if err != nil {
 			t.Fatalf("record %d at offset %d: %v", got, off, err)
 		}
@@ -110,25 +110,25 @@ func TestRecordRejectsCorruption(t *testing.T) {
 	for i := range base {
 		bad := append([]byte(nil), base...)
 		bad[i] ^= 0x01
-		if _, _, err := DecodeRecord(bad, &sub, &out); err == nil {
+		if _, _, err := decodeRecord(bad, &sub, &out); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", i)
 		}
 	}
-	// Truncation at every boundary is ErrShort or ErrCorrupt, never a panic.
+	// Truncation at every boundary is errShort or errCorrupt, never a panic.
 	for i := 0; i < len(base); i++ {
-		if _, _, err := DecodeRecord(base[:i], &sub, &out); err == nil {
+		if _, _, err := decodeRecord(base[:i], &sub, &out); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", i)
 		}
 	}
-	// A record length below the minimum or above MaxRecord is corrupt.
+	// A record length below the minimum or above maxRecord is corrupt.
 	tiny := append([]byte(nil), base...)
 	tiny[0], tiny[1], tiny[2], tiny[3] = 1, 0, 0, 0
-	if _, _, err := DecodeRecord(tiny, &sub, &out); err == nil {
+	if _, _, err := decodeRecord(tiny, &sub, &out); err == nil {
 		t.Fatal("undersized length accepted")
 	}
 	huge := append([]byte(nil), base...)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := DecodeRecord(huge, &sub, &out); err == nil {
+	if _, _, err := decodeRecord(huge, &sub, &out); err == nil {
 		t.Fatal("oversized length accepted")
 	}
 }
@@ -147,19 +147,19 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 	var out OutcomeRecord
 	encoded := AppendSubmit(nil, &fix)
-	oencoded := AppendOutcome(nil, &ofix)
+	oencoded := appendOutcome(nil, &ofix)
 
 	if n := testing.AllocsPerRun(200, func() {
 		buf = AppendSubmit(buf[:0], &fix)
-		buf = AppendOutcome(buf, &ofix)
+		buf = appendOutcome(buf, &ofix)
 	}); n != 0 {
 		t.Fatalf("append allocates %.1f times per record pair", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, err := DecodeRecord(encoded, &sub, &out); err != nil {
+		if _, _, err := decodeRecord(encoded, &sub, &out); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeRecord(oencoded, &sub, &out); err != nil {
+		if _, _, err := decodeRecord(oencoded, &sub, &out); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

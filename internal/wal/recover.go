@@ -138,7 +138,7 @@ func scan(fsys FS, repair bool, visit func(Header, *SubmitRecord, *OutcomeRecord
 		final := i == len(ords)-1
 		off := 0
 		for off < len(data) {
-			h, n, derr := DecodeRecord(data[off:], &sub, &out)
+			h, n, derr := decodeRecord(data[off:], &sub, &out)
 			if derr != nil {
 				if allZero(data[off:]) {
 					st.rec.ZeroTailBytes += int64(len(data) - off)
@@ -160,8 +160,8 @@ func scan(fsys FS, repair bool, visit func(Header, *SubmitRecord, *OutcomeRecord
 				break
 			}
 			st.rec.Records++
-			if h.Seq > st.rec.MaxSeq {
-				st.rec.MaxSeq = h.Seq
+			if h.seq > st.rec.MaxSeq {
+				st.rec.MaxSeq = h.seq
 			}
 			switch h.Type {
 			case RecSubmit:

@@ -35,12 +35,12 @@ import (
 
 // Defaults applied by Open when the corresponding Options field is zero.
 const (
-	DefaultSegmentBytes = 64 << 20
-	DefaultRetain       = 2
+	defaultSegmentBytes = 64 << 20
+	defaultRetain       = 2
 )
 
-// ErrClosed is returned by appends after Close has begun.
-var ErrClosed = errors.New("wal: logger closed")
+// errClosed is returned by appends after Close has begun.
+var errClosed = errors.New("wal: logger closed")
 
 // Options configures Open.
 type Options struct {
@@ -52,11 +52,11 @@ type Options struct {
 	// lowest latency, most fsyncs).
 	SyncEvery time.Duration
 	// SegmentBytes rotates the active segment once it reaches this many
-	// bytes. Defaults to DefaultSegmentBytes.
+	// bytes. Defaults to defaultSegmentBytes.
 	SegmentBytes int64
 	// Retain is how many fully-resolved closed segments to keep before
 	// deletion. Segments holding unresolved submissions are never
-	// deleted. Defaults to DefaultRetain.
+	// deleted. Defaults to defaultRetain.
 	Retain int
 	// WrapFile, if non-nil, wraps every segment file the logger creates
 	// — the hook fault.FilePlan uses to inject torn writes, short
@@ -67,10 +67,10 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.SegmentBytes <= 0 {
-		out.SegmentBytes = DefaultSegmentBytes
+		out.SegmentBytes = defaultSegmentBytes
 	}
 	if out.Retain <= 0 {
-		out.Retain = DefaultRetain
+		out.Retain = defaultRetain
 	}
 	return out
 }
@@ -190,7 +190,7 @@ func (l *Logger) AppendOutcome(r *OutcomeRecord, durable func(error)) error {
 		l.mu.Unlock()
 		return err
 	}
-	l.pend.buf = AppendOutcome(l.pend.buf, r)
+	l.pend.buf = appendOutcome(l.pend.buf, r)
 	if durable != nil {
 		l.pend.cbs = append(l.pend.cbs, durable)
 	}
@@ -206,7 +206,7 @@ func (l *Logger) appendErrLocked() error {
 		return l.failed
 	}
 	if l.closing {
-		return ErrClosed
+		return errClosed
 	}
 	return nil
 }
@@ -255,13 +255,6 @@ func (l *Logger) Stats() Stats {
 	s.PendingSync = len(l.pend.buf)
 	s.Failed = l.failed != nil
 	return s
-}
-
-// NextSeq reports the next sequence number AppendSubmit will assign.
-func (l *Logger) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
 }
 
 // run is the sync goroutine: group-commit loop until Close.

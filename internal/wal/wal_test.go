@@ -80,7 +80,7 @@ func TestLoggerAppendRecover(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := l.AppendSubmit(&SubmitRecord{Items: []int32{1}, Compute: 1, Deadline: 1}); !errors.Is(err, ErrClosed) {
+	if _, err := l.AppendSubmit(&SubmitRecord{Items: []int32{1}, Compute: 1, Deadline: 1}); !errors.Is(err, errClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
 
@@ -100,8 +100,8 @@ func TestLoggerAppendRecover(t *testing.T) {
 		t.Fatalf("unresolved payload lost: %+v", rec2.Unresolved[0])
 	}
 	// Sequence numbering continues after the highest recovered seq.
-	if next := l2.NextSeq(); next != resolved[2]+3 {
-		t.Fatalf("NextSeq %d, want %d", next, resolved[2]+3)
+	if next := l2.nextSeq; next != resolved[2]+3 {
+		t.Fatalf("nextSeq %d, want %d", next, resolved[2]+3)
 	}
 }
 
@@ -234,7 +234,7 @@ func TestCorruptMidSegmentFails(t *testing.T) {
 	if len(names) < 2 {
 		t.Fatalf("want multiple segments, got %v", names)
 	}
-	if err := fs.Corrupt(names[0], 8); err != nil {
+	if err := fs.corrupt(names[0], 8); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(Options{FS: fs}); err == nil {

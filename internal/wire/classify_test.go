@@ -103,7 +103,7 @@ func TestCompleteRendersTheClassification(t *testing.T) {
 		State: core.StateCommitted, Missed: true, Restarts: 3, Seq: 9,
 		Arrival: time.Second, Finish: 3 * time.Second, Deadline: 2 * time.Second, Response: 2 * time.Second,
 	}
-	fields := SubmitResp{Missed: true, Restarts: 3, Seq: 9,
+	fields := SubmitResp{Missed: true, restarts: 3, Seq: 9,
 		Arrival: time.Second, Finish: 3 * time.Second, Deadline: 2 * time.Second, Response: 2 * time.Second}
 	withStatus := func(r SubmitResp, status uint8) SubmitResp { r.Status = status; return r }
 	rejected, dropped := o, o

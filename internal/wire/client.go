@@ -10,15 +10,15 @@ import (
 	"time"
 )
 
-// ErrClientClosed reports a request issued on (or orphaned by) a closed
+// errClientClosed reports a request issued on (or orphaned by) a closed
 // connection.
-var ErrClientClosed = errors.New("wire: client closed")
+var errClientClosed = errors.New("wire: client closed")
 
-// ErrRequestTimeout reports a request whose response did not arrive
+// errRequestTimeout reports a request whose response did not arrive
 // within the client's request timeout. The request may have been
 // admitted by the server — only its answer is missing — so it is NOT
 // safe to resubmit blindly.
-var ErrRequestTimeout = errors.New("wire: request timed out awaiting response")
+var errRequestTimeout = errors.New("wire: request timed out awaiting response")
 
 // ErrNotSent marks a request the client can prove never reached the
 // wire (the connection was already broken before the frame was
@@ -32,7 +32,7 @@ var ErrNotSent = errors.New("wire: request not sent")
 type ClientOptions struct {
 	// RequestTimeout bounds the wait for each request's response. A
 	// swallowed response (lost frame, stalled peer, blackholed network)
-	// then fails with ErrRequestTimeout instead of hanging forever.
+	// then fails with errRequestTimeout instead of hanging forever.
 	// Default 30s; negative disables the timeout.
 	RequestTimeout time.Duration
 }
@@ -47,7 +47,7 @@ type clientResp struct {
 	resp   SubmitResp
 	health HealthResp
 	body   []byte // copied MetricsResp payload
-	msg    string // FrameError payload
+	msg    string // frameError payload
 }
 
 // Client is a pipelined wire-protocol client over one persistent TCP
@@ -140,9 +140,9 @@ func newClient(nc net.Conn, opt ClientOptions) *Client {
 }
 
 // Close tears the connection down; in-flight requests fail with
-// ErrClientClosed.
+// errClientClosed.
 func (c *Client) Close() error {
-	c.fail(ErrClientClosed)
+	c.fail(errClientClosed)
 	c.wg.Wait()
 	return nil
 }
@@ -228,13 +228,13 @@ func (c *Client) flushLoop() {
 
 func (c *Client) readLoop() {
 	defer c.wg.Done()
-	fr := NewFrameReader(c.nc, DefaultMaxFrame)
+	fr := NewFrameReader(c.nc, defaultMaxFrame)
 	for {
 		h, p, err := fr.Next()
 		if err != nil {
 			select {
 			case <-c.done:
-				err = ErrClientClosed
+				err = errClientClosed
 			default:
 			}
 			c.fail(err)
@@ -255,7 +255,7 @@ func (c *Client) readLoop() {
 			}
 		case FrameMetricsResp:
 			cr.body = append([]byte(nil), p...)
-		case FrameError:
+		case frameError:
 			cr.msg = string(p)
 		default:
 			c.fail(fmt.Errorf("wire: unexpected frame type %#x", h.Type))
@@ -308,7 +308,7 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan clientResp) (clie
 		return clientResp{}, ctx.Err()
 	case <-timeout:
 		c.unregister(id)
-		return clientResp{}, ErrRequestTimeout
+		return clientResp{}, errRequestTimeout
 	}
 }
 
@@ -316,13 +316,13 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan clientResp) (clie
 // the client's request timeout. Concurrent calls pipeline over the
 // single connection.
 func (c *Client) Submit(req *SubmitReq) (SubmitResp, error) {
-	return c.SubmitCtx(context.Background(), req)
+	return c.submitCtx(context.Background(), req)
 }
 
-// SubmitCtx is Submit bounded by ctx as well as the request timeout.
+// submitCtx is Submit bounded by ctx as well as the request timeout.
 // On ctx cancellation or timeout the request is abandoned client-side;
 // the server may still execute it.
-func (c *Client) SubmitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, error) {
+func (c *Client) submitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, error) {
 	id, ch, err := c.register()
 	if err != nil {
 		return SubmitResp{}, err
@@ -337,7 +337,7 @@ func (c *Client) SubmitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, err
 	if err != nil {
 		return SubmitResp{}, err
 	}
-	if cr.typ == FrameError {
+	if cr.typ == frameError {
 		return SubmitResp{}, fmt.Errorf("wire: server error: %s", cr.msg)
 	}
 	if cr.typ != FrameSubmitResp {
@@ -363,7 +363,7 @@ func (c *Client) Metrics() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cr.typ == FrameError {
+	if cr.typ == frameError {
 		return nil, fmt.Errorf("wire: server error: %s", cr.msg)
 	}
 	if cr.typ != FrameMetricsResp {

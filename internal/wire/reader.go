@@ -18,10 +18,10 @@ type FrameReader struct {
 }
 
 // NewFrameReader wraps r. maxFrame bounds a single frame; 0 means
-// DefaultMaxFrame.
+// defaultMaxFrame.
 func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
+		maxFrame = defaultMaxFrame
 	}
 	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), max: maxFrame}
 }
@@ -52,7 +52,7 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 		return Header{}, nil, fmt.Errorf("wire: frame length %d below header size", n)
 	}
 	if n+lenPrefix > fr.max {
-		return Header{}, nil, ErrFrameTooLarge
+		return Header{}, nil, errFrameTooLarge
 	}
 	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
@@ -65,11 +65,11 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 		return Header{}, nil, err
 	}
 	h := parseRest(body)
-	if h.Version != Version {
-		return Header{}, nil, fmt.Errorf("%w: %d", ErrVersion, h.Version)
+	if h.version != version {
+		return Header{}, nil, fmt.Errorf("%w: %d", errVersion, h.version)
 	}
-	if h.Flags != 0 {
-		return Header{}, nil, fmt.Errorf("wire: reserved flags %#x set", h.Flags)
+	if h.flags != 0 {
+		return Header{}, nil, fmt.Errorf("wire: reserved flags %#x set", h.flags)
 	}
 	return h, body[restLen:], nil
 }

@@ -49,8 +49,8 @@ func TestFrameReaderOversizedLength(t *testing.T) {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint32(buf, 1<<30)
 	fr := NewFrameReader(bytes.NewReader(buf), 0)
-	if _, _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	if _, _, err := fr.Next(); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("err = %v, want errFrameTooLarge", err)
 	}
 	// Undersized too: a length below the header remainder is structurally
 	// impossible and must be a clean error.
@@ -67,10 +67,10 @@ func TestFrameReaderGarbageHeader(t *testing.T) {
 	frame := submitFrame(t)
 
 	bad := bytes.Clone(frame)
-	bad[lenPrefix] = Version + 9 // version byte
+	bad[lenPrefix] = version + 9 // version byte
 	fr := NewFrameReader(bytes.NewReader(bad), 0)
-	if _, _, err := fr.Next(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: err = %v, want ErrVersion", err)
+	if _, _, err := fr.Next(); !errors.Is(err, errVersion) {
+		t.Fatalf("bad version: err = %v, want errVersion", err)
 	}
 
 	bad = bytes.Clone(frame)
@@ -95,9 +95,9 @@ func TestFrameReaderGarbageHeader(t *testing.T) {
 func TestFrameReaderResyncAfterError(t *testing.T) {
 	good := submitFrame(t)
 	bad := bytes.Clone(good)
-	bad[lenPrefix] = Version + 1
+	bad[lenPrefix] = version + 1
 	fr := NewFrameReader(bytes.NewReader(append(bytes.Clone(bad), good...)), 0)
-	if _, _, err := fr.Next(); !errors.Is(err, ErrVersion) {
+	if _, _, err := fr.Next(); !errors.Is(err, errVersion) {
 		t.Fatalf("first frame: %v", err)
 	}
 	// The stream position is still frame-aligned (the whole bad frame was

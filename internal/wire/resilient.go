@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// ErrResilientClosed reports a request issued on a closed Resilient.
-var ErrResilientClosed = errors.New("wire: resilient client closed")
+// errResilientClosed reports a request issued on a closed Resilient.
+var errResilientClosed = errors.New("wire: resilient client closed")
 
 // ResilientOptions tune a Resilient client; zero values pick defaults.
 type ResilientOptions struct {
@@ -18,9 +18,9 @@ type ResilientOptions struct {
 	DialTimeout time.Duration
 	// Client configures each underlying connection (request timeout).
 	Client ClientOptions
-	// MaxAttempts bounds the tries per request (first try included).
+	// maxAttempts bounds the tries per request (first try included).
 	// Default 4.
-	MaxAttempts int
+	maxAttempts int
 	// BackoffBase is the pre-jitter delay before the second attempt;
 	// later attempts double it, capped at BackoffMax. Defaults 50ms / 2s.
 	BackoffBase time.Duration
@@ -34,8 +34,8 @@ func (o *ResilientOptions) defaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
+	if o.maxAttempts <= 0 {
+		o.maxAttempts = 4
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
@@ -98,7 +98,7 @@ func (r *Resilient) client() (*Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, ErrResilientClosed
+		return nil, errResilientClosed
 	}
 	if r.cur != nil {
 		return r.cur, nil
@@ -147,13 +147,13 @@ func (r *Resilient) backoff(ctx context.Context, n int) error {
 // Submit sends one submission, redialing and resubmitting only across
 // provably-unsent failures.
 func (r *Resilient) Submit(req *SubmitReq) (SubmitResp, error) {
-	return r.SubmitCtx(context.Background(), req)
+	return r.submitCtx(context.Background(), req)
 }
 
-// SubmitCtx is Submit bounded by ctx.
-func (r *Resilient) SubmitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, error) {
+// submitCtx is Submit bounded by ctx.
+func (r *Resilient) submitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, error) {
 	var lastErr error
-	for attempt := 0; attempt < r.opt.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < r.opt.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return SubmitResp{}, lastErr
@@ -167,14 +167,14 @@ func (r *Resilient) SubmitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, 
 		}
 		c, err := r.client()
 		if err != nil {
-			if errors.Is(err, ErrResilientClosed) {
+			if errors.Is(err, errResilientClosed) {
 				return SubmitResp{}, err
 			}
 			// Dial failure: nothing was sent, always safe to retry.
 			lastErr = err
 			continue
 		}
-		resp, err := c.SubmitCtx(ctx, req)
+		resp, err := c.submitCtx(ctx, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -192,31 +192,4 @@ func (r *Resilient) SubmitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, 
 		r.resubmits.Add(1)
 	}
 	return SubmitResp{}, lastErr
-}
-
-// Health probes the server over the current (or a fresh) connection.
-func (r *Resilient) Health() (HealthResp, error) {
-	c, err := r.client()
-	if err != nil {
-		return HealthResp{}, err
-	}
-	h, err := c.Health()
-	if err != nil && c.brokenErr() != nil {
-		r.drop(c)
-	}
-	return h, err
-}
-
-// Metrics fetches the metrics document over the current (or a fresh)
-// connection.
-func (r *Resilient) Metrics() ([]byte, error) {
-	c, err := r.client()
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.Metrics()
-	if err != nil && c.brokenErr() != nil {
-		r.drop(c)
-	}
-	return b, err
 }

@@ -23,7 +23,7 @@ func newBlackholeBackend() *blackholeBackend {
 }
 
 // TestRequestTimeoutNoHang: a server that admits but never answers must
-// surface ErrRequestTimeout at the client's deadline instead of hanging
+// surface errRequestTimeout at the client's deadline instead of hanging
 // forever (the pre-hardening behavior).
 func TestRequestTimeoutNoHang(t *testing.T) {
 	_, addr := startWire(t, newBlackholeBackend(), ServerOptions{})
@@ -35,8 +35,8 @@ func TestRequestTimeoutNoHang(t *testing.T) {
 
 	start := time.Now()
 	_, err = c.Submit(&SubmitReq{Items: []txn.Item{1}, Compute: 1, Deadline: time.Second})
-	if !errors.Is(err, ErrRequestTimeout) {
-		t.Fatalf("err = %v, want ErrRequestTimeout", err)
+	if !errors.Is(err, errRequestTimeout) {
+		t.Fatalf("err = %v, want errRequestTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
@@ -66,7 +66,7 @@ func TestSubmitCtxCancel(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = c.SubmitCtx(ctx, &SubmitReq{Items: []txn.Item{1}, Compute: 1, Deadline: time.Second})
+	_, err = c.submitCtx(ctx, &SubmitReq{Items: []txn.Item{1}, Compute: 1, Deadline: time.Second})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -184,8 +184,8 @@ func TestResilientNeverRetriesAmbiguous(t *testing.T) {
 	defer r.Close()
 
 	_, err := r.Submit(&SubmitReq{Items: []txn.Item{1}, Compute: 1, Deadline: time.Second})
-	if !errors.Is(err, ErrRequestTimeout) {
-		t.Fatalf("err = %v, want ErrRequestTimeout", err)
+	if !errors.Is(err, errRequestTimeout) {
+		t.Fatalf("err = %v, want errRequestTimeout", err)
 	}
 	if n := enqueued.Load(); n != 1 {
 		t.Fatalf("server saw %d submissions, want exactly 1 (no ambiguous retry)", n)

@@ -60,10 +60,10 @@ type ServerOptions struct {
 	// MaxInflightPerConn caps pipelined submissions per connection;
 	// excess submits are shed with a Retry-After. Default 1024.
 	MaxInflightPerConn int
-	// MaxFrame bounds one frame. Default DefaultMaxFrame.
-	MaxFrame int
-	// FlushTimeout bounds each socket write/flush. Default 10s.
-	FlushTimeout time.Duration
+	// maxFrame bounds one frame. Default defaultMaxFrame.
+	maxFrame int
+	// flushTimeout bounds each socket write/flush. Default 10s.
+	flushTimeout time.Duration
 	// IdleTimeout is the rolling per-frame read deadline: a connection
 	// that fails to deliver one complete frame within it is closed and
 	// counted (slow-loris / half-open guard). The deadline re-arms
@@ -113,11 +113,11 @@ func NewServer(b Backend, opt ServerOptions) *Server {
 	if opt.MaxInflightPerConn <= 0 {
 		opt.MaxInflightPerConn = 1024
 	}
-	if opt.MaxFrame <= 0 {
-		opt.MaxFrame = DefaultMaxFrame
+	if opt.maxFrame <= 0 {
+		opt.maxFrame = defaultMaxFrame
 	}
-	if opt.FlushTimeout <= 0 {
-		opt.FlushTimeout = 10 * time.Second
+	if opt.flushTimeout <= 0 {
+		opt.flushTimeout = 10 * time.Second
 	}
 	switch {
 	case opt.IdleTimeout == 0:
@@ -128,8 +128,8 @@ func NewServer(b Backend, opt ServerOptions) *Server {
 	return &Server{
 		b:           b,
 		maxInflight: opt.MaxInflightPerConn,
-		maxFrame:    opt.MaxFrame,
-		flushEvery:  opt.FlushTimeout,
+		maxFrame:    opt.maxFrame,
+		flushEvery:  opt.flushTimeout,
 		idleEvery:   opt.IdleTimeout,
 		conns:       make(map[*conn]struct{}),
 		lns:         make(map[net.Listener]struct{}),
@@ -282,7 +282,7 @@ type outFrame struct {
 	resp      SubmitResp
 	health    HealthResp
 	body      []byte // FrameMetricsResp payload
-	msg       string // FrameError payload
+	msg       string // frameError payload
 	needRetry bool   // fill resp.RetryAfter at encode time (writer side)
 }
 
@@ -381,7 +381,7 @@ func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
 	f.resp.Status = status
 	if err == nil {
 		f.resp.Missed = o.Missed
-		f.resp.Restarts = uint32(o.Restarts)
+		f.resp.restarts = uint32(o.Restarts)
 		f.resp.Arrival = o.Arrival
 		f.resp.Finish = o.Finish
 		f.resp.Deadline = o.Deadline
@@ -459,16 +459,16 @@ func (c *conn) readLoop() {
 			return
 		}
 		switch h.Type {
-		case FrameSubmit:
+		case frameSubmit:
 			c.handleSubmit(h.ID, p, &req)
-		case FrameMetrics:
+		case frameMetrics:
 			body, err := c.srv.b.MetricsBody()
 			if err != nil {
-				c.send(outFrame{id: h.ID, typ: FrameError, msg: err.Error()})
+				c.send(outFrame{id: h.ID, typ: frameError, msg: err.Error()})
 				continue
 			}
 			c.send(outFrame{id: h.ID, typ: FrameMetricsResp, body: body})
-		case FrameHealth:
+		case frameHealth:
 			hr := HealthResp{Healthy: true, Draining: c.srv.b.Draining()}
 			if herr := c.srv.b.HealthErr(); herr != nil {
 				hr.Healthy = false
@@ -476,7 +476,7 @@ func (c *conn) readLoop() {
 			}
 			c.send(outFrame{id: h.ID, typ: FrameHealthResp, health: hr})
 		default:
-			c.send(outFrame{id: h.ID, typ: FrameError, msg: "wire: unknown frame type"})
+			c.send(outFrame{id: h.ID, typ: frameError, msg: "wire: unknown frame type"})
 		}
 	}
 }
@@ -518,7 +518,7 @@ func (c *conn) handleSubmit(id uint64, p []byte, req *SubmitReq) {
 }
 
 // Write is the writer's path to the socket: every write bufio passes down —
-// a full buffer or a flush, many responses each — gets a fresh FlushTimeout.
+// a full buffer or a flush, many responses each — gets a fresh flushTimeout.
 func (c *conn) Write(p []byte) (int, error) {
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.flushEvery))
 	return c.nc.Write(p)
@@ -586,10 +586,10 @@ func (c *conn) encode(buf []byte, f *outFrame) []byte {
 		}
 		return AppendSubmitResp(buf, f.id, &f.resp)
 	case FrameMetricsResp:
-		return AppendMetricsResp(buf, f.id, f.body)
+		return appendMetricsResp(buf, f.id, f.body)
 	case FrameHealthResp:
 		return AppendHealthResp(buf, f.id, &f.health)
 	default:
-		return AppendError(buf, f.id, f.msg)
+		return appendError(buf, f.id, f.msg)
 	}
 }

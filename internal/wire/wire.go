@@ -31,8 +31,8 @@ import (
 	"repro/internal/txn"
 )
 
-// Version is the protocol version carried in every frame header.
-const Version = 1
+// version is the protocol version carried in every frame header.
+const version = 1
 
 // headerLen is the full frame header size; lenPrefix the leading length
 // word; restLen the part of the header covered by the length word.
@@ -46,21 +46,21 @@ const (
 // payload starts at offset HeaderLen.
 const HeaderLen = headerLen
 
-// DefaultMaxFrame bounds a single frame (header + payload). Large enough
+// defaultMaxFrame bounds a single frame (header + payload). Large enough
 // for any sane transaction or metrics snapshot, small enough that a
 // hostile length prefix cannot balloon memory.
-const DefaultMaxFrame = 1 << 20
+const defaultMaxFrame = 1 << 20
 
 // Frame types. Every request type has a response type; Error answers a
 // frame the server could parse enough to correlate but not serve.
 const (
-	FrameSubmit      = 0x01
+	frameSubmit      = 0x01
 	FrameSubmitResp  = 0x02
-	FrameMetrics     = 0x03
+	frameMetrics     = 0x03
 	FrameMetricsResp = 0x04
-	FrameHealth      = 0x05
+	frameHealth      = 0x05
 	FrameHealthResp  = 0x06
-	FrameError       = 0x7f
+	frameError       = 0x7f
 )
 
 // Submit response status codes (SubmitResp.Status).
@@ -116,21 +116,21 @@ func Classify(o core.ServiceOutcome, err error) (status uint8, httpCode int, ret
 	return status, m.http, m.retry
 }
 
-// ErrFrameTooLarge reports a length prefix above the reader's cap.
-var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
+// errFrameTooLarge reports a length prefix above the reader's cap.
+var errFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// ErrVersion reports a frame with an unknown protocol version.
-var ErrVersion = errors.New("wire: unsupported protocol version")
+// errVersion reports a frame with an unknown protocol version.
+var errVersion = errors.New("wire: unsupported protocol version")
 
 // Header is a decoded frame header.
 type Header struct {
-	Version uint8
+	version uint8
 	Type    uint8
-	Flags   uint16
+	flags   uint16
 	ID      uint64
 }
 
-// SubmitReq is the decoded form of a FrameSubmit payload. It mirrors
+// SubmitReq is the decoded form of a frameSubmit payload. It mirrors
 // core.ServiceRequest; Decode reuses the slices across calls, so a
 // steady-state connection decodes without allocating.
 type SubmitReq struct {
@@ -148,7 +148,7 @@ type SubmitResp struct {
 	Status     uint8
 	Missed     bool
 	RetryAfter uint16 // seconds; set on StatusShed and StatusRejected
-	Restarts   uint32
+	restarts   uint32
 	Arrival    time.Duration
 	Finish     time.Duration
 	Deadline   time.Duration
@@ -196,7 +196,7 @@ func getU64(b []byte) uint64 {
 // word afterwards via patchLen with the same start offset.
 func appendHeader(buf []byte, typ uint8, id uint64) []byte {
 	buf = appendU32(buf, 0) // length, patched later
-	buf = append(buf, Version, typ)
+	buf = append(buf, version, typ)
 	buf = appendU16(buf, 0) // flags
 	return appendU64(buf, id)
 }
@@ -214,26 +214,26 @@ func patchLen(buf []byte, start int) []byte {
 // bytes of the length-covered region.
 func parseRest(b []byte) Header {
 	return Header{
-		Version: b[0],
+		version: b[0],
 		Type:    b[1],
-		Flags:   getU16(b[2:]),
+		flags:   getU16(b[2:]),
 		ID:      getU64(b[4:]),
 	}
 }
 
 // --- Submit -------------------------------------------------------------
 
-// Payload flag bits for FrameSubmit.
+// Payload flag bits for frameSubmit.
 const (
 	submitHasReads = 1 << 0
 	submitHasIO    = 1 << 1
 )
 
-// AppendSubmit appends a complete FrameSubmit to buf and returns the
+// AppendSubmit appends a complete frameSubmit to buf and returns the
 // extended slice. It never allocates beyond growing buf.
 func AppendSubmit(buf []byte, id uint64, r *SubmitReq) []byte {
 	start := len(buf)
-	buf = appendHeader(buf, FrameSubmit, id)
+	buf = appendHeader(buf, frameSubmit, id)
 	buf = appendU64(buf, uint64(r.Compute))
 	buf = appendU64(buf, uint64(r.Deadline))
 	buf = appendU32(buf, uint32(int32(r.Criticality)))
@@ -277,7 +277,7 @@ func appendBitmap(buf []byte, bools []bool) []byte {
 
 func bitmapLen(n int) int { return (n + 7) / 8 }
 
-// DecodeSubmit decodes a FrameSubmit payload (the bytes after the
+// DecodeSubmit decodes a frameSubmit payload (the bytes after the
 // header) into r, reusing r's slices. The encoding is canonical: any
 // trailing or missing bytes are an error, so Append∘Decode is the
 // identity and Decode∘Append is the identity on valid payloads.
@@ -351,7 +351,7 @@ func AppendSubmitResp(buf []byte, id uint64, r *SubmitResp) []byte {
 	}
 	buf = append(buf, r.Status, missed)
 	buf = appendU16(buf, r.RetryAfter)
-	buf = appendU32(buf, r.Restarts)
+	buf = appendU32(buf, r.restarts)
 	buf = appendU64(buf, uint64(r.Arrival))
 	buf = appendU64(buf, uint64(r.Finish))
 	buf = appendU64(buf, uint64(r.Deadline))
@@ -372,7 +372,7 @@ func DecodeSubmitResp(p []byte, r *SubmitResp) error {
 	r.Status = p[0]
 	r.Missed = p[1] != 0
 	r.RetryAfter = getU16(p[2:])
-	r.Restarts = getU32(p[4:])
+	r.restarts = getU32(p[4:])
 	r.Arrival = time.Duration(getU64(p[8:]))
 	r.Finish = time.Duration(getU64(p[16:]))
 	r.Deadline = time.Duration(getU64(p[24:]))
@@ -391,26 +391,26 @@ func DecodeSubmitResp(p []byte, r *SubmitResp) error {
 
 // --- Metrics and Health -------------------------------------------------
 
-// AppendMetricsReq appends an empty-payload FrameMetrics request.
+// AppendMetricsReq appends an empty-payload frameMetrics request.
 func AppendMetricsReq(buf []byte, id uint64) []byte {
 	start := len(buf)
-	buf = appendHeader(buf, FrameMetrics, id)
+	buf = appendHeader(buf, frameMetrics, id)
 	return patchLen(buf, start)
 }
 
-// AppendMetricsResp appends a FrameMetricsResp carrying body verbatim
+// appendMetricsResp appends a FrameMetricsResp carrying body verbatim
 // (the same JSON document the HTTP /metrics endpoint serves).
-func AppendMetricsResp(buf []byte, id uint64, body []byte) []byte {
+func appendMetricsResp(buf []byte, id uint64, body []byte) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, FrameMetricsResp, id)
 	buf = append(buf, body...)
 	return patchLen(buf, start)
 }
 
-// AppendHealthReq appends an empty-payload FrameHealth request.
+// AppendHealthReq appends an empty-payload frameHealth request.
 func AppendHealthReq(buf []byte, id uint64) []byte {
 	start := len(buf)
-	buf = appendHeader(buf, FrameHealth, id)
+	buf = appendHeader(buf, frameHealth, id)
 	return patchLen(buf, start)
 }
 
@@ -449,10 +449,10 @@ func DecodeHealthResp(p []byte, r *HealthResp) error {
 	return nil
 }
 
-// AppendError appends a FrameError answering request id with a reason.
-func AppendError(buf []byte, id uint64, msg string) []byte {
+// appendError appends a frameError answering request id with a reason.
+func appendError(buf []byte, id uint64, msg string) []byte {
 	start := len(buf)
-	buf = appendHeader(buf, FrameError, id)
+	buf = appendHeader(buf, frameError, id)
 	buf = append(buf, msg...)
 	return patchLen(buf, start)
 }

@@ -65,7 +65,7 @@ func decodeOneFrame(t *testing.T, frame []byte, wantType uint8) (Header, []byte)
 func TestSubmitRoundTrip(t *testing.T) {
 	for i, in := range submitFixtures() {
 		frame := AppendSubmit(nil, uint64(100+i), &in)
-		h, p := decodeOneFrame(t, frame, FrameSubmit)
+		h, p := decodeOneFrame(t, frame, frameSubmit)
 		if h.ID != uint64(100+i) {
 			t.Fatalf("id %d, want %d", h.ID, 100+i)
 		}
@@ -82,7 +82,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 func TestSubmitRespRoundTrip(t *testing.T) {
 	for i, in := range []SubmitResp{
 		{Status: StatusCommitted, Arrival: time.Second, Finish: 2 * time.Second,
-			Deadline: 3 * time.Second, Response: time.Second, Restarts: 2},
+			Deadline: 3 * time.Second, Response: time.Second, restarts: 2},
 		{Status: StatusShed, RetryAfter: 7, Err: "server draining", Missed: true},
 		{Status: StatusInvalid, Err: "wire: compute must be positive, got -1ns"},
 	} {
@@ -109,16 +109,16 @@ func TestHealthAndErrorFrames(t *testing.T) {
 		t.Fatalf("health round trip: in %+v out %+v", in, out)
 	}
 
-	h, p := decodeOneFrame(t, AppendError(nil, 42, "boom"), FrameError)
+	h, p := decodeOneFrame(t, appendError(nil, 42, "boom"), frameError)
 	if h.ID != 42 || string(p) != "boom" {
 		t.Fatalf("error frame: id %d payload %q", h.ID, p)
 	}
 
-	_, p = decodeOneFrame(t, AppendMetricsReq(nil, 3), FrameMetrics)
+	_, p = decodeOneFrame(t, AppendMetricsReq(nil, 3), frameMetrics)
 	if len(p) != 0 {
 		t.Fatalf("metrics request payload %d bytes, want 0", len(p))
 	}
-	_, p = decodeOneFrame(t, AppendMetricsResp(nil, 3, []byte(`{"x":1}`)), FrameMetricsResp)
+	_, p = decodeOneFrame(t, appendMetricsResp(nil, 3, []byte(`{"x":1}`)), FrameMetricsResp)
 	if string(p) != `{"x":1}` {
 		t.Fatalf("metrics response payload %q", p)
 	}
@@ -170,7 +170,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Type != FrameSubmit {
+		if h.Type != frameSubmit {
 			t.Fatal("bad type")
 		}
 		if err := DecodeSubmit(p, &dec); err != nil {
@@ -209,15 +209,15 @@ func TestFrameReaderRejectsGarbage(t *testing.T) {
 	// Oversized length prefix.
 	big := appendU32(nil, 1<<28)
 	big = append(big, make([]byte, 32)...)
-	if _, _, err := NewFrameReader(bytes.NewReader(big), 1<<16).Next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
+	if _, _, err := NewFrameReader(bytes.NewReader(big), 1<<16).Next(); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("oversized frame: err = %v, want errFrameTooLarge", err)
 	}
 
 	// Wrong protocol version.
 	frame := AppendSubmit(nil, 1, &SubmitReq{Items: []txn.Item{1}, Compute: 1, Deadline: 1})
 	frame[lenPrefix] = 99
-	if _, _, err := NewFrameReader(bytes.NewReader(frame), 0).Next(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: err = %v, want ErrVersion", err)
+	if _, _, err := NewFrameReader(bytes.NewReader(frame), 0).Next(); !errors.Is(err, errVersion) {
+		t.Fatalf("bad version: err = %v, want errVersion", err)
 	}
 
 	// Reserved flags set.

@@ -62,7 +62,7 @@ func intsToItems(ints []int) []txn.Item {
 func (w *Workload) WriteJSON(out io.Writer) error {
 	jw := jsonWorkload{Params: w.Params}
 	for _, t := range w.Types {
-		jw.Types = append(jw.Types, jsonType{ID: t.ID, Items: itemsToInts(t.Items), Compute: t.Compute, Class: t.Class})
+		jw.Types = append(jw.Types, jsonType{ID: t.id, Items: itemsToInts(t.Items), Compute: t.compute, Class: t.class})
 	}
 	for i := range w.Txns {
 		s := &w.Txns[i]
@@ -86,7 +86,7 @@ func ReadJSON(in io.Reader) (*Workload, error) {
 	}
 	w := &Workload{Params: jw.Params}
 	for _, t := range jw.Types {
-		w.Types = append(w.Types, Type{ID: t.ID, Items: intsToItems(t.Items), Compute: t.Compute, Class: t.Class})
+		w.Types = append(w.Types, Type{id: t.ID, Items: intsToItems(t.Items), compute: t.Compute, class: t.Class})
 	}
 	for _, s := range jw.Txns {
 		w.Txns = append(w.Txns, Spec{
@@ -96,16 +96,16 @@ func ReadJSON(in io.Reader) (*Workload, error) {
 			MightFull: intsToItems(s.MightFull), DecisionIndex: s.DecisionIdx,
 		})
 	}
-	if err := w.Check(); err != nil {
+	if err := w.check(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// Check validates the structural invariants a replayable workload must
+// check validates the structural invariants a replayable workload must
 // satisfy: dense IDs in arrival order, at least one item per transaction,
 // items within the database and none repeated, deadlines after arrival.
-func (w *Workload) Check() error {
+func (w *Workload) check() error {
 	if len(w.Txns) == 0 {
 		return fmt.Errorf("workload: no transactions")
 	}

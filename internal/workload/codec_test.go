@@ -80,7 +80,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		w := brokenWorkload(mutate)
-		if err := w.Check(); err == nil {
+		if err := w.check(); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/txn"
 )
 
-// Footprint returns the pre-analysis access footprint used for shard
+// footprint returns the pre-analysis access footprint used for shard
 // classification: the pessimistic might-access set when the spec has a
 // decision point, its executed item list otherwise.
-func (s *Spec) Footprint() []txn.Item {
+func (s *Spec) footprint() []txn.Item {
 	if len(s.MightFull) > 0 {
 		return s.MightFull
 	}
@@ -31,7 +31,7 @@ func (s *Spec) HomeShard(n int) (home int, cross bool) {
 	if n == 1 {
 		return 0, false
 	}
-	mask := txn.ShardsTouched(s.Footprint(), n)
+	mask := txn.ShardsTouched(s.footprint(), n)
 	if mask == 0 {
 		// Empty footprint: a no-op transaction lives on shard 0.
 		return 0, false

@@ -165,15 +165,15 @@ func (p Params) Validate() error {
 // decision points, the item set splits into a common prefix and two branch
 // alternatives (a two-leaf transaction tree, paper Figure 2).
 type Type struct {
-	ID      int
+	id      int
 	Items   []txn.Item
-	Compute time.Duration
-	Class   int
-	// Prefix/BranchA/BranchB hold the tree decomposition when
+	compute time.Duration
+	class   int
+	// prefix/BranchA/branchB hold the tree decomposition when
 	// DecisionPoints is on; Items then equals Prefix (the shared part).
-	Prefix  []txn.Item
+	prefix  []txn.Item
 	BranchA []txn.Item
-	BranchB []txn.Item
+	branchB []txn.Item
 }
 
 // Program returns the transaction tree of the type (paper §3.2.2): a flat
@@ -187,10 +187,10 @@ func (t *Type) Program(name string) *txn.Program {
 		Name: name,
 		Root: &txn.Node{
 			Label:    name,
-			Accesses: txn.NewSet(t.Prefix...),
+			Accesses: txn.NewSet(t.prefix...),
 			Children: []*txn.Node{
 				{Label: name + "/a", Accesses: txn.NewSet(t.BranchA...)},
-				{Label: name + "/b", Accesses: txn.NewSet(t.BranchB...)},
+				{Label: name + "/b", Accesses: txn.NewSet(t.branchB...)},
 			},
 		},
 	}
@@ -293,7 +293,7 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 	branchPick := src.Stream("branch")
 	for i := 0; i < p.TxnTypes; i++ {
 		n := typeSize.NormalIntClamped(p.UpdatesMean, p.UpdatesStd, 1, p.DBSize)
-		t := Type{ID: i, Compute: p.ComputePerUpdate}
+		t := Type{id: i, compute: p.ComputePerUpdate}
 		if p.DecisionPoints && n >= 2 {
 			// Two-leaf tree: a prefix of about half the updates, then
 			// two alternative branches of the remaining length each
@@ -311,10 +311,10 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 			for j, v := range idx {
 				all[j] = txn.Item(v)
 			}
-			t.Prefix = all[:prefixLen]
+			t.prefix = all[:prefixLen]
 			t.BranchA = all[prefixLen : prefixLen+branchLen]
-			t.BranchB = all[prefixLen+branchLen:]
-			t.Items = t.Prefix
+			t.branchB = all[prefixLen+branchLen:]
+			t.Items = t.prefix
 		} else {
 			idx := typeItems.SampleWithoutReplacement(p.DBSize, n)
 			items := make([]txn.Item, n)
@@ -324,8 +324,8 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 			t.Items = items
 		}
 		if len(p.Classes) > 0 {
-			t.Class = classOf(i, p.TxnTypes, p.Classes)
-			t.Compute = p.Classes[t.Class].ComputePerUpdate
+			t.class = classOf(i, p.TxnTypes, p.Classes)
+			t.compute = p.Classes[t.class].ComputePerUpdate
 		}
 		w.Types = append(w.Types, t)
 	}
@@ -345,11 +345,11 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 		ty := &w.Types[typePick.Intn(p.TxnTypes)]
 		s := Spec{
 			ID:      i,
-			Type:    ty.ID,
+			Type:    ty.id,
 			Arrival: now,
 			Items:   ty.Items,
-			Compute: ty.Compute,
-			Class:   ty.Class,
+			Compute: ty.compute,
+			Class:   ty.class,
 		}
 		if len(ty.BranchA) > 0 {
 			// Draw the branch this instance will take; until the last
@@ -357,14 +357,14 @@ func GenerateFaulted(p Params, seed int64, bursts []fault.Burst) (*Workload, err
 			// the access set by the union of both branches.
 			branch := ty.BranchA
 			if branchPick.Bernoulli(0.5) {
-				branch = ty.BranchB
+				branch = ty.branchB
 			}
-			s.Items = append(append([]txn.Item(nil), ty.Prefix...), branch...)
-			s.MightFull = make([]txn.Item, 0, len(ty.Prefix)+len(ty.BranchA)+len(ty.BranchB))
-			s.MightFull = append(s.MightFull, ty.Prefix...)
+			s.Items = append(append([]txn.Item(nil), ty.prefix...), branch...)
+			s.MightFull = make([]txn.Item, 0, len(ty.prefix)+len(ty.BranchA)+len(ty.branchB))
+			s.MightFull = append(s.MightFull, ty.prefix...)
 			s.MightFull = append(s.MightFull, ty.BranchA...)
-			s.MightFull = append(s.MightFull, ty.BranchB...)
-			s.DecisionIndex = len(ty.Prefix) - 1
+			s.MightFull = append(s.MightFull, ty.branchB...)
+			s.DecisionIndex = len(ty.prefix) - 1
 		}
 		if p.DiskAccessProb > 0 {
 			s.NeedsIO = make([]bool, len(ty.Items))
@@ -412,9 +412,9 @@ func classOf(i, n int, classes []Class) int {
 	return len(classes) - 1
 }
 
-// MeanComputePerUpdate returns the expected CPU time per update across
+// meanComputePerUpdate returns the expected CPU time per update across
 // classes (the paper's 0.4+4+40)/3 for the high-variance workload).
-func (p Params) MeanComputePerUpdate() time.Duration {
+func (p Params) meanComputePerUpdate() time.Duration {
 	if len(p.Classes) == 0 {
 		return p.ComputePerUpdate
 	}
@@ -430,13 +430,13 @@ func (p Params) MeanComputePerUpdate() time.Duration {
 // update). Table 1's base parameters give 12.5 tr/s; the high-variance
 // parameters give ≈3.37 tr/s.
 func (p Params) CPUCapacity() float64 {
-	perTxn := p.UpdatesMean * float64(p.MeanComputePerUpdate()) / float64(time.Second)
+	perTxn := p.UpdatesMean * float64(p.meanComputePerUpdate()) / float64(time.Second)
 	return 1 / perTxn
 }
 
-// DiskUtilizationAt returns the expected disk utilisation at the given
+// diskUtilizationAt returns the expected disk utilisation at the given
 // arrival rate: λ × updates × P(IO) × access time. The paper computes 62.5%
 // at the 12.5 tr/s capacity point.
-func (p Params) DiskUtilizationAt(rate float64) float64 {
+func (p Params) diskUtilizationAt(rate float64) float64 {
 	return rate * p.UpdatesMean * p.DiskAccessProb * float64(p.DiskAccessTime) / float64(time.Second)
 }

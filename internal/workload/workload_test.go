@@ -67,9 +67,9 @@ func TestCapacityHighVariance(t *testing.T) {
 // TestDiskUtilization checks §5: at 12.5 tr/s, 20 updates × 1/10 × 25 ms
 // gives 62.5% utilisation.
 func TestDiskUtilization(t *testing.T) {
-	got := BaseDisk().DiskUtilizationAt(12.5)
+	got := BaseDisk().diskUtilizationAt(12.5)
 	if math.Abs(got-0.625) > 1e-9 {
-		t.Fatalf("DiskUtilizationAt(12.5) = %v, want 0.625", got)
+		t.Fatalf("diskUtilizationAt(12.5) = %v, want 0.625", got)
 	}
 }
 
@@ -142,20 +142,20 @@ func TestTypesWellFormed(t *testing.T) {
 	}
 	for _, ty := range w.Types {
 		if len(ty.Items) < 1 || len(ty.Items) > p.DBSize {
-			t.Fatalf("type %d has %d items", ty.ID, len(ty.Items))
+			t.Fatalf("type %d has %d items", ty.id, len(ty.Items))
 		}
 		seen := map[int]bool{}
 		for _, it := range ty.Items {
 			if int(it) < 0 || int(it) >= p.DBSize {
-				t.Fatalf("type %d item %d out of range", ty.ID, it)
+				t.Fatalf("type %d item %d out of range", ty.id, it)
 			}
 			if seen[int(it)] {
-				t.Fatalf("type %d has duplicate item %d", ty.ID, it)
+				t.Fatalf("type %d has duplicate item %d", ty.id, it)
 			}
 			seen[int(it)] = true
 		}
-		if ty.Compute != p.ComputePerUpdate {
-			t.Fatalf("type %d compute = %v", ty.ID, ty.Compute)
+		if ty.compute != p.ComputePerUpdate {
+			t.Fatalf("type %d compute = %v", ty.id, ty.compute)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestHighVarianceClasses(t *testing.T) {
 	w := MustGenerate(p, 29)
 	counts := map[time.Duration]int{}
 	for _, ty := range w.Types {
-		counts[ty.Compute]++
+		counts[ty.compute]++
 	}
 	for _, want := range []time.Duration{400 * time.Microsecond, 4 * time.Millisecond, 40 * time.Millisecond} {
 		// 50 types over 3 equal classes: 16 or 17 each.
@@ -376,9 +376,9 @@ func TestTypeProgramFormalism(t *testing.T) {
 	// the pre-analysis classifies a branch-only accessor as conditionally
 	// conflicting before the decision point.
 	ty := Type{
-		Prefix:  []txn.Item{0},
+		prefix:  []txn.Item{0},
 		BranchA: []txn.Item{1, 2},
-		BranchB: []txn.Item{3, 4},
+		branchB: []txn.Item{3, 4},
 		Items:   []txn.Item{0},
 	}
 	at, err := txn.Analyze(ty.Program("T"))
@@ -417,13 +417,13 @@ func TestCheckDecisionFields(t *testing.T) {
 	w := MustGenerate(p, 1)
 	w.Txns[0].MightFull = []txn.Item{0}
 	w.Txns[0].Items = []txn.Item{1} // executes outside might-set
-	if err := w.Check(); err == nil {
+	if err := w.check(); err == nil {
 		t.Fatal("path outside might-set accepted")
 	}
 	w2 := MustGenerate(p, 1)
 	w2.Txns[0].MightFull = append([]txn.Item(nil), w2.Txns[0].Items...)
 	w2.Txns[0].DecisionIndex = len(w2.Txns[0].Items) // out of range
-	if err := w2.Check(); err == nil {
+	if err := w2.check(); err == nil {
 		t.Fatal("out-of-range decision index accepted")
 	}
 }
