@@ -48,6 +48,24 @@ func TestBadPolicyExitsUsage(t *testing.T) {
 	}
 }
 
+// TestBadFloatFlagsExit: a speed or weight the engine cannot run with is
+// refused before the listener opens, with an rtserve message, not a panic
+// or a server that never answers.
+func TestBadFloatFlagsExit(t *testing.T) {
+	for _, args := range [][]string{
+		{"-speed", "-1"},
+		{"-speed", "NaN"},
+		{"-speed", "+Inf"},
+		{"-weight", "NaN"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(append(args, "-addr", "127.0.0.1:0"), &out, &errb)
+		if code == 0 || !strings.HasPrefix(errb.String(), "rtserve: ") {
+			t.Errorf("%v: exit code %d, stderr %q; want non-zero and an rtserve: message", args, code, errb.String())
+		}
+	}
+}
+
 var addrRe = regexp.MustCompile(`on (127\.0\.0\.1:\d+)`)
 
 // TestServeSignalDrain boots the server on an ephemeral port, commits one

@@ -1,15 +1,16 @@
 // The inbox: the one ingestion path into the wall-clock service. A driver
-// Call costs a mutex, a closure and a wakeup; under a high-rate front-end
-// that handoff is the bottleneck, not the engine. So a submission does not
-// get a Call of its own: Enqueue appends it to the service's inbox, and the
+// call costs a closure and a wakeup; under a high-rate front-end that
+// handoff is the bottleneck, not the engine. So a submission does not get a
+// call of its own: Enqueue appends it to the service's inbox, and the
 // driver injects the whole inbox in one pass (drain) at its next catch-up.
-// The driver is woken by one Call of a pre-built func, and only when the
-// inbox goes from empty to non-empty, so the handoff cost is paid once per
-// driver wakeup instead of once per transaction, and the path allocates
-// nothing per batch. Each submission goes through validation, admission
-// control and onArrival in inbox order. SubmitBatch is Enqueue for every
-// entry plus a wait for their handles; the blocking Submit is a one-element
-// batch behind a Waiter.
+// The inbox and the call queue share the service's one mutex: the inbox
+// going from empty to non-empty queues the pre-built drain call in the same
+// critical section and wakes the driver, so the handoff cost is paid once
+// per driver wakeup instead of once per transaction, and the path
+// allocates nothing per batch. Each submission goes through validation,
+// admission control and onArrival in inbox order. SubmitBatch is Enqueue
+// for every entry plus a wait for their handles; the blocking Submit is a
+// one-element batch behind a Waiter.
 package core
 
 import (
@@ -73,7 +74,7 @@ type SubmitHandle struct {
 func (h SubmitHandle) Cancel() {
 	switch {
 	case h.svc != nil:
-		_ = h.svc.rt.Call(func() { h.svc.e.cancelServiceTxn(h.t, h.gen) })
+		_ = h.svc.call(func() { h.svc.e.cancelServiceTxn(h.t, h.gen) })
 	case h.cancelFn != nil:
 		h.cancelFn()
 	}
@@ -178,6 +179,7 @@ func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
 		return true
 	}
 	var err error
+	wake := false
 	s.mu.Lock()
 	switch {
 	case s.draining:
@@ -196,14 +198,16 @@ func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
 	if err == nil {
 		s.inbox = append(s.inbox, sub)
 		if !s.woken {
-			// Under the lock, so a driver call queued after this Enqueue
-			// (Drain's live-count probe) runs after the drain. A stopped
-			// driver refuses the call and leaves the entry to Run's sweep.
-			s.woken = true
-			_ = s.rt.Call(s.drainFn)
+			// Into the call queue under the same lock, so a call queued
+			// after this Enqueue runs after the drain.
+			s.woken, wake = true, true
+			s.calls = append(s.calls, s.drainFn)
 		}
 	}
 	s.mu.Unlock()
+	if wake {
+		s.wakeDriver()
+	}
 	if err != nil {
 		sub.Fail(err)
 	}
@@ -242,13 +246,14 @@ func (s *Service) drain() {
 
 // sweep answers ErrServiceStopped to every submission the driver will never
 // inject — the inbox, and what a panic left of the batch being injected —
-// and makes every later Enqueue answer at once. Runs on Run's goroutine
-// once the driver has exited, so spare is its to read.
+// drops the calls it will never run, and makes every later Enqueue and call
+// answer at once. Runs on Run's goroutine once the driver has exited, so
+// spare is its to read.
 func (s *Service) sweep() {
 	s.mu.Lock()
 	s.stopped = true
 	left := append(s.spare, s.inbox...)
-	s.inbox = nil
+	s.inbox, s.calls = nil, nil
 	s.mu.Unlock()
 	for i := range left {
 		if left[i].Done != nil {

@@ -159,7 +159,7 @@ func TestInboxStopSweep(t *testing.T) {
 	// Hold the driver inside a call: the drain the entries below wake is
 	// queued behind it, and the driver looks at ctx before running it.
 	held, release := make(chan struct{}), make(chan struct{})
-	if err := s.rt.Call(func() { close(held); <-release }); err != nil {
+	if err := s.call(func() { close(held); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-held

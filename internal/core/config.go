@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/disk"
@@ -187,14 +188,14 @@ func (c Config) Validate() error {
 	if err := c.Predict.validate(); err != nil {
 		return err
 	}
-	if c.PenaltyWeight < 0 {
-		return fmt.Errorf("core: PenaltyWeight %v < 0", c.PenaltyWeight)
+	if c.PenaltyWeight < 0 || math.IsNaN(c.PenaltyWeight) || math.IsInf(c.PenaltyWeight, 0) {
+		return fmt.Errorf("core: PenaltyWeight %v is not finite and >= 0", c.PenaltyWeight)
 	}
 	if c.AbortCost < 0 {
 		return fmt.Errorf("core: AbortCost %v < 0", c.AbortCost)
 	}
-	if c.RecoveryProportionalFactor < 0 {
-		return fmt.Errorf("core: RecoveryProportionalFactor %v < 0", c.RecoveryProportionalFactor)
+	if c.RecoveryProportionalFactor < 0 || math.IsNaN(c.RecoveryProportionalFactor) || math.IsInf(c.RecoveryProportionalFactor, 0) {
+		return fmt.Errorf("core: RecoveryProportionalFactor %v is not finite and >= 0", c.RecoveryProportionalFactor)
 	}
 	if c.NumCPUs <= 0 {
 		return fmt.Errorf("core: NumCPUs %d <= 0", c.NumCPUs)

@@ -5,6 +5,7 @@ package core
 // cross-policy consistency properties.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.NumCPUs = 0 },
 		func(c *Config) { c.RecoveryProportionalFactor = -1 },
 		func(c *Config) { c.Workload.Count = 0 },
+		func(c *Config) { c.PenaltyWeight = math.NaN() },
+		func(c *Config) { c.PenaltyWeight = math.Inf(1) },
+		func(c *Config) { c.RecoveryProportionalFactor = math.NaN() },
+		func(c *Config) { c.RecoveryProportionalFactor = math.Inf(1) },
+		func(c *Config) { c.Workload.ArrivalRate = math.NaN() },
 	}
 	for i, mutate := range cases {
 		cfg := MainMemoryConfig(CCA, 1)

@@ -22,7 +22,7 @@ import (
 
 // serviceEngine builds an engine the way NewService does (no pre-generated
 // workload) but driven in virtual time, so the recycle flow is exercised
-// deterministically without a Realtime driver.
+// deterministically without the wall-clock driver.
 func serviceEngine(t *testing.T) *Engine {
 	t.Helper()
 	cfg := MainMemoryConfig(CCA, 1)

@@ -7,24 +7,27 @@
 // The engine code is shared, not forked: the same calendar, the same
 // scheduling points, the same conflict machinery, the same event loop
 // (Engine.stepEvents, with its watchdog and oracle). The only difference is
-// the clock (sim.Realtime sleeps until events are due, folds in injected
-// arrivals and asks the engine to step to the wall instant) and the
-// per-transaction completion slot, which is nil on every simulation run.
-// That is the whole equivalence argument for the Clock refactor —
-// virtual-time runs execute byte-for-byte the same code they always did,
-// and the recorded equivalence digests keep proving them bit-identical.
+// the clock — Run's driver loop steps the engine to the wall instant, runs
+// the calls queued from other goroutines, and sleeps until the next event
+// is due — and the per-transaction completion slot, which is nil on every
+// simulation run. That is the whole equivalence argument for the Clock
+// refactor — virtual-time runs execute byte-for-byte the same code they
+// always did, and the recorded equivalence digests keep proving them
+// bit-identical.
 //
 // A Service is one shard's worker: the serving stack always runs
 // shard.Service over N of them (N = 1 included), which owns routing,
 // durability and supervision. There is one way in — the inbox (Enqueue,
 // batch.go); SubmitBatch waits for its entries' handles, and Submit is a
-// one-element batch.
+// one-element batch. There is one queue into the driver: the call queue,
+// under the service's one mutex, which the inbox's drain joins as one call.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -56,8 +59,10 @@ var (
 // ServiceOptions tune the wall-clock service without changing what the
 // engine computes.
 type ServiceOptions struct {
-	// Speed is the simulated-to-wall time ratio (sim.RealtimeOptions.Speed);
-	// 0 means 1 (real time). Tests compress time with large speeds.
+	// Speed is the ratio of simulated time to wall time; 0 means 1 (one
+	// simulated second per wall second), and a negative or non-finite
+	// speed is refused. Tests compress time with large speeds: the
+	// engine's millisecond-scale events then fire in microseconds.
 	Speed float64
 	// Oracle attaches the runtime safety oracle: a violated paper
 	// invariant stops the service with an error (surfaced by Err and
@@ -188,23 +193,31 @@ type ServiceStats struct {
 
 // Service is a wall-clock transaction service over one Engine.
 type Service struct {
-	e  *Engine
-	rt *sim.Realtime
+	e     *Engine
+	speed float64
 	// drainFn is drain as a func value, built once: waking the driver
 	// allocates nothing.
 	drainFn func()
-	// spare is the inbox's second array. The driver owns it: drain swaps
-	// it in for the batch it takes.
-	spare []Submission
+	// spare and spareCalls are the second arrays of the inbox and the call
+	// queue. The driver owns them: it swaps each in for what it takes, so
+	// queueing reallocates nothing.
+	spare      []Submission
+	spareCalls []func()
+	// drainedSent records, for the driver alone, that drained is closed.
+	drainedSent bool
 
-	stopCh chan struct{}
+	wake    chan struct{}
+	drained chan struct{} // closed by the driver once draining with nothing live
+	stopCh  chan struct{}
 
-	// mu guards the inbox (batch.go) and the service's state.
+	// mu guards the call queue, the inbox (batch.go) and the service's
+	// state.
 	mu       sync.Mutex
+	calls    []func()
 	inbox    []Submission
 	woken    bool // a drain call is queued
 	draining bool
-	stopped  bool // Run has swept the inbox
+	stopped  bool // Run has swept the inbox and the call queue
 	err      error
 }
 
@@ -216,21 +229,28 @@ func NewService(cfg Config, opt ServiceOptions) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	speed := opt.Speed
+	if speed == 0 {
+		speed = 1
+	}
+	if speed < 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+		return nil, fmt.Errorf("core: service speed %v is not finite and >= 0", speed)
+	}
 	e := newKernel(cfg, &workload.Workload{Params: cfg.Workload})
 	// Tardiness goes to a constant-memory histogram over an unbounded run.
 	e.run.UseHistogram = true
 	e.retires = true
-	s := &Service{e: e, stopCh: make(chan struct{})}
+	s := &Service{
+		e:       e,
+		speed:   speed,
+		wake:    make(chan struct{}, 1),
+		drained: make(chan struct{}),
+		stopCh:  make(chan struct{}),
+	}
 	s.drainFn = s.drain
 	if opt.Oracle {
 		e.EnableOracle()
 	}
-	// The driver only keeps the clock: every event fires through the
-	// engine's own bounded step, under its watchdog and oracle.
-	s.rt = sim.NewRealtime(e.sim, sim.RealtimeOptions{
-		Speed: opt.Speed,
-		Step:  func(to sim.Time) error { return e.stepEvents(to, true) },
-	})
 	return s, nil
 }
 
@@ -247,7 +267,7 @@ func (s *Service) Run(ctx context.Context) error {
 				err = fmt.Errorf("core: service engine panic: %v", p)
 			}
 		}()
-		return s.rt.Run(ctx)
+		return s.drive(ctx)
 	}()
 	if err != nil && !errors.Is(err, context.Canceled) {
 		s.mu.Lock()
@@ -261,6 +281,104 @@ func (s *Service) Run(ctx context.Context) error {
 	s.failLive(err)
 	s.sweep()
 	return err
+}
+
+// drive is the driver loop: the calendar against the wall clock. Each
+// catch-up fires every event due at the current wall instant through the
+// engine's own bounded step (the loop a virtual run uses, with its
+// watchdog and oracle), then runs the queued calls at that instant. Calls
+// may schedule events already due (an arrival dispatches at once), so a
+// call batch is always followed by another catch-up, which is where a
+// failure a call left behind surfaces. With nothing due, the driver sleeps
+// on the next event's timer, a wakeup or the context: every sleep selects
+// on cancellation, so shutdown never waits on a sleeping retry timer.
+func (s *Service) drive(ctx context.Context) error {
+	start := time.Now()
+	timer := time.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C
+	}
+	defer timer.Stop()
+
+	for {
+		// Cancellation wins over any amount of due work: an overloaded
+		// server must still shut down promptly.
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+
+		if err := s.e.stepEvents(sim.Time(float64(time.Since(start))*s.speed), true); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		calls := s.calls
+		s.calls = s.spareCalls
+		draining := s.draining
+		s.mu.Unlock()
+		for _, fn := range calls {
+			fn()
+		}
+		clear(calls) // pin no closure until the array is reused
+		s.spareCalls = calls[:0]
+		if len(calls) > 0 {
+			continue // calls may have scheduled events already due
+		}
+		// The queue was empty with draining set, so the inbox is empty and
+		// stays so: nothing live now means nothing live ever again.
+		if draining && !s.drainedSent && s.e.live.n == 0 {
+			s.drainedSent = true
+			close(s.drained)
+		}
+
+		// Sleep until the next event is due, or, with nothing scheduled,
+		// until a call or cancellation (a nil tick never fires).
+		var tick <-chan time.Time
+		if next, ok := s.e.sim.NextAt(); ok {
+			d := time.Until(start.Add(time.Duration(float64(next) / s.speed)))
+			if d <= 0 {
+				continue
+			}
+			timer.Reset(d)
+			tick = timer.C
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err() // the deferred Stop retires the timer
+		case <-s.wake:
+			if tick != nil && !timer.Stop() {
+				<-timer.C
+			}
+		case <-tick:
+		}
+	}
+}
+
+// call queues fn to run on the driver goroutine at its next catch-up, with
+// the clock advanced to the wall instant — the injection point for work
+// from other goroutines. Calls run in queue order. It returns
+// ErrServiceStopped once Run has swept the queue (fn will never run); a
+// call queued while Run is shutting down may also be dropped, so waiters
+// must additionally select on stopCh.
+func (s *Service) call(fn func()) error {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return ErrServiceStopped
+	}
+	s.calls = append(s.calls, fn)
+	s.mu.Unlock()
+	s.wakeDriver()
+	return nil
+}
+
+// wakeDriver ends the driver's sleep, or its next one if it is awake.
+func (s *Service) wakeDriver() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // failLive answers every transaction that was still live when the driver
@@ -286,7 +404,7 @@ func (s *Service) failLive(cause error) {
 // It returns once the panic is enqueued; the crash lands at the
 // driver's next wakeup.
 func (s *Service) InjectPanic(msg string) error {
-	return s.rt.Call(func() { panic(fmt.Sprintf("core: injected panic: %s", msg)) })
+	return s.call(func() { panic(fmt.Sprintf("core: injected panic: %s", msg)) })
 }
 
 // Err returns the failure that stopped (or is about to stop) the service:
@@ -316,21 +434,17 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	for {
-		n, ok := onDriver(s, func() int { return s.e.live.n })
-		if !ok || n == 0 {
-			return nil // drained, or the driver already stopped
+	s.wakeDriver()
+	select {
+	case <-s.drained:
+		return nil
+	case <-ctx.Done():
+		if _, ok := onDriver(s, func() struct{} { s.e.dropAllLive(); return struct{}{} }); !ok {
+			return nil // the driver already stopped
 		}
-		select {
-		case <-ctx.Done():
-			if _, ok := onDriver(s, func() struct{} { s.e.dropAllLive(); return struct{}{} }); !ok {
-				return nil
-			}
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		case <-s.stopCh:
-			return nil
-		}
+		return ctx.Err()
+	case <-s.stopCh:
+		return nil
 	}
 }
 
@@ -339,7 +453,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // forging a violating event is how tests prove the live oracle actually
 // stops the service.
 func (s *Service) InjectEvent(ev trace.Event) error {
-	return s.rt.Call(func() { s.e.InjectEvent(ev) })
+	return s.call(func() { s.e.InjectEvent(ev) })
 }
 
 // Stats returns a point-in-time observability snapshot, or ok=false once
@@ -395,7 +509,7 @@ func (s *Service) PredictSnapshot() (PredictSnapshot, bool) {
 // false once the driver has stopped (fn then may or may not have run).
 func onDriver[T any](s *Service, fn func() T) (v T, ok bool) {
 	ch := make(chan T, 1)
-	if s.rt.Call(func() { ch <- fn() }) != nil {
+	if s.call(func() { ch <- fn() }) != nil {
 		return v, false
 	}
 	select {
@@ -410,7 +524,7 @@ func onDriver[T any](s *Service, fn func() T) (v T, ok bool) {
 // driver goroutine (see Engine.SetPredictView). No-op for policies without
 // statistics; the view must not be mutated after the call.
 func (s *Service) SetPredictView(v *predict.Table) error {
-	return s.rt.Call(func() { s.e.SetPredictView(v) })
+	return s.call(func() { s.e.SetPredictView(v) })
 }
 
 // outcomeOf converts a terminal transaction into its submission outcome.

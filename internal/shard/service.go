@@ -1,17 +1,17 @@
 package shard
 
 // Wall-clock sharded service: N independent core.Services (one engine
-// shard each, its own Realtime driver goroutine) behind one Enqueue front —
-// the only service the server runs, N = 1 included. Requests whose access
-// list lies on a single shard go straight to that shard's inbox — the
-// scaling path: submissions to different shards never contend on a driver
-// goroutine. Cross-shard requests are queued and, at wall-clock epoch
-// ticks, flushed through the same SubmitBatch primitive: the queued parts
-// are grouped by shard in queue order and each touched shard receives one
-// batch, ascending by shard — the wall analogue of the virtual runner's
-// boundary exchange. What that guarantees: every shard sees the cross
-// requests of an epoch, and of successive epochs, in the same relative
-// arrival order.
+// shard each, each driven by its own Run goroutine) behind one Enqueue
+// front — the only service the server runs, N = 1 included. Requests
+// whose access list lies on a single shard go straight to that shard's
+// inbox — the scaling path: submissions to different shards never contend
+// on a driver goroutine. Cross-shard requests are queued and, at
+// wall-clock epoch ticks, flushed through the same SubmitBatch primitive:
+// the queued parts are grouped by shard in queue order and each touched
+// shard receives one batch, ascending by shard — the wall analogue of the
+// virtual runner's boundary exchange. What that guarantees: every shard
+// sees the cross requests of an epoch, and of successive epochs, in the
+// same relative arrival order.
 //
 // What it does not: unlike the virtual Runner, the wall-clock service is not
 // deterministic — arrival instants come from the wall — and it has no

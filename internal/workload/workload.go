@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/fault"
@@ -126,29 +127,29 @@ func (p Params) Validate() error {
 		return fmt.Errorf("workload: TxnTypes %d <= 0", p.TxnTypes)
 	case p.DBSize <= 0:
 		return fmt.Errorf("workload: DBSize %d <= 0", p.DBSize)
-	case p.UpdatesMean <= 0:
-		return fmt.Errorf("workload: UpdatesMean %v <= 0", p.UpdatesMean)
-	case p.UpdatesStd < 0:
-		return fmt.Errorf("workload: UpdatesStd %v < 0", p.UpdatesStd)
+	case !finite(p.UpdatesMean) || p.UpdatesMean <= 0:
+		return fmt.Errorf("workload: UpdatesMean %v is not finite and > 0", p.UpdatesMean)
+	case !finite(p.UpdatesStd) || p.UpdatesStd < 0:
+		return fmt.Errorf("workload: UpdatesStd %v is not finite and >= 0", p.UpdatesStd)
 	case len(p.Classes) == 0 && p.ComputePerUpdate <= 0:
 		return fmt.Errorf("workload: ComputePerUpdate %v <= 0", p.ComputePerUpdate)
-	case p.MinSlack < 0 || p.MaxSlack < p.MinSlack:
+	case !finite(p.MinSlack) || !finite(p.MaxSlack) || p.MinSlack < 0 || p.MaxSlack < p.MinSlack:
 		return fmt.Errorf("workload: slack range [%v, %v] invalid", p.MinSlack, p.MaxSlack)
-	case p.ArrivalRate <= 0:
-		return fmt.Errorf("workload: ArrivalRate %v <= 0", p.ArrivalRate)
+	case !finite(p.ArrivalRate) || p.ArrivalRate <= 0:
+		return fmt.Errorf("workload: ArrivalRate %v is not finite and > 0", p.ArrivalRate)
 	case p.Count <= 0:
 		return fmt.Errorf("workload: Count %d <= 0", p.Count)
-	case p.DiskAccessProb < 0 || p.DiskAccessProb > 1:
+	case !(p.DiskAccessProb >= 0 && p.DiskAccessProb <= 1):
 		return fmt.Errorf("workload: DiskAccessProb %v outside [0,1]", p.DiskAccessProb)
 	case p.DiskAccessProb > 0 && p.DiskAccessTime <= 0:
 		return fmt.Errorf("workload: DiskAccessTime %v <= 0 with DiskAccessProb %v", p.DiskAccessTime, p.DiskAccessProb)
-	case p.ReadFraction < 0 || p.ReadFraction > 1:
+	case !(p.ReadFraction >= 0 && p.ReadFraction <= 1):
 		return fmt.Errorf("workload: ReadFraction %v outside [0,1]", p.ReadFraction)
 	}
 	if len(p.Classes) > 0 {
 		var sum float64
 		for i, c := range p.Classes {
-			if c.Fraction < 0 || c.ComputePerUpdate <= 0 {
+			if !finite(c.Fraction) || c.Fraction < 0 || c.ComputePerUpdate <= 0 {
 				return fmt.Errorf("workload: class %d invalid", i)
 			}
 			sum += c.Fraction
@@ -159,6 +160,10 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite: a NaN fails every
+// comparison, so a bound check alone lets it through.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Type is one pre-analysed transaction type: a fixed item set and per-update
 // compute time shared by all its instances in a run. When the workload uses

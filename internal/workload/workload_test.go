@@ -89,6 +89,19 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.ReadFraction = -0.5 },
 		func(p *Params) { p.Classes = []Class{{Fraction: 0.5, ComputePerUpdate: time.Millisecond}} },
 		func(p *Params) { p.Classes = []Class{{Fraction: 1, ComputePerUpdate: 0}} },
+		func(p *Params) { p.UpdatesMean = math.NaN() },
+		func(p *Params) { p.UpdatesMean = math.Inf(1) },
+		func(p *Params) { p.UpdatesStd = math.NaN() },
+		func(p *Params) { p.UpdatesStd = math.Inf(1) },
+		func(p *Params) { p.MaxSlack = math.NaN() },
+		func(p *Params) { p.MaxSlack = math.Inf(1) },
+		func(p *Params) { p.ArrivalRate = math.NaN() },
+		func(p *Params) { p.ArrivalRate = math.Inf(1) },
+		func(p *Params) { p.DiskAccessProb = math.NaN() },
+		func(p *Params) { p.ReadFraction = math.NaN() },
+		func(p *Params) {
+			p.Classes = []Class{{Fraction: math.NaN(), ComputePerUpdate: time.Millisecond}, {Fraction: 1, ComputePerUpdate: time.Millisecond}}
+		},
 	}
 	for i, mutate := range cases {
 		p := BaseMainMemory()
