@@ -66,6 +66,22 @@ func TestBadFloatFlagsExit(t *testing.T) {
 	}
 }
 
+// TestRestartFlagsNeedSupervision: -restart-shards without -supervise, or
+// -max-restarts without -restart-shards, would start a server that never
+// restarts a shard; both are refused with an rtserve message.
+func TestRestartFlagsNeedSupervision(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "2", "-restart-shards"},
+		{"-shards", "2", "-supervise", "-max-restarts", "2"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(append(args, "-addr", "127.0.0.1:0"), &out, &errb)
+		if code == 0 || !strings.HasPrefix(errb.String(), "rtserve: ") {
+			t.Errorf("%v: exit code %d, stderr %q; want non-zero and an rtserve: message", args, code, errb.String())
+		}
+	}
+}
+
 var addrRe = regexp.MustCompile(`on (127\.0\.0\.1:\d+)`)
 
 // TestServeSignalDrain boots the server on an ephemeral port, commits one

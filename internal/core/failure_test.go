@@ -75,8 +75,8 @@ func TestEnginePanicFailsInflight(t *testing.T) {
 			t.Fatalf("submit %d: err = %v, want ErrEngineFailed", i, err)
 		}
 	}
-	if s.Err() == nil {
-		t.Fatal("Err() nil after driver death")
+	if s.failure() == nil {
+		t.Fatal("failure() nil after driver death")
 	}
 
 	// Post-mortem submits fail fast, not hang.

@@ -407,10 +407,10 @@ func (s *Service) InjectPanic(msg string) error {
 	return s.call(func() { panic(fmt.Sprintf("core: injected panic: %s", msg)) })
 }
 
-// Err returns the failure that stopped (or is about to stop) the service:
-// an engine panic, a watchdog stall, or an oracle violation. nil while
-// healthy and after a clean cancellation.
-func (s *Service) Err() error {
+// failure returns the failure that stopped (or is about to stop) the
+// service: an engine panic, a watchdog stall, or an oracle violation. nil
+// while healthy and after a clean cancellation.
+func (s *Service) failure() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err

@@ -338,7 +338,7 @@ func TestServiceOracleLive(t *testing.T) {
 			t.Fatalf("submit %d finished %v", i, o.State)
 		}
 	}
-	if err := s.Err(); err != nil {
+	if err := s.failure(); err != nil {
 		t.Fatalf("oracle tripped on a healthy run: %v", err)
 	}
 	n := make(chan int, 1)
@@ -379,8 +379,8 @@ func TestServiceWatchdogStopsDriver(t *testing.T) {
 				t.Fatalf("Run returned %v, want an error containing %q", err, want)
 			}
 		}
-		if s.Err() != err {
-			t.Fatalf("Err() = %v, want the Run error", s.Err())
+		if s.failure() != err {
+			t.Fatalf("failure() = %v, want the Run error", s.failure())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("driver did not stop on a same-instant livelock")
@@ -406,8 +406,8 @@ func TestServiceStepErrorStops(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "core: oracle") {
 			t.Fatalf("Run returned %v, want the oracle's step error", err)
 		}
-		if s.Err() != err {
-			t.Fatalf("Err() = %v, want the Run error", s.Err())
+		if s.failure() != err {
+			t.Fatalf("failure() = %v, want the Run error", s.failure())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("driver did not stop on a failing step")

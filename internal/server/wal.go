@@ -8,7 +8,7 @@
 // `recovering=true` until it finishes:
 //
 //   - with Options.Recover, each unresolved submission is re-run
-//     through the unchanged engine (chunked SubmitBatch entries with
+//     through the unchanged engine (chunked Enqueue entries with
 //     WALSeq set, so the service skips the duplicate submit append and
 //     stamps the outcome FlagReplayed — the at-most-once marker a
 //     reconnecting client uses to discard duplicate effects);
@@ -33,7 +33,7 @@ import (
 	"repro/internal/wire"
 )
 
-// replayChunk bounds one SubmitBatch of recovered submissions, so a
+// replayChunk bounds one burst of recovered submissions, so a
 // large backlog replays in bounded bursts instead of flooding the
 // engine's admission controller in one call.
 const replayChunk = 256
@@ -177,11 +177,10 @@ func (s *Server) replayWAL(ctx context.Context) {
 			end = len(unresolved)
 		}
 		var wg sync.WaitGroup
-		subs := make([]core.Submission, 0, end-start)
+		wg.Add(end - start)
 		for i := start; i < end; i++ {
 			rec := &unresolved[i]
-			wg.Add(1)
-			subs = append(subs, core.Submission{
+			s.svc.Enqueue(core.Submission{
 				Req:    core.RequestFromWAL(rec),
 				WALSeq: rec.Seq,
 				Done: func(o core.ServiceOutcome, err error) {
@@ -189,9 +188,8 @@ func (s *Server) replayWAL(ctx context.Context) {
 					status, _, _ := wire.Classify(o, err)
 					s.replay.answers[status].Add(1)
 				},
-			})
+			}, 0)
 		}
-		s.svc.SubmitBatch(subs)
 		// One chunk in flight at a time: bounded engine load, and the
 		// chunk's outcome records are durable before the next burst.
 		wg.Wait()

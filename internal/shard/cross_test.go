@@ -262,9 +262,9 @@ func TestCrossQueueSpawnsNoGoroutines(t *testing.T) {
 
 // TestSubmitBatchValidatesBeforeLogging: core/wal.go's contract is that the
 // submit record is appended after validation. A malformed request — single
-// shard or cross-shard by its footprint — must be answered with its
-// validation error and leave nothing in the log (it used to cost a submit
-// and an abort record).
+// shard or cross-shard by its footprint, or touching no shard at all — must
+// be answered with its validation error and leave nothing in the log (it
+// used to cost a submit and an abort record).
 func TestSubmitBatchValidatesBeforeLogging(t *testing.T) {
 	log, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
 	if err != nil {
@@ -278,6 +278,8 @@ func TestSubmitBatchValidatesBeforeLogging(t *testing.T) {
 		items []int
 	}{
 		{"no items", nil},
+		{"empty list", []int{}},
+		{"all items negative", []int{-1, -3}},
 		{"item out of range, one shard", []int{2, 5000}},
 		{"item out of range, two shards", []int{1, 5000}},
 		{"item named twice, one shard", []int{3, 3}},

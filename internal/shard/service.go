@@ -6,12 +6,11 @@ package shard
 // whose access list lies on a single shard go straight to that shard's
 // inbox — the scaling path: submissions to different shards never contend
 // on a driver goroutine. Cross-shard requests are queued and, at
-// wall-clock epoch ticks, flushed through the same SubmitBatch primitive:
-// the queued parts are grouped by shard in queue order and each touched
-// shard receives one batch, ascending by shard — the wall analogue of the
-// virtual runner's boundary exchange. What that guarantees: every shard
-// sees the cross requests of an epoch, and of successive epochs, in the
-// same relative arrival order.
+// wall-clock epoch ticks, flushed through the same Enqueue: each queued
+// request's parts go to their shards' inboxes, request by request in queue
+// order — the wall analogue of the virtual runner's boundary exchange.
+// What that guarantees: every shard sees the cross requests of an epoch,
+// and of successive epochs, in the same relative arrival order.
 //
 // What it does not: unlike the virtual Runner, the wall-clock service is not
 // deterministic — arrival instants come from the wall — and it has no
@@ -27,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +34,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/trace"
-	"repro/internal/txn"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // SuperviseOptions control shard-failure containment.
@@ -49,13 +47,13 @@ type SuperviseOptions struct {
 	// surviving shards keep serving their part of the item space.
 	// Disabled (the default), any shard failure stops the whole service.
 	Enabled bool
-	// Restart additionally replaces a permanently-failed shard with a
-	// fresh engine. The fresh engine starts empty: the failed shard's
-	// admitted work has already been failed, and its statistics are
-	// gone — restart trades state for capacity.
+	// Restart (only with Enabled) additionally replaces a failed shard
+	// with a fresh engine. The fresh engine starts empty: the failed
+	// shard's admitted work has already been failed, and its statistics
+	// are gone — restart trades state for capacity.
 	Restart bool
-	// MaxRestarts bounds restarts per shard (default 3); past it the
-	// shard stays dead.
+	// MaxRestarts (only with Restart) bounds restarts per shard (default
+	// 3); past it the shard stays dead.
 	MaxRestarts int
 }
 
@@ -109,10 +107,10 @@ type partReq struct {
 
 // pendingCross is one logical cross-shard submission: queued until the next
 // epoch flush, then in flight as one part per touched shard. Its handle is
-// cancel.Cancel: the flush arms one handle per injected part, and a client
-// that cancelled before the flush wounds each as it is armed. The logical
-// request is then answered like any other — dropped (or whatever its parts
-// had already reached), nil error.
+// cancel.Cancel: it is every part's HandleSink, so each part arms its handle
+// as its shard injects it, and a client that cancelled before that wounds
+// each as it is armed. The logical request is then answered like any other
+// — dropped (or whatever its parts had already reached), nil error.
 type pendingCross struct {
 	parts  []partReq
 	done   func(core.ServiceOutcome, error)
@@ -133,6 +131,9 @@ func newPendingCross(req core.ServiceRequest, n int, done func(core.ServiceOutco
 	c.errs = make([]error, len(c.parts))
 	return c
 }
+
+// OnHandle arms one injected part's handle (core.HandleSink).
+func (c *pendingCross) OnHandle(_ uint64, h core.SubmitHandle) { c.cancel.Arm(h) }
 
 // partDone is part pi's completion: it records the part's fate, and the
 // last part to finish answers the logical request — the folded outcome
@@ -175,7 +176,7 @@ type Service struct {
 	// every access goes through shard()/allShards().
 	svcMu     sync.RWMutex
 	svcs      []*core.Service
-	dead      []bool  // permanently down (supervised, out of restarts — or unsupervised failure)
+	dead      []bool  // failed and not restarted
 	failures  []error // last failure per shard, sticky across restarts
 	restarts  []int
 	failTotal int
@@ -200,6 +201,12 @@ type Service struct {
 func NewService(cfg core.Config, opt ServiceOptions) (*Service, error) {
 	if opt.Shards < 1 || opt.Shards > 64 {
 		return nil, fmt.Errorf("shard: %d shards (want 1..64)", opt.Shards)
+	}
+	if opt.Supervise.Restart && !opt.Supervise.Enabled {
+		return nil, errors.New("shard: restarting failed shards needs supervision")
+	}
+	if opt.Supervise.MaxRestarts != 0 && !opt.Supervise.Restart {
+		return nil, errors.New("shard: a restart budget needs restarting failed shards")
 	}
 	epoch := opt.Epoch
 	if epoch <= 0 {
@@ -253,42 +260,14 @@ func (s *Service) allShards() []*core.Service {
 	return append([]*core.Service(nil), s.svcs...)
 }
 
-func (s *Service) markDead(i int) {
-	s.svcMu.Lock()
-	s.dead[i] = true
-	s.svcMu.Unlock()
-}
-
-func (s *Service) deadShards() int {
-	s.svcMu.RLock()
-	defer s.svcMu.RUnlock()
-	n := 0
-	for _, d := range s.dead {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
-// noteFailure records a shard-driver failure and reports the restart
-// count consumed so far.
-func (s *Service) noteFailure(i int, err error) int {
-	s.svcMu.Lock()
-	defer s.svcMu.Unlock()
-	s.failures[i] = err
-	s.lastFail = err
-	s.failTotal++
-	return s.restarts[i]
-}
-
 // Run drives every shard service and the cross-shard batcher until ctx
 // is cancelled or the shards stop. Unsupervised (the default), any
 // shard failure stops all shards and Run returns it. Supervised, shard
 // failures are contained per SuperviseOptions and Run keeps serving
-// until cancellation or until every shard is permanently dead; it then
-// returns the first shard failure (if any), so a degraded-then-drained
-// service still reports what went wrong. Must be called exactly once.
+// until cancellation or until every shard is dead — the moment the last
+// supervisor returns; it then returns the first shard failure, so a
+// degraded-then-drained service still reports what went wrong. Must be
+// called exactly once.
 func (s *Service) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -317,9 +296,9 @@ func (s *Service) Run(ctx context.Context) error {
 			if first == nil {
 				first = err
 			}
-			// Unsupervised: any shard exit stops the service. Supervised:
-			// shards die independently; stop only when none are left.
-			if !s.sup.Enabled || s.deadShards() == s.n {
+			// Unsupervised, any shard exit stops the service; supervised,
+			// shards die independently and the loop ends with the last.
+			if !s.sup.Enabled {
 				cancel()
 			}
 		}
@@ -328,33 +307,38 @@ func (s *Service) Run(ctx context.Context) error {
 	return first
 }
 
-// supervise runs shard i until ctx cancellation or permanent death. An
-// unexpected exit is recorded (Degraded, SupervisionStats); when
-// Restart allows, a fresh engine is swapped into the shard table and
-// driven in place of the dead one. The failed engine's inflight work
-// was already answered by the core failure sweep before its Run
-// returned, so containment never strands a waiter.
+// supervise runs shard i until ctx cancellation or death. An unexpected
+// exit is recorded (Degraded, SupervisionStats, Err) and, in the same
+// locked block, either a fresh engine is swapped into the shard table —
+// when Restart allows — and driven in place of the failed one, or the
+// shard is marked dead. The failed engine's inflight work was already
+// answered by the core failure sweep before its Run returned, so
+// containment never strands a waiter.
 func (s *Service) supervise(ctx context.Context, i int) error {
 	for {
-		sv := s.shard(i)
-		err := sv.Run(ctx)
+		err := s.shard(i).Run(ctx)
 		if ctx.Err() != nil || err == nil || errors.Is(err, context.Canceled) {
 			return err
 		}
-		used := s.noteFailure(i, err)
-		if !s.sup.Enabled || !s.sup.Restart || used >= s.sup.maxRestarts() || s.Draining() {
-			s.markDead(i)
-			return err
-		}
-		fresh, nerr := core.NewService(s.cfg, s.coreOpt)
-		if nerr != nil {
-			s.markDead(i)
-			return err
+		err = fmt.Errorf("shard %d: %w", i, err)
+		// Only this goroutine writes restarts[i], so it reads it unlocked.
+		var fresh *core.Service
+		if s.sup.Restart && s.restarts[i] < s.sup.maxRestarts() && !s.Draining() {
+			fresh, _ = core.NewService(s.cfg, s.coreOpt) // nil on error: the shard dies
 		}
 		s.svcMu.Lock()
-		s.svcs[i] = fresh
-		s.restarts[i]++
+		s.failures[i], s.lastFail = err, err
+		s.failTotal++
+		if fresh != nil {
+			s.svcs[i] = fresh
+			s.restarts[i]++
+		} else {
+			s.dead[i] = true
+		}
 		s.svcMu.Unlock()
+		if fresh == nil {
+			return err
+		}
 	}
 }
 
@@ -407,25 +391,18 @@ func (s *Service) Submit(ctx context.Context, req core.ServiceRequest) (core.Ser
 	return w.Wait(ctx)
 }
 
-// homeOf returns the shard holding every item of the access list, or -1
-// when the (validated, so non-empty) list crosses shards.
-func (s *Service) homeOf(items []txn.Item) int {
-	mask := txn.ShardsTouched(items, s.n)
-	if mask&(mask-1) != 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(mask)
-}
-
 // Enqueue is the one way in, and it does not wait: the entry is checked
-// against the service's refusal, validated, then routed. A single-home
-// entry goes straight to its shard's inbox (core.Service.Enqueue), which
-// appends its submit record (WAL on) under the inbox lock, so each shard
-// injects in log order; limit bounds that inbox (0: no bound), and false
-// means it was full — nothing was logged or will be called back, the caller
-// sheds. A cross-shard entry is logged here and joins the epoch queue, and
-// its handle, handed over at once, wounds every part. Otherwise the
-// contract is core.Submission's: Done fires exactly once, after the handle.
+// against the service's refusal, then routed. A single-home entry goes
+// straight to its shard's inbox (core.Service.Enqueue), which validates it
+// and appends its submit record (WAL on) under the inbox lock, so each
+// shard injects in log order; limit bounds that inbox (0: no bound), and
+// false means it was full — nothing was logged or will be called back, the
+// caller sheds. An access list that touches no shard (empty, or only
+// negative items) goes to shard 0, whose validation refuses it. A
+// cross-shard entry is validated and logged here and joins the epoch
+// queue, and its handle, handed over at once, wounds every part. Otherwise
+// the contract is core.Submission's: Done fires exactly once, after the
+// handle.
 func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 	if err := s.refusing(); err != nil {
 		sub.Fail(err)
@@ -436,12 +413,12 @@ func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 	if sub.WALSeq != 0 {
 		sub.Done = s.wal.WrapDone(sub.WALSeq, true, sub.Done)
 	}
+	if home, cross := (&workload.Spec{Items: sub.Req.Items}).HomeShard(s.n); !cross {
+		return s.shard(home).Enqueue(sub, &s.wal, limit)
+	}
 	if err := sub.Req.Validate(&s.cfg); err != nil {
 		sub.Fail(err)
 		return true
-	}
-	if h := s.homeOf(sub.Req.Items); h >= 0 {
-		return s.shard(h).Enqueue(sub, &s.wal, limit)
 	}
 	if sub.WALSeq == 0 {
 		seq, err := s.wal.LogSubmit(&sub.Req)
@@ -485,43 +462,29 @@ func (s *Service) enqueue(c *pendingCross) error {
 	return s.refuse
 }
 
-// flush drains the cross-shard queue through the batch primitive: the
-// queued parts are grouped by shard in queue order and every touched shard
-// gets one SubmitBatch, ascending by shard (the virtual Runner's canonical
-// order). flush only ever runs on Run's goroutine, so each shard's driver
-// sees the cross requests of this and every other epoch in the same
-// relative order.
+// flush drains the cross-shard queue: every queued part goes straight to
+// its shard's inbox, request by request in queue order, and arms its handle
+// on its request as the shard injects it. flush only ever runs on Run's
+// goroutine and each inbox is FIFO, so each shard's driver sees the cross
+// requests of this and every other epoch in the same relative order.
 func (s *Service) flush() {
 	s.mu.Lock()
 	batch := s.queue
 	s.queue = nil
 	s.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	groups := make([][]core.Submission, s.n)
-	owners := make([][]*pendingCross, s.n)
 	for _, c := range batch {
 		for pi, p := range c.parts {
-			groups[p.shard] = append(groups[p.shard], core.Submission{Req: p.req, Done: c.partDone(pi)})
-			owners[p.shard] = append(owners[p.shard], c)
-		}
-	}
-	for shard, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		for k, h := range s.shard(shard).SubmitBatch(group) {
-			owners[shard][k].cancel.Arm(h)
+			s.shard(p.shard).Enqueue(core.Submission{Req: p.req, Done: c.partDone(pi), Handle: c}, nil, 0)
 		}
 	}
 }
 
-// mergePredict folds every shard's conflict-statistics table into one
-// merged table (ascending shard order) and installs it as the read view on
-// every shard. Per-shard recording continues into the shards' own tables;
-// only the priced rates are globalised. Decayed reads on a Table are pure,
-// so the shared view is safe for the shards' concurrent driver goroutines.
+// mergePredict folds every answering shard's conflict-statistics table
+// into one merged table (ascending shard order) and installs it as the read
+// view on every shard; a stopped shard drops out of both. Per-shard
+// recording continues into the shards' own tables; only the priced rates
+// are globalised. Decayed reads on a Table are pure, so the shared view is
+// safe for the shards' concurrent driver goroutines.
 func (s *Service) mergePredict() {
 	if !s.predict {
 		return
@@ -531,10 +494,7 @@ func (s *Service) mergePredict() {
 	for _, sv := range shards {
 		snap, ok := sv.PredictSnapshot()
 		if !ok || snap.Table == nil {
-			if s.sup.Enabled {
-				continue // dead or restarting shard: merge the survivors
-			}
-			return // a shard is stopping; skip this tick
+			continue
 		}
 		if merged == nil {
 			merged = snap.Table // PredictSnapshot clones — ours to own
@@ -546,44 +506,21 @@ func (s *Service) mergePredict() {
 		return
 	}
 	for _, sv := range shards {
-		if err := sv.SetPredictView(merged); err != nil && !s.sup.Enabled {
-			return
-		}
+		_ = sv.SetPredictView(merged)
 	}
 }
 
 // splitRequest cuts a cross-shard request into per-shard parts, ascending
-// by shard, preserving per-shard item order and realigning the per-update
-// flags (the wall-clock analogue of workload.Spec.SplitShards).
+// by shard, with workload.Spec.SplitShards: each part keeps its shard's
+// items in request order with the per-update flags realigned, and the
+// request's other fields.
 func splitRequest(req core.ServiceRequest, n int) []partReq {
+	spec := workload.Spec{Items: req.Items, Reads: req.Reads, NeedsIO: req.NeedsIO}
 	parts := make([]partReq, 0, 2)
-	for shard := 0; shard < n; shard++ {
-		var items []txn.Item
-		var reads, io []bool
-		for u, it := range req.Items {
-			if txn.ShardOf(it, n) != shard {
-				continue
-			}
-			items = append(items, it)
-			if len(req.Reads) > 0 {
-				reads = append(reads, req.Reads[u])
-			}
-			if len(req.NeedsIO) > 0 {
-				io = append(io, req.NeedsIO[u])
-			}
-		}
-		if len(items) == 0 {
-			continue
-		}
-		parts = append(parts, partReq{shard: shard, req: core.ServiceRequest{
-			Items:       items,
-			Reads:       reads,
-			NeedsIO:     io,
-			Compute:     req.Compute,
-			Deadline:    req.Deadline,
-			Criticality: req.Criticality,
-			Class:       req.Class,
-		}})
+	for _, p := range spec.SplitShards(n) {
+		part := req
+		part.Items, part.Reads, part.NeedsIO = p.Spec.Items, p.Spec.Reads, p.Spec.NeedsIO
+		parts = append(parts, partReq{shard: p.Shard, req: part})
 	}
 	return parts
 }
@@ -639,58 +576,43 @@ func (s *Service) InjectEvent(ev trace.Event) error {
 // Draining reports whether graceful drain has begun.
 func (s *Service) Draining() bool { return s.refusing() == core.ErrDraining }
 
-// Err reports the failure that stops (or stopped) the whole service.
-// Unsupervised, that is the first shard failure (by shard index).
-// Supervised, individual shard failures are contained — surfaced via
-// Degraded and SupervisionStats, not Err — and Err stays nil until
-// every shard is permanently dead.
+// Err reports the failure that stops (or stopped) the whole service: the
+// first dead shard's failure, by shard index, once the service stops for
+// it. Unsupervised, that is at the first shard failure. Supervised,
+// individual shard failures are contained — surfaced via Degraded and
+// SupervisionStats — and Err stays nil until every shard is dead.
 func (s *Service) Err() error {
-	if !s.sup.Enabled {
-		for _, sv := range s.allShards() {
-			if err := sv.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	s.svcMu.RLock()
 	defer s.svcMu.RUnlock()
-	dead := 0
 	var first error
-	for i := range s.dead {
-		if s.dead[i] {
+	dead := 0
+	for i, d := range s.dead {
+		if d {
 			dead++
 			if first == nil {
 				first = s.failures[i]
 			}
 		}
 	}
-	if dead < s.n {
+	if s.sup.Enabled && dead < s.n {
 		return nil
 	}
-	if first != nil {
-		return fmt.Errorf("shard: all %d shards failed: %w", s.n, first)
-	}
-	return fmt.Errorf("shard: all %d shards failed", s.n)
+	return first
 }
 
 // Stats returns the system-wide snapshot: the shards' run counters merged
 // with metrics.MergeRuns (exact counter sums, one percentile window over
 // the union of recent commits — never a biased average of per-shard
-// Results), live summed, clock = the furthest shard. ok=false once any
-// shard has stopped.
+// Results), live summed, clock = the furthest shard. A stopped shard drops
+// out of the merged view, so the survivors' numbers stay observable;
+// ok=false only once no shard answers.
 func (s *Service) Stats() (core.ServiceStats, bool) {
 	runs := make([]*metrics.Run, 0, s.n)
 	st := core.ServiceStats{}
 	for _, sv := range s.allShards() {
 		run, live, now, ok := sv.RunSnapshot()
 		if !ok {
-			// Supervised, a dead or mid-restart shard just drops out of
-			// the merged view — the survivors' numbers stay observable.
-			if s.sup.Enabled {
-				continue
-			}
-			return core.ServiceStats{}, false
+			continue
 		}
 		rc := run
 		runs = append(runs, &rc)
@@ -708,11 +630,12 @@ func (s *Service) Stats() (core.ServiceStats, bool) {
 	return st, true
 }
 
-// predictStats builds the system-wide prediction snapshot: the per-shard
-// tables merged (exact — integer sums are order-free), pair statistics
-// recomputed from the merged table at the merged clock, tuner steps summed
-// across shards, and W from shard 0 (each shard tunes independently; shard
-// 0 is the fixed representative). Nil for non-predictive policies.
+// predictStats builds the system-wide prediction snapshot over the shards
+// that answer: their tables merged (exact — integer sums are order-free),
+// pair statistics recomputed from the merged table at the merged clock,
+// tuner steps summed, and W from the first of them (each shard tunes
+// independently; the lowest answering shard is the representative). Nil
+// for non-predictive policies.
 func (s *Service) predictStats(now time.Duration) *core.PredictSnapshot {
 	if s.cfg.Policy != core.CCAP && s.cfg.Policy != core.CCAT {
 		return nil
@@ -722,14 +645,9 @@ func (s *Service) predictStats(now time.Duration) *core.PredictSnapshot {
 	for _, sv := range s.allShards() {
 		snap, ok := sv.PredictSnapshot()
 		if !ok || snap.Table == nil {
-			if s.sup.Enabled {
-				continue // dead or restarting shard: report the survivors
-			}
-			return nil
+			continue
 		}
 		if tab == nil {
-			// First live shard is the representative for the tuned weight
-			// (each shard tunes independently).
 			ps.W = snap.W
 			ps.WTrajectory = snap.WTrajectory
 			tab = snap.Table

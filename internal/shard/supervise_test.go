@@ -2,19 +2,19 @@ package shard
 
 import (
 	"context"
-	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// startSupervised boots an n-shard service under supervision.
+// startSupervised boots an n-shard service under sup; the channel carries
+// Run's return.
 func startSupervised(t *testing.T, n int, sup SuperviseOptions) (*Service, chan error, context.CancelFunc) {
 	t.Helper()
 	cfg := core.MainMemoryConfig(core.CCA, 1)
 	cfg.Workload.DBSize = 1000
-	sup.Enabled = true
 	s, err := NewService(cfg, ServiceOptions{
 		Shards:    n,
 		Epoch:     10 * time.Millisecond,
@@ -55,7 +55,7 @@ func submitTo(s *Service, item int) (core.ServiceOutcome, error) {
 // recorded, the service reports degraded-but-healthy, and the surviving
 // shards keep committing.
 func TestSupervisedPanicContained(t *testing.T) {
-	s, _, _ := startSupervised(t, 4, SuperviseOptions{})
+	s, _, _ := startSupervised(t, 4, SuperviseOptions{Enabled: true})
 
 	if s.Degraded() {
 		t.Fatal("degraded before any failure")
@@ -103,7 +103,7 @@ func TestSupervisedPanicContained(t *testing.T) {
 // TestSupervisedRestart: with Restart on, a panicked shard is replaced
 // by a fresh engine and its item range serves again.
 func TestSupervisedRestart(t *testing.T) {
-	s, _, _ := startSupervised(t, 2, SuperviseOptions{Restart: true, MaxRestarts: 2})
+	s, _, _ := startSupervised(t, 2, SuperviseOptions{Enabled: true, Restart: true, MaxRestarts: 2})
 
 	if err := s.InjectShardPanic(1, "restart me"); err != nil {
 		t.Fatalf("InjectShardPanic: %v", err)
@@ -140,7 +140,7 @@ func TestSupervisedRestart(t *testing.T) {
 // TestSupervisedRestartBudget: past MaxRestarts the shard stays dead;
 // when every shard is dead the service as a whole reports failed.
 func TestSupervisedRestartBudget(t *testing.T) {
-	s, done, _ := startSupervised(t, 1, SuperviseOptions{Restart: true, MaxRestarts: 1})
+	s, done, _ := startSupervised(t, 1, SuperviseOptions{Enabled: true, Restart: true, MaxRestarts: 1})
 
 	// First panic: restart. Second: budget exhausted, shard dies — and
 	// with all shards dead, Run returns and Err() reports failure.
@@ -181,20 +181,42 @@ func TestSupervisedRestartBudget(t *testing.T) {
 }
 
 // TestUnsupervisedPanicStillFatal: without supervision a shard panic
-// keeps the pre-existing semantics — the whole service stops.
+// keeps the pre-existing semantics — the whole service stops, Run returns
+// the failure and Err names the shard and the panic.
 func TestUnsupervisedPanicStillFatal(t *testing.T) {
-	s, _ := startService(t, 2)
+	s, done, _ := startSupervised(t, 2, SuperviseOptions{})
 	if err := s.InjectShardPanic(0, "fatal"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("unsupervised panic never surfaced on Err")
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run returned nil after an unsupervised shard panic")
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after an unsupervised shard panic")
 	}
-	if !errors.Is(s.Err(), core.ErrEngineFailed) && s.Err() == nil {
-		t.Fatalf("Err() = %v", s.Err())
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "injected panic: fatal") {
+		t.Fatalf("Err() = %v, want shard 0's injected panic", err)
+	}
+}
+
+// TestRestartNeedsSupervision: the restart options only mean something
+// under supervision, so NewService refuses them on their own instead of
+// starting a service that never restarts.
+func TestRestartNeedsSupervision(t *testing.T) {
+	cfg := core.MainMemoryConfig(core.CCA, 1)
+	for _, sup := range []SuperviseOptions{
+		{Restart: true},
+		{Restart: true, MaxRestarts: 2},
+		{Enabled: true, MaxRestarts: 2},
+		{MaxRestarts: 2},
+	} {
+		if _, err := NewService(cfg, ServiceOptions{Shards: 2, Supervise: sup}); err == nil {
+			t.Errorf("%+v: accepted", sup)
+		}
+	}
+	if _, err := NewService(cfg, ServiceOptions{Shards: 2, Supervise: SuperviseOptions{Enabled: true, Restart: true, MaxRestarts: 2}}); err != nil {
+		t.Errorf("supervised restarts with a budget: %v", err)
 	}
 }
