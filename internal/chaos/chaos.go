@@ -14,10 +14,9 @@
 // only where in the byte stream the kernel happens to slice reads,
 // which the hardened layers above must tolerate anyway.
 //
-// The zero Plan is a provable no-op: wrapConn and wrapListener return
-// their argument unchanged (pointer identity), so a disabled injector
-// costs nothing — no wrapper, no allocation, no extra call on the hot
-// path.
+// The zero Plan is a provable no-op: wrapConn returns its argument
+// unchanged (pointer identity), so a disabled injector costs nothing — no
+// wrapper, no allocation, no extra call on the hot path.
 package chaos
 
 import (
@@ -242,32 +241,6 @@ func wrapConn(nc net.Conn, sc schedule) net.Conn {
 		return nc
 	}
 	return newConn(nc, sc)
-}
-
-// wrapListener injects the plan into every connection ln accepts,
-// assigning accept index 0, 1, 2, ... in order. A zero plan returns ln
-// itself.
-func wrapListener(ln net.Listener, seed int64, p Plan) net.Listener {
-	if p.Zero() {
-		return ln
-	}
-	return &listener{Listener: ln, seed: seed, plan: p}
-}
-
-type listener struct {
-	net.Listener
-	seed int64
-	plan Plan
-	next atomic.Int64
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	sc := l.plan.scheduleFor(l.seed, int(l.next.Add(1))-1)
-	return wrapConn(nc, sc), nil
 }
 
 // conn wraps a net.Conn with an injected fault schedule. It tracks

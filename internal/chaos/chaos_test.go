@@ -104,14 +104,6 @@ func TestZeroPlanPassthrough(t *testing.T) {
 	if got := wrapConn(c1, schedule{}); got != c1 {
 		t.Fatalf("wrapConn(zero) returned a wrapper, want the conn itself")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if got := wrapListener(ln, 1, Plan{}); got != ln {
-		t.Fatalf("wrapListener(zero) returned a wrapper, want the listener itself")
-	}
 	// And the allocation side of the claim.
 	if n := testing.AllocsPerRun(100, func() {
 		_ = wrapConn(c1, schedule{})

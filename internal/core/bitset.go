@@ -95,12 +95,3 @@ func (b bitset) count() int {
 	}
 	return n
 }
-
-// fromItems builds a bitset of capacity n from an item list.
-func fromItems(n int, items []txn.Item) bitset {
-	b := newBitset(n)
-	for _, it := range items {
-		b.add(it)
-	}
-	return b
-}

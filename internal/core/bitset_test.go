@@ -68,3 +68,12 @@ func TestBitsetMatchesTxnSet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fromItems builds a bitset of capacity n from an item list.
+func fromItems(n int, items []txn.Item) bitset {
+	b := newBitset(n)
+	for _, it := range items {
+		b.add(it)
+	}
+	return b
+}

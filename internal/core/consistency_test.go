@@ -183,3 +183,6 @@ func TestSerialOrderAgreesWithStore(t *testing.T) {
 		}
 	}
 }
+
+// txns returns the runtime transactions (indexed by ID).
+func (e *Engine) txns() []*Txn { return e.all }

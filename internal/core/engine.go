@@ -56,6 +56,9 @@ type Engine struct {
 	all   []*Txn   // every transaction, indexed by ID
 	live  liveList // arrived, not yet committed, in arrival order
 	slots []*Txn   // CPU occupants (nil = idle)
+	// arrivals counts onArrival calls; each arrival takes the next value
+	// as its Txn.arrival.
+	arrivals uint64
 	// retires is the wall-clock service mode: an answered submission's
 	// object (with its ID, spec storage and event callbacks) and item sets go
 	// back for reuse (answer → retireServiceTxn). Simulation and shard-runner
@@ -373,9 +376,6 @@ func (e *Engine) tracef(format string, args ...any) {
 // now returns the current simulated time.
 func (e *Engine) now() time.Duration { return time.Duration(e.sim.Now()) }
 
-// txns returns the runtime transactions (indexed by ID).
-func (e *Engine) txns() []*Txn { return e.all }
-
 // Run executes the simulation to completion and returns the run metrics.
 // It fails if the event guard trips before every transaction commits (which
 // would indicate an engine bug — the workload is finite and soft-deadline
@@ -648,6 +648,8 @@ func (e *Engine) rollbackCost(v *Txn) time.Duration {
 
 func (e *Engine) onArrival(t *Txn) {
 	e.note()
+	e.arrivals++
+	t.arrival = e.arrivals
 	if e.cfg.Admission.Mode != AdmitAll {
 		if e.rejects(t) {
 			// The transaction never enters the system: no live-set entry,
@@ -1184,7 +1186,10 @@ func (e *Engine) removeLive(t *Txn) {
 // --- scheduler ---------------------------------------------------------
 
 // less orders transactions for dispatch: higher criticality first, then
-// higher priority, then earlier arrival (lower ID) for determinism.
+// higher priority, then earlier arrival for determinism. Arrival is the
+// engine's arrival counter, not the ID: a served transaction's ID is a
+// recycled object's, so a later arrival can carry a lower one. In a
+// workload run the two orders agree.
 func less(a, b *Txn) bool {
 	if a.spec.Criticality != b.spec.Criticality {
 		return a.spec.Criticality > b.spec.Criticality
@@ -1192,7 +1197,7 @@ func less(a, b *Txn) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
-	return a.id() < b.id()
+	return a.arrival < b.arrival
 }
 
 // requestReschedule marks that the scheduler must run again; used by
@@ -1475,7 +1480,7 @@ func (e *Engine) rekey(t *Txn) {
 
 // rankedSearch returns the position t holds, or would take, in the ranked
 // order: the first index whose occupant is not worse than t. less is a
-// strict total order (ID tie-break), so a member is found exactly.
+// strict total order (arrival tie-break), so a member is found exactly.
 func (e *Engine) rankedSearch(t *Txn) int {
 	lo, hi := 0, len(e.ranked)
 	for lo < hi {

@@ -36,14 +36,6 @@ type decisionObserver interface {
 	observeTerminal(e *Engine, t *Txn, committed, missed bool)
 }
 
-// setDecisionObserver installs the decision tap (nil detaches it). A
-// policy that itself implements decisionObserver is attached automatically
-// at engine construction; installing an explicit observer replaces that.
-func (e *Engine) setDecisionObserver(o decisionObserver) {
-	e.obs = o
-	e.reclockEval()
-}
-
 // reclockEval invalidates the evaluation and penalty memos by bumping the
 // conflict-index generation — the same key a has-set change bumps — so the
 // staticness contract covers observer-driven state: stats updates re-clock

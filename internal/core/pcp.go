@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/txn"
-
 // pcpPolicy implements the Priority Ceiling Protocol ([Sha88]; extended to
 // databases as the read/write priority ceiling protocol in [SRSC91]), which
 // the paper identifies as the pure-wait extreme opposite EDF-HP's pure
@@ -93,21 +91,6 @@ func (p pcpPolicy) admits(e *Engine, t *Txn) (ok, inheritanceChanged bool) {
 		}
 	}
 	return ok, inheritanceChanged
-}
-
-// itemCeiling returns the PCP ceiling of one item (exported within the
-// package for tests): the max base priority among live transactions that
-// might access it.
-func (p pcpPolicy) itemCeiling(e *Engine, item txn.Item) float64 {
-	ceiling := negInf
-	for c := e.live.head; c != nil; c = c.liveNext {
-		if c.might.contains(item) {
-			if pr := p.evaluate(e, c); pr > ceiling {
-				ceiling = pr
-			}
-		}
-	}
-	return ceiling
 }
 
 // admissionPolicy lets a policy veto dispatching a candidate whose next

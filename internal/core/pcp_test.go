@@ -92,23 +92,6 @@ func TestPCPSerializable(t *testing.T) {
 	}
 }
 
-// TestPCPItemCeiling: the ceiling of an item is the max priority among its
-// live claimants.
-func TestPCPItemCeiling(t *testing.T) {
-	e, t0, t1 := policyFixture(t, PCP)
-	p := e.policy.(pcpPolicy)
-	// Both T0 (deadline 100 -> -100) and T1 (deadline 90 -> -90) might
-	// access item 0; only T0 might access item 1.
-	if got := p.itemCeiling(e, 0); got != -90 {
-		t.Fatalf("ceiling(0) = %v, want -90", got)
-	}
-	if got := p.itemCeiling(e, 1); got != -100 {
-		t.Fatalf("ceiling(1) = %v, want -100", got)
-	}
-	_ = t0
-	_ = t1
-}
-
 // TestPCPFirmAndDiskDrain: PCP under firm deadlines and on disk.
 func TestPCPFirmAndDiskDrain(t *testing.T) {
 	cfg := smallMM(PCP, 2)

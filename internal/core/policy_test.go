@@ -216,17 +216,18 @@ func TestRollbackCostProportional(t *testing.T) {
 }
 
 func TestLessOrdering(t *testing.T) {
-	mk := func(id, crit int, pri float64) *Txn {
-		return &Txn{spec: &workload.Spec{ID: id, Criticality: crit}, priority: pri}
+	mk := func(id int, arrival uint64, crit int, pri float64) *Txn {
+		return &Txn{spec: &workload.Spec{ID: id, Criticality: crit}, priority: pri, arrival: arrival}
 	}
-	if !less(mk(1, 1, -100), mk(0, 0, -1)) {
+	if !less(mk(1, 2, 1, -100), mk(0, 1, 0, -1)) {
 		t.Error("criticality must dominate priority")
 	}
-	if !less(mk(1, 0, -1), mk(0, 0, -2)) {
-		t.Error("priority must dominate ID")
+	if !less(mk(1, 2, 0, -1), mk(0, 1, 0, -2)) {
+		t.Error("priority must dominate arrival")
 	}
-	if !less(mk(0, 0, -1), mk(1, 0, -1)) {
-		t.Error("lower ID must win ties")
+	// A recycled served object can give a later arrival the lower ID.
+	if !less(mk(1, 1, 0, -1), mk(0, 2, 0, -1)) || less(mk(0, 2, 0, -1), mk(1, 1, 0, -1)) {
+		t.Error("earlier arrival must win ties, whatever the IDs")
 	}
 }
 

@@ -463,3 +463,11 @@ func TestTunerEpsilonDeterministic(t *testing.T) {
 		t.Fatalf("ε-greedy trajectories differ (len %d vs %d)", len(a), len(b))
 	}
 }
+
+// setDecisionObserver installs the decision tap (nil detaches it). A
+// policy that itself implements decisionObserver is attached automatically
+// at engine construction; installing an explicit observer replaces that.
+func (e *Engine) setDecisionObserver(o decisionObserver) {
+	e.obs = o
+	e.reclockEval()
+}

@@ -407,15 +407,6 @@ func (s *Service) InjectPanic(msg string) error {
 	return s.call(func() { panic(fmt.Sprintf("core: injected panic: %s", msg)) })
 }
 
-// failure returns the failure that stopped (or is about to stop) the
-// service: an engine panic, a watchdog stall, or an oracle violation. nil
-// while healthy and after a clean cancellation.
-func (s *Service) failure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // Submit runs one transaction through the service and blocks until it
 // reaches a terminal state: a one-element batch behind a Waiter.
 func (s *Service) Submit(ctx context.Context, req ServiceRequest) (ServiceOutcome, error) {

@@ -588,3 +588,12 @@ func TestServiceDiskIO(t *testing.T) {
 		t.Fatalf("stats after IO commit: ok=%v %+v", ok, st.Result)
 	}
 }
+
+// failure returns the failure that stopped (or is about to stop) the
+// service: an engine panic, a watchdog stall, or an oracle violation. nil
+// while healthy and after a clean cancellation.
+func (s *Service) failure() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}

@@ -77,6 +77,9 @@ type Txn struct {
 	service time.Duration
 	// restarts counts aborts of this transaction.
 	restarts int
+	// arrival is Engine.arrivals at the transaction's arrival; a restart
+	// keeps it.
+	arrival uint64
 	// inRollback pins the transaction to its CPU while it performs
 	// rollback work on behalf of wounded victims.
 	inRollback bool

@@ -106,7 +106,7 @@ func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, er
 			// record that no longer validates): resolve the record so recovery does not
 			// double-run the retried work. Fire-and-forget — the error
 			// answer does not need to wait for the abort record.
-			rec := abortRecord(seq, replay)
+			rec := AbortRecord(seq, replay)
 			log.AppendOutcome(&rec, nil)
 			done(o, err)
 			return
@@ -143,11 +143,17 @@ func outcomeRecord(seq uint64, replay bool, o *ServiceOutcome) wal.OutcomeRecord
 	return rec
 }
 
-func abortRecord(seq uint64, replay bool) wal.OutcomeRecord {
+// AbortRecord returns the outcome record that resolves submit record seq
+// without running it: aborted, dropped and missed (a dropped transaction
+// always misses; see ServiceOutcome.Missed), and FlagReplayed when replay.
+// WrapDone writes it for a submission answered with an error, and the
+// server for an unresolved record it resolves without -recover.
+func AbortRecord(seq uint64, replay bool) wal.OutcomeRecord {
 	rec := wal.OutcomeRecord{
-		Seq:   seq,
-		Flags: wal.FlagAborted,
-		State: uint8(StateDropped),
+		Seq:    seq,
+		Flags:  wal.FlagAborted,
+		State:  uint8(StateDropped),
+		Missed: true,
 	}
 	if replay {
 		rec.Flags |= wal.FlagReplayed

@@ -81,9 +81,6 @@ func (s *Store) undoOf(t TxnID) []undoRec {
 	return s.undo[t]
 }
 
-// size returns the number of objects.
-func (s *Store) size() int { return len(s.values) }
-
 func (s *Store) check(item txn.Item) {
 	if int(item) < 0 || int(item) >= len(s.values) {
 		panic(fmt.Sprintf("db: item %d outside store of size %d", item, len(s.values)))
@@ -166,11 +163,6 @@ func (s *Store) ActiveWriters() int { return s.active }
 // Stats returns cumulative operation counts.
 func (s *Store) Stats() (reads, writes, commits, aborts uint64) {
 	return s.reads, s.writes, s.commits, s.aborts
-}
-
-// snapshot copies the current values (verification).
-func (s *Store) snapshot() []Value {
-	return append([]Value(nil), s.values...)
 }
 
 // CheckClean panics unless no undo logs remain (every transaction either

@@ -214,3 +214,11 @@ func TestQuickUndoCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// size returns the number of objects.
+func (s *Store) size() int { return len(s.values) }
+
+// snapshot copies the current values (verification).
+func (s *Store) snapshot() []Value {
+	return append([]Value(nil), s.values...)
+}

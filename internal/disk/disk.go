@@ -99,15 +99,12 @@ type Disk struct {
 	current *Request
 	seq     uint64
 
-	busySince  sim.Time
-	busyTotal  time.Duration
-	served     int
-	cancelled  int
-	retried    int
-	failed     int
-	maxQueue   int
-	queuedArea float64 // integral of queue length over time, for stats
-	lastChange sim.Time
+	busySince sim.Time
+	busyTotal time.Duration
+	served    int
+	cancelled int
+	retried   int
+	failed    int
 }
 
 // New returns an idle disk with the given per-access service time.
@@ -122,17 +119,8 @@ func New(s *sim.Simulator, accessTime time.Duration, d Discipline) *Disk {
 // request is submitted; nil (the default) disables injection.
 func (d *Disk) SetFaults(f Faults) { d.faults = f }
 
-// busy reports whether a request is in service.
-func (d *Disk) busy() bool { return d.current != nil }
-
-// queueLen returns the number of waiting (not in-service) requests.
-func (d *Disk) queueLen() int { return len(d.queue) }
-
 // Retried returns the number of transient-error retries served.
 func (d *Disk) Retried() int { return d.retried }
-
-// maxQueueLen returns the high-water mark of the wait queue.
-func (d *Disk) maxQueueLen() int { return d.maxQueue }
 
 // BusyTime returns the cumulative time the disk has spent serving requests.
 func (d *Disk) BusyTime() time.Duration {
@@ -141,34 +129,6 @@ func (d *Disk) BusyTime() time.Duration {
 		t += time.Duration(d.sim.Now() - d.busySince)
 	}
 	return t
-}
-
-// utilization returns BusyTime divided by elapsed simulated time.
-func (d *Disk) utilization() float64 {
-	now := d.sim.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(d.BusyTime()) / float64(now)
-}
-
-func (d *Disk) noteQueueChange() {
-	now := d.sim.Now()
-	d.queuedArea += float64(len(d.queue)) * float64(now-d.lastChange)
-	d.lastChange = now
-	if len(d.queue) > d.maxQueue {
-		d.maxQueue = len(d.queue)
-	}
-}
-
-// meanQueueLen returns the time-averaged wait-queue length.
-func (d *Disk) meanQueueLen() float64 {
-	now := d.sim.Now()
-	if now == 0 {
-		return 0
-	}
-	area := d.queuedArea + float64(len(d.queue))*float64(now-d.lastChange)
-	return area / float64(now)
 }
 
 // Submit enqueues a request, starting service immediately if the disk is
@@ -187,12 +147,8 @@ func (d *Disk) Submit(r *Request) {
 		d.startService(r)
 		return
 	}
-	d.noteQueueChange()
 	r.queued = true
 	d.queue = append(d.queue, r)
-	if len(d.queue) > d.maxQueue {
-		d.maxQueue = len(d.queue)
-	}
 }
 
 // Cancel removes a request that is still waiting in the queue or in a
@@ -214,7 +170,6 @@ func (d *Disk) Cancel(r *Request) bool {
 	if !r.queued {
 		return false
 	}
-	d.noteQueueChange()
 	for i, q := range d.queue {
 		if q == r {
 			d.queue = append(d.queue[:i], d.queue[i+1:]...)
@@ -279,19 +234,14 @@ func (d *Disk) resubmit(r *Request) {
 		d.startService(r)
 		return
 	}
-	d.noteQueueChange()
 	r.queued = true
 	d.queue = append(d.queue, r)
-	if len(d.queue) > d.maxQueue {
-		d.maxQueue = len(d.queue)
-	}
 }
 
 func (d *Disk) startNext() {
 	if len(d.queue) == 0 {
 		return
 	}
-	d.noteQueueChange()
 	best := 0
 	if d.discipline == priority {
 		for i := 1; i < len(d.queue); i++ {

@@ -14,7 +14,7 @@ func TestSingleRequest(t *testing.T) {
 	d := New(s, 25*ms, fcfs)
 	var doneAt sim.Time = -1
 	d.Submit(&Request{Done: func() { doneAt = s.Now() }})
-	if !d.busy() {
+	if d.current == nil {
 		t.Fatal("disk idle right after submit")
 	}
 	s.Run()
@@ -24,7 +24,7 @@ func TestSingleRequest(t *testing.T) {
 	if d.served != 1 {
 		t.Fatalf("Served = %d", d.served)
 	}
-	if d.busy() {
+	if d.current != nil {
 		t.Fatal("disk busy after drain")
 	}
 }
@@ -37,8 +37,8 @@ func TestFCFSOrder(t *testing.T) {
 		i := i
 		d.Submit(&Request{Done: func() { order = append(order, i) }, Priority: float64(i)})
 	}
-	if d.queueLen() != 3 {
-		t.Fatalf("queueLen = %d, want 3", d.queueLen())
+	if len(d.queue) != 3 {
+		t.Fatalf("queue length = %d, want 3", len(d.queue))
 	}
 	s.Run()
 	for i, v := range order {
@@ -148,16 +148,8 @@ func TestUtilizationAndBusyTime(t *testing.T) {
 	if d.BusyTime() != 10*ms {
 		t.Fatalf("BusyTime = %v, want 10ms", d.BusyTime())
 	}
-	if got := d.utilization(); got != 0.25 {
+	if got := float64(d.BusyTime()) / float64(s.Now()); got != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", got)
-	}
-}
-
-func TestUtilizationAtTimeZero(t *testing.T) {
-	s := sim.New()
-	d := New(s, 10*ms, fcfs)
-	if d.utilization() != 0 || d.meanQueueLen() != 0 {
-		t.Fatal("zero-time stats should be 0")
 	}
 }
 
@@ -177,15 +169,12 @@ func TestQueueStats(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Submit(&Request{Done: func() {}})
 	}
-	if d.maxQueueLen() != 4 {
-		t.Fatalf("maxQueueLen = %d, want 4", d.maxQueueLen())
+	if len(d.queue) != 4 {
+		t.Fatalf("queue length = %d, want 4", len(d.queue))
 	}
 	s.Run()
-	if d.queueLen() != 0 {
+	if len(d.queue) != 0 {
 		t.Fatal("queue not drained")
-	}
-	if d.meanQueueLen() <= 0 {
-		t.Fatal("meanQueueLen should be positive after queueing")
 	}
 }
 

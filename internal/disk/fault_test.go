@@ -121,7 +121,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	if d.cancelled != 1 {
 		t.Fatalf("Cancelled = %d, want 1", d.cancelled)
 	}
-	if d.busy() || d.queueLen() != 0 {
+	if d.current != nil || len(d.queue) != 0 {
 		t.Fatal("disk not idle after cancelled retry")
 	}
 }

@@ -5,14 +5,12 @@
 // those faults fire deterministically from a named random substream of
 // the run seed, following the same conventions as the simulator Plan
 // above and internal/chaos: the zero plan is a proven identity (the
-// very same file handle back, no wrapper in the path), unknown JSON
-// fields are rejected, and the same (seed, file name, plan) triple
-// always produces the same fault sequence regardless of timing.
+// very same file handle back, no wrapper in the path), and the same
+// (seed, file name, plan) triple always produces the same fault sequence
+// regardless of timing.
 package fault
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/stats"
@@ -33,22 +31,22 @@ type FilePlan struct {
 	// TornWriteProb is the per-Write probability that only a prefix of
 	// the buffer reaches the file and the write reports an error — the
 	// on-disk shape of a crash mid-write.
-	TornWriteProb float64 `json:"torn_write_prob,omitempty"`
+	TornWriteProb float64
 	// ShortWriteProb is the per-Write probability that only a prefix is
 	// written and the write reports success with the short count, as a
 	// full filesystem or interrupted syscall does.
-	ShortWriteProb float64 `json:"short_write_prob,omitempty"`
+	ShortWriteProb float64
 	// SyncErrProb is the per-Sync probability that the fsync fails
 	// without persisting anything new.
-	SyncErrProb float64 `json:"sync_err_prob,omitempty"`
+	SyncErrProb float64
 	// CorruptProb is the per-Write probability that one byte of the
 	// buffer is flipped before it reaches the file — silent media
 	// corruption that only a checksum can catch.
-	CorruptProb float64 `json:"corrupt_prob,omitempty"`
+	CorruptProb float64
 }
 
-// Zero reports whether the plan injects nothing.
-func (p FilePlan) Zero() bool { return p == FilePlan{} }
+// zero reports whether the plan injects nothing.
+func (p FilePlan) zero() bool { return p == FilePlan{} }
 
 // Validate reports the first problem with the plan.
 func (p FilePlan) Validate() error {
@@ -56,28 +54,16 @@ func (p FilePlan) Validate() error {
 		name string
 		v    float64
 	}{
-		{"torn_write_prob", p.TornWriteProb},
-		{"short_write_prob", p.ShortWriteProb},
-		{"sync_err_prob", p.SyncErrProb},
-		{"corrupt_prob", p.CorruptProb},
+		{"TornWriteProb", p.TornWriteProb},
+		{"ShortWriteProb", p.ShortWriteProb},
+		{"SyncErrProb", p.SyncErrProb},
+		{"CorruptProb", p.CorruptProb},
 	} {
 		if pr.v < 0 || pr.v > 1 {
 			return fmt.Errorf("fault: %s %v outside [0, 1]", pr.name, pr.v)
 		}
 	}
 	return nil
-}
-
-// parseFilePlan decodes a file plan from JSON, rejecting unknown fields
-// so a typo cannot silently disable a fault.
-func parseFilePlan(data []byte) (FilePlan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var p FilePlan
-	if err := dec.Decode(&p); err != nil {
-		return FilePlan{}, fmt.Errorf("fault: parse file plan: %w", err)
-	}
-	return p, p.Validate()
 }
 
 // fileError is the error injected for torn writes and fsync failures,
@@ -98,7 +84,7 @@ func (e *fileError) Error() string {
 // needed; Sync: error), so fault sequences do not depend on outcome of
 // earlier draws beyond the documented schedule.
 func WrapFile(seed int64, plan FilePlan, name string, f FileOps) FileOps {
-	if plan.Zero() {
+	if plan.zero() {
 		return f
 	}
 	return &faultFile{

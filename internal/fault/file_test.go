@@ -36,13 +36,6 @@ func TestFilePlanValidate(t *testing.T) {
 	if err := (FilePlan{SyncErrProb: -0.1}).Validate(); err == nil {
 		t.Fatal("negative probability accepted")
 	}
-	if _, err := parseFilePlan([]byte(`{"torn_write_prob":0.5,"typo":1}`)); err == nil {
-		t.Fatal("unknown JSON field accepted")
-	}
-	p, err := parseFilePlan([]byte(`{"torn_write_prob":0.25,"sync_err_prob":0.5}`))
-	if err != nil || p.TornWriteProb != 0.25 || p.SyncErrProb != 0.5 {
-		t.Fatalf("parse: %+v, %v", p, err)
-	}
 }
 
 // faultTrace drives a fixed operation sequence through an injector and

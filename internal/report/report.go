@@ -32,23 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// addRowf appends a row of formatted values: each value is rendered with
-// %v, floats with %.2f.
-func (t *Table) addRowf(values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.2f", x)
-		case float32:
-			cells[i] = fmt.Sprintf("%.2f", x)
-		default:
-			cells[i] = fmt.Sprintf("%v", x)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 func (t *Table) widths() []int {
 	w := make([]int, len(t.columns))
 	for i, c := range t.columns {
@@ -141,9 +124,3 @@ func CIn(ci float64, n int) string { return fmt.Sprintf("%.2f (n=%d)", ci, n) }
 
 // F formats a float with two decimals (helper for table rows).
 func F(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// f1 formats a float with one decimal.
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// f3 formats a float with three decimals.
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

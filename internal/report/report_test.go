@@ -79,24 +79,9 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tbl := NewTable("t", "a", "b", "c")
-	tbl.addRowf(1.23456, 7, "x")
-	row := tbl.rows[0]
-	if row[0] != "1.23" || row[1] != "7" || row[2] != "x" {
-		t.Fatalf("row = %v", row)
-	}
-}
-
 func TestFormatHelpers(t *testing.T) {
 	if F(1.005) != "1.00" && F(1.005) != "1.01" {
 		t.Error("F format wrong")
-	}
-	if f1(2.25) != "2.2" && f1(2.25) != "2.3" {
-		t.Error("F1 format wrong")
-	}
-	if f3(0.1234) != "0.123" {
-		t.Errorf("F3 = %q", f3(0.1234))
 	}
 }
 

@@ -97,13 +97,9 @@ const tornSeq = 9999 // the mid-append record's seq; must never survive recovery
 // the process died).
 func runVictim(t *testing.T, memfs *wal.MemFS, plan fault.FilePlan, seed int64) victimState {
 	t.Helper()
-	wo := wal.Options{FS: memfs}
-	if !plan.Zero() {
-		wo.WrapFile = func(name string, f wal.File) wal.File {
-			return fault.WrapFile(seed, plan, name, f)
-		}
-	}
-	log, _, err := wal.Open(wo)
+	log, _, err := wal.Open(wal.Options{FS: memfs, WrapFile: func(name string, f wal.File) wal.File {
+		return fault.WrapFile(seed, plan, name, f)
+	}})
 	if err != nil {
 		t.Fatalf("open victim wal: %v", err)
 	}
@@ -323,7 +319,7 @@ func checkCrashedLog(t *testing.T, memfs *wal.MemFS, v victimState, plan fault.F
 		t.Fatalf("read-only scan and repair recovered different states:\n%s\nvs\n%s", a, b)
 	}
 
-	if plan.Zero() {
+	if plan == (fault.FilePlan{}) {
 		// No faults: nothing ambiguous, and recovery's unresolved
 		// set is exactly what the victim left unanswered.
 		if len(v.acked) != 12 || v.ackErrs != 0 {
@@ -462,6 +458,56 @@ func TestRecoveryWithoutReplayAborts(t *testing.T) {
 	rec := openAndClose(t, memfs)
 	if len(rec.Unresolved) != 0 {
 		t.Fatalf("%d submissions still unresolved after abort pass", len(rec.Unresolved))
+	}
+}
+
+// TestAbortedOutcomeOneSpelling: a record resolved without a run reads the
+// same whichever path resolves it, the service answering a submission with
+// an error (core.WALHook.WrapDone) or the startup pass without Recover.
+func TestAbortedOutcomeOneSpelling(t *testing.T) {
+	memfs := wal.NewMemFS()
+	log, _, err := wal.Open(wal.Options{FS: memfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs [2]uint64
+	for i := range seqs {
+		rec := submitRecordFor(crashReq(i))
+		if seqs[i], err = log.AppendSubmit(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hook := &core.WALHook{Log: log}
+	hook.WrapDone(seqs[0], true, func(core.ServiceOutcome, error) {})(core.ServiceOutcome{}, core.ErrDraining)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _, stop := startServer(t, Options{
+		Core:  core.MainMemoryConfig(core.CCA, 1),
+		WALFS: memfs,
+	})
+	waitNotRecovering(t, srv)
+	if err := stop(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+
+	outcomes := map[uint64]wal.OutcomeRecord{}
+	if _, err := wal.Scan(memfs, func(h wal.Header, _ *wal.SubmitRecord, out *wal.OutcomeRecord) error {
+		if h.Type == wal.RecOutcome {
+			outcomes[out.Seq] = *out
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	byHook, byStartup := outcomes[seqs[0]], outcomes[seqs[1]]
+	byHook.Seq, byStartup.Seq = 0, 0
+	if byHook != byStartup {
+		t.Fatalf("aborted outcome spelled two ways:\n by the hook    %+v\n at startup     %+v", byHook, byStartup)
+	}
+	if !byHook.Aborted() || !byHook.Missed || core.State(byHook.State) != core.StateDropped {
+		t.Fatalf("aborted outcome %+v, want aborted, dropped and missed", byHook)
 	}
 }
 

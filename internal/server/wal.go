@@ -91,22 +91,21 @@ func openWAL(opts *Options) (*wal.Logger, *wal.Recovery, error) {
 			runtime.GOMAXPROCS(2)
 		}
 	}
-	wo := wal.Options{
+	if err := opts.walFileFaults.Validate(); err != nil {
+		return nil, nil, err
+	}
+	plan, seed := opts.walFileFaults, opts.walFaultSeed
+	return wal.Open(wal.Options{
 		FS:           fsys,
 		SyncEvery:    opts.WALSync,
 		SegmentBytes: opts.WALSegmentBytes,
 		Retain:       opts.WALRetain,
-	}
-	if !opts.walFileFaults.Zero() {
-		if err := opts.walFileFaults.Validate(); err != nil {
-			return nil, nil, err
-		}
-		plan, seed := opts.walFileFaults, opts.walFaultSeed
-		wo.WrapFile = func(name string, f wal.File) wal.File {
+		// The zero plan, every program's, wraps nothing: WrapFile returns
+		// the file itself.
+		WrapFile: func(name string, f wal.File) wal.File {
 			return fault.WrapFile(seed, plan, name, f)
-		}
-	}
-	return wal.Open(wo)
+		},
+	})
 }
 
 // WAL returns the server's write-ahead log (nil when disabled) — test
@@ -150,12 +149,7 @@ func (s *Server) replayWAL(ctx context.Context) {
 		// each record so the log converges. FlagReplayed marks these as
 		// recovery-produced, not client-visible effects.
 		for i := range unresolved {
-			rec := wal.OutcomeRecord{
-				Seq:    unresolved[i].Seq,
-				Flags:  wal.FlagAborted | wal.FlagReplayed,
-				State:  uint8(core.StateDropped),
-				Missed: true,
-			}
+			rec := core.AbortRecord(unresolved[i].Seq, true)
 			if err := s.wal.AppendOutcome(&rec, nil); err != nil {
 				s.replay.failed.Add(1)
 				continue

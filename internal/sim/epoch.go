@@ -28,23 +28,6 @@ func (s EpochSchedule) Boundary(k int) Time {
 	return Time(k) * s.Interval
 }
 
-// epochOf returns the index of the first boundary at or after t, i.e. the
-// epoch during which an event at time t is exchanged. Events exactly on a
-// boundary belong to that boundary's epoch.
-func (s EpochSchedule) epochOf(t Time) int {
-	if s.Interval <= 0 {
-		panic(fmt.Sprintf("sim: non-positive epoch interval %v", s.Interval))
-	}
-	if t <= 0 {
-		return 1
-	}
-	k := int((t + s.Interval - 1) / s.Interval)
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // Lockstep runs n workers through synchronized rounds: every worker must
 // finish round k before any worker starts round k+1. Workers run on their
 // own goroutines inside a round, so a round's wall-clock cost is the

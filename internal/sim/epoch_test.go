@@ -17,31 +17,6 @@ func TestEpochScheduleBoundary(t *testing.T) {
 	}
 }
 
-func TestEpochOf(t *testing.T) {
-	s := EpochSchedule{Interval: Time(10 * time.Millisecond)}
-	cases := []struct {
-		at   Time
-		want int
-	}{
-		{0, 1},
-		{Time(1 * time.Millisecond), 1},
-		{Time(10 * time.Millisecond), 1}, // exactly on the boundary
-		{Time(10*time.Millisecond) + 1, 2},
-		{Time(25 * time.Millisecond), 3},
-	}
-	for _, c := range cases {
-		if got := s.epochOf(c.at); got != c.want {
-			t.Errorf("epochOf(%v) = %d, want %d", c.at, got, c.want)
-		}
-		// Consistency: an event at t is applied no later than its epoch's
-		// boundary, and after the previous one.
-		k := s.epochOf(c.at)
-		if b := s.Boundary(k); b < c.at {
-			t.Errorf("epochOf(%v) = %d but Boundary(%d) = %v is earlier", c.at, k, k, b)
-		}
-	}
-}
-
 func TestLockstepRoundsAreBarriers(t *testing.T) {
 	const n, rounds = 4, 50
 	l := NewLockstep(n)

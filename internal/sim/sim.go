@@ -65,12 +65,6 @@ type Handle struct {
 // been recycled for a different event — reports false.
 func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// cancelled reports whether Cancel removed this handle's event before it
-// fired. It answers for exactly the incarnation the handle was issued for:
-// a handle whose event fired reports false forever, even after the
-// underlying record is recycled and the new incarnation is cancelled.
-func (h Handle) cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }
-
 // eventSlabSize is the batch size for refilling the free list: records are
 // allocated in slabs so calendar growth amortises to one allocation per slab.
 const eventSlabSize = 64

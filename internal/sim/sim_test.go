@@ -481,3 +481,9 @@ func BenchmarkCalendarChurnPooled(b *testing.B) {
 		sim.Run()
 	}
 }
+
+// cancelled reports whether Cancel removed this handle's event before it
+// fired. It answers for exactly the incarnation the handle was issued for:
+// a handle whose event fired reports false forever, even after the
+// underlying record is recycled and the new incarnation is cancelled.
+func (h Handle) cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }

@@ -39,12 +39,6 @@ type Stream struct {
 	rng *rand.Rand
 }
 
-// newStream returns a stand-alone stream with the given seed; most callers
-// should derive streams from a Source instead.
-func newStream(seed int64) *Stream {
-	return &Stream{rng: rand.New(rand.NewSource(seed))}
-}
-
 // Float64 returns a uniform variate in [0, 1).
 func (st *Stream) Float64() float64 { return st.rng.Float64() }
 

@@ -2,9 +2,28 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// newStream returns a stand-alone stream with the given seed; most callers
+// should derive streams from a Source instead.
+func newStream(seed int64) *Stream {
+	return &Stream{rng: rand.New(rand.NewSource(seed))}
+}
+
+// mean returns the arithmetic mean of xs (0 for an empty slice).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
 
 func TestStreamReproducible(t *testing.T) {
 	s1 := NewSource(42).Stream("arrivals")
@@ -284,18 +303,12 @@ func TestTCriticalMonotone(t *testing.T) {
 	}
 }
 
-func TestMeanMedian(t *testing.T) {
-	if mean(nil) != 0 || median(nil) != 0 {
+func TestMean(t *testing.T) {
+	if mean(nil) != 0 {
 		t.Fatal("empty slice should give 0")
 	}
 	if mean([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("Mean wrong")
-	}
-	if median([]float64{5, 1, 3}) != 3 {
-		t.Fatal("odd Median wrong")
-	}
-	if median([]float64{4, 1, 3, 2}) != 2.5 {
-		t.Fatal("even Median wrong")
 	}
 }
 

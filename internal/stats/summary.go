@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator computes running mean and variance (Welford's algorithm),
@@ -113,32 +112,6 @@ func tCritical95(df int) float64 {
 		return table[df]
 	}
 	return 1.96
-}
-
-// mean returns the arithmetic mean of xs (0 for an empty slice).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// median returns the median of xs (0 for an empty slice).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // Improvement returns the paper's improvement metric

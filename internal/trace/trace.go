@@ -26,7 +26,6 @@ const (
 	Wake
 	IOStart
 	IODone
-	rollback
 	Deadlock
 	Commit
 	// Reject marks an arrival turned away by the admission controller.
@@ -35,7 +34,7 @@ const (
 
 var kindNames = [...]string{
 	"arrival", "dispatch", "preempt", "wound", "block", "wake",
-	"io-start", "io-done", "rollback", "deadlock", "commit", "reject",
+	"io-start", "io-done", "deadlock", "commit", "reject",
 }
 
 // String names the kind.

@@ -10,7 +10,7 @@ func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Arrival: "arrival", Dispatch: "dispatch", Preempt: "preempt",
 		Wound: "wound", Block: "block", Wake: "wake",
-		IOStart: "io-start", IODone: "io-done", rollback: "rollback",
+		IOStart: "io-start", IODone: "io-done",
 		Deadlock: "deadlock", Commit: "commit",
 	}
 	for k, s := range want {

@@ -42,17 +42,6 @@ func Flat(name string, items ...Item) *Program {
 	return &Program{Name: name, Root: &Node{Label: name, Accesses: NewSet(items...)}}
 }
 
-// branch builds an interior node. It is a convenience for assembling
-// programs in tests and examples.
-func branch(label string, accesses Set, children ...*Node) *Node {
-	return &Node{Label: label, Accesses: accesses, Children: children}
-}
-
-// leaf builds a leaf node.
-func leaf(label string, items ...Item) *Node {
-	return &Node{Label: label, Accesses: NewSet(items...)}
-}
-
 // validate checks the structural invariants of the program: a non-nil root,
 // non-nil nodes, and unique labels. Analysis requires a valid program.
 func (p *Program) validate() error {
@@ -140,16 +129,6 @@ func Analyze(p *Program) (*Analysis, error) {
 	}
 	walk(p.Root, Set{})
 	return a, nil
-}
-
-// mustAnalyze is Analyze for statically known-good programs; it panics on
-// error.
-func mustAnalyze(p *Program) *Analysis {
-	a, err := Analyze(p)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Program returns the analysed program.

@@ -207,3 +207,24 @@ func TestFlatProgram(t *testing.T) {
 		t.Fatal("flat program has/might mismatch")
 	}
 }
+
+// branch builds an interior node. It is a convenience for assembling
+// programs in tests and examples.
+func branch(label string, accesses Set, children ...*Node) *Node {
+	return &Node{Label: label, Accesses: accesses, Children: children}
+}
+
+// leaf builds a leaf node.
+func leaf(label string, items ...Item) *Node {
+	return &Node{Label: label, Accesses: NewSet(items...)}
+}
+
+// mustAnalyze is Analyze for statically known-good programs; it panics on
+// error.
+func mustAnalyze(p *Program) *Analysis {
+	a, err := Analyze(p)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}

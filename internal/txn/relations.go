@@ -150,44 +150,3 @@ func SafetyOf(part, sched State) SafetyClass {
 	}
 	return Unsafe
 }
-
-// relationTable precomputes the pairwise conflict classification for every
-// (node, node) pair of two programs. The scheduler consults tables like this
-// instead of re-deriving relations at every scheduling point; the paper
-// argues this space-for-time trade-off is reasonable for an RTDBS (§3.2.2).
-type relationTable struct {
-	a, b     *Analysis
-	conflict map[[2]string]ConflictClass
-	safety   map[[2]string]SafetyClass
-}
-
-// buildRelationTable computes the full table between two analysed programs
-// (which may be the same program, for self-relations between two instances).
-func buildRelationTable(a, b *Analysis) *relationTable {
-	t := &relationTable{
-		a:        a,
-		b:        b,
-		conflict: make(map[[2]string]ConflictClass),
-		safety:   make(map[[2]string]SafetyClass),
-	}
-	for _, la := range a.Labels() {
-		sa := At(a, la)
-		for _, lb := range b.Labels() {
-			sb := At(b, lb)
-			t.conflict[[2]string{la, lb}] = ConflictBetween(sa, sb)
-			t.safety[[2]string{la, lb}] = SafetyOf(sa, sb)
-		}
-	}
-	return t
-}
-
-// conflictOf returns the precomputed conflict class for (labelA, labelB).
-func (t *relationTable) conflictOf(labelA, labelB string) ConflictClass {
-	return t.conflict[[2]string{labelA, labelB}]
-}
-
-// safetyOf returns the precomputed safety class of a partially executed
-// transaction at labelA with respect to scheduling a transaction at labelB.
-func (t *relationTable) safetyOf(labelA, labelB string) SafetyClass {
-	return t.safety[[2]string{labelA, labelB}]
-}

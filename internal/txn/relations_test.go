@@ -124,22 +124,6 @@ func TestAtPanicsOnUnknownLabel(t *testing.T) {
 	At(a, "nope")
 }
 
-func TestRelationTableMatchesDirect(t *testing.T) {
-	a := mustAnalyze(paperProgramA())
-	t2 := mustAnalyze(paperProgramT2())
-	tab := buildRelationTable(a, t2)
-	for _, la := range a.Labels() {
-		for _, lb := range t2.Labels() {
-			if tab.conflictOf(la, lb) != ConflictBetween(At(a, la), At(t2, lb)) {
-				t.Fatalf("table conflict mismatch at (%s, %s)", la, lb)
-			}
-			if tab.safetyOf(la, lb) != SafetyOf(At(a, la), At(t2, lb)) {
-				t.Fatalf("table safety mismatch at (%s, %s)", la, lb)
-			}
-		}
-	}
-}
-
 func TestClassStrings(t *testing.T) {
 	cases := map[string]string{
 		NoConflict.String():            "no-conflict",

@@ -134,3 +134,36 @@ func TestQuickSetAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// intersection returns the set of items present in both s and t.
+func (s Set) intersection(t Set) Set {
+	small, large := s.m, t.m
+	if len(large) < len(small) {
+		small, large = large, small
+	}
+	u := Set{m: make(map[Item]struct{})}
+	for it := range small {
+		if _, ok := large[it]; ok {
+			u.m[it] = struct{}{}
+		}
+	}
+	return u
+}
+
+// subset reports whether every item of s is in t.
+func (s Set) subset(t Set) bool {
+	if len(s.m) > len(t.m) {
+		return false
+	}
+	for it := range s.m {
+		if _, ok := t.m[it]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// equal reports whether s and t hold exactly the same items.
+func (s Set) equal(t Set) bool {
+	return len(s.m) == len(t.m) && s.subset(t)
+}

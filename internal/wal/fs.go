@@ -287,22 +287,6 @@ func (m *MemFS) Crash() {
 	}
 }
 
-// corrupt flips one byte at off in the named file, bypassing the sync
-// model — for building bad-checksum fixtures.
-func (m *MemFS) corrupt(name string, off int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok || off < 0 || off >= len(f.data) {
-		return fmt.Errorf("wal: corrupt %q@%d: no such byte", name, off)
-	}
-	f.data[off] ^= 0xff
-	if f.synced < off+1 {
-		f.synced = off + 1
-	}
-	return nil
-}
-
 // Append appends raw bytes to the named file as if they were written
 // and synced — for building torn/garbage-tail fixtures.
 func (m *MemFS) Append(name string, p []byte) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -461,4 +462,20 @@ func TestSubmitAppendDoesNotWakeSyncer(t *testing.T) {
 	if want := []uint64{seqs[1], seqs[2], last}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("unresolved after crash: %v, want %v", got, want)
 	}
+}
+
+// corrupt flips one byte at off in the named file, bypassing the sync
+// model — for building bad-checksum fixtures.
+func (m *MemFS) corrupt(name string, off int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[name]
+	if !ok || off < 0 || off >= len(f.data) {
+		return fmt.Errorf("wal: corrupt %q@%d: no such byte", name, off)
+	}
+	f.data[off] ^= 0xff
+	if f.synced < off+1 {
+		f.synced = off + 1
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 
 // FuzzWireRoundTrip feeds arbitrary bytes to the submit-payload decoder.
 // The decoder must never panic; when it accepts a payload, re-encoding
-// the decoded request must produce a payload that decodes to the same
-// request (the canonical-encoding fixed point). The seed corpus under
+// the decoded request must reproduce the payload byte for byte and decode
+// to the same request (the canonical-encoding fixed point). The seed corpus under
 // testdata/fuzz covers every optional-field shape.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, req := range submitFixturesF() {
@@ -45,6 +46,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("decoder accepted non-positive durations: %+v", req)
 		}
 		frame := AppendSubmit(nil, 99, &req)
+		if !bytes.Equal(frame[headerLen:], payload) {
+			t.Fatalf("re-encoding changed the payload:\n decoded %x\n encoded %x", payload, frame[headerLen:])
+		}
 		var again SubmitReq
 		if err := DecodeSubmit(frame[headerLen:], &again); err != nil {
 			t.Fatalf("re-encoded payload rejected: %v\nreq: %+v", err, req)

@@ -279,8 +279,9 @@ func bitmapLen(n int) int { return (n + 7) / 8 }
 
 // DecodeSubmit decodes a frameSubmit payload (the bytes after the
 // header) into r, reusing r's slices. The encoding is canonical: any
-// trailing or missing bytes are an error, so Append∘Decode is the
-// identity and Decode∘Append is the identity on valid payloads.
+// trailing or missing bytes, and any nonzero padding bit after a bitmap's
+// last item, are an error, so Append∘Decode is the identity and
+// Decode∘Append is the identity on valid payloads.
 //
 // Validation here mirrors the JSON path's jsonDuration rules: a
 // submission with a negative or zero compute time or deadline is
@@ -318,6 +319,16 @@ func DecodeSubmit(p []byte, r *SubmitReq) error {
 		return fmt.Errorf("wire: submit payload length %d, want %d for %d items", len(p), want, n)
 	}
 
+	// Canonical encoding: the padding bits past n in each bitmap's last
+	// byte are zero.
+	if rem, l := n%8, bitmapLen(n); rem != 0 {
+		for last := 4*n + l - 1; last < len(p); last += l {
+			if p[last]>>rem != 0 {
+				return errors.New("wire: nonzero bitmap padding")
+			}
+		}
+	}
+
 	r.Items = r.Items[:0]
 	for i := 0; i < n; i++ {
 		r.Items = append(r.Items, txn.Item(int32(getU32(p[4*i:]))))
@@ -328,9 +339,16 @@ func DecodeSubmit(p []byte, r *SubmitReq) error {
 	return nil
 }
 
+// emptyBools keeps a decoded present-but-empty bitmap distinguishable
+// from an absent one (non-nil slice) without allocating.
+var emptyBools = make([]bool, 0)
+
 func decodeBitmap(p []byte, dst []bool, n int, present bool) ([]bool, []byte) {
 	if !present {
 		return nil, p
+	}
+	if dst == nil {
+		dst = emptyBools
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {

@@ -247,7 +247,9 @@ func TestFrameReaderRejectsGarbage(t *testing.T) {
 }
 
 // TestSubmitDecodeLengthStrict checks the canonical-encoding rule: any
-// surplus or deficit in the payload is rejected rather than ignored.
+// surplus or deficit in the payload, or a padding bit set after a bitmap's
+// last item, is rejected rather than ignored, and a present but empty
+// bitmap stays present.
 func TestSubmitDecodeLengthStrict(t *testing.T) {
 	req := SubmitReq{Items: []txn.Item{1, 2}, Compute: 1, Deadline: 1}
 	frame := AppendSubmit(nil, 1, &req)
@@ -258,5 +260,23 @@ func TestSubmitDecodeLengthStrict(t *testing.T) {
 	}
 	if err := DecodeSubmit(payload[:len(payload)-1], &out); err == nil {
 		t.Fatal("missing byte accepted")
+	}
+
+	flagged := AppendSubmit(nil, 1, &SubmitReq{Items: []txn.Item{1, 2, 3}, Reads: []bool{true, false, true}, NeedsIO: []bool{false, true, false}, Compute: 1, Deadline: 1})[headerLen:]
+	for _, back := range []int{1, 2} { // the NeedsIO and the Reads bitmap
+		padded := append([]byte(nil), flagged...)
+		padded[len(padded)-back] |= 1 << 3
+		if err := DecodeSubmit(padded, &out); err == nil {
+			t.Fatalf("padding bit in the bitmap %d from the end accepted", back)
+		}
+	}
+
+	empty := AppendSubmit(nil, 1, &SubmitReq{Reads: []bool{}, Compute: 1, Deadline: 1})[headerLen:]
+	out = SubmitReq{}
+	if err := DecodeSubmit(empty, &out); err != nil {
+		t.Fatal(err)
+	}
+	if again := AppendSubmit(nil, 1, &out)[headerLen:]; !bytes.Equal(again, empty) {
+		t.Fatalf("empty bitmap lost in a round trip: %x, want %x", again, empty)
 	}
 }

@@ -440,3 +440,10 @@ func TestCheckDecisionFields(t *testing.T) {
 		t.Fatal("out-of-range decision index accepted")
 	}
 }
+
+// diskUtilizationAt returns the expected disk utilisation at the given
+// arrival rate: λ × updates × P(IO) × access time. The paper computes 62.5%
+// at the 12.5 tr/s capacity point.
+func (p Params) diskUtilizationAt(rate float64) float64 {
+	return rate * p.UpdatesMean * p.DiskAccessProb * float64(p.DiskAccessTime) / float64(time.Second)
+}

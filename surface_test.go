@@ -15,14 +15,16 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// surfaceAllow names the entries TestExportedSurface tolerates in its two
+// surfaceAllow names the entries TestExportedSurface tolerates in its three
 // lists, keyed as the lists print them, each with the reason it stays.
 var surfaceAllow = map[string]string{
+	"internal/disk.fcfs":                "the zero Discipline, the paper's queue order every program runs; the constant names it",
 	"internal/metrics.Run.LatenessSum":  runDigested,
 	"internal/metrics.Run.Missed":       runDigested,
 	"internal/metrics.Run.ResponseSum":  runDigested,
@@ -33,11 +35,13 @@ const runDigested = "the recorded equivalence digests hash a Run's exported fiel
 
 // TestExportedSurface holds "exported" to mean "used by another package"
 // for everything under internal/, where no identifier has an audience
-// outside the two modules. It type-checks the root module and bench/ and
-// fails on (a) an exported identifier no other package uses and (b) an
-// unexported one nothing uses, unless surfaceAllow names it. The rules are
-// pinned by TestExportedSurfaceRules. With -v it also prints the count of
-// exported identifiers the size record tracks.
+// outside the two modules, and "shipped" to mean "run by a program". It
+// type-checks the root module and bench/ and fails on (a) an exported
+// identifier no other package uses, (b) an unexported one nothing uses and
+// (c) a non-test declaration of either module that no program reaches,
+// unless surfaceAllow names it. The rules are pinned by
+// TestExportedSurfaceRules. With -v it also prints the count of exported
+// identifiers the size record tracks.
 func TestExportedSurface(t *testing.T) {
 	prog, err := loadProgram(".", "bench")
 	if err != nil {
@@ -52,6 +56,7 @@ func TestExportedSurface(t *testing.T) {
 	}{
 		{"(a) exported, used only inside their own package", unused},
 		{"(b) unexported, used nowhere", dead},
+		{"(c) declared outside tests, reached by no program", prog.unreached("repro")},
 	} {
 		t.Logf("%s: %d", l.name, len(l.entries))
 		for _, e := range l.entries {
@@ -84,6 +89,9 @@ func TestExportedSurfaceRules(t *testing.T) {
 	}
 	if got, want := keys(dead), []string{"internal/a.deadFunc"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("list (b) = %v, want %v", got, want)
+	}
+	if got, want := keys(prog.unreached("fixture")), []string{"internal/a.Thing.onlyTested", "internal/a.deadFunc", "internal/a.ownTestOnly"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("list (c) = %v, want %v", got, want)
 	}
 }
 
@@ -532,4 +540,217 @@ func walkType(t types.Type, seen map[types.Type]bool, fn func(*types.TypeName)) 
 			walkType(t.Method(i).Type(), seen, fn)
 		}
 	}
+}
+
+// stdCalled names the standard-library interfaces whose methods the
+// standard library calls on a program's values, by package; no names means
+// every interface of the package. A method that implements one is reached
+// with its type.
+var stdCalled = map[string][]string{
+	"fmt":            {"Stringer"},
+	"encoding":       {"TextMarshaler", "TextUnmarshaler"},
+	"encoding/json":  {"Marshaler", "Unmarshaler"},
+	"sort":           {"Interface"},
+	"container/heap": {"Interface"},
+	"io":             nil,
+	"net":            nil,
+	"net/http":       {"Handler"},
+}
+
+// unreached returns list (c): the non-test declarations of the program's
+// modules (package-level funcs, vars, consts and types, and methods) that
+// no program reaches. The roots are main and init of every main package,
+// every package-level var initializer, every exported declaration of the
+// package root (the library's facade) and every declaration a test of
+// another package uses (a seam). A reached declaration reaches every
+// declaration its source names. A method of a reached type is reached when
+// it is named, when reached code calls an interface method of its name, or
+// when it implements one of stdCalled's interfaces (or error).
+func (p *program) unreached(root string) []surfaceEntry {
+	type decl struct {
+		obj  types.Object
+		key  string
+		node ast.Node
+		info *types.Info
+	}
+	type source struct {
+		node ast.Node
+		info *types.Info
+	}
+	decls := map[token.Pos]*decl{}
+	var queue []source
+	reached := map[token.Pos]bool{}
+	reach := func(pos token.Pos) {
+		if d := decls[pos]; d != nil && !reached[pos] {
+			reached[pos] = true
+			queue = append(queue, source{d.node, d.info})
+		}
+	}
+	var roots, seams []token.Pos
+	seen := map[*ast.File]bool{}
+	for _, cp := range p.pkgs {
+		short := cp.path
+		if i := strings.Index(short, "/"); i >= 0 {
+			short = short[i+1:]
+		}
+		for _, f := range cp.files {
+			if seen[f] {
+				continue
+			}
+			seen[f] = true
+			if strings.HasSuffix(p.fset.Position(f.Pos()).Filename, "_test.go") {
+				// A seam: a declaration of another package this test uses.
+				ast.Inspect(f, func(x ast.Node) bool {
+					if id, ok := x.(*ast.Ident); ok {
+						if obj := cp.info.Uses[id]; obj != nil && obj.Pkg() != nil && own(obj.Pkg().Path()) != own(cp.path) {
+							seams = append(seams, origin(obj).Pos())
+						}
+					}
+					return true
+				})
+				continue
+			}
+			add := func(id *ast.Ident, key string, node ast.Node) {
+				if id.Name == "_" {
+					return
+				}
+				obj := cp.info.Defs[id]
+				decls[obj.Pos()] = &decl{obj: obj, key: key, node: node, info: cp.info}
+				if cp.path == root && id.IsExported() {
+					roots = append(roots, obj.Pos())
+				}
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					switch {
+					case d.Recv == nil && cp.types.Name() == "main" && (d.Name.Name == "main" || d.Name.Name == "init"):
+						queue = append(queue, source{d, cp.info})
+					case d.Recv == nil:
+						add(d.Name, short+"."+d.Name.Name, d)
+					default:
+						recv := cp.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+						if ptr, ok := recv.(*types.Pointer); ok {
+							recv = ptr.Elem()
+						}
+						add(d.Name, short+"."+recv.(*types.Named).Obj().Name()+"."+d.Name.Name, d)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name, short+"."+spec.Name.Name, spec)
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								add(id, short+"."+id.Name, spec)
+							}
+							if d.Tok == token.VAR {
+								for _, v := range spec.Values {
+									queue = append(queue, source{v, cp.info})
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, pos := range append(roots, seams...) {
+		reach(pos)
+	}
+
+	var called []*types.Interface
+	for path, names := range stdCalled {
+		for _, pkg := range p.imported(path) {
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if ok && types.IsInterface(tn.Type()) && (names == nil || slices.Contains(names, name)) {
+					called = append(called, tn.Type().Underlying().(*types.Interface))
+				}
+			}
+		}
+	}
+	called = append(called, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	// receiver returns the declaration of a method's receiver type, and
+	// whether the method implements one of the called interfaces.
+	receiver := func(fn *types.Func) (token.Pos, bool) {
+		named := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := named.(*types.Pointer); ok {
+			named = ptr.Elem()
+		}
+		ptr := types.NewPointer(named)
+		for _, iface := range called {
+			if m, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); m != nil && types.Implements(ptr, iface) {
+				return named.(*types.Named).Origin().Obj().Pos(), true
+			}
+		}
+		return named.(*types.Named).Origin().Obj().Pos(), false
+	}
+
+	ifaceCalls := map[string]bool{}
+	for len(queue) > 0 {
+		for len(queue) > 0 {
+			src := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ast.Inspect(src.node, func(x ast.Node) bool {
+				id, ok := x.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := src.info.Uses[id]
+				if obj == nil {
+					return true
+				}
+				if fn, ok := obj.(*types.Func); ok {
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						ifaceCalls[fn.Name()] = true
+					}
+				}
+				reach(origin(obj).Pos())
+				return true
+			})
+		}
+		for pos, d := range decls {
+			fn, ok := d.obj.(*types.Func)
+			if !ok || reached[pos] || fn.Type().(*types.Signature).Recv() == nil {
+				continue
+			}
+			if typ, std := receiver(fn); reached[typ] && (ifaceCalls[fn.Name()] || std) {
+				reach(pos)
+			}
+		}
+	}
+
+	var out []surfaceEntry
+	for pos, d := range decls {
+		if !reached[pos] {
+			out = append(out, p.entry(&declared{obj: d.obj, key: d.key}))
+		}
+	}
+	sortEntries(out)
+	return out
+}
+
+// imported returns the checked program's imports of the standard package
+// path: one per importer instance, usually one.
+func (p *program) imported(path string) []*types.Package {
+	var out []*types.Package
+	seen := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		if pkg.Path() == path {
+			out = append(out, pkg)
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, cp := range p.pkgs {
+		visit(cp.types)
+	}
+	return out
 }

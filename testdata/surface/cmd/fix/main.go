@@ -4,7 +4,10 @@ package main
 import (
 	"fmt"
 
+	"fixture/internal/a"
 	"fixture/internal/b"
 )
+
+func init() { _ = a.UsedByInit() }
 
 func main() { fmt.Println(b.Run()) }

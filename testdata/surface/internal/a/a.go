@@ -1,5 +1,6 @@
 // Package a holds one case per rule of the exported-surface scan: only
-// InPackageOnly and deadFunc belong in its lists.
+// InPackageOnly, deadFunc, ownTestOnly and Thing.onlyTested belong in its
+// lists.
 package a
 
 import (
@@ -20,11 +21,31 @@ func UsedByTestOfB() int { return 2 }
 // UsedByExt is used only by a package of another module.
 func UsedByExt() int { return 3 }
 
+// UsedByInit is run only by a main package's init.
+func UsedByInit() int { return 4 }
+
+// ViaFacade is run only through the root package's exported Facade.
+func ViaFacade() int { return 5 }
+
+// viaVarInit is run only by a package-level var initializer.
+func viaVarInit() int { return 6 }
+
+var _ = viaVarInit()
+
+// ownTestOnly is used only by a's own test.
+func ownTestOnly() int { return 7 }
+
 // Thing reaches other packages only through New's signature.
 type Thing struct{ n int }
 
 // New returns a Thing.
 func New() *Thing { return &Thing{n: 1} }
+
+// Named is reached because a program names it.
+func (t *Thing) Named() int { return t.n }
+
+// onlyTested is a method of a reached type that only a's own test calls.
+func (t *Thing) onlyTested() int { return t.n }
 
 // Report is json-tagged, so none of its fields is reported.
 type Report struct {

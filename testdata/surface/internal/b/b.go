@@ -14,5 +14,5 @@ func (impl) Do() int { return 1 }
 
 // Run uses a.
 func Run() string {
-	return fmt.Sprint(a.UsedByB(), a.New(), a.MakeReport(), a.Use(impl{}), a.Check(), a.Dial())
+	return fmt.Sprint(a.UsedByB(), a.New().Named(), a.MakeReport(), a.Use(impl{}), a.Check(), a.Dial())
 }
