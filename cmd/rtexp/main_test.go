@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,5 +107,23 @@ func TestAdaptiveFlagSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "(n=") {
 		t.Errorf("tables missing per-cell replication counts:\n%s", stdout)
+	}
+}
+
+// paperDigest is the SHA-256 of `rtexp -exp paper -format md`: every table
+// and figure of the paper at full fidelity. Nothing regenerates it. A run
+// that moves a paper number fails here and prints the new digest, and
+// re-recording it is a reviewed decision with its reason.
+const paperDigest = "94d2e50e207cc5548ede828ea131bb4cd653732c9d0f47900b153fde24b55141"
+
+// TestPaperOutputDigest: the paper-level numbers stay fixed.
+func TestPaperOutputDigest(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-exp", "paper", "-format", "md")
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
+	}
+	sum := sha256.Sum256([]byte(stdout))
+	if got := hex.EncodeToString(sum[:]); got != paperDigest {
+		t.Fatalf("paper output digest %s, recorded %s", got, paperDigest)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -52,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8344", "listen address")
-		policy    = fs.String("policy", "cca", "scheduling policy: cca, cca-p, cca-t, edf-hp, edf-wp, edf-cr, lsf-hp, aed, pcp, fcfs")
+		policy    = fs.String("policy", "cca", "scheduling policy, one of: "+strings.Trim(fmt.Sprint(core.Policies()), "[]"))
 		disk      = fs.Bool("disk", false, "disk-resident configuration (Table 2) instead of main memory (Table 1)")
 		dbsize    = fs.Int("dbsize", 0, "database size (0 = paper default)")
 		cpus      = fs.Int("cpus", 1, "number of CPUs")
@@ -110,9 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode = core.AdmitAll
 	}
 	cfg.Admission = core.AdmissionConfig{Mode: mode, MaxLive: *admMax}
-	if cfg.Policy == core.CCAP || cfg.Policy == core.CCAT {
-		cfg.Predict = core.DefaultPredictConfig()
-	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "rtserve: %v\n", err)
 		return 2

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // syncBuf is a goroutine-safe writer: the server goroutine writes log
@@ -144,5 +147,19 @@ func TestServeSignalDrain(t *testing.T) {
 	}
 	if !strings.Contains(se, "shutdown complete") {
 		t.Errorf("stderr missing shutdown message:\n%s", se)
+	}
+}
+
+// TestHelpNamesEveryPolicy: -policy's usage lists every policy the engine
+// accepts.
+func TestHelpNamesEveryPolicy(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb)
+	_, usage, _ := strings.Cut(errb.String(), "-policy string\n")
+	usage, _, _ = strings.Cut(usage, "\n")
+	for _, p := range core.Policies() {
+		if !slices.Contains(strings.Fields(usage), string(p)) {
+			t.Errorf("-policy usage %q does not name %s", usage, p)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 
 	"repro"
@@ -39,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		policy  = fs.String("policy", "cca", "scheduling policy: cca, cca-p, cca-t, edf-hp, edf-wp, lsf-hp, fcfs")
+		policy  = fs.String("policy", "cca", "scheduling policy, one of: "+strings.Trim(fmt.Sprint(rtdbs.Policies()), "[]"))
 		rate    = fs.Float64("rate", 5, "arrival rate (transactions/second)")
 		count   = fs.Int("count", 0, "transactions per run (0 = paper default)")
 		dbsize  = fs.Int("dbsize", 0, "database size (0 = paper default)")
@@ -62,13 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		admMax    = fs.Int("admission-max", 0, "live-set cap for the admission controller (required for reject-newest)")
 		shardsN   = fs.Int("shards", 1, "engine shards (item i on shard i%N) with deterministic cross-shard epochs (extension)")
 		epochIv   = fs.Duration("epoch", 0, "cross-shard epoch interval in simulated time (0 = default; with -shards > 1)")
-
-		predScale = fs.Float64("predict-scale", -1, "cca-p/cca-t: observed-conflict-rate penalty scale (-1 = default)")
-		predDecay = fs.Float64("predict-decay", -1, "cca-p/cca-t: per-window statistics decay in [0,1] (-1 = default)")
-		feedback  = fs.Int("feedback", 0, "cca-t: terminal decisions per tuner feedback window (0 = default)")
-		tunerStep = fs.Float64("tuner-step", 0, "cca-t: initial hill-climb step for the penalty weight (0 = default)")
-		tunerMax  = fs.Float64("tuner-max", 0, "cca-t: upper clamp for the tuned weight (0 = default)")
-		epsilon   = fs.Float64("epsilon", 0, "cca-t: ε-greedy exploration probability")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -127,26 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.WatchdogBudget = *watchdog
 	cfg.Admission = rtdbs.AdmissionConfig{Mode: rtdbs.AdmissionMode(*admission), MaxLive: *admMax}
-	if cfg.Policy == rtdbs.CCAP || cfg.Policy == rtdbs.CCAT {
-		p := rtdbs.DefaultPredictConfig()
-		if *predScale >= 0 {
-			p.RateScale = *predScale
-		}
-		if *predDecay >= 0 {
-			p.Decay = *predDecay
-		}
-		if *feedback > 0 {
-			p.FeedbackWindow = *feedback
-		}
-		if *tunerStep > 0 {
-			p.TunerStep = *tunerStep
-		}
-		if *tunerMax > 0 {
-			p.TunerMax = *tunerMax
-		}
-		p.Epsilon = *epsilon
-		cfg.Predict = p
-	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "rtsim: %v\n", err)
 		return 2
@@ -269,10 +243,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if *verbose {
 				fmt.Fprintf(stdout, "seed %-3d %s\n", s, res)
-				if snap, ok := e.PredictSnapshot(); ok {
-					fmt.Fprintf(stdout, "         predict: w=%.3g tuner-steps=%d active-pairs=%d\n",
-						snap.W, snap.TunerSteps, snap.ActivePairs)
-				}
 			}
 		}
 		agg.Add(res)
@@ -285,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	sum := agg.Summary()
-	fmt.Fprintf(stdout, "policy=%s rate=%.2g seeds=%d\n", *policy, *rate, completed)
+	fmt.Fprintf(stdout, "policy=%s rate=%.2g seeds=%d\n", cfg.Policy, *rate, completed)
 	fmt.Fprintf(stdout, "  miss        = %6.2f%%  (±%.2f)\n", sum.MissPercent, agg.MissPercent.CI95())
 	fmt.Fprintf(stdout, "  lateness    = %6.2f ms (±%.2f)\n", sum.MeanLatenessMs, agg.MeanLatenessMs.CI95())
 	fmt.Fprintf(stdout, "  restarts/txn= %6.3f   (±%.3f)\n", sum.RestartsPerTxn, agg.RestartsPerTxn.CI95())

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 // syncBuf is a goroutine-safe writer: the simulation goroutine writes
@@ -98,5 +101,19 @@ func TestInterruptFinishesSummary(t *testing.T) {
 	// The summary over completed seeds still printed.
 	if !strings.Contains(out.String(), "policy=cca") {
 		t.Errorf("stdout missing the partial summary:\n%s", out.String())
+	}
+}
+
+// TestHelpNamesEveryPolicy: -policy's usage lists every policy the engine
+// accepts.
+func TestHelpNamesEveryPolicy(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb)
+	_, usage, _ := strings.Cut(errb.String(), "-policy string\n")
+	usage, _, _ = strings.Cut(usage, "\n")
+	for _, p := range rtdbs.Policies() {
+		if !slices.Contains(strings.Fields(usage), string(p)) {
+			t.Errorf("-policy usage %q does not name %s", usage, p)
+		}
 	}
 }

@@ -62,52 +62,6 @@ func BenchmarkEDFHPBaseFast(b *testing.B) {
 	benchRun(b, cfg)
 }
 
-// The predict-policy pair isolates the cost of the conflict-prediction
-// term: CCA-P with live stats (observed-rate penalty scaling + decision
-// tap feeding the table) against stock CCA on the same workload. The
-// acceptance floor is throughput ≥0.9× stock — prediction must ride the
-// memoised dispatch pass, not defeat it.
-func BenchmarkCCAPBaseFast(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8)
-	cfg.Policy = CCAP
-	cfg.Predict = DefaultPredictConfig()
-	benchRun(b, cfg)
-}
-
-func BenchmarkCCATBaseFast(b *testing.B) {
-	cfg := benchCCAConfig(30, 300, 8)
-	cfg.Policy = CCAT
-	cfg.Predict = DefaultPredictConfig()
-	benchRun(b, cfg)
-}
-
-// TestObserverTapZeroAlloc pins the decision-tap cost with no observer
-// attached: every notify helper must be a nil-check and nothing else —
-// zero allocations on the hot paths that wound, block, restart and commit
-// take.
-func TestObserverTapZeroAlloc(t *testing.T) {
-	cfg := benchCCAConfig(30, 50, 8)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.obs != nil {
-		t.Fatal("stock CCA engine has an observer attached")
-	}
-	if len(e.all) < 2 {
-		t.Fatal("workload too small")
-	}
-	a, b := e.all[0], e.all[1]
-	if allocs := testing.AllocsPerRun(100, func() {
-		e.notifyWound(a, b)
-		e.notifyBlock(a, b)
-		e.notifyRestart(a)
-		e.notifyTerminal(a, true, false)
-	}); allocs != 0 {
-		t.Fatalf("observer tap with no observer allocates %.1f times per cycle", allocs)
-	}
-}
-
 // The allocation budget of the serving path below the front-end: what one
 // committed transaction may cost the collector once the service is warm.
 const (
@@ -212,9 +166,8 @@ type dispatchGrowthPoint struct {
 
 // TestWriteBenchBaseline refreshes the repository's BENCH_core.json when
 // BENCH_BASELINE=1 is set. It records wall time, B/op and allocs/op for both
-// benchmark configurations via testing.Benchmark and enforces the floors: CCA-P
-// keeps ≥0.9× stock CCA's throughput, on the dispatch_growth curve a
-// scheduling point over 8192 live transactions may cost at most 3× one over
+// benchmark configurations via testing.Benchmark and enforces the floors: on
+// the dispatch_growth curve a scheduling point over 8192 live transactions may cost at most 3× one over
 // 16, on batch_disjoint a conflict-free batch is evaluated exactly once per
 // transaction, and on service_submit a committed transaction stays inside the
 // allocation budget.
@@ -240,14 +193,9 @@ func TestWriteBenchBaseline(t *testing.T) {
 		{"large-db-high-mpl", 8192, 400, 25},
 	}
 	out := struct {
-		Note          string               `json:"note"`
-		Refresh       string               `json:"refresh"`
-		Cases         []benchBaselineEntry `json:"cases"`
-		PredictPolicy struct {
-			CCAMs           float64 `json:"cca_ms"`
-			CCAPMs          float64 `json:"ccap_ms"`
-			ThroughputRatio float64 `json:"throughput_ratio_vs_cca"`
-		} `json:"predict_policy"`
+		Note           string               `json:"note"`
+		Refresh        string               `json:"refresh"`
+		Cases          []benchBaselineEntry `json:"cases"`
 		DispatchGrowth struct {
 			Note   string                `json:"note"`
 			Points []dispatchGrowthPoint `json:"points"`
@@ -276,23 +224,6 @@ func TestWriteBenchBaseline(t *testing.T) {
 		out.Cases = append(out.Cases, e)
 		t.Logf("%s: %.1fms, %d allocs per run", c.name, e.Engine.Ms, e.Engine.AllocsOp)
 	}
-	// Predict-policy dispatch overhead: CCA-P with live stats vs stock CCA
-	// on the base configuration. Acceptance floor: ≥0.9× stock throughput.
-	ccaMs := measure(benchCCAConfig(30, 300, 8)).Ms
-	ccapCfg := benchCCAConfig(30, 300, 8)
-	ccapCfg.Policy = CCAP
-	ccapCfg.Predict = DefaultPredictConfig()
-	ccapMs := measure(ccapCfg).Ms
-	out.PredictPolicy.CCAMs = ccaMs
-	out.PredictPolicy.CCAPMs = ccapMs
-	if ccapMs > 0 {
-		out.PredictPolicy.ThroughputRatio = ccaMs / ccapMs
-	}
-	t.Logf("predict-policy: cca %.1fms, cca-p %.1fms → throughput ratio %.2fx", ccaMs, ccapMs, out.PredictPolicy.ThroughputRatio)
-	if out.PredictPolicy.ThroughputRatio < 0.9 {
-		t.Errorf("predict-policy: cca-p throughput %.2fx stock CCA < 0.9x acceptance floor", out.PredictPolicy.ThroughputRatio)
-	}
-
 	// Growth curve: what a scheduling point costs as the live set grows.
 	// Ceiling: the largest backlog may cost at most 3× the smallest.
 	out.DispatchGrowth.Note = "wall ns per scheduling point (dispatch pass) for one foreground CCA arrival→commit over N parked, non-conflicting live transactions (BenchmarkDispatchGrowth; includes building and retiring the foreground transaction, the same work at every N)"

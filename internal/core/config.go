@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/disk"
@@ -50,28 +51,12 @@ const (
 	// FCFS is first-come-first-served with High Priority conflict
 	// resolution (non-real-time control).
 	FCFS PolicyKind = "fcfs"
-	// CCAP is CCA with a predicted-conflict penalty: each conflicting
-	// holder's contribution is additionally scaled by the observed
-	// conflict rate for the live type pair, from an online statistics
-	// table fed by the engine's decision tap (extension; see
-	// predict_policy.go). With Predict.RateScale 0 or Predict.Decay 0 it
-	// is bit-identical to CCA.
-	CCAP PolicyKind = "cca-p"
-	// CCAT is CCAP with a self-tuning penalty weight: a deterministic
-	// seeded hill-climb (optionally ε-greedy) adjusts w over commit-rate
-	// feedback windows (extension). With Predict.tunerOff and a degenerate
-	// statistics knob it is bit-identical to CCA.
-	CCAT PolicyKind = "cca-t"
 )
 
 // Policies lists every implemented policy kind.
 func Policies() []PolicyKind {
-	return []PolicyKind{CCA, EDFHP, EDFWP, LSFHP, EDFCR, AED, PCP, FCFS, CCAP, CCAT}
+	return []PolicyKind{CCA, EDFHP, EDFWP, LSFHP, EDFCR, AED, PCP, FCFS}
 }
-
-// isCCAFamily reports whether k schedules with CCA's conflict-resolution
-// rule (always wound, never lock-wait) — the policies Theorem 1 covers.
-func isCCAFamily(k PolicyKind) bool { return k == CCA || k == CCAP || k == CCAT }
 
 // Config fully describes one simulation run.
 type Config struct {
@@ -147,10 +132,6 @@ type Config struct {
 	// of transactions (16 per transaction plus 1024; for a service, the
 	// peak live set); < 0 disables the watchdog.
 	WatchdogBudget int
-	// Predict configures the conflict-prediction layer of the CCAP and
-	// CCAT policies; ignored by every other policy. The zero value is
-	// valid (and degenerate: RateScale 0 evaluates exactly like CCA).
-	Predict PredictConfig
 }
 
 // MainMemoryConfig returns the paper's §4 base configuration (Table 1) for
@@ -180,13 +161,8 @@ func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	switch c.Policy {
-	case CCA, EDFHP, EDFWP, LSFHP, EDFCR, AED, PCP, FCFS, CCAP, CCAT:
-	default:
+	if !slices.Contains(Policies(), c.Policy) {
 		return fmt.Errorf("core: unknown policy %q", c.Policy)
-	}
-	if err := c.Predict.validate(); err != nil {
-		return err
 	}
 	if c.PenaltyWeight < 0 || math.IsNaN(c.PenaltyWeight) || math.IsInf(c.PenaltyWeight, 0) {
 		return fmt.Errorf("core: PenaltyWeight %v is not finite and >= 0", c.PenaltyWeight)

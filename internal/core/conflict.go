@@ -105,8 +105,8 @@ type conflictIndex struct {
 	// plist holds the live transactions with a non-empty has-set; each
 	// member's plistIdx is its position (swap-remove keeps it dense).
 	plist []*Txn
-	// gen increments on every has-set mutation and every decision-tap
-	// notification; evaluation memos carry the generation they were
+	// gen increments on every has-set mutation and at the end of every
+	// rollback section; evaluation memos carry the generation they were
 	// computed at.
 	gen uint64
 	// stamp is the visit marker for the penalty walk's deduplication.

@@ -154,9 +154,6 @@ type Engine struct {
 	trace func(format string, args ...any)
 	// rec, when non-nil, receives structured events (internal/trace).
 	rec trace.Recorder
-	// obs, when non-nil, receives scheduler decisions (observer.go). A
-	// policy implementing decisionObserver is attached automatically.
-	obs decisionObserver
 }
 
 // New builds an engine for the configuration. The workload is generated
@@ -253,7 +250,7 @@ func newEngine(cfg Config, wl *workload.Workload) (*Engine, error) {
 
 // newKernel builds what a simulation engine and a wall-clock service share:
 // the policy, calendar, store, conflict index (which is the lock table) and
-// evaluation mode, the optional history, decision observer, fault injector
+// evaluation mode, the optional history, fault injector
 // and disks.
 func newKernel(cfg Config, wl *workload.Workload) *Engine {
 	e := &Engine{
@@ -269,9 +266,6 @@ func newKernel(cfg Config, wl *workload.Workload) *Engine {
 	e.run.CPUs = cfg.NumCPUs
 	if cfg.RecordHistory {
 		e.hist = history.New()
-	}
-	if o, ok := e.policy.(decisionObserver); ok {
-		e.obs = o
 	}
 	if !cfg.Fault.Zero() {
 		// One shared injector: draws happen in simulation-event order
@@ -372,9 +366,6 @@ func (e *Engine) tracef(format string, args ...any) {
 		e.trace("[%8.3fms] "+format, append([]any{ms(time.Duration(e.sim.Now()))}, args...)...)
 	}
 }
-
-// now returns the current simulated time.
-func (e *Engine) now() time.Duration { return time.Duration(e.sim.Now()) }
 
 // Run executes the simulation to completion and returns the run metrics.
 // It fails if the event guard trips before every transaction commits (which
@@ -772,7 +763,7 @@ func (e *Engine) onRollbackDone(t *Txn, cost time.Duration) {
 	// pending, sliceStart stale) and stops counting it here, at an instant
 	// and generation a priority may already have been evaluated under: move
 	// the memo key so penalties that include t are recomputed.
-	e.reclockEval()
+	e.ci.gen++
 	e.proceedItem(t)
 	e.reschedule()
 }
@@ -837,9 +828,6 @@ func (e *Engine) startItem(t *Txn) {
 			}
 		}
 		if !woundAll {
-			for _, h := range holders {
-				e.notifyBlock(t, h)
-			}
 			e.block(t, item)
 			return
 		}
@@ -848,7 +836,6 @@ func (e *Engine) startItem(t *Txn) {
 			e.tracef("T%d wounds T%d on item %d (victim service %.1fms)", t.id(), v.id(), item, ms(v.service))
 			e.emit(trace.Event{Kind: trace.Wound, Txn: t.id(), Other: v.id(), Item: item,
 				Priority: t.priority, OtherPriority: v.priority})
-			e.notifyWound(t, v)
 			e.abort(v)
 		}
 	}
@@ -973,7 +960,6 @@ func (e *Engine) commit(t *Txn) {
 	if o, ok := e.policy.(commitObserver); ok {
 		o.observeCommit(e, t, time.Duration(t.finish) > t.spec.Deadline)
 	}
-	e.notifyTerminal(t, true, time.Duration(t.finish) > t.spec.Deadline)
 	e.run.Elapsed = time.Duration(t.finish)
 	if e.trace != nil {
 		e.tracef("T%d commits (lateness %.1fms, restarts %d)", t.id(), ms(time.Duration(t.finish)-t.spec.Deadline), t.restarts)
@@ -1017,7 +1003,6 @@ func (e *Engine) drop(t *Txn) {
 	if o, ok := e.policy.(commitObserver); ok {
 		o.observeCommit(e, t, true)
 	}
-	e.notifyTerminal(t, false, true)
 	now := time.Duration(e.sim.Now())
 	if now > e.run.Elapsed {
 		e.run.Elapsed = now
@@ -1072,7 +1057,6 @@ func (e *Engine) abort(v *Txn) {
 		e.run.NoncontributingAborts++
 	}
 	v.restarts++
-	e.notifyRestart(v)
 
 	deferRestart := v.state == StateIOWait && v.ioReq != nil && v.ioReq.InService()
 	e.detach(v)
@@ -1668,7 +1652,7 @@ func (e *Engine) checkInvariants() {
 		case StateCommitted:
 			panic(fmt.Sprintf("core: committed T%d still live", t.id()))
 		}
-		if t.state == StateLockWait && isCCAFamily(e.policy.kind()) {
+		if t.state == StateLockWait && e.policy.kind() == CCA {
 			panic("core: Theorem 1 violated — lock wait under CCA")
 		}
 		if t.state == StateAborting && t.has.any() {
@@ -1682,7 +1666,7 @@ func (e *Engine) checkInvariants() {
 	if n != e.live.n {
 		panic(fmt.Sprintf("core: live list links %d transactions, counts %d", n, e.live.n))
 	}
-	if isCCAFamily(e.policy.kind()) && e.run.LockWaits > 0 {
+	if e.policy.kind() == CCA && e.run.LockWaits > 0 {
 		panic("core: Theorem 1 violated — CCA recorded lock waits")
 	}
 	// With exclusive locks only, EDF-HP/FCFS waits always point at

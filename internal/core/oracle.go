@@ -67,12 +67,10 @@ func (e *Engine) EnableOracle() *Oracle {
 		// These wound strictly higher-over-lower by construction; the
 		// check holds on any CPU count.
 		o.checkLemma1 = true
-	case CCA, CCAP, CCAT:
-		// The CCA family wounds unconditionally; Lemma 1 is the paper's
-		// single-CPU result that the wounder, being the dispatched
-		// transaction, outranks every victim. It holds for CCA-P/CCA-T too:
-		// the priority assignment differs but the dispatched transaction is
-		// still the live maximum.
+	case CCA:
+		// CCA wounds unconditionally; Lemma 1 is the paper's single-CPU
+		// result that the wounder, being the dispatched transaction,
+		// outranks every victim.
 		o.checkLemma1 = e.cfg.NumCPUs == 1
 		// EDF-CR wounds a lower-priority requester's holder when it cannot
 		// finish within the requester's slack (a legitimate reversal);
@@ -100,11 +98,11 @@ func (o *Oracle) observe(ev trace.Event) {
 	}
 	switch ev.Kind {
 	case trace.Block:
-		if isCCAFamily(o.e.cfg.Policy) {
+		if o.e.cfg.Policy == CCA {
 			o.fail("Theorem 1 violated: CCA lock-waited (T%d on item %d at %v)", ev.Txn, ev.Item, ev.At)
 		}
 	case trace.Deadlock:
-		if isCCAFamily(o.e.cfg.Policy) {
+		if o.e.cfg.Policy == CCA {
 			o.fail("Theorem 1 violated: deadlock under CCA (T%d aborted at %v)", ev.Txn, ev.At)
 		}
 	case trace.Wound:

@@ -21,16 +21,15 @@ const (
 	evalStatic staticness = iota
 	// evalConflictClocked: evaluate(t) depends on t's fixed spec, on t's
 	// current might-access set, and on the P-list members whose has-set
-	// meets that might-set — their effective service time, plus whatever
-	// the policy derives from observer-fed state. Precisely:
+	// meets that might-set — their effective service time. Precisely:
 	//
 	//   - with no such member, evaluate(t) is a constant of t's spec (for
-	//     the CCA family -ms(deadline): the penalty term is w·0, exactly 0
-	//     for any finite w CCA-T may tune);
+	//     CCA -ms(deadline): the penalty term is w·0, exactly 0 for any
+	//     finite w);
 	//   - otherwise it is constant while the pair (simulated time,
 	//     conflict-index generation) is unchanged — the clock moves a
 	//     running holder's service time, the generation moves with every
-	//     has-set change and every decision-tap notification;
+	//     has-set change and at the end of every rollback section;
 	//   - evaluate has no side effect another evaluation could observe
 	//     (private memoisation is fine), so the order of evaluation within
 	//     a pass is immaterial.
@@ -43,7 +42,7 @@ const (
 	// such member — when the clock or the generation moved; a transaction
 	// once, when its last such member goes and it leaves the set; and one
 	// whose might-set was switched. With no conflict in the system nothing
-	// is re-evaluated at all. CCA, CCA-P and CCA-T satisfy this.
+	// is re-evaluated at all. CCA satisfies this.
 	evalConflictClocked
 	// evalDynamic: evaluate(t) may change at any scheduling point for
 	// reasons the engine cannot observe cheaply (LSF's slack shrinks with
@@ -99,10 +98,6 @@ func newPolicy(c Config) policy {
 		return pcpPolicy{}
 	case FCFS:
 		return fcfsPolicy{}
-	case CCAP:
-		return newCCAPPolicy(c)
-	case CCAT:
-		return newCCATPolicy(c)
 	default:
 		panic(fmt.Sprintf("core: unknown policy %q", c.Policy))
 	}

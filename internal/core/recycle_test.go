@@ -20,6 +20,9 @@ import (
 	"repro/internal/workload"
 )
 
+// now returns the current simulated time.
+func (e *Engine) now() time.Duration { return time.Duration(e.sim.Now()) }
+
 // serviceEngine builds an engine the way NewService does (no pre-generated
 // workload) but driven in virtual time, so the recycle flow is exercised
 // deterministically without the wall-clock driver.

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/txn"
@@ -186,9 +185,6 @@ type ServiceStats struct {
 	Live int
 	// Now is the current service-clock time.
 	Now time.Duration
-	// Predict is the conflict-prediction snapshot (CCAP/CCAT policies
-	// only; nil otherwise).
-	Predict *PredictSnapshot
 }
 
 // Service is a wall-clock transaction service over one Engine.
@@ -451,15 +447,11 @@ func (s *Service) InjectEvent(ev trace.Event) error {
 // the service has stopped.
 func (s *Service) Stats() (ServiceStats, bool) {
 	return onDriver(s, func() ServiceStats {
-		st := ServiceStats{
+		return ServiceStats{
 			Result: s.e.run.Result(),
 			Live:   s.e.live.n,
 			Now:    time.Duration(s.e.sim.Now()),
 		}
-		if ps, ok := s.e.PredictSnapshot(); ok {
-			st.Predict = &ps
-		}
-		return st
 	})
 }
 
@@ -480,22 +472,6 @@ func (s *Service) RunSnapshot() (run metrics.Run, live int, now time.Duration, o
 	return sn.run, sn.live, sn.now, ok
 }
 
-// PredictSnapshot returns the conflict-prediction snapshot on the driver
-// goroutine; ok=false when the policy keeps no statistics or the service
-// has stopped. The snapshot's Table is a deep copy, safe to merge off the
-// driver (the sharded service folds shard snapshots together).
-func (s *Service) PredictSnapshot() (PredictSnapshot, bool) {
-	type snap struct {
-		ps PredictSnapshot
-		ok bool
-	}
-	sn, _ := onDriver(s, func() snap {
-		ps, ok := s.e.PredictSnapshot()
-		return snap{ps, ok}
-	})
-	return sn.ps, sn.ok // zero, and so false, once the driver has stopped
-}
-
 // onDriver runs fn on the driver goroutine and returns its result; ok is
 // false once the driver has stopped (fn then may or may not have run).
 func onDriver[T any](s *Service, fn func() T) (v T, ok bool) {
@@ -509,13 +485,6 @@ func onDriver[T any](s *Service, fn func() T) (v T, ok bool) {
 	case <-s.stopCh:
 		return v, false
 	}
-}
-
-// SetPredictView installs the cross-shard merged statistics view on the
-// driver goroutine (see Engine.SetPredictView). No-op for policies without
-// statistics; the view must not be mutated after the call.
-func (s *Service) SetPredictView(v *predict.Table) error {
-	return s.call(func() { s.e.SetPredictView(v) })
 }
 
 // outcomeOf converts a terminal transaction into its submission outcome.

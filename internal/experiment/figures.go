@@ -39,24 +39,17 @@ func highVarianceRate(c *core.Config, x float64) {
 	c.Workload.ArrivalRate = x
 }
 
-// predictWorkload configures the conflict-prediction ablation: two CPUs
-// (so commits observe partially-executed peers and the statistics tables
-// fill) under an expensive recovery regime — the setting where pricing
-// conflicts by their observed rate can actually move the penalty term.
-// The prediction knobs mirror the tuner convergence regression in
-// internal/core (w starts at the policy default; CCA-T tunes from there).
-func predictWorkload(pol core.PolicyKind) func(float64, int64) core.Config {
-	return mmVariant(pol, func(c *core.Config, x float64) {
-		c.Workload.ArrivalRate = x
+// costlyRecoveryWeight configures CCA at the given arrival rate in the
+// costly-recovery regime, with x as the penalty weight: two CPUs, a 40 ms
+// abort cost and rollback proportional to twice the victim's executed work
+// — the setting where the weight matters, unlike the paper's 4 ms abort.
+func costlyRecoveryWeight(rate float64) func(float64, int64) core.Config {
+	return mmVariant(core.CCA, func(c *core.Config, w float64) {
+		c.PenaltyWeight = w
+		c.Workload.ArrivalRate = rate
 		c.NumCPUs = 2
 		c.AbortCost = 40 * time.Millisecond
 		c.RecoveryProportionalFactor = 2
-		if pol == core.CCAP || pol == core.CCAT {
-			c.Predict = core.DefaultPredictConfig()
-			c.Predict.FeedbackWindow = 100
-			c.Predict.TunerStep = 0.5
-			c.Predict.TunerMax = 8
-		}
 	})
 }
 
@@ -517,24 +510,18 @@ func All() []Definition {
 			},
 		},
 		{
-			ID:     "ablation-predict",
-			Title:  "Ablation: conflict-prediction policies (CCA-P) and the self-tuning weight (CCA-T)",
-			XLabel: "arrival rate (tr/s)",
-			Xs:     seq(8, 14, 2),
+			ID:     "ablation-weight",
+			Title:  "Ablation: penalty-weight under costly recovery (2 CPUs, 40 ms abort, recovery factor 2)",
+			XLabel: "penalty-weight",
+			Xs:     []float64{0, 0.5, 1, 2, 5, 10, 15, 20},
 			Seeds:  10,
 			Variants: []Variant{
-				{name: "EDF-HP", configure: predictWorkload(core.EDFHP)},
-				{name: "CCA", configure: predictWorkload(core.CCA)},
-				{name: "CCA-P", configure: predictWorkload(core.CCAP)},
-				{name: "CCA-T", configure: predictWorkload(core.CCAT)},
+				{name: "8 TPS", configure: costlyRecoveryWeight(8)},
+				{name: "10 TPS", configure: costlyRecoveryWeight(10)},
 			},
 			Figures: []Figure{
-				curveFigure("ab-pred-miss", "Ablation — miss percent, static vs predicted vs tuned penalty",
-					"Ablation — conflict prediction: miss percent (2 CPUs, costly recovery)", "rate", "miss%", missAcc),
-				curveFigure("ab-pred-restarts", "Ablation — restarts per transaction with conflict prediction",
-					"Ablation — conflict prediction: restarts per transaction", "rate", "restarts/txn", restartsAcc),
-				curveFigure("ab-pred-late", "Ablation — mean lateness with conflict prediction",
-					"Ablation — conflict prediction: mean lateness (ms)", "rate", "lateness", latenessAcc),
+				curveFigure("ab-weight-miss", "Ablation — miss percent vs penalty-weight under costly recovery (8 and 10 tr/s)",
+					"Ablation — miss percent vs penalty-weight (2 CPUs, costly recovery)", "w", "miss%", missAcc),
 			},
 		},
 		{

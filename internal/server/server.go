@@ -670,10 +670,6 @@ type metricsResponse struct {
 	P50ResponseMs float64 `json:"p50_response_ms"`
 	P95ResponseMs float64 `json:"p95_response_ms"`
 	P99ResponseMs float64 `json:"p99_response_ms"`
-	// Predict is the conflict-prediction snapshot (cca-p/cca-t policies
-	// only; null otherwise): current penalty weight, tuner step count,
-	// and the highest observed per-pair conflict rates.
-	Predict *core.PredictSnapshot `json:"predict,omitempty"`
 	// WAL holds the write-ahead-log counters (null when durability is
 	// disabled) and Replay the startup crash-recovery progress.
 	WAL        *wal.Stats   `json:"wal,omitempty"`
@@ -708,7 +704,6 @@ func (s *Server) metricsResponse() metricsResponse {
 		resp.Engine = st.Result
 		resp.Live = st.Live
 		resp.NowMs = ms(st.Now)
-		resp.Predict = st.Predict
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()

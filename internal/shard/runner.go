@@ -95,14 +95,6 @@ type Runner struct {
 	global [][]int
 	cross  []*crossEntry
 	n      int // len(wl.Txns)
-	// predict is true when the shards run a conflict-prediction policy
-	// (CCA-P/CCA-T) and there is more than one shard: at every epoch
-	// boundary the per-shard statistics tables are merged in ascending
-	// shard order and the same frozen merged view is installed on every
-	// shard, so each shard prices conflicts against the global picture.
-	// With one shard the merge is skipped entirely — the run stays
-	// bit-identical to the unsharded engine.
-	predict bool
 }
 
 // New partitions the workload and builds one engine per shard. The
@@ -152,7 +144,6 @@ func New(cfg core.Config, wl *workload.Workload, opt Options) (*Runner, error) {
 		}
 		r.engines = append(r.engines, e)
 	}
-	r.predict = opt.Shards > 1 && r.engines[0].PredictTable() != nil
 	return r, nil
 }
 
@@ -176,12 +167,8 @@ func (r *Runner) Run() (Result, error) {
 			return Result{}, err
 		}
 		epochs = k
-		// All shards are quiescent at exactly b: merge the prediction
-		// statistics and inject the cross-shard work that has arrived, in
-		// canonical order.
-		if r.predict {
-			r.mergePredict()
-		}
+		// All shards are quiescent at exactly b: inject the cross-shard
+		// work that has arrived, in canonical order.
 		for next < len(r.cross) && r.cross[next].spec.Arrival <= time.Duration(b) {
 			r.inject(r.cross[next], time.Duration(b))
 			next++
@@ -248,22 +235,6 @@ func (r *Runner) Run() (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// mergePredict folds the per-shard conflict-statistics tables into one
-// merged table (ascending shard order — the canonical order, so the merge
-// is a pure function of the shard states, not goroutine timing) and
-// installs the same frozen view on every shard. Shards keep recording into
-// their own tables; only the read side is globalised. Runs on the runner
-// goroutine between lockstep rounds, so no shard is evaluating.
-func (r *Runner) mergePredict() {
-	merged := r.engines[0].PredictTable().Clone()
-	for _, e := range r.engines[1:] {
-		merged.Merge(e.PredictTable())
-	}
-	for _, e := range r.engines {
-		e.SetPredictView(merged)
-	}
 }
 
 // inject submits one logical cross-shard transaction's parts, in ascending

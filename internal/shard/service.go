@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/predict"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -181,12 +180,6 @@ type Service struct {
 	restarts  []int
 	failTotal int
 	lastFail  error
-	// predict is true for conflict-prediction policies (CCA-P/CCA-T) with
-	// more than one shard: at every epoch tick the per-shard statistics
-	// tables are merged (ascending shard order) and the same frozen view is
-	// installed on every shard — the wall-clock analogue of the virtual
-	// runner's boundary merge.
-	predict bool
 
 	mu sync.Mutex
 	// refuse is nil while the service accepts work: Drain sets it to
@@ -238,7 +231,6 @@ func NewService(cfg core.Config, opt ServiceOptions) (*Service, error) {
 		}
 		s.svcs = append(s.svcs, sv)
 	}
-	s.predict = opt.Shards > 1 && (cfg.Policy == core.CCAP || cfg.Policy == core.CCAT)
 	return s, nil
 }
 
@@ -276,9 +268,8 @@ func (s *Service) Run(ctx context.Context) error {
 		i := i
 		go func() { errCh <- s.supervise(ctx, i) }()
 	}
-	// The epoch tick exists only where there can be something to flush or
-	// merge: a single shard never sees a cross-shard footprint and has no
-	// one to merge statistics with.
+	// The epoch tick exists only where there can be something to flush: a
+	// single shard never sees a cross-shard footprint.
 	var tick <-chan time.Time
 	if s.n > 1 {
 		t := time.NewTicker(s.wallEpoch)
@@ -290,7 +281,6 @@ func (s *Service) Run(ctx context.Context) error {
 		select {
 		case <-tick:
 			s.flush()
-			s.mergePredict()
 		case err := <-errCh:
 			running--
 			if first == nil {
@@ -479,37 +469,6 @@ func (s *Service) flush() {
 	}
 }
 
-// mergePredict folds every answering shard's conflict-statistics table
-// into one merged table (ascending shard order) and installs it as the read
-// view on every shard; a stopped shard drops out of both. Per-shard
-// recording continues into the shards' own tables; only the priced rates
-// are globalised. Decayed reads on a Table are pure, so the shared view is
-// safe for the shards' concurrent driver goroutines.
-func (s *Service) mergePredict() {
-	if !s.predict {
-		return
-	}
-	var merged *predict.Table
-	shards := s.allShards()
-	for _, sv := range shards {
-		snap, ok := sv.PredictSnapshot()
-		if !ok || snap.Table == nil {
-			continue
-		}
-		if merged == nil {
-			merged = snap.Table // PredictSnapshot clones — ours to own
-		} else {
-			merged.Merge(snap.Table)
-		}
-	}
-	if merged == nil {
-		return
-	}
-	for _, sv := range shards {
-		_ = sv.SetPredictView(merged)
-	}
-}
-
 // splitRequest cuts a cross-shard request into per-shard parts, ascending
 // by shard, with workload.Spec.SplitShards: each part keeps its shard's
 // items in request order with the per-update flags realigned, and the
@@ -626,41 +585,5 @@ func (s *Service) Stats() (core.ServiceStats, bool) {
 	}
 	merged := metrics.MergeRuns(runs...)
 	st.Result = merged.Result()
-	st.Predict = s.predictStats(st.Now)
 	return st, true
-}
-
-// predictStats builds the system-wide prediction snapshot over the shards
-// that answer: their tables merged (exact — integer sums are order-free),
-// pair statistics recomputed from the merged table at the merged clock,
-// tuner steps summed, and W from the first of them (each shard tunes
-// independently; the lowest answering shard is the representative). Nil
-// for non-predictive policies.
-func (s *Service) predictStats(now time.Duration) *core.PredictSnapshot {
-	if s.cfg.Policy != core.CCAP && s.cfg.Policy != core.CCAT {
-		return nil
-	}
-	var tab *predict.Table
-	ps := core.PredictSnapshot{Policy: s.cfg.Policy}
-	for _, sv := range s.allShards() {
-		snap, ok := sv.PredictSnapshot()
-		if !ok || snap.Table == nil {
-			continue
-		}
-		if tab == nil {
-			ps.W = snap.W
-			ps.WTrajectory = snap.WTrajectory
-			tab = snap.Table
-		} else {
-			tab.Merge(snap.Table)
-		}
-		ps.TunerSteps += snap.TunerSteps
-	}
-	if tab == nil {
-		return nil
-	}
-	ps.ActivePairs = tab.ActivePairs(now)
-	ps.TopPairs = tab.TopPairs(now, 8)
-	ps.Table = tab
-	return &ps
 }

@@ -71,11 +71,6 @@ const (
 	PCP = core.PCP
 	// FCFS is the non-real-time first-come-first-served control.
 	FCFS = core.FCFS
-	// CCAP is CCA with the observed-conflict-rate penalty scaling
-	// (extension; Config.Predict configures it).
-	CCAP = core.CCAP
-	// CCAT is CCAP with the self-tuning penalty weight (extension).
-	CCAT = core.CCAT
 )
 
 // Core simulation types.
@@ -97,12 +92,6 @@ type (
 	Workload = workload.Workload
 	// TxnSpec is one generated transaction instance.
 	TxnSpec = workload.Spec
-	// PredictConfig tunes the conflict-prediction layer of the CCAP and
-	// CCAT policies (Config.Predict).
-	PredictConfig = core.PredictConfig
-	// PredictSnapshot is the conflict-prediction observability view
-	// (current w, tuner steps, top conflicting type pairs).
-	PredictSnapshot = core.PredictSnapshot
 )
 
 // Pre-analysis types (paper §3.2.2).
@@ -222,10 +211,6 @@ func MainMemoryConfig(p PolicyKind, seed int64) Config {
 
 // DiskConfig returns the paper's §5 base configuration (Table 2).
 func DiskConfig(p PolicyKind, seed int64) Config { return core.DiskConfig(p, seed) }
-
-// DefaultPredictConfig returns the default knobs for the conflict-
-// prediction layer behind the CCAP and CCAT policies (Config.Predict).
-func DefaultPredictConfig() PredictConfig { return core.DefaultPredictConfig() }
 
 // Policies lists every implemented scheduling policy.
 func Policies() []PolicyKind { return core.Policies() }

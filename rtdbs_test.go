@@ -51,7 +51,7 @@ func TestSeedsHelper(t *testing.T) {
 }
 
 func TestPoliciesExposed(t *testing.T) {
-	if len(rtdbs.Policies()) != 10 {
+	if len(rtdbs.Policies()) != 8 {
 		t.Fatalf("policies = %v", rtdbs.Policies())
 	}
 }
