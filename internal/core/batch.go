@@ -18,16 +18,26 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
-// Submission is one entry of a submit. Done is invoked exactly once per
-// submission: with the terminal outcome (on the engine's driver goroutine —
-// it must not block; hand off to a channel or queue), or with a validation /
-// ErrDraining / ErrServiceStopped error (from the submitting goroutine, or
-// from Run's once the driver has stopped).
+// Submission is one entry of a submit. Its answer is delivered exactly once:
+// as Answer.Complete(ID, outcome, err), or, with Answer nil, as Done(outcome,
+// err). The terminal outcome comes on the engine's driver goroutine — the
+// receiver must not block; hand off to a channel or queue — and a validation /
+// ErrDraining / ErrServiceStopped error from the submitting goroutine, or from
+// Run's once the driver has stopped.
+//
+// The request's Items, Reads and NeedsIO are borrowed for the call: Enqueue
+// copies them before it returns, so the caller may reuse them at once.
 type Submission struct {
-	Req  ServiceRequest
+	Req ServiceRequest
+	// Answer receives the answer with ID. A front-end builds one target per
+	// connection, not one per request: the slot costs no allocation.
+	Answer AnswerSink
+	// Done receives the answer when Answer is nil. Enqueue turns it into the
+	// same slot through a func adapter, which allocates nothing either.
 	Done func(ServiceOutcome, error)
 	// WALSeq marks a crash-recovery replay: the submission's submit
 	// record already exists in the write-ahead log under this sequence
@@ -35,17 +45,37 @@ type Submission struct {
 	// outcome record FlagReplayed. Zero for ordinary submissions.
 	WALSeq uint64
 	// Handle, when set, receives the submission's cancel handle as
-	// Handle.OnHandle(ID, h), exactly once and before Done: on the driver
-	// as the transaction is injected, or the no-op handle when the
+	// Handle.OnHandle(ID, h), exactly once and before the answer: on the
+	// driver as the transaction is injected, or the no-op handle when the
 	// submission is answered without reaching the engine. SubmitBatch sets
 	// both fields itself.
 	Handle HandleSink
 	ID     uint64
 }
 
+// AnswerSink takes a submission's answer (see Submission.Answer).
+type AnswerSink interface {
+	Complete(id uint64, o ServiceOutcome, err error)
+}
+
 // HandleSink takes a submission's cancel handle (see Submission.Handle).
 type HandleSink interface {
 	OnHandle(id uint64, h SubmitHandle)
+}
+
+// doneFunc is a Done as an AnswerSink. A func value is one pointer, so the
+// conversion to the interface allocates nothing.
+type doneFunc func(ServiceOutcome, error)
+
+func (f doneFunc) Complete(_ uint64, o ServiceOutcome, err error) { f(o, err) }
+
+// Target is where the submission's answer goes: Answer, or Done through the
+// adapter.
+func (sub *Submission) Target() AnswerSink {
+	if sub.Answer != nil {
+		return sub.Answer
+	}
+	return doneFunc(sub.Done)
 }
 
 // Fail answers a submission that never reached the engine: the no-op
@@ -54,7 +84,7 @@ func (sub *Submission) Fail(err error) {
 	if sub.Handle != nil {
 		sub.Handle.OnHandle(sub.ID, SubmitHandle{})
 	}
-	sub.Done(ServiceOutcome{}, err)
+	sub.Target().Complete(sub.ID, ServiceOutcome{}, err)
 }
 
 // SubmitHandle wounds one in-flight submission: the front-end calls Cancel
@@ -168,7 +198,8 @@ func (w *Waiter) Wait(ctx context.Context) (ServiceOutcome, error) {
 // catch-up. Unless Enqueue returns false, the submission is the service's to
 // answer (see Submission). False means the inbox already held limit entries
 // (limit > 0): nothing was logged and nothing will be called back — an
-// overload shed the caller answers itself.
+// overload shed the caller answers itself. Either way the request's lists
+// are the caller's again once Enqueue returns: the inbox keeps its own copy.
 //
 // With log enabled, the submit record of a submission that is not a replay
 // is appended under the inbox lock, so the inbox, and with it the order of
@@ -192,10 +223,12 @@ func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
 	case sub.WALSeq == 0 && log.enabled():
 		var seq uint64
 		if seq, err = log.LogSubmit(&sub.Req); err == nil {
-			sub.Done = log.WrapDone(seq, false, sub.Done)
+			log.WrapDone(&sub, seq, false)
 		}
 	}
 	if err == nil {
+		s.lists.own(&sub.Req)
+		sub.Answer, sub.Done = sub.Target(), nil
 		s.inbox = append(s.inbox, sub)
 		if !s.woken {
 			// Into the call queue under the same lock, so a call queued
@@ -218,8 +251,8 @@ func (s *Service) Enqueue(sub Submission, log *WALHook, limit int) bool {
 // instant: the driver's one injection loop.
 func (s *Service) drain() {
 	s.mu.Lock()
-	batch := s.inbox
-	s.inbox, s.woken = s.spare, false
+	batch, owned := s.inbox, s.lists
+	s.inbox, s.lists, s.woken = s.spare, s.spareLists, false
 	s.mu.Unlock()
 	// Until the loop is through, spare is the batch: if the engine panics
 	// mid-way, Run's sweep answers the entries not yet injected.
@@ -233,8 +266,8 @@ func (s *Service) drain() {
 		spec.Compute, spec.Criticality, spec.Class = req.Compute, req.Criticality, req.Class
 		// From here the slot answers: the terminal path, or the failure
 		// sweep if the driver dies with this submission live.
-		t := s.e.addServiceTxn(&spec, sub.Done)
-		sub.Done = nil
+		t := s.e.addServiceTxn(&spec, sub.Answer, sub.ID)
+		sub.Answer = nil
 		if sub.Handle != nil {
 			sub.Handle.OnHandle(sub.ID, SubmitHandle{svc: s, t: t, gen: t.gen})
 		}
@@ -242,7 +275,41 @@ func (s *Service) drain() {
 	}
 	clear(batch) // pin no request or callback until the array is reused
 	s.spare = batch[:0]
+	// Every transaction copied its lists into its own object.
+	owned.reset()
+	s.spareLists = owned
 }
+
+// inboxLists holds the inbox's copies of its entries' item and flag lists:
+// Enqueue borrows the caller's lists, so it copies them in here under the
+// inbox lock, and drain swaps the arrays with a spare pair, as it does the
+// inbox. An append that outgrows an array leaves the earlier copies on the
+// old one, which nothing writes again.
+type inboxLists struct {
+	items []txn.Item
+	flags []bool
+}
+
+// own copies req's lists in and points req at the copies. A nil flag list
+// stays nil.
+func (l *inboxLists) own(req *ServiceRequest) {
+	n := len(l.items)
+	l.items = append(l.items, req.Items...)
+	req.Items = l.items[n:len(l.items):len(l.items)]
+	req.Reads = l.ownFlags(req.Reads)
+	req.NeedsIO = l.ownFlags(req.NeedsIO)
+}
+
+func (l *inboxLists) ownFlags(f []bool) []bool {
+	if f == nil {
+		return nil
+	}
+	n := len(l.flags)
+	l.flags = append(l.flags, f...)
+	return l.flags[n:len(l.flags):len(l.flags)]
+}
+
+func (l *inboxLists) reset() { l.items, l.flags = l.items[:0], l.flags[:0] }
 
 // sweep answers ErrServiceStopped to every submission the driver will never
 // inject — the inbox, and what a panic left of the batch being injected —
@@ -256,7 +323,7 @@ func (s *Service) sweep() {
 	s.inbox, s.calls = nil, nil
 	s.mu.Unlock()
 	for i := range left {
-		if left[i].Done != nil {
+		if left[i].Answer != nil {
 			left[i].Fail(ErrServiceStopped)
 		}
 	}
@@ -288,15 +355,15 @@ func (b *handleBatch) OnHandle(i uint64, h SubmitHandle) {
 // AwaitHandles is SubmitBatch over an enqueue func that takes every
 // submission it is given: each entry goes to enqueue with a sink for its
 // handle, and the handles come back index-aligned once every entry has one.
-// It consumes subs: an entry's Done is cleared as the entry is handed over,
-// so a caller reusing the slice finds no Done that is already somebody
-// else's to call.
+// Each entry's ID becomes its index. It consumes subs: an entry's Answer and
+// Done are cleared as the entry is handed over, so a caller reusing the slice
+// finds no answer target that is already somebody else's to call.
 func AwaitHandles(subs []Submission, enqueue func(Submission)) []SubmitHandle {
 	b := &handleBatch{hs: make([]SubmitHandle, len(subs))}
 	b.wg.Add(len(subs))
 	for i := range subs {
 		sub := subs[i]
-		subs[i].Done = nil
+		subs[i].Answer, subs[i].Done = nil, nil
 		sub.Handle, sub.ID = b, uint64(i)
 		enqueue(sub)
 	}

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // batchCollect builds a Submission whose outcome lands on a buffered
@@ -283,4 +286,77 @@ func TestLateCancel(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBorrowedListsAreCopied: Enqueue borrows the request's lists for the
+// call only. A caller that overwrites its Items and Reads as soon as Enqueue
+// returns, while the driver is still busy, changes nothing: the transaction
+// runs on the lists it was given (the history's operations), and its submit
+// record logs them.
+func TestBorrowedListsAreCopied(t *testing.T) {
+	cfg := MainMemoryConfig(CCA, 47)
+	cfg.RecordHistory = true
+	s, stop := startService(t, cfg, ServiceOptions{})
+	defer stop()
+	memfs := wal.NewMemFS()
+	log, _, err := wal.Open(wal.Options{FS: memfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	if err := s.call(func() { close(held); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	items, reads := []txn.Item{3, 7}, []bool{true, false}
+	sub, oc, ec := batchCollect(ServiceRequest{Items: items, Reads: reads, Compute: time.Millisecond, Deadline: time.Hour})
+	if !s.Enqueue(sub, &WALHook{Log: log}, 0) {
+		t.Fatal("an unbounded inbox shed")
+	}
+	items[0], items[1] = 11, 13
+	reads[0], reads[1] = false, true
+	close(release)
+	if err := <-ec; err != nil {
+		t.Fatal(err)
+	}
+	if o := <-oc; o.State != StateCommitted || o.Seq == 0 {
+		t.Fatalf("outcome %+v, want a logged commit", o)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ops, ok := onDriver(s, func() []history.Op { return s.e.hist.Ops() })
+	if !ok {
+		t.Fatal("the driver stopped")
+	}
+	want := []struct {
+		item txn.Item
+		kind history.Kind
+	}{{3, history.Read}, {7, history.Write}}
+	if len(ops) != len(want) {
+		t.Fatalf("history %+v, want reads of 3 and a write of 7", ops)
+	}
+	for i, w := range want {
+		if ops[i].Item != w.item || ops[i].Kind != w.kind {
+			t.Errorf("operation %d: %v of item %d, want %v of item %d", i, ops[i].Kind, ops[i].Item, w.kind, w.item)
+		}
+	}
+	var logged []wal.SubmitRecord
+	if _, err := wal.Scan(memfs, func(h wal.Header, sr *wal.SubmitRecord, _ *wal.OutcomeRecord) error {
+		if h.Type == wal.RecSubmit {
+			// The scan reuses the record's lists.
+			rec := *sr
+			rec.Items, rec.Reads = slices.Clone(sr.Items), slices.Clone(sr.Reads)
+			logged = append(logged, rec)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 || len(logged[0].Items) != 2 || logged[0].Items[0] != 3 || logged[0].Items[1] != 7 ||
+		len(logged[0].Reads) != 2 || !logged[0].Reads[0] || logged[0].Reads[1] {
+		t.Errorf("submit records %+v, want one of items [3 7], reads [true false]", logged)
+	}
 }

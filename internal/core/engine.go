@@ -510,14 +510,18 @@ func (e *Engine) FinishRun() (metrics.Result, error) {
 // clock and spec.Deadline is absolute (under FirmDeadlines it must not be
 // in the past, or the deadline event would be unschedulable). The spec is
 // copied, not retained (addServiceTxn). done, when
-// non-nil, is the transaction's completion slot (see Txn.done): it receives
+// non-nil, is the transaction's completion slot (see Txn.answer): it receives
 // the terminal outcome inside the engine's event processing and must not
 // block.
 func (e *Engine) SubmitSpec(spec *workload.Spec, done func(ServiceOutcome, error)) *Txn {
 	if got, now := spec.Arrival, time.Duration(e.sim.Now()); got != now {
 		panic(fmt.Sprintf("core: SubmitSpec arrival %v != engine clock %v", got, now))
 	}
-	t := e.addServiceTxn(spec, done)
+	var to AnswerSink
+	if done != nil {
+		to = doneFunc(done)
+	}
+	t := e.addServiceTxn(spec, to, 0)
 	e.onArrival(t)
 	return t
 }
@@ -526,7 +530,7 @@ func (e *Engine) SubmitSpec(spec *workload.Spec, done func(ServiceOutcome, error
 // slot and, in service mode, retires it. A no-op for simulation transactions
 // (no slot) and for one the slot already answered.
 func (e *Engine) answer(t *Txn) {
-	if t.done == nil {
+	if t.answer == nil {
 		return
 	}
 	t.complete(outcomeOf(t), nil)

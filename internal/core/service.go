@@ -198,6 +198,7 @@ type Service struct {
 	// queue. The driver owns them: it swaps each in for what it takes, so
 	// queueing reallocates nothing.
 	spare      []Submission
+	spareLists inboxLists
 	spareCalls []func()
 	// drainedSent records, for the driver alone, that drained is closed.
 	drainedSent bool
@@ -211,7 +212,8 @@ type Service struct {
 	mu       sync.Mutex
 	calls    []func()
 	inbox    []Submission
-	woken    bool // a drain call is queued
+	lists    inboxLists // the inbox entries' item and flag lists
+	woken    bool       // a drain call is queued
 	draining bool
 	stopped  bool // Run has swept the inbox and the call queue
 	err      error
@@ -509,13 +511,13 @@ func outcomeOf(t *Txn) ServiceOutcome {
 // --- engine-side service plumbing (driver goroutine only) ---------------
 
 // addServiceTxn builds the runtime transaction for a dynamically submitted
-// spec and arms the completion slot. The transaction owns its spec: src is
-// copied — the item and flag lists into the object's own arrays — and not
-// retained. A retired object is reused when there is one, so the steady state
+// spec and arms the completion slot with (to, answerID). The transaction
+// owns its spec: src is copied — the item and flag lists into the object's
+// own arrays — and not retained. A retired object is reused when there is one, so the steady state
 // allocates nothing and the store and transaction tables stay bounded by
 // the peak live set, not the request count: it brings its ID, its
 // spec storage and its event callbacks, and everything else starts from zero.
-func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, error)) *Txn {
+func (e *Engine) addServiceTxn(src *workload.Spec, to AnswerSink, answerID uint64) *Txn {
 	var t *Txn
 	if n := len(e.freeTxns); n > 0 && e.recycles() {
 		t = e.freeTxns[n-1]
@@ -539,7 +541,7 @@ func (e *Engine) addServiceTxn(src *workload.Spec, done func(ServiceOutcome, err
 	own.Reads = append(reads, src.Reads...)
 	own.MightFull = append(full, src.MightFull...)
 	e.initTxn(t, own, e.serviceBitset)
-	t.done = done
+	t.answer, t.answerID = to, answerID
 	e.all[id] = t
 	return t
 }

@@ -179,14 +179,16 @@ type Txn struct {
 
 	finish sim.Time
 
-	// done is the transaction's one completion slot: nil for every
-	// simulation run (the virtual-time path is untouched), set for a
-	// dynamically submitted transaction. It receives either the terminal
-	// outcome (committed, dropped or rejected) on the engine's driver
-	// goroutine — it must not block — or the error of the driver-failure
-	// sweep. complete empties the slot before calling it, which is the one
-	// place "answered exactly once" is enforced.
-	done func(ServiceOutcome, error)
+	// answer is the transaction's one completion slot, and answerID the
+	// submission's ID it answers with: nil for every simulation run (the
+	// virtual-time path is untouched), set for a dynamically submitted
+	// transaction. It receives either the terminal outcome (committed,
+	// dropped or rejected) on the engine's driver goroutine — it must not
+	// block — or the error of the driver-failure sweep. complete empties the
+	// slot before calling it, which is the one place "answered exactly once"
+	// is enforced.
+	answer   AnswerSink
+	answerID uint64
 	// gen counts the object's retirements (retireServiceTxn; always 0 in a
 	// simulation). A reference that can outlive the transaction — a
 	// SubmitHandle, a disk completion — records the generation it was taken
@@ -206,9 +208,9 @@ type serviceTxn struct {
 // once: whichever of the terminal path and the failure sweep gets here
 // first finds the slot armed, every later call finds it empty.
 func (t *Txn) complete(o ServiceOutcome, err error) {
-	if done := t.done; done != nil {
-		t.done = nil
-		done(o, err)
+	if to := t.answer; to != nil {
+		t.answer = nil
+		to.Complete(t.answerID, o, err)
 	}
 }
 

@@ -9,7 +9,7 @@
 //     submission is injected into the engine (append-before-ack). The
 //     append is buffered — the driver goroutine never waits on disk.
 //   - The terminal outcome is appended from the completion slot and
-//     the client's Done fires only once that record is fsynced (group
+//     the client's answer is delivered only once that record is fsynced (group
 //     commit). FIFO append order makes the durable outcome imply a
 //     durable submit, so one wait covers both.
 //   - A submission answered with an error after its submit record was
@@ -24,8 +24,8 @@
 //     FlagReplayed, the at-most-once marker for reconnecting clients.
 //
 // A nil hook (WAL disabled) is a pure passthrough: LogSubmit returns
-// seq 0 and WrapDone returns the callback it was given — the same
-// function value, zero overhead on the submit path.
+// seq 0 and WrapDone leaves the submission's answer slot as it was — zero
+// overhead on the submit path.
 package core
 
 import (
@@ -81,25 +81,26 @@ func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
 	return seq, nil
 }
 
-// WrapDone returns a completion callback that makes outcomes durable
-// before delivering them. seq 0 (logging disabled, or the submit
-// record was never appended) returns done unchanged. replay marks the
-// outcome record FlagReplayed.
+// WrapDone makes sub's answer durable before it is delivered: its answer
+// slot becomes a callback that appends the outcome record and hands the
+// answer to the slot's old target once the record is fsynced. seq 0 (logging
+// disabled, or the submit record was never appended) leaves sub as it was.
+// replay marks the outcome record FlagReplayed.
 //
 // The wrapped callback is safe for the completion-slot contract: it
 // never blocks — the durability wait happens on the logger's sync
-// goroutine, which then runs done there.
-func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, error)) func(ServiceOutcome, error) {
+// goroutine, which then delivers the answer there.
+func (h *WALHook) WrapDone(sub *Submission, seq uint64, replay bool) {
 	if !h.enabled() || seq == 0 {
-		return done
+		return
 	}
-	log := h.Log
-	return func(o ServiceOutcome, err error) {
+	log, to, id := h.Log, sub.Target(), sub.ID
+	sub.Answer, sub.Done = doneFunc(func(o ServiceOutcome, err error) {
 		if err != nil {
 			if errors.Is(err, ErrEngineFailed) {
 				// Outcome unknown: leave the submit record unresolved so
 				// recovery replays it.
-				done(o, err)
+				to.Complete(id, o, err)
 				return
 			}
 			// The client is told to retry (drain, shutdown, a replayed
@@ -108,22 +109,22 @@ func (h *WALHook) WrapDone(seq uint64, replay bool, done func(ServiceOutcome, er
 			// answer does not need to wait for the abort record.
 			rec := AbortRecord(seq, replay)
 			log.AppendOutcome(&rec, nil)
-			done(o, err)
+			to.Complete(id, o, err)
 			return
 		}
 		o.Seq = seq
 		rec := outcomeRecord(seq, replay, &o)
 		aerr := log.AppendOutcome(&rec, func(werr error) {
 			if werr != nil {
-				done(o, fmt.Errorf("%w: %v", ErrLogFailed, werr))
+				to.Complete(id, o, fmt.Errorf("%w: %v", ErrLogFailed, werr))
 				return
 			}
-			done(o, nil)
+			to.Complete(id, o, nil)
 		})
 		if aerr != nil {
-			done(o, fmt.Errorf("%w: %v", ErrLogFailed, aerr))
+			to.Complete(id, o, fmt.Errorf("%w: %v", ErrLogFailed, aerr))
 		}
-	}
+	}), nil
 }
 
 func outcomeRecord(seq uint64, replay bool, o *ServiceOutcome) wal.OutcomeRecord {

@@ -11,7 +11,7 @@ import (
 
 // TestWALHookDisabledPassthrough proves the WAL-off submit path costs
 // nothing: LogSubmit is (0, nil) without touching the request, and
-// WrapDone hands back the very callback it was given — the same
+// WrapDone leaves the submission's callback as it was — the same
 // function value, no wrapper allocation, no indirection.
 func TestWALHookDisabledPassthrough(t *testing.T) {
 	var h WALHook
@@ -24,11 +24,12 @@ func TestWALHookDisabledPassthrough(t *testing.T) {
 	}
 	called := false
 	done := func(ServiceOutcome, error) { called = true }
-	got := h.WrapDone(0, false, done)
-	if reflect.ValueOf(got).Pointer() != reflect.ValueOf(done).Pointer() {
-		t.Fatal("disabled WrapDone did not return the callback unchanged")
+	sub := Submission{Done: done}
+	h.WrapDone(&sub, 0, false)
+	if sub.Answer != nil || reflect.ValueOf(sub.Done).Pointer() != reflect.ValueOf(done).Pointer() {
+		t.Fatal("disabled WrapDone did not leave the callback unchanged")
 	}
-	got(ServiceOutcome{}, nil)
+	sub.Target().Complete(0, ServiceOutcome{}, nil)
 	if !called {
 		t.Fatal("returned callback is not the original")
 	}
@@ -36,7 +37,7 @@ func TestWALHookDisabledPassthrough(t *testing.T) {
 
 // TestWALHookSeqZeroPassthrough: even with a live logger, a submission
 // whose submit record was never appended (seq 0) must not gain an
-// outcome record — WrapDone is the identity there too.
+// outcome record — WrapDone leaves it alone there too.
 func TestWALHookSeqZeroPassthrough(t *testing.T) {
 	log, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
 	if err != nil {
@@ -48,8 +49,9 @@ func TestWALHookSeqZeroPassthrough(t *testing.T) {
 		t.Fatal("hook with logger reports disabled")
 	}
 	done := func(ServiceOutcome, error) {}
-	if got := h.WrapDone(0, false, done); reflect.ValueOf(got).Pointer() != reflect.ValueOf(done).Pointer() {
-		t.Fatal("seq-0 WrapDone did not return the callback unchanged")
+	sub := Submission{Done: done}
+	if h.WrapDone(&sub, 0, false); sub.Answer != nil || reflect.ValueOf(sub.Done).Pointer() != reflect.ValueOf(done).Pointer() {
+		t.Fatal("seq-0 WrapDone did not leave the callback unchanged")
 	}
 }
 

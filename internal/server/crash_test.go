@@ -478,7 +478,9 @@ func TestAbortedOutcomeOneSpelling(t *testing.T) {
 		}
 	}
 	hook := &core.WALHook{Log: log}
-	hook.WrapDone(seqs[0], true, func(core.ServiceOutcome, error) {})(core.ServiceOutcome{}, core.ErrDraining)
+	sub := core.Submission{Done: func(core.ServiceOutcome, error) {}}
+	hook.WrapDone(&sub, seqs[0], true)
+	sub.Fail(core.ErrDraining)
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

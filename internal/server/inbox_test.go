@@ -14,7 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// answerLog is a wire.Completer that records what each submission ID was
+// answerLog is a wire.Renderer that records what each submission ID was
 // given: how many handles, and every answer, as a status, in order.
 type answerLog struct {
 	mu       sync.Mutex
@@ -40,8 +40,7 @@ func (l *answerLog) OnHandle(id uint64, _ core.SubmitHandle) {
 	l.mu.Unlock()
 }
 
-func (l *answerLog) Complete(id uint64, o core.ServiceOutcome, err error) {
-	status, _, _ := wire.Classify(o, err)
+func (l *answerLog) Render(id uint64, status uint8, _ core.ServiceOutcome, err error) {
 	l.mu.Lock()
 	if l.handles[id] == 0 {
 		l.early = append(l.early, id)
@@ -114,7 +113,7 @@ func quickReq(items ...int) core.ServiceRequest {
 
 // TestInboxStopSweepCounts: a submission still in its shard's inbox when
 // the driver stops is answered by Run's sweep — its no-op handle, then
-// ErrServiceStopped through batcher.done, counted once. One enqueued after
+// ErrServiceStopped through its counted target, counted once. One enqueued after
 // the stop is answered before the enqueue returns, the same way.
 func TestInboxStopSweepCounts(t *testing.T) {
 	s, err := New(Options{Core: core.MainMemoryConfig(core.CCA, 35)})
@@ -260,7 +259,7 @@ func TestInboxFullSheds(t *testing.T) {
 		t.Errorf("the client read %d frames nobody was waiting for", n)
 	}
 	// The depth queued ones and the last wire one were answered through
-	// batcher.done; the shed one was not.
+	// their counted targets; the shed one was not.
 	if got, want := countersOf(s), (requestCounters{Accepted: depth + 1}); got != want {
 		t.Errorf("request counters %+v, want %+v", got, want)
 	}

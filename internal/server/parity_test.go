@@ -159,7 +159,7 @@ func liveIs(s *Server, n int) func() bool {
 
 // TestCounterParity drives the same script over /submit and over the wire
 // listener and requires the same answers and the same request-counter
-// deltas from both: every answer that comes back through batcher.done is
+// deltas from both: every answer that comes back through a counted target is
 // tallied in one place, whichever front-end is waiting for it. The script
 // covers each status a client can be given short of an engine failure —
 // commit, admission reject, validation refusal, a client that disconnects

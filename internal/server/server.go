@@ -28,7 +28,7 @@
 // admission-derived Retry-After.
 //
 // The way back is as single as the way in. wire.Classify turns an answer
-// into a status once; the batcher's done closure counts it (its answers
+// into a status once; the batcher's counted target counts it (its answers
 // are indexed by that status) and hands it to the waiting front-end, which
 // only renders it: the HTTP handler blocks on the core.Waiter every
 // Service.Submit uses and looks its status code up from the same table the
@@ -164,8 +164,8 @@ type Server struct {
 	statsOK bool
 
 	// Request counters (also rendered by /metrics). batch counts every
-	// answer that came back from the service (batcher.done, the one place
-	// it moves), either protocol, by its wire.Status*; shed and badReqs
+	// answer that came back from the service (counted.Complete, the one
+	// place it moves), either protocol, by its wire.Status*; shed and badReqs
 	// count what the HTTP handler refused before the service (inflight
 	// bound or full inbox; undecodable JSON).
 	batch   batcher
@@ -367,16 +367,25 @@ func (s *Server) ServeListeners(ctx context.Context, httpLn, wireLn net.Listener
 // interface without widening Server's public API.
 type wireBackend struct{ s *Server }
 
-func (b wireBackend) Enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
-	return b.s.submit(id, req, c)
+func (b wireBackend) Answers(r wire.Renderer) wire.Completer {
+	return &counted{b: &b.s.batch, r: r}
 }
 
-// submit hands one decoded request to its home shard's inbox, bounded by
-// MaxInflight. False is an overload shed the caller answers itself;
-// otherwise c.OnHandle and then c.Complete fire once each.
-func (s *Server) submit(id uint64, req core.ServiceRequest, c wire.Completer) bool {
-	sub := core.Submission{Req: req, Done: s.batch.done(id, c), Handle: c, ID: id}
-	return s.svc.Enqueue(sub, s.opts.MaxInflight)
+func (b wireBackend) Enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
+	return b.s.enqueue(id, req, c)
+}
+
+// submit is enqueue for a renderer that takes one request (the HTTP
+// handler): its answer is counted through a target of its own.
+func (s *Server) submit(id uint64, req core.ServiceRequest, r wire.Renderer) bool {
+	return s.enqueue(id, req, &counted{b: &s.batch, r: r})
+}
+
+// enqueue hands one decoded request to its home shard's inbox, bounded by
+// MaxInflight; c is a counted target. False is an overload shed the caller
+// answers itself; otherwise c.OnHandle and then c.Complete fire once each.
+func (s *Server) enqueue(id uint64, req core.ServiceRequest, c wire.Completer) bool {
+	return s.svc.Enqueue(core.Submission{Req: req, Answer: c, Handle: c, ID: id}, s.opts.MaxInflight)
 }
 
 func (b wireBackend) RetryAfterSecs() int { return b.s.retryAfterSecs() }
@@ -632,12 +641,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, code, retry, resp)
 }
 
-// httpWaiter is the HTTP handler's wire.Completer: a core.Waiter behind the
-// serving path's completion interface.
+// httpWaiter is the HTTP handler's wire.Renderer: a core.Waiter behind the
+// serving path's rendering interface.
 type httpWaiter struct{ *core.Waiter }
 
-func (wt httpWaiter) Complete(_ uint64, o core.ServiceOutcome, err error) { wt.Done(o, err) }
-func (wt httpWaiter) OnHandle(_ uint64, h core.SubmitHandle)              { wt.Arm(h) }
+func (wt httpWaiter) Render(_ uint64, _ uint8, o core.ServiceOutcome, err error) { wt.Done(o, err) }
+func (wt httpWaiter) OnHandle(_ uint64, h core.SubmitHandle)                     { wt.Arm(h) }
 
 // metricsResponse is the GET /metrics body.
 type metricsResponse struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -314,5 +315,72 @@ func TestSubmitBatchValidatesBeforeLogging(t *testing.T) {
 	}
 	if after := log.Stats(); after.Submits != before.Submits+1 {
 		t.Errorf("valid request appended %d submit records, want 1", after.Submits-before.Submits)
+	}
+}
+
+// TestBorrowedListsCrossShard: a cross-shard request's lists are borrowed
+// for the Enqueue call, although the request waits in the queue until the
+// next flush. The caller overwrites its Items and Reads as soon as Enqueue
+// returns; each part still runs on the original items in the original
+// modes, and the submit record logs them. Two FCFS CPUs per shard make the
+// items visible in the lock waits: request q, queued behind r on the same
+// items, read-locks both, so it waits only on shard 1, where r writes.
+// With r's overwritten items it would wait on neither shard, with its
+// overwritten flags on shard 0 only.
+func TestBorrowedListsCrossShard(t *testing.T) {
+	cfg := core.MainMemoryConfig(core.FCFS, 1)
+	cfg.NumCPUs = 2
+	memfs := wal.NewMemFS()
+	log, _, err := wal.Open(wal.Options{FS: memfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, _ := startManualEpochs(t, cfg, ServiceOptions{Shards: 2, WAL: log})
+
+	var r, q counted
+	rsub := crossSub(&r, time.Second, 0, 1)
+	items, reads := rsub.Req.Items, []bool{true, false}
+	rsub.Req.Reads = reads
+	s.Enqueue(rsub, 0)
+	items[0], items[1] = 2, 3
+	reads[0], reads[1] = false, true
+	qsub := crossSub(&q, time.Second, 0, 1)
+	qsub.Req.Reads = []bool{true, true}
+	s.Enqueue(qsub, 0)
+	s.flush()
+	for _, c := range []*counted{&r, &q} {
+		c.wait(t, "cross request")
+		if c.err != nil || c.o.State != core.StateCommitted {
+			t.Fatalf("outcome %+v, err %v; want committed", c.o, c.err)
+		}
+	}
+
+	for sh, want := range []int{0, 1} {
+		run, _, _, ok := s.shard(sh).RunSnapshot()
+		if !ok {
+			t.Fatalf("shard %d stopped", sh)
+		}
+		if run.LockWaits != want {
+			t.Errorf("shard %d: %d lock waits, want %d", sh, run.LockWaits, want)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var first *wal.SubmitRecord
+	if _, err := wal.Scan(memfs, func(h wal.Header, sr *wal.SubmitRecord, _ *wal.OutcomeRecord) error {
+		if h.Type == wal.RecSubmit && first == nil {
+			// The scan reuses the record's lists.
+			rec := *sr
+			rec.Items, rec.Reads = slices.Clone(sr.Items), slices.Clone(sr.Reads)
+			first = &rec
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || len(first.Items) != 2 || first.Items[0] != 0 || first.Items[1] != 1 ||
+		len(first.Reads) != 2 || !first.Reads[0] || first.Reads[1] {
+		t.Errorf("first submit record %+v, want items [0 1], reads [true false]", first)
 	}
 }

@@ -105,14 +105,17 @@ type partReq struct {
 }
 
 // pendingCross is one logical cross-shard submission: queued until the next
-// epoch flush, then in flight as one part per touched shard. Its handle is
-// cancel.Cancel: it is every part's HandleSink, so each part arms its handle
-// as its shard injects it, and a client that cancelled before that wounds
-// each as it is armed. The logical request is then answered like any other
-// — dropped (or whatever its parts had already reached), nil error.
+// epoch flush, then in flight as one part per touched shard. It is every
+// part's HandleSink and answer target, with the part's index as its ID. Its
+// handle is cancel.Cancel: each part arms its handle as its shard injects it,
+// and a client that cancelled before that wounds each as it is armed. The
+// logical request is then answered like any other — dropped (or whatever its
+// parts had already reached), nil error. It holds no list of the caller's:
+// splitRequest copies each part's.
 type pendingCross struct {
 	parts  []partReq
-	done   func(core.ServiceOutcome, error)
+	to     core.AnswerSink // the logical request's answer, with id
+	id     uint64
 	cancel core.LateCancel
 
 	// left counts the parts not yet answered. Each part writes only its own
@@ -123,8 +126,8 @@ type pendingCross struct {
 	errs     []error
 }
 
-func newPendingCross(req core.ServiceRequest, n int, done func(core.ServiceOutcome, error)) *pendingCross {
-	c := &pendingCross{parts: splitRequest(req, n), done: done}
+func newPendingCross(sub *core.Submission, n int) *pendingCross {
+	c := &pendingCross{parts: splitRequest(sub.Req, n), to: sub.Target(), id: sub.ID}
 	c.left.Store(int32(len(c.parts)))
 	c.outcomes = make([]core.ServiceOutcome, len(c.parts))
 	c.errs = make([]error, len(c.parts))
@@ -134,32 +137,33 @@ func newPendingCross(req core.ServiceRequest, n int, done func(core.ServiceOutco
 // OnHandle arms one injected part's handle (core.HandleSink).
 func (c *pendingCross) OnHandle(_ uint64, h core.SubmitHandle) { c.cancel.Arm(h) }
 
-// partDone is part pi's completion: it records the part's fate, and the
-// last part to finish answers the logical request — the folded outcome
-// (logical arrival = earliest part, deadline = latest; the shards' clocks
-// are independent) and the first per-part error by shard order.
-func (c *pendingCross) partDone(pi int) func(core.ServiceOutcome, error) {
-	return func(o core.ServiceOutcome, err error) {
-		c.outcomes[pi], c.errs[pi] = o, err
-		if c.left.Add(-1) > 0 {
-			return
-		}
-		var arrival, deadline time.Duration
-		var first error
-		for i, po := range c.outcomes {
-			if first == nil {
-				first = c.errs[i]
-			}
-			if po.Arrival > 0 && (arrival == 0 || po.Arrival < arrival) {
-				arrival = po.Arrival
-			}
-			if po.Deadline > deadline {
-				deadline = po.Deadline
-			}
-		}
-		c.done(foldParts(arrival, deadline, c.outcomes), first)
+// Complete records part pi's fate (core.AnswerSink), and the last part to
+// finish answers the logical request — the folded outcome (logical arrival =
+// earliest part, deadline = latest; the shards' clocks are independent) and
+// the first per-part error by shard order.
+func (c *pendingCross) Complete(pi uint64, o core.ServiceOutcome, err error) {
+	c.outcomes[pi], c.errs[pi] = o, err
+	if c.left.Add(-1) > 0 {
+		return
 	}
+	var arrival, deadline time.Duration
+	var first error
+	for i, po := range c.outcomes {
+		if first == nil {
+			first = c.errs[i]
+		}
+		if po.Arrival > 0 && (arrival == 0 || po.Arrival < arrival) {
+			arrival = po.Arrival
+		}
+		if po.Deadline > deadline {
+			deadline = po.Deadline
+		}
+	}
+	c.answer(foldParts(arrival, deadline, c.outcomes), first)
 }
+
+// answer delivers the logical request's answer.
+func (c *pendingCross) answer(o core.ServiceOutcome, err error) { c.to.Complete(c.id, o, err) }
 
 // Service is the sharded wall-clock transaction service.
 type Service struct {
@@ -391,8 +395,9 @@ func (s *Service) Submit(ctx context.Context, req core.ServiceRequest) (core.Ser
 // negative items) goes to shard 0, whose validation refuses it. A
 // cross-shard entry is validated and logged here and joins the epoch
 // queue, and its handle, handed over at once, wounds every part. Otherwise
-// the contract is core.Submission's: Done fires exactly once, after the
-// handle.
+// the contract is core.Submission's: the answer comes exactly once, after
+// the handle, and the request's lists are borrowed for the call (a cross
+// entry's parts are copies).
 func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 	if err := s.refusing(); err != nil {
 		sub.Fail(err)
@@ -401,7 +406,7 @@ func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 	// A replayed entry's submit record already exists: wrap first, so
 	// even a validation refusal resolves it in the log.
 	if sub.WALSeq != 0 {
-		sub.Done = s.wal.WrapDone(sub.WALSeq, true, sub.Done)
+		s.wal.WrapDone(&sub, sub.WALSeq, true)
 	}
 	if home, cross := (&workload.Spec{Items: sub.Req.Items}).HomeShard(s.n); !cross {
 		return s.shard(home).Enqueue(sub, &s.wal, limit)
@@ -416,21 +421,21 @@ func (s *Service) Enqueue(sub core.Submission, limit int) bool {
 			sub.Fail(err)
 			return true
 		}
-		sub.Done = s.wal.WrapDone(seq, false, sub.Done)
+		s.wal.WrapDone(&sub, seq, false)
 	}
-	c := newPendingCross(sub.Req, s.n, sub.Done)
+	c := newPendingCross(&sub, s.n)
 	if sub.Handle != nil {
 		sub.Handle.OnHandle(sub.ID, core.CancelHandle(c.cancel.Cancel))
 	}
 	if err := s.enqueue(c); err != nil {
-		c.done(core.ServiceOutcome{}, err)
+		c.answer(core.ServiceOutcome{}, err)
 	}
 	return true
 }
 
 // SubmitBatch is Enqueue, with no limit, for every entry, returning once
 // each has its handle (see core.Service.SubmitBatch; the contract is
-// identical — every Submission.Done fires exactly once).
+// identical — every entry is answered exactly once).
 func (s *Service) SubmitBatch(subs []core.Submission) []core.SubmitHandle {
 	return core.AwaitHandles(subs, func(sub core.Submission) { s.Enqueue(sub, 0) })
 }
@@ -464,7 +469,7 @@ func (s *Service) flush() {
 	s.mu.Unlock()
 	for _, c := range batch {
 		for pi, p := range c.parts {
-			s.shard(p.shard).Enqueue(core.Submission{Req: p.req, Done: c.partDone(pi), Handle: c}, nil, 0)
+			s.shard(p.shard).Enqueue(core.Submission{Req: p.req, Answer: c, Handle: c, ID: uint64(pi)}, nil, 0)
 		}
 	}
 }
@@ -521,7 +526,7 @@ func (s *Service) failQueued(err error) {
 	}
 	s.mu.Unlock()
 	for _, c := range batch {
-		c.done(core.ServiceOutcome{}, err)
+		c.answer(core.ServiceOutcome{}, err)
 	}
 }
 

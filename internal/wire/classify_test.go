@@ -14,7 +14,8 @@ import (
 // and answers each the way the four hand-written switches it replaced did.
 // The want columns are those switches, case by case:
 //
-//   - status, retry: conn.Complete's Status and needRetry;
+//   - status, retry: the status conn.Render is handed, and whether its
+//     response carries a Retry-After;
 //   - http: handleSubmit's status code (retry is also its Retry-After);
 //   - counted by Server.countAnswer as accepted (any nil error; rejected
 //     too for StateRejected), shed, failed or bad request — the same
@@ -94,10 +95,10 @@ func TestStatusTable(t *testing.T) {
 	}
 }
 
-// TestCompleteRendersTheClassification: conn.Complete builds the response
-// the old switch built — the outcome's fields on a nil error, the error text
-// otherwise, the retry hint exactly where the table says — and counts a
-// drain refusal in the front-end's shed counter.
+// TestCompleteRendersTheClassification: conn.Render, handed Classify's
+// status, builds the response the old switch built — the outcome's fields on
+// a nil error, the error text otherwise, the retry hint exactly where the
+// table says — and counts a drain refusal in the front-end's shed counter.
 func TestCompleteRendersTheClassification(t *testing.T) {
 	o := core.ServiceOutcome{
 		State: core.StateCommitted, Missed: true, Restarts: 3, Seq: 9,
@@ -130,10 +131,11 @@ func TestCompleteRendersTheClassification(t *testing.T) {
 			out:      make(chan outFrame, 1),
 			inflight: map[uint64]core.SubmitHandle{7: {}},
 		}
-		c.Complete(7, tc.o, tc.err)
+		status, _, _ := Classify(tc.o, tc.err)
+		c.Render(7, status, tc.o, tc.err)
 		f := <-c.out
-		if f.id != 7 || f.typ != FrameSubmitResp || f.resp != tc.resp || f.needRetry != tc.retry {
-			t.Errorf("%s: frame %+v, want id 7 resp %+v needRetry %v", tc.name, f, tc.resp, tc.retry)
+		if retry := statusMeta[f.resp.Status].retry; f.id != 7 || f.rare != nil || f.resp != tc.resp || retry != tc.retry {
+			t.Errorf("%s: frame %+v (retry %v), want id 7 resp %+v retry %v", tc.name, f, retry, tc.resp, tc.retry)
 		}
 		if got := c.srv.Counters().Shed; got != tc.shed {
 			t.Errorf("%s: front-end shed counter %d, want %d", tc.name, got, tc.shed)

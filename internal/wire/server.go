@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/txn"
 )
 
 // Backend is what the wire server needs from the serving stack. The
@@ -18,14 +17,19 @@ import (
 // front-ends shed, drain and report through exactly the same admission
 // machinery. This front-end decides nothing about an answer: it refuses
 // only what it cannot queue (a full pipeline, a false Enqueue) and renders
-// whatever Complete is given — drain refusals included — through Classify.
+// whatever status its answer target hands it — drain refusals included.
 type Backend interface {
+	// Answers builds a connection's answer target, once, as the connection
+	// opens. Its OnHandle is r's; its Complete classifies each answer, counts
+	// it, and hands it with its status to r.Render.
+	Answers(r Renderer) Completer
 	// Enqueue hands one submission to the serving path. It must not
 	// block; false means the request was shed (its shard's inbox is full)
 	// and nothing will be called back. On true, c.OnHandle(id, ...) fires
 	// exactly once with a cancel handle, and then c.Complete(id, ...)
-	// exactly once with the terminal outcome or error — already counted by
-	// the serving path.
+	// exactly once with the terminal outcome or error. c is the target
+	// Answers built for the connection. The request's lists are borrowed for
+	// the call: the connection decodes the next frame into them.
 	Enqueue(id uint64, req core.ServiceRequest, c Completer) bool
 	// RetryAfterSecs is the admission-derived backoff hint attached to
 	// shed and rejected responses. It may block briefly (it is only
@@ -42,17 +46,25 @@ type Backend interface {
 	MetricsBody() ([]byte, error)
 }
 
-// Completer receives the answer of an enqueued submission. Both methods
-// may be invoked on the engine's driver goroutine and must not block.
-// OnHandle comes first: the driver hands the handle over as it injects the
+// Completer receives the answer of an enqueued submission: it is the
+// submission's core.AnswerSink and core.HandleSink. Both methods may be
+// invoked on the engine's driver goroutine and must not block. OnHandle
+// comes first: the driver hands the handle over as it injects the
 // submission, before the engine can answer it (a submission answered
 // without reaching the engine gets the no-op handle). It may find its
 // client already gone and must then cancel the handle itself (conn checks
-// its dead flag; core.Waiter is a core.LateCancel). Complete only renders:
-// Classify says what the (outcome, error) pair means.
+// its dead flag; core.Waiter is a core.LateCancel).
 type Completer interface {
-	Complete(id uint64, o core.ServiceOutcome, err error)
-	OnHandle(id uint64, h core.SubmitHandle)
+	core.AnswerSink
+	core.HandleSink
+}
+
+// Renderer is a connection as its answer target sees it: it takes the
+// handles and writes answers the target has already classified — Classify's
+// status for the (outcome, error) pair.
+type Renderer interface {
+	core.HandleSink
+	Render(id uint64, status uint8, o core.ServiceOutcome, err error)
 }
 
 // ServerOptions tune the wire front-end; zero values pick defaults.
@@ -190,6 +202,7 @@ func (s *Server) startConn(nc net.Conn) {
 		stop:     make(chan struct{}),
 		inflight: make(map[uint64]core.SubmitHandle),
 	}
+	c.answers = s.b.Answers(c)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -274,16 +287,24 @@ func (s *Server) removeConn(c *conn) {
 
 // --- connection ---------------------------------------------------------
 
-// outFrame is one queued response. It travels by value so the response
-// path allocates nothing beyond what the encoded payload itself needs.
+// outFrame is one queued response. It travels by value, and a submit
+// answer — nearly every frame — is all it holds, so the response path
+// allocates nothing and each connection's queue costs 80 B a slot. Whether
+// the answer carries a Retry-After is its status's to say; the writer fills
+// it in at encode time.
 type outFrame struct {
-	id        uint64
-	typ       uint8
-	resp      SubmitResp
-	health    HealthResp
-	body      []byte // FrameMetricsResp payload
-	msg       string // frameError payload
-	needRetry bool   // fill resp.RetryAfter at encode time (writer side)
+	id   uint64
+	resp SubmitResp
+	rare *rareFrame // any other response; nil on a submit answer
+}
+
+// rareFrame is a health, metrics or error response: allocated per frame, and
+// only for those.
+type rareFrame struct {
+	typ    uint8
+	health HealthResp
+	body   []byte // FrameMetricsResp payload
+	msg    string // frameError payload
 }
 
 type conn struct {
@@ -291,6 +312,9 @@ type conn struct {
 	nc   net.Conn
 	out  chan outFrame
 	stop chan struct{}
+	// answers is the connection's answer target (Backend.Answers), built
+	// once: every submission of the connection answers through it.
+	answers Completer
 
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -371,13 +395,12 @@ func (c *conn) send(f outFrame) {
 	}
 }
 
-// Complete implements Completer: the classified answer as a SubmitResp.
-// Runs on the driver goroutine; must not block, and the Retry-After lookup is
+// Render implements Renderer: the classified answer as a SubmitResp. Runs on
+// the driver goroutine; must not block, and the Retry-After lookup is
 // deferred to the writer for that reason.
-func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
+func (c *conn) Render(id uint64, status uint8, o core.ServiceOutcome, err error) {
 	c.finish(id)
-	status, _, retry := Classify(o, err)
-	f := outFrame{id: id, typ: FrameSubmitResp, needRetry: retry}
+	f := outFrame{id: id}
 	f.resp.Status = status
 	if err == nil {
 		f.resp.Missed = o.Missed
@@ -396,9 +419,9 @@ func (c *conn) Complete(id uint64, o core.ServiceOutcome, err error) {
 	c.send(f)
 }
 
-// OnHandle implements Completer. If the connection died between enqueue
+// OnHandle implements Renderer. If the connection died between enqueue
 // and handle delivery, wound the orphan immediately. Otherwise id is still
-// in flight: the handle comes before Complete, which is what finishes it.
+// in flight: the handle comes before Render, which is what finishes it.
 func (c *conn) OnHandle(id uint64, h core.SubmitHandle) {
 	c.mu.Lock()
 	if c.dead {
@@ -412,11 +435,7 @@ func (c *conn) OnHandle(id uint64, h core.SubmitHandle) {
 
 func (c *conn) shed(id uint64, reason string) {
 	c.srv.shed.Add(1)
-	c.send(outFrame{
-		id: id, typ: FrameSubmitResp,
-		resp:      SubmitResp{Status: StatusShed, Err: reason},
-		needRetry: true,
-	})
+	c.send(outFrame{id: id, resp: SubmitResp{Status: StatusShed, Err: reason}})
 }
 
 // guarded runs one connection goroutine under a recover barrier: a
@@ -464,19 +483,19 @@ func (c *conn) readLoop() {
 		case frameMetrics:
 			body, err := c.srv.b.MetricsBody()
 			if err != nil {
-				c.send(outFrame{id: h.ID, typ: frameError, msg: err.Error()})
+				c.send(outFrame{id: h.ID, rare: &rareFrame{typ: frameError, msg: err.Error()}})
 				continue
 			}
-			c.send(outFrame{id: h.ID, typ: FrameMetricsResp, body: body})
+			c.send(outFrame{id: h.ID, rare: &rareFrame{typ: FrameMetricsResp, body: body}})
 		case frameHealth:
 			hr := HealthResp{Healthy: true, Draining: c.srv.b.Draining()}
 			if herr := c.srv.b.HealthErr(); herr != nil {
 				hr.Healthy = false
 				hr.Err = herr.Error()
 			}
-			c.send(outFrame{id: h.ID, typ: FrameHealthResp, health: hr})
+			c.send(outFrame{id: h.ID, rare: &rareFrame{typ: FrameHealthResp, health: hr}})
 		default:
-			c.send(outFrame{id: h.ID, typ: frameError, msg: "wire: unknown frame type"})
+			c.send(outFrame{id: h.ID, rare: &rareFrame{typ: frameError, msg: "wire: unknown frame type"}})
 		}
 	}
 }
@@ -484,32 +503,25 @@ func (c *conn) readLoop() {
 func (c *conn) handleSubmit(id uint64, p []byte, req *SubmitReq) {
 	if err := DecodeSubmit(p, req); err != nil {
 		c.srv.badFrames.Add(1)
-		c.send(outFrame{
-			id: id, typ: FrameSubmitResp,
-			resp: SubmitResp{Status: StatusInvalid, Err: err.Error()},
-		})
+		c.send(outFrame{id: id, resp: SubmitResp{Status: StatusInvalid, Err: err.Error()}})
 		return
 	}
 	if !c.track(id) {
 		c.shed(id, "connection pipeline full")
 		return
 	}
-	// The decode buffers are reused on the next frame; the engine owns
-	// the request until it reaches a terminal state, so copy.
+	// The request borrows the decode buffers, which the next frame reuses:
+	// Enqueue copies what it keeps.
 	sreq := core.ServiceRequest{
-		Items:       append([]txn.Item(nil), req.Items...),
+		Items:       req.Items,
+		Reads:       req.Reads,
+		NeedsIO:     req.NeedsIO,
 		Compute:     req.Compute,
 		Deadline:    req.Deadline,
 		Criticality: req.Criticality,
 		Class:       req.Class,
 	}
-	if req.Reads != nil {
-		sreq.Reads = append([]bool(nil), req.Reads...)
-	}
-	if req.NeedsIO != nil {
-		sreq.NeedsIO = append([]bool(nil), req.NeedsIO...)
-	}
-	if !c.srv.b.Enqueue(id, sreq, c) {
+	if !c.srv.b.Enqueue(id, sreq, c.answers) {
 		c.finish(id)
 		c.shed(id, "service overloaded")
 		return
@@ -572,24 +584,25 @@ func (c *conn) writeLoop() {
 }
 
 func (c *conn) encode(buf []byte, f *outFrame) []byte {
-	switch f.typ {
-	case FrameSubmitResp:
-		if f.needRetry {
-			ra := c.srv.b.RetryAfterSecs()
-			if ra < 0 {
-				ra = 1
-			}
-			if ra > 0xffff {
-				ra = 0xffff
-			}
-			f.resp.RetryAfter = uint16(ra)
+	if r := f.rare; r != nil {
+		switch r.typ {
+		case FrameMetricsResp:
+			return appendMetricsResp(buf, f.id, r.body)
+		case FrameHealthResp:
+			return AppendHealthResp(buf, f.id, &r.health)
+		default:
+			return appendError(buf, f.id, r.msg)
 		}
-		return AppendSubmitResp(buf, f.id, &f.resp)
-	case FrameMetricsResp:
-		return appendMetricsResp(buf, f.id, f.body)
-	case FrameHealthResp:
-		return AppendHealthResp(buf, f.id, &f.health)
-	default:
-		return appendError(buf, f.id, f.msg)
 	}
+	if statusMeta[f.resp.Status].retry {
+		ra := c.srv.b.RetryAfterSecs()
+		if ra < 0 {
+			ra = 1
+		}
+		if ra > 0xffff {
+			ra = 0xffff
+		}
+		f.resp.RetryAfter = uint16(ra)
+	}
+	return AppendSubmitResp(buf, f.id, &f.resp)
 }

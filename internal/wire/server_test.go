@@ -50,6 +50,19 @@ func (b *stubBackend) Enqueue(id uint64, req core.ServiceRequest, c Completer) b
 	return true
 }
 
+// Answers builds the target a real backend builds for each connection,
+// without the count.
+func (b *stubBackend) Answers(r Renderer) Completer { return rendered{r} }
+
+// rendered is a connection's answer target without a count: classify, then
+// render.
+type rendered struct{ Renderer }
+
+func (t rendered) Complete(id uint64, o core.ServiceOutcome, err error) {
+	status, _, _ := Classify(o, err)
+	t.Render(id, status, o, err)
+}
+
 func (b *stubBackend) RetryAfterSecs() int { return 7 }
 
 func (b *stubBackend) Draining() bool {
