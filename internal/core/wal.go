@@ -14,8 +14,12 @@
 //     durable submit, so one wait covers both.
 //   - A submission answered with an error after its submit record was
 //     appended is resolved with an aborted outcome record — its client
-//     was told to retry, so recovery must not replay it. The one
-//     exception is ErrEngineFailed: the engine died with the
+//     is told to retry, so recovery must not replay it — and the error
+//     answer, like a commit, is delivered only once that record is
+//     fsynced (at-most-once: a crash cannot fall between the answer and
+//     the record). If the record cannot be appended or synced the
+//     answer is ErrLogFailed, ambiguous, not the retriable error. The
+//     one exception is ErrEngineFailed: the engine died with the
 //     transaction in flight, the client was told the outcome is
 //     unknown, and the unresolved record makes recovery re-run it so
 //     the log converges on exactly one terminal outcome.
@@ -31,6 +35,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -44,9 +49,12 @@ import (
 var ErrLogFailed = errors.New("core: write-ahead log failed")
 
 // WALHook binds a wal.Logger to a submit path. The zero value (and a
-// nil pointer) disables logging.
+// nil pointer) disables logging. A hook must not be copied once used.
 type WALHook struct {
 	Log *wal.Logger
+
+	mu   sync.Mutex
+	free []*walSlot // delivered answer slots, for the next WrapDone
 }
 
 // enabled reports whether the hook actually logs.
@@ -82,49 +90,94 @@ func (h *WALHook) LogSubmit(req *ServiceRequest) (uint64, error) {
 }
 
 // WrapDone makes sub's answer durable before it is delivered: its answer
-// slot becomes a callback that appends the outcome record and hands the
-// answer to the slot's old target once the record is fsynced. seq 0 (logging
-// disabled, or the submit record was never appended) leaves sub as it was.
-// replay marks the outcome record FlagReplayed.
+// slot becomes a recycled walSlot that appends the outcome record and hands
+// the answer to the slot's old target once the record is fsynced. seq 0
+// (logging disabled, or the submit record was never appended) leaves sub as
+// it was. replay marks the outcome record FlagReplayed.
 //
-// The wrapped callback is safe for the completion-slot contract: it
-// never blocks — the durability wait happens on the logger's sync
-// goroutine, which then delivers the answer there.
+// The slot is safe for the completion-slot contract: Complete never blocks
+// — the durability wait happens on the logger's sync goroutine, which then
+// delivers the answer there.
 func (h *WALHook) WrapDone(sub *Submission, seq uint64, replay bool) {
 	if !h.enabled() || seq == 0 {
 		return
 	}
-	log, to, id := h.Log, sub.Target(), sub.ID
-	sub.Answer, sub.Done = doneFunc(func(o ServiceOutcome, err error) {
-		if err != nil {
-			if errors.Is(err, ErrEngineFailed) {
-				// Outcome unknown: leave the submit record unresolved so
-				// recovery replays it.
-				to.Complete(id, o, err)
-				return
-			}
-			// The client is told to retry (drain, shutdown, a replayed
-			// record that no longer validates): resolve the record so recovery does not
-			// double-run the retried work. Fire-and-forget — the error
-			// answer does not need to wait for the abort record.
-			rec := AbortRecord(seq, replay)
-			log.AppendOutcome(&rec, nil)
-			to.Complete(id, o, err)
-			return
-		}
-		o.Seq = seq
-		rec := outcomeRecord(seq, replay, &o)
-		aerr := log.AppendOutcome(&rec, func(werr error) {
-			if werr != nil {
-				to.Complete(id, o, fmt.Errorf("%w: %v", ErrLogFailed, werr))
-				return
-			}
-			to.Complete(id, o, nil)
-		})
-		if aerr != nil {
-			to.Complete(id, o, fmt.Errorf("%w: %v", ErrLogFailed, aerr))
-		}
-	}), nil
+	var w *walSlot
+	h.mu.Lock()
+	if n := len(h.free); n > 0 {
+		w = h.free[n-1]
+		h.free = h.free[:n-1]
+	}
+	h.mu.Unlock()
+	if w == nil {
+		w = new(walSlot)
+	}
+	*w = walSlot{hook: h, to: sub.Target(), id: sub.ID, seq: seq, replay: replay}
+	sub.Answer, sub.Done = w, nil
+}
+
+// walSlot is one logged submission's answer slot between the engine's
+// answer and the fsync of the record that resolves it: an AnswerSink for the
+// engine and a wal.Waiter for the logger. It goes back to its hook's free
+// list once it has delivered, so a logged submission allocates nothing to
+// wait on its record once the list holds as many slots as answers wait. (A
+// sync.Pool would not do: under the race detector it drops a quarter of the
+// slots it is given, and the allocation budget holds there too.)
+type walSlot struct {
+	hook   *WALHook
+	to     AnswerSink
+	id     uint64
+	seq    uint64
+	replay bool
+	o      ServiceOutcome // the answer held for the fsync
+	err    error
+}
+
+// Complete appends the record that resolves the submission and waits for it
+// with the slot as the waiter; the answer is delivered by Durable.
+func (w *walSlot) Complete(_ uint64, o ServiceOutcome, err error) {
+	var rec wal.OutcomeRecord
+	switch {
+	case errors.Is(err, ErrEngineFailed):
+		// Outcome unknown: leave the submit record unresolved so recovery
+		// replays it.
+		w.deliver(o, err)
+		return
+	case err != nil:
+		// The client is told to retry (drain, shutdown, a replayed record
+		// that no longer validates): resolve the record first, so a crash
+		// after the answer cannot make recovery re-run the retried work.
+		rec = AbortRecord(w.seq, w.replay)
+	default:
+		o.Seq = w.seq
+		rec = outcomeRecord(w.seq, w.replay, &o)
+	}
+	// The answer is in place before the append: once appended, the slot
+	// may be told on the sync goroutine at once.
+	w.o, w.err = o, err
+	if aerr := w.hook.Log.AppendOutcomeWaiter(&rec, w); aerr != nil {
+		w.deliver(o, fmt.Errorf("%w: %v", ErrLogFailed, aerr))
+	}
+}
+
+// Durable delivers the held answer, or ErrLogFailed if the record was lost:
+// an answer whose record may not be on disk is ambiguous, never retriable.
+func (w *walSlot) Durable(werr error) {
+	o, err := w.o, w.err
+	if werr != nil {
+		err = fmt.Errorf("%w: %v", ErrLogFailed, werr)
+	}
+	w.deliver(o, err)
+}
+
+// deliver recycles the slot and answers the old target.
+func (w *walSlot) deliver(o ServiceOutcome, err error) {
+	h, to, id := w.hook, w.to, w.id
+	*w = walSlot{}
+	h.mu.Lock()
+	h.free = append(h.free, w)
+	h.mu.Unlock()
+	to.Complete(id, o, err)
 }
 
 func outcomeRecord(seq uint64, replay bool, o *ServiceOutcome) wal.OutcomeRecord {

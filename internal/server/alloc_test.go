@@ -15,9 +15,10 @@ import (
 // collector, from the frame's decode to its response's write, once the
 // connection is warm. Nothing above the engine allocates per request (the
 // answer target is the connection's, the request borrows the decode
-// buffers, a submit answer is a value on the response queue) and nothing
-// below it does either, so the budget is a rounding allowance for the
-// runtime's own background work.
+// buffers, a submit answer is a value on the response queue), nothing below
+// it does either, and with the log on the answer waits for its record in a
+// recycled slot, so the budget is a rounding allowance for the runtime's own
+// background work.
 const (
 	maxWireObjectsPerAnswer = 0.05
 	maxWireBytesPerAnswer   = 8
@@ -29,9 +30,24 @@ const (
 // pre-encoded frames, batch by batch, and reads each batch's answers with a
 // FrameReader into one reused SubmitResp, so it allocates nothing itself.
 func TestWireSubmitAllocBudget(t *testing.T) {
+	checkAnswerAllocBudget(t, "wire", Options{})
+}
+
+// TestWALSubmitAllocBudget is the same drive with the write-ahead log on, in
+// a directory: each answer waits for its outcome record's fsync on a
+// recycled answer slot, so durability adds nothing to the budget either. An
+// in-memory log would not do: its file's growth allocates.
+func TestWALSubmitAllocBudget(t *testing.T) {
+	checkAnswerAllocBudget(t, "wal", Options{WALDir: t.TempDir()})
+}
+
+// checkAnswerAllocBudget drives opts's server over the wire and holds what
+// it allocated to the budget.
+func checkAnswerAllocBudget(t *testing.T, name string, opts Options) {
 	cfg := core.MainMemoryConfig(core.CCA, 47)
 	cfg.Workload.DBSize = 1024
-	_, _, wireAddr, _ := startDualServer(t, Options{Core: cfg, Service: core.ServiceOptions{Speed: 10000}})
+	opts.Core, opts.Service = cfg, core.ServiceOptions{Speed: 10000}
+	_, _, wireAddr, _ := startDualServer(t, opts)
 	nc, err := net.Dial("tcp", wireAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +97,7 @@ func TestWireSubmitAllocBudget(t *testing.T) {
 	answers := float64(batch * batches)
 	objects := float64(m1.Mallocs-m0.Mallocs) / answers
 	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / answers
-	t.Logf("wire submit→answer: %.4f objects, %.2f B per committed answer", objects, bytes)
+	t.Logf("%s submit→answer: %.4f objects, %.2f B per committed answer", name, objects, bytes)
 	if objects > maxWireObjectsPerAnswer || bytes > maxWireBytesPerAnswer {
 		t.Errorf("%.4f objects and %.2f B per committed answer; budget is %.2f objects, %d B",
 			objects, bytes, maxWireObjectsPerAnswer, maxWireBytesPerAnswer)

@@ -1,10 +1,12 @@
 // WAL glue: the server side of durable submissions. New opens the log
 // (openWAL) and hands it to the service, so every accepted submission
 // is appended before injection and every answer waits for its outcome
-// record's fsync (see core.WALHook). On startup the log may hold
-// unresolved submissions — accepted work whose client never got an
-// answer before the last crash. ServeListeners resolves them exactly
-// once, in a background replay that /healthz advertises as
+// record's fsync (see core.WALHook) — a retriable error answer too,
+// which waits for the aborted record that resolves its submission and
+// becomes the ambiguous ErrLogFailed if that record is lost. On startup
+// the log may hold unresolved submissions — accepted work whose client
+// never got an answer before the last crash. ServeListeners resolves
+// them exactly once, in a background replay that /healthz advertises as
 // `recovering=true` until it finishes:
 //
 //   - with Options.Recover, each unresolved submission is re-run

@@ -92,10 +92,10 @@ type Stats struct {
 // batch is what one group commit carries: the encoded records and the
 // bookkeeping that becomes true once they are durable.
 type batch struct {
-	buf     []byte        // encoded records
-	cbs     []func(error) // durability callbacks of the outcome records in buf
-	submits []uint64      // seqs of submit records in buf
-	resolve []uint64      // seqs resolved by outcome records in buf
+	buf     []byte   // encoded records
+	waiters []Waiter // waiters of the outcome records in buf
+	submits []uint64 // seqs of submit records in buf
+	resolve []uint64 // seqs resolved by outcome records in buf
 }
 
 type segment struct {
@@ -161,7 +161,7 @@ func parseSegName(name string) (uint64, bool) {
 // buffers a submit record for the next group commit. It never blocks
 // on I/O and does not wake the syncer: nothing waits on a lone submit
 // record. It is durable once any later outcome append's durability
-// callback fires (FIFO order), or after Sync or Close. r is encoded
+// waiter is told (FIFO order), or after Sync or Close. r is encoded
 // before the call returns and not retained.
 func (l *Logger) AppendSubmit(r *SubmitRecord) (uint64, error) {
 	l.mu.Lock()
@@ -179,20 +179,44 @@ func (l *Logger) AppendSubmit(r *SubmitRecord) (uint64, error) {
 	return seq, nil
 }
 
-// AppendOutcome buffers an outcome record for r.Seq. durable, if
-// non-nil, is called exactly once from the sync goroutine: with nil
-// after the record (and, by FIFO order, the matching submit record) is
-// fsynced, or with the write/sync error that lost it. An error return
-// means nothing was buffered and durable will not be called.
+// Waiter is told when an outcome record is durable (see
+// AppendOutcomeWaiter). A serving path passes a recycled per-request object,
+// so waiting on the log costs no allocation.
+type Waiter interface {
+	Durable(err error)
+}
+
+// waitFunc is a durability callback as a Waiter. A func value is one
+// pointer, so the conversion to the interface allocates nothing.
+type waitFunc func(error)
+
+func (f waitFunc) Durable(err error) { f(err) }
+
+// AppendOutcome is AppendOutcomeWaiter with a callback: durable, if
+// non-nil, is called exactly as the waiter would be.
 func (l *Logger) AppendOutcome(r *OutcomeRecord, durable func(error)) error {
+	if durable == nil {
+		return l.AppendOutcomeWaiter(r, nil)
+	}
+	return l.AppendOutcomeWaiter(r, waitFunc(durable))
+}
+
+// AppendOutcomeWaiter buffers an outcome record for r.Seq. w, if non-nil,
+// is told exactly once, from whichever goroutine flushes the record's batch
+// (the sync goroutine, Sync or Close): w.Durable(nil) after the record
+// (and, by FIFO order, the matching submit record) is fsynced, or
+// w.Durable(err) with the write/sync error that lost it. A batch's waiters
+// are told in append order. An error return means nothing was buffered and
+// w will not be told. r is encoded before the call returns and not retained.
+func (l *Logger) AppendOutcomeWaiter(r *OutcomeRecord, w Waiter) error {
 	l.mu.Lock()
 	if err := l.appendErrLocked(); err != nil {
 		l.mu.Unlock()
 		return err
 	}
 	l.pend.buf = appendOutcome(l.pend.buf, r)
-	if durable != nil {
-		l.pend.cbs = append(l.pend.cbs, durable)
+	if w != nil {
+		l.pend.waiters = append(l.pend.waiters, w)
 	}
 	l.pend.resolve = append(l.pend.resolve, r.Seq)
 	l.stats.Outcomes++
@@ -288,8 +312,8 @@ func (l *Logger) run() {
 	}
 }
 
-// flush writes and fsyncs all buffered records as one batch, fires the
-// batch's durability callbacks, and applies retention.
+// flush writes and fsyncs all buffered records as one batch, tells the
+// batch's waiters, and applies retention.
 func (l *Logger) flush() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -308,15 +332,15 @@ func (l *Logger) flush() error {
 		}
 		err = l.failed
 		l.mu.Unlock()
-		for _, cb := range b.cbs {
-			cb(err)
+		for _, w := range b.waiters {
+			w.Durable(err)
 		}
 		return err
 	}
 	if failed != nil {
 		return fail(failed)
 	}
-	if len(b.buf) == 0 && len(b.cbs) == 0 {
+	if len(b.buf) == 0 && len(b.waiters) == 0 {
 		return nil
 	}
 	seg, err := l.activeSegment(int64(len(b.buf)))
@@ -353,8 +377,8 @@ func (l *Logger) flush() error {
 	remove := l.retireLocked()
 	l.mu.Unlock()
 
-	for _, cb := range b.cbs {
-		cb(nil)
+	for _, w := range b.waiters {
+		w.Durable(nil)
 	}
 	for _, name := range remove {
 		// Retention is advisory; a failed delete is retried next flush.
@@ -364,11 +388,11 @@ func (l *Logger) flush() error {
 }
 
 // recycle empties a flushed batch and keeps its four backing arrays for
-// the flush after next (the callback slots are cleared so a finished
-// request's closure is not pinned until they are overwritten).
+// the flush after next (the waiter slots are cleared so a finished
+// request's waiter is not pinned until they are overwritten).
 func (l *Logger) recycle(b batch) {
-	clear(b.cbs)
-	b = batch{b.buf[:0], b.cbs[:0], b.submits[:0], b.resolve[:0]}
+	clear(b.waiters)
+	b = batch{b.buf[:0], b.waiters[:0], b.submits[:0], b.resolve[:0]}
 	l.mu.Lock()
 	l.spare = b
 	l.mu.Unlock()
