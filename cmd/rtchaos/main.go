@@ -1,5 +1,5 @@
 // Command rtchaos runs a deterministic chaos TCP proxy in front of a
-// target service (typically rtserve's HTTP or wire listener). Every
+// target service (typically rtserve's wire listener or status port). Every
 // accepted connection is relayed to the target through a fault schedule
 // drawn from (-seed, accept index): connection resets after a byte
 // budget, blackhole windows, byte-rate throttling, delayed and truncated

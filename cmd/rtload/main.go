@@ -1,8 +1,8 @@
 // Command rtload drives a running rtserve with a measured transaction
-// load and reports client-side latency and outcome statistics. It is
-// the load half of the wire-speed serving path: rtserve answers, rtload
-// asks — over either protocol (HTTP/JSON or the binary wire protocol),
-// in either of the two canonical load shapes:
+// load over the binary wire protocol and reports client-side latency and
+// outcome statistics. It is the load half of the wire-speed serving path:
+// rtserve answers, rtload asks — in either of the two canonical load
+// shapes:
 //
 //   - open loop (-mode open): arrivals are a Poisson process at -rate
 //     requests/second, independent of response times — the honest way
@@ -17,14 +17,13 @@
 //
 // Usage examples:
 //
-//	rtload -target 127.0.0.1:8344 -proto json -mode closed -workers 8 -duration 5s
-//	rtload -target 127.0.0.1:8345 -proto wire -mode open -rate 2000 -duration 30s
-//	rtload -proto wire -report json   # machine-readable report on stdout
+//	rtload -target 127.0.0.1:8345 -mode closed -workers 8 -duration 5s
+//	rtload -target 127.0.0.1:8345 -mode open -rate 2000 -duration 30s
+//	rtload -report json   # machine-readable report on stdout
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -32,10 +31,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +49,6 @@ func main() {
 // loadOptions is everything a run needs, parsed from flags.
 type loadOptions struct {
 	target   string
-	proto    string
 	mode     string
 	rate     float64
 	workers  int
@@ -109,7 +105,6 @@ func (tl *tally) observe(d time.Duration) {
 
 // Report is the machine-readable run summary (-report json).
 type Report struct {
-	Proto      string  `json:"proto"`
 	Mode       string  `json:"mode"`
 	TargetRate float64 `json:"target_rate,omitempty"`
 	Duration   float64 `json:"duration_s"`
@@ -141,12 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rtload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var o loadOptions
-	fs.StringVar(&o.target, "target", "127.0.0.1:8344", "server address (host:port)")
-	fs.StringVar(&o.proto, "proto", "json", "protocol: json (HTTP) or wire (binary)")
+	fs.StringVar(&o.target, "target", "127.0.0.1:8345", "server wire address (host:port)")
 	fs.StringVar(&o.mode, "mode", "closed", "load shape: open (Poisson at -rate) or closed (-workers back-to-back loops)")
 	fs.Float64Var(&o.rate, "rate", 1000, "open loop: target arrival rate, requests/second")
 	fs.IntVar(&o.workers, "workers", 8, "closed loop: concurrent synchronous submitters")
-	fs.IntVar(&o.conns, "conns", 4, "wire protocol: pipelined connections to spread load over")
+	fs.IntVar(&o.conns, "conns", 4, "pipelined connections to spread load over")
 	fs.DurationVar(&o.duration, "duration", 5*time.Second, "how long to drive load")
 	fs.IntVar(&o.maxOut, "max-outstanding", 4096, "open loop: cap on unanswered requests before arrivals are counted as overflow")
 	fs.IntVar(&o.items, "items", 2, "items accessed per transaction")
@@ -157,14 +151,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&o.seed, "seed", 1, "workload RNG seed")
 	fs.IntVar(&o.retries, "retries", 2, "resubmissions of a shed/rejected request, with jittered backoff honoring the server's Retry-After hint (0 disables)")
 	fs.DurationVar(&o.retryMax, "retry-max", 2*time.Second, "cap on any single retry backoff sleep")
-	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "per-request timeout (both protocols)")
+	fs.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "per-request timeout")
 	fs.StringVar(&o.report, "report", "text", "report format on stdout: text or json")
 	fs.StringVar(&o.journal, "journal", "", "write a JSONL outcome journal (one line per attempt, with the server's WAL seq) for crash reconciliation")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if o.proto != "json" && o.proto != "wire" {
-		fmt.Fprintf(stderr, "rtload: unknown -proto %q\n", o.proto)
 		return 2
 	}
 	if o.mode != "open" && o.mode != "closed" {
@@ -358,10 +348,10 @@ func withRetry(o *loadOptions, tl *tally, submit submitFn) submitFn {
 	}
 }
 
-// newSubmitter builds the per-protocol submit function. The returned
-// function is safe for concurrent use. Every attempt is recorded in jn
-// (nil when -journal is unset) with the server's WAL sequence when the
-// answer carried one.
+// newSubmitter builds the submit function over o.conns resilient wire
+// clients. The returned function is safe for concurrent use. Every attempt
+// is recorded in jn (nil when -journal is unset) with the server's WAL
+// sequence when the answer carried one.
 func newSubmitter(o *loadOptions, jn *journal) (submitFn, func(), error) {
 	gen := func(rng *rand.Rand) ([]txn.Item, []bool) {
 		items := make([]txn.Item, 0, o.items)
@@ -383,140 +373,65 @@ func newSubmitter(o *loadOptions, jn *journal) (submitFn, func(), error) {
 		return items, reads
 	}
 
-	if o.proto == "wire" {
-		// Eager probe: the resilient client dials lazily and retries, so
-		// without this a dead target would burn the whole run in redial
-		// loops instead of failing fast at startup.
-		probe, err := wire.Dial(o.target, 5*time.Second)
-		if err != nil {
-			return nil, nil, err
-		}
-		probe.Close()
-		clients := make([]*wire.Resilient, o.conns)
-		for i := range clients {
-			clients[i] = wire.NewResilient(o.target, wire.ResilientOptions{
-				DialTimeout: 5 * time.Second,
-				Client:      wire.ClientOptions{RequestTimeout: o.reqTimeout},
-				Seed:        o.seed + int64(i),
-			})
-		}
-		var next atomic.Int64
-		fn := func(rng *rand.Rand) (outcome, int) {
-			items, reads := gen(rng)
-			c := clients[int(next.Add(1))%len(clients)]
-			resp, err := c.Submit(&wire.SubmitReq{
-				Items: items, Reads: reads,
-				Compute: o.compute, Deadline: o.deadline,
-			})
-			if err != nil {
-				out := outError
-				if errors.Is(err, wire.ErrNotSent) {
-					out = outErrUnsent
-				}
-				jn.record(0, out)
-				return out, 0
-			}
-			out, hint := outInvalid, 0
-			switch resp.Status {
-			case wire.StatusCommitted:
-				out = outCommitted
-				if resp.Missed {
-					out = outMissed
-				}
-			case wire.StatusRejected:
-				out, hint = outRejected, int(resp.RetryAfter)
-			case wire.StatusShed:
-				out, hint = outShed, int(resp.RetryAfter)
-			case wire.StatusDropped:
-				out = outDropped
-			case wire.StatusFailed:
-				// The server answered but could not vouch for the outcome
-				// (engine or log failure): ambiguous, like a lost answer.
-				out = outError
-			}
-			jn.record(resp.Seq, out)
-			return out, hint
-		}
-		closeFn := func() {
-			for _, c := range clients {
-				c.Close()
-			}
-		}
-		return fn, closeFn, nil
+	// Eager probe: the resilient client dials lazily and retries, so
+	// without this a dead target would burn the whole run in redial
+	// loops instead of failing fast at startup.
+	probe, err := wire.Dial(o.target, 5*time.Second)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// HTTP/JSON: one shared transport with keep-alives sized for the
-	// worker count.
-	tr := &http.Transport{
-		MaxIdleConns:        o.workers + o.conns,
-		MaxIdleConnsPerHost: o.workers + o.conns,
+	probe.Close()
+	clients := make([]*wire.Resilient, o.conns)
+	for i := range clients {
+		clients[i] = wire.NewResilient(o.target, wire.ResilientOptions{
+			DialTimeout: 5 * time.Second,
+			Client:      wire.ClientOptions{RequestTimeout: o.reqTimeout},
+			Seed:        o.seed + int64(i),
+		})
 	}
-	hc := &http.Client{Transport: tr, Timeout: o.reqTimeout}
-	url := "http://" + o.target + "/submit"
-	type jsonReq struct {
-		Items    []int   `json:"items"`
-		Reads    []bool  `json:"reads,omitempty"`
-		Compute  float64 `json:"compute"`
-		Deadline float64 `json:"deadline"`
-	}
-	type jsonResp struct {
-		State  string `json:"state"`
-		Missed bool   `json:"missed"`
-		WALSeq uint64 `json:"wal_seq"`
-	}
+	var next atomic.Int64
 	fn := func(rng *rand.Rand) (outcome, int) {
 		items, reads := gen(rng)
-		ints := make([]int, len(items))
-		for i, it := range items {
-			ints[i] = int(it)
-		}
-		body, _ := json.Marshal(jsonReq{
-			Items: ints, Reads: reads,
-			Compute:  float64(o.compute) / float64(time.Millisecond),
-			Deadline: float64(o.deadline) / float64(time.Millisecond),
+		c := clients[int(next.Add(1))%len(clients)]
+		resp, err := c.Submit(&wire.SubmitReq{
+			Items: items, Reads: reads,
+			Compute: o.compute, Deadline: o.deadline,
 		})
-		resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
-			// HTTP gives no not-sent proof, so every transport failure is
-			// ambiguous.
-			jn.record(0, outError)
-			return outError, 0
-		}
-		defer resp.Body.Close()
-		hint, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		var jr jsonResp
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 			out := outError
-			if resp.StatusCode == http.StatusBadRequest {
-				out = outInvalid
+			if errors.Is(err, wire.ErrNotSent) {
+				out = outErrUnsent
 			}
 			jn.record(0, out)
 			return out, 0
 		}
-		out := outError
-		switch jr.State {
-		case "committed":
+		out, hint := outInvalid, 0
+		switch resp.Status {
+		case wire.StatusCommitted:
 			out = outCommitted
-			if jr.Missed {
+			if resp.Missed {
 				out = outMissed
 			}
-		case "rejected":
-			out = outRejected
-		case "shed":
-			out = outShed
-		case "dropped":
+		case wire.StatusRejected:
+			out, hint = outRejected, int(resp.RetryAfter)
+		case wire.StatusShed:
+			out, hint = outShed, int(resp.RetryAfter)
+		case wire.StatusDropped:
 			out = outDropped
-		default:
-			hint = 0
+		case wire.StatusFailed:
+			// The server answered but could not vouch for the outcome
+			// (engine or log failure): ambiguous, like a lost answer.
+			out = outError
 		}
-		jn.record(jr.WALSeq, out)
-		switch out {
-		case outRejected, outShed:
-			return out, hint
-		}
-		return out, 0
+		jn.record(resp.Seq, out)
+		return out, hint
 	}
-	return fn, tr.CloseIdleConnections, nil
+	closeFn := func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}
+	return fn, closeFn, nil
 }
 
 func record(tl *tally, out outcome, d time.Duration) {
@@ -609,7 +524,6 @@ func runOpen(o *loadOptions, tl *tally, submit submitFn) {
 
 func buildReport(o *loadOptions, tl *tally, elapsed time.Duration) Report {
 	rep := Report{
-		Proto:              o.proto,
 		Mode:               o.mode,
 		Duration:           elapsed.Seconds(),
 		Sent:               tl.sent.Load(),
@@ -658,7 +572,7 @@ func (r *Report) round() {
 }
 
 func printText(w io.Writer, r Report) {
-	fmt.Fprintf(w, "rtload: %s/%s %.1fs", r.Proto, r.Mode, r.Duration)
+	fmt.Fprintf(w, "rtload: %s %.1fs", r.Mode, r.Duration)
 	if r.TargetRate > 0 {
 		fmt.Fprintf(w, " (target %.0f rps)", r.TargetRate)
 	}

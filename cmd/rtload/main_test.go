@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,20 +16,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
-// startServer brings up an in-process dual-protocol server on loopback
-// and returns the two addresses.
-func startServer(t *testing.T) (httpAddr, wireAddr string) {
+// startServer brings up an in-process server with opts on a loopback
+// wire listener and returns its address.
+func startServer(t *testing.T, opts server.Options) string {
 	t.Helper()
-	srv, err := server.New(server.Options{
-		Core:    core.MainMemoryConfig(core.CCA, 17),
-		Service: core.ServiceOptions{Speed: 5000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := server.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +33,7 @@ func startServer(t *testing.T) (httpAddr, wireAddr string) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.ServeListeners(ctx, httpLn, wireLn) }()
+	go func() { done <- srv.ServeListeners(ctx, nil, wireLn) }()
 	t.Cleanup(func() {
 		cancel()
 		select {
@@ -50,7 +42,13 @@ func startServer(t *testing.T) (httpAddr, wireAddr string) {
 			t.Error("server did not shut down")
 		}
 	})
-	return httpLn.Addr().String(), wireLn.Addr().String()
+	return wireLn.Addr().String()
+}
+
+// defaultOpts is the server most tests drive.
+var defaultOpts = server.Options{
+	Core:    core.MainMemoryConfig(core.CCA, 17),
+	Service: core.ServiceOptions{Speed: 5000},
 }
 
 func runLoad(t *testing.T, args ...string) (Report, string) {
@@ -66,35 +64,30 @@ func runLoad(t *testing.T, args ...string) (Report, string) {
 	return rep, errb.String()
 }
 
-func TestClosedLoopBothProtocols(t *testing.T) {
-	httpAddr, wireAddr := startServer(t)
-	for _, tc := range []struct{ proto, target string }{
-		{"json", httpAddr},
-		{"wire", wireAddr},
-	} {
-		rep, _ := runLoad(t,
-			"-target", tc.target, "-proto", tc.proto,
-			"-mode", "closed", "-workers", "4", "-duration", "400ms",
-			"-compute", "50us", "-deadline", "2s", "-report", "json")
-		if rep.Proto != tc.proto || rep.Mode != "closed" {
-			t.Fatalf("%s: report header %+v", tc.proto, rep)
-		}
-		if rep.Sent == 0 || rep.Committed == 0 {
-			t.Fatalf("%s: nothing committed: %+v", tc.proto, rep)
-		}
-		if rep.Errors > 0 {
-			t.Fatalf("%s: client errors: %+v", tc.proto, rep)
-		}
-		if rep.P99Ms <= 0 || rep.MaxMs < rep.P50Ms {
-			t.Fatalf("%s: latency histogram incoherent: %+v", tc.proto, rep)
-		}
+func TestClosedLoop(t *testing.T) {
+	wireAddr := startServer(t, defaultOpts)
+	rep, _ := runLoad(t,
+		"-target", wireAddr,
+		"-mode", "closed", "-workers", "4", "-duration", "400ms",
+		"-compute", "50us", "-deadline", "2s", "-report", "json")
+	if rep.Mode != "closed" {
+		t.Fatalf("report header %+v", rep)
+	}
+	if rep.Sent == 0 || rep.Committed == 0 {
+		t.Fatalf("nothing committed: %+v", rep)
+	}
+	if rep.Errors > 0 {
+		t.Fatalf("client errors: %+v", rep)
+	}
+	if rep.P99Ms <= 0 || rep.MaxMs < rep.P50Ms {
+		t.Fatalf("latency histogram incoherent: %+v", rep)
 	}
 }
 
 func TestOpenLoopTracksRate(t *testing.T) {
-	_, wireAddr := startServer(t)
+	wireAddr := startServer(t, defaultOpts)
 	rep, _ := runLoad(t,
-		"-target", wireAddr, "-proto", "wire",
+		"-target", wireAddr,
 		"-mode", "open", "-rate", "300", "-duration", "600ms",
 		"-compute", "50us", "-deadline", "2s", "-report", "json")
 	if rep.TargetRate != 300 {
@@ -112,17 +105,17 @@ func TestOpenLoopTracksRate(t *testing.T) {
 }
 
 func TestTextReport(t *testing.T) {
-	httpAddr, _ := startServer(t)
+	wireAddr := startServer(t, defaultOpts)
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-target", httpAddr, "-proto", "json",
+		"-target", wireAddr,
 		"-mode", "closed", "-workers", "2", "-duration", "200ms",
 		"-compute", "50us", "-deadline", "2s"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	text := out.String()
-	for _, want := range []string{"rtload: json/closed", "sent ", "committed", "latency ms: p50"} {
+	for _, want := range []string{"rtload: closed", "sent ", "committed", "latency ms: p50"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text report missing %q:\n%s", want, text)
 		}
@@ -131,7 +124,7 @@ func TestTextReport(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-proto", "carrier-pigeon"},
+		{"-proto", "wire"}, // one protocol: the flag is gone
 		{"-mode", "sideways"},
 		{"-items", "0"},
 		{"-items", "50", "-dbsize", "30"},
@@ -144,8 +137,8 @@ func TestUsageErrors(t *testing.T) {
 }
 
 func TestConnectFailure(t *testing.T) {
-	// A port nothing listens on: wire fails at dial time, json fails
-	// per-request; both must exit nonzero without hanging.
+	// A port nothing listens on: the eager probe fails at dial time, and
+	// rtload exits nonzero without hanging.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -153,55 +146,22 @@ func TestConnectFailure(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 	var out, errb bytes.Buffer
-	if code := run([]string{"-target", dead, "-proto", "wire", "-duration", "100ms"}, &out, &errb); code != 1 {
-		t.Fatalf("wire dial to dead port: exit %d, want 1", code)
-	}
-	out.Reset()
-	errb.Reset()
-	code := run([]string{"-target", dead, "-proto", "json", "-mode", "closed",
-		"-workers", "1", "-duration", "100ms", "-report", "json"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("json to dead port: exit %d, want 1\n%s", code, out.String())
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("report not JSON: %v", err)
-	}
-	if rep.Errors == 0 {
-		t.Fatalf("expected errors counted: %+v", rep)
+	if code := run([]string{"-target", dead, "-duration", "100ms"}, &out, &errb); code != 1 {
+		t.Fatalf("dial to dead port: exit %d, want 1", code)
 	}
 }
 
 // TestOverloadIsShedNotQueued: drive an open loop well past a tiny
 // server's capacity and check the surplus comes back as shed (the fast
-// 503 / StatusShed path), not as errors or unbounded latency.
+// StatusShed path), not as errors or unbounded latency.
 func TestOverloadIsShedNotQueued(t *testing.T) {
-	srv, err := server.New(server.Options{
+	wireAddr := startServer(t, server.Options{
 		Core:        core.MainMemoryConfig(core.CCA, 23),
 		Service:     core.ServiceOptions{Speed: 50},
 		MaxInflight: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeListeners(ctx, httpLn, wireLn) }()
-	defer func() {
-		cancel()
-		<-done
-	}()
-
 	rep, _ := runLoad(t,
-		"-target", wireLn.Addr().String(), "-proto", "wire", "-conns", "2",
+		"-target", wireAddr, "-conns", "2",
 		"-mode", "open", "-rate", "2000", "-duration", "500ms",
 		"-compute", "20ms", "-deadline", "100ms", "-report", "json")
 	if rep.Sent < 100 {
@@ -217,26 +177,56 @@ func TestOverloadIsShedNotQueued(t *testing.T) {
 	t.Logf("overload report: %s", fmt.Sprintf("%+v", rep))
 }
 
-// TestRetryHonorsOverloadSignal: a stub that sheds each worker's first
-// attempt with a Retry-After hint must see the loader come back — the
-// request is resubmitted after backoff and counted as retried, not
-// abandoned. A stub that always sheds exhausts the budget and the
-// request lands in abandoned.
-func TestRetryHonorsOverloadSignal(t *testing.T) {
+// stubServer listens on a loopback port and answers every frame it reads
+// with answer(n), n counting frames from 1, until the test ends.
+func stubServer(t *testing.T, answer func(n int64) wire.SubmitResp) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
 	var hits atomic.Int64
-	shedFirst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprint(w, `{"state":"shed"}`)
-			return
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close() // after the client closes its end
+				fr := wire.NewFrameReader(nc, 0)
+				var out []byte
+				for {
+					h, _, err := fr.Next()
+					if err != nil {
+						return
+					}
+					resp := answer(hits.Add(1))
+					out = wire.AppendSubmitResp(out[:0], h.ID, &resp)
+					if _, err := nc.Write(out); err != nil {
+						return
+					}
+				}
+			}()
 		}
-		fmt.Fprint(w, `{"state":"committed"}`)
-	}))
-	defer shedFirst.Close()
+	}()
+	return ln.Addr().String()
+}
 
+// TestRetryHonorsOverloadSignal: a stub that sheds the first attempt with
+// a retry hint must see the loader come back — the request is resubmitted
+// after backoff and counted as retried, not abandoned. A stub that always
+// sheds exhausts the budget and the request lands in abandoned.
+func TestRetryHonorsOverloadSignal(t *testing.T) {
+	shedFirst := stubServer(t, func(n int64) wire.SubmitResp {
+		if n == 1 {
+			return wire.SubmitResp{Status: wire.StatusShed}
+		}
+		return wire.SubmitResp{Status: wire.StatusCommitted}
+	})
 	rep, _ := runLoad(t,
-		"-target", strings.TrimPrefix(shedFirst.URL, "http://"), "-proto", "json",
+		"-target", shedFirst,
 		"-mode", "closed", "-workers", "1", "-duration", "200ms",
 		"-retries", "2", "-retry-max", "50ms", "-report", "json")
 	if rep.Retried == 0 {
@@ -249,15 +239,9 @@ func TestRetryHonorsOverloadSignal(t *testing.T) {
 		t.Fatalf("no commits after retry: %+v", rep)
 	}
 
-	alwaysShed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"state":"shed"}`)
-	}))
-	defer alwaysShed.Close()
-
+	alwaysShed := stubServer(t, func(int64) wire.SubmitResp { return wire.SubmitResp{Status: wire.StatusShed} })
 	rep, _ = runLoad(t,
-		"-target", strings.TrimPrefix(alwaysShed.URL, "http://"), "-proto", "json",
+		"-target", alwaysShed,
 		"-mode", "closed", "-workers", "1", "-duration", "150ms",
 		"-retries", "1", "-retry-max", "20ms", "-report", "json")
 	if rep.Abandoned == 0 || rep.Shed == 0 {
@@ -273,86 +257,58 @@ func TestRetryHonorsOverloadSignal(t *testing.T) {
 // line per attempt, every committed ack carrying a distinct server WAL
 // sequence, and the abandoned split present (and zero) on a healthy run.
 func TestJournalRecordsAcks(t *testing.T) {
-	srv, err := server.New(server.Options{
+	wireAddr := startServer(t, server.Options{
 		Core:    core.MainMemoryConfig(core.CCA, 17),
 		Service: core.ServiceOptions{Speed: 5000},
 		WALFS:   wal.NewMemFS(),
 	})
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	rep, _ := runLoad(t,
+		"-target", wireAddr,
+		"-mode", "closed", "-workers", "4", "-duration", "300ms",
+		"-compute", "50us", "-deadline", "2s",
+		"-report", "json", "-journal", path)
+	if rep.Committed == 0 {
+		t.Fatalf("nothing committed: %+v", rep)
 	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if rep.AbandonedUnsent != 0 || rep.AbandonedAmbiguous != 0 {
+		t.Fatalf("abandoned on a healthy run: %+v", rep)
 	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeListeners(ctx, httpLn, wireLn) }()
-	defer func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Error("server did not shut down")
-		}
-	}()
 
-	for _, tc := range []struct{ proto, target string }{
-		{"wire", wireLn.Addr().String()},
-		{"json", httpLn.Addr().String()},
-	} {
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
-		rep, _ := runLoad(t,
-			"-target", tc.target, "-proto", tc.proto,
-			"-mode", "closed", "-workers", "4", "-duration", "300ms",
-			"-compute", "50us", "-deadline", "2s",
-			"-report", "json", "-journal", path)
-		if rep.Committed == 0 {
-			t.Fatalf("%s: nothing committed: %+v", tc.proto, rep)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		Seq     uint64 `json:"seq"`
+		Outcome string `json:"outcome"`
+	}
+	var lines int64
+	var committed int64
+	seen := make(map[uint64]bool)
+	for _, raw := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+		var e entry
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("bad journal line %q: %v", raw, err)
 		}
-		if rep.AbandonedUnsent != 0 || rep.AbandonedAmbiguous != 0 {
-			t.Fatalf("%s: abandoned on a healthy run: %+v", tc.proto, rep)
-		}
-
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type entry struct {
-			Seq     uint64 `json:"seq"`
-			Outcome string `json:"outcome"`
-		}
-		var lines int64
-		var committed int64
-		seen := make(map[uint64]bool)
-		for _, raw := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
-			var e entry
-			if err := json.Unmarshal(raw, &e); err != nil {
-				t.Fatalf("%s: bad journal line %q: %v", tc.proto, raw, err)
+		lines++
+		switch e.Outcome {
+		case "committed", "missed":
+			committed++
+			if e.Seq == 0 {
+				t.Fatalf("committed ack without a WAL seq: %q", raw)
 			}
-			lines++
-			switch e.Outcome {
-			case "committed", "missed":
-				committed++
-				if e.Seq == 0 {
-					t.Fatalf("%s: committed ack without a WAL seq: %q", tc.proto, raw)
-				}
-				if seen[e.Seq] {
-					t.Fatalf("%s: WAL seq %d acked twice", tc.proto, e.Seq)
-				}
-				seen[e.Seq] = true
+			if seen[e.Seq] {
+				t.Fatalf("WAL seq %d acked twice", e.Seq)
 			}
+			seen[e.Seq] = true
 		}
-		// One line per attempt: requests plus the extra retry attempts.
-		if want := rep.Sent + rep.Retried; lines != want {
-			t.Fatalf("%s: %d journal lines, want sent+retried = %d (%+v)", tc.proto, lines, want, rep)
-		}
-		if committed != rep.Committed {
-			t.Fatalf("%s: %d committed journal lines, report says %d", tc.proto, committed, rep.Committed)
-		}
+	}
+	// One line per attempt: requests plus the extra retry attempts.
+	if want := rep.Sent + rep.Retried; lines != want {
+		t.Fatalf("%d journal lines, want sent+retried = %d (%+v)", lines, want, rep)
+	}
+	if committed != rep.Committed {
+		t.Fatalf("%d committed journal lines, report says %d", committed, rep.Committed)
 	}
 }

@@ -1,25 +1,28 @@
 // Command rtserve runs the CCA engine as a wall-clock transaction service
-// behind an HTTP/JSON front-end.
+// behind the binary wire protocol (internal/wire).
 //
-// Clients POST transaction requests (access list, per-item compute, a
-// relative deadline) to /submit and get back commit/abort/missed-deadline
-// plus the engine-clock timings. The service degrades gracefully under
-// overload: the admission controller turns infeasible arrivals into fast
-// 503s with Retry-After, the inflight bound sheds excess concurrency
-// before it queues, departed clients have their transactions wounded, and
-// SIGTERM/SIGINT drain the service — new work is refused, in-flight
-// transactions finish or are wounded at the drain deadline, and the final
-// metrics snapshot is flushed to stderr.
+// Clients submit transaction requests (access list, per-item compute, a
+// relative deadline) over -wire-addr — rtload is the command-line client —
+// and get back commit/abort/missed-deadline plus the engine-clock timings.
+// The service degrades gracefully under overload: the admission controller
+// turns infeasible arrivals into fast rejections with a retry hint, the
+// inflight bounds shed excess concurrency before it queues, departed
+// clients have their transactions wounded, and SIGTERM/SIGINT drain the
+// service — new work is refused, in-flight transactions finish or are
+// wounded at the drain deadline, and the final metrics snapshot is flushed
+// to stderr. -addr is a GET-only status port: /healthz, /metrics and the
+// runtime's profiles under /debug/pprof/.
 //
 // Usage examples:
 //
-//	rtserve -addr :8344
+//	rtserve -addr :8344 -wire-addr :8345
 //	rtserve -policy cca -admission reject-infeasible -oracle
 //	rtserve -disk -drain-timeout 10s -max-inflight 512
 //
-//	curl -s localhost:8344/submit -d '{"items":[3,17],"compute":"1ms","deadline":"50ms"}'
+//	rtload -target 127.0.0.1:8345 -mode closed -workers 4 -duration 2s
 //	curl -s localhost:8344/metrics
 //	curl -s localhost:8344/healthz
+//	go tool pprof http://localhost:8344/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -29,8 +32,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -52,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rtserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:8344", "listen address")
+		addr      = fs.String("addr", "127.0.0.1:8344", "listen address (IP:port) of the GET-only status port: /healthz, /metrics, /debug/pprof/")
 		policy    = fs.String("policy", "cca", "scheduling policy, one of: "+strings.Trim(fmt.Sprint(core.Policies()), "[]"))
 		disk      = fs.Bool("disk", false, "disk-resident configuration (Table 2) instead of main memory (Table 1)")
 		dbsize    = fs.Int("dbsize", 0, "database size (0 = paper default)")
@@ -62,11 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		admission = fs.String("admission", "reject-infeasible", "admission mode: reject-newest, reject-infeasible or admit-all (load shedding)")
 		admMax    = fs.Int("admission-max", 0, "live-set cap for the admission controller (required for reject-newest)")
 
-		wireAddr    = fs.String("wire-addr", "", "optional listen address for the binary wire protocol (internal/wire); empty disables it")
-		maxInflight = fs.Int("max-inflight", 0, "bound on concurrently admitted HTTP submissions (0 = default 256); past it the server sheds")
+		wireAddr    = fs.String("wire-addr", "127.0.0.1:8345", "listen address (IP:port) of the binary wire protocol (internal/wire), the one way to submit; empty disables it")
+		maxInflight = fs.Int("max-inflight", 0, "bound on each wire connection's unanswered submissions and on each shard's inbox (0 = default 256); past it the server sheds")
 		drain       = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight transactions before they are wounded")
-		readTO      = fs.Duration("read-timeout", 15*time.Second, "HTTP read timeout (slow-client guard)")
-		writeTO     = fs.Duration("write-timeout", 15*time.Second, "HTTP write timeout (slow-client guard)")
 		speed       = fs.Float64("speed", 1, "simulated seconds per wall second (>1 compresses engine time; for demos and tests)")
 		oracle      = fs.Bool("oracle", false, "run under the live safety oracle: a violated paper invariant fails /healthz and stops the service")
 		shards      = fs.Int("shards", 1, "engine shards (item i lives on shard i%N); single-shard submissions route directly, cross-shard ones batch at epoch boundaries")
@@ -128,8 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		MaxInflight:     *maxInflight,
 		DrainTimeout:    *drain,
-		ReadTimeout:     *readTO,
-		WriteTimeout:    *writeTO,
 		WireIdleTimeout: *wireIdle,
 		WALDir:          *walDir,
 		WALSync:         *walSync,
@@ -149,14 +150,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := listen(*addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "rtserve: %v\n", err)
 		return 1
 	}
 	var wireLn net.Listener
 	if *wireAddr != "" {
-		wireLn, err = net.Listen("tcp", *wireAddr)
+		wireLn, err = listen(*wireAddr)
 		if err != nil {
 			ln.Close()
 			fmt.Fprintf(stderr, "rtserve: %v\n", err)
@@ -169,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(stderr, "rtserve: serving %s policy on %s (admission %s, drain %v)\n",
+	fmt.Fprintf(stderr, "rtserve: serving %s policy, status port on %s (admission %s, drain %v)\n",
 		*policy, ln.Addr(), orDefault(*admission, "admit-all"), *drain)
 	if wireLn != nil {
 		fmt.Fprintf(stderr, "rtserve: wire protocol on %s\n", wireLn.Addr())
@@ -197,6 +198,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "rtserve: shutdown complete")
 	return 0
+}
+
+// listen opens a TCP listener on addr, whose host must be empty or an IP
+// address: the server looks no name up, so it links no resolver.
+func listen(addr string) (net.Listener, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, err
+	}
+	pn, err := strconv.ParseUint(port, 10, 16)
+	if err != nil {
+		return nil, fmt.Errorf("listen %s: port must be a number", addr)
+	}
+	var ip netip.Addr
+	if host != "" {
+		if ip, err = netip.ParseAddr(host); err != nil {
+			return nil, fmt.Errorf("listen %s: host must be an IP address", addr)
+		}
+	}
+	return net.ListenTCP("tcp", net.TCPAddrFromAddrPort(netip.AddrPortFrom(ip, uint16(pn))))
 }
 
 func orDefault(s, def string) string {

@@ -2,8 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
+	"os/exec"
 	"regexp"
 	"slices"
 	"strings"
@@ -13,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/txn"
+	"repro/internal/wire"
 )
 
 // syncBuf is a goroutine-safe writer: the server goroutine writes log
@@ -85,47 +86,56 @@ func TestRestartFlagsNeedSupervision(t *testing.T) {
 	}
 }
 
-var addrRe = regexp.MustCompile(`on (127\.0\.0\.1:\d+)`)
+// TestListenNeedsIPAddress: a listen address is an IP and a port; a host
+// name is refused with an rtserve message (the server links no resolver).
+func TestListenNeedsIPAddress(t *testing.T) {
+	for _, args := range [][]string{
+		{"-addr", "localhost:0", "-wire-addr", "127.0.0.1:0"},
+		{"-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:http"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 || !strings.HasPrefix(errb.String(), "rtserve: listen ") {
+			t.Errorf("%v: exit code %d, stderr %q; want 1 and an rtserve: listen message", args, code, errb.String())
+		}
+	}
+}
 
-// TestServeSignalDrain boots the server on an ephemeral port, commits one
-// transaction over HTTP, sends the process SIGTERM and checks the clean
-// drain: exit code 0, the flushed metrics snapshot, and the shutdown
+var wireAddrRe = regexp.MustCompile(`wire protocol on (127\.0\.0\.1:\d+)`)
+
+// TestServeSignalDrain boots the server on ephemeral ports, commits one
+// transaction over the wire, sends the process SIGTERM and checks the
+// clean drain: exit code 0, the flushed metrics snapshot, and the shutdown
 // message.
 func TestServeSignalDrain(t *testing.T) {
 	var out, errb syncBuf
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-speed", "1000", "-drain-timeout", "2s"}, &out, &errb)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0",
+			"-speed", "1000", "-drain-timeout", "2s"}, &out, &errb)
 	}()
 
-	// Wait for the serving line and recover the ephemeral address.
-	var base string
+	// Wait for the wire line and recover the ephemeral address.
+	var addr string
 	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
-		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
-			base = "http://" + m[1]
+	for addr == "" {
+		if m := wireAddrRe.FindStringSubmatch(errb.String()); m != nil {
+			addr = m[1]
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server never announced its address; stderr:\n%s", errb.String())
+			t.Fatalf("server never announced its wire address; stderr:\n%s", errb.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/submit", "application/json",
-		strings.NewReader(`{"items":[3,17],"compute":"1ms","deadline":"200ms"}`))
+	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
-		t.Fatalf("POST /submit: %v", err)
+		t.Fatal(err)
 	}
-	var sub struct {
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || sub.State != "committed" {
-		t.Fatalf("submit: status %d state %q, want 200 committed", resp.StatusCode, sub.State)
+	resp, err := c.Submit(&wire.SubmitReq{Items: []txn.Item{3, 17}, Compute: time.Millisecond, Deadline: 200 * time.Millisecond})
+	c.Close()
+	if err != nil || resp.Status != wire.StatusCommitted {
+		t.Fatalf("submit: %+v, %v; want committed", resp, err)
 	}
 
 	// The signal path is the real one: SIGTERM to our own process, caught
@@ -160,6 +170,22 @@ func TestHelpNamesEveryPolicy(t *testing.T) {
 	for _, p := range core.Policies() {
 		if !slices.Contains(strings.Fields(usage), string(p)) {
 			t.Errorf("-policy usage %q does not name %s", usage, p)
+		}
+	}
+}
+
+// TestNoHTTPStack: rtserve links no HTTP server, client, TLS or expvar —
+// the wire protocol is the way in and the status port is built on net and
+// bufio. Tests may use net/http as a client; test binaries do not count.
+func TestNoHTTPStack(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		switch dep {
+		case "net/http", "crypto/tls", "expvar", "net/http/pprof":
+			t.Errorf("rtserve depends on %s", dep)
 		}
 	}
 }

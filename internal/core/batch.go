@@ -152,9 +152,9 @@ func (c *LateCancel) Cancel() {
 	}
 }
 
-// Waiter is the blocking end of one submission, shared by every Submit and
-// the HTTP front-end: Done is its Submission.Done, Arm takes its handle
-// whenever that arrives, Wait blocks for the answer.
+// Waiter is the blocking end of one submission, shared by every Submit:
+// Done is its Submission.Done, Arm takes its handle whenever that arrives,
+// Wait blocks for the answer.
 type Waiter struct {
 	LateCancel
 	ch chan answer

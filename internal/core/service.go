@@ -1,6 +1,6 @@
 // Service runs the engine as a wall-clock transaction service: instead of
 // executing a pre-generated workload in virtual time, transactions are
-// submitted while the clock runs (from HTTP handlers, load generators,
+// submitted while the clock runs (from wire connections, load generators,
 // tests), execute under the configured policy exactly as they would in the
 // simulator, and report their fate back to the submitter.
 //

@@ -47,7 +47,7 @@ func checkAnswerAllocBudget(t *testing.T, name string, opts Options) {
 	cfg := core.MainMemoryConfig(core.CCA, 47)
 	cfg.Workload.DBSize = 1024
 	opts.Core, opts.Service = cfg, core.ServiceOptions{Speed: 10000}
-	_, _, wireAddr, _ := startDualServer(t, opts)
+	_, _, wireAddr, _ := startServer(t, opts)
 	nc, err := net.Dial("tcp", wireAddr)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -22,47 +18,6 @@ import (
 	"repro/internal/txn"
 	"repro/internal/wire"
 )
-
-// startDual boots the dual-protocol server and returns both listener
-// addresses plus a stop func.
-func startDual(t *testing.T, opts Options) (httpAddr, wireAddr string, stop func() error) {
-	t.Helper()
-	if opts.Service.Speed == 0 {
-		opts.Service.Speed = 500
-	}
-	s, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.ServeListeners(ctx, httpLn, wireLn) }()
-	stopped := false
-	stop = func() error {
-		if stopped {
-			return nil
-		}
-		stopped = true
-		cancel()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(30 * time.Second):
-			t.Fatal("ServeListeners did not return after cancel")
-			return nil
-		}
-	}
-	t.Cleanup(func() { _ = stop() })
-	return httpLn.Addr().String(), wireLn.Addr().String(), stop
-}
 
 // startChaosProxy puts a seeded chaos proxy in front of target and
 // returns its address.
@@ -89,9 +44,9 @@ func startChaosProxy(t *testing.T, target string, seed int64, plan chaos.Plan) s
 	return ln.Addr().String()
 }
 
-// TestChaosSoak is the capstone: rtload-shaped traffic over both
-// protocols through a fault-injecting proxy, under -race in CI. The
-// contract it enforces:
+// TestChaosSoak is the capstone: rtload-shaped traffic through a
+// fault-injecting proxy, under -race in CI, beside status-port probes
+// through a proxy of their own. The contract it enforces:
 //
 //   - every submission gets exactly one terminal answer — an outcome or
 //     an error, never a hang, never a double answer (each worker counts
@@ -99,14 +54,15 @@ func startChaosProxy(t *testing.T, target string, seed int64, plan chaos.Plan) s
 //   - error rates stay bounded: chaos severs connections, but the
 //     surviving ones keep committing — a fault schedule must degrade
 //     throughput, not correctness;
-//   - after drain the process has no leaked goroutines: the proxy, both
-//     front-ends, the resilient clients and the engine all wind down.
+//   - after drain the process has no leaked goroutines: the proxies, the
+//     wire front-end, the status port, the resilient clients and the
+//     engine all wind down.
 func TestChaosSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	cfg := core.MainMemoryConfig(core.CCA, 42)
 	cfg.Admission = core.AdmissionConfig{Mode: core.RejectInfeasible}
-	httpAddr, wireAddr, stop := startDual(t, Options{
+	_, statusBase, wireAddr, stop := startServer(t, Options{
 		Core:            cfg,
 		Service:         core.ServiceOptions{Speed: 500},
 		MaxInflight:     128,
@@ -127,13 +83,13 @@ func TestChaosSoak(t *testing.T) {
 		WriteDelayMax:       5 * time.Millisecond,
 	}
 	wireProxy := startChaosProxy(t, wireAddr, 7, plan)
-	httpProxy := startChaosProxy(t, httpAddr, 8, plan)
+	statusProxy := startChaosProxy(t, strings.TrimPrefix(statusBase, "http://"), 8, plan)
 
 	const (
-		wireWorkers = 6
-		wirePer     = 40
-		httpWorkers = 4
-		httpPer     = 25
+		wireWorkers  = 10
+		wirePer      = 34
+		probeWorkers = 2
+		probePer     = 25
 	)
 	var (
 		issued    atomic.Int64
@@ -175,35 +131,27 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}(w)
 	}
-	for w := 0; w < httpWorkers; w++ {
+	// Status probes through chaos: every probe ends, answered or failed,
+	// and an answer that arrives whole is a metrics document.
+	var probesOK atomic.Int64
+	for w := 0; w < probeWorkers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			hc := &http.Client{Timeout: 2 * time.Second}
 			defer hc.CloseIdleConnections()
-			rng := rand.New(rand.NewSource(int64(w)*104729 + 1))
-			url := "http://" + httpProxy + "/submit"
-			for i := 0; i < httpPer; i++ {
-				issued.Add(1)
-				body, _ := json.Marshal(submitRequest{
-					Items:    []int{rng.Intn(20), 20 + rng.Intn(10)},
-					Compute:  jsonDuration(100 * time.Microsecond),
-					Deadline: jsonDuration(2 * time.Second),
-				})
-				resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-				answered.Add(1)
+			for i := 0; i < probePer; i++ {
+				resp, err := hc.Get("http://" + statusProxy + "/metrics")
 				if err != nil {
-					failed.Add(1)
 					continue
 				}
-				var out submitResponse
-				if json.NewDecoder(resp.Body).Decode(&out) == nil && out.State == "committed" {
-					committed.Add(1)
+				var m metricsResponse
+				if json.NewDecoder(resp.Body).Decode(&m) == nil && resp.StatusCode == http.StatusOK {
+					probesOK.Add(1)
 				}
-				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-		}(w)
+		}()
 	}
 
 	loadDone := make(chan struct{})
@@ -217,7 +165,7 @@ func TestChaosSoak(t *testing.T) {
 			answered.Load(), issued.Load(), buf[:n])
 	}
 
-	total := int64(wireWorkers*wirePer + httpWorkers*httpPer)
+	total := int64(wireWorkers * wirePer)
 	if issued.Load() != total || answered.Load() != total {
 		t.Fatalf("answer accounting broken: issued %d answered %d want %d",
 			issued.Load(), answered.Load(), total)
@@ -231,7 +179,8 @@ func TestChaosSoak(t *testing.T) {
 	if failed.Load() > total*3/4 {
 		t.Fatalf("error rate unbounded: %d/%d failed", failed.Load(), total)
 	}
-	t.Logf("chaos soak: %d committed, %d transport failures of %d", committed.Load(), failed.Load(), total)
+	t.Logf("chaos soak: %d committed, %d transport failures of %d; %d of %d status probes answered",
+		committed.Load(), failed.Load(), total, probesOK.Load(), probeWorkers*probePer)
 
 	// No-timeout phase: a direct client that abandons nothing, pipelining
 	// into the server the chaos just left full of severed connections and
@@ -289,7 +238,7 @@ func TestChaosSoak(t *testing.T) {
 // into failed submissions and a degraded-but-200 /healthz; the other
 // shards keep serving and drain stays clean.
 func TestShardPanicDegradesNotDead(t *testing.T) {
-	s, base, stop := startServer(t, Options{
+	s, base, wireAddr, stop := startServer(t, Options{
 		Core:      core.MainMemoryConfig(core.CCA, 11),
 		Shards:    4,
 		Supervise: shard.SuperviseOptions{Enabled: true},
@@ -314,16 +263,11 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 	}
 
 	// /healthz: still 200, still "ok"-prefixed, now degraded.
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	code, b := get(t, base+"/healthz")
+	if code != http.StatusOK {
+		t.Fatalf("healthz %d after contained panic, want 200 (%s)", code, b)
 	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz %d after contained panic, want 200 (%s)", resp.StatusCode, b)
-	}
-	if !strings.HasPrefix(string(b), "ok") || !strings.Contains(string(b), "degraded=true") {
+	if !strings.HasPrefix(b, "ok") || !strings.Contains(b, "degraded=true") {
 		t.Fatalf("healthz body %q, want ok + degraded=true", b)
 	}
 
@@ -337,24 +281,16 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 	}
 
 	// Shards 0, 1, 3 still commit (single-item submissions route direct).
+	c := dial(t, wireAddr)
 	for _, item := range []int{0, 1, 3} {
-		code, out := postSubmit(t, base, submitRequest{
-			Items:    []int{item},
-			Compute:  jsonDuration(time.Millisecond),
-			Deadline: jsonDuration(2 * time.Second),
-		})
-		if code != http.StatusOK || out.State != "committed" {
-			t.Fatalf("item %d after shard-2 death: %d %+v", item, code, out)
+		out := submit(t, c, core.ServiceRequest{Items: itemSeq(item), Compute: time.Millisecond, Deadline: 2 * time.Second})
+		if out.Status != wire.StatusCommitted {
+			t.Fatalf("item %d after shard-2 death: %+v", item, out)
 		}
 	}
-	// The dead shard's traffic gets an error response, not a hang.
-	code, _ := postSubmit(t, base, submitRequest{
-		Items:    []int{2},
-		Compute:  jsonDuration(time.Millisecond),
-		Deadline: jsonDuration(2 * time.Second),
-	})
-	if code == http.StatusOK {
-		t.Fatalf("dead shard answered %d, want an error status", code)
+	// The dead shard's traffic gets an error answer, not a hang.
+	if out := submit(t, c, core.ServiceRequest{Items: itemSeq(2), Compute: time.Millisecond, Deadline: 2 * time.Second}); out.Status == wire.StatusCommitted {
+		t.Fatalf("dead shard answered %+v, want an error status", out)
 	}
 
 	if err := stop(); err != nil {
@@ -363,10 +299,10 @@ func TestShardPanicDegradesNotDead(t *testing.T) {
 }
 
 // TestSupervisedRestartServesAgain: with restart enabled the panicked
-// shard comes back and its item range commits again, end to end over
-// HTTP.
+// shard comes back and its item range commits again, end to end over the
+// wire.
 func TestSupervisedRestartServesAgain(t *testing.T) {
-	s, base, _ := startServer(t, Options{
+	s, _, wireAddr, _ := startServer(t, Options{
 		Core:      core.MainMemoryConfig(core.CCA, 12),
 		Shards:    2,
 		Supervise: shard.SuperviseOptions{Enabled: true, Restart: true},
@@ -375,19 +311,15 @@ func TestSupervisedRestartServesAgain(t *testing.T) {
 	if err := sv.InjectShardPanic(1, "restart"); err != nil {
 		t.Fatal(err)
 	}
+	c := dial(t, wireAddr)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		code, out := postSubmit(t, base, submitRequest{
-			Items:    []int{1},
-			Compute:  jsonDuration(time.Millisecond),
-			Deadline: jsonDuration(2 * time.Second),
-		})
-		if code == http.StatusOK && out.State == "committed" {
+		out := submit(t, c, core.ServiceRequest{Items: itemSeq(1), Compute: time.Millisecond, Deadline: 2 * time.Second})
+		if out.Status == wire.StatusCommitted {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("restarted shard never served again: %d %+v (%+v)",
-				code, out, sv.SupervisionStats())
+			t.Fatalf("restarted shard never served again: %+v (%+v)", out, sv.SupervisionStats())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -397,18 +329,4 @@ func TestSupervisedRestartServesAgain(t *testing.T) {
 	if !sv.Degraded() {
 		t.Fatal("degraded flag cleared by restart; must stay sticky")
 	}
-}
-
-func getBody(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }

@@ -46,6 +46,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/txn"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func crashReq(i int) core.ServiceRequest {
@@ -338,7 +339,7 @@ func checkCrashedLog(t *testing.T, memfs *wal.MemFS, v victimState, plan fault.F
 	}
 
 	// Stage 2: a fresh server recovers the log and replays.
-	srv, _, stop := startServer(t, Options{
+	srv, _, _, stop := startServer(t, Options{
 		Core:      core.MainMemoryConfig(core.CCA, 7),
 		Service:   core.ServiceOptions{Speed: 5000},
 		WALFS:     memfs,
@@ -424,7 +425,7 @@ func TestRecoveryWithoutReplayAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _, stop := startServer(t, Options{
+	srv, _, _, stop := startServer(t, Options{
 		Core:    core.MainMemoryConfig(core.CCA, 1),
 		WALFS:   memfs,
 		Recover: false,
@@ -485,7 +486,7 @@ func TestAbortedOutcomeOneSpelling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _, stop := startServer(t, Options{
+	srv, _, _, stop := startServer(t, Options{
 		Core:  core.MainMemoryConfig(core.CCA, 1),
 		WALFS: memfs,
 	})
@@ -540,7 +541,7 @@ func TestDrainDuringRecoveryReplay(t *testing.T) {
 	}
 
 	baseline := runtime.NumGoroutine()
-	srv, base, stop := startServer(t, Options{
+	srv, base, _, stop := startServer(t, Options{
 		Core: core.MainMemoryConfig(core.CCA, 1),
 		// Speed 1: the 1500×2ms backlog needs seconds of wall clock, so
 		// the drain below lands mid-replay deterministically.
@@ -552,15 +553,8 @@ func TestDrainDuringRecoveryReplay(t *testing.T) {
 	if !srv.recovering.Load() {
 		t.Fatal("server not recovering right after start")
 	}
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 256)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if !strings.Contains(string(body[:n]), "recovering=true") {
-		t.Fatalf("healthz during replay = %q, want recovering=true", body[:n])
+	if body := getBody(t, base+"/healthz"); !strings.Contains(body, "recovering=true") {
+		t.Fatalf("healthz during replay = %q, want recovering=true", body)
 	}
 
 	if err := stop(); err != nil {
@@ -594,21 +588,21 @@ func TestDrainDuringRecoveryReplay(t *testing.T) {
 	}
 }
 
-// TestWALSeqOnHTTPResponse: the durable sequence number rides the JSON
+// TestWALSeqOnResponse: the durable sequence number rides the wire
 // answer, so a reconnecting client can match acked work against a
 // recovered log.
-func TestWALSeqOnHTTPResponse(t *testing.T) {
-	_, base, _ := startServer(t, Options{
+func TestWALSeqOnResponse(t *testing.T) {
+	_, _, wireAddr, _ := startServer(t, Options{
 		Core:  core.MainMemoryConfig(core.CCA, 1),
 		WALFS: wal.NewMemFS(),
 	})
-	status, resp := postSubmit(t, base, submitRequest{
-		Items: []int{3, 17}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
+	out := submit(t, dial(t, wireAddr), core.ServiceRequest{
+		Items: itemSeq(3, 17), Compute: time.Millisecond, Deadline: time.Second,
 	})
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
+	if out.Status != wire.StatusCommitted {
+		t.Fatalf("submit: %+v", out)
 	}
-	if resp.WALSeq != 1 {
-		t.Fatalf("wal_seq = %d, want 1", resp.WALSeq)
+	if out.Seq != 1 {
+		t.Fatalf("wal seq = %d, want 1", out.Seq)
 	}
 }

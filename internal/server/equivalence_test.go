@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -14,9 +13,9 @@ import (
 )
 
 // equivCorpus is a protocol-shape corpus: every optional field present
-// and absent, sub-millisecond durations (where a ms/ns unit confusion
-// between the JSON codec and the binary codec would show), reads/IO
-// bitmaps crossing the 8-item byte boundary.
+// and absent, sub-millisecond durations (where a ms/ns unit confusion in
+// the codec would show), reads/IO bitmaps crossing the 8-item byte
+// boundary.
 func equivCorpus() []core.ServiceRequest {
 	return []core.ServiceRequest{
 		{Items: []txn.Item{1, 2}, Compute: time.Millisecond, Deadline: time.Second},
@@ -27,49 +26,6 @@ func equivCorpus() []core.ServiceRequest {
 			NeedsIO: []bool{false, true, false, true, false, true, false, true, false},
 			Compute: 1500 * time.Nanosecond, Deadline: 2 * time.Second},
 		{Items: []txn.Item{29}, Compute: 3 * time.Millisecond, Deadline: time.Minute, Class: 3},
-	}
-}
-
-// jsonBody renders req the way an HTTP client would post it.
-func jsonBody(req core.ServiceRequest) []byte {
-	items := make([]int, len(req.Items))
-	for i, it := range req.Items {
-		items[i] = int(it)
-	}
-	b, err := json.Marshal(submitRequest{
-		Items:       items,
-		Reads:       req.Reads,
-		NeedsIO:     req.NeedsIO,
-		Compute:     jsonDuration(req.Compute),
-		Deadline:    jsonDuration(req.Deadline),
-		Criticality: req.Criticality,
-		Class:       req.Class,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// decodeJSONPath mirrors handleSubmit's decode step.
-func decodeJSONPath(t *testing.T, body []byte) core.ServiceRequest {
-	t.Helper()
-	var req submitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		t.Fatalf("json decode: %v", err)
-	}
-	items := make([]txn.Item, len(req.Items))
-	for i, it := range req.Items {
-		items[i] = txn.Item(it)
-	}
-	return core.ServiceRequest{
-		Items:       items,
-		Reads:       req.Reads,
-		NeedsIO:     req.NeedsIO,
-		Compute:     time.Duration(req.Compute),
-		Deadline:    time.Duration(req.Deadline),
-		Criticality: req.Criticality,
-		Class:       req.Class,
 	}
 }
 
@@ -107,22 +63,20 @@ func decodeBinaryPath(t *testing.T, req core.ServiceRequest) core.ServiceRequest
 	return out
 }
 
-// TestProtocolEquivalence proves the two serving protocols are the same
-// service: each corpus request decodes to an identical
-// core.ServiceRequest through the JSON path and the binary path, and
-// feeding both decoded streams to identical engines (same seed, same
-// config, virtual time driven by sequential submission) produces
-// identical terminal outcomes and identical final engine counters.
+// TestProtocolEquivalence proves the wire protocol is the service itself:
+// each corpus request decodes through the binary path to the identical
+// core.ServiceRequest, and feeding the submitted stream and the decoded one
+// to identical engines (same seed, same config, virtual time driven by
+// sequential submission) produces identical terminal outcomes and
+// identical final engine counters.
 func TestProtocolEquivalence(t *testing.T) {
 	corpus := equivCorpus()
-	viaJSON := make([]core.ServiceRequest, len(corpus))
 	viaBin := make([]core.ServiceRequest, len(corpus))
 	for i, req := range corpus {
-		viaJSON[i] = decodeJSONPath(t, jsonBody(req))
 		viaBin[i] = decodeBinaryPath(t, req)
-		if !reflect.DeepEqual(viaJSON[i], viaBin[i]) {
-			t.Fatalf("request %d decodes differently:\n json   %+v\n binary %+v",
-				i, viaJSON[i], viaBin[i])
+		if !reflect.DeepEqual(corpus[i], viaBin[i]) {
+			t.Fatalf("request %d decodes differently:\n submitted %+v\n binary    %+v",
+				i, corpus[i], viaBin[i])
 		}
 	}
 
@@ -154,23 +108,23 @@ func TestProtocolEquivalence(t *testing.T) {
 		return outs, st
 	}
 
-	outJSON, stJSON := run(viaJSON)
+	outDirect, stDirect := run(corpus)
 	outBin, stBin := run(viaBin)
-	for i := range outJSON {
+	for i := range outDirect {
 		// Sequential submission makes states and restart counts
 		// deterministic; absolute times are wall-driven and may differ.
-		if outJSON[i].State != outBin[i].State ||
-			outJSON[i].Restarts != outBin[i].Restarts {
-			t.Errorf("outcome %d diverged:\n json   %+v\n binary %+v",
-				i, outJSON[i], outBin[i])
+		if outDirect[i].State != outBin[i].State ||
+			outDirect[i].Restarts != outBin[i].Restarts {
+			t.Errorf("outcome %d diverged:\n direct %+v\n binary %+v",
+				i, outDirect[i], outBin[i])
 		}
 	}
-	if stJSON.Result.Committed != stBin.Result.Committed ||
-		stJSON.Result.Dropped != stBin.Result.Dropped {
-		t.Fatalf("engine counters diverged:\n json   %+v\n binary %+v",
-			stJSON.Result, stBin.Result)
+	if stDirect.Result.Committed != stBin.Result.Committed ||
+		stDirect.Result.Dropped != stBin.Result.Dropped {
+		t.Fatalf("engine counters diverged:\n direct %+v\n binary %+v",
+			stDirect.Result, stBin.Result)
 	}
-	if stJSON.Result.Committed != len(corpus) {
-		t.Fatalf("committed %d, want the whole corpus (%d)", stJSON.Result.Committed, len(corpus))
+	if stDirect.Result.Committed != len(corpus) {
+		t.Fatalf("committed %d, want the whole corpus (%d)", stDirect.Result.Committed, len(corpus))
 	}
 }

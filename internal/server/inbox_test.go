@@ -137,8 +137,8 @@ func TestInboxStopSweepCounts(t *testing.T) {
 	if !errors.Is(log.errs[1], core.ErrServiceStopped) {
 		t.Errorf("swept submission answered %v, want ErrServiceStopped", log.errs[1])
 	}
-	if got, want := countersOf(s), (requestCounters{Shed: 1}); got != want {
-		t.Fatalf("request counters %+v after the sweep, want %+v", got, want)
+	if got, want := countersOf(s), (answerTotals{Shed: 1}); got != want {
+		t.Fatalf("answer counters %+v after the sweep, want %+v", got, want)
 	}
 
 	if !s.submit(2, quickReq(1), log) {
@@ -149,8 +149,8 @@ func TestInboxStopSweepCounts(t *testing.T) {
 	}
 	log.wait(t, 1)
 	log.check(t, 2, wire.StatusShed)
-	if got, want := countersOf(s), (requestCounters{Shed: 2}); got != want {
-		t.Fatalf("request counters %+v, want %+v", got, want)
+	if got, want := countersOf(s), (answerTotals{Shed: 2}); got != want {
+		t.Fatalf("answer counters %+v, want %+v", got, want)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestInboxStopSweepCounts(t *testing.T) {
 // them exactly once (the stop sweep, ErrServiceStopped), and its
 // replacement takes new work.
 func TestInboxPanicAnswersQueuedOnce(t *testing.T) {
-	s, _, _, _ := startDualServer(t, Options{
+	s, _, _, _ := startServer(t, Options{
 		Core:      core.MainMemoryConfig(core.CCA, 36),
 		Service:   core.ServiceOptions{Speed: 50},
 		Shards:    2,
@@ -182,8 +182,8 @@ func TestInboxPanicAnswersQueuedOnce(t *testing.T) {
 	for id := uint64(1); id <= n; id++ {
 		log.check(t, id, wire.StatusShed)
 	}
-	if got, want := countersOf(s), (requestCounters{Shed: n}); got != want {
-		t.Errorf("request counters %+v, want %+v", got, want)
+	if got, want := countersOf(s), (answerTotals{Shed: n}); got != want {
+		t.Errorf("answer counters %+v, want %+v", got, want)
 	}
 
 	waitUntil(t, "shard restarted", func() bool { return s.svc.SupervisionStats().Restarts == 1 })
@@ -200,7 +200,7 @@ func TestInboxPanicAnswersQueuedOnce(t *testing.T) {
 // the queued ones commit once the driver runs.
 func TestInboxFullSheds(t *testing.T) {
 	const depth = 4
-	s, _, wireAddr, _ := startDualServer(t, Options{
+	s, _, wireAddr, _ := startServer(t, Options{
 		Core:        core.MainMemoryConfig(core.CCA, 37),
 		Service:     core.ServiceOptions{Speed: 50},
 		MaxInflight: depth,
@@ -260,8 +260,8 @@ func TestInboxFullSheds(t *testing.T) {
 	}
 	// The depth queued ones and the last wire one were answered through
 	// their counted targets; the shed one was not.
-	if got, want := countersOf(s), (requestCounters{Accepted: depth + 1}); got != want {
-		t.Errorf("request counters %+v, want %+v", got, want)
+	if got, want := countersOf(s), (answerTotals{Committed: depth + 1}); got != want {
+		t.Errorf("answer counters %+v, want %+v", got, want)
 	}
 }
 
@@ -272,7 +272,7 @@ func TestInboxFullSheds(t *testing.T) {
 // the order their submit records were logged — on either shard's clock, a
 // higher Seq never has an earlier Arrival.
 func TestInboxInjectsInLogOrder(t *testing.T) {
-	_, _, wireAddr, _ := startDualServer(t, Options{
+	_, _, wireAddr, _ := startServer(t, Options{
 		Core:        core.MainMemoryConfig(core.CCA, 38),
 		Shards:      2,
 		WALFS:       wal.NewMemFS(),

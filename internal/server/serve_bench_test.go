@@ -1,30 +1,29 @@
 package server
 
-// Serving-path ratio baseline: BENCH_serve.json records, for the two
-// serving protocols — HTTP/JSON and the binary wire protocol — against the
-// same in-process engine, client-observed p50/p99 wall response, heap bytes
-// allocated per request, and the throughput ratios between the arms. The
-// binary protocol's pipelined frames and pooled codecs must beat the JSON
-// path by the acceptance floors (>=2x txns/sec, >=5x fewer bytes per
-// request, 0 codec allocs/op) or the test refuses to write a baseline.
-// Throughput is measured in-run to compute the ratios and is not written:
-// an in-process number is not capacity, which only bench/ measures.
+// Serving-path ratio baseline: BENCH_serve.json records, for the wire
+// protocol against an in-process engine — closed loop, and open loop with
+// the write-ahead log off and on — client-observed p50/p99 wall response,
+// heap bytes allocated per request, and the throughput ratio of the log-on
+// arm to the log-off one. The codec must allocate nothing (0 allocs/op) and
+// the log may cost at most 15 % of the open-loop throughput, or the test
+// refuses to write a baseline. Throughput is measured in-run to compute the
+// ratio and is not written: an in-process number is not capacity, which
+// only bench/ measures.
 //
 // Refresh with:
 //
 //	BENCH_BASELINE=1 go test ./internal/server -run TestWriteServeBenchBaseline
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,11 +52,11 @@ type serveBenchResult struct {
 	BytesPerReq float64 `json:"bytes_per_req"`
 }
 
-// measureServe drives a dual-protocol server over one protocol and
-// returns committed/sec, client p50/p99 wall latency, and heap bytes
-// allocated per answered request (client+server, both in-process — the
-// same accounting for both protocols, so the ratio is honest even
-// though the absolute number includes the test client).
+// measureServe drives a server over the wire protocol and returns
+// committed/sec, client p50/p99 wall latency, and heap bytes allocated per
+// answered request (client+server, both in-process — the same accounting
+// for every arm, so the ratio is honest even though the absolute number
+// includes the test client).
 //
 // rate 0 is the closed loop: serveBenchWorkers synchronous submitters,
 // the saturation probe. rate > 0 is an open loop: Poisson arrivals at
@@ -74,7 +73,7 @@ type serveBenchResult struct {
 // converts the fsync wait into idle workers and measures that latency,
 // not throughput capacity, while under offered load the batch per
 // fsync grows with the backlog and capacity stays engine-bound.
-func measureServe(t *testing.T, proto string, withWAL bool, rate float64) serveBenchResult {
+func measureServe(t *testing.T, withWAL bool, rate float64) serveBenchResult {
 	t.Helper()
 	workers := serveBenchWorkers
 	cfg := core.MainMemoryConfig(core.CCA, 1)
@@ -85,69 +84,38 @@ func measureServe(t *testing.T, proto string, withWAL bool, rate float64) serveB
 		Service:     core.ServiceOptions{Speed: serveBenchSpeed},
 		MaxInflight: 1024,
 	}
-	label := proto
+	label := "wire"
 	if rate > 0 {
-		label = proto + "_open"
+		label = "wire_open"
 	}
 	if withWAL {
 		o.WALDir = t.TempDir()
 		o.WALSync = 0 // rtserve's -wal-sync default: sync as soon as appends are pending
-		label = proto + "_wal"
+		label = "wire_wal"
 	}
-	_, base, wireAddr, stop := startDualServer(t, o)
+	_, _, wireAddr, stop := startServer(t, o)
 	defer stop() //nolint:errcheck
 
 	// submit issues one 2-item transaction and reports commit + latency.
-	var submit func(rng *rand.Rand) (bool, time.Duration)
-	switch proto {
-	case "wire":
-		clients := make([]*wire.Client, serveBenchConns)
-		for i := range clients {
-			c, err := wire.Dial(wireAddr, 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[i] = c
-			defer c.Close()
+	clients := make([]*wire.Client, serveBenchConns)
+	for i := range clients {
+		c, err := wire.Dial(wireAddr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		next := 0
-		submit = func(rng *rand.Rand) (bool, time.Duration) {
-			mu.Lock()
-			c := clients[next%len(clients)]
-			next++
-			mu.Unlock()
-			a := rng.Intn(serveBenchDBSize - 1)
-			t0 := time.Now()
-			resp, err := c.Submit(&wire.SubmitReq{
-				Items:   []txn.Item{txn.Item(a), txn.Item(a + 1)},
-				Compute: 50 * time.Microsecond, Deadline: time.Minute,
-			})
-			return err == nil && resp.Status == wire.StatusCommitted, time.Since(t0)
-		}
-	case "json":
-		tr := &http.Transport{MaxIdleConns: workers, MaxIdleConnsPerHost: workers}
-		defer tr.CloseIdleConnections()
-		hc := &http.Client{Transport: tr, Timeout: 30 * time.Second}
-		url := base + "/submit"
-		submit = func(rng *rand.Rand) (bool, time.Duration) {
-			a := rng.Intn(serveBenchDBSize - 1)
-			body, _ := json.Marshal(submitRequest{
-				Items:   []int{a, a + 1},
-				Compute: jsonDuration(50 * time.Microsecond), Deadline: jsonDuration(time.Minute),
-			})
-			t0 := time.Now()
-			resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-			if err != nil {
-				return false, time.Since(t0)
-			}
-			var sr submitResponse
-			derr := json.NewDecoder(resp.Body).Decode(&sr)
-			resp.Body.Close()
-			return derr == nil && sr.State == "committed", time.Since(t0)
-		}
-	default:
-		t.Fatalf("unknown proto %q", proto)
+		clients[i] = c
+		defer c.Close()
+	}
+	var next atomic.Int64
+	submit := func(rng *rand.Rand) (bool, time.Duration) {
+		c := clients[int(next.Add(1))%len(clients)]
+		a := rng.Intn(serveBenchDBSize - 1)
+		t0 := time.Now()
+		resp, err := c.Submit(&wire.SubmitReq{
+			Items:   []txn.Item{txn.Item(a), txn.Item(a + 1)},
+			Compute: 50 * time.Microsecond, Deadline: time.Minute,
+		})
+		return err == nil && resp.Status == wire.StatusCommitted, time.Since(t0)
 	}
 
 	var (
@@ -270,9 +238,7 @@ type serveBenchBaseline struct {
 	Speed        float64            `json:"speed"`
 	HostCPUs     int                `json:"host_cpus"`
 	Entries      []serveBenchResult `json:"entries"`
-	TputRatio    float64            `json:"ratio_wire_vs_json_txns_per_sec"`
 	WALRatio     float64            `json:"ratio_wire_wal_vs_wire_open_txns_per_sec"`
-	BytesRatio   float64            `json:"ratio_json_vs_wire_bytes_per_req"`
 	CodecAllocs  float64            `json:"codec_allocs_per_op"`
 	WallP99WireS float64            `json:"wire_p99_ms"`
 	GroupCommit  walGroupCommit     `json:"wal_group_commit"`
@@ -349,8 +315,8 @@ func filesystemOf(dir string) string {
 	return typ
 }
 
-// TestWriteServeBenchBaseline measures both serving protocols end to
-// end and writes BENCH_serve.json at the repo root. Gated behind
+// TestWriteServeBenchBaseline measures the wire serving path end to end
+// and writes BENCH_serve.json at the repo root. Gated behind
 // BENCH_BASELINE=1: it takes ~6s of wall time and saturates the
 // machine, which is exactly what a unit-test run must not do.
 func TestWriteServeBenchBaseline(t *testing.T) {
@@ -377,8 +343,7 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 		t.Errorf("codec allocates %.1f/op, want 0 (acceptance floor)", codecAllocs)
 	}
 
-	jsonRes := measureServe(t, "json", false, 0)
-	wireRes := measureServe(t, "wire", false, 0)
+	wireRes := measureServe(t, false, 0)
 	// The WAL cost comparison runs both arms open-loop at the same
 	// offered rate — 0.4x the no-WAL closed-loop capacity, a load the
 	// durable path can physically sustain here (each fsync forces an
@@ -390,9 +355,8 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 	// (server/wal.go), and the no-WAL arms must measure the
 	// single-P configuration rtserve actually runs without -wal-dir.
 	rate := 0.4 * wireRes.TxnsPerSec
-	openRes := measureServe(t, "wire", false, rate)
-	walRes := measureServe(t, "wire", true, rate)
-	t.Logf("json: %.0f txns/s p99=%.3fms %.0f B/req", jsonRes.TxnsPerSec, jsonRes.P99Ms, jsonRes.BytesPerReq)
+	openRes := measureServe(t, false, rate)
+	walRes := measureServe(t, true, rate)
 	t.Logf("wire: %.0f txns/s p99=%.3fms %.0f B/req", wireRes.TxnsPerSec, wireRes.P99Ms, wireRes.BytesPerReq)
 	t.Logf("wire open @%.0f/s: %.0f txns/s p99=%.3fms", rate, openRes.TxnsPerSec, openRes.P99Ms)
 	t.Logf("wire+wal @%.0f/s: %.0f txns/s p99=%.3fms %.0f B/req", rate, walRes.TxnsPerSec, walRes.P99Ms, walRes.BytesPerReq)
@@ -400,14 +364,6 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 	t.Logf("wal group commit on %s: %.0f ns/commit, append+fsync %.0f ns, ratio %.3f",
 		groupCommit.Filesystem, groupCommit.NsPerCommit, groupCommit.AppendFsyncNs, groupCommit.Ratio)
 
-	tputRatio := wireRes.TxnsPerSec / jsonRes.TxnsPerSec
-	bytesRatio := jsonRes.BytesPerReq / wireRes.BytesPerReq
-	if tputRatio < 2 {
-		t.Errorf("wire vs json throughput ratio = %.2f, want >= 2 (acceptance floor)", tputRatio)
-	}
-	if bytesRatio < 5 {
-		t.Errorf("json vs wire bytes/request ratio = %.2f, want >= 5 (acceptance floor)", bytesRatio)
-	}
 	walRatio := walRes.TxnsPerSec / openRes.TxnsPerSec
 	if walRatio < 0.85 {
 		t.Errorf("wal vs no-wal wire throughput ratio = %.2f at %.0f offered txns/s, want >= 0.85 (group commit must cost <= 15%%)", walRatio, rate)
@@ -420,11 +376,10 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 		Note: "IN-PROCESS MICRO-BASELINE, NOT CAPACITY: client and server share one process and " +
 			"host_cpus CPUs, and p50/p99 are histogram bucket edges; capacity and latency are " +
 			"bench/'s out-of-process numbers (BENCHMARK.json). What this file enforces is ratios. " +
-			"Throughput is measured in-run for the ratios and not recorded. The two front-ends run " +
-			"against one engine: closed-loop workers issue 2-item writes; the wire protocol's " +
-			"pipelined frames, batched submit and zero-alloc codecs carry the gap; bytes_per_req " +
+			"Throughput is measured in-run for the ratio and not recorded. wire: closed-loop " +
+			"workers issue 2-item writes over pipelined wire connections; bytes_per_req " +
 			"is heap allocated per answered request (client+server in-process, same accounting " +
-			"both protocols); wire_open and wire_wal run the wire path open-loop (Poisson " +
+			"every arm); wire_open and wire_wal run the wire path open-loop (Poisson " +
 			"arrivals) at the same offered rate, 0.4x the closed-loop wire throughput, without " +
 			"and with an on-disk write-ahead log at the default sync interval (0: fsync whenever " +
 			"an outcome is pending) — every WAL-arm answer waits for its outcome record's " +
@@ -435,10 +390,8 @@ func TestWriteServeBenchBaseline(t *testing.T) {
 		DBSize:       serveBenchDBSize,
 		Speed:        serveBenchSpeed,
 		HostCPUs:     runtime.NumCPU(),
-		Entries:      []serveBenchResult{jsonRes, wireRes, openRes, walRes},
-		TputRatio:    tputRatio,
+		Entries:      []serveBenchResult{wireRes, openRes, walRes},
 		WALRatio:     walRatio,
-		BytesRatio:   bytesRatio,
 		CodecAllocs:  codecAllocs,
 		WallP99WireS: wireRes.P99Ms,
 		GroupCommit:  groupCommit,

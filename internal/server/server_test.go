@@ -7,17 +7,20 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// startServer builds a server on a loopback listener and runs it until the
-// returned stop func is called (which also waits for Serve to return and
-// reports its error).
-func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
+// startServer builds a server on loopback listeners — the status port and
+// the wire protocol — and runs it until the returned stop func is called
+// (which also waits for ServeListeners to return and reports its error).
+// base is the status port's URL.
+func startServer(t *testing.T, opts Options) (s *Server, base, wireAddr string, stop func() error) {
 	t.Helper()
 	if opts.Service.Speed == 0 {
 		opts.Service.Speed = 5000
@@ -26,15 +29,19 @@ func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	statusLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatal(err)
+	}
+	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.ServeListeners(ctx, ln, nil) }()
+	go func() { done <- s.ServeListeners(ctx, statusLn, wireLn) }()
 	stopped := false
-	stop := func() error {
+	stop = func() error {
 		if stopped {
 			return nil
 		}
@@ -49,194 +56,169 @@ func startServer(t *testing.T, opts Options) (*Server, string, func() error) {
 		}
 	}
 	t.Cleanup(func() { _ = stop() })
-	return s, "http://" + ln.Addr().String(), stop
+	return s, "http://" + statusLn.Addr().String(), wireLn.Addr().String(), stop
 }
 
-func postSubmit(t *testing.T, base string, req submitRequest) (int, submitResponse) {
+// dial opens a wire client to addr, closed when the test ends.
+func dial(t *testing.T, addr string) *wire.Client {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
+	c, err := wire.Dial(addr, time.Second)
 	if err != nil {
-		t.Fatalf("POST /submit: %v", err)
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// submit sends one request over c and fails the test on a transport error.
+func submit(t *testing.T, c *wire.Client, req core.ServiceRequest) wire.SubmitResp {
+	t.Helper()
+	resp, err := c.Submit(&wire.SubmitReq{
+		Items: req.Items, Reads: req.Reads, NeedsIO: req.NeedsIO,
+		Compute: req.Compute, Deadline: req.Deadline,
+		Criticality: req.Criticality, Class: req.Class,
+	})
+	if err != nil {
+		t.Fatalf("wire submit: %v", err)
+	}
+	return resp
+}
+
+// get fetches a status-port URL and returns the code and the body.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	var out submitResponse
-	if resp.StatusCode != http.StatusMethodNotAllowed && resp.StatusCode != http.StatusBadRequest {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("decode response: %v", err)
-		}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, string(b)
 }
 
-// TestServerSubmitCommit drives a commit end to end over HTTP.
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	_, body := get(t, url)
+	return body
+}
+
+// TestServerSubmitCommit drives a commit end to end over the wire.
 func TestServerSubmitCommit(t *testing.T) {
-	_, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 1)})
-	code, out := postSubmit(t, base, submitRequest{
-		Items:    []int{1, 2, 3},
-		Compute:  jsonDuration(time.Millisecond),
-		Deadline: jsonDuration(500 * time.Millisecond),
+	_, _, wireAddr, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 1)})
+	out := submit(t, dial(t, wireAddr), core.ServiceRequest{
+		Items: itemSeq(1, 2, 3), Compute: time.Millisecond, Deadline: 500 * time.Millisecond,
 	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d, want 200 (%+v)", code, out)
-	}
-	if out.State != "committed" || out.Missed {
+	if out.Status != wire.StatusCommitted || out.Missed {
 		t.Fatalf("outcome %+v, want committed and met", out)
 	}
-	if out.ResponseMs <= 0 || out.FinishMs < out.ArrivalMs {
+	if out.Response <= 0 || out.Finish < out.Arrival {
 		t.Fatalf("incoherent timings: %+v", out)
 	}
 }
 
-// TestServerBadRequests checks the 400/405 paths.
+// TestServerBadRequests checks the refusals: a request the engine cannot
+// take is StatusInvalid on the wire with its reason, and the status port
+// answers 404 to an unknown path and 405 to anything but GET.
 func TestServerBadRequests(t *testing.T) {
-	_, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 2)})
-
-	resp, err := http.Get(base + "/submit")
-	if err != nil {
-		t.Fatalf("GET /submit: %v", err)
+	_, base, wireAddr, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 2)})
+	c := dial(t, wireAddr)
+	if out := submit(t, c, core.ServiceRequest{Compute: time.Millisecond, Deadline: time.Second}); out.Status != wire.StatusInvalid || out.Err == "" {
+		t.Fatalf("empty items: %+v, want invalid with a reason", out)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /submit: status %d, want 405", resp.StatusCode)
+	if out := submit(t, c, core.ServiceRequest{Items: itemSeq(3, 3), Compute: time.Millisecond, Deadline: time.Second}); out.Status != wire.StatusInvalid {
+		t.Fatalf("item named twice: %+v, want invalid", out)
 	}
 
-	resp, err = http.Post(base+"/submit", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatalf("POST bad json: %v", err)
+	if code, _ := get(t, base+"/submit"); code != http.StatusNotFound {
+		t.Fatalf("GET /submit: status %d, want 404", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: status %d, want 400", resp.StatusCode)
-	}
-
-	// Valid JSON, invalid transaction (no items).
-	code, _ := postSubmit(t, base, submitRequest{Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
-	if code != http.StatusBadRequest {
-		t.Fatalf("empty items: status %d, want 400", code)
+	for _, method := range []string{http.MethodPost, http.MethodHead, http.MethodDelete} {
+		req, _ := http.NewRequest(method, base+"/metrics", strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s /metrics: %v", method, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+			t.Fatalf("%s /metrics: status %d Allow %q, want 405 GET", method, resp.StatusCode, resp.Header.Get("Allow"))
+		}
 	}
 }
 
-// TestServerDurationCodec checks both accepted deadline encodings.
-func TestServerDurationCodec(t *testing.T) {
-	var d jsonDuration
-	if err := json.Unmarshal([]byte(`"40ms"`), &d); err != nil || time.Duration(d) != 40*time.Millisecond {
-		t.Fatalf("string form: %v %v", d, err)
-	}
-	if err := json.Unmarshal([]byte(`2.5`), &d); err != nil || time.Duration(d) != 2500*time.Microsecond {
-		t.Fatalf("number form: %v %v", d, err)
-	}
-	if err := json.Unmarshal([]byte(`"nope"`), &d); err == nil {
-		t.Fatal("garbage duration accepted")
-	}
-}
-
-// TestServerShedsAtCapacity checks the bounded accept queue: with the one
-// slot occupied by a slow transaction, the next submission is shed with a
-// fast 503 + Retry-After instead of queueing.
+// TestServerShedsAtCapacity checks the bounded pipeline: with the one slot
+// of a connection held by a slow transaction, the next submission on it is
+// shed with a fast StatusShed and a retry hint instead of queueing.
 func TestServerShedsAtCapacity(t *testing.T) {
-	opts := Options{
+	s, _, wireAddr, _ := startServer(t, Options{
 		Core:        core.MainMemoryConfig(core.CCA, 3),
 		Service:     core.ServiceOptions{Speed: 50}, // slow enough to hold the slot
 		MaxInflight: 1,
-	}
-	_, base, _ := startServer(t, opts)
-
-	slow := make(chan int, 1)
+	})
+	c := dial(t, wireAddr)
+	slow := make(chan wire.SubmitResp, 1)
 	go func() {
-		code, _ := postSubmit(t, base, submitRequest{
-			Items:    []int{1},
-			Compute:  jsonDuration(2 * time.Second), // 40ms wall at speed 50
-			Deadline: jsonDuration(time.Hour),
+		slow <- submit(t, c, core.ServiceRequest{
+			Items:    itemSeq(1),
+			Compute:  2 * time.Second, // 40ms wall at speed 50
+			Deadline: time.Hour,
 		})
-		slow <- code
 	}()
-	// Wait until the slow submission holds the inflight slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("slow submission never occupied the inflight slot")
-		}
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatalf("GET /metrics: %v", err)
-		}
-		var m metricsResponse
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode metrics: %v", err)
-		}
-		if m.Inflight >= 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "slow submission live", liveIs(s, 1))
 
 	start := time.Now()
-	body, _ := json.Marshal(submitRequest{Items: []int{2}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second)})
-	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("shed POST: %v", err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d body %s, want 503", resp.StatusCode, b)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
+	out := submit(t, c, core.ServiceRequest{Items: itemSeq(2), Compute: time.Millisecond, Deadline: time.Second})
+	if out.Status != wire.StatusShed || out.RetryAfter == 0 {
+		t.Fatalf("second submission: %+v, want shed with a retry hint", out)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("shed response took %v; shedding must be fast", elapsed)
+		t.Fatalf("shed answer took %v; shedding must be fast", elapsed)
 	}
-	if code := <-slow; code != http.StatusOK {
-		t.Fatalf("slow submission finished with %d, want 200", code)
+	if out := <-slow; out.Status != wire.StatusCommitted {
+		t.Fatalf("slow submission finished %+v, want committed", out)
 	}
 }
 
 // TestServerAdmissionRejects checks that an engine-level admission
-// rejection surfaces as 503 + Retry-After with state "rejected".
+// rejection surfaces as StatusRejected with a retry hint.
 func TestServerAdmissionRejects(t *testing.T) {
 	cfg := core.MainMemoryConfig(core.CCA, 4)
 	cfg.Admission = core.AdmissionConfig{Mode: core.RejectInfeasible}
-	_, base, _ := startServer(t, Options{Core: cfg})
+	_, _, wireAddr, _ := startServer(t, Options{Core: cfg})
 
 	items := make([]int, 25)
 	for i := range items {
 		items[i] = i
 	}
-	code, out := postSubmit(t, base, submitRequest{
-		Items:    items,
-		Compute:  jsonDuration(time.Millisecond),
-		Deadline: jsonDuration(2 * time.Millisecond), // infeasible
+	out := submit(t, dial(t, wireAddr), core.ServiceRequest{
+		Items:    itemSeq(items...),
+		Compute:  time.Millisecond,
+		Deadline: 2 * time.Millisecond, // infeasible
 	})
-	if code != http.StatusServiceUnavailable || out.State != "rejected" {
-		t.Fatalf("infeasible submit: status %d state %q, want 503 rejected", code, out.State)
+	if out.Status != wire.StatusRejected || out.RetryAfter == 0 {
+		t.Fatalf("infeasible submit: %+v, want rejected with a retry hint", out)
 	}
 }
 
-// TestServerObservability checks /metrics, /healthz, /debug/vars and
-// /debug/pprof respond sensibly.
+// TestServerObservability checks /metrics, /healthz and a text profile on
+// the status port.
 func TestServerObservability(t *testing.T) {
-	_, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 5)})
-	if code, _ := postSubmit(t, base, submitRequest{
-		Items: []int{4}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
-	}); code != http.StatusOK {
-		t.Fatalf("seed submit: %d", code)
+	_, base, wireAddr, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 5)})
+	if out := submit(t, dial(t, wireAddr), core.ServiceRequest{
+		Items: itemSeq(4), Compute: time.Millisecond, Deadline: time.Second,
+	}); out.Status != wire.StatusCommitted {
+		t.Fatalf("seed submit: %+v", out)
 	}
 
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
+	code, body := get(t, base+"/metrics")
 	var m metricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("decode metrics: %v", err)
+	if err := json.Unmarshal([]byte(body), &m); code != http.StatusOK || err != nil {
+		t.Fatalf("GET /metrics: %d %v\n%s", code, err, body)
 	}
-	resp.Body.Close()
-	if m.Accepted != 1 || m.Engine == nil {
-		t.Fatalf("metrics %+v: want accepted=1 with engine counters", m)
+	if m.Answers.Committed != 1 || m.Engine == nil || m.Wire == nil || m.Wire.Submits != 1 {
+		t.Fatalf("metrics %+v: want one committed answer, one wire submit and engine counters", m)
 	}
 	eng, _ := json.Marshal(m.Engine)
 	var res struct {
@@ -247,92 +229,124 @@ func TestServerObservability(t *testing.T) {
 		t.Fatalf("engine counters %s: want committed=1", eng)
 	}
 
-	for _, path := range []string{"/healthz", "/debug/vars", "/debug/pprof/"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
+	if code, body := get(t, base+"/healthz"); code != http.StatusOK || !strings.HasPrefix(body, "ok draining=false") {
+		t.Fatalf("GET /healthz: %d %q", code, body)
+	}
+	if code, body := get(t, base+"/debug/pprof/goroutine?debug=1"); code != http.StatusOK || !strings.HasPrefix(body, "goroutine profile:") {
+		t.Fatalf("GET /debug/pprof/goroutine?debug=1: %d %q", code, body)
 	}
 }
 
-// TestServerPanicIsolation checks that a handler panic answers 500 on that
-// request alone: the engine and subsequent requests are unaffected.
-func TestServerPanicIsolation(t *testing.T) {
-	s, base, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 6)})
-	s.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
-
-	resp, err := http.Get(base + "/boom")
-	if err != nil {
-		t.Fatalf("GET /boom: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking handler answered %d, want 500", resp.StatusCode)
-	}
-	if got := s.panics.Load(); got != 1 {
-		t.Fatalf("panic counter %d, want 1", got)
-	}
-	// The service survived and still commits.
-	code, out := postSubmit(t, base, submitRequest{
-		Items: []int{1}, Compute: jsonDuration(time.Millisecond), Deadline: jsonDuration(time.Second),
+// TestResponsePercentilesSeeWireTraffic: the /metrics response percentiles
+// are the engine residence of committed wire answers, so wire-only load
+// moves them off zero, on the status port and in the wire metrics frame.
+func TestResponsePercentilesSeeWireTraffic(t *testing.T) {
+	_, base, wireAddr, _ := startServer(t, Options{
+		Core:    core.MainMemoryConfig(core.CCA, 9),
+		Service: core.ServiceOptions{Speed: 50},
 	})
-	if code != http.StatusOK || out.State != "committed" {
-		t.Fatalf("post-panic submit: %d %+v", code, out)
+	c := dial(t, wireAddr)
+	if out := submit(t, c, core.ServiceRequest{Items: itemSeq(1, 2), Compute: time.Millisecond, Deadline: time.Second}); out.Status != wire.StatusCommitted {
+		t.Fatalf("submit: %+v", out)
+	}
+	var m metricsResponse
+	if err := json.Unmarshal([]byte(getBody(t, base+"/metrics")), &m); err != nil {
+		t.Fatal(err)
+	}
+	// Two items of 1 ms engine time at speed 50 are at least 40 µs of wall
+	// time in the engine.
+	if m.P50ResponseMs < 0.04 || m.P99ResponseMs < m.P50ResponseMs {
+		t.Fatalf("response percentiles p50 %v p95 %v p99 %v after a wire commit, want p50 >= 0.04 ms",
+			m.P50ResponseMs, m.P95ResponseMs, m.P99ResponseMs)
+	}
+	body, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaWire metricsResponse
+	if err := json.Unmarshal(body, &viaWire); err != nil || viaWire.P50ResponseMs != m.P50ResponseMs {
+		t.Fatalf("wire metrics frame p50 %v (%v), want %v", viaWire.P50ResponseMs, err, m.P50ResponseMs)
 	}
 }
 
-// TestServerGracefulShutdown checks the drain sequence: cancelling Serve's
-// context wounds the in-flight transaction (its handler answers 503
-// dropped), Serve returns nil, and the listener is closed afterwards.
+// TestServerPanicIsolation checks that a status handler's panic answers
+// 500 on that connection alone: the port, the engine and the wire keep
+// serving.
+func TestServerPanicIsolation(t *testing.T) {
+	s, _, wireAddr, _ := startServer(t, Options{Core: core.MainMemoryConfig(core.CCA, 6)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newStatusPort(ln, func(path, query string, stop <-chan struct{}) (int, string, []byte) {
+		if path == "/boom" {
+			panic("kaboom")
+		}
+		return s.status(path, query, stop)
+	})
+	served := make(chan error, 1)
+	go func() { served <- p.serve() }()
+	base := "http://" + ln.Addr().String()
+
+	if code, body := get(t, base+"/boom"); code != http.StatusInternalServerError || !strings.Contains(body, "kaboom") {
+		t.Fatalf("panicking handler answered %d %q, want 500 naming the panic", code, body)
+	}
+	if code, _ := get(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after the panic: %d", code)
+	}
+	if out := submit(t, dial(t, wireAddr), core.ServiceRequest{Items: itemSeq(1), Compute: time.Millisecond, Deadline: time.Second}); out.Status != wire.StatusCommitted {
+		t.Fatalf("post-panic submit: %+v", out)
+	}
+	p.shutdown()
+	if err := <-served; err != nil {
+		t.Fatalf("serve after shutdown: %v", err)
+	}
+}
+
+// TestServerGracefulShutdown checks the drain sequence: cancelling
+// ServeListeners' context wounds the in-flight transaction (its client is
+// answered dropped), ServeListeners returns nil, and the status port is
+// closed afterwards.
 func TestServerGracefulShutdown(t *testing.T) {
-	opts := Options{
+	s, base, wireAddr, stop := startServer(t, Options{
 		Core:         core.MainMemoryConfig(core.CCA, 7),
 		Service:      core.ServiceOptions{Speed: 50},
 		DrainTimeout: 50 * time.Millisecond,
-	}
-	_, base, stop := startServer(t, opts)
-
-	inflight := make(chan submitResponse, 1)
-	codes := make(chan int, 1)
+	})
+	c := dial(t, wireAddr)
+	inflight := make(chan wire.SubmitResp, 1)
 	go func() {
-		code, out := postSubmit(t, base, submitRequest{
-			Items:    []int{1, 2, 3},
-			Compute:  jsonDuration(time.Minute), // far longer than the drain budget
-			Deadline: jsonDuration(time.Hour),
+		inflight <- submit(t, c, core.ServiceRequest{
+			Items:    itemSeq(1, 2, 3),
+			Compute:  time.Minute, // far longer than the drain budget
+			Deadline: time.Hour,
 		})
-		codes <- code
-		inflight <- out
 	}()
-	time.Sleep(20 * time.Millisecond) // let the submission reach the engine
+	waitUntil(t, "submission live", liveIs(s, 1))
 
 	start := time.Now()
 	if err := stop(); err != nil {
-		t.Fatalf("Serve returned %v, want nil on cancellation", err)
+		t.Fatalf("ServeListeners returned %v, want nil on cancellation", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("shutdown took %v", elapsed)
 	}
 	select {
-	case code := <-codes:
-		out := <-inflight
-		if code != http.StatusServiceUnavailable || out.State != "dropped" {
-			t.Fatalf("in-flight request answered %d %+v, want 503 dropped", code, out)
+	case out := <-inflight:
+		if out.Status != wire.StatusDropped {
+			t.Fatalf("in-flight request answered %+v, want dropped", out)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("in-flight request never answered during drain")
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Fatal("listener still accepting after shutdown")
+		t.Fatal("status port still accepting after shutdown")
 	}
 }
 
 // TestServerEngineFailureSurfaces checks that a live safety-oracle
-// violation stops the service, makes Serve return the failure, and turns
-// /healthz into a 503 naming it.
+// violation stops the service, makes ServeListeners return the failure,
+// and turns /healthz into a 503 naming it.
 func TestServerEngineFailureSurfaces(t *testing.T) {
 	opts := Options{
 		Core:    core.MainMemoryConfig(core.CCA, 8),
@@ -359,37 +373,21 @@ func TestServerEngineFailureSurfaces(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Serve returned nil after an oracle violation")
+			t.Fatal("ServeListeners returned nil after an oracle violation")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Serve did not return after the oracle violation")
+		t.Fatal("ServeListeners did not return after the oracle violation")
 	}
 	if s.svc.Err() == nil {
 		t.Fatal("Err() nil after an oracle violation")
 	}
-	// The handler still reports the failure even though the listener is
-	// closed: exercise /healthz directly against the mux.
-	req, _ := http.NewRequest(http.MethodGet, "/healthz", nil)
-	rec := newRecorder()
-	s.handler().ServeHTTP(rec, req)
-	if rec.status != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz after violation: status %d, want 503", rec.status)
+	// The handler still reports the failure even though the port is
+	// closed: ask it directly.
+	code, _, body := s.status("/healthz", "", nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz after violation: status %d, want 503", code)
 	}
-	if !bytes.Contains(rec.body.Bytes(), []byte("oracle")) {
-		t.Fatalf("/healthz body %q does not name the oracle", rec.body.String())
+	if !bytes.HasPrefix(body, []byte("unhealthy: ")) || !bytes.Contains(body, []byte("oracle")) {
+		t.Fatalf("/healthz body %q does not name the oracle", body)
 	}
-}
-
-// recorder is a minimal ResponseWriter for post-shutdown handler checks.
-type recorder struct {
-	h      http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func newRecorder() *recorder             { return &recorder{h: make(http.Header), status: 200} }
-func (r *recorder) Header() http.Header  { return r.h }
-func (r *recorder) WriteHeader(code int) { r.status = code }
-func (r *recorder) Write(b []byte) (int, error) {
-	return r.body.Write(b)
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -13,16 +10,17 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // TestSoakOverload drives the server well past saturation with a bursty
 // client and checks the graceful-degradation contract end to end:
 //
-//   - shed requests (engine admission or inflight bound) answer fast —
+//   - shed requests (engine admission or pipeline bound) answer fast —
 //     overload must not turn into queueing delay for the shed traffic;
 //   - admitted requests keep a bounded p99 response — the engine never
 //     builds an unbounded backlog because infeasible work is refused;
-//   - after drain the process has no leaked goroutines — every handler,
+//   - after drain the process has no leaked goroutines — every connection,
 //     driver and helper wound down.
 //
 // The test runs under -race in CI.
@@ -41,10 +39,7 @@ func TestSoakOverload(t *testing.T) {
 		MaxInflight:  32,
 		DrainTimeout: 2 * time.Second,
 	}
-	_, base, stop := startServer(t, opts)
-
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	defer client.CloseIdleConnections()
+	_, _, wireAddr, stop := startServer(t, opts)
 
 	const (
 		workers   = 24
@@ -52,7 +47,7 @@ func TestSoakOverload(t *testing.T) {
 	)
 	var (
 		committed atomic.Int64
-		shed      atomic.Int64 // 503 with Retry-After (capacity or admission)
+		shed      atomic.Int64 // shed or rejected with a retry hint
 		other     atomic.Int64
 
 		mu       sync.Mutex
@@ -65,6 +60,13 @@ func TestSoakOverload(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One connection per worker, one request in flight on it.
+			c, err := wire.Dial(wireAddr, time.Second)
+			if err != nil {
+				t.Errorf("worker %d: dial: %v", w, err)
+				return
+			}
+			defer c.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				// Bursty: a clump of back-to-back requests, then a lull.
@@ -72,38 +74,30 @@ func TestSoakOverload(t *testing.T) {
 					time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 				}
 				first := rng.Intn(30)
-				req := submitRequest{
-					Items: []int{first, (first + 1 + rng.Intn(29)) % 30},
+				req := &wire.SubmitReq{
+					Items: itemSeq(first, (first+1+rng.Intn(29))%30),
 					// 2 sim-ms per item on one CPU, 20 sim-ms deadline:
 					// at most ~5 transactions fit the deadline, so 24
 					// concurrent workers guarantee admission shedding.
-					Compute:  jsonDuration(2 * time.Millisecond),
-					Deadline: jsonDuration(20 * time.Millisecond),
+					Compute:  2 * time.Millisecond,
+					Deadline: 20 * time.Millisecond,
 				}
-				body, _ := json.Marshal(req)
 				start := time.Now()
-				resp, err := client.Post(base+"/submit", "application/json", bytes.NewReader(body))
+				out, err := c.Submit(req)
 				lat := float64(time.Since(start)) / float64(time.Millisecond)
 				if err != nil {
-					t.Errorf("worker %d: POST: %v", w, err)
+					t.Errorf("worker %d: submit: %v", w, err)
 					return
 				}
-				var out submitResponse
-				decErr := json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if decErr != nil {
-					t.Errorf("worker %d: decode: %v", w, decErr)
-					return
-				}
-				switch {
-				case resp.StatusCode == http.StatusOK && out.State == "committed":
+				switch out.Status {
+				case wire.StatusCommitted:
 					committed.Add(1)
 					mu.Lock()
 					okLatMs = append(okLatMs, lat)
 					mu.Unlock()
-				case resp.StatusCode == http.StatusServiceUnavailable:
-					if resp.Header.Get("Retry-After") == "" {
-						t.Errorf("worker %d: 503 without Retry-After (state %q)", w, out.State)
+				case wire.StatusShed, wire.StatusRejected:
+					if out.RetryAfter == 0 {
+						t.Errorf("worker %d: status %d without a retry hint", w, out.Status)
 						return
 					}
 					shed.Add(1)
@@ -112,7 +106,7 @@ func TestSoakOverload(t *testing.T) {
 					mu.Unlock()
 				default:
 					other.Add(1)
-					t.Errorf("worker %d: unexpected status %d state %q", w, resp.StatusCode, out.State)
+					t.Errorf("worker %d: unexpected answer %+v", w, out)
 					return
 				}
 			}
@@ -159,8 +153,6 @@ func TestSoakOverload(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatalf("Serve returned %v on drain", err)
 	}
-	client.CloseIdleConnections()
-	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		now := runtime.NumGoroutine()

@@ -181,7 +181,7 @@ func (s *Server) replayWAL(ctx context.Context) {
 				WALSeq: rec.Seq,
 				Done: func(o core.ServiceOutcome, err error) {
 					defer wg.Done()
-					status, _, _ := wire.Classify(o, err)
+					status := wire.Classify(o, err)
 					s.replay.answers[status].Add(1)
 				},
 			}, 0)

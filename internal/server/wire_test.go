@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -15,51 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// startDualServer runs a server with both the HTTP and the wire
-// listener on loopback ports.
-func startDualServer(t *testing.T, opts Options) (*Server, string, string, func() error) {
-	t.Helper()
-	if opts.Service.Speed == 0 {
-		opts.Service.Speed = 5000
-	}
-	s, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.ServeListeners(ctx, httpLn, wireLn) }()
-	stopped := false
-	stop := func() error {
-		if stopped {
-			return nil
-		}
-		stopped = true
-		cancel()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(30 * time.Second):
-			t.Fatal("ServeListeners did not return after cancel")
-			return nil
-		}
-	}
-	t.Cleanup(func() { _ = stop() })
-	return s, "http://" + httpLn.Addr().String(), wireLn.Addr().String(), stop
-}
-
 // TestWireFrontEnd drives the binary protocol against the real engine:
-// commits, metrics and health parity with HTTP, and drain semantics.
+// commits, metrics and health parity with the status port, and drain
+// semantics.
 func TestWireFrontEnd(t *testing.T) {
-	s, base, wireAddr, stop := startDualServer(t, Options{
+	s, base, wireAddr, stop := startServer(t, Options{
 		Core: core.MainMemoryConfig(core.CCA, 21),
 	})
 
@@ -109,30 +67,24 @@ func TestWireFrontEnd(t *testing.T) {
 	}
 
 	// Metrics parity: the wire metrics frame carries the same JSON
-	// document the HTTP endpoint serves.
+	// document the status port serves.
 	body, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaWire metricsResponse
+	var viaWire, viaPort metricsResponse
 	if err := json.Unmarshal(body, &viaWire); err != nil {
 		t.Fatalf("wire metrics not metricsResponse JSON: %v\n%s", err, body)
 	}
-	hres, err := http.Get(base + "/metrics")
-	if err != nil {
+	if err := json.Unmarshal([]byte(getBody(t, base+"/metrics")), &viaPort); err != nil {
 		t.Fatal(err)
 	}
-	var viaHTTP metricsResponse
-	if err := json.NewDecoder(hres.Body).Decode(&viaHTTP); err != nil {
-		t.Fatal(err)
-	}
-	hres.Body.Close()
-	if viaWire.Accepted < 1 || viaHTTP.Accepted < viaWire.Accepted-1 {
-		t.Fatalf("metrics disagree: wire %+v http %+v", viaWire, viaHTTP)
+	if viaWire.Answers != viaPort.Answers || viaWire.Answers.Committed != 1 || viaWire.Answers.Invalid != 1 {
+		t.Fatalf("metrics disagree: wire %+v status port %+v", viaWire.Answers, viaPort.Answers)
 	}
 
 	// Drain: stopping the server sheds wire submissions with a
-	// Retry-After hint, mirroring HTTP's 503 contract.
+	// Retry-After hint.
 	drained := make(chan struct{})
 	go func() { defer close(drained); _ = stop() }()
 	deadline := time.Now().Add(10 * time.Second)
@@ -160,9 +112,9 @@ func TestWireFrontEnd(t *testing.T) {
 
 // TestWireBatchedThroughput pushes concurrent pipelined submissions
 // from several connections through the shard inboxes and checks they all
-// commit and show up in http_accepted.
+// commit and show up in the committed answer count.
 func TestWireBatchedThroughput(t *testing.T) {
-	s, _, wireAddr, _ := startDualServer(t, Options{
+	s, _, wireAddr, _ := startServer(t, Options{
 		Core:        core.MainMemoryConfig(core.CCA, 22),
 		MaxInflight: 1024,
 	})
@@ -208,8 +160,8 @@ func TestWireBatchedThroughput(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := s.metricsResponse().Accepted; got != conns*perConn {
-		t.Fatalf("accepted %d, want %d", got, conns*perConn)
+	if got := s.metricsResponse().Answers.Committed; got != conns*perConn {
+		t.Fatalf("committed %d, want %d", got, conns*perConn)
 	}
 }
 

@@ -11,15 +11,13 @@ import (
 
 // TestClassifyAgreesWithTheOldSwitches: Classify is total over every
 // core.State and every error a Submission.Done can carry, bare and wrapped,
-// and answers each the way the four hand-written switches it replaced did.
-// The want columns are those switches, case by case:
+// and answers each the way the hand-written switches it replaced did. The
+// want columns are those switches, case by case:
 //
 //   - status, retry: the status conn.Render is handed, and whether its
 //     response carries a Retry-After;
-//   - http: handleSubmit's status code (retry is also its Retry-After);
-//   - counted by Server.countAnswer as accepted (any nil error; rejected
-//     too for StateRejected), shed, failed or bad request — the same
-//     partition as status;
+//   - counted by the server's answer counters as committed, dropped,
+//     rejected, shed, invalid or failed — the same partition as status;
 //   - tallied by replayWAL as replayed (nil error), failed (shed, failed) or
 //     aborted (invalid) — again a function of status alone.
 func TestClassifyAgreesWithTheOldSwitches(t *testing.T) {
@@ -29,68 +27,63 @@ func TestClassifyAgreesWithTheOldSwitches(t *testing.T) {
 		o      core.ServiceOutcome
 		err    error
 		status uint8
-		http   int
 		retry  bool
 	}{
 		// err == nil: the engine answered. Only committed and rejected had
 		// cases of their own; every other state fell to "default: dropped".
-		{"committed", core.ServiceOutcome{State: core.StateCommitted}, nil, StatusCommitted, 200, false},
-		{"committed late", core.ServiceOutcome{State: core.StateCommitted, Missed: true}, nil, StatusCommitted, 200, false},
-		{"rejected", core.ServiceOutcome{State: core.StateRejected, Missed: true}, nil, StatusRejected, 503, true},
-		{"dropped", core.ServiceOutcome{State: core.StateDropped, Missed: true}, nil, StatusDropped, 503, false},
-		{"ready (zero outcome)", core.ServiceOutcome{}, nil, StatusDropped, 503, false},
-		{"running", core.ServiceOutcome{State: core.StateRunning}, nil, StatusDropped, 503, false},
-		{"io-wait", core.ServiceOutcome{State: core.StateIOWait}, nil, StatusDropped, 503, false},
-		{"lock-wait", core.ServiceOutcome{State: core.StateLockWait}, nil, StatusDropped, 503, false},
-		{"aborting", core.ServiceOutcome{State: core.StateAborting}, nil, StatusDropped, 503, false},
-		{"unknown state", core.ServiceOutcome{State: core.State(99)}, nil, StatusDropped, 503, false},
+		{"committed", core.ServiceOutcome{State: core.StateCommitted}, nil, StatusCommitted, false},
+		{"committed late", core.ServiceOutcome{State: core.StateCommitted, Missed: true}, nil, StatusCommitted, false},
+		{"rejected", core.ServiceOutcome{State: core.StateRejected, Missed: true}, nil, StatusRejected, true},
+		{"dropped", core.ServiceOutcome{State: core.StateDropped, Missed: true}, nil, StatusDropped, false},
+		{"ready (zero outcome)", core.ServiceOutcome{}, nil, StatusDropped, false},
+		{"running", core.ServiceOutcome{State: core.StateRunning}, nil, StatusDropped, false},
+		{"io-wait", core.ServiceOutcome{State: core.StateIOWait}, nil, StatusDropped, false},
+		{"lock-wait", core.ServiceOutcome{State: core.StateLockWait}, nil, StatusDropped, false},
+		{"aborting", core.ServiceOutcome{State: core.StateAborting}, nil, StatusDropped, false},
+		{"unknown state", core.ServiceOutcome{State: core.State(99)}, nil, StatusDropped, false},
 
 		// Refused before the engine: retriable.
-		{"draining", core.ServiceOutcome{}, core.ErrDraining, StatusShed, 503, true},
-		{"draining wrapped", core.ServiceOutcome{}, fmt.Errorf("shard 2: %w", core.ErrDraining), StatusShed, 503, true},
-		{"stopped", core.ServiceOutcome{}, core.ErrServiceStopped, StatusShed, 503, true},
-		{"stopped wrapped", core.ServiceOutcome{}, fmt.Errorf("shard 2: %w", core.ErrServiceStopped), StatusShed, 503, true},
+		{"draining", core.ServiceOutcome{}, core.ErrDraining, StatusShed, true},
+		{"draining wrapped", core.ServiceOutcome{}, fmt.Errorf("shard 2: %w", core.ErrDraining), StatusShed, true},
+		{"stopped", core.ServiceOutcome{}, core.ErrServiceStopped, StatusShed, true},
+		{"stopped wrapped", core.ServiceOutcome{}, fmt.Errorf("shard 2: %w", core.ErrServiceStopped), StatusShed, true},
 
 		// Outcome unknown: never a retry hint, whatever the outcome says.
-		{"engine failed", core.ServiceOutcome{}, core.ErrEngineFailed, StatusFailed, 500, false},
-		{"engine failed wrapped", core.ServiceOutcome{State: core.StateDropped}, fmt.Errorf("%w: panic: boom", core.ErrEngineFailed), StatusFailed, 500, false},
-		{"log failed", core.ServiceOutcome{State: core.StateCommitted}, core.ErrLogFailed, StatusFailed, 500, false},
-		{"log failed wrapped", core.ServiceOutcome{State: core.StateCommitted}, fmt.Errorf("%w: fsync: EIO", core.ErrLogFailed), StatusFailed, 500, false},
+		{"engine failed", core.ServiceOutcome{}, core.ErrEngineFailed, StatusFailed, false},
+		{"engine failed wrapped", core.ServiceOutcome{State: core.StateDropped}, fmt.Errorf("%w: panic: boom", core.ErrEngineFailed), StatusFailed, false},
+		{"log failed", core.ServiceOutcome{State: core.StateCommitted}, core.ErrLogFailed, StatusFailed, false},
+		{"log failed wrapped", core.ServiceOutcome{State: core.StateCommitted}, fmt.Errorf("%w: fsync: EIO", core.ErrLogFailed), StatusFailed, false},
 
 		// Anything else is the request's fault.
-		{"validation", core.ServiceOutcome{}, validation, StatusInvalid, 400, false},
-		{"validation wrapped", core.ServiceOutcome{}, fmt.Errorf("part 1: %w", validation), StatusInvalid, 400, false},
+		{"validation", core.ServiceOutcome{}, validation, StatusInvalid, false},
+		{"validation wrapped", core.ServiceOutcome{}, fmt.Errorf("part 1: %w", validation), StatusInvalid, false},
 	}
 	for _, tc := range cases {
-		status, code, retry := Classify(tc.o, tc.err)
-		if status != tc.status || code != tc.http || retry != tc.retry {
-			t.Errorf("%s: Classify = (%d, %d, %v), want (%d, %d, %v)",
-				tc.name, status, code, retry, tc.status, tc.http, tc.retry)
+		status := Classify(tc.o, tc.err)
+		if retry := statusRetry[status]; status != tc.status || retry != tc.retry {
+			t.Errorf("%s: Classify = %d (retry %v), want %d (retry %v)",
+				tc.name, status, retry, tc.status, tc.retry)
 		}
 	}
 }
 
-// TestStatusTable pins what each status tells a client in both protocols, so
-// the wire retry hint and HTTP's code / Retry-After cannot drift apart: they
-// are one row of one table.
+// TestStatusTable pins which statuses carry a retry hint: the two overload
+// answers, and never Failed, whose transaction may have run.
 func TestStatusTable(t *testing.T) {
-	want := map[uint8]struct {
-		http  int
-		retry bool
-	}{
-		StatusCommitted: {200, false},
-		StatusDropped:   {503, false},
-		StatusRejected:  {503, true}, // 503 + Retry-After
-		StatusShed:      {503, true}, // 503 + Retry-After
-		StatusInvalid:   {400, false},
-		StatusFailed:    {500, false},
+	want := map[uint8]bool{
+		StatusCommitted: false,
+		StatusDropped:   false,
+		StatusRejected:  true,
+		StatusShed:      true,
+		StatusInvalid:   false,
+		StatusFailed:    false,
 	}
-	if len(statusMeta) != len(want) {
-		t.Fatalf("statusMeta has %d rows, want one per status (%d)", len(statusMeta), len(want))
+	if len(statusRetry) != len(want) {
+		t.Fatalf("statusRetry has %d rows, want one per status (%d)", len(statusRetry), len(want))
 	}
 	for status, w := range want {
-		if got := statusMeta[status]; got.http != w.http || got.retry != w.retry {
-			t.Errorf("status %d: (%d, retry %v), want (%d, retry %v)", status, got.http, got.retry, w.http, w.retry)
+		if got := statusRetry[status]; got != w {
+			t.Errorf("status %d: retry %v, want %v", status, got, w)
 		}
 	}
 }
@@ -131,10 +124,9 @@ func TestCompleteRendersTheClassification(t *testing.T) {
 			out:      make(chan outFrame, 1),
 			inflight: map[uint64]core.SubmitHandle{7: {}},
 		}
-		status, _, _ := Classify(tc.o, tc.err)
-		c.Render(7, status, tc.o, tc.err)
+		c.Render(7, Classify(tc.o, tc.err), tc.o, tc.err)
 		f := <-c.out
-		if retry := statusMeta[f.resp.Status].retry; f.id != 7 || f.rare != nil || f.resp != tc.resp || retry != tc.retry {
+		if retry := statusRetry[f.resp.Status]; f.id != 7 || f.rare != nil || f.resp != tc.resp || retry != tc.retry {
 			t.Errorf("%s: frame %+v (retry %v), want id 7 resp %+v retry %v", tc.name, f, retry, tc.resp, tc.retry)
 		}
 		if got := c.srv.Counters().Shed; got != tc.shed {

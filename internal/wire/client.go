@@ -347,7 +347,7 @@ func (c *Client) submitCtx(ctx context.Context, req *SubmitReq) (SubmitResp, err
 }
 
 // Metrics fetches the server's metrics snapshot (the same JSON document
-// the HTTP endpoint serves).
+// the status port's /metrics serves).
 func (c *Client) Metrics() ([]byte, error) {
 	id, ch, err := c.register()
 	if err != nil {

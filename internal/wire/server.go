@@ -13,9 +13,9 @@ import (
 )
 
 // Backend is what the wire server needs from the serving stack. The
-// HTTP server implements it with the entry its own handler uses, so both
-// front-ends shed, drain and report through exactly the same admission
-// machinery. This front-end decides nothing about an answer: it refuses
+// server package implements it over the sharded service, so this
+// front-end sheds, drains and reports through the service's own
+// admission machinery. This front-end decides nothing about an answer: it refuses
 // only what it cannot queue (a full pipeline, a false Enqueue) and renders
 // whatever status its answer target hands it — drain refusals included.
 type Backend interface {
@@ -42,7 +42,7 @@ type Backend interface {
 	Draining() bool
 	// HealthErr reports nil when the service is live.
 	HealthErr() error
-	// MetricsBody renders the same JSON document HTTP /metrics serves.
+	// MetricsBody renders the same JSON document the status port's /metrics serves.
 	MetricsBody() ([]byte, error)
 }
 
@@ -594,7 +594,7 @@ func (c *conn) encode(buf []byte, f *outFrame) []byte {
 			return appendError(buf, f.id, r.msg)
 		}
 	}
-	if statusMeta[f.resp.Status].retry {
+	if statusRetry[f.resp.Status] {
 		ra := c.srv.b.RetryAfterSecs()
 		if ra < 0 {
 			ra = 1

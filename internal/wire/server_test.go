@@ -59,8 +59,7 @@ func (b *stubBackend) Answers(r Renderer) Completer { return rendered{r} }
 type rendered struct{ Renderer }
 
 func (t rendered) Complete(id uint64, o core.ServiceOutcome, err error) {
-	status, _, _ := Classify(o, err)
-	t.Render(id, status, o, err)
+	t.Render(id, Classify(o, err), o, err)
 }
 
 func (b *stubBackend) RetryAfterSecs() int { return 7 }

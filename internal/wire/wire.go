@@ -1,8 +1,8 @@
 // Package wire is the binary serving protocol: length-prefixed frames
-// over persistent, pipelined TCP connections. It exists because the
-// HTTP/JSON path pays for itself in allocations — request parsing,
-// header maps, response marshalling — long before the scheduling engine
-// becomes the bottleneck. The frame codecs here are append-style and
+// over persistent, pipelined TCP connections, and the service's one way
+// to submit. A text protocol would pay for itself in allocations —
+// request parsing, header maps, response marshalling — long before the
+// scheduling engine became the bottleneck. The frame codecs here are append-style and
 // decode into caller-owned, reusable buffers, so a warmed submit path
 // encodes and decodes with zero allocations per frame (proven by
 // testing.AllocsPerRun in the codec tests).
@@ -73,47 +73,41 @@ const (
 	StatusFailed    = 5 // engine failed with the submission in flight; outcome unknown
 )
 
-// statusMeta is what each status tells a client, in either protocol: the
-// HTTP code /submit answers with, and whether the answer carries a retry hint
-// (SubmitResp.RetryAfter, the Retry-After header). Failed has none on
-// purpose: the transaction may have partially run (or run without a durable
-// record), so blind resubmission could double-execute it.
-var statusMeta = [...]struct {
-	http  int
-	retry bool
-}{
-	StatusCommitted: {200, false},
-	StatusDropped:   {503, false},
-	StatusRejected:  {503, true},
-	StatusShed:      {503, true},
-	StatusInvalid:   {400, false},
-	StatusFailed:    {500, false},
+// statusRetry is whether an answer of each status carries a retry hint
+// (SubmitResp.RetryAfter). Failed has none on purpose: the transaction may
+// have partially run (or run without a durable record), so blind
+// resubmission could double-execute it.
+var statusRetry = [...]bool{
+	StatusCommitted: false,
+	StatusDropped:   false,
+	StatusRejected:  true,
+	StatusShed:      true,
+	StatusInvalid:   false,
+	StatusFailed:    false,
 }
 
 // Classify is the one place an answer — a Submission.Done's (outcome, error)
 // pair — becomes a status. Everything that needs to tell answers apart (the
-// wire response, the HTTP code, the server's request counters, the replay
-// tallies) looks the result up instead of testing the error itself.
-func Classify(o core.ServiceOutcome, err error) (status uint8, httpCode int, retry bool) {
+// wire response and its retry hint, the server's answer counters, the
+// replay tallies) looks the result up instead of testing the error itself.
+func Classify(o core.ServiceOutcome, err error) uint8 {
 	switch {
 	case err == nil:
 		switch o.State {
 		case core.StateCommitted:
-			status = StatusCommitted
+			return StatusCommitted
 		case core.StateRejected:
-			status = StatusRejected
+			return StatusRejected
 		default:
-			status = StatusDropped
+			return StatusDropped
 		}
 	case errors.Is(err, core.ErrEngineFailed), errors.Is(err, core.ErrLogFailed):
-		status = StatusFailed
+		return StatusFailed
 	case errors.Is(err, core.ErrDraining), errors.Is(err, core.ErrServiceStopped):
-		status = StatusShed
+		return StatusShed
 	default:
-		status = StatusInvalid
+		return StatusInvalid
 	}
-	m := statusMeta[status]
-	return status, m.http, m.retry
 }
 
 // errFrameTooLarge reports a length prefix above the reader's cap.
@@ -283,8 +277,7 @@ func bitmapLen(n int) int { return (n + 7) / 8 }
 // last item, are an error, so Append∘Decode is the identity and
 // Decode∘Append is the identity on valid payloads.
 //
-// Validation here mirrors the JSON path's jsonDuration rules: a
-// submission with a negative or zero compute time or deadline is
+// A submission with a negative or zero compute time or deadline is
 // rejected at the codec, before it can reach the engine.
 func DecodeSubmit(p []byte, r *SubmitReq) error {
 	const fixed = 8 + 8 + 4 + 4 + 4 + 1
@@ -417,7 +410,7 @@ func AppendMetricsReq(buf []byte, id uint64) []byte {
 }
 
 // appendMetricsResp appends a FrameMetricsResp carrying body verbatim
-// (the same JSON document the HTTP /metrics endpoint serves).
+// (the same JSON document the status port's /metrics serves).
 func appendMetricsResp(buf []byte, id uint64, body []byte) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, FrameMetricsResp, id)
