@@ -40,75 +40,78 @@ func liveIs(s *Server, n int) func() bool {
 // script covers each status a client can be given short of an engine
 // failure — commit, admission reject, validation refusal, a client that
 // disconnects mid-flight (dropped), a submit during drain (shed) — and
-// TestFailedParity covers that one.
+// TestFailedParity covers that one. The script runs as the "wire" subtest,
+// the one door a client has.
 func TestCounterParity(t *testing.T) {
-	small := core.ServiceRequest{Items: itemSeq(1, 2), Compute: time.Millisecond, Deadline: 10 * time.Second}
-	long := core.ServiceRequest{Items: itemSeq(3, 4), Compute: time.Minute, Deadline: time.Hour}
-	outOfRange := core.ServiceRequest{Items: itemSeq(10_000), Compute: time.Millisecond, Deadline: time.Second}
-	repeated := core.ServiceRequest{Items: itemSeq(3, 3), Compute: time.Millisecond, Deadline: time.Second}
+	t.Run("wire", func(t *testing.T) {
+		small := core.ServiceRequest{Items: itemSeq(1, 2), Compute: time.Millisecond, Deadline: 10 * time.Second}
+		long := core.ServiceRequest{Items: itemSeq(3, 4), Compute: time.Minute, Deadline: time.Hour}
+		outOfRange := core.ServiceRequest{Items: itemSeq(10_000), Compute: time.Millisecond, Deadline: time.Second}
+		repeated := core.ServiceRequest{Items: itemSeq(3, 3), Compute: time.Millisecond, Deadline: time.Second}
 
-	cfg := core.MainMemoryConfig(core.CCA, 33)
-	// One live transaction at a time: a parked one makes the next arrival
-	// an admission reject.
-	cfg.Admission = core.AdmissionConfig{Mode: core.RejectNewest, MaxLive: 1}
-	s, _, wireAddr, stop := startServer(t, Options{
-		Core:         cfg,
-		Service:      core.ServiceOptions{Speed: 50},
-		DrainTimeout: 20 * time.Second,
-	})
-	c := dial(t, wireAddr)
-	// park submits a request that will not finish on its own, from a
-	// connection of its own, and returns the func that disconnects that
-	// client mid-flight.
-	park := func() func() {
-		pc, err := wire.Dial(wireAddr, time.Second)
-		if err != nil {
-			t.Fatal(err)
+		cfg := core.MainMemoryConfig(core.CCA, 33)
+		// One live transaction at a time: a parked one makes the next arrival
+		// an admission reject.
+		cfg.Admission = core.AdmissionConfig{Mode: core.RejectNewest, MaxLive: 1}
+		s, _, wireAddr, stop := startServer(t, Options{
+			Core:         cfg,
+			Service:      core.ServiceOptions{Speed: 50},
+			DrainTimeout: 20 * time.Second,
+		})
+		c := dial(t, wireAddr)
+		// park submits a request that will not finish on its own, from a
+		// connection of its own, and returns the func that disconnects that
+		// client mid-flight.
+		park := func() func() {
+			pc, err := wire.Dial(wireAddr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				pc.Submit(&wire.SubmitReq{Items: long.Items, Compute: long.Compute, Deadline: long.Deadline})
+			}()
+			return func() { pc.Close(); <-done }
 		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			pc.Submit(&wire.SubmitReq{Items: long.Items, Compute: long.Compute, Deadline: long.Deadline})
-		}()
-		return func() { pc.Close(); <-done }
-	}
-	expect := func(step string, got wire.SubmitResp, status uint8, retry bool) {
-		t.Helper()
-		if got.Status != status || (got.RetryAfter > 0) != retry {
-			t.Errorf("%s: answered %+v, want status %d retry hint %v", step, got, status, retry)
+		expect := func(step string, got wire.SubmitResp, status uint8, retry bool) {
+			t.Helper()
+			if got.Status != status || (got.RetryAfter > 0) != retry {
+				t.Errorf("%s: answered %+v, want status %d retry hint %v", step, got, status, retry)
+			}
 		}
-	}
 
-	expect("commit", submit(t, c, small), wire.StatusCommitted, false)
+		expect("commit", submit(t, c, small), wire.StatusCommitted, false)
 
-	disconnect := park()
-	waitUntil(t, "parked transaction live", liveIs(s, 1))
-	expect("admission reject", submit(t, c, small), wire.StatusRejected, true)
-	expect("out of range", submit(t, c, outOfRange), wire.StatusInvalid, false)
-	expect("item named twice", submit(t, c, repeated), wire.StatusInvalid, false)
+		disconnect := park()
+		waitUntil(t, "parked transaction live", liveIs(s, 1))
+		expect("admission reject", submit(t, c, small), wire.StatusRejected, true)
+		expect("out of range", submit(t, c, outOfRange), wire.StatusInvalid, false)
+		expect("item named twice", submit(t, c, repeated), wire.StatusInvalid, false)
 
-	disconnect()
-	waitUntil(t, "disconnected client's transaction wounded and tallied", func() bool {
-		return liveIs(s, 0)() && countersOf(s).Dropped == 1
+		disconnect()
+		waitUntil(t, "disconnected client's transaction wounded and tallied", func() bool {
+			return liveIs(s, 0)() && countersOf(s).Dropped == 1
+		})
+
+		disconnect = park()
+		waitUntil(t, "second parked transaction live", liveIs(s, 1))
+		stopped := make(chan error, 1)
+		go func() { stopped <- stop() }()
+		waitUntil(t, "drain begun", s.svc.Draining)
+		expect("submit during drain", submit(t, c, small), wire.StatusShed, true)
+		disconnect() // lets the drain finish without waiting out its budget
+		if err := <-stopped; err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if n := c.Unmatched(); n != 0 {
+			t.Errorf("wire client read %d frames nobody was waiting for", n)
+		}
+		want := answerTotals{Committed: 1, Dropped: 2, Rejected: 1, Shed: 1, Invalid: 2}
+		if got := countersOf(s); got != want {
+			t.Errorf("answer counters %+v, want %+v", got, want)
+		}
 	})
-
-	disconnect = park()
-	waitUntil(t, "second parked transaction live", liveIs(s, 1))
-	stopped := make(chan error, 1)
-	go func() { stopped <- stop() }()
-	waitUntil(t, "drain begun", s.svc.Draining)
-	expect("submit during drain", submit(t, c, small), wire.StatusShed, true)
-	disconnect() // lets the drain finish without waiting out its budget
-	if err := <-stopped; err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if n := c.Unmatched(); n != 0 {
-		t.Errorf("wire client read %d frames nobody was waiting for", n)
-	}
-	want := answerTotals{Committed: 1, Dropped: 2, Rejected: 1, Shed: 1, Invalid: 2}
-	if got := countersOf(s); got != want {
-		t.Errorf("answer counters %+v, want %+v", got, want)
-	}
 }
 
 // TestFailedParity: a shard driver that panics with a submission in flight
