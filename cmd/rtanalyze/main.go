@@ -1,106 +1,70 @@
 // Command rtanalyze runs the paper's transaction pre-analysis (§3.2.2) on
-// transaction programs described as JSON trees, printing each node's
-// hasaccessed/mightaccess sets and the pairwise conflict and safety
-// classifications.
+// transaction programs, printing each node's hasaccessed/mightaccess sets
+// and the pairwise conflict and safety classifications.
 //
 // With no arguments it analyses the paper's own Figure 1/2 example
-// (programs A and B). Given JSON files, each file holds one program:
+// (programs A and B). Given files, each file holds one program in the
+// indentation-based text format of rtdbs.ParseProgram (the format
+// rtdbs.WriteProgram emits):
 //
-//	{
-//	  "name": "A",
-//	  "root": {
-//	    "label": "A", "accesses": [0],
-//	    "children": [
-//	      {"label": "Aa", "accesses": [1, 2, 3]},
-//	      {"label": "Ab", "accesses": [4, 5, 6]}
-//	    ]
-//	  }
-//	}
+//	program A
+//	node A accesses 0
+//	  node Aa accesses 1 2 3
+//	  node Ab accesses 4 5 6
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro"
 )
 
-type jsonNode struct {
-	Label    string      `json:"label"`
-	Accesses []int       `json:"accesses"`
-	Children []*jsonNode `json:"children"`
-}
-
-type jsonProgram struct {
-	Name string    `json:"name"`
-	Root *jsonNode `json:"root"`
-}
-
-func toProgram(jp *jsonProgram) *rtdbs.Program {
-	var conv func(n *jsonNode) *rtdbs.Node
-	conv = func(n *jsonNode) *rtdbs.Node {
-		if n == nil {
-			return nil
-		}
-		items := make([]rtdbs.Item, len(n.Accesses))
-		for i, a := range n.Accesses {
-			items[i] = rtdbs.Item(a)
-		}
-		out := &rtdbs.Node{Label: n.Label, Accesses: rtdbs.NewItemSet(items...)}
-		for _, c := range n.Children {
-			out.Children = append(out.Children, conv(c))
-		}
-		return out
-	}
-	return &rtdbs.Program{Name: jp.Name, Root: conv(jp.Root)}
-}
-
 func main() {
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, analyses the programs
+// and returns the process exit code (0 success, 1 unreadable or invalid
+// program, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: rtanalyze [program-file ...]")
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var programs []*rtdbs.Program
-	if flag.NArg() == 0 {
+	if fs.NArg() == 0 {
 		programs = paperExample()
-		fmt.Println("(no files given; analysing the paper's Figure 1/2 example)")
-	} else {
-		for _, path := range flag.Args() {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			// JSON programs start with '{'; anything else is the
-			// indentation-based text format.
-			trimmed := bytes.TrimSpace(data)
-			if len(trimmed) > 0 && trimmed[0] == '{' {
-				var jp jsonProgram
-				if err := json.Unmarshal(data, &jp); err != nil {
-					fatal(fmt.Errorf("%s: %w", path, err))
-				}
-				programs = append(programs, toProgram(&jp))
-				continue
-			}
-			p, err := rtdbs.ParseProgram(bytes.NewReader(data))
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-			programs = append(programs, p)
+		fmt.Fprintln(stdout, "(no files given; analysing the paper's Figure 1/2 example)")
+	}
+	for _, path := range fs.Args() {
+		p, err := readProgram(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "rtanalyze: %s: %v\n", path, err)
+			return 1
 		}
+		programs = append(programs, p)
 	}
 
 	analyses := make([]*rtdbs.Analysis, len(programs))
 	for i, p := range programs {
 		a, err := rtdbs.AnalyzeProgram(p)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintf(stderr, "rtanalyze: %v\n", err)
+			return 1
 		}
 		analyses[i] = a
-		printAnalysis(a)
+		printAnalysis(stdout, a)
 	}
 
-	fmt.Println("Pairwise relations between program roots:")
+	fmt.Fprintln(stdout, "Pairwise relations between program roots:")
 	for i, a := range analyses {
 		for j, b := range analyses {
 			if j <= i {
@@ -108,24 +72,35 @@ func main() {
 			}
 			sa := rtdbs.StateAt(a, a.Program().Root.Label)
 			sb := rtdbs.StateAt(b, b.Program().Root.Label)
-			fmt.Printf("  %s vs %s: %v\n", a.Program().Name, b.Program().Name, rtdbs.ConflictBetween(sa, sb))
-			fmt.Printf("    safety(%s wrt %s) = %v\n", a.Program().Name, b.Program().Name, rtdbs.SafetyOf(sa, sb))
-			fmt.Printf("    safety(%s wrt %s) = %v\n", b.Program().Name, a.Program().Name, rtdbs.SafetyOf(sb, sa))
+			fmt.Fprintf(stdout, "  %s vs %s: %v\n", a.Program().Name, b.Program().Name, rtdbs.ConflictBetween(sa, sb))
+			fmt.Fprintf(stdout, "    safety(%s wrt %s) = %v\n", a.Program().Name, b.Program().Name, rtdbs.SafetyOf(sa, sb))
+			fmt.Fprintf(stdout, "    safety(%s wrt %s) = %v\n", b.Program().Name, a.Program().Name, rtdbs.SafetyOf(sb, sa))
 		}
 	}
+	return 0
 }
 
-func printAnalysis(a *rtdbs.Analysis) {
-	fmt.Printf("Program %s:\n", a.Program().Name)
+// readProgram parses one program file.
+func readProgram(path string) (*rtdbs.Program, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return rtdbs.ParseProgram(f)
+}
+
+func printAnalysis(w io.Writer, a *rtdbs.Analysis) {
+	fmt.Fprintf(w, "Program %s:\n", a.Program().Name)
 	for _, label := range a.Labels() {
 		leaf := ""
 		if a.IsLeaf(label) {
 			leaf = " (leaf)"
 		}
-		fmt.Printf("  %-8s hasaccessed=%v  mightaccess=%v%s\n",
+		fmt.Fprintf(w, "  %-8s hasaccessed=%v  mightaccess=%v%s\n",
 			label, a.HasAccessed(label), a.MightAccess(label), leaf)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // paperExample builds Figure 1's programs A and B (item 0 is "w",
@@ -142,9 +117,4 @@ func paperExample() []*rtdbs.Program {
 		},
 	}
 	return []*rtdbs.Program{a, rtdbs.FlatProgram("B", 1, 2, 3)}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rtanalyze: %v\n", err)
-	os.Exit(1)
 }

@@ -15,11 +15,9 @@
 //
 // Adaptive precision: -target-ci 0.05 keeps adding seeds per (point,
 // variant) cell until the 95% confidence half-width is within 5% of the
-// mean (or -max-seeds runs have been spent). Long sweeps survive
-// interruption: with -checkpoint FILE every completed run is streamed to a
-// JSONL file, Ctrl-C checkpoints in-flight runs and exits, and
-// -resume replays the file to continue where the sweep stopped —
-// producing bit-identical aggregates to an uninterrupted run.
+// mean (or -max-seeds runs have been spent). Every run is a pure function
+// of its configuration and seed, so the same flags always print the same
+// tables; Ctrl-C lets in-flight runs finish and exits 130.
 package main
 
 import (
@@ -62,22 +60,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet      = fs.Bool("q", false, "suppress progress output")
 		targetCI   = fs.Float64("target-ci", 0, "adaptive precision: run each cell until CI95 <= this fraction of the mean (0 = fixed seeds)")
 		maxSeeds   = fs.Int("max-seeds", 0, "adaptive precision: per-cell seed cap (0 = 4x the initial batch)")
-		checkpoint = fs.String("checkpoint", "", "stream completed runs to this JSONL file (enables -resume after interruption)")
-		resume     = fs.Bool("resume", false, "replay the -checkpoint file, skipping runs it already holds")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		oracle     = fs.Bool("oracle", false, "run every simulation under the runtime safety oracle (a violated paper invariant fails the run)")
-		faultSpec  = fs.String("fault", "", "fault-injection plan applied to every run: inline JSON ({...}) or a path to a JSON file")
-		admission  = fs.String("admission", "", "admission mode applied to every run: reject-newest or reject-infeasible (empty = per-experiment default)")
-		admMax     = fs.Int("admission-max", 0, "live-set cap for -admission (required for reject-newest)")
-		maxRetries = fs.Int("max-retries", 0, "retries per failed run (panic or oracle violation) before recording the seed as failed")
+		oracle    = fs.Bool("oracle", false, "run every simulation under the runtime safety oracle (a violated paper invariant fails the run)")
+		faultSpec = fs.String("fault", "", "fault-injection plan applied to every run: inline JSON ({...}) or a path to a JSON file")
+		admission = fs.String("admission", "", "admission mode applied to every run: reject-newest or reject-infeasible (empty = per-experiment default)")
+		admMax    = fs.Int("admission-max", 0, "live-set cap for -admission (required for reject-newest)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(stderr, "rtexp: -resume requires -checkpoint (there is no file to replay)")
+	switch *format {
+	case "text", "md", "csv":
+	default:
+		fmt.Fprintf(stderr, "rtexp: unknown -format %q (want text, md or csv)\n", *format)
 		return 2
 	}
 	var faultPlan rtdbs.FaultPlan
@@ -167,8 +164,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defs = []rtdbs.Experiment{d}
 	}
 
-	// SIGINT/SIGTERM cancel the sweep: in-flight runs drain and reach the
-	// checkpoint, then we exit with the conventional interrupt code.
+	// SIGINT/SIGTERM cancel the sweep: in-flight runs drain, then we exit
+	// with the conventional interrupt code.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -186,8 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt := rtdbs.ExperimentOptions{
 			Seeds: *seeds, Count: *count, Workers: *workers,
 			TargetCI: *targetCI, MaxSeeds: *maxSeeds,
-			CheckpointPath: *checkpoint, Resume: *resume,
-			Oracle: *oracle, Fault: faultPlan, MaxRetries: *maxRetries,
+			Oracle: *oracle, Fault: faultPlan,
 			Admission: rtdbs.AdmissionConfig{Mode: rtdbs.AdmissionMode(*admission), MaxLive: *admMax},
 		}
 		cells := len(def.Xs) * len(def.Variants)
@@ -219,10 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res, err := rtdbs.RunExperimentContext(ctx, def, opt)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(stderr, "\nrtexp: interrupted; completed runs checkpointed\n")
-				if *checkpoint != "" {
-					fmt.Fprintf(stderr, "rtexp: resume with the same flags plus -resume -checkpoint %s\n", *checkpoint)
-				}
+				fmt.Fprintf(stderr, "\nrtexp: interrupted\n")
 				return 130
 			}
 			fmt.Fprintf(stderr, "rtexp: %v\n", err)
@@ -250,8 +243,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failedRuns += len(res.Failures)
 			fmt.Fprintf(stderr, "   %d run(s) failed and were excluded from their cells:\n", len(res.Failures))
 			for _, f := range res.Failures {
-				fmt.Fprintf(stderr, "     %s at %s=%v seed %d (%d attempt(s)): %s\n",
-					f.Variant, def.XLabel, f.X, f.Seed, f.Attempts, f.Message)
+				fmt.Fprintf(stderr, "     %s at %s=%v seed %d: %s\n",
+					f.Variant, def.XLabel, f.X, f.Seed, f.Message)
 			}
 		}
 		tables := res.Tables()
@@ -320,6 +313,7 @@ func listExperiments(w io.Writer) {
 	fmt.Fprintf(w, "%-20s %s\n", "table2", "Table 2 — base parameters (disk resident)")
 }
 
+// emit renders a table in a format run has already checked.
 func emit(w io.Writer, t *rtdbs.Table, format string) {
 	switch format {
 	case "md":

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,15 +29,21 @@ func TestUnknownExperimentListsValidIDs(t *testing.T) {
 	}
 }
 
-// TestResumeRequiresCheckpoint: -resume without -checkpoint is a usage
-// error (exit 2), caught before any simulation starts.
-func TestResumeRequiresCheckpoint(t *testing.T) {
-	code, _, stderr := runCLI(t, "-exp", "mm-rate", "-resume")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-resume requires -checkpoint") {
-		t.Errorf("stderr missing requirement message:\n%s", stderr)
+// TestUnknownFormatExitsUsage: -format takes text, md or csv; anything
+// else is a usage error (exit 2) caught before any table is printed or
+// any simulation starts.
+func TestUnknownFormatExitsUsage(t *testing.T) {
+	for _, exp := range []string{"table1", "mm-rate"} {
+		code, stdout, stderr := runCLI(t, "-exp", exp, "-format", "json")
+		if code != 2 {
+			t.Fatalf("-exp %s -format json: exit code = %d, want 2", exp, code)
+		}
+		if stdout != "" {
+			t.Errorf("-exp %s -format json printed:\n%s", exp, stdout)
+		}
+		if !strings.Contains(stderr, `unknown -format "json"`) {
+			t.Errorf("-exp %s: stderr missing the format message:\n%s", exp, stderr)
+		}
 	}
 }
 
@@ -71,26 +76,6 @@ func TestSmallSweepHappyPath(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "EDF-HP miss%") || !strings.Contains(stdout, "±95% (n)") {
 		t.Errorf("sweep output missing expected columns:\n%s", stdout)
-	}
-}
-
-// TestCheckpointThenResumeIdenticalOutput: the CLI-level resume guarantee —
-// an interrupted-then-resumed invocation must print exactly the tables an
-// uninterrupted one prints (here the "interruption" is a completed first
-// pass, the strongest case: everything replays, nothing reruns).
-func TestCheckpointThenResumeIdenticalOutput(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-	args := []string{"-exp", "mm-rate", "-seeds", "2", "-count", "60", "-q", "-checkpoint", ckpt}
-	code, want, stderr := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("first pass exit code = %d; stderr:\n%s", code, stderr)
-	}
-	code, got, stderr := runCLI(t, append(args, "-resume")...)
-	if code != 0 {
-		t.Fatalf("resume exit code = %d; stderr:\n%s", code, stderr)
-	}
-	if want != got {
-		t.Errorf("resumed output differs from original:\n--- want\n%s--- got\n%s", want, got)
 	}
 }
 

@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reads   = fs.Float64("reads", 0, "fraction of accesses taking shared locks (extension)")
 		seeds   = fs.Int("seeds", 1, "number of seeds to average over")
 		seed    = fs.Int64("seed", 1, "first seed")
-		wlFile  = fs.String("workload", "", "replay an archived workload (rtworkload -gen) instead of generating one")
 		trace   = fs.Bool("trace", false, "print the event trace (single seed only)")
 		verbose = fs.Bool("v", false, "print per-seed results")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -124,37 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "rtsim: %v\n", err)
 		return 2
-	}
-
-	if *wlFile != "" {
-		f, err := os.Open(*wlFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "rtsim: %v\n", err)
-			return 1
-		}
-		wl, err := rtdbs.ReadWorkloadJSON(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "rtsim: %v\n", err)
-			return 1
-		}
-		// Replay: the workload fixes everything except the policy knobs.
-		cfg.Workload = wl.Params
-		e, err := rtdbs.NewWithWorkload(cfg, wl)
-		if err != nil {
-			fmt.Fprintf(stderr, "rtsim: %v\n", err)
-			return 1
-		}
-		if *oracle {
-			e.EnableOracle()
-		}
-		res, err := e.Run()
-		if err != nil {
-			fmt.Fprintf(stderr, "rtsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "replayed %s under %s\n%s\n", *wlFile, *policy, res)
-		return 0
 	}
 
 	if *shardsN > 1 && *trace {

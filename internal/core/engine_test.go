@@ -129,6 +129,40 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestEveryPolicySeesTheSameWorkload: New draws the workload from
+// cfg.Workload and cfg.Seed alone, so every policy run on one seed gets the
+// same transactions — a policy comparison needs no archived input.
+func TestEveryPolicySeesTheSameWorkload(t *testing.T) {
+	const seed = 3
+	for name, mk := range map[string]func(PolicyKind, int64) Config{
+		"main memory": MainMemoryConfig, "disk": DiskConfig,
+	} {
+		var first *Engine
+		compared := 0
+		for _, p := range Policies() {
+			if name == "disk" && p == PCP {
+				continue // PCP refuses a disk-resident database
+			}
+			e, err := New(mk(p, seed))
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, p, err)
+			}
+			compared++
+			if len(e.wl.Txns) == 0 {
+				t.Fatalf("%s %s: empty workload", name, p)
+			}
+			if first == nil {
+				first = e
+			} else if !reflect.DeepEqual(first.wl, e.wl) {
+				t.Fatalf("%s: %s drew a different workload from %s on seed %d", name, p, first.cfg.Policy, seed)
+			}
+		}
+		if compared < len(Policies())-1 {
+			t.Fatalf("%s: compared %d policies", name, compared)
+		}
+	}
+}
+
 // TestCCAZeroWeightEqualsEDFHPMainMemory: the paper's observation that
 // penalty-weight 0 produces EDF-HP on a main-memory database.
 func TestCCAZeroWeightEqualsEDFHPMainMemory(t *testing.T) {

@@ -32,8 +32,8 @@ func testPlan() fault.Plan {
 
 // TestZeroPlanBitIdentical: an explicitly-zero fault plan must leave every
 // run bit-identical to an unfaulted one — schedule, metrics, and even the
-// JSON encoding of the result (the new counters are omitempty precisely so
-// old checkpoints stay byte-comparable).
+// JSON encoding of the result (the fault counters are omitempty precisely so
+// an unfaulted result encodes as it did before they existed).
 func TestZeroPlanBitIdentical(t *testing.T) {
 	for _, mk := range []struct {
 		name string

@@ -11,22 +11,15 @@
 // goroutine worker pool — the simulator itself is single-threaded and
 // deterministic per seed, so experiments use every core while aggregates
 // stay exactly reproducible: results are always folded in seed order, so
-// the worker count, the adaptive schedule and checkpoint/resume cannot
-// change a single bit of the output.
+// neither the worker count nor the adaptive schedule can change a single
+// bit of the output. A run is a pure function of its configuration and
+// seed, so rerunning a sweep from its seeds reproduces it. Cancellation
+// via the context drains the worker pool without goroutine leaks.
 //
-// Long sweeps survive interruption: with Options.CheckpointPath set every
-// completed run is appended to a JSONL checkpoint, and a resumed sweep
-// (Options.Resume) replays the file to skip finished runs, aggregating
-// bit-identically to an uninterrupted one. Cancellation via the context
-// drains the worker pool without goroutine leaks and checkpoints every
-// in-flight run before returning.
-//
-// Runs also survive their own failures: a panicking run (or one whose
-// engine fails, e.g. an oracle violation under Options.Oracle) is retried
-// up to Options.MaxRetries times and then recorded as a failed seed — in
-// the checkpoint and in Result.Failures — instead of aborting the whole
-// sweep. Only deterministic errors (an invalid configuration, an inspect
-// rejection) remain fatal: retrying them cannot help, and inspect is how
+// A run that fails on its own — a panic, or an engine error such as an
+// oracle violation under Options.Oracle — is recorded as a failed seed in
+// Result.Failures instead of aborting the whole sweep. Only an invalid
+// configuration or an inspect rejection is fatal: inspect is how
 // invariant tests report violations.
 package experiment
 
@@ -83,22 +76,20 @@ type Result struct {
 	// precision target (always true for fixed-seed runs; false for cells
 	// stopped by the MaxSeeds cap).
 	Converged [][]bool
-	// Failures lists every seed run that exhausted its retries (ordered
-	// by point, variant, seed). A failed seed is excluded from its cell's
+	// Failures lists every seed run that failed (ordered by point,
+	// variant, seed). A failed seed is excluded from its cell's
 	// aggregate; the sweep as a whole still succeeds.
 	Failures []RunFailure
 }
 
-// RunFailure describes one seed run that failed even after retries.
+// RunFailure describes one seed run that failed.
 type RunFailure struct {
 	xi      int
 	X       float64
 	vi      int
 	Variant string
 	Seed    int64
-	// Attempts is the total number of executions spent (1 + retries).
-	Attempts int
-	Message  string
+	Message string
 }
 
 // Options tune a run without changing what it measures.
@@ -111,8 +102,8 @@ type Options struct {
 	Count int
 	// Workers bounds the worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Progress, if set, receives (done, total) after every finished or
-	// replayed run. In adaptive mode total grows as cells extend their
+	// Progress, if set, receives (done, total) after every finished
+	// run. In adaptive mode total grows as cells extend their
 	// seed schedule. Called from Run's goroutine.
 	Progress func(done, total int)
 
@@ -129,17 +120,9 @@ type Options struct {
 	// adaptive convergence (nil = miss percent).
 	metric func(*metrics.Aggregate) *stats.Accumulator
 
-	// MaxRetries is how many extra attempts a failed run (a panic, or an
-	// engine error such as an oracle or watchdog violation) gets before
-	// its seed is recorded as failed and the sweep moves on without it
-	// (0 = fail on the first attempt). Deterministic errors — an invalid
-	// configuration, an inspect rejection — are never retried: they are
-	// fatal, because retrying cannot change them and inspect is how
-	// invariant tests report violations.
-	MaxRetries int
 	// Oracle attaches the runtime safety oracle (core.EnableOracle) to
 	// every engine before it runs; a detected violation fails the run
-	// (and is retried/recorded like any other run failure).
+	// (and is recorded like any other run failure).
 	Oracle bool
 	// Fault, when non-zero, overrides every run's fault-injection plan
 	// (core.Config.Fault). Variants that set their own plan keep it when
@@ -148,17 +131,6 @@ type Options struct {
 	// Admission, when its Mode is set, overrides every run's admission
 	// controller (core.Config.Admission).
 	Admission core.AdmissionConfig
-
-	// CheckpointPath, when set, streams one JSONL record per completed
-	// run to this file so an interrupted sweep can resume. A fresh run
-	// refuses a file that already holds records for this definition;
-	// pass Resume to replay them instead.
-	CheckpointPath string
-	// Resume replays CheckpointPath before running, skipping finished
-	// runs. The resumed sweep aggregates bit-identically to an
-	// uninterrupted one. A missing checkpoint file is not an error
-	// (the sweep simply starts from scratch).
-	Resume bool
 
 	// instrument, if set, is called after each engine is built and
 	// before it runs (e.g. to attach a trace recorder). Called
@@ -182,19 +154,17 @@ func (o *Options) convergenceMetric() func(*metrics.Aggregate) *stats.Accumulato
 	return func(a *metrics.Aggregate) *stats.Accumulator { return &a.MissPercent }
 }
 
-// job identifies one seed run of one cell. attempt counts prior failed
-// executions of the same run (0 on the first try).
+// job identifies one seed run of one cell.
 type job struct {
-	xi, vi  int
-	seed    int64
-	attempt int
+	xi, vi int
+	seed   int64
 }
 
 type outcome struct {
 	job
 	res metrics.Result
-	// failure is the retryable failure message ("" on success): a panic
-	// or an engine/oracle/watchdog error.
+	// failure is the run's failure message ("" on success): a panic or
+	// an engine/oracle/watchdog error.
 	failure string
 	// err is a fatal error that aborts the sweep (config or inspect).
 	err error
@@ -202,11 +172,10 @@ type outcome struct {
 
 // cellState tracks one (point, variant) cell's adaptive schedule.
 type cellState struct {
-	// res holds completed results by seed (1-based); it may hold seeds
-	// beyond goal when a checkpoint replays a longer previous schedule.
+	// res holds completed results by seed (1-based).
 	res map[int]metrics.Result
-	// failed holds seeds whose run failed even after retries; a failed
-	// seed counts as finished for scheduling but is excluded from fold.
+	// failed holds seeds whose run failed; a failed seed counts as
+	// finished for scheduling but is excluded from fold.
 	failed map[int]RunFailure
 	// goal is the number of seeds currently requested for the cell.
 	goal int
@@ -243,16 +212,6 @@ func (c *cellState) fold(n int) *metrics.Aggregate {
 	return agg
 }
 
-// finishedSeed reports whether the seed already has a recorded outcome
-// (a completed result or a final failure).
-func (c *cellState) finishedSeed(s int) bool {
-	if _, ok := c.res[s]; ok {
-		return true
-	}
-	_, ok := c.failed[s]
-	return ok
-}
-
 // converged reports whether the accumulator meets the relative CI target.
 func converged(acc *stats.Accumulator, target float64) bool {
 	return acc.N() >= 2 && acc.RelCI95() <= target
@@ -260,7 +219,7 @@ func converged(acc *stats.Accumulator, target float64) bool {
 
 // Run executes the sweep and aggregates per (point, variant). The context
 // cancels the sweep: no further runs are scheduled, in-flight runs drain
-// (and are checkpointed) and Run returns the context's error.
+// and Run returns the context's error.
 func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -301,47 +260,21 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 		cells[i] = cellState{res: make(map[int]metrics.Result), failed: make(map[int]RunFailure), goal: seeds}
 	}
 
-	// Checkpoint: replay previous progress, then open for appending.
-	var ckpt *checkpointWriter
-	if opt.CheckpointPath != "" {
-		head := headerFor(def, opt, seeds, maxSeeds)
-		replayed, sawPrior, err := loadCheckpoint(opt.CheckpointPath, def, head)
-		if err != nil {
-			return nil, err
-		}
-		if sawPrior && !opt.Resume {
-			return nil, fmt.Errorf("experiment %s: checkpoint %s already holds this experiment's runs (resume or remove it)",
-				def.ID, opt.CheckpointPath)
-		}
-		for key, res := range replayed.runs {
-			cells[key.xi*nv+key.vi].res[key.seed] = res
-		}
-		for key, f := range replayed.failures {
-			cells[key.xi*nv+key.vi].failed[key.seed] = f
-		}
-		ckpt, err = openCheckpoint(opt.CheckpointPath, head)
-		if err != nil {
-			return nil, err
-		}
-		defer ckpt.Close()
-	}
-
-	// Seed the schedule: per-cell jobs for the initial goal, counting
-	// replayed runs as done, then advance each cell (replay may complete
-	// it, or in adaptive mode extend it).
+	// Seed the schedule: per-cell jobs for the initial goal. A cell
+	// decides to finish or extend once its runs complete (advance).
 	var pending []job
-	done, total := 0, 0
+	for idx := range cells {
+		for s := 1; s <= seeds; s++ {
+			pending = append(pending, job{xi: idx / nv, vi: idx % nv, seed: int64(s)})
+		}
+	}
+	done, total := 0, len(pending)
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
 		}
 		pending = nil
-	}
-	progress := func() {
-		if opt.Progress != nil {
-			opt.Progress(done, total)
-		}
 	}
 	// advance drives a cell's state machine at deterministic points: only
 	// when every seed up to the current goal has completed does it decide
@@ -373,31 +306,10 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 			}
 			for s := c.goal + 1; s <= next; s++ {
 				total++
-				if c.finishedSeed(s) {
-					done++
-				} else {
-					pending = append(pending, job{xi: idx / nv, vi: idx % nv, seed: int64(s)})
-				}
+				pending = append(pending, job{xi: idx / nv, vi: idx % nv, seed: int64(s)})
 			}
 			c.goal = next
 		}
-	}
-	for idx := range cells {
-		c := &cells[idx]
-		for s := 1; s <= c.goal; s++ {
-			total++
-			if c.finishedSeed(s) {
-				done++
-			} else {
-				pending = append(pending, job{xi: idx / nv, vi: idx % nv, seed: int64(s)})
-			}
-		}
-	}
-	for idx := range cells {
-		advance(idx)
-	}
-	if done > 0 {
-		progress()
 	}
 
 	// Worker pool. Workers only ever read def/opt and own their engine;
@@ -424,47 +336,23 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 		}
 		idx := o.xi*nv + o.vi
 		if o.failure != "" {
-			if o.attempt < opt.MaxRetries {
-				// Retry the same seed; a deterministic engine will fail
-				// again, but transient causes (a panicking instrument
-				// hook, an environmental hiccup) get their chance. On
-				// cancellation or a fatal error the retry is simply
-				// never dispatched.
-				retry := o.job
-				retry.attempt++
-				pending = append(pending, retry)
-				return
-			}
-			f := RunFailure{
+			cells[idx].failed[int(o.seed)] = RunFailure{
 				xi: o.xi, X: def.Xs[o.xi], vi: o.vi, Variant: def.Variants[o.vi].name,
-				Seed: o.seed, Attempts: o.attempt + 1, Message: o.failure,
+				Seed: o.seed, Message: o.failure,
 			}
-			cells[idx].failed[int(o.seed)] = f
-			if ckpt != nil {
-				if err := ckpt.recordFailure(def, f); err != nil {
-					fail(err)
-				}
-			}
-			done++
-			progress()
-			advance(idx)
-			return
-		}
-		cells[idx].res[int(o.seed)] = o.res
-		if ckpt != nil {
-			if err := ckpt.record(def, o); err != nil {
-				fail(err)
-			}
+		} else {
+			cells[idx].res[int(o.seed)] = o.res
 		}
 		done++
-		progress()
+		if opt.Progress != nil {
+			opt.Progress(done, total)
+		}
 		advance(idx)
 	}
 
 	// Collector: dispatch pending jobs and fold outcomes until the
 	// schedule drains, an error occurs, or the context cancels. In-flight
-	// runs always drain before Run returns — nothing leaks, and every
-	// completed run reaches the checkpoint.
+	// runs always drain before Run returns, so nothing leaks.
 	inflight := 0
 	canceled := false
 	ctxDone := ctx.Done()
@@ -526,10 +414,10 @@ func Run(ctx context.Context, def Definition, opt Options) (*Result, error) {
 }
 
 // runOne executes a single seed run on a worker goroutine. It returns
-// either a result, a retryable failure message (a panic anywhere between
-// engine construction and run completion, or an engine error such as an
-// oracle or watchdog violation), or a fatal error (an invalid
-// configuration, an inspect rejection) that aborts the sweep.
+// either a result, a failure message (a panic anywhere between engine
+// construction and run completion, or an engine error such as an oracle
+// or watchdog violation), or a fatal error (an invalid configuration, an
+// inspect rejection) that aborts the sweep.
 func runOne(def *Definition, opt *Options, j job) (metrics.Result, string, error) {
 	cfg := def.Variants[j.vi].configure(def.Xs[j.xi], j.seed)
 	if opt.Count > 0 {
@@ -551,9 +439,9 @@ func runOne(def *Definition, opt *Options, j job) (metrics.Result, string, error
 	var res metrics.Result
 	var runErr error
 	// One bad seed must not take down a multi-hour sweep: recover panics
-	// from the instrumentation hook and the engine itself and fold them
-	// into the retry/failure path. The message excludes the stack so
-	// reruns of a deterministic panic produce identical failure records.
+	// from the instrumentation hook and the engine itself and record them
+	// as the seed's failure. The message excludes the stack so reruns of
+	// a deterministic panic produce identical failure records.
 	func() {
 		defer func() {
 			if p := recover(); p != nil {

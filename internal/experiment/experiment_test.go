@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,7 +180,13 @@ func TestRunErrorLeaksNoGoroutines(t *testing.T) {
 			t.Fatal("invalid sweep did not fail")
 		}
 	}
-	// Give exited goroutines a moment to be reaped before comparing.
+	checkNoLeak(t, before)
+}
+
+// checkNoLeak fails the test if more goroutines run than before, once
+// exited ones have had a moment to be reaped.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -187,6 +195,47 @@ func TestRunErrorLeaksNoGoroutines(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutines leaked: %d before, %d after\n%s",
 			before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestCancelDrainsWorkers: a sweep cancelled partway through (exactly
+// what SIGINT triggers in rtexp) returns context.Canceled, but only after
+// every run it started has finished and been collected, and it leaks no
+// goroutines — in both fixed and adaptive mode.
+func TestCancelDrainsWorkers(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opt  Options
+	}{
+		{"fixed", Options{Seeds: 4, Count: 100}},
+		{"adaptive", Options{Count: 100, TargetCI: 0.08, MaxSeeds: 6}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var started atomic.Int64
+			collected, total := 0, 0
+			opt := mode.opt
+			opt.Workers = 2
+			opt.instrument = func(int, int, int64, *core.Engine) { started.Add(1) }
+			opt.Progress = func(done, n int) {
+				collected, total = done, n
+				if done >= 3 {
+					cancel()
+				}
+			}
+			if _, err := Run(ctx, adaptiveDef(), opt); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+			}
+			if collected >= total {
+				t.Fatalf("cancelled sweep finished all %d runs", total)
+			}
+			if n := started.Load(); int(n) != collected {
+				t.Fatalf("%d runs started, %d collected: Run returned before its workers drained", n, collected)
+			}
+			checkNoLeak(t, before)
+		})
 	}
 }
 

@@ -217,8 +217,8 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestResultJSONExactRoundTrip: the checkpoint format depends on Result
-// surviving encode→decode bit-identically, including awkward float64
+// TestResultJSONExactRoundTrip: Result (the engine block of /metrics)
+// survives encode→decode bit-identically, including awkward float64
 // values — Go's encoding/json uses shortest-representation encoding, which
 // round-trips every finite float exactly.
 func TestResultJSONExactRoundTrip(t *testing.T) {

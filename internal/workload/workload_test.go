@@ -424,23 +424,6 @@ func TestGenerateDecisionPointsResourceTime(t *testing.T) {
 	}
 }
 
-func TestCheckDecisionFields(t *testing.T) {
-	p := BaseMainMemory()
-	p.Count = 2
-	w := MustGenerate(p, 1)
-	w.Txns[0].MightFull = []txn.Item{0}
-	w.Txns[0].Items = []txn.Item{1} // executes outside might-set
-	if err := w.check(); err == nil {
-		t.Fatal("path outside might-set accepted")
-	}
-	w2 := MustGenerate(p, 1)
-	w2.Txns[0].MightFull = append([]txn.Item(nil), w2.Txns[0].Items...)
-	w2.Txns[0].DecisionIndex = len(w2.Txns[0].Items) // out of range
-	if err := w2.check(); err == nil {
-		t.Fatal("out-of-range decision index accepted")
-	}
-}
-
 // diskUtilizationAt returns the expected disk utilisation at the given
 // arrival rate: λ × updates × P(IO) × access time. The paper computes 62.5%
 // at the 12.5 tr/s capacity point.

@@ -259,15 +259,11 @@ func Seeds(n int) []int64 {
 	return out
 }
 
-// GenerateWorkload draws a workload without running it (inspection, replay,
-// custom engines).
+// GenerateWorkload draws a workload without running it (inspection, custom
+// engines).
 func GenerateWorkload(p WorkloadParams, seed int64) (*Workload, error) {
 	return workload.Generate(p, seed)
 }
-
-// ReadWorkloadJSON loads an archived workload written by
-// Workload.WriteJSON, validating it for replay.
-func ReadWorkloadJSON(r io.Reader) (*Workload, error) { return workload.ReadJSON(r) }
 
 // Experiments returns every defined experiment (paper figures and
 // extension ablations).
@@ -284,8 +280,8 @@ func RunExperiment(def Experiment, opt ExperimentOptions) (*ExperimentResult, er
 }
 
 // RunExperimentContext is RunExperiment under a context: cancellation stops
-// scheduling further runs, drains in-flight ones (checkpointing them when a
-// checkpoint is configured) and returns the context's error.
+// scheduling further runs, drains in-flight ones and returns the context's
+// error.
 func RunExperimentContext(ctx context.Context, def Experiment, opt ExperimentOptions) (*ExperimentResult, error) {
 	return experiment.Run(ctx, def, opt)
 }

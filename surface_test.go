@@ -43,7 +43,7 @@ const runDigested = "the recorded equivalence digests hash a Run's exported fiel
 // TestExportedSurfaceRules. With -v it also prints the count of exported
 // identifiers the size record tracks.
 func TestExportedSurface(t *testing.T) {
-	prog, err := loadProgram(".", "bench")
+	prog, err := treeProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
